@@ -5,110 +5,23 @@ root-seeking walks over the reply tree, discounts sampled nodes by their
 walk position, concatenates the point-of-interest embedding with the
 aggregated context, and trains a softmax classifier for reply-polarity
 prediction or hate-speech detection.
+
+The names below are the entry points; everything else lives in the
+submodules listed in the README's package map.
 """
 
-from .corpus import export_baf, load_corpus, save_corpus
-from .embeddings import (
-    DEFAULT_BOW_DIM,
-    EmbeddingProvider,
-    ExternalEmbeddingProvider,
-    HashedBowProvider,
-    hashed_bow_embed,
-    load_external_embeddings,
-    save_external_embeddings,
-    tokenize,
-)
-from .errors import (
-    ConfigError,
-    CycleDetectedError,
-    DanglingParentError,
-    DimensionMismatchError,
-    DuplicateIdError,
-    EmptyEvalSetError,
-    InvalidSpecError,
-    MalformedFileError,
-    MissingEmbeddingError,
-    MissingLabelError,
-    MissingPolarityLabelError,
-    MultipleRootsError,
-    NegativeWeightError,
-    NoRootError,
-    NonFiniteLossError,
-    NotBinaryTaskError,
-    SingleClassDataError,
-    ThreadwalkError,
-    TooFewTreesError,
-    UnknownIdError,
-)
-from .evaluation import (
-    ErrorAnalysisResult,
-    EvalReport,
-    Misclassification,
-    error_analysis,
-    evaluate,
-    report_from_pairs,
-    split_trees,
-)
-from .features import (
-    AggregationStrategy,
-    ConcatScheme,
-    DEFAULT_SCHEME,
-    FeatureVector,
-    HATE_TASK,
-    LabeledExample,
-    POLARITY_TASK,
-    TASKS,
-    aggregate_context,
-    concat_features,
-    features_from_walk,
-    featurize_corpus,
-    featurize_node,
-)
-from .model import (
-    SoftmaxModel,
-    TrainConfig,
-    bow_examples,
-    bow_logreg_baseline,
-    load_model,
-    loss_and_gradient,
-    predict_labels,
-    predict_proba,
-    save_model,
-    train,
-)
+from .corpus import load_corpus, save_corpus
+from .errors import ConfigError, ThreadwalkError
+from .evaluation import EvalReport, evaluate, split_trees
 from .pipeline import (
-    AblationRow,
-    GridCell,
-    GridSearchResult,
-    PipelineResult,
     RunConfig,
     ablate_concat,
-    ablation_csv,
     grid_search,
     read_manifest,
     run_pipeline,
     write_manifest,
 )
-from .synthetic import CorpusSpec, GeneratedCorpus, NodeProvenance, generate
-from .tree import (
-    BipolarFramework,
-    CommentNode,
-    DiscussionTree,
-    TreeStats,
-    ancestors,
-    build_tree,
-    to_baf,
-    tree_stats,
-)
-from .walks import (
-    DEFAULT_WALK_LENGTH,
-    WalkConfig,
-    WalkSample,
-    root_seeking_walk,
-    sample_walk,
-    transition_distribution,
-    walk_rng,
-    walk_weights,
-)
+from .synthetic import CorpusSpec, generate
+from .tree import CommentNode, DiscussionTree, build_tree
 
 __version__ = "0.1.0"

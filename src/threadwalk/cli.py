@@ -26,21 +26,23 @@ from .errors import (
     ThreadwalkError,
 )
 from .evaluation import error_analysis, evaluate, split_trees
-from .features import AggregationStrategy, ConcatScheme, TASKS
+from .features import AggregationStrategy, ConcatScheme, LabeledExample, TASKS
 from .model import load_model, save_model, train
 from .pipeline import (
     RunConfig,
     ablate_concat,
     ablation_csv,
+    check_type,
     feature_dump_line,
     featurize_split,
     grid_search,
     read_manifest,
     run_pipeline,
+    write_json,
     write_manifest,
 )
 from .synthetic import CorpusSpec, generate
-from .walks import sample_walk, walk_rng
+from .tree import DiscussionTree
 
 _CONFIG_EXIT_ERRORS = (
     ConfigError,
@@ -199,22 +201,36 @@ def _outdir(args: argparse.Namespace) -> Path:
     return path
 
 
-def _parse_floats(
-    text: str | None, extras: dict, key: str, default_tuple: tuple[float, ...]
-) -> tuple[float, ...]:
+def _parse_list(text: str | None, extras: dict, key: str, cast: type, default: tuple) -> tuple:
+    """A comma-separated flag, else the list under ``key`` in the config
+    file, else ``default``. Malformed values raise ConfigError."""
+    kind = cast.__name__
     if text:
-        return tuple(float(v) for v in text.split(","))
-    if key in extras:
-        return tuple(float(v) for v in extras[key])
-    return default_tuple
+        try:
+            return tuple(cast(v) for v in text.split(","))
+        except ValueError:
+            raise ConfigError(f"{key} needs comma-separated {kind} values, got {text!r}") from None
+    if key not in extras:
+        return default
+    values = extras[key]
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list of {kind} values, got {values!r}")
+    for value in values:
+        check_type(key, value, kind)
+    return tuple(cast(v) for v in values)
 
 
-def _parse_seeds(text: str | None, extras: dict) -> tuple[int, ...]:
-    if text:
-        return tuple(int(v) for v in text.split(","))
-    if "seeds" in extras:
-        return tuple(int(v) for v in extras["seeds"])
-    return DEFAULT_SEEDS
+def _featurized(
+    args: argparse.Namespace, side: str | None
+) -> tuple[RunConfig, list[DiscussionTree], list[LabeledExample]]:
+    """Resolve the config, load the corpus, keep the ``"train"`` or ``"test"``
+    side of the split (or every tree for ``None``) and featurize it."""
+    config, _ = _resolve_config(args)
+    trees = load_corpus(args.corpus)
+    if side is not None:
+        train_trees, test_trees = split_trees(trees, config.split_fraction, config.seed)
+        trees = train_trees if side == "train" else test_trees
+    return config, trees, featurize_split(trees, config, config.build_provider())
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -248,31 +264,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    config, _ = _resolve_config(args)
-    trees = load_corpus(args.corpus)
-    provider = config.build_provider()
-    examples = featurize_split(trees, config, provider)
+    _, _, examples = _featurized(args, None)
     with open(args.output, "w", encoding="utf-8") as handle:
         for ex in examples:
             handle.write(feature_dump_line(ex) + "\n")
     if args.traces:
-        walk_config = config.walk_config()
-        by_id = {tree.tree_id: tree for tree in trees}
         with open(args.traces, "w", encoding="utf-8") as handle:
             for ex in examples:
-                rng = walk_rng(walk_config.seed, ex.tree_id, ex.node_id)
-                sample = sample_walk(by_id[ex.tree_id], ex.node_id, walk_config, rng)
-                handle.write(sample.trace_line(ex.tree_id) + "\n")
+                handle.write(ex.walk.trace_line(ex.tree_id) + "\n")
     print(f"wrote {len(examples)} examples to {args.output}")
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config, _ = _resolve_config(args)
-    trees = load_corpus(args.corpus)
-    train_trees, _ = split_trees(trees, config.split_fraction, config.seed)
-    provider = config.build_provider()
-    examples = featurize_split(train_trees, config, provider)
+    config, _, examples = _featurized(args, "train")
     model = train(examples, config.train_config())
     outdir = _outdir(args)
     save_model(model, outdir / "model.txt")
@@ -282,20 +287,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config, _ = _resolve_config(args)
-    trees = load_corpus(args.corpus)
     model = load_model(args.model)
-    _, test_trees = split_trees(trees, config.split_fraction, config.seed)
-    provider = config.build_provider()
-    examples = featurize_split(test_trees, config, provider)
+    _, _, examples = _featurized(args, "test")
     report = evaluate(model, examples)
     print(report.to_text(), end="")
     if args.out:
         outdir = _outdir(args)
         (outdir / "report.txt").write_text(report.to_text(), encoding="utf-8")
-        (outdir / "metrics.json").write_text(
-            json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(report.to_dict(), outdir / "metrics.json")
     return 0
 
 
@@ -311,9 +310,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_grid_search(args: argparse.Namespace) -> int:
     config, extras = _resolve_config(args)
     trees = load_corpus(args.corpus)
-    p_values = _parse_floats(args.p_values, extras, "p_values", DEFAULT_GRID)
-    gamma_values = _parse_floats(args.gamma_values, extras, "gamma_values", DEFAULT_GRID)
-    seeds = _parse_seeds(args.seeds, extras)
+    p_values = _parse_list(args.p_values, extras, "p_values", float, DEFAULT_GRID)
+    gamma_values = _parse_list(args.gamma_values, extras, "gamma_values", float, DEFAULT_GRID)
+    seeds = _parse_list(args.seeds, extras, "seeds", int, DEFAULT_SEEDS)
     result = grid_search(trees, config.task, p_values, gamma_values, config, seeds, jobs=args.jobs)
     outdir = _outdir(args)
     (outdir / "grid.csv").write_text(result.to_csv(), encoding="utf-8")
@@ -334,7 +333,7 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     config, extras = _resolve_config(args)
     trees = load_corpus(args.corpus)
-    seeds = _parse_seeds(args.seeds, extras)
+    seeds = _parse_list(args.seeds, extras, "seeds", int, DEFAULT_SEEDS)
     rows = ablate_concat(trees, config.task, config, seeds)
     outdir = _outdir(args)
     (outdir / "ablation.csv").write_text(ablation_csv(rows), encoding="utf-8")
@@ -345,12 +344,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_error_analysis(args: argparse.Namespace) -> int:
-    config, _ = _resolve_config(args)
-    trees = load_corpus(args.corpus)
     model = load_model(args.model)
-    _, test_trees = split_trees(trees, config.split_fraction, config.seed)
-    provider = config.build_provider()
-    examples = featurize_split(test_trees, config, provider)
+    _, test_trees, examples = _featurized(args, "test")
     result = error_analysis(model, examples, test_trees)
     outdir = _outdir(args)
     (outdir / "errors.jsonl").write_text(result.to_jsonl(), encoding="utf-8")

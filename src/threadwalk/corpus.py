@@ -39,11 +39,15 @@ def load_corpus(path: str | Path) -> list[DiscussionTree]:
             label = obj.get("label")
             if label is not None and not isinstance(label, str):
                 raise MalformedFileError(f"{path}:{lineno}: label must be a string or null")
+            if not isinstance(obj["text"], str):
+                raise MalformedFileError(f"{path}:{lineno}: text must be a string")
+            if obj["id"] is None or str(obj["id"]) == "":
+                raise MalformedFileError(f"{path}:{lineno}: id must be non-empty")
             groups.setdefault(str(obj["tree_id"]), []).append(
                 CommentNode(
                     id=str(obj["id"]),
                     parent_id=None if obj["parent_id"] is None else str(obj["parent_id"]),
-                    text=str(obj["text"]),
+                    text=obj["text"],
                     label=label,
                 )
             )

@@ -107,9 +107,6 @@ class ExternalEmbeddingProvider:
             raise MissingEmbeddingError(f"no embedding for node id {node.id!r}")
         return vec
 
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self._vectors
-
     def __len__(self) -> int:
         return len(self._vectors)
 

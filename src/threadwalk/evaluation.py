@@ -193,12 +193,19 @@ def evaluate(
     positive_label: str | None = None,
 ) -> EvalReport:
     """Score a model on labeled examples via argmax predictions."""
+    return _predict_and_score(model, examples, positive_label)[0]
+
+
+def _predict_and_score(
+    model: SoftmaxModel, examples: Sequence[LabeledExample], positive_label: str | None
+) -> tuple[EvalReport, list[str]]:
     if not examples:
         raise EmptyEvalSetError("no examples to evaluate")
     predictions = predict_labels(model, examples)
     trues = [ex.label for ex in examples]
     names = tuple(sorted(set(model.class_names) | set(trues)))
-    return report_from_pairs(trues, predictions, class_names=names, positive_label=positive_label)
+    report = report_from_pairs(trues, predictions, names, positive_label=positive_label)
+    return report, predictions
 
 
 @dataclass(frozen=True)
@@ -254,13 +261,12 @@ def error_analysis(
 
     The FP/FN counts reconcile with the confusion matrix by construction.
     """
-    report = evaluate(model, examples, positive_label=positive_label)
+    report, predictions = _predict_and_score(model, examples, positive_label)
     if len(report.class_names) != 2:
         raise NotBinaryTaskError(
             f"error analysis needs a binary task, got classes {report.class_names}"
         )
     by_id = {tree.tree_id: tree for tree in trees}
-    predictions = predict_labels(model, examples)
     pos = report.positive_label
 
     fps: list[Misclassification] = []

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingProvider
+from .embeddings import EmbeddingProvider, HashedBowProvider
 from .errors import DimensionMismatchError, MissingLabelError, NegativeWeightError
-from .tree import DiscussionTree
+from .tree import CommentNode, DiscussionTree
 from .walks import WalkConfig, WalkSample, sample_walk, walk_rng
 
 POLARITY_TASK = "polarity"
@@ -43,20 +43,6 @@ class ConcatScheme(Enum):
     UV_ABSDIFF = "uv_absdiff"
     UV_ABSDIFF_MUL = "uv_absdiff_mul"
 
-    @property
-    def multiplier(self) -> int:
-        return _SCHEME_MULTIPLIER[self]
-
-
-_SCHEME_MULTIPLIER = {
-    ConcatScheme.UV: 2,
-    ConcatScheme.UV_MUL: 3,
-    ConcatScheme.UV_ABSDIFF: 3,
-    ConcatScheme.UV_ABSDIFF_MUL: 4,
-}
-
-DEFAULT_SCHEME = ConcatScheme.UV_ABSDIFF
-
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -70,13 +56,18 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class LabeledExample:
-    """A feature vector with its task label and sampled context ids."""
+    """A feature vector with its task label and the walk it was built from."""
 
     tree_id: str
     node_id: str
     label: str
     features: FeatureVector
-    context_ids: tuple[str, ...] = ()
+    walk: WalkSample | None = None
+
+    @property
+    def context_ids(self) -> tuple[str, ...]:
+        """The walk's nodes after the PoI; empty without a walk."""
+        return self.walk.node_ids[1:] if self.walk is not None else ()
 
 
 def aggregate_context(
@@ -168,23 +159,23 @@ def features_from_walk(
     return FeatureVector(values=values, scheme=scheme, poi_id=sample.start, task=task)
 
 
-def featurize_node(
-    tree: DiscussionTree,
-    poi: str,
-    provider: EmbeddingProvider,
-    walk_config: WalkConfig,
-    strategy: AggregationStrategy,
-    scheme: ConcatScheme,
-    rng: np.random.Generator,
-    task: str = POLARITY_TASK,
-    *,
-    normalize_weights: bool = True,
-) -> FeatureVector:
-    """Walk from ``poi`` and build its feature vector."""
-    sample = sample_walk(tree, poi, walk_config, rng)
-    return features_from_walk(
-        tree, sample, provider, strategy, scheme, task, normalize_weights=normalize_weights
-    )
+def labeled_pois(
+    trees: Iterable[DiscussionTree], task: str
+) -> Iterator[tuple[DiscussionTree, CommentNode]]:
+    """Every PoI of the corpus with its tree, in canonical order (tree id,
+    then node id), its label checked against the task.
+
+    Polarity uses every non-root node (label = polarity of its reply
+    edge); hate uses every node.
+    """
+    _check_task(task)
+    for tree in sorted(trees, key=lambda t: t.tree_id):
+        for node_id in sorted(tree.node_ids()):
+            if task == POLARITY_TASK and node_id == tree.root_id:
+                continue
+            node = tree.node(node_id)
+            _check_label(node.label, node_id, tree.tree_id, task)
+            yield tree, node
 
 
 def featurize_corpus(
@@ -197,36 +188,43 @@ def featurize_corpus(
     *,
     normalize_weights: bool = True,
 ) -> list[LabeledExample]:
-    """One labeled example per PoI node of the corpus.
-
-    Polarity uses every non-root node (label = polarity of its reply
-    edge); hate uses every node. Output order is canonical (tree id, then
-    node id) and each node walks on its own derived stream, so results do
-    not depend on scheduling.
+    """One labeled example per PoI of the corpus, in :func:`labeled_pois`
+    order. Each node walks on its own derived stream, so results do not
+    depend on scheduling.
     """
-    _check_task(task)
     examples: list[LabeledExample] = []
-    for tree in sorted(trees, key=lambda t: t.tree_id):
-        for node_id in sorted(tree.node_ids()):
-            if task == POLARITY_TASK and node_id == tree.root_id:
-                continue
-            node = tree.node(node_id)
-            _check_label(node.label, node_id, tree.tree_id, task)
-            rng = walk_rng(walk_config.seed, tree.tree_id, node_id)
-            sample = sample_walk(tree, node_id, walk_config, rng)
-            fv = features_from_walk(
-                tree, sample, provider, strategy, scheme, task,
-                normalize_weights=normalize_weights,
-            )
-            examples.append(
-                LabeledExample(
-                    tree_id=tree.tree_id,
-                    node_id=node_id,
-                    label=node.label,
-                    features=fv,
-                    context_ids=sample.node_ids[1:],
-                )
-            )
+    for tree, node in labeled_pois(trees, task):
+        rng = walk_rng(walk_config.seed, tree.tree_id, node.id)
+        sample = sample_walk(tree, node.id, walk_config, rng)
+        fv = features_from_walk(
+            tree, sample, provider, strategy, scheme, task,
+            normalize_weights=normalize_weights,
+        )
+        examples.append(LabeledExample(tree.tree_id, node.id, node.label, fv, sample))
+    return examples
+
+
+def bow_examples(
+    trees: Sequence[DiscussionTree], task: str, d: int, *, normalize: bool = False
+) -> list[LabeledExample]:
+    """Bag-of-words baseline inputs.
+
+    Polarity concatenates the parent and child BoW vectors (the pair
+    framing, kept as a one-step walk to the parent); hate uses the single
+    comment vector.
+    """
+    provider = HashedBowProvider(d, normalize=normalize)
+    examples: list[LabeledExample] = []
+    for tree, node in labeled_pois(trees, task):
+        own = provider.vector_for(node)
+        walk = None
+        if task == POLARITY_TASK:
+            parent = tree.node(node.parent_id)
+            own = np.concatenate([provider.vector_for(parent), own])
+            own.setflags(write=False)
+            walk = WalkSample((node.id, parent.id), (1.0, 1.0), (parent.id,))
+        fv = FeatureVector(values=own, scheme=None, poi_id=node.id, task=task)
+        examples.append(LabeledExample(tree.tree_id, node.id, node.label, fv, walk))
     return examples
 
 

@@ -11,22 +11,21 @@ inverse-frequency class weighting.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .embeddings import hashed_bow_embed
 from .errors import (
     DimensionMismatchError,
     MalformedFileError,
     NonFiniteLossError,
     SingleClassDataError,
 )
-from .features import FeatureVector, LabeledExample, POLARITY_TASK, _check_label, _check_task
+from .features import FeatureVector, LabeledExample
 from .seeding import derived_rng
-from .tree import DiscussionTree
 
 MODEL_FORMAT = "threadwalk-softmax-v1"
 
@@ -48,10 +47,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.l2 < 0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be >= 0 and finite, got {self.l2}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
@@ -219,56 +218,6 @@ def predict_labels(
         features = np.stack([ex.features.values for ex in features])
     probs = predict_proba(model, features)
     return [model.class_names[i] for i in probs.argmax(axis=1)]
-
-
-def bow_examples(
-    trees: Sequence[DiscussionTree], task: str, d: int, *, normalize: bool = False
-) -> list[LabeledExample]:
-    """Bag-of-words baseline inputs.
-
-    Polarity concatenates the parent and child BoW vectors (the pair
-    framing); hate uses the single comment vector.
-    """
-    _check_task(task)
-    examples: list[LabeledExample] = []
-    for tree in sorted(trees, key=lambda t: t.tree_id):
-        for node_id in sorted(tree.node_ids()):
-            if task == POLARITY_TASK and node_id == tree.root_id:
-                continue
-            node = tree.node(node_id)
-            _check_label(node.label, node_id, tree.tree_id, task)
-            own = hashed_bow_embed(node.text, d, normalize=normalize)
-            if task == POLARITY_TASK:
-                parent = tree.node(node.parent_id)
-                values = np.concatenate([hashed_bow_embed(parent.text, d, normalize=normalize), own])
-                context: tuple[str, ...] = (parent.id,)
-            else:
-                values = own
-                context = ()
-            values.setflags(write=False)
-            fv = FeatureVector(values=values, scheme=None, poi_id=node_id, task=task)
-            examples.append(
-                LabeledExample(
-                    tree_id=tree.tree_id,
-                    node_id=node_id,
-                    label=node.label,
-                    features=fv,
-                    context_ids=context,
-                )
-            )
-    return examples
-
-
-def bow_logreg_baseline(
-    trees: Sequence[DiscussionTree],
-    task: str,
-    d: int,
-    config: TrainConfig,
-    *,
-    normalize: bool = False,
-) -> SoftmaxModel:
-    """Train the bag-of-words logistic-regression baseline."""
-    return train(bow_examples(trees, task, d, normalize=normalize), config)
 
 
 def save_model(model: SoftmaxModel, path: str | Path) -> None:

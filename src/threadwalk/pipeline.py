@@ -1,20 +1,25 @@
 """End-to-end experiment orchestration.
 
-A run is split -> featurize -> train -> evaluate. Every run writes a
-manifest that captures the full resolved configuration, and replaying a
-manifest reproduces metrics and model files byte for byte: all randomness
-flows from the single top-level seed through named streams (tree split,
-per-node walks, training shuffle).
+Every experiment repeats one replicate: featurize both sides of a fixed
+tree split at a seed, train, evaluate. A run is one replicate at the
+configured seed; a grid cell and an ablation row each average replicates
+over a list of seeds. Every run writes a manifest that captures the full
+resolved configuration, and replaying a manifest reproduces metrics and
+model files byte for byte: all randomness flows from the single top-level
+seed through named streams (tree split, per-node walks, training shuffle).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .embeddings import (
     DEFAULT_BOW_DIM,
@@ -37,6 +42,28 @@ from .walks import DEFAULT_WALK_LENGTH, WalkConfig
 
 MANIFEST_FORMAT = "threadwalk-manifest-v1"
 _EMBEDDING_SOURCES = ("hashed-bow", "external")
+_ACCEPTED = {  # annotation -> (accepted Python types, description)
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a finite number"),
+    "bool": ((bool,), "true or false"),
+}
+
+
+def check_type(name: str, value: object, annotation: str) -> None:
+    """Raise ConfigError unless ``value`` fits ``annotation``, e.g. ``"int | None"``.
+
+    A bool fits only a bool. A float must be finite, and an int fits a
+    float when it is within float range.
+    """
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional == "None":
+        return
+    types, description = _ACCEPTED[kind]
+    fits = isinstance(value, types) and (kind == "bool" or not isinstance(value, bool))
+    if not fits or (kind == "float" and not abs(value) <= sys.float_info.max):
+        null = " or null" if optional else ""
+        raise ConfigError(f"{name} must be {description}{null}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +114,7 @@ class RunConfig:
             raise ConfigError(f"embedding must be one of {_EMBEDDING_SOURCES}")
         if self.embedding == "external" and not self.embedding_file:
             raise ConfigError("embedding 'external' needs embedding_file")
-        if self.embedding == "external" and not Path(self.embedding_file).exists():
+        if self.embedding == "external" and not os.path.isfile(self.embedding_file):
             raise ConfigError(f"embedding file not found: {self.embedding_file}")
         if self.bow_dim < 1:
             raise ConfigError(f"bow_dim must be >= 1, got {self.bow_dim}")
@@ -136,10 +163,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in data.items():
+            check_type(name, value, types[name])
         return cls(**data)
 
     def replace(self, **changes) -> "RunConfig":
@@ -153,6 +182,32 @@ class PipelineResult:
     train_examples: int
     test_examples: int
     artifacts: dict[str, Path]
+
+
+class Replicate(NamedTuple):
+    """What one featurize -> train -> evaluate pass produced."""
+
+    model: SoftmaxModel
+    report: EvalReport
+    train_examples: list[LabeledExample]
+    test_examples: list[LabeledExample]
+
+
+@dataclass(frozen=True)
+class SeedAverage:
+    """Metrics of one configuration, each the mean of its per-seed values
+    (not of pooled predictions); the per-seed reports ride along."""
+
+    p: float
+    gamma: float
+    scheme: str
+    accuracy: float
+    macro_f1: float
+    precision_pos: float
+    recall_pos: float
+    precision_macro: float
+    recall_macro: float
+    reports: tuple[EvalReport, ...] = field(compare=False)
 
 
 def featurize_split(
@@ -173,6 +228,52 @@ def featurize_split(
     )
 
 
+def replicate(
+    train_trees: Sequence[DiscussionTree],
+    test_trees: Sequence[DiscussionTree],
+    config: RunConfig,
+    provider: EmbeddingProvider,
+    seed: int | None = None,
+) -> Replicate:
+    """Featurize both sides, train, evaluate. ``seed`` (default
+    ``config.seed``) reseeds the walks and the training shuffle only; the
+    split is the caller's."""
+    train_examples = featurize_split(train_trees, config, provider, seed)
+    test_examples = featurize_split(test_trees, config, provider, seed)
+    model = train(train_examples, config.train_config(seed))
+    return Replicate(model, evaluate(model, test_examples), train_examples, test_examples)
+
+
+def _mean(reports: Sequence[EvalReport], metric: str) -> float:
+    values = [getattr(r, metric) for r in reports if getattr(r, metric) is not None]
+    return sum(values) / len(values) if values else float("nan")
+
+
+def average_over_seeds(
+    train_trees: Sequence[DiscussionTree],
+    test_trees: Sequence[DiscussionTree],
+    config: RunConfig,
+    provider: EmbeddingProvider,
+    seeds: Sequence[int],
+) -> SeedAverage:
+    """One replicate per seed on the same split, metrics averaged."""
+    reports = tuple(
+        replicate(train_trees, test_trees, config, provider, seed).report for seed in seeds
+    )
+    return SeedAverage(
+        p=config.p,
+        gamma=config.gamma,
+        scheme=config.scheme,
+        accuracy=_mean(reports, "accuracy"),
+        macro_f1=_mean(reports, "macro_f1"),
+        precision_pos=_mean(reports, "precision_pos"),
+        recall_pos=_mean(reports, "recall_pos"),
+        precision_macro=_mean(reports, "macro_precision"),
+        recall_macro=_mean(reports, "macro_recall"),
+        reports=reports,
+    )
+
+
 def run_pipeline(
     trees: Sequence[DiscussionTree],
     config: RunConfig,
@@ -182,11 +283,9 @@ def run_pipeline(
     """Execute split -> featurize -> train -> evaluate and write artifacts."""
     config.validate()
     train_trees, test_trees = split_trees(trees, config.split_fraction, config.seed)
-    provider = config.build_provider()
-    train_examples = featurize_split(train_trees, config, provider)
-    test_examples = featurize_split(test_trees, config, provider)
-    model = train(train_examples, config.train_config())
-    report = evaluate(model, test_examples)
+    model, report, train_examples, test_examples = replicate(
+        train_trees, test_trees, config, config.build_provider()
+    )
 
     artifacts: dict[str, Path] = {}
     if outdir is not None:
@@ -205,9 +304,7 @@ def run_pipeline(
             "test_examples": len(test_examples),
             "config": config.to_dict(),
         }
-        artifacts["metrics"].write_text(
-            json.dumps(metrics, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(metrics, artifacts["metrics"])
         if dump_features:
             artifacts["features"] = outdir / "features.jsonl"
             with artifacts["features"].open("w", encoding="utf-8") as handle:
@@ -235,20 +332,20 @@ def feature_dump_line(example: LabeledExample) -> str:
     )
 
 
+def write_json(payload: dict, path: str | Path) -> None:
+    """Sorted, indented JSON with a trailing newline."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def write_manifest(config: RunConfig, path: str | Path, extra: dict | None = None) -> None:
-    payload = {"format": MANIFEST_FORMAT, "config": config.to_dict()}
-    if extra:
-        payload.update(extra)
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json({"format": MANIFEST_FORMAT, "config": config.to_dict(), **(extra or {})}, path)
 
 
 def read_manifest(path: str | Path) -> tuple[RunConfig, dict]:
     """Load a manifest or bare config file; returns (config, extras)."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected a JSON object")
@@ -262,22 +359,16 @@ def read_manifest(path: str | Path) -> tuple[RunConfig, dict]:
     return config, extras
 
 
+def _split_for(
+    trees: Sequence[DiscussionTree], task: str, config: RunConfig
+) -> tuple[RunConfig, list[DiscussionTree], list[DiscussionTree]]:
+    config = config.replace(task=task)
+    config.validate()
+    train_trees, test_trees = split_trees(trees, config.split_fraction, config.seed)
+    return config, train_trees, test_trees
+
+
 # --- hyperparameter grid search ---
-
-
-@dataclass(frozen=True)
-class GridCell:
-    """Seed-averaged metrics for one (p, gamma) pair."""
-
-    p: float
-    gamma: float
-    accuracy: float
-    macro_f1: float
-    precision_pos: float
-    recall_pos: float
-    precision_macro: float
-    recall_macro: float
-    reports: tuple[EvalReport, ...]
 
 
 @dataclass
@@ -287,7 +378,7 @@ class GridSearchResult:
     p_values: tuple[float, ...]
     gamma_values: tuple[float, ...]
     seeds: tuple[int, ...]
-    cells: dict[tuple[float, float], GridCell]
+    cells: dict[tuple[float, float], SeedAverage]
     best: tuple[float, float]
 
     def to_csv(self) -> str:
@@ -299,40 +390,6 @@ class GridSearchResult:
                 f"{c.precision_pos!r},{c.recall_pos!r},{c.precision_macro!r},{c.recall_macro!r}"
             )
         return "\n".join(lines) + "\n"
-
-
-def _mean(values: list[float | None]) -> float:
-    clean = [v for v in values if v is not None]
-    return sum(clean) / len(clean) if clean else float("nan")
-
-
-def _grid_cell(
-    p: float,
-    gamma: float,
-    train_trees: Sequence[DiscussionTree],
-    test_trees: Sequence[DiscussionTree],
-    config: RunConfig,
-    seeds: Sequence[int],
-) -> GridCell:
-    cell_config = config.replace(p=p, gamma=gamma)
-    provider = cell_config.build_provider()
-    reports = []
-    for seed in seeds:
-        train_examples = featurize_split(train_trees, cell_config, provider, seed=seed)
-        test_examples = featurize_split(test_trees, cell_config, provider, seed=seed)
-        model = train(train_examples, cell_config.train_config(seed=seed))
-        reports.append(evaluate(model, test_examples))
-    return GridCell(
-        p=p,
-        gamma=gamma,
-        accuracy=_mean([r.accuracy for r in reports]),
-        macro_f1=_mean([r.macro_f1 for r in reports]),
-        precision_pos=_mean([r.precision_pos for r in reports]),
-        recall_pos=_mean([r.recall_pos for r in reports]),
-        precision_macro=_mean([r.macro_precision for r in reports]),
-        recall_macro=_mean([r.macro_recall for r in reports]),
-        reports=tuple(reports),
-    )
 
 
 def grid_search(
@@ -352,34 +409,33 @@ def grid_search(
     """
     if not p_values or not gamma_values or not seeds:
         raise ConfigError("p_values, gamma_values and seeds must be non-empty")
-    config = config.replace(task=task)
-    config.validate()
-    train_trees, test_trees = split_trees(trees, config.split_fraction, config.seed)
-
-    pairs = [(p, g) for p in p_values for g in gamma_values]
+    config, train_trees, test_trees = _split_for(trees, task, config)
+    cell_configs = [config.replace(p=p, gamma=g) for p in p_values for g in gamma_values]
+    for cell_config in cell_configs:
+        cell_config.validate()
+    cell = functools.partial(
+        average_over_seeds,
+        train_trees,
+        test_trees,
+        provider=config.build_provider(),
+        seeds=tuple(seeds),
+    )
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_grid_cell, p, g, train_trees, test_trees, config, list(seeds))
-                for p, g in pairs
-            ]
-            cells = {(c.p, c.gamma): c for c in (f.result() for f in futures)}
+            averages = list(pool.map(cell, cell_configs))
     else:
-        cells = {}
-        for p, g in pairs:
-            cells[(p, g)] = _grid_cell(p, g, train_trees, test_trees, config, seeds)
-
-    best = _select_best(cells)
+        averages = [cell(cell_config) for cell_config in cell_configs]
+    cells = {(c.p, c.gamma): c for c in averages}
     return GridSearchResult(
         p_values=tuple(p_values),
         gamma_values=tuple(gamma_values),
         seeds=tuple(seeds),
         cells=cells,
-        best=best,
+        best=_select_best(cells),
     )
 
 
-def _select_best(cells: dict[tuple[float, float], GridCell]) -> tuple[float, float]:
+def _select_best(cells: dict[tuple[float, float], SeedAverage]) -> tuple[float, float]:
     """Best cell by macro-F1; ties break by higher accuracy, then lower p,
     then lower gamma."""
     return max(
@@ -391,50 +447,26 @@ def _select_best(cells: dict[tuple[float, float], GridCell]) -> tuple[float, flo
 # --- concatenation ablation ---
 
 
-@dataclass(frozen=True)
-class AblationRow:
-    scheme: str
-    accuracy: float
-    macro_f1: float
-    precision_pos: float
-    recall_pos: float
-
-
 def ablate_concat(
     trees: Sequence[DiscussionTree],
     task: str,
     config: RunConfig,
     seeds: Sequence[int],
-) -> list[AblationRow]:
+) -> list[SeedAverage]:
     """Compare the four concatenation schemes under identical seeds."""
     if not seeds:
         raise ConfigError("seeds must be non-empty")
-    config = config.replace(task=task)
-    config.validate()
-    train_trees, test_trees = split_trees(trees, config.split_fraction, config.seed)
-    rows = []
-    for scheme in ConcatScheme:
-        scheme_config = config.replace(scheme=scheme.value)
-        provider = scheme_config.build_provider()
-        reports = []
-        for seed in seeds:
-            train_examples = featurize_split(train_trees, scheme_config, provider, seed=seed)
-            test_examples = featurize_split(test_trees, scheme_config, provider, seed=seed)
-            model = train(train_examples, scheme_config.train_config(seed=seed))
-            reports.append(evaluate(model, test_examples))
-        rows.append(
-            AblationRow(
-                scheme=scheme.value,
-                accuracy=_mean([r.accuracy for r in reports]),
-                macro_f1=_mean([r.macro_f1 for r in reports]),
-                precision_pos=_mean([r.precision_pos for r in reports]),
-                recall_pos=_mean([r.recall_pos for r in reports]),
-            )
+    config, train_trees, test_trees = _split_for(trees, task, config)
+    provider = config.build_provider()
+    return [
+        average_over_seeds(
+            train_trees, test_trees, config.replace(scheme=scheme.value), provider, seeds
         )
-    return rows
+        for scheme in ConcatScheme
+    ]
 
 
-def ablation_csv(rows: Sequence[AblationRow]) -> str:
+def ablation_csv(rows: Sequence[SeedAverage]) -> str:
     lines = ["scheme,accuracy,macro_f1,precision_pos,recall_pos"]
     for row in rows:
         lines.append(

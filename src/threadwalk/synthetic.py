@@ -85,10 +85,6 @@ class GeneratedCorpus:
     provenance: dict[str, NodeProvenance] = field(default_factory=dict)
     spec: CorpusSpec | None = None
 
-    @property
-    def labeled_nodes(self) -> int:
-        return len(self.provenance)
-
     def positive_fraction_realized(self) -> float:
         positive = POSITIVE_LABEL[self.spec.task]
         total = hits = 0

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import UnknownIdError
 from .seeding import derived_rng
-from .tree import DiscussionTree, ancestors
+from .tree import DiscussionTree
 
 DEFAULT_WALK_LENGTH = 4
 
@@ -128,7 +128,7 @@ def sample_walk(
 
     Steps are drawn from :func:`transition_distribution` at the walk's
     current physical position. With ``p == 1`` the output is seed
-    independent and equals :func:`root_seeking_walk`.
+    independent: the ancestor chain of ``start``, truncated to ``L``.
     """
     if start not in tree:
         raise UnknownIdError(start)
@@ -156,20 +156,6 @@ def sample_walk(
 
     weights = walk_weights(len(collected), config.gamma)
     return WalkSample(tuple(collected), tuple(weights), tuple(raw))
-
-
-def root_seeking_walk(
-    tree: DiscussionTree, start: str, L: int, gamma: float = 1.0
-) -> WalkSample:
-    """Deterministic ancestor chain towards the root, truncated to ``L``."""
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    if start not in tree:
-        raise UnknownIdError(start)
-    chain = [start] + ancestors(tree, start)
-    collected = tuple(chain[:L])
-    weights = tuple(walk_weights(len(collected), gamma))
-    return WalkSample(collected, weights, collected[1:])
 
 
 def walk_rng(seed: int, tree_id: str, node_id: str) -> np.random.Generator:

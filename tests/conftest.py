@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from threadwalk import CommentNode, DiscussionTree, build_tree
+from threadwalk.features import bow_examples
+from threadwalk.model import train
+from threadwalk.tree import CommentNode, DiscussionTree, build_tree
 
 
 @pytest.fixture
@@ -84,3 +86,8 @@ def random_tree(
     label_choices: tuple[str, ...] | None = None,
 ) -> DiscussionTree:
     return build_tree(random_records(rng, size, label_choices), tree_id=tree_id)
+
+
+def bow_logreg_baseline(trees, task, d, config, *, normalize=False):
+    """Train the bag-of-words logistic-regression baseline."""
+    return train(bow_examples(trees, task, d, normalize=normalize), config)

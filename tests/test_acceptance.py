@@ -12,38 +12,30 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from threadwalk import (
+from threadwalk.evaluation import evaluate, split_trees
+from threadwalk.features import (
     AggregationStrategy,
-    CommentNode,
     ConcatScheme,
-    CorpusSpec,
     FeatureVector,
     LabeledExample,
-    RunConfig,
-    SoftmaxModel,
-    TrainConfig,
-    WalkConfig,
-    ablate_concat,
     aggregate_context,
-    ancestors,
     bow_examples,
-    bow_logreg_baseline,
-    build_tree,
-    evaluate,
-    generate,
+)
+from threadwalk.model import SoftmaxModel, TrainConfig, loss_and_gradient, train
+from threadwalk.pipeline import (
+    RunConfig,
+    ablate_concat,
+    featurize_split,
     grid_search,
-    loss_and_gradient,
     read_manifest,
     run_pipeline,
-    sample_walk,
-    split_trees,
-    train,
-    walk_weights,
 )
-from threadwalk.pipeline import featurize_split
+from threadwalk.synthetic import CorpusSpec, generate
+from threadwalk.tree import CommentNode, ancestors, build_tree
+from threadwalk.walks import WalkConfig, sample_walk, walk_weights
 from threadwalk.seeding import derived_rng
 
-from conftest import random_tree
+from conftest import bow_logreg_baseline, random_tree
 
 
 def _report(num, name, ok, detail=""):

@@ -1,10 +1,17 @@
 """End-to-end command-line behaviour and exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from threadwalk.cli import main
+from threadwalk.pipeline import RunConfig
 
 
 @pytest.fixture()
@@ -297,3 +304,193 @@ def test_bad_flag_exits_2(corpus_path):
 def test_missing_corpus_exits_2(tmp_path):
     code = main(["validate", str(tmp_path / "absent.jsonl")])
     assert code == 2
+
+
+def _single_error_line(capsys):
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grid-search", "--jobs", "1", "--p-values", "a,b"],
+        ["grid-search", "--jobs", "1", "--gamma-values", "0.5,"],
+        ["grid-search", "--jobs", "1", "--p-values", "2.0"],
+        ["grid-search", "--jobs", "1", "--seeds", "x"],
+        ["grid-search", "--jobs", "1", "--seeds", "1.5"],
+        ["ablate-concat", "--seeds", "0,x"],
+    ],
+)
+def test_bad_list_flag_exits_2(corpus_path, tmp_path, capsys, argv):
+    assert main(argv + ["--corpus", str(corpus_path), "--out", str(tmp_path)]) == 2
+    _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"seeds": 3},
+        {"seeds": ["0"]},
+        {"seeds": [True]},
+        {"seeds": [0.5]},
+        {"p_values": "0.5"},
+        {"p_values": [None]},
+    ],
+)
+def test_bad_list_in_config_exits_2(corpus_path, tmp_path, capsys, manifest):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"task": "hate", **manifest}))
+    argv = ["grid-search", "--corpus", str(corpus_path), "--config", str(config), "--jobs", "1"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"p": "0.5"},
+        {"epochs": 1.5},
+        {"epochs": True},
+        {"p": True},
+        {"bow_normalize": 1},
+        {"step_cap": "4"},
+        {"task": None},
+        {"learning_rate": float("inf")},
+        {"l2": 10**400},
+    ],
+)
+def test_mistyped_config_exits_2(corpus_path, tmp_path, capsys, fields):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"task": "hate", **fields}))
+    argv = ["run", "--corpus", str(corpus_path), "--config", str(config)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    _single_error_line(capsys)
+
+
+def test_int_config_value_for_float_field_runs(corpus_path, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"task": "hate", "p": 1, "gamma": 0, "epochs": 2, "bow_dim": 8}))
+    argv = ["run", "--corpus", str(corpus_path), "--config", str(config)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"tree_id": "t", "id": "", "parent_id": "r", "text": "y"}, "id must be non-empty"),
+        ({"tree_id": "t", "id": "c", "parent_id": "r", "text": None}, "text must be a string"),
+    ],
+)
+def test_bad_corpus_record_exits_2(tmp_path, capsys, record, message):
+    path = tmp_path / "corpus.jsonl"
+    root = {"tree_id": "t", "id": "r", "parent_id": None, "text": "x"}
+    path.write_text(json.dumps(root) + "\n" + json.dumps(record) + "\n")
+    assert main(["validate", str(path)]) == 2
+    assert _single_error_line(capsys) == f"error: {path}:2: {message}"
+
+
+# --- fuzzing the run command's configuration path ---
+
+_AGGREGATIONS = ["sum", "average", "weighted_average"]
+_SCHEMES = ["uv", "uv_mul", "uv_absdiff", "uv_absdiff_mul"]
+# A valid value for every config field. The fields that size the work
+# (epochs, bow_dim, walk_length) stay small, so one example runs in
+# milliseconds on the tiny corpus.
+_VALID = {
+    "task": st.just("hate"),
+    "p": st.floats(0, 1),
+    "gamma": st.floats(0, 1),
+    "walk_length": st.integers(1, 6),
+    "step_cap": st.none() | st.integers(5, 40),
+    "aggregation": st.sampled_from(_AGGREGATIONS),
+    "scheme": st.sampled_from(_SCHEMES),
+    "embedding": st.just("hashed-bow"),
+    "bow_dim": st.integers(1, 16),
+    "bow_normalize": st.booleans(),
+    "embedding_file": st.none(),
+    "normalize_weights": st.booleans(),
+    "epochs": st.integers(0, 3),
+    "batch_size": st.integers(1, 64),
+    "learning_rate": st.floats(1e-3, 1),
+    "l2": st.floats(0, 0.1),
+    "class_weighting": st.booleans(),
+    "momentum": st.floats(0, 0.9),
+    "split_fraction": st.floats(0.3, 0.9),
+    "seed": st.integers(),
+}
+assert set(_VALID) == set(RunConfig().to_dict())
+_NOT_INT = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=4))
+_ANY_JSON = _NOT_INT | st.integers() | st.lists(st.integers(), max_size=2)
+
+
+def _bad_value(name):
+    if name in ("epochs", "bow_dim", "walk_length"):
+        return st.integers(-3, 0) | _NOT_INT
+    return _ANY_JSON
+
+
+# A valid config object, or one with a single field (possibly an unknown
+# one) replaced by an arbitrary JSON value.
+_CONFIGS = st.fixed_dictionaries({}, optional=_VALID).flatmap(
+    lambda config: st.just(config)
+    | st.sampled_from(sorted(_VALID) + ["bogus"]).flatmap(
+        lambda name: _bad_value(name).map(lambda value: {**config, name: value})
+    )
+)
+_VALUE_FLAGS = {
+    "--task": st.sampled_from(["hate", "polarity"]),
+    "--p": st.floats(),
+    "--gamma": st.floats(),
+    "--walk-length": st.integers(-1, 6),
+    "--step-cap": st.integers(-2, 40),
+    "--aggregation": st.sampled_from(_AGGREGATIONS),
+    "--scheme": st.sampled_from(_SCHEMES),
+    "--bow-dim": st.integers(-1, 16),
+    "--epochs": st.integers(-1, 3),
+    "--batch-size": st.integers(-1, 64),
+    "--learning-rate": st.floats(),
+    "--l2": st.floats(),
+    "--momentum": st.floats(),
+    "--split-fraction": st.floats(),
+    "--seed": st.integers(),
+}
+_FLAGS = st.lists(
+    st.sampled_from(sorted(_VALUE_FLAGS)).flatmap(
+        lambda flag: _VALUE_FLAGS[flag].map(lambda value: f"{flag}={value}")
+    )
+    | st.sampled_from(["--class-weighting", "--no-bow-normalize", "--no-normalize-weights"]),
+    max_size=3,
+)
+# Runtime failures a well-formed configuration can still meet on a tiny
+# corpus: training that diverges, or a split whose train side has one class.
+_RUNTIME_FAILURES = ("loss became", "need >= 2 classes")
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "corpus.jsonl"
+    argv = ["generate", "--output", str(path), "--num-trees", "12", "--mean-tree-size", "5"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--positive-fraction", "0.4", "--seed", "5"]) == 0
+    return path
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config=_CONFIGS, flags=_FLAGS)
+def test_fuzzed_run_config_exits_cleanly(tiny_corpus, config, flags):
+    with tempfile.TemporaryDirectory() as scratch:
+        config_path = Path(scratch) / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["run", "--corpus", str(tiny_corpus), "--out", scratch]
+        argv += ["--config", str(config_path)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + flags)
+    if code == 0:
+        return
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), stderr.getvalue()
+    assert code == 2 or any(reason in lines[0] for reason in _RUNTIME_FAILURES), lines[0]

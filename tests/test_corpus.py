@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from threadwalk import MalformedFileError, export_baf, load_corpus, save_corpus
+from threadwalk.corpus import export_baf, load_corpus, save_corpus
+from threadwalk.errors import MalformedFileError
 from threadwalk.corpus import corpus_stats
 
 
@@ -91,3 +92,17 @@ def test_corpus_stats(debate_tree, fan_tree):
     assert stats["trees"] == 2
     assert stats["nodes"] == 9
     assert stats["label_counts"] == {"attack": 2, "support": 1}
+
+
+@pytest.mark.parametrize("node_id", ["", None])
+def test_empty_id_names_the_line(tmp_path, node_id):
+    path = _write(tmp_path, [_record("t", "r", None, "x"), _record("t", node_id, "r", "y")])
+    with pytest.raises(MalformedFileError, match=r"corpus\.jsonl:2: id must be non-empty"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("text", [None, 3, ["words"]])
+def test_non_string_text_names_the_line(tmp_path, text):
+    path = _write(tmp_path, [_record("t", "r", None, text)])
+    with pytest.raises(MalformedFileError, match=r"corpus\.jsonl:1: text must be a string"):
+        load_corpus(path)

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadwalk import (
-    CommentNode,
-    DimensionMismatchError,
+from threadwalk.embeddings import (
     HashedBowProvider,
-    MalformedFileError,
-    MissingEmbeddingError,
     hashed_bow_embed,
     load_external_embeddings,
     save_external_embeddings,
     tokenize,
 )
+from threadwalk.errors import DimensionMismatchError, MalformedFileError, MissingEmbeddingError
+from threadwalk.tree import CommentNode
 
 
 class TestTokenize:

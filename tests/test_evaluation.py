@@ -3,20 +3,12 @@
 import numpy as np
 import pytest
 
-from threadwalk import (
-    CommentNode,
-    EmptyEvalSetError,
-    FeatureVector,
-    LabeledExample,
-    NotBinaryTaskError,
-    SoftmaxModel,
-    TooFewTreesError,
-    build_tree,
-    error_analysis,
-    evaluate,
-    report_from_pairs,
-    split_trees,
-)
+from threadwalk.errors import EmptyEvalSetError, NotBinaryTaskError, TooFewTreesError
+from threadwalk.evaluation import error_analysis, evaluate, report_from_pairs, split_trees
+from threadwalk.features import FeatureVector, LabeledExample
+from threadwalk.model import SoftmaxModel
+from threadwalk.tree import CommentNode, build_tree
+from threadwalk.walks import WalkSample
 
 
 def _pairs_from_counts(counts):
@@ -32,6 +24,11 @@ def _identity_model(class_names):
     """Model whose argmax on a one-hot feature returns that class."""
     n = len(class_names)
     return SoftmaxModel(np.eye(n), np.zeros(n), tuple(class_names))
+
+
+def _walk(poi, *context):
+    """A walk from ``poi`` that collected ``context``, for error listings."""
+    return WalkSample((poi, *context), (1.0,) * (1 + len(context)), context)
 
 
 def _example_for(true, pred, class_names, i):
@@ -219,7 +216,7 @@ class TestErrorAnalysis:
             features=FeatureVector(
                 values=np.eye(2)[classes.index(pred)], scheme=None, poi_id=nid, task="hate"
             ),
-            context_ids=ctx,
+            walk=_walk(nid, *ctx),
         )
         examples = [
             make("r", "non-hate", "non-hate", ()),
@@ -261,7 +258,7 @@ class TestErrorAnalysis:
                 features=FeatureVector(
                     values=np.eye(2)[0], scheme=None, poi_id="b", task="hate"
                 ),
-                context_ids=("r",),
+                walk=_walk("b", "r"),
             )
         )
         result = error_analysis(model, correct, [tree])

@@ -5,26 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadwalk import (
-    AggregationStrategy,
-    CommentNode,
-    ConcatScheme,
-    DimensionMismatchError,
+from threadwalk.embeddings import (
     HashedBowProvider,
-    MissingLabelError,
-    NegativeWeightError,
-    WalkConfig,
-    aggregate_context,
-    build_tree,
-    concat_features,
-    featurize_corpus,
-    featurize_node,
     load_external_embeddings,
     save_external_embeddings,
 )
+from threadwalk.errors import DimensionMismatchError, MissingLabelError, NegativeWeightError
+from threadwalk.features import (
+    AggregationStrategy,
+    ConcatScheme,
+    aggregate_context,
+    concat_features,
+    features_from_walk,
+    featurize_corpus,
+)
 from threadwalk.seeding import derived_rng
+from threadwalk.tree import CommentNode, build_tree
+from threadwalk.walks import WalkConfig, sample_walk
 
 STRATEGIES = list(AggregationStrategy)
+
+
+def featurize_node(tree, poi, provider, walk_config, strategy, scheme, rng):
+    """Walk from ``poi`` on ``rng`` and build its feature vector."""
+    sample = sample_walk(tree, poi, walk_config, rng)
+    return features_from_walk(tree, sample, provider, strategy, scheme)
 
 
 def _context_sets(min_vecs=1):
@@ -142,8 +147,6 @@ class TestConcatFeatures:
         assert concat_features(u, v, ConcatScheme.UV_MUL).shape == (12,)
         assert concat_features(u, v, ConcatScheme.UV_ABSDIFF).shape == (12,)
         assert concat_features(u, v, ConcatScheme.UV_ABSDIFF_MUL).shape == (16,)
-        assert ConcatScheme.UV.multiplier == 2
-        assert ConcatScheme.UV_ABSDIFF_MUL.multiplier == 4
 
     def test_block_contents(self):
         u = np.array([1.0, -2.0])

@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadwalk import (
-    CommentNode,
+from threadwalk.errors import (
     DimensionMismatchError,
-    FeatureVector,
-    LabeledExample,
     MalformedFileError,
     NonFiniteLossError,
     SingleClassDataError,
+)
+from threadwalk.features import FeatureVector, LabeledExample, bow_examples
+from threadwalk.model import (
     SoftmaxModel,
     TrainConfig,
-    bow_examples,
-    bow_logreg_baseline,
-    build_tree,
     load_model,
     loss_and_gradient,
     predict_labels,
@@ -25,6 +22,9 @@ from threadwalk import (
     save_model,
     train,
 )
+from threadwalk.tree import CommentNode, build_tree
+
+from conftest import bow_logreg_baseline
 
 
 def _example(values, label, node_id="n", tree_id="t"):
@@ -275,7 +275,7 @@ class TestBowBaseline:
         examples = bow_examples([polarity], "polarity", 16)
         assert len(examples) == 2
         assert all(ex.features.values.shape == (32,) for ex in examples)
-        from threadwalk import hashed_bow_embed
+        from threadwalk.embeddings import hashed_bow_embed
 
         by_id = {ex.node_id: ex for ex in examples}
         expected = np.concatenate(

@@ -5,21 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from threadwalk import (
-    ConfigError,
-    CorpusSpec,
-    EvalReport,
-    GridCell,
+from threadwalk.errors import ConfigError
+from threadwalk.evaluation import EvalReport
+from threadwalk.pipeline import (
     RunConfig,
+    SeedAverage,
+    _select_best,
     ablate_concat,
     ablation_csv,
-    generate,
+    feature_dump_line,
     grid_search,
     read_manifest,
     run_pipeline,
     write_manifest,
 )
-from threadwalk.pipeline import _select_best, feature_dump_line
+from threadwalk.synthetic import CorpusSpec, generate
 
 SMALL_CONFIG = RunConfig(
     task="hate",
@@ -107,7 +107,7 @@ class TestRunPipeline:
         assert len(record["features"]) == 64 * 3
 
     def test_external_embeddings_end_to_end(self, small_corpus, tmp_path):
-        from threadwalk import hashed_bow_embed, save_external_embeddings
+        from threadwalk.embeddings import hashed_bow_embed, save_external_embeddings
 
         # stand-in for precomputed sentence embeddings, one row per node id
         table = {
@@ -144,11 +144,39 @@ class TestManifest:
         with pytest.raises(ConfigError):
             read_manifest(path)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"p": "0.5"},
+            {"epochs": 1.5},
+            {"epochs": True},
+            {"gamma": False},
+            {"class_weighting": 1},
+            {"task": 3},
+            {"step_cap": 2.0},
+            {"embedding_file": 7},
+            {"seed": None},
+        ],
+    )
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_mistyped_field_rejected(self, tmp_path, fields, wrapped):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"config": fields} if wrapped else fields))
+        with pytest.raises(ConfigError, match=next(iter(fields))):
+            read_manifest(path)
+
+    def test_int_accepted_for_float_and_none_for_optional(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"p": 1, "learning_rate": 2, "step_cap": None}))
+        config, _ = read_manifest(path)
+        assert (config.p, config.learning_rate, config.step_cap) == (1, 2, None)
+
 
 def _cell(p, gamma, macro_f1, accuracy):
-    return GridCell(
+    return SeedAverage(
         p=p,
         gamma=gamma,
+        scheme="uv_absdiff",
         accuracy=accuracy,
         macro_f1=macro_f1,
         precision_pos=0.0,

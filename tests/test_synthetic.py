@@ -2,19 +2,21 @@
 
 import pytest
 
-from threadwalk import (
-    CorpusSpec,
-    InvalidSpecError,
-    TrainConfig,
-    bow_examples,
-    bow_logreg_baseline,
-    evaluate,
-    generate,
-    save_corpus,
-    split_trees,
-)
+from threadwalk.corpus import save_corpus
+from threadwalk.errors import InvalidSpecError
+from threadwalk.evaluation import evaluate, split_trees
+from threadwalk.features import bow_examples
+from threadwalk.model import TrainConfig
 from threadwalk.embeddings import tokenize
-from threadwalk.synthetic import PLANT_PREFIX, SELF_NEG_TOKEN, SELF_POS_TOKEN
+from threadwalk.synthetic import (
+    PLANT_PREFIX,
+    SELF_NEG_TOKEN,
+    SELF_POS_TOKEN,
+    CorpusSpec,
+    generate,
+)
+
+from conftest import bow_logreg_baseline
 
 
 class TestSpecValidation:

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadwalk import (
-    CommentNode,
+from threadwalk.errors import (
     CycleDetectedError,
     DanglingParentError,
     DuplicateIdError,
@@ -14,11 +13,8 @@ from threadwalk import (
     MultipleRootsError,
     NoRootError,
     UnknownIdError,
-    ancestors,
-    build_tree,
-    to_baf,
-    tree_stats,
 )
+from threadwalk.tree import CommentNode, ancestors, build_tree, to_baf, tree_stats
 
 from conftest import make_chain, random_records, random_tree
 

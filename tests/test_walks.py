@@ -7,21 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadwalk import (
-    CommentNode,
-    UnknownIdError,
+from threadwalk.errors import UnknownIdError
+from threadwalk.tree import CommentNode, ancestors, build_tree
+from threadwalk.seeding import derived_rng
+from threadwalk.walks import (
     WalkConfig,
-    ancestors,
-    build_tree,
-    root_seeking_walk,
+    WalkSample,
     sample_walk,
     transition_distribution,
     walk_rng,
     walk_weights,
 )
-from threadwalk.seeding import derived_rng
 
 from conftest import make_chain, random_tree
+
+
+def root_seeking_walk(tree, start, L, gamma=1.0):
+    """Oracle for p = 1: the ancestor chain from ``start``, truncated to ``L``."""
+    collected = tuple(([start] + ancestors(tree, start))[:L])
+    return WalkSample(collected, tuple(walk_weights(len(collected), gamma)), collected[1:])
 
 
 class TestWalkConfig:
