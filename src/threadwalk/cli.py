@@ -19,21 +19,24 @@ from pathlib import Path
 from .corpus import corpus_stats, load_corpus, save_corpus
 from .errors import (
     ConfigError,
+    DimensionMismatchError,
     InvalidSpecError,
     MalformedFileError,
+    MissingEmbeddingError,
     MissingLabelError,
     NotBinaryTaskError,
     ThreadwalkError,
 )
 from .evaluation import error_analysis, evaluate, split_trees
-from .features import AggregationStrategy, ConcatScheme, LabeledExample, TASKS
+from .features import AggregationStrategy, ConcatScheme, Examples, TASKS
 from .model import load_model, save_model, train
 from .pipeline import (
     RunConfig,
     ablate_concat,
     ablation_csv,
     check_type,
-    feature_dump_line,
+    corpus_provider,
+    feature_dump_lines,
     featurize_split,
     grid_search,
     read_manifest,
@@ -46,11 +49,13 @@ from .tree import DiscussionTree
 
 _CONFIG_EXIT_ERRORS = (
     ConfigError,
+    DimensionMismatchError,
     InvalidSpecError,
     MalformedFileError,
+    MissingEmbeddingError,
     MissingLabelError,
     NotBinaryTaskError,
-    FileNotFoundError,
+    OSError,  # a path that is absent, unreadable, or a directory where a file belongs
 )
 
 _RUN_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
@@ -222,15 +227,16 @@ def _parse_list(text: str | None, extras: dict, key: str, cast: type, default: t
 
 def _featurized(
     args: argparse.Namespace, side: str | None
-) -> tuple[RunConfig, list[DiscussionTree], list[LabeledExample]]:
+) -> tuple[RunConfig, list[DiscussionTree], Examples]:
     """Resolve the config, load the corpus, keep the ``"train"`` or ``"test"``
     side of the split (or every tree for ``None``) and featurize it."""
     config, _ = _resolve_config(args)
     trees = load_corpus(args.corpus)
+    provider = corpus_provider(config, trees)
     if side is not None:
         train_trees, test_trees = split_trees(trees, config.split_fraction, config.seed)
         trees = train_trees if side == "train" else test_trees
-    return config, trees, featurize_split(trees, config, config.build_provider())
+    return config, trees, featurize_split(trees, config, provider)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -266,12 +272,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_featurize(args: argparse.Namespace) -> int:
     _, _, examples = _featurized(args, None)
     with open(args.output, "w", encoding="utf-8") as handle:
-        for ex in examples:
-            handle.write(feature_dump_line(ex) + "\n")
+        handle.writelines(feature_dump_lines(examples))
     if args.traces:
         with open(args.traces, "w", encoding="utf-8") as handle:
-            for ex in examples:
-                handle.write(ex.walk.trace_line(ex.tree_id) + "\n")
+            for tree_id, walk in zip(examples.tree_ids, examples.walks):
+                handle.write(walk.trace_line(tree_id) + "\n")
     print(f"wrote {len(examples)} examples to {args.output}")
     return 0
 

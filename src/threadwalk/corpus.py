@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedFileError
 from .tree import CommentNode, DiscussionTree, build_tree, to_baf
@@ -22,36 +22,44 @@ def load_corpus(path: str | Path) -> list[DiscussionTree]:
     """Read a corpus file into a list of validated discussion trees."""
     groups: dict[str, list[CommentNode]] = {}
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedFileError(f"{path}:{lineno}: invalid JSON ({exc})") from None
-            if not isinstance(obj, dict):
-                raise MalformedFileError(f"{path}:{lineno}: record is not an object")
-            missing = [f for f in _REQUIRED_FIELDS if f not in obj]
-            if missing:
-                raise MalformedFileError(f"{path}:{lineno}: missing fields {missing}")
-            label = obj.get("label")
-            if label is not None and not isinstance(label, str):
-                raise MalformedFileError(f"{path}:{lineno}: label must be a string or null")
-            if not isinstance(obj["text"], str):
-                raise MalformedFileError(f"{path}:{lineno}: text must be a string")
-            if obj["id"] is None or str(obj["id"]) == "":
-                raise MalformedFileError(f"{path}:{lineno}: id must be non-empty")
-            groups.setdefault(str(obj["tree_id"]), []).append(
-                CommentNode(
-                    id=str(obj["id"]),
-                    parent_id=None if obj["parent_id"] is None else str(obj["parent_id"]),
-                    text=obj["text"],
-                    label=label,
-                )
+    for lineno, line in enumerate(text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedFileError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise MalformedFileError(f"{path}:{lineno}: record is not an object")
+        missing = [f for f in _REQUIRED_FIELDS if f not in obj]
+        if missing:
+            raise MalformedFileError(f"{path}:{lineno}: missing fields {missing}")
+        label = obj.get("label")
+        if label is not None and not isinstance(label, str):
+            raise MalformedFileError(f"{path}:{lineno}: label must be a string or null")
+        if not isinstance(obj["text"], str):
+            raise MalformedFileError(f"{path}:{lineno}: text must be a string")
+        if obj["id"] is None or str(obj["id"]) == "":
+            raise MalformedFileError(f"{path}:{lineno}: id must be non-empty")
+        groups.setdefault(str(obj["tree_id"]), []).append(
+            CommentNode(
+                id=str(obj["id"]),
+                parent_id=None if obj["parent_id"] is None else str(obj["parent_id"]),
+                text=obj["text"],
+                label=label,
             )
+        )
     return [build_tree(records, tree_id=tid) for tid, records in groups.items()]
+
+
+def text_lines(path: Path) -> Iterator[str]:
+    """The lines of a UTF-8 text file; MalformedFileError if it is not UTF-8."""
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            yield from handle
+    except UnicodeDecodeError:
+        raise MalformedFileError(f"{path}: not UTF-8 text") from None
 
 
 def save_corpus(trees: Iterable[DiscussionTree], path: str | Path) -> None:

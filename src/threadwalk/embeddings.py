@@ -16,6 +16,7 @@ from typing import Protocol
 
 import numpy as np
 
+from .corpus import text_lines
 from .errors import DimensionMismatchError, MalformedFileError, MissingEmbeddingError
 from .tree import CommentNode
 
@@ -119,33 +120,33 @@ def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
     """
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        if not header.startswith("d=") or not header[2:].isdigit():
-            raise MalformedFileError(f"{path}: first line must be 'd=<int>', got {header!r}")
-        dim = int(header[2:])
-        if dim < 1:
-            raise MalformedFileError(f"{path}: dimension must be >= 1, got {dim}")
-        for lineno, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            node_id, raw_values = parts[0], parts[1:]
-            if node_id in vectors:
-                raise MalformedFileError(f"{path}:{lineno}: duplicate id {node_id!r}")
-            if len(raw_values) != dim:
-                raise DimensionMismatchError(
-                    f"{path}:{lineno}: expected {dim} values, got {len(raw_values)}"
-                )
-            try:
-                vec = np.array([float(v) for v in raw_values], dtype=np.float64)
-            except ValueError:
-                raise MalformedFileError(f"{path}:{lineno}: non-numeric value") from None
-            if not np.all(np.isfinite(vec)):
-                raise MalformedFileError(f"{path}:{lineno}: non-finite value")
-            vec.setflags(write=False)
-            vectors[node_id] = vec
+    lines = text_lines(path)
+    header = next(lines, "").strip()
+    if not header.startswith("d=") or not header[2:].isdecimal():
+        raise MalformedFileError(f"{path}: first line must be 'd=<int>', got {header!r}")
+    dim = int(header[2:])
+    if dim < 1:
+        raise MalformedFileError(f"{path}: dimension must be >= 1, got {dim}")
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        node_id, raw_values = parts[0], parts[1:]
+        if node_id in vectors:
+            raise MalformedFileError(f"{path}:{lineno}: duplicate id {node_id!r}")
+        if len(raw_values) != dim:
+            raise DimensionMismatchError(
+                f"{path}:{lineno}: expected {dim} values, got {len(raw_values)}"
+            )
+        try:
+            vec = np.array([float(v) for v in raw_values], dtype=np.float64)
+        except ValueError:
+            raise MalformedFileError(f"{path}:{lineno}: non-numeric value") from None
+        if not np.all(np.isfinite(vec)):
+            raise MalformedFileError(f"{path}:{lineno}: non-finite value")
+        vec.setflags(write=False)
+        vectors[node_id] = vec
     return ExternalEmbeddingProvider(vectors, dim)
 
 

@@ -21,7 +21,7 @@ from .errors import (
     TooFewTreesError,
     UnknownIdError,
 )
-from .features import LabeledExample
+from .features import Examples
 from .model import SoftmaxModel, predict_labels
 from .seeding import derived_rng
 from .tree import DiscussionTree
@@ -189,7 +189,7 @@ def _default_positive(names: tuple[str, ...]) -> str:
 
 def evaluate(
     model: SoftmaxModel,
-    examples: Sequence[LabeledExample],
+    examples: Examples,
     positive_label: str | None = None,
 ) -> EvalReport:
     """Score a model on labeled examples via argmax predictions."""
@@ -197,14 +197,11 @@ def evaluate(
 
 
 def _predict_and_score(
-    model: SoftmaxModel, examples: Sequence[LabeledExample], positive_label: str | None
+    model: SoftmaxModel, examples: Examples, positive_label: str | None
 ) -> tuple[EvalReport, list[str]]:
-    if not examples:
-        raise EmptyEvalSetError("no examples to evaluate")
-    predictions = predict_labels(model, examples)
-    trues = [ex.label for ex in examples]
-    names = tuple(sorted(set(model.class_names) | set(trues)))
-    report = report_from_pairs(trues, predictions, names, positive_label=positive_label)
+    predictions = predict_labels(model, examples.X)
+    names = tuple(sorted(set(model.class_names) | set(examples.labels)))
+    report = report_from_pairs(examples.labels, predictions, names, positive_label=positive_label)
     return report, predictions
 
 
@@ -253,11 +250,12 @@ class ErrorAnalysisResult:
 
 def error_analysis(
     model: SoftmaxModel,
-    examples: Sequence[LabeledExample],
+    examples: Examples,
     trees: Iterable[DiscussionTree],
     positive_label: str | None = None,
 ) -> ErrorAnalysisResult:
-    """List every misclassified example with surrounding context texts.
+    """List every misclassified example with surrounding context texts
+    (the nodes its walk collected after the PoI; none without walks).
 
     The FP/FN counts reconcile with the confusion matrix by construction.
     """
@@ -268,22 +266,25 @@ def error_analysis(
         )
     by_id = {tree.tree_id: tree for tree in trees}
     pos = report.positive_label
+    walks = examples.walks or (None,) * len(examples)
 
     fps: list[Misclassification] = []
     fns: list[Misclassification] = []
-    for ex, pred in zip(examples, predictions):
-        if pred == ex.label:
+    rows = zip(examples.tree_ids, examples.node_ids, examples.labels, predictions, walks)
+    for tree_id, node_id, label, pred, walk in rows:
+        if pred == label:
             continue
-        tree = by_id.get(ex.tree_id)
+        tree = by_id.get(tree_id)
         if tree is None:
-            raise UnknownIdError(f"tree {ex.tree_id!r} not in the supplied corpus")
+            raise UnknownIdError(f"tree {tree_id!r} not in the supplied corpus")
+        context_ids = walk.node_ids[1:] if walk is not None else ()
         record = Misclassification(
-            tree_id=ex.tree_id,
-            node_id=ex.node_id,
-            text=tree.node(ex.node_id).text,
-            true_label=ex.label,
+            tree_id=tree_id,
+            node_id=node_id,
+            text=tree.node(node_id).text,
+            true_label=label,
             predicted_label=pred,
-            context=tuple((cid, tree.node(cid).text) for cid in ex.context_ids),
+            context=tuple((cid, tree.node(cid).text) for cid in context_ids),
         )
         if pred == pos:
             fps.append(record)

@@ -5,6 +5,11 @@ and the aggregate ``v`` of the remaining walk nodes (discounted by
 ``gamma ** k``, so context weights start at ``gamma ** 1``) are
 concatenated under one of four schemes; ``(u, v, |u - v|)`` is the
 default. An empty context yields ``v = 0``.
+
+Featurizing a corpus side gives one :class:`Examples` record: a read-only
+float64 matrix ``X`` with one row per PoI, written in place row by row,
+plus the tree id, node id, label and walk of each row in the same order.
+Training, evaluation, error analysis and the feature dump all read it.
 """
 
 from __future__ import annotations
@@ -44,30 +49,24 @@ class ConcatScheme(Enum):
     UV_ABSDIFF_MUL = "uv_absdiff_mul"
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Concatenated feature values for one PoI node."""
+@dataclass(frozen=True, eq=False)
+class Examples:
+    """The classifier input of one corpus side, one row per PoI.
 
-    values: np.ndarray
-    scheme: ConcatScheme | None
-    poi_id: str
-    task: str
+    Row ``i`` of ``X`` (read-only float64, shape ``(n, D)``) holds the
+    features of the PoI ``node_ids[i]`` in tree ``tree_ids[i]``, labeled
+    ``labels[i]``. ``walks[i]`` is the walk the row was built from;
+    ``walks`` is None for inputs built without walks.
+    """
 
+    X: np.ndarray
+    tree_ids: tuple[str, ...]
+    node_ids: tuple[str, ...]
+    labels: tuple[str, ...]
+    walks: tuple[WalkSample, ...] | None = None
 
-@dataclass(frozen=True)
-class LabeledExample:
-    """A feature vector with its task label and the walk it was built from."""
-
-    tree_id: str
-    node_id: str
-    label: str
-    features: FeatureVector
-    walk: WalkSample | None = None
-
-    @property
-    def context_ids(self) -> tuple[str, ...]:
-        """The walk's nodes after the PoI; empty without a walk."""
-        return self.walk.node_ids[1:] if self.walk is not None else ()
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 def aggregate_context(
@@ -140,11 +139,10 @@ def features_from_walk(
     provider: EmbeddingProvider,
     strategy: AggregationStrategy,
     scheme: ConcatScheme,
-    task: str = POLARITY_TASK,
     *,
     normalize_weights: bool = True,
-) -> FeatureVector:
-    """Build the feature vector for an already-sampled walk."""
+) -> np.ndarray:
+    """The feature row for an already-sampled walk."""
     u = provider.vector_for(tree.node(sample.node_ids[0]))
     context = [provider.vector_for(tree.node(nid)) for nid in sample.node_ids[1:]]
     v = aggregate_context(
@@ -154,9 +152,7 @@ def features_from_walk(
         dim=provider.dimension,
         normalize=normalize_weights,
     )
-    values = concat_features(u, v, scheme)
-    values.setflags(write=False)
-    return FeatureVector(values=values, scheme=scheme, poi_id=sample.start, task=task)
+    return concat_features(u, v, scheme)
 
 
 def labeled_pois(
@@ -187,45 +183,53 @@ def featurize_corpus(
     task: str,
     *,
     normalize_weights: bool = True,
-) -> list[LabeledExample]:
-    """One labeled example per PoI of the corpus, in :func:`labeled_pois`
-    order. Each node walks on its own derived stream, so results do not
-    depend on scheduling.
+) -> Examples:
+    """One row per PoI of the corpus, in :func:`labeled_pois` order. Each
+    node walks on its own derived stream, so results do not depend on
+    scheduling.
     """
-    examples: list[LabeledExample] = []
-    for tree, node in labeled_pois(trees, task):
+    pois = list(labeled_pois(trees, task))
+    zero = np.zeros(provider.dimension)  # only concat_features knows the layout's width
+    X = np.empty((len(pois), concat_features(zero, zero, scheme).size))
+    walks = []
+    for i, (tree, node) in enumerate(pois):
         rng = walk_rng(walk_config.seed, tree.tree_id, node.id)
         sample = sample_walk(tree, node.id, walk_config, rng)
-        fv = features_from_walk(
-            tree, sample, provider, strategy, scheme, task,
-            normalize_weights=normalize_weights,
+        X[i] = features_from_walk(
+            tree, sample, provider, strategy, scheme, normalize_weights=normalize_weights
         )
-        examples.append(LabeledExample(tree.tree_id, node.id, node.label, fv, sample))
-    return examples
+        walks.append(sample)
+    return _examples(pois, X, tuple(walks))
 
 
 def bow_examples(
     trees: Sequence[DiscussionTree], task: str, d: int, *, normalize: bool = False
-) -> list[LabeledExample]:
-    """Bag-of-words baseline inputs.
+) -> Examples:
+    """Bag-of-words baseline inputs, built without walks.
 
     Polarity concatenates the parent and child BoW vectors (the pair
-    framing, kept as a one-step walk to the parent); hate uses the single
-    comment vector.
+    framing); hate uses the single comment vector.
     """
     provider = HashedBowProvider(d, normalize=normalize)
-    examples: list[LabeledExample] = []
-    for tree, node in labeled_pois(trees, task):
-        own = provider.vector_for(node)
-        walk = None
-        if task == POLARITY_TASK:
-            parent = tree.node(node.parent_id)
-            own = np.concatenate([provider.vector_for(parent), own])
-            own.setflags(write=False)
-            walk = WalkSample((node.id, parent.id), (1.0, 1.0), (parent.id,))
-        fv = FeatureVector(values=own, scheme=None, poi_id=node.id, task=task)
-        examples.append(LabeledExample(tree.tree_id, node.id, node.label, fv, walk))
-    return examples
+    pois = list(labeled_pois(trees, task))
+    pair = task == POLARITY_TASK
+    X = np.empty((len(pois), 2 * d if pair else d))
+    for i, (tree, node) in enumerate(pois):
+        if pair:
+            X[i, :d] = provider.vector_for(tree.node(node.parent_id))
+        X[i, -d:] = provider.vector_for(node)
+    return _examples(pois, X)
+
+
+def _examples(pois: list, X: np.ndarray, walks: tuple | None = None) -> Examples:
+    X.setflags(write=False)
+    return Examples(
+        X=X,
+        tree_ids=tuple(tree.tree_id for tree, _ in pois),
+        node_ids=tuple(node.id for _, node in pois),
+        labels=tuple(node.label for _, node in pois),
+        walks=walks,
+    )
 
 
 def _check_task(task: str) -> None:

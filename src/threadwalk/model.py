@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,8 @@ from .errors import (
     NonFiniteLossError,
     SingleClassDataError,
 )
-from .features import FeatureVector, LabeledExample
+from .corpus import text_lines
+from .features import Examples
 from .seeding import derived_rng
 
 MODEL_FORMAT = "threadwalk-softmax-v1"
@@ -74,10 +74,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax(logits))
-
-
 def loss_and_gradient(
     weights: np.ndarray,
     bias: np.ndarray,
@@ -107,39 +103,17 @@ def loss_and_gradient(
     return loss, grad_w, grad_b
 
 
-def train(examples: Sequence[LabeledExample], config: TrainConfig) -> SoftmaxModel:
+def train(examples: Examples, config: TrainConfig) -> SoftmaxModel:
     """Fit a softmax model on labeled examples.
 
     Deterministic per seed: zero initialization and a shuffle order drawn
     from a stream derived from ``config.seed``.
     """
-    X, y, class_names = _examples_to_arrays(examples)
-    return _fit(X, y, class_names, config)
-
-
-def _examples_to_arrays(
-    examples: Sequence[LabeledExample],
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    if not examples:
-        raise SingleClassDataError("no training examples")
-    dims = {ex.features.values.shape[0] for ex in examples}
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"mixed feature dimensions: {sorted(dims)}")
-    class_names = tuple(sorted({ex.label for ex in examples}))
+    names, y = np.unique(examples.labels, return_inverse=True)
+    class_names = tuple(names.tolist())
     if len(class_names) < 2:
         raise SingleClassDataError(f"need >= 2 classes, got {class_names}")
-    index = {name: i for i, name in enumerate(class_names)}
-    X = np.stack([ex.features.values for ex in examples]).astype(np.float64)
-    y = np.array([index[ex.label] for ex in examples], dtype=np.int64)
-    return X, y, class_names
-
-
-def _fit(
-    X: np.ndarray,
-    y: np.ndarray,
-    class_names: tuple[str, ...],
-    config: TrainConfig,
-) -> SoftmaxModel:
+    X = examples.X
     n, dim = X.shape
     n_classes = len(class_names)
     weights = np.zeros((n_classes, dim), dtype=np.float64)
@@ -192,30 +166,25 @@ def _fit(
     return SoftmaxModel(weights=weights, bias=bias, class_names=class_names, metadata=metadata)
 
 
-def predict_proba(model: SoftmaxModel, features: FeatureVector | np.ndarray) -> np.ndarray:
+def predict_proba(model: SoftmaxModel, features: np.ndarray) -> np.ndarray:
     """Class probabilities for one feature vector or a batch.
 
     Computed with a max-shifted exponential, so extreme logits stay
     finite; each row sums to one.
     """
-    values = features.values if isinstance(features, FeatureVector) else np.asarray(features)
-    values = values.astype(np.float64, copy=False)
+    values = np.asarray(features, dtype=np.float64)
     single = values.ndim == 1
     batch = values[None, :] if single else values
     if batch.ndim != 2 or batch.shape[1] != model.feature_dim:
         raise DimensionMismatchError(
             f"features have dimension {batch.shape[-1]}, model expects {model.feature_dim}"
         )
-    probs = _softmax(batch @ model.weights.T + model.bias)
+    probs = np.exp(_log_softmax(batch @ model.weights.T + model.bias))
     return probs[0] if single else probs
 
 
-def predict_labels(
-    model: SoftmaxModel, features: np.ndarray | Sequence[LabeledExample]
-) -> list[str]:
-    """Argmax labels; ties resolve to the lowest class index."""
-    if not isinstance(features, np.ndarray):
-        features = np.stack([ex.features.values for ex in features])
+def predict_labels(model: SoftmaxModel, features: np.ndarray) -> list[str]:
+    """Argmax labels for a batch; ties resolve to the lowest class index."""
     probs = predict_proba(model, features)
     return [model.class_names[i] for i in probs.argmax(axis=1)]
 
@@ -236,8 +205,7 @@ def save_model(model: SoftmaxModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> SoftmaxModel:
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    lines = [line.rstrip("\n") for line in text_lines(path)]
     if not lines or lines[0] != MODEL_FORMAT:
         raise MalformedFileError(f"{path}: not a {MODEL_FORMAT} file")
     try:
@@ -246,11 +214,13 @@ def load_model(path: str | Path) -> SoftmaxModel:
         metadata = json.loads(lines[3][len("meta ") :])
         rows = [np.array([float(v) for v in lines[4 + i].split()]) for i in range(n_classes)]
         bias = np.array([float(v) for v in lines[4 + n_classes].split()])
+        weights = np.stack(rows)  # ValueError for ragged rows or no classes
     except (IndexError, ValueError, json.JSONDecodeError) as exc:
         raise MalformedFileError(f"{path}: truncated or corrupt model file ({exc})") from None
-    weights = np.stack(rows)
     if weights.shape != (n_classes, dim) or bias.shape != (n_classes,):
         raise MalformedFileError(f"{path}: parameter shapes disagree with header")
     if len(class_names) != n_classes:
         raise MalformedFileError(f"{path}: {len(class_names)} class names for {n_classes} classes")
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise MalformedFileError(f"{path}: non-finite parameter")
     return SoftmaxModel(weights=weights, bias=bias, class_names=class_names, metadata=metadata)

@@ -19,7 +19,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .embeddings import (
     DEFAULT_BOW_DIM,
@@ -32,7 +32,7 @@ from .evaluation import EvalReport, evaluate, split_trees
 from .features import (
     AggregationStrategy,
     ConcatScheme,
-    LabeledExample,
+    Examples,
     TASKS,
     featurize_corpus,
 )
@@ -145,14 +145,6 @@ class RunConfig:
             momentum=self.momentum,
         )
 
-    @property
-    def strategy(self) -> AggregationStrategy:
-        return AggregationStrategy(self.aggregation)
-
-    @property
-    def concat_scheme(self) -> ConcatScheme:
-        return ConcatScheme(self.scheme)
-
     def build_provider(self) -> EmbeddingProvider:
         if self.embedding == "external":
             return load_external_embeddings(self.embedding_file)
@@ -175,6 +167,22 @@ class RunConfig:
         return dataclasses.replace(self, **changes)
 
 
+def corpus_provider(config: RunConfig, trees: Sequence[DiscussionTree]) -> EmbeddingProvider:
+    """The configured embedding provider for a corpus. External vectors are
+    keyed by bare node id, so node ids must then be unique across the whole
+    corpus: a train tree and a test tree must not share one either."""
+    if config.embedding == "external":
+        tree_of: dict[str, str] = {}
+        for tree in trees:
+            for node_id in tree.node_ids():
+                if tree_of.setdefault(node_id, tree.tree_id) != tree.tree_id:
+                    raise ConfigError(
+                        f"node id {node_id!r} appears in trees {tree_of[node_id]!r} and "
+                        f"{tree.tree_id!r}; external embeddings need corpus-unique ids"
+                    )
+    return config.build_provider()
+
+
 @dataclass
 class PipelineResult:
     report: EvalReport
@@ -189,8 +197,8 @@ class Replicate(NamedTuple):
 
     model: SoftmaxModel
     report: EvalReport
-    train_examples: list[LabeledExample]
-    test_examples: list[LabeledExample]
+    train_examples: Examples
+    test_examples: Examples
 
 
 @dataclass(frozen=True)
@@ -215,14 +223,14 @@ def featurize_split(
     config: RunConfig,
     provider: EmbeddingProvider,
     seed: int | None = None,
-) -> list[LabeledExample]:
+) -> Examples:
     """Featurize one side of a split under the run configuration."""
     return featurize_corpus(
         trees,
         provider,
         config.walk_config(seed),
-        config.strategy,
-        config.concat_scheme,
+        AggregationStrategy(config.aggregation),
+        ConcatScheme(config.scheme),
         config.task,
         normalize_weights=config.normalize_weights,
     )
@@ -281,10 +289,9 @@ def run_pipeline(
     dump_features: bool = False,
 ) -> PipelineResult:
     """Execute split -> featurize -> train -> evaluate and write artifacts."""
-    config.validate()
-    train_trees, test_trees = split_trees(trees, config.split_fraction, config.seed)
+    config, train_trees, test_trees = _split_for(trees, config.task, config)
     model, report, train_examples, test_examples = replicate(
-        train_trees, test_trees, config, config.build_provider()
+        train_trees, test_trees, config, corpus_provider(config, trees)
     )
 
     artifacts: dict[str, Path] = {}
@@ -308,8 +315,8 @@ def run_pipeline(
         if dump_features:
             artifacts["features"] = outdir / "features.jsonl"
             with artifacts["features"].open("w", encoding="utf-8") as handle:
-                for ex in train_examples + test_examples:
-                    handle.write(feature_dump_line(ex) + "\n")
+                handle.writelines(feature_dump_lines(train_examples))
+                handle.writelines(feature_dump_lines(test_examples))
     return PipelineResult(
         report=report,
         model=model,
@@ -319,17 +326,12 @@ def run_pipeline(
     )
 
 
-def feature_dump_line(example: LabeledExample) -> str:
-    """One example per line, for cross-implementation diffing."""
-    return json.dumps(
-        {
-            "tree_id": example.tree_id,
-            "node_id": example.node_id,
-            "label": example.label,
-            "features": [float(v) for v in example.features.values],
-        },
-        sort_keys=True,
-    )
+def feature_dump_lines(examples: Examples) -> Iterator[str]:
+    """One JSON line per example, for cross-implementation diffing."""
+    columns = zip(examples.tree_ids, examples.node_ids, examples.labels, examples.X)
+    for tree_id, node_id, label, row in columns:
+        record = {"tree_id": tree_id, "node_id": node_id, "label": label, "features": row.tolist()}
+        yield json.dumps(record, sort_keys=True) + "\n"
 
 
 def write_json(payload: dict, path: str | Path) -> None:
@@ -413,15 +415,20 @@ def grid_search(
     cell_configs = [config.replace(p=p, gamma=g) for p in p_values for g in gamma_values]
     for cell_config in cell_configs:
         cell_config.validate()
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     cell = functools.partial(
         average_over_seeds,
         train_trees,
         test_trees,
-        provider=config.build_provider(),
+        provider=corpus_provider(config, trees),
         seeds=tuple(seeds),
     )
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The fork start method launches every worker on the first submit, so
+    # ask for no more workers than there are cells.
+    workers = min(jobs, len(cell_configs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             averages = list(pool.map(cell, cell_configs))
     else:
         averages = [cell(cell_config) for cell_config in cell_configs]
@@ -457,7 +464,7 @@ def ablate_concat(
     if not seeds:
         raise ConfigError("seeds must be non-empty")
     config, train_trees, test_trees = _split_for(trees, task, config)
-    provider = config.build_provider()
+    provider = corpus_provider(config, trees)
     return [
         average_over_seeds(
             train_trees, test_trees, config.replace(scheme=scheme.value), provider, seeds

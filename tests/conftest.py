@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from threadwalk.features import bow_examples
+from threadwalk.features import Examples, bow_examples
 from threadwalk.model import train
 from threadwalk.tree import CommentNode, DiscussionTree, build_tree
 
@@ -91,3 +91,17 @@ def random_tree(
 def bow_logreg_baseline(trees, task, d, config, *, normalize=False):
     """Train the bag-of-words logistic-regression baseline."""
     return train(bow_examples(trees, task, d, normalize=normalize), config)
+
+
+def make_examples(rows, labels, node_ids=None, walks=None, tree_id="t"):
+    """Examples from feature rows and labels, all in tree ``tree_id``; node
+    ids default to n0, n1, ..."""
+    if node_ids is None:
+        node_ids = [f"n{i}" for i in range(len(labels))]
+    return Examples(
+        X=np.asarray(rows, dtype=np.float64),
+        tree_ids=(tree_id,) * len(labels),
+        node_ids=tuple(node_ids),
+        labels=tuple(labels),
+        walks=None if walks is None else tuple(walks),
+    )

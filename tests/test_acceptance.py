@@ -16,8 +16,6 @@ from threadwalk.evaluation import evaluate, split_trees
 from threadwalk.features import (
     AggregationStrategy,
     ConcatScheme,
-    FeatureVector,
-    LabeledExample,
     aggregate_context,
     bow_examples,
 )
@@ -35,7 +33,7 @@ from threadwalk.tree import CommentNode, ancestors, build_tree
 from threadwalk.walks import WalkConfig, sample_walk, walk_weights
 from threadwalk.seeding import derived_rng
 
-from conftest import bow_logreg_baseline, random_tree
+from conftest import bow_logreg_baseline, make_examples, random_tree
 
 
 def _report(num, name, ok, detail=""):
@@ -149,23 +147,13 @@ def test_criterion_05_metric_oracle():
         ("hate", "non-hate"): 62,
         ("hate", "hate"): 40,
     }
-    examples = []
-    i = 0
+    rows, labels = [], []
     for (true, predicted), n in counts.items():
         one_hot = np.zeros(2)
         one_hot[classes.index(predicted)] = 1.0
-        for _ in range(n):
-            examples.append(
-                LabeledExample(
-                    tree_id="t",
-                    node_id=f"n{i}",
-                    label=true,
-                    features=FeatureVector(
-                        values=one_hot, scheme=None, poi_id=f"n{i}", task="hate"
-                    ),
-                )
-            )
-            i += 1
+        rows += [one_hot] * n
+        labels += [true] * n
+    examples = make_examples(rows, labels)
     report = evaluate(model, examples)
     ok = (
         abs(report.precision_pos - 0.53) <= 0.005

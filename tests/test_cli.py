@@ -322,6 +322,7 @@ def _single_error_line(capsys):
         ["grid-search", "--jobs", "1", "--seeds", "x"],
         ["grid-search", "--jobs", "1", "--seeds", "1.5"],
         ["ablate-concat", "--seeds", "0,x"],
+        ["grid-search", "--jobs", "0", "--task", "hate"],
     ],
 )
 def test_bad_list_flag_exits_2(corpus_path, tmp_path, capsys, argv):
@@ -390,6 +391,83 @@ def test_bad_corpus_record_exits_2(tmp_path, capsys, record, message):
     path.write_text(json.dumps(root) + "\n" + json.dumps(record) + "\n")
     assert main(["validate", str(path)]) == 2
     assert _single_error_line(capsys) == f"error: {path}:2: {message}"
+
+
+_RUN_HATE = ["--task", "hate", "--epochs", "2", "--bow-dim", "8"]
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["validate", "{dir}"], "{dir}"),
+        (["validate", "{binary}"], "{binary}"),
+        (["run", "--corpus", "{corpus}", "--out", "{out}", "--embedding", "external",
+          "--embedding-file", "{binary}", *_RUN_HATE], "{binary}"),
+        (["evaluate", "--corpus", "{corpus}", "--model", "{dir}", *_RUN_HATE], "{dir}"),
+        (["evaluate", "--corpus", "{corpus}", "--model", "{binary}", *_RUN_HATE], "{binary}"),
+        (["run", "--corpus", "{corpus}", "--out", "{file}", *_RUN_HATE], "{file}"),
+        (["featurize", "--corpus", "{corpus}", "--output", "{dir}", *_RUN_HATE], "{dir}"),
+    ],
+    ids=[
+        "corpus-directory",
+        "corpus-not-utf8",
+        "embedding-file-not-utf8",
+        "model-directory",
+        "model-not-utf8",
+        "out-is-a-file",
+        "featurize-output-directory",
+    ],
+)
+def test_bad_path_exits_2(corpus_path, tmp_path, capsys, argv, bad):
+    paths = {
+        "corpus": corpus_path,
+        "dir": tmp_path / "dir",
+        "binary": tmp_path / "binary.txt",
+        "file": tmp_path / "file.txt",
+        "out": tmp_path / "out",
+    }
+    paths["dir"].mkdir()
+    paths["binary"].write_bytes(b"d=2\n\xff\xfe\n")
+    paths["file"].write_text("not a directory")
+    names = {key: str(path) for key, path in paths.items()}
+    assert main([arg.format(**names) for arg in argv]) == 2
+    assert bad.format(**names) in _single_error_line(capsys)
+
+
+def _shared_id_corpus(path):
+    """Six trees that all name their root n0 and its reply n1."""
+    rows = [
+        {"tree_id": f"t{t}", "id": nid, "parent_id": parent, "text": f"{text} {t}", "label": label}
+        for t in range(6)
+        for nid, parent, text, label in (
+            ("n0", None, "a kind opening", "non-hate"),
+            ("n1", "n0", "a rude reply", "hate"),
+        )
+    ]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--out", "{tmp}/run"],
+        ["featurize", "--output", "{tmp}/features.jsonl"],
+        ["grid-search", "--out", "{tmp}/grid", "--p-values", "1.0", "--gamma-values", "0.5",
+         "--seeds", "0", "--jobs", "1"],
+        ["ablate-concat", "--out", "{tmp}/ablate", "--seeds", "0"],
+    ],
+)
+def test_external_embeddings_need_corpus_unique_ids(tmp_path, capsys, argv):
+    corpus, embeddings = tmp_path / "corpus.jsonl", tmp_path / "emb.txt"
+    _shared_id_corpus(corpus)
+    embeddings.write_text("d=2\nn0 1.0 0.0\nn1 0.0 1.0\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--corpus", str(corpus), *_RUN_HATE]
+    external = ["--embedding", "external", "--embedding-file", str(embeddings)]
+    assert main(argv + external) == 2
+    line = _single_error_line(capsys)
+    assert "'n0'" in line and "'t0'" in line and "'t1'" in line
+    # Hashed bag-of-words vectors come from the text, so reused ids are fine.
+    assert main(argv) == 0
 
 
 # --- fuzzing the run command's configuration path ---
@@ -494,3 +572,33 @@ def test_fuzzed_run_config_exits_cleanly(tiny_corpus, config, flags):
     lines = stderr.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), stderr.getvalue()
     assert code == 2 or any(reason in lines[0] for reason in _RUNTIME_FAILURES), lines[0]
+
+
+# --- fuzzing the corpus and embedding files ---
+
+_BYTES = st.binary(max_size=200)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    target=st.sampled_from(["corpus", "embedding"]),
+    data=_BYTES | _BYTES.map(lambda tail: b"d=2\n" + tail),
+)
+def test_fuzzed_input_files_exit_cleanly(tiny_corpus, target, data):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "input"
+        path.write_bytes(data)
+        argv = ["run", "--corpus", str(tiny_corpus), "--out", scratch, *_RUN_HATE]
+        if target == "corpus":
+            argv[2] = str(path)
+        else:
+            argv += ["--embedding", "external", "--embedding-file", str(path)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    if code == 0:
+        return
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), stderr.getvalue()
+    # A corpus file that parses but holds fewer than two trees cannot be split.
+    assert code == 2 or "need at least 2 trees" in lines[0], lines[0]

@@ -98,9 +98,10 @@ class TestExternalEmbeddings:
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "emb.txt"
-        path.write_text("dim 8\nn1 0\n")
-        with pytest.raises(MalformedFileError):
-            load_external_embeddings(path)
+        for header in ("dim 8", "d=\u00b2"):  # a superscript two is a digit but not an int
+            path.write_text(header + "\nn1 0\n", encoding="utf-8")
+            with pytest.raises(MalformedFileError):
+                load_external_embeddings(path)
 
     def test_short_row(self, tmp_path):
         path = tmp_path / "emb.txt"

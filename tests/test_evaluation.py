@@ -5,10 +5,11 @@ import pytest
 
 from threadwalk.errors import EmptyEvalSetError, NotBinaryTaskError, TooFewTreesError
 from threadwalk.evaluation import error_analysis, evaluate, report_from_pairs, split_trees
-from threadwalk.features import FeatureVector, LabeledExample
 from threadwalk.model import SoftmaxModel
 from threadwalk.tree import CommentNode, build_tree
 from threadwalk.walks import WalkSample
+
+from conftest import make_examples
 
 
 def _pairs_from_counts(counts):
@@ -26,16 +27,18 @@ def _identity_model(class_names):
     return SoftmaxModel(np.eye(n), np.zeros(n), tuple(class_names))
 
 
+def _examples_for(counts, class_names, prefix="n"):
+    """One example per counted (true, predicted) pair, with a one-hot
+    feature on the predicted class; node ids are ``prefix`` + index."""
+    y_true, y_pred = _pairs_from_counts(counts)
+    rows = [np.eye(len(class_names))[class_names.index(p)] for p in y_pred]
+    node_ids = [f"{prefix}{i:04d}" for i in range(len(y_true))]
+    return make_examples(rows, y_true, node_ids=node_ids)
+
+
 def _walk(poi, *context):
     """A walk from ``poi`` that collected ``context``, for error listings."""
     return WalkSample((poi, *context), (1.0,) * (1 + len(context)), context)
-
-
-def _example_for(true, pred, class_names, i):
-    one_hot = np.zeros(len(class_names))
-    one_hot[class_names.index(pred)] = 1.0
-    fv = FeatureVector(values=one_hot, scheme=None, poi_id=f"n{i}", task="hate")
-    return LabeledExample(tree_id="t", node_id=f"n{i}", label=true, features=fv)
 
 
 class TestReportFromPairs:
@@ -134,19 +137,13 @@ class TestEvaluate:
             ("hate", "non-hate"): 1,
             ("hate", "hate"): 3,
         }
-        examples = []
-        i = 0
-        for (t, p), n in counts.items():
-            for _ in range(n):
-                examples.append(_example_for(t, p, classes, i))
-                i += 1
-        report = evaluate(_identity_model(classes), examples)
+        report = evaluate(_identity_model(classes), _examples_for(counts, classes))
         assert report.confusion.tolist() == [[3, 1], [2, 9]]
         assert report.accuracy == pytest.approx(12 / 15)
 
     def test_empty(self):
         with pytest.raises(EmptyEvalSetError):
-            evaluate(_identity_model(["a", "b"]), [])
+            evaluate(_identity_model(["a", "b"]), make_examples(np.empty((0, 2)), []))
 
 
 class TestSplitTrees:
@@ -209,21 +206,18 @@ class TestErrorAnalysis:
             tree_id="t",
         )
         # b predicted non-hate (FN), d predicted hate (FP), others correct
-        make = lambda nid, true, pred, ctx: LabeledExample(
-            tree_id="t",
-            node_id=nid,
-            label=true,
-            features=FeatureVector(
-                values=np.eye(2)[classes.index(pred)], scheme=None, poi_id=nid, task="hate"
-            ),
-            walk=_walk(nid, *ctx),
-        )
-        examples = [
-            make("r", "non-hate", "non-hate", ()),
-            make("b", "hate", "non-hate", ("r",)),
-            make("c", "non-hate", "non-hate", ("r",)),
-            make("d", "non-hate", "hate", ("c", "r")),
+        rows = [  # node id, true label, predicted label, walk context
+            ("r", "non-hate", "non-hate", ()),
+            ("b", "hate", "non-hate", ("r",)),
+            ("c", "non-hate", "non-hate", ("r",)),
+            ("d", "non-hate", "hate", ("c", "r")),
         ]
+        examples = make_examples(
+            [np.eye(2)[classes.index(pred)] for _, _, pred, _ in rows],
+            [true for _, true, _, _ in rows],
+            node_ids=[nid for nid, _, _, _ in rows],
+            walks=[_walk(nid, *ctx) for nid, _, _, ctx in rows],
+        )
         return _identity_model(classes), examples, tree
 
     def test_listings_reconcile_with_confusion(self):
@@ -249,17 +243,12 @@ class TestErrorAnalysis:
 
     def test_perfect_predictor_empty(self):
         model, examples, tree = self._setup()
-        correct = [ex for ex in examples if ex.node_id in ("r", "c")]
-        correct.append(
-            LabeledExample(
-                tree_id="t",
-                node_id="b",
-                label="hate",
-                features=FeatureVector(
-                    values=np.eye(2)[0], scheme=None, poi_id="b", task="hate"
-                ),
-                walk=_walk("b", "r"),
-            )
+        keep = [examples.node_ids.index(nid) for nid in ("r", "c")]
+        correct = make_examples(
+            [*examples.X[keep], np.eye(2)[0]],
+            [*(examples.labels[i] for i in keep), "hate"],
+            node_ids=["r", "c", "b"],
+            walks=[*(examples.walks[i] for i in keep), _walk("b", "r")],
         )
         result = error_analysis(model, correct, [tree])
         assert result.false_positives == ()
@@ -273,24 +262,10 @@ class TestErrorAnalysis:
             ("hate", "non-hate"): 62,
             ("hate", "hate"): 40,
         }
+        examples = _examples_for(counts, classes, prefix="e")
         records = [CommentNode("root", None, "root", label="non-hate")]
-        examples = []
-        i = 0
-        for (true, pred), n in counts.items():
-            for _ in range(n):
-                node_id = f"e{i:04d}"
-                records.append(CommentNode(node_id, "root", f"text {i}", label=true))
-                examples.append(_example_for(true, pred, classes, i))
-                i += 1
-        examples = [
-            LabeledExample(
-                tree_id="t",
-                node_id=f"e{j:04d}",
-                label=ex.label,
-                features=ex.features,
-            )
-            for j, ex in enumerate(examples)
-        ]
+        for i, (node_id, true) in enumerate(zip(examples.node_ids, examples.labels)):
+            records.append(CommentNode(node_id, "root", f"text {i}", label=true))
         tree = build_tree(records, tree_id="t")
         result = error_analysis(_identity_model(classes), examples, [tree])
         assert len(result.false_positives) == 36
@@ -299,12 +274,7 @@ class TestErrorAnalysis:
     def test_not_binary(self):
         classes = ["a", "b", "c"]
         tree = build_tree([CommentNode("r", None, "x", label="a")], tree_id="t")
-        ex = LabeledExample(
-            tree_id="t",
-            node_id="r",
-            label="a",
-            features=FeatureVector(values=np.eye(3)[0], scheme=None, poi_id="r", task="hate"),
-        )
+        examples = make_examples([np.eye(3)[0]], ["a"], node_ids=["r"])
         with pytest.warns(UserWarning, match="no test support"):
             with pytest.raises(NotBinaryTaskError):
-                error_analysis(_identity_model(classes), [ex], [tree])
+                error_analysis(_identity_model(classes), examples, [tree])

@@ -27,7 +27,7 @@ STRATEGIES = list(AggregationStrategy)
 
 
 def featurize_node(tree, poi, provider, walk_config, strategy, scheme, rng):
-    """Walk from ``poi`` on ``rng`` and build its feature vector."""
+    """Walk from ``poi`` on ``rng`` and build its feature row."""
     sample = sample_walk(tree, poi, walk_config, rng)
     return features_from_walk(tree, sample, provider, strategy, scheme)
 
@@ -182,7 +182,7 @@ class TestFeaturizeNode:
     def test_single_node_tree_absdiff(self):
         tree = build_tree([CommentNode("solo", None, "alpha beta")])
         provider = HashedBowProvider(16, normalize=False)
-        fv = featurize_node(
+        row = featurize_node(
             tree,
             "solo",
             provider,
@@ -192,12 +192,12 @@ class TestFeaturizeNode:
             derived_rng(0),
         )
         u = provider.vector_for(tree.node("solo"))
-        assert np.array_equal(fv.values[:16], u)
-        assert np.array_equal(fv.values[16:32], np.zeros(16))
-        assert np.array_equal(fv.values[32:], np.abs(u))
+        assert np.array_equal(row[:16], u)
+        assert np.array_equal(row[16:32], np.zeros(16))
+        assert np.array_equal(row[32:], np.abs(u))
 
     def test_gamma_zero_context_vanishes(self, forked_tree, known_provider):
-        fv = featurize_node(
+        row = featurize_node(
             forked_tree,
             "a4",
             known_provider,
@@ -206,11 +206,11 @@ class TestFeaturizeNode:
             ConcatScheme.UV_ABSDIFF,
             derived_rng(1),
         )
-        v_block = fv.values[3:6]
+        v_block = row[3:6]
         assert np.array_equal(v_block, np.zeros(3))
 
     def test_deterministic_chain_weighted_average(self, forked_tree, known_provider):
-        fv = featurize_node(
+        row = featurize_node(
             forked_tree,
             "a2",
             known_provider,
@@ -223,9 +223,9 @@ class TestFeaturizeNode:
         x_a1 = np.array([0.0, 1.0, 0.0])
         x_a0 = np.array([1.0, 0.0, 0.0])
         expected_v = (0.5 * x_a1 + 0.25 * x_a0) / 0.75
-        assert np.allclose(fv.values[3:6], expected_v, atol=1e-12)
-        assert np.allclose(fv.values[:3], [0.0, 0.0, 1.0], atol=1e-12)
-        assert np.allclose(fv.values[6:], np.abs(fv.values[:3] - expected_v), atol=1e-12)
+        assert np.allclose(row[3:6], expected_v, atol=1e-12)
+        assert np.allclose(row[:3], [0.0, 0.0, 1.0], atol=1e-12)
+        assert np.allclose(row[6:], np.abs(row[:3] - expected_v), atol=1e-12)
 
     def test_p_one_is_rng_independent(self, forked_tree, known_provider):
         runs = [
@@ -240,8 +240,8 @@ class TestFeaturizeNode:
             )
             for seed in (0, 1, 2)
         ]
-        for fv in runs[1:]:
-            assert np.array_equal(fv.values, runs[0].values)
+        for row in runs[1:]:
+            assert np.array_equal(row, runs[0])
 
 
 def _label_all(tree_records, label):
@@ -285,8 +285,11 @@ class TestFeaturizeCorpus:
             "polarity",
         )
         assert len(examples) == 3
-        assert [ex.node_id for ex in examples] == ["b", "c", "d"]
-        assert all(ex.features.values.shape == (24,) for ex in examples)
+        assert examples.node_ids == ("b", "c", "d")
+        assert examples.labels == ("attack", "support", "attack")
+        assert examples.X.shape == (3, 24)
+        assert not examples.X.flags.writeable
+        assert [walk.start for walk in examples.walks] == ["b", "c", "d"]
 
     def test_hate_example_per_node(self):
         examples = featurize_corpus(
@@ -333,11 +336,10 @@ class TestFeaturizeCorpus:
         )
         first = featurize_corpus([trees[0]], **kwargs)
         again = featurize_corpus([trees[0]], **kwargs)
-        assert [ex.node_id for ex in first] == sorted(ex.node_id for ex in first)
-        for a, b in zip(first, again):
-            assert a.node_id == b.node_id
-            assert np.array_equal(a.features.values, b.features.values)
-            assert a.context_ids == b.context_ids
+        assert list(first.node_ids) == sorted(first.node_ids)
+        assert first.node_ids == again.node_ids
+        assert np.array_equal(first.X, again.X)
+        assert first.walks == again.walks
 
     def test_unknown_task(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from threadwalk.errors import (
     NonFiniteLossError,
     SingleClassDataError,
 )
-from threadwalk.features import FeatureVector, LabeledExample, bow_examples
+from threadwalk.features import bow_examples
 from threadwalk.model import (
     SoftmaxModel,
     TrainConfig,
@@ -24,22 +24,16 @@ from threadwalk.model import (
 )
 from threadwalk.tree import CommentNode, build_tree
 
-from conftest import bow_logreg_baseline
-
-
-def _example(values, label, node_id="n", tree_id="t"):
-    arr = np.asarray(values, dtype=np.float64)
-    fv = FeatureVector(values=arr, scheme=None, poi_id=node_id, task="hate")
-    return LabeledExample(tree_id=tree_id, node_id=node_id, label=label, features=fv)
+from conftest import bow_logreg_baseline, make_examples
 
 
 def _cluster_examples(rng, n, centers, margin=1.0):
-    examples = []
+    rows, labels = [], []
     for i in range(n):
         cls = i % len(centers)
-        point = np.asarray(centers[cls]) * margin + rng.normal(0, 0.1, size=len(centers[0]))
-        examples.append(_example(point, f"c{cls}", node_id=f"n{i}"))
-    return examples
+        rows.append(np.asarray(centers[cls]) * margin + rng.normal(0, 0.1, size=len(centers[0])))
+        labels.append(f"c{cls}")
+    return make_examples(rows, labels)
 
 
 class TestGradient:
@@ -83,15 +77,12 @@ class TestTrain:
         rng = np.random.default_rng(1)
         examples = _cluster_examples(rng, 200, [(1, 1), (-1, -1)])
         model = train(examples, TrainConfig(epochs=50, seed=0))
-        predictions = predict_labels(model, examples)
-        accuracy = np.mean([p == ex.label for p, ex in zip(predictions, examples)])
+        predictions = predict_labels(model, examples.X)
+        accuracy = np.mean([p == label for p, label in zip(predictions, examples.labels)])
         assert accuracy >= 0.99
 
     def test_no_signal_predicts_priors(self):
-        examples = [
-            _example([1.0, 1.0], "c0" if i % 2 == 0 else "c1", node_id=f"n{i}")
-            for i in range(100)
-        ]
+        examples = make_examples([[1.0, 1.0]] * 100, ["c0", "c1"] * 50)
         model = train(examples, TrainConfig(epochs=30, seed=0))
         probs = predict_proba(model, np.array([1.0, 1.0]))
         assert probs == pytest.approx([0.5, 0.5], abs=0.02)
@@ -106,7 +97,7 @@ class TestTrain:
         assert a.metadata["loss_history"] == b.metadata["loss_history"]
 
     def test_zero_epochs_returns_zero_init(self):
-        examples = [_example([1.0, 2.0], "c0"), _example([3.0, 4.0], "c1")]
+        examples = make_examples([[1.0, 2.0], [3.0, 4.0]], ["c0", "c1"])
         model = train(examples, TrainConfig(epochs=0))
         assert not model.weights.any() and not model.bias.any()
         probs = predict_proba(model, np.array([5.0, -7.0]))
@@ -123,16 +114,16 @@ class TestTrain:
     def test_class_weighting_lifts_minority_recall(self):
         rng = np.random.default_rng(4)
         # 9:1 imbalance, separable but with a narrow margin and few epochs
-        examples = []
-        for i in range(180):
-            examples.append(_example(rng.normal(0, 0.3, 2) + (0.25, 0.0), "major", f"a{i}"))
-        for i in range(20):
-            examples.append(_example(rng.normal(0, 0.3, 2) + (-0.9, 0.0), "minor", f"b{i}"))
+        rows = [rng.normal(0, 0.3, 2) + (0.25, 0.0) for _ in range(180)]
+        rows += [rng.normal(0, 0.3, 2) + (-0.9, 0.0) for _ in range(20)]
+        examples = make_examples(rows, ["major"] * 180 + ["minor"] * 20)
 
         def minority_recall(model):
-            predictions = predict_labels(model, examples)
+            predictions = predict_labels(model, examples.X)
             hits = sum(
-                1 for p, ex in zip(predictions, examples) if ex.label == "minor" and p == "minor"
+                1
+                for p, label in zip(predictions, examples.labels)
+                if label == "minor" and p == "minor"
             )
             return hits / 20
 
@@ -148,16 +139,12 @@ class TestTrain:
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassDataError):
-            train([_example([1.0], "only")], TrainConfig())
+            train(make_examples([[1.0]], ["only"]), TrainConfig())
         with pytest.raises(SingleClassDataError):
-            train([], TrainConfig())
-
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            train([_example([1.0], "a"), _example([1.0, 2.0], "b")], TrainConfig())
+            train(make_examples(np.empty((0, 1)), []), TrainConfig())
 
     def test_non_finite_loss_detected(self):
-        examples = [_example([1e200, 0.0], "a"), _example([0.0, 1e200], "b")]
+        examples = make_examples([[1e200, 0.0], [0.0, 1e200]], ["a", "b"])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLossError):
             train(examples, TrainConfig(epochs=3, learning_rate=1e150, l2=0.0))
 
@@ -249,6 +236,27 @@ class TestPersistence:
         with pytest.raises(MalformedFileError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "dims, params",
+        [
+            ("2 2", "nan 0.0\n0.0 0.0\n0.0 0.0"),
+            ("2 2", "0.0 0.0\n0.0 0.0\n0.0 inf"),
+            ("2 2", "0.0 0.0\n0.0\n0.0 0.0"),
+            ("0 2", ""),
+        ],
+    )
+    def test_corrupt_parameters(self, tmp_path, dims, params):
+        path = tmp_path / "model.txt"
+        path.write_text(f"threadwalk-softmax-v1\nclasses\ta\tb\ndims {dims}\nmeta {{}}\n{params}\n")
+        with pytest.raises(MalformedFileError):
+            load_model(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"threadwalk-softmax-v1\n\xff\n")
+        with pytest.raises(MalformedFileError, match="not UTF-8"):
+            load_model(path)
+
 
 class TestBowBaseline:
     def _trees(self):
@@ -274,20 +282,20 @@ class TestBowBaseline:
         polarity, _ = self._trees()
         examples = bow_examples([polarity], "polarity", 16)
         assert len(examples) == 2
-        assert all(ex.features.values.shape == (32,) for ex in examples)
+        assert examples.X.shape == (2, 32)
+        assert examples.walks is None
         from threadwalk.embeddings import hashed_bow_embed
 
-        by_id = {ex.node_id: ex for ex in examples}
         expected = np.concatenate(
             [hashed_bow_embed("root text here", 16), hashed_bow_embed("first reply", 16)]
         )
-        assert np.array_equal(by_id["b"].features.values, expected)
+        assert np.array_equal(examples.X[examples.node_ids.index("b")], expected)
 
     def test_hate_uses_single_comment(self):
         _, hate = self._trees()
         examples = bow_examples([hate], "hate", 16)
         assert len(examples) == 3
-        assert all(ex.features.values.shape == (16,) for ex in examples)
+        assert examples.X.shape == (3, 16)
 
     def test_baseline_trains(self):
         _, hate = self._trees()

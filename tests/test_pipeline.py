@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from threadwalk.errors import ConfigError
+from threadwalk import pipeline
 from threadwalk.evaluation import EvalReport
 from threadwalk.pipeline import (
     RunConfig,
@@ -13,7 +14,7 @@ from threadwalk.pipeline import (
     _select_best,
     ablate_concat,
     ablation_csv,
-    feature_dump_line,
+    feature_dump_lines,
     grid_search,
     read_manifest,
     run_pipeline,
@@ -101,10 +102,13 @@ class TestRunPipeline:
         from threadwalk.pipeline import featurize_split
 
         provider = SMALL_CONFIG.build_provider()
-        example = featurize_split(small_corpus[:2], SMALL_CONFIG, provider)[0]
-        record = json.loads(feature_dump_line(example))
+        examples = featurize_split(small_corpus[:2], SMALL_CONFIG, provider)
+        lines = list(feature_dump_lines(examples))
+        assert len(lines) == len(examples)
+        record = json.loads(lines[0])
         assert set(record) == {"tree_id", "node_id", "label", "features"}
-        assert len(record["features"]) == 64 * 3
+        assert record["node_id"] == examples.node_ids[0]
+        assert record["features"] == examples.X[0].tolist()
 
     def test_external_embeddings_end_to_end(self, small_corpus, tmp_path):
         from threadwalk.embeddings import hashed_bow_embed, save_external_embeddings
@@ -242,6 +246,38 @@ class TestGridSearch:
     def test_empty_grid_rejected(self, small_corpus):
         with pytest.raises(ConfigError):
             grid_search(small_corpus, "hate", [], [0.5], SMALL_CONFIG, seeds=[0])
+
+    @pytest.mark.parametrize(
+        "p_values, jobs, pools",
+        [([0.5, 1.0], 5000, [2]), ([0.5, 1.0], 2, [2]), ([0.5], 8, []), ([0.5, 1.0], 1, [])],
+    )
+    def test_workers_capped_by_cells(self, small_corpus, monkeypatch, p_values, jobs, pools):
+        created = []
+
+        class InProcessPool:
+            """Records the worker count asked for and maps in this process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+        config = SMALL_CONFIG.replace(epochs=1)
+        result = grid_search(small_corpus, "hate", p_values, [0.8], config, seeds=[0], jobs=jobs)
+        assert len(result.cells) == len(p_values)
+        assert created == pools
+
+    def test_jobs_below_one_rejected(self, small_corpus):
+        with pytest.raises(ConfigError, match="jobs"):
+            grid_search(small_corpus, "hate", [0.5], [0.5], SMALL_CONFIG, seeds=[0], jobs=0)
 
 
 class TestAblation:
