@@ -4,7 +4,8 @@ Subcommands: validate, generate, featurize, train, evaluate, run,
 grid-search, ablate-concat, error-analysis. Flags override a JSON config
 file (``--config``), which overrides built-in defaults; every run writes
 a manifest sufficient for bit-exact replay. Exit status is 0 on success,
-1 on runtime failure and 2 on configuration errors.
+1 on runtime failure and 2 on bad input: a flag, a config value, or a
+corpus, embedding, model or manifest file.
 """
 
 from __future__ import annotations
@@ -16,21 +17,13 @@ import os
 import sys
 from pathlib import Path
 
-from .corpus import corpus_stats, load_corpus, save_corpus
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    InvalidSpecError,
-    MalformedFileError,
-    MissingEmbeddingError,
-    MissingLabelError,
-    NotBinaryTaskError,
-    ThreadwalkError,
-)
+from .corpus import corpus_stats, load_corpus, save_corpus, write_lines
+from .errors import ConfigError, InputError, ThreadwalkError, TooFewTreesError
 from .evaluation import error_analysis, evaluate, split_trees
 from .features import AggregationStrategy, ConcatScheme, Examples, TASKS
 from .model import load_model, save_model, train
 from .pipeline import (
+    EMBEDDING_SOURCES,
     RunConfig,
     ablate_concat,
     ablation_csv,
@@ -47,21 +40,16 @@ from .pipeline import (
 from .synthetic import CorpusSpec, generate
 from .tree import DiscussionTree
 
-_CONFIG_EXIT_ERRORS = (
-    ConfigError,
-    DimensionMismatchError,
-    InvalidSpecError,
-    MalformedFileError,
-    MissingEmbeddingError,
-    MissingLabelError,
-    NotBinaryTaskError,
-    OSError,  # a path that is absent, unreadable, or a directory where a file belongs
-)
-
-_RUN_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig))
-
 DEFAULT_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
+_OUT_HELP = "output directory (default $THREADWALK_OUT or .)"
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
+_FLAG_CHOICES = {
+    "task": TASKS,
+    "aggregation": [s.value for s in AggregationStrategy],
+    "scheme": [s.value for s in ConcatScheme],
+    "embedding": EMBEDDING_SOURCES,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -69,8 +57,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_EXIT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, OSError) as exc:
+        # Only the --corpus trees are ever split, so name that file.
+        where = f"{args.corpus}: " if isinstance(exc, TooFewTreesError) else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 2
     except ThreadwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -94,113 +84,91 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic labeled corpus")
     p.add_argument("--output", required=True, help="corpus file to write")
-    p.add_argument("--task", choices=TASKS, default="hate")
-    p.add_argument("--num-trees", type=int, default=200)
-    p.add_argument("--mean-tree-size", type=float, default=12.0)
-    p.add_argument("--size-dispersion", type=float, default=0.8)
-    p.add_argument("--branching", type=float, default=1.0)
-    p.add_argument("--positive-fraction", type=float, default=0.5)
-    p.add_argument("--context-signal", type=float, default=0.5)
-    p.add_argument("--vocabulary-size", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    _add_field_flags(p, CorpusSpec, use_defaults=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("featurize", help="dump labeled feature vectors for a corpus")
-    p.add_argument("--corpus", required=True)
+    p = _corpus_command(
+        sub, "featurize", "dump labeled feature vectors for a corpus", cmd_featurize, out=None
+    )
     p.add_argument("--output", required=True, help="feature dump file (JSON lines)")
     p.add_argument("--traces", help="optional walk trace dump (JSON lines)")
-    _add_run_options(p)
-    p.set_defaults(func=cmd_featurize)
 
-    p = sub.add_parser("train", help="train on the train split and save the model")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", help="output directory (default $THREADWALK_OUT or .)")
-    _add_run_options(p)
-    p.set_defaults(func=cmd_train)
+    _corpus_command(sub, "train", "train on the train split and save the model", cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a saved model on the test split")
-    p.add_argument("--corpus", required=True)
+    p = _corpus_command(
+        sub,
+        "evaluate",
+        "evaluate a saved model on the test split",
+        cmd_evaluate,
+        out="optional directory for report files",
+    )
     p.add_argument("--model", required=True)
-    p.add_argument("--out", help="optional directory for report files")
-    _add_run_options(p)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("run", help="full pipeline: split, featurize, train, evaluate")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", help="output directory (default $THREADWALK_OUT or .)")
+    p = _corpus_command(sub, "run", "full pipeline: split, featurize, train, evaluate", cmd_run)
     p.add_argument("--dump-features", action="store_true")
-    _add_run_options(p)
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("grid-search", help="(p, gamma) grid with seed averaging")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", help="output directory (default $THREADWALK_OUT or .)")
+    p = _corpus_command(sub, "grid-search", "(p, gamma) grid with seed averaging", cmd_grid_search)
     p.add_argument("--p-values", help="comma-separated, default 0,0.2,...,1.0")
     p.add_argument("--gamma-values", help="comma-separated, default 0,0.2,...,1.0")
     p.add_argument("--seeds", help="comma-separated, default 0,1,2,3,4")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    _add_run_options(p)
-    p.set_defaults(func=cmd_grid_search)
 
-    p = sub.add_parser("ablate-concat", help="compare the four concatenation schemes")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", help="output directory (default $THREADWALK_OUT or .)")
+    p = _corpus_command(sub, "ablate-concat", "compare the four concatenation schemes", cmd_ablate)
     p.add_argument("--seeds", help="comma-separated, default 0,1,2,3,4")
-    _add_run_options(p)
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("error-analysis", help="list FPs and FNs with walk context")
-    p.add_argument("--corpus", required=True)
+    p = _corpus_command(
+        sub, "error-analysis", "list FPs and FNs with walk context", cmd_error_analysis
+    )
     p.add_argument("--model", required=True)
-    p.add_argument("--out", help="output directory (default $THREADWALK_OUT or .)")
-    _add_run_options(p)
-    p.set_defaults(func=cmd_error_analysis)
 
     return parser
 
 
-def _add_run_options(p: argparse.ArgumentParser) -> None:
+def _corpus_command(
+    sub: argparse._SubParsersAction, name: str, help: str, func, out: str | None = _OUT_HELP
+) -> argparse.ArgumentParser:
+    """A subcommand that reads ``--corpus`` under the run options; ``out``
+    is the help of its ``--out`` flag, or None for a command without one."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--corpus", required=True)
+    if out is not None:
+        p.add_argument("--out", help=out)
     p.add_argument("--config", help="JSON config or manifest file; flags override it")
-    p.add_argument("--task", choices=TASKS)
-    p.add_argument("--p", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--walk-length", type=int)
-    p.add_argument("--step-cap", type=int)
-    p.add_argument("--aggregation", choices=[s.value for s in AggregationStrategy])
-    p.add_argument("--scheme", choices=[s.value for s in ConcatScheme])
-    p.add_argument("--embedding", choices=["hashed-bow", "external"])
-    p.add_argument("--bow-dim", type=int)
-    p.add_argument("--bow-normalize", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--embedding-file")
-    p.add_argument("--normalize-weights", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--class-weighting", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--split-fraction", type=float)
-    p.add_argument("--seed", type=int)
+    _add_field_flags(p, RunConfig, use_defaults=False)
+    p.set_defaults(func=func)
+    return p
+
+
+def _add_field_flags(p: argparse.ArgumentParser, cls: type, use_defaults: bool) -> None:
+    """One flag per dataclass field: ``--walk-length`` for ``walk_length``,
+    typed from the annotation. Without ``use_defaults`` every flag defaults
+    to None, so an unset flag leaves the config file's value in place."""
+    for f in dataclasses.fields(cls):
+        flag = "--" + f.name.replace("_", "-")
+        kind = f.type.partition(" | ")[0]
+        default = f.default if use_defaults else None
+        if kind == "bool":
+            p.add_argument(flag, action=argparse.BooleanOptionalAction, default=default)
+        else:
+            p.add_argument(
+                flag, type=_FLAG_TYPES[kind], choices=_FLAG_CHOICES.get(f.name), default=default
+            )
 
 
 def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
-    extras: dict = {}
-    if getattr(args, "config", None):
-        config, extras = read_manifest(args.config)
-        base = config.to_dict()
-    else:
-        base = RunConfig().to_dict()
-    for name in _RUN_FIELDS:
-        value = getattr(args, name, None)
+    config, extras = read_manifest(args.config) if args.config else (RunConfig(), {})
+    base = config.to_dict()
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            base[name] = value
+            base[f.name] = value
     config = RunConfig.from_dict(base)
     config.validate()
     return config, extras
 
 
 def _outdir(args: argparse.Namespace) -> Path:
-    out = getattr(args, "out", None) or os.environ.get("THREADWALK_OUT") or "."
+    out = args.out or os.environ.get("THREADWALK_OUT") or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -247,17 +215,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    spec = CorpusSpec(
-        num_trees=args.num_trees,
-        mean_tree_size=args.mean_tree_size,
-        size_dispersion=args.size_dispersion,
-        branching=args.branching,
-        positive_fraction=args.positive_fraction,
-        context_signal=args.context_signal,
-        vocabulary_size=args.vocabulary_size,
-        seed=args.seed,
-        task=args.task,
-    )
+    spec = CorpusSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(CorpusSpec)})
     corpus = generate(spec)
     save_corpus(corpus.trees, args.output)
     total = sum(len(t) for t in corpus.trees)
@@ -271,12 +229,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_featurize(args: argparse.Namespace) -> int:
     _, _, examples = _featurized(args, None)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.writelines(feature_dump_lines(examples))
+    write_lines(args.output, feature_dump_lines(examples))
     if args.traces:
-        with open(args.traces, "w", encoding="utf-8") as handle:
-            for tree_id, walk in zip(examples.tree_ids, examples.walks):
-                handle.write(walk.trace_line(tree_id) + "\n")
+        traces = zip(examples.tree_ids, examples.walks)
+        write_lines(args.traces, (walk.trace_line(tree_id) + "\n" for tree_id, walk in traces))
     print(f"wrote {len(examples)} examples to {args.output}")
     return 0
 
@@ -298,7 +254,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(report.to_text(), end="")
     if args.out:
         outdir = _outdir(args)
-        (outdir / "report.txt").write_text(report.to_text(), encoding="utf-8")
+        write_lines(outdir / "report.txt", [report.to_text()])
         write_json(report.to_dict(), outdir / "metrics.json")
     return 0
 
@@ -320,7 +276,7 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     seeds = _parse_list(args.seeds, extras, "seeds", int, DEFAULT_SEEDS)
     result = grid_search(trees, config.task, p_values, gamma_values, config, seeds, jobs=args.jobs)
     outdir = _outdir(args)
-    (outdir / "grid.csv").write_text(result.to_csv(), encoding="utf-8")
+    write_lines(outdir / "grid.csv", [result.to_csv()])
     write_manifest(
         config,
         outdir / "manifest.json",
@@ -341,7 +297,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     seeds = _parse_list(args.seeds, extras, "seeds", int, DEFAULT_SEEDS)
     rows = ablate_concat(trees, config.task, config, seeds)
     outdir = _outdir(args)
-    (outdir / "ablation.csv").write_text(ablation_csv(rows), encoding="utf-8")
+    write_lines(outdir / "ablation.csv", [ablation_csv(rows)])
     write_manifest(config, outdir / "manifest.json", extra={"seeds": list(seeds)})
     for row in rows:
         print(f"{row.scheme:>16}  accuracy {row.accuracy:.4f}  macro_f1 {row.macro_f1:.4f}")
@@ -353,7 +309,7 @@ def cmd_error_analysis(args: argparse.Namespace) -> int:
     _, test_trees, examples = _featurized(args, "test")
     result = error_analysis(model, examples, test_trees)
     outdir = _outdir(args)
-    (outdir / "errors.jsonl").write_text(result.to_jsonl(), encoding="utf-8")
+    write_lines(outdir / "errors.jsonl", [result.to_jsonl()])
     print(
         f"{len(result.false_positives)} false positives, "
         f"{len(result.false_negatives)} false negatives "

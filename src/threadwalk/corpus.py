@@ -9,10 +9,11 @@ keep file order) and each group is validated by :func:`build_tree`.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import MalformedFileError
+from .errors import MalformedFileError, ThreadwalkError
 from .tree import CommentNode, DiscussionTree, build_tree, to_baf
 
 _REQUIRED_FIELDS = ("tree_id", "id", "parent_id", "text")
@@ -50,7 +51,13 @@ def load_corpus(path: str | Path) -> list[DiscussionTree]:
                 label=label,
             )
         )
-    return [build_tree(records, tree_id=tid) for tid, records in groups.items()]
+    trees = []
+    for tid, records in groups.items():
+        try:
+            trees.append(build_tree(records, tree_id=tid))
+        except ThreadwalkError as exc:
+            raise type(exc)(f"{path}: tree {tid!r}: {exc}") from None
+    return trees
 
 
 def text_lines(path: Path) -> Iterator[str]:
@@ -62,20 +69,39 @@ def text_lines(path: Path) -> Iterator[str]:
         raise MalformedFileError(f"{path}: not UTF-8 text") from None
 
 
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Stream ``lines`` into a UTF-8 text file atomically.
+
+    The lines go to a temporary file in the target's directory, which
+    replaces ``path`` only after the last line is written; on any failure
+    the temporary file is removed and ``path`` is left as it was.
+    """
+    path = Path(os.path.abspath(path))
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    handle = tmp.open("w", encoding="utf-8")
+    try:
+        with handle:
+            handle.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
+
+
 def save_corpus(trees: Iterable[DiscussionTree], path: str | Path) -> None:
     """Write trees back to the newline-delimited record format."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for tree in trees:
-            for node in tree:
-                record = {
-                    "tree_id": tree.tree_id,
-                    "id": node.id,
-                    "parent_id": node.parent_id,
-                    "text": node.text,
-                    "label": node.label,
-                }
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+    records = (
+        {
+            "tree_id": tree.tree_id,
+            "id": node.id,
+            "parent_id": node.parent_id,
+            "text": node.text,
+            "label": node.label,
+        }
+        for tree in trees
+        for node in tree
+    )
+    write_lines(path, (json.dumps(record, sort_keys=True) + "\n" for record in records))
 
 
 def export_baf(tree: DiscussionTree, path: str | Path) -> None:
@@ -83,19 +109,15 @@ def export_baf(tree: DiscussionTree, path: str | Path) -> None:
     framework = to_baf(tree)
     relation = {edge: "attack" for edge in framework.attacks}
     relation.update({edge: "support" for edge in framework.supports})
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for node in tree:
-            if node.id == tree.root_id:
-                continue
-            edge = (node.id, node.parent_id)
-            handle.write(
-                json.dumps(
-                    {"source": edge[0], "target": edge[1], "relation": relation[edge]},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    edges = ((node.id, node.parent_id) for node in tree if node.id != tree.root_id)
+    write_lines(
+        path,
+        (
+            json.dumps({"source": u, "target": v, "relation": relation[u, v]}, sort_keys=True)
+            + "\n"
+            for u, v in edges
+        ),
+    )
 
 
 def corpus_stats(trees: Sequence[DiscussionTree]) -> dict:

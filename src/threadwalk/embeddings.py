@@ -9,6 +9,7 @@ transformer vectors plug into the pipeline unchanged.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import re
 from pathlib import Path
@@ -16,7 +17,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .corpus import text_lines
+from .corpus import text_lines, write_lines
 from .errors import DimensionMismatchError, MalformedFileError, MissingEmbeddingError
 from .tree import CommentNode
 
@@ -156,9 +157,8 @@ def save_external_embeddings(vectors: dict[str, np.ndarray], path: str | Path) -
     if len(dims) > 1:
         raise DimensionMismatchError(f"mixed dimensions in embedding table: {sorted(dims)}")
     dim = dims.pop() if dims else 0
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(f"d={dim}\n")
-        for node_id, vec in vectors.items():
-            values = " ".join(repr(float(x)) for x in np.asarray(vec))
-            handle.write(f"{node_id} {values}\n")
+    rows = (
+        f"{node_id} {' '.join(repr(float(x)) for x in np.asarray(vec))}\n"
+        for node_id, vec in vectors.items()
+    )
+    write_lines(path, itertools.chain([f"d={dim}\n"], rows))

@@ -5,25 +5,30 @@ class ThreadwalkError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InputError(ThreadwalkError):
+    """Bad input from outside the program: a file, a flag or a config
+    value. The command line reports it with exit code 2."""
+
+
 # --- discussion tree construction ---
 
-class DuplicateIdError(ThreadwalkError):
+class DuplicateIdError(InputError):
     """Two records in one tree share the same id."""
 
 
-class DanglingParentError(ThreadwalkError):
+class DanglingParentError(InputError):
     """A record references a parent id that does not exist."""
 
 
-class MultipleRootsError(ThreadwalkError):
+class MultipleRootsError(InputError):
     """More than one record has no parent."""
 
 
-class NoRootError(ThreadwalkError):
+class NoRootError(InputError):
     """No record without a parent was found."""
 
 
-class CycleDetectedError(ThreadwalkError):
+class CycleDetectedError(InputError):
     """The parent relation contains a cycle (including self-reference)."""
 
 
@@ -37,7 +42,7 @@ class MissingPolarityLabelError(ThreadwalkError):
 
 # --- embeddings and features ---
 
-class DimensionMismatchError(ThreadwalkError):
+class DimensionMismatchError(InputError):
     """Vectors, weights or model parameters disagree on dimension."""
 
 
@@ -45,15 +50,15 @@ class NegativeWeightError(ThreadwalkError):
     """A weighted aggregation received a negative weight."""
 
 
-class MissingLabelError(ThreadwalkError):
+class MissingLabelError(InputError):
     """A node required to carry a task label is unlabeled."""
 
 
-class MissingEmbeddingError(ThreadwalkError):
+class MissingEmbeddingError(InputError):
     """An external embedding provider has no vector for a node id."""
 
 
-class MalformedFileError(ThreadwalkError):
+class MalformedFileError(InputError):
     """An input file does not follow its documented format."""
 
 
@@ -69,7 +74,7 @@ class NonFiniteLossError(ThreadwalkError):
 
 # --- evaluation ---
 
-class TooFewTreesError(ThreadwalkError):
+class TooFewTreesError(InputError):
     """A tree-level split needs at least two trees."""
 
 
@@ -77,15 +82,15 @@ class EmptyEvalSetError(ThreadwalkError):
     """Evaluation was requested on an empty example set."""
 
 
-class NotBinaryTaskError(ThreadwalkError):
+class NotBinaryTaskError(InputError):
     """Error analysis is only defined for binary tasks."""
 
 
 # --- synthetic corpora and configuration ---
 
-class InvalidSpecError(ThreadwalkError):
+class InvalidSpecError(InputError):
     """A corpus specification is out of range or inconsistent."""
 
 
-class ConfigError(ThreadwalkError):
+class ConfigError(InputError):
     """A run configuration is invalid or incomplete."""

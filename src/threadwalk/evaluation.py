@@ -8,6 +8,7 @@ For binary tasks the positive-class view is reported as well.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 from dataclasses import dataclass
@@ -53,22 +54,7 @@ class EvalReport:
         return int(self.confusion.sum())
 
     def to_dict(self) -> dict:
-        return {
-            "class_names": list(self.class_names),
-            "confusion": self.confusion.tolist(),
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "precision_per_class": list(self.precision_per_class),
-            "recall_per_class": list(self.recall_per_class),
-            "f1_per_class": list(self.f1_per_class),
-            "positive_label": self.positive_label,
-            "precision_pos": self.precision_pos,
-            "recall_pos": self.recall_pos,
-            "f1_pos": self.f1_pos,
-            "zero_support_classes": list(self.zero_support_classes),
-        }
+        return {**dataclasses.asdict(self), "confusion": self.confusion.tolist()}
 
     def to_text(self) -> str:
         width = max([len(c) for c in self.class_names] + [10])
@@ -187,22 +173,15 @@ def _default_positive(names: tuple[str, ...]) -> str:
     return names[-1]
 
 
-def evaluate(
-    model: SoftmaxModel,
-    examples: Examples,
-    positive_label: str | None = None,
-) -> EvalReport:
+def evaluate(model: SoftmaxModel, examples: Examples) -> EvalReport:
     """Score a model on labeled examples via argmax predictions."""
-    return _predict_and_score(model, examples, positive_label)[0]
+    return _predict_and_score(model, examples)[0]
 
 
-def _predict_and_score(
-    model: SoftmaxModel, examples: Examples, positive_label: str | None
-) -> tuple[EvalReport, list[str]]:
+def _predict_and_score(model: SoftmaxModel, examples: Examples) -> tuple[EvalReport, list[str]]:
     predictions = predict_labels(model, examples.X)
     names = tuple(sorted(set(model.class_names) | set(examples.labels)))
-    report = report_from_pairs(examples.labels, predictions, names, positive_label=positive_label)
-    return report, predictions
+    return report_from_pairs(examples.labels, predictions, names), predictions
 
 
 @dataclass(frozen=True)
@@ -252,14 +231,13 @@ def error_analysis(
     model: SoftmaxModel,
     examples: Examples,
     trees: Iterable[DiscussionTree],
-    positive_label: str | None = None,
 ) -> ErrorAnalysisResult:
     """List every misclassified example with surrounding context texts
     (the nodes its walk collected after the PoI; none without walks).
 
     The FP/FN counts reconcile with the confusion matrix by construction.
     """
-    report, predictions = _predict_and_score(model, examples, positive_label)
+    report, predictions = _predict_and_score(model, examples)
     if len(report.class_names) != 2:
         raise NotBinaryTaskError(
             f"error analysis needs a binary task, got classes {report.class_names}"

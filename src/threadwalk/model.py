@@ -10,6 +10,8 @@ inverse-frequency class weighting.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,7 +25,7 @@ from .errors import (
     NonFiniteLossError,
     SingleClassDataError,
 )
-from .corpus import text_lines
+from .corpus import text_lines, write_lines
 from .features import Examples
 from .seeding import derived_rng
 
@@ -152,13 +154,7 @@ def train(examples: Examples, config: TrainConfig) -> SoftmaxModel:
         history.append(epoch_loss)
 
     metadata = {
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "learning_rate": config.learning_rate,
-        "l2": config.l2,
-        "seed": config.seed,
-        "class_weighting": config.class_weighting,
-        "momentum": config.momentum,
+        **dataclasses.asdict(config),
         "n_examples": int(n),
         "feature_dim": int(dim),
         "loss_history": history,
@@ -191,16 +187,15 @@ def predict_labels(model: SoftmaxModel, features: np.ndarray) -> list[str]:
 
 def save_model(model: SoftmaxModel, path: str | Path) -> None:
     """Write parameters as decimal text; round-trips are value-exact."""
-    path = Path(path)
     n_classes, dim = model.weights.shape
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(MODEL_FORMAT + "\n")
-        handle.write("classes\t" + "\t".join(model.class_names) + "\n")
-        handle.write(f"dims {n_classes} {dim}\n")
-        handle.write("meta " + json.dumps(model.metadata, sort_keys=True) + "\n")
-        for row in model.weights:
-            handle.write(" ".join(repr(float(x)) for x in row) + "\n")
-        handle.write(" ".join(repr(float(x)) for x in model.bias) + "\n")
+    header = [
+        MODEL_FORMAT + "\n",
+        "classes\t" + "\t".join(model.class_names) + "\n",
+        f"dims {n_classes} {dim}\n",
+        "meta " + json.dumps(model.metadata, sort_keys=True) + "\n",
+    ]
+    rows = (" ".join(repr(float(x)) for x in row) + "\n" for row in (*model.weights, model.bias))
+    write_lines(path, itertools.chain(header, rows))
 
 
 def load_model(path: str | Path) -> SoftmaxModel:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
+from .corpus import write_lines
 from .embeddings import (
     DEFAULT_BOW_DIM,
     EmbeddingProvider,
@@ -41,7 +43,7 @@ from .tree import DiscussionTree
 from .walks import DEFAULT_WALK_LENGTH, WalkConfig
 
 MANIFEST_FORMAT = "threadwalk-manifest-v1"
-_EMBEDDING_SOURCES = ("hashed-bow", "external")
+EMBEDDING_SOURCES = ("hashed-bow", "external")
 _ACCEPTED = {  # annotation -> (accepted Python types, description)
     "str": ((str,), "a string"),
     "int": ((int,), "an integer"),
@@ -110,8 +112,8 @@ class RunConfig:
             ConcatScheme(self.scheme)
         except ValueError:
             raise ConfigError(f"unknown scheme {self.scheme!r}") from None
-        if self.embedding not in _EMBEDDING_SOURCES:
-            raise ConfigError(f"embedding must be one of {_EMBEDDING_SOURCES}")
+        if self.embedding not in EMBEDDING_SOURCES:
+            raise ConfigError(f"embedding must be one of {EMBEDDING_SOURCES}")
         if self.embedding == "external" and not self.embedding_file:
             raise ConfigError("embedding 'external' needs embedding_file")
         if self.embedding == "external" and not os.path.isfile(self.embedding_file):
@@ -298,12 +300,10 @@ def run_pipeline(
     if outdir is not None:
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        artifacts["manifest"] = outdir / "manifest.json"
-        write_manifest(config, artifacts["manifest"])
         artifacts["model"] = outdir / "model.txt"
         save_model(model, artifacts["model"])
         artifacts["report"] = outdir / "report.txt"
-        artifacts["report"].write_text(report.to_text(), encoding="utf-8")
+        write_lines(artifacts["report"], [report.to_text()])
         artifacts["metrics"] = outdir / "metrics.json"
         metrics = {
             "report": report.to_dict(),
@@ -314,9 +314,15 @@ def run_pipeline(
         write_json(metrics, artifacts["metrics"])
         if dump_features:
             artifacts["features"] = outdir / "features.jsonl"
-            with artifacts["features"].open("w", encoding="utf-8") as handle:
-                handle.writelines(feature_dump_lines(train_examples))
-                handle.writelines(feature_dump_lines(test_examples))
+            write_lines(
+                artifacts["features"],
+                itertools.chain(
+                    feature_dump_lines(train_examples), feature_dump_lines(test_examples)
+                ),
+            )
+        # Last, so that a manifest vouches for a complete set of artifacts.
+        artifacts["manifest"] = outdir / "manifest.json"
+        write_manifest(config, artifacts["manifest"])
     return PipelineResult(
         report=report,
         model=model,
@@ -336,7 +342,7 @@ def feature_dump_lines(examples: Examples) -> Iterator[str]:
 
 def write_json(payload: dict, path: str | Path) -> None:
     """Sorted, indented JSON with a trailing newline."""
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_lines(path, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
 def write_manifest(config: RunConfig, path: str | Path, extra: dict | None = None) -> None:
@@ -384,14 +390,7 @@ class GridSearchResult:
     best: tuple[float, float]
 
     def to_csv(self) -> str:
-        lines = ["p,gamma,accuracy,macro_f1,precision_pos,recall_pos,precision_macro,recall_macro"]
-        for key in sorted(self.cells):
-            c = self.cells[key]
-            lines.append(
-                f"{c.p!r},{c.gamma!r},{c.accuracy!r},{c.macro_f1!r},"
-                f"{c.precision_pos!r},{c.recall_pos!r},{c.precision_macro!r},{c.recall_macro!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv(_GRID_COLUMNS, [self.cells[key] for key in sorted(self.cells)])
 
 
 def grid_search(
@@ -474,10 +473,19 @@ def ablate_concat(
 
 
 def ablation_csv(rows: Sequence[SeedAverage]) -> str:
-    lines = ["scheme,accuracy,macro_f1,precision_pos,recall_pos"]
+    return _csv(_ABLATION_COLUMNS, rows)
+
+
+_METRIC_COLUMNS = ("accuracy", "macro_f1", "precision_pos", "recall_pos")
+_GRID_COLUMNS = ("p", "gamma", *_METRIC_COLUMNS, "precision_macro", "recall_macro")
+_ABLATION_COLUMNS = ("scheme", *_METRIC_COLUMNS)
+
+
+def _csv(columns: tuple[str, ...], rows: Sequence[SeedAverage]) -> str:
+    """A header of ``columns``, then one line per row: strings as they are,
+    numbers as their ``repr``."""
+    lines = [",".join(columns)]
     for row in rows:
-        lines.append(
-            f"{row.scheme},{row.accuracy!r},{row.macro_f1!r},"
-            f"{row.precision_pos!r},{row.recall_pos!r}"
-        )
+        values = (getattr(row, column) for column in columns)
+        lines.append(",".join(v if isinstance(v, str) else repr(v) for v in values))
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour and exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from threadwalk.cli import main
+from threadwalk import cli, pipeline
+from threadwalk.cli import _resolve_config, build_parser, main
 from threadwalk.pipeline import RunConfig
+from threadwalk.synthetic import CorpusSpec, generate
 
 
 @pytest.fixture()
@@ -59,7 +62,7 @@ def test_validate_reports_cycles(tmp_path, capsys):
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     code = main(["validate", str(path)])
-    assert code == 1
+    assert code == 2
     assert "cycle" in capsys.readouterr().err.lower()
 
 
@@ -434,6 +437,110 @@ def test_bad_path_exits_2(corpus_path, tmp_path, capsys, argv, bad):
     assert bad.format(**names) in _single_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ([("t", "x", "y"), ("t", "y", "x")], "tree 't': reply cycle"),
+        ([("t", "a", None), ("t", "a", "a")], "tree 't': duplicate comment id"),
+        ([("t", "a", None), ("t", "b", "z")], "tree 't': comment 'b' replies to unknown id"),
+        ([("t", "a", None), ("t", "b", None)], "tree 't': multiple parentless records"),
+        ([], "need at least 2 trees"),
+        ([("t", "a", None)], "need at least 2 trees"),
+    ],
+    ids=["cycle", "duplicate-id", "dangling-parent", "two-roots", "empty-file", "one-tree"],
+)
+def test_bad_corpus_structure_exits_2(tmp_path, capsys, records, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps({"tree_id": tree, "id": nid, "parent_id": parent, "text": "x"}) + "\n"
+            for tree, nid, parent in records
+        )
+    )
+    assert main(["run", "--corpus", str(path), "--out", str(tmp_path), *_RUN_HATE]) == 2
+    line = _single_error_line(capsys)
+    assert str(path) in line and message in line
+
+
+def test_failed_run_writes_no_manifest(corpus_path, tmp_path, capsys, monkeypatch):
+    def full_disk(model, path):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(pipeline, "save_model", full_disk)
+    out = tmp_path / "out"
+    assert main(["run", "--corpus", str(corpus_path), "--out", str(out), *_RUN_HATE]) == 2
+    _single_error_line(capsys)
+    assert not (out / "manifest.json").exists()
+
+
+def _as_flags(record):
+    """A dataclass instance rendered as command-line flags, one per field."""
+    flags = []
+    for f in dataclasses.fields(record):
+        flag, value = f.name.replace("_", "-"), getattr(record, f.name)
+        if isinstance(value, bool):
+            flags.append(f"--{flag}" if value else f"--no-{flag}")
+        else:
+            flags.append(f"--{flag}={value}")
+    return flags
+
+
+def _differs_everywhere(record, default):
+    return all(
+        getattr(record, f.name) != getattr(default, f.name) for f in dataclasses.fields(record)
+    )
+
+
+def test_run_flags_round_trip(tmp_path):
+    embeddings = tmp_path / "emb.txt"
+    embeddings.write_text("d=1\n")
+    config = RunConfig(
+        task="hate",
+        p=0.3,
+        gamma=0.55,
+        walk_length=6,
+        step_cap=40,
+        aggregation="sum",
+        scheme="uv_mul",
+        embedding="external",
+        bow_dim=17,
+        bow_normalize=False,
+        embedding_file=str(embeddings),
+        normalize_weights=False,
+        epochs=7,
+        batch_size=5,
+        learning_rate=0.25,
+        l2=0.003,
+        class_weighting=False,
+        momentum=0.5,
+        split_fraction=0.6,
+        seed=9,
+    )
+    assert _differs_everywhere(config, RunConfig())
+    args = build_parser().parse_args(["run", "--corpus", "c.jsonl", *_as_flags(config)])
+    assert _resolve_config(args) == (config, {})
+
+
+def test_generate_flags_round_trip(tmp_path, monkeypatch):
+    spec = CorpusSpec(
+        num_trees=7,
+        mean_tree_size=3.5,
+        size_dispersion=0.25,
+        branching=2.5,
+        positive_fraction=0.3,
+        context_signal=0.75,
+        vocabulary_size=50,
+        seed=4,
+        task="polarity",
+    )
+    assert _differs_everywhere(spec, CorpusSpec())
+    specs = []
+    monkeypatch.setattr(cli, "generate", lambda s: specs.append(s) or generate(s))
+    output = tmp_path / "corpus.jsonl"
+    assert main(["generate", "--output", str(output), *_as_flags(spec)]) == 0
+    assert specs == [spec]
+
+
 def _shared_id_corpus(path):
     """Six trees that all name their root n0 and its reply n1."""
     rows = [
@@ -600,5 +707,4 @@ def test_fuzzed_input_files_exit_cleanly(tiny_corpus, target, data):
         return
     lines = stderr.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), stderr.getvalue()
-    # A corpus file that parses but holds fewer than two trees cannot be split.
-    assert code == 2 or "need at least 2 trees" in lines[0], lines[0]
+    assert code == 2, lines[0]

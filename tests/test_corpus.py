@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from threadwalk.corpus import export_baf, load_corpus, save_corpus
+from threadwalk.corpus import export_baf, load_corpus, save_corpus, write_lines
 from threadwalk.errors import MalformedFileError
 from threadwalk.corpus import corpus_stats
 
@@ -106,3 +106,18 @@ def test_non_string_text_names_the_line(tmp_path, text):
     path = _write(tmp_path, [_record("t", "r", None, text)])
     with pytest.raises(MalformedFileError, match=r"corpus\.jsonl:1: text must be a string"):
         load_corpus(path)
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    def lines():
+        yield "first\n"
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        write_lines(tmp_path / "new.txt", lines())
+    assert list(tmp_path.iterdir()) == []
+    kept = tmp_path / "kept.txt"
+    kept.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        write_lines(kept, lines())
+    assert list(tmp_path.iterdir()) == [kept] and kept.read_text() == "old\n"

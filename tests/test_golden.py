@@ -19,6 +19,7 @@ from threadwalk.embeddings import save_external_embeddings
 FLAGS = ["--task", "hate", "--seed", "3", "--epochs", "5", "--bow-dim", "32"]
 
 GOLDEN = {
+    "corpus.jsonl": "96e9440d80a4ba8b1d3ce3325943c7d4558c88150ac0fd72df9679ca9b2ea7c4",
     "run/metrics.json": "7e173fd88a312f5ff1a560a11f0e7f4a3f1cc8b984999991ed306d89e3d48933",
     "run/model.txt": "7c5ec001156458f1f676e2fa0b03a30004655d0f809347c9030eaef6bf1497dc",
     "run/report.txt": "65f06c79ac72ab6f5543841cf1c46f0a575d8ad0f60a5bea1ab0c238aa9402fc",
