@@ -28,7 +28,7 @@ from .pipeline import (
     ablate_concat,
     ablation_csv,
     check_type,
-    corpus_provider,
+    corpus_sides,
     feature_dump_lines,
     featurize_split,
     grid_search,
@@ -199,12 +199,12 @@ def _featurized(
     """Resolve the config, load the corpus, keep the ``"train"`` or ``"test"``
     side of the split (or every tree for ``None``) and featurize it."""
     config, _ = _resolve_config(args)
-    trees = load_corpus(args.corpus)
-    provider = corpus_provider(config, trees)
+    corpus = trees = load_corpus(args.corpus)
     if side is not None:
-        train_trees, test_trees = split_trees(trees, config.split_fraction, config.seed)
+        train_trees, test_trees = split_trees(corpus, config.split_fraction, config.seed)
         trees = train_trees if side == "train" else test_trees
-    return config, trees, featurize_split(trees, config, provider)
+    (corpus_side,) = corpus_sides(config, corpus, trees)
+    return config, trees, featurize_split(corpus_side, config)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

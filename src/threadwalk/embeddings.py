@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import math
 import re
+from array import array
 from pathlib import Path
 from typing import Protocol
 
@@ -66,51 +67,43 @@ class EmbeddingProvider(Protocol):
 
 
 class HashedBowProvider:
-    """Embeds comments by their text via the hashing trick.
-
-    Vectors are cached per distinct text; the cache is read-only after a
-    text has been seen, so concurrent lookups are safe in practice.
-    """
+    """Embeds comments by their text via the hashing trick. Nothing is
+    cached: featurization looks each comment up once per corpus side."""
 
     def __init__(self, dimension: int = DEFAULT_BOW_DIM, normalize: bool = True) -> None:
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         self._dimension = dimension
         self.normalize = normalize
-        self._cache: dict[str, np.ndarray] = {}
 
     @property
     def dimension(self) -> int:
         return self._dimension
 
     def vector_for(self, node: CommentNode) -> np.ndarray:
-        cached = self._cache.get(node.text)
-        if cached is None:
-            cached = hashed_bow_embed(node.text, self._dimension, normalize=self.normalize)
-            cached.setflags(write=False)
-            self._cache[node.text] = cached
-        return cached
+        return hashed_bow_embed(node.text, self._dimension, normalize=self.normalize)
 
 
 class ExternalEmbeddingProvider:
-    """Embeddings resolved by node id from a loaded table."""
+    """Embeddings resolved by node id from a loaded table: one read-only
+    ``(n, d)`` matrix and the row of each node id."""
 
-    def __init__(self, vectors: dict[str, np.ndarray], dimension: int) -> None:
-        self._vectors = vectors
-        self._dimension = dimension
+    def __init__(self, rows: dict[str, int], matrix: np.ndarray) -> None:
+        self._rows = rows
+        self._matrix = matrix
 
     @property
     def dimension(self) -> int:
-        return self._dimension
+        return self._matrix.shape[1]
 
     def vector_for(self, node: CommentNode) -> np.ndarray:
-        vec = self._vectors.get(node.id)
-        if vec is None:
+        row = self._rows.get(node.id)
+        if row is None:
             raise MissingEmbeddingError(f"no embedding for node id {node.id!r}")
-        return vec
+        return self._matrix[row]
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._rows)
 
 
 def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
@@ -120,7 +113,8 @@ def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
     per comment. Node ids are treated as corpus-unique.
     """
     path = Path(path)
-    vectors: dict[str, np.ndarray] = {}
+    rows: dict[str, int] = {}
+    values = array("d")  # the matrix, row after row
     lines = text_lines(path)
     header = next(lines, "").strip()
     if not header.startswith("d=") or not header[2:].isdecimal():
@@ -134,7 +128,7 @@ def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
             continue
         parts = line.split()
         node_id, raw_values = parts[0], parts[1:]
-        if node_id in vectors:
+        if node_id in rows:
             raise MalformedFileError(f"{path}:{lineno}: duplicate id {node_id!r}")
         if len(raw_values) != dim:
             raise DimensionMismatchError(
@@ -146,9 +140,11 @@ def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
             raise MalformedFileError(f"{path}:{lineno}: non-numeric value") from None
         if not np.all(np.isfinite(vec)):
             raise MalformedFileError(f"{path}:{lineno}: non-finite value")
-        vec.setflags(write=False)
-        vectors[node_id] = vec
-    return ExternalEmbeddingProvider(vectors, dim)
+        rows[node_id] = len(rows)
+        values.frombytes(vec.tobytes())
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(rows), dim)
+    matrix.setflags(write=False)
+    return ExternalEmbeddingProvider(rows, matrix)
 
 
 def save_external_embeddings(vectors: dict[str, np.ndarray], path: str | Path) -> None:

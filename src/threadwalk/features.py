@@ -6,10 +6,13 @@ and the aggregate ``v`` of the remaining walk nodes (discounted by
 concatenated under one of four schemes; ``(u, v, |u - v|)`` is the
 default. An empty context yields ``v = 0``.
 
-Featurizing a corpus side gives one :class:`Examples` record: a read-only
-float64 matrix ``X`` with one row per PoI, written in place row by row,
-plus the tree id, node id, label and walk of each row in the same order.
-Training, evaluation, error analysis and the feature dump all read it.
+A corpus side is compiled once into a :class:`CorpusSide`: its PoIs, one
+embedding matrix row per node and a memo of the walks sampled on it.
+Featurizing the side gives one :class:`Examples` record: a read-only
+float64 matrix ``X`` with one row per PoI, written in place a block of
+rows at a time, plus the tree id, node id, label and walk of each row in
+the same order. Training, evaluation, error analysis and the feature dump
+all read it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from .embeddings import EmbeddingProvider, HashedBowProvider
 from .errors import DimensionMismatchError, MissingLabelError, NegativeWeightError
 from .tree import CommentNode, DiscussionTree
-from .walks import WalkConfig, WalkSample, sample_walk, walk_rng
+from .walks import WalkConfig, WalkSample, sample_walk, walk_rng, walk_weights
 
 POLARITY_TASK = "polarity"
 HATE_TASK = "hate"
@@ -70,7 +73,7 @@ class Examples:
 
 
 def aggregate_context(
-    context_vectors: Sequence[np.ndarray],
+    context_vectors: Sequence[np.ndarray] | np.ndarray,
     weights: Sequence[float],
     strategy: AggregationStrategy,
     *,
@@ -79,48 +82,56 @@ def aggregate_context(
 ) -> np.ndarray:
     """Combine context vectors into one vector ``v``.
 
+    ``context_vectors`` is one ``(k, d)`` stack (or a sequence of ``k``
+    vectors), or a batch ``(m, k, d)`` of stacks that share the ``k``
+    weights; ``v`` has shape ``(d,)`` or ``(m, d)``. Each stack of a batch
+    is reduced over its positions exactly as it would be alone, so a batch
+    gives the same bits as its rows one at a time.
+
     SUM and AVERAGE ignore the weights; WEIGHTED_AVERAGE computes
     ``sum(w_i x_i) / sum(w_i)`` (or the raw discounted sum when
     ``normalize`` is off) and returns zero when all weights vanish. An
     empty context yields the zero vector, which needs ``dim``.
     """
-    vecs = [np.asarray(v, dtype=np.float64) for v in context_vectors]
-    w = np.asarray(list(weights), dtype=np.float64)
-    if w.shape[0] != len(vecs):
-        raise DimensionMismatchError(
-            f"{len(vecs)} context vectors but {w.shape[0]} weights"
-        )
-    if not vecs:
+    w = np.asarray(weights, dtype=np.float64)
+    try:
+        stack = np.asarray(context_vectors, dtype=np.float64)
+    except ValueError:  # a ragged sequence of vectors
+        raise DimensionMismatchError("context vectors disagree on shape") from None
+    if w.size == 0 and stack.size == 0:
         if dim is None:
             raise ValueError("dim is required to aggregate an empty context")
-        return np.zeros(dim, dtype=np.float64)
-    dims = {v.shape for v in vecs}
-    if len(dims) > 1 or vecs[0].ndim != 1:
-        raise DimensionMismatchError(f"context vectors disagree on shape: {sorted(dims)}")
-    if dim is not None and vecs[0].shape[0] != dim:
+        return np.zeros(stack.shape[:-2] + (dim,), dtype=np.float64)
+    if w.ndim != 1 or stack.ndim not in (2, 3) or stack.shape[-2] != w.shape[0]:
         raise DimensionMismatchError(
-            f"context vectors have dimension {vecs[0].shape[0]}, expected {dim}"
+            f"context of shape {stack.shape} does not fit {w.shape[0]} weights"
+        )
+    if dim is not None and stack.shape[-1] != dim:
+        raise DimensionMismatchError(
+            f"context vectors have dimension {stack.shape[-1]}, expected {dim}"
         )
 
-    stack = np.stack(vecs)
     if strategy is AggregationStrategy.SUM:
-        return stack.sum(axis=0)
+        return stack.sum(axis=-2)
     if strategy is AggregationStrategy.AVERAGE:
-        return stack.mean(axis=0)
+        return stack.mean(axis=-2)
     if np.any(w < 0):
         raise NegativeWeightError(f"negative weight in {w.tolist()}")
     total = float(w.sum())
     if total == 0.0:
-        return np.zeros(stack.shape[1], dtype=np.float64)
-    weighted = (stack * w[:, None]).sum(axis=0)
+        return np.zeros(stack.shape[:-2] + stack.shape[-1:], dtype=np.float64)
+    weighted = (stack * w[:, None]).sum(axis=-2)
     return weighted / total if normalize else weighted
 
 
-def concat_features(u: np.ndarray, v: np.ndarray, scheme: ConcatScheme) -> np.ndarray:
-    """Lay out ``u`` and ``v`` according to the concatenation scheme."""
+def concat_features(
+    u: np.ndarray, v: np.ndarray, scheme: ConcatScheme, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Lay out ``u`` and ``v`` (shape ``(d,)``, or ``(m, d)`` for ``m`` rows)
+    according to the concatenation scheme, into ``out`` when given."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
+    if u.shape != v.shape or u.ndim not in (1, 2):
         raise DimensionMismatchError(f"u has shape {u.shape}, v has shape {v.shape}")
     if scheme is ConcatScheme.UV:
         parts = (u, v)
@@ -130,29 +141,7 @@ def concat_features(u: np.ndarray, v: np.ndarray, scheme: ConcatScheme) -> np.nd
         parts = (u, v, np.abs(u - v))
     else:
         parts = (u, v, np.abs(u - v), u * v)
-    return np.concatenate(parts)
-
-
-def features_from_walk(
-    tree: DiscussionTree,
-    sample: WalkSample,
-    provider: EmbeddingProvider,
-    strategy: AggregationStrategy,
-    scheme: ConcatScheme,
-    *,
-    normalize_weights: bool = True,
-) -> np.ndarray:
-    """The feature row for an already-sampled walk."""
-    u = provider.vector_for(tree.node(sample.node_ids[0]))
-    context = [provider.vector_for(tree.node(nid)) for nid in sample.node_ids[1:]]
-    v = aggregate_context(
-        context,
-        sample.weights[1:],
-        strategy,
-        dim=provider.dimension,
-        normalize=normalize_weights,
-    )
-    return concat_features(u, v, scheme)
+    return np.concatenate(parts, axis=-1, out=out)
 
 
 def labeled_pois(
@@ -174,32 +163,119 @@ def labeled_pois(
             yield tree, node
 
 
+class CorpusSide:
+    """One side of a tree split under a task, built once and featurized
+    under any number of settings.
+
+    It holds the PoIs in :func:`labeled_pois` order (``pois``, and their
+    ``tree_ids``, ``node_ids`` and ``labels``), one embedding row per node
+    of every tree with a PoI in ``vectors`` (shape ``(N, d)``), the row of
+    each node id of a PoI's tree in ``node_rows``, and the walks sampled
+    so far. Walks do not depend on ``gamma``, so the walks of one ``(p, L,
+    step cap)`` are sampled once per seed and reused by every gamma,
+    aggregation and scheme; the memo keeps one ``(p, L, step cap)`` at a
+    time.
+    """
+
+    def __init__(
+        self, trees: Iterable[DiscussionTree], provider: EmbeddingProvider, task: str
+    ) -> None:
+        self.pois = list(labeled_pois(trees, task))
+        self.tree_ids = tuple(tree.tree_id for tree, _ in self.pois)
+        self.node_ids = tuple(node.id for _, node in self.pois)
+        self.labels = tuple(node.label for _, node in self.pois)
+        walked = list(dict.fromkeys(tree for tree, _ in self.pois))
+        self.vectors = np.empty((sum(map(len, walked)), provider.dimension))
+        rows_of: dict[DiscussionTree, dict[str, int]] = {}
+        row = 0
+        for tree in walked:
+            rows_of[tree] = {}
+            for node in tree:
+                self.vectors[row] = provider.vector_for(node)
+                rows_of[tree][node.id] = row
+                row += 1
+        self.vectors.setflags(write=False)
+        self.node_rows = [rows_of[tree] for tree, _ in self.pois]
+        self._shape: tuple | None = None  # (p, L, step cap) of the memoized walks
+        self._walks: dict[int, tuple] = {}  # seed -> (gamma, samples, rows, lengths)
+
+    def walks(
+        self, config: WalkConfig
+    ) -> tuple[tuple[WalkSample, ...], np.ndarray, np.ndarray]:
+        """The walk of every PoI under ``config``, weighted by its gamma; the
+        ``vectors`` row of each collected node, shape ``(n, K)`` with ``K``
+        the longest walk collected (not ``L``); and each walk's length.
+
+        Each PoI walks on its own derived stream, so a memoized walk is the
+        walk that sampling again would give.
+        """
+        shape = (config.p, config.L, config.resolved_step_cap)
+        if shape != self._shape:
+            self._shape, self._walks = shape, {}
+        if config.seed not in self._walks:
+            samples = tuple(
+                sample_walk(tree, node.id, config, walk_rng(config.seed, tree.tree_id, node.id))
+                for tree, node in self.pois
+            )
+            lengths = np.array([len(s.node_ids) for s in samples], dtype=np.intp)
+            rows = np.zeros((len(samples), lengths.max(initial=1)), dtype=np.intp)
+            for i, (sample, node_rows) in enumerate(zip(samples, self.node_rows)):
+                rows[i, : lengths[i]] = [node_rows[node_id] for node_id in sample.node_ids]
+            self._walks[config.seed] = (config.gamma, samples, rows, lengths)
+        gamma, samples, rows, lengths = self._walks[config.seed]
+        if gamma != config.gamma:
+            weights = {k: tuple(walk_weights(k, config.gamma)) for k in set(lengths.tolist())}
+            samples = tuple(
+                WalkSample(s.node_ids, weights[len(s.node_ids)], s.raw_steps) for s in samples
+            )
+            self._walks[config.seed] = (config.gamma, samples, rows, lengths)
+        return samples, rows, lengths
+
+    def examples(self, X: np.ndarray, walks: tuple[WalkSample, ...] | None = None) -> Examples:
+        """``X`` (one row per PoI, made read-only) with the PoIs' columns."""
+        X.setflags(write=False)
+        return Examples(X, self.tree_ids, self.node_ids, self.labels, walks)
+
+
+# PoIs per block of feature rows, and context rows per gathered stack: bounds
+# the temporaries of featurization to a few MB whatever the side's size.
+_BLOCK = 256
+
+
 def featurize_corpus(
-    trees: Iterable[DiscussionTree],
-    provider: EmbeddingProvider,
+    side: CorpusSide,
     walk_config: WalkConfig,
     strategy: AggregationStrategy,
     scheme: ConcatScheme,
-    task: str,
     *,
     normalize_weights: bool = True,
 ) -> Examples:
-    """One row per PoI of the corpus, in :func:`labeled_pois` order. Each
-    node walks on its own derived stream, so results do not depend on
-    scheduling.
+    """One row per PoI of the side, in :func:`labeled_pois` order.
+
+    Rows are built a block of PoIs at a time: ``u`` is gathered from the
+    side's embedding matrix, the walks of each length are aggregated
+    together, and the concatenation is written into that block of ``X``.
     """
-    pois = list(labeled_pois(trees, task))
-    zero = np.zeros(provider.dimension)  # only concat_features knows the layout's width
-    X = np.empty((len(pois), concat_features(zero, zero, scheme).size))
-    walks = []
-    for i, (tree, node) in enumerate(pois):
-        rng = walk_rng(walk_config.seed, tree.tree_id, node.id)
-        sample = sample_walk(tree, node.id, walk_config, rng)
-        X[i] = features_from_walk(
-            tree, sample, provider, strategy, scheme, normalize_weights=normalize_weights
-        )
-        walks.append(sample)
-    return _examples(pois, X, tuple(walks))
+    samples, rows, lengths = side.walks(walk_config)
+    weights = walk_weights(rows.shape[1], walk_config.gamma)
+    zero = np.zeros(side.vectors.shape[1])  # only concat_features knows the layout's width
+    X = np.empty((len(samples), concat_features(zero, zero, scheme).size))
+    for start in range(0, len(samples), _BLOCK):
+        block_rows, block_lengths = rows[start : start + _BLOCK], lengths[start : start + _BLOCK]
+        u = side.vectors[block_rows[:, 0]]
+        v = np.zeros_like(u)
+        for k in np.unique(block_lengths[block_lengths > 1] - 1):  # context length
+            walks_k = np.flatnonzero(block_lengths == k + 1)
+            step = max(1, _BLOCK // k)
+            for part in (walks_k[i : i + step] for i in range(0, len(walks_k), step)):
+                v[part] = aggregate_context(
+                    side.vectors[block_rows[part, 1 : k + 1]],
+                    weights[1 : k + 1],
+                    strategy,
+                    normalize=normalize_weights,
+                )
+        concat_features(u, v, scheme, out=X[start : start + _BLOCK])
+    return side.examples(X, samples)
 
 
 def bow_examples(
@@ -210,26 +286,13 @@ def bow_examples(
     Polarity concatenates the parent and child BoW vectors (the pair
     framing); hate uses the single comment vector.
     """
-    provider = HashedBowProvider(d, normalize=normalize)
-    pois = list(labeled_pois(trees, task))
-    pair = task == POLARITY_TASK
-    X = np.empty((len(pois), 2 * d if pair else d))
-    for i, (tree, node) in enumerate(pois):
-        if pair:
-            X[i, :d] = provider.vector_for(tree.node(node.parent_id))
-        X[i, -d:] = provider.vector_for(node)
-    return _examples(pois, X)
-
-
-def _examples(pois: list, X: np.ndarray, walks: tuple | None = None) -> Examples:
-    X.setflags(write=False)
-    return Examples(
-        X=X,
-        tree_ids=tuple(tree.tree_id for tree, _ in pois),
-        node_ids=tuple(node.id for _, node in pois),
-        labels=tuple(node.label for _, node in pois),
-        walks=walks,
-    )
+    side = CorpusSide(trees, HashedBowProvider(d, normalize=normalize), task)
+    pois = list(zip(side.pois, side.node_rows))
+    X = side.vectors[[rows[node.id] for (_, node), rows in pois]]
+    if task == POLARITY_TASK:
+        parents = side.vectors[[rows[node.parent_id] for (_, node), rows in pois]]
+        X = np.concatenate([parents, X], axis=1)
+    return side.examples(X)
 
 
 def _check_task(task: str) -> None:

@@ -3,7 +3,10 @@
 Every experiment repeats one replicate: featurize both sides of a fixed
 tree split at a seed, train, evaluate. A run is one replicate at the
 configured seed; a grid cell and an ablation row each average replicates
-over a list of seeds. Every run writes a manifest that captures the full
+over a list of seeds. Each side of the split is compiled once into a
+:class:`~threadwalk.features.CorpusSide`, so its comments are embedded
+once and its walks are sampled once per (p, seed) for the whole
+experiment. Every run writes a manifest that captures the full
 resolved configuration, and replaying a manifest reproduces metrics and
 model files byte for byte: all randomness flows from the single top-level
 seed through named streams (tree split, per-node walks, training shuffle).
@@ -15,6 +18,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -34,6 +38,7 @@ from .evaluation import EvalReport, evaluate, split_trees
 from .features import (
     AggregationStrategy,
     ConcatScheme,
+    CorpusSide,
     Examples,
     TASKS,
     featurize_corpus,
@@ -169,10 +174,14 @@ class RunConfig:
         return dataclasses.replace(self, **changes)
 
 
-def corpus_provider(config: RunConfig, trees: Sequence[DiscussionTree]) -> EmbeddingProvider:
-    """The configured embedding provider for a corpus. External vectors are
-    keyed by bare node id, so node ids must then be unique across the whole
-    corpus: a train tree and a test tree must not share one either."""
+def corpus_sides(
+    config: RunConfig, trees: Sequence[DiscussionTree], *parts: Sequence[DiscussionTree]
+) -> list[CorpusSide]:
+    """One :class:`CorpusSide` for ``config.task`` per part of the corpus
+    ``trees``, embedded by the configured provider, which is dropped once
+    the sides hold their vectors. External vectors are keyed by bare node
+    id, so node ids must then be unique across the whole corpus: a train
+    tree and a test tree must not share one either."""
     if config.embedding == "external":
         tree_of: dict[str, str] = {}
         for tree in trees:
@@ -182,7 +191,8 @@ def corpus_provider(config: RunConfig, trees: Sequence[DiscussionTree]) -> Embed
                         f"node id {node_id!r} appears in trees {tree_of[node_id]!r} and "
                         f"{tree.tree_id!r}; external embeddings need corpus-unique ids"
                     )
-    return config.build_provider()
+    provider = config.build_provider()
+    return [CorpusSide(part, provider, config.task) for part in parts]
 
 
 @dataclass
@@ -220,36 +230,26 @@ class SeedAverage:
     reports: tuple[EvalReport, ...] = field(compare=False)
 
 
-def featurize_split(
-    trees: Sequence[DiscussionTree],
-    config: RunConfig,
-    provider: EmbeddingProvider,
-    seed: int | None = None,
-) -> Examples:
-    """Featurize one side of a split under the run configuration."""
+def featurize_split(side: CorpusSide, config: RunConfig, seed: int | None = None) -> Examples:
+    """Featurize one side of a split under the run configuration; the side
+    must have been built for ``config.task``."""
     return featurize_corpus(
-        trees,
-        provider,
+        side,
         config.walk_config(seed),
         AggregationStrategy(config.aggregation),
         ConcatScheme(config.scheme),
-        config.task,
         normalize_weights=config.normalize_weights,
     )
 
 
 def replicate(
-    train_trees: Sequence[DiscussionTree],
-    test_trees: Sequence[DiscussionTree],
-    config: RunConfig,
-    provider: EmbeddingProvider,
-    seed: int | None = None,
+    train_side: CorpusSide, test_side: CorpusSide, config: RunConfig, seed: int | None = None
 ) -> Replicate:
     """Featurize both sides, train, evaluate. ``seed`` (default
     ``config.seed``) reseeds the walks and the training shuffle only; the
     split is the caller's."""
-    train_examples = featurize_split(train_trees, config, provider, seed)
-    test_examples = featurize_split(test_trees, config, provider, seed)
+    train_examples = featurize_split(train_side, config, seed)
+    test_examples = featurize_split(test_side, config, seed)
     model = train(train_examples, config.train_config(seed))
     return Replicate(model, evaluate(model, test_examples), train_examples, test_examples)
 
@@ -260,16 +260,10 @@ def _mean(reports: Sequence[EvalReport], metric: str) -> float:
 
 
 def average_over_seeds(
-    train_trees: Sequence[DiscussionTree],
-    test_trees: Sequence[DiscussionTree],
-    config: RunConfig,
-    provider: EmbeddingProvider,
-    seeds: Sequence[int],
+    train_side: CorpusSide, test_side: CorpusSide, config: RunConfig, seeds: Sequence[int]
 ) -> SeedAverage:
     """One replicate per seed on the same split, metrics averaged."""
-    reports = tuple(
-        replicate(train_trees, test_trees, config, provider, seed).report for seed in seeds
-    )
+    reports = tuple(replicate(train_side, test_side, config, seed).report for seed in seeds)
     return SeedAverage(
         p=config.p,
         gamma=config.gamma,
@@ -291,10 +285,8 @@ def run_pipeline(
     dump_features: bool = False,
 ) -> PipelineResult:
     """Execute split -> featurize -> train -> evaluate and write artifacts."""
-    config, train_trees, test_trees = _split_for(trees, config.task, config)
-    model, report, train_examples, test_examples = replicate(
-        train_trees, test_trees, config, corpus_provider(config, trees)
-    )
+    config, train_side, test_side = _split_for(trees, config.task, config)
+    model, report, train_examples, test_examples = replicate(train_side, test_side, config)
 
     artifacts: dict[str, Path] = {}
     if outdir is not None:
@@ -369,11 +361,12 @@ def read_manifest(path: str | Path) -> tuple[RunConfig, dict]:
 
 def _split_for(
     trees: Sequence[DiscussionTree], task: str, config: RunConfig
-) -> tuple[RunConfig, list[DiscussionTree], list[DiscussionTree]]:
+) -> tuple[RunConfig, CorpusSide, CorpusSide]:
+    """The config for ``task``, validated, and the two sides of its split."""
     config = config.replace(task=task)
     config.validate()
     train_trees, test_trees = split_trees(trees, config.split_fraction, config.seed)
-    return config, train_trees, test_trees
+    return config, *corpus_sides(config, trees, train_trees, test_trees)
 
 
 # --- hyperparameter grid search ---
@@ -410,25 +403,22 @@ def grid_search(
     """
     if not p_values or not gamma_values or not seeds:
         raise ConfigError("p_values, gamma_values and seeds must be non-empty")
-    config, train_trees, test_trees = _split_for(trees, task, config)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    config, train_side, test_side = _split_for(trees, task, config)
     cell_configs = [config.replace(p=p, gamma=g) for p in p_values for g in gamma_values]
     for cell_config in cell_configs:
         cell_config.validate()
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    cell = functools.partial(
-        average_over_seeds,
-        train_trees,
-        test_trees,
-        provider=corpus_provider(config, trees),
-        seeds=tuple(seeds),
-    )
+    cell = functools.partial(average_over_seeds, train_side, test_side, seeds=tuple(seeds))
     # The fork start method launches every worker on the first submit, so
     # ask for no more workers than there are cells.
     workers = min(jobs, len(cell_configs))
     if workers > 1:
+        # One chunk of consecutive cells per worker: the worker unpickles the
+        # sides once and reuses their walks across the gammas of each p.
+        chunksize = math.ceil(len(cell_configs) / workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            averages = list(pool.map(cell, cell_configs))
+            averages = list(pool.map(cell, cell_configs, chunksize=chunksize))
     else:
         averages = [cell(cell_config) for cell_config in cell_configs]
     cells = {(c.p, c.gamma): c for c in averages}
@@ -462,12 +452,9 @@ def ablate_concat(
     """Compare the four concatenation schemes under identical seeds."""
     if not seeds:
         raise ConfigError("seeds must be non-empty")
-    config, train_trees, test_trees = _split_for(trees, task, config)
-    provider = corpus_provider(config, trees)
+    config, train_side, test_side = _split_for(trees, task, config)
     return [
-        average_over_seeds(
-            train_trees, test_trees, config.replace(scheme=scheme.value), provider, seeds
-        )
+        average_over_seeds(train_side, test_side, config.replace(scheme=scheme.value), seeds)
         for scheme in ConcatScheme
     ]
 

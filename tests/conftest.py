@@ -5,9 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from threadwalk import features
 from threadwalk.features import Examples, bow_examples
 from threadwalk.model import train
 from threadwalk.tree import CommentNode, DiscussionTree, build_tree
+
+
+@pytest.fixture
+def sampled_walks(monkeypatch) -> list:
+    """The arguments of every walk sampled by featurization, in call order."""
+    calls = []
+    sample_walk = features.sample_walk
+
+    def counted(*args):
+        calls.append(args)
+        return sample_walk(*args)
+
+    monkeypatch.setattr(features, "sample_walk", counted)
+    return calls
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from threadwalk.evaluation import evaluate, split_trees
 from threadwalk.features import (
     AggregationStrategy,
     ConcatScheme,
+    CorpusSide,
     aggregate_context,
     bow_examples,
 )
@@ -215,8 +216,8 @@ def test_criterion_07_context_helps(context_corpus):
         provider = arm_config.build_provider()
         scores = []
         for seed in seeds:
-            train_examples = featurize_split(train_trees, arm_config, provider, seed=seed)
-            test_examples = featurize_split(test_trees, arm_config, provider, seed=seed)
+            train_examples = featurize_split(CorpusSide(train_trees, provider, "hate"), arm_config, seed=seed)
+            test_examples = featurize_split(CorpusSide(test_trees, provider, "hate"), arm_config, seed=seed)
             model = train(train_examples, arm_config.train_config(seed=seed))
             scores.append(evaluate(model, test_examples).macro_f1)
         return float(np.mean(scores))

@@ -70,13 +70,13 @@ class TestHashedBow:
 
 
 class TestHashedBowProvider:
-    def test_dimension_constant_and_cache(self):
+    def test_dimension_constant_and_vector_by_text(self):
         provider = HashedBowProvider(32, normalize=False)
         node = CommentNode("n", None, "hello hello")
         first = provider.vector_for(node)
         second = provider.vector_for(CommentNode("other", None, "hello hello"))
         assert provider.dimension == 32
-        assert first is second  # cached by text
+        assert np.array_equal(first, second)  # the text alone decides the vector
         assert np.array_equal(first, hashed_bow_embed("hello hello", 32))
 
 

@@ -11,25 +11,59 @@ from threadwalk.embeddings import (
     save_external_embeddings,
 )
 from threadwalk.errors import DimensionMismatchError, MissingLabelError, NegativeWeightError
+from threadwalk import features
 from threadwalk.features import (
     AggregationStrategy,
     ConcatScheme,
+    CorpusSide,
     aggregate_context,
     concat_features,
-    features_from_walk,
     featurize_corpus,
+    labeled_pois,
 )
 from threadwalk.seeding import derived_rng
+from threadwalk.synthetic import CorpusSpec, generate
 from threadwalk.tree import CommentNode, build_tree
-from threadwalk.walks import WalkConfig, sample_walk
+from threadwalk.walks import WalkConfig, sample_walk, walk_rng, walk_weights
 
 STRATEGIES = list(AggregationStrategy)
 
 
-def featurize_node(tree, poi, provider, walk_config, strategy, scheme, rng):
+def features_from_walk(tree, sample, provider, strategy, scheme, *, normalize_weights=True):
+    """Per-row reference: the feature row of one already-sampled walk."""
+    u = provider.vector_for(tree.node(sample.node_ids[0]))
+    context = [provider.vector_for(tree.node(nid)) for nid in sample.node_ids[1:]]
+    v = aggregate_context(
+        context,
+        sample.weights[1:],
+        strategy,
+        dim=provider.dimension,
+        normalize=normalize_weights,
+    )
+    return concat_features(u, v, scheme)
+
+
+def featurize_node(tree, poi, provider, walk_config, strategy, scheme, rng, normalize=True):
     """Walk from ``poi`` on ``rng`` and build its feature row."""
     sample = sample_walk(tree, poi, walk_config, rng)
-    return features_from_walk(tree, sample, provider, strategy, scheme)
+    return features_from_walk(
+        tree, sample, provider, strategy, scheme, normalize_weights=normalize
+    )
+
+
+def per_row_features(trees, provider, walk_config, strategy, scheme, task, normalize):
+    """Per-row reference for featurize_corpus: one walk on each PoI's own
+    stream, one row at a time."""
+    seed = walk_config.seed
+    return np.array(
+        [
+            featurize_node(
+                tree, node.id, provider, walk_config, strategy, scheme,
+                walk_rng(seed, tree.tree_id, node.id), normalize,
+            )
+            for tree, node in labeled_pois(trees, task)
+        ]
+    )
 
 
 def _context_sets(min_vecs=1):
@@ -277,12 +311,10 @@ class TestFeaturizeCorpus:
 
     def test_polarity_example_per_non_root(self):
         examples = featurize_corpus(
-            [self._polarity_tree()],
-            HashedBowProvider(8),
+            CorpusSide([self._polarity_tree()], HashedBowProvider(8), "polarity"),
             WalkConfig(p=0.8, gamma=0.8, L=4, seed=0),
             AggregationStrategy.WEIGHTED_AVERAGE,
             ConcatScheme.UV_ABSDIFF,
-            "polarity",
         )
         assert len(examples) == 3
         assert examples.node_ids == ("b", "c", "d")
@@ -293,49 +325,31 @@ class TestFeaturizeCorpus:
 
     def test_hate_example_per_node(self):
         examples = featurize_corpus(
-            [self._hate_tree()],
-            HashedBowProvider(8),
+            CorpusSide([self._hate_tree()], HashedBowProvider(8), "hate"),
             WalkConfig(p=0.8, gamma=0.8, L=4, seed=0),
             AggregationStrategy.WEIGHTED_AVERAGE,
             ConcatScheme.UV_ABSDIFF,
-            "hate",
         )
         assert len(examples) == 5
 
     def test_missing_label_raises(self, forked_tree):
         with pytest.raises(MissingLabelError):
-            featurize_corpus(
-                [forked_tree],
-                HashedBowProvider(8),
-                WalkConfig(seed=0),
-                AggregationStrategy.SUM,
-                ConcatScheme.UV,
-                "polarity",
-            )
+            CorpusSide([forked_tree], HashedBowProvider(8), "polarity")
 
     def test_wrong_label_domain_raises(self):
         with pytest.raises(MissingLabelError):
-            featurize_corpus(
-                [self._hate_tree()],
-                HashedBowProvider(8),
-                WalkConfig(seed=0),
-                AggregationStrategy.SUM,
-                ConcatScheme.UV,
-                "polarity",
-            )
+            CorpusSide([self._hate_tree()], HashedBowProvider(8), "polarity")
 
     def test_canonical_order_and_determinism(self):
         trees = [self._hate_tree(), self._polarity_tree()]
         # order by tree id then node id, regardless of input order
         kwargs = dict(
-            provider=HashedBowProvider(8),
             walk_config=WalkConfig(p=0.6, gamma=0.5, L=4, seed=3),
             strategy=AggregationStrategy.WEIGHTED_AVERAGE,
             scheme=ConcatScheme.UV_ABSDIFF,
-            task="hate",
         )
-        first = featurize_corpus([trees[0]], **kwargs)
-        again = featurize_corpus([trees[0]], **kwargs)
+        first = featurize_corpus(CorpusSide([trees[0]], HashedBowProvider(8), "hate"), **kwargs)
+        again = featurize_corpus(CorpusSide([trees[0]], HashedBowProvider(8), "hate"), **kwargs)
         assert list(first.node_ids) == sorted(first.node_ids)
         assert first.node_ids == again.node_ids
         assert np.array_equal(first.X, again.X)
@@ -343,11 +357,118 @@ class TestFeaturizeCorpus:
 
     def test_unknown_task(self):
         with pytest.raises(ValueError):
-            featurize_corpus(
-                [self._hate_tree()],
-                HashedBowProvider(8),
-                WalkConfig(seed=0),
-                AggregationStrategy.SUM,
-                ConcatScheme.UV,
-                "stance",
-            )
+            CorpusSide([self._hate_tree()], HashedBowProvider(8), "stance")
+
+
+class TestBatchAxis:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_batch_gives_the_bits_of_each_row(self, strategy, normalize):
+        rng = np.random.default_rng(0)
+        for k, d in ((1, 5), (3, 5), (12, 1), (12, 4)):
+            stacks = rng.standard_normal((9, k, d)) * 10.0 ** rng.integers(-6, 6, (9, k, 1))
+            stacks[rng.random(stacks.shape) < 0.2] = -0.0
+            weights = walk_weights(k + 1, 0.7)[1:]
+            batch = aggregate_context(stacks, weights, strategy, normalize=normalize)
+            rows = [aggregate_context(list(s), weights, strategy, normalize=normalize) for s in stacks]
+            assert batch.tobytes() == np.array(rows).tobytes()
+
+    def test_concat_rows_and_out(self):
+        rng = np.random.default_rng(1)
+        u, v = rng.standard_normal((2, 6, 3))
+        for scheme in ConcatScheme:
+            out = np.empty((6, concat_features(u[0], v[0], scheme).size))
+            assert concat_features(u, v, scheme, out=out) is out
+            assert np.array_equal(out, [concat_features(a, b, scheme) for a, b in zip(u, v)])
+
+
+def _side_corpus(task, embedding, tmp_path):
+    """A small corpus with its provider: hashed bag-of-words, or an external
+    file of signed vectors with some negative zeros."""
+    size = 6.0 if task == "hate" else 9.0
+    trees = generate(
+        CorpusSpec(num_trees=8, mean_tree_size=size, size_dispersion=1.0, seed=4, task=task)
+    ).trees
+    if embedding == "hashed":
+        return trees, HashedBowProvider(8)
+    rng = np.random.default_rng(5)
+    table = {node.id: rng.standard_normal(6) for tree in trees for node in tree}
+    for vec in list(table.values())[::3]:
+        vec[:2] = -0.0
+    save_external_embeddings(table, tmp_path / "emb.txt")
+    return trees, load_external_embeddings(tmp_path / "emb.txt")
+
+
+class TestCorpusSide:
+    @pytest.mark.parametrize("task", ["hate", "polarity"])
+    @pytest.mark.parametrize("embedding", ["hashed", "external"])
+    def test_bytes_match_per_row(self, task, embedding, tmp_path):
+        trees, provider = _side_corpus(task, embedding, tmp_path)
+        side = CorpusSide(trees, provider, task)
+        for L in (1, 2, 4, 7):
+            for p in (0.0, 0.5, 1.0):
+                for gamma in (0.0, 0.3, 1.0):
+                    config = WalkConfig(p=p, gamma=gamma, L=L, seed=11)
+                    for strategy in STRATEGIES:
+                        for normalize in (True, False):
+                            for scheme in ConcatScheme:
+                                got = featurize_corpus(
+                                    side, config, strategy, scheme, normalize_weights=normalize
+                                )
+                                want = per_row_features(
+                                    trees, provider, config, strategy, scheme, task, normalize
+                                )
+                                assert got.X.tobytes() == want.tobytes(), (L, p, gamma)
+
+    def test_reused_walks_carry_new_gamma_weights(self, tmp_path):
+        trees, provider = _side_corpus("hate", "hashed", tmp_path)
+        side = CorpusSide(trees, provider, "hate")
+        args = (AggregationStrategy.WEIGHTED_AVERAGE, ConcatScheme.UV_ABSDIFF)
+        first = featurize_corpus(side, WalkConfig(p=0.5, gamma=0.8, seed=2), *args)
+        second = featurize_corpus(side, WalkConfig(p=0.5, gamma=0.3, seed=2), *args)
+        assert [w.node_ids for w in second.walks] == [w.node_ids for w in first.walks]
+        for old, new in zip(first.walks, second.walks):
+            assert old.weights == tuple(walk_weights(len(old.node_ids), 0.8))
+            assert new.weights == tuple(walk_weights(len(new.node_ids), 0.3))
+        fresh = featurize_corpus(
+            CorpusSide(trees, provider, "hate"), WalkConfig(p=0.5, gamma=0.3, seed=2), *args
+        )
+        assert second.walks == fresh.walks
+        assert second.X.tobytes() == fresh.X.tobytes()
+
+    def test_walks_sampled_once_per_seed(self, sampled_walks, tmp_path):
+        trees, provider = _side_corpus("hate", "hashed", tmp_path)
+        side = CorpusSide(trees, provider, "hate")
+        for gamma in (0.2, 0.9):
+            for seed in (0, 1):
+                for scheme in ConcatScheme:
+                    config = WalkConfig(p=0.4, gamma=gamma, seed=seed)
+                    featurize_corpus(side, config, AggregationStrategy.SUM, scheme)
+        assert len(sampled_walks) == 2 * len(side.pois)
+        featurize_corpus(side, WalkConfig(p=0.6, seed=0), AggregationStrategy.SUM, scheme)
+        assert len(sampled_walks) == 3 * len(side.pois)
+
+    def test_huge_walk_length_sizes_arrays_by_longest_walk(self, tmp_path):
+        trees, provider = _side_corpus("polarity", "hashed", tmp_path)
+        side = CorpusSide(trees, provider, "polarity")
+        for p in (0.5, 1.0):
+            config = WalkConfig(p=p, gamma=0.9, L=10**6, seed=1)
+            _, rows, _ = side.walks(config)
+            assert rows.shape[1] <= max(len(tree) for tree in trees)
+            for strategy in STRATEGIES:
+                got = featurize_corpus(side, config, strategy, ConcatScheme.UV_ABSDIFF_MUL)
+                want = per_row_features(
+                    trees, provider, config, strategy, ConcatScheme.UV_ABSDIFF_MUL, "polarity", True
+                )
+                assert got.X.tobytes() == want.tobytes()
+
+    def test_blocks_cover_every_row(self, monkeypatch, tmp_path):
+        trees, provider = _side_corpus("hate", "external", tmp_path)
+        monkeypatch.setattr(features, "_BLOCK", 3)
+        side = CorpusSide(trees, provider, "hate")
+        config = WalkConfig(p=0.5, gamma=0.7, L=7, seed=3)
+        got = featurize_corpus(side, config, AggregationStrategy.AVERAGE, ConcatScheme.UV_MUL)
+        want = per_row_features(
+            trees, provider, config, AggregationStrategy.AVERAGE, ConcatScheme.UV_MUL, "hate", True
+        )
+        assert got.X.tobytes() == want.tobytes()

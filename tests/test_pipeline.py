@@ -8,6 +8,7 @@ import pytest
 from threadwalk.errors import ConfigError
 from threadwalk import pipeline
 from threadwalk.evaluation import EvalReport
+from threadwalk.features import CorpusSide
 from threadwalk.pipeline import (
     RunConfig,
     SeedAverage,
@@ -101,8 +102,8 @@ class TestRunPipeline:
     def test_feature_dump_line_fields(self, small_corpus):
         from threadwalk.pipeline import featurize_split
 
-        provider = SMALL_CONFIG.build_provider()
-        examples = featurize_split(small_corpus[:2], SMALL_CONFIG, provider)
+        side = CorpusSide(small_corpus[:2], SMALL_CONFIG.build_provider(), SMALL_CONFIG.task)
+        examples = featurize_split(side, SMALL_CONFIG)
         lines = list(feature_dump_lines(examples))
         assert len(lines) == len(examples)
         record = json.loads(lines[0])
@@ -191,6 +192,30 @@ def _cell(p, gamma, macro_f1, accuracy):
     )
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch) -> dict:
+    """Stands in for ProcessPoolExecutor: records the worker count and the
+    chunk size asked for, and maps in this process."""
+    asked = {"workers": [], "chunksize": []}
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked["workers"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            asked["chunksize"].append(chunksize)
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+    return asked
+
+
 class TestGridSearch:
     def test_tie_breaking(self):
         cells = {
@@ -251,29 +276,23 @@ class TestGridSearch:
         "p_values, jobs, pools",
         [([0.5, 1.0], 5000, [2]), ([0.5, 1.0], 2, [2]), ([0.5], 8, []), ([0.5, 1.0], 1, [])],
     )
-    def test_workers_capped_by_cells(self, small_corpus, monkeypatch, p_values, jobs, pools):
-        created = []
-
-        class InProcessPool:
-            """Records the worker count asked for and maps in this process."""
-
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+    def test_workers_capped_by_cells(self, small_corpus, in_process_pool, p_values, jobs, pools):
         config = SMALL_CONFIG.replace(epochs=1)
         result = grid_search(small_corpus, "hate", p_values, [0.8], config, seeds=[0], jobs=jobs)
         assert len(result.cells) == len(p_values)
-        assert created == pools
+        assert in_process_pool["workers"] == pools
+        assert in_process_pool["chunksize"] == [1] * len(pools)  # one cell per worker
+
+    def test_chunk_of_consecutive_cells_per_worker(self, small_corpus, in_process_pool):
+        config = SMALL_CONFIG.replace(epochs=1)
+        grid_search(small_corpus, "hate", [0.5, 1.0], [0.2, 0.5, 0.8], config, seeds=[0], jobs=4)
+        assert in_process_pool["workers"] == [4]
+        assert in_process_pool["chunksize"] == [2]  # 6 cells over 4 workers
+
+    def test_walks_sampled_once_per_poi_and_seed(self, small_corpus, sampled_walks):
+        config = SMALL_CONFIG.replace(epochs=1)
+        grid_search(small_corpus, "hate", [0.5], [0.2, 0.5, 0.8], config, seeds=[0, 1])
+        assert len(sampled_walks) == 2 * sum(len(tree) for tree in small_corpus)
 
     def test_jobs_below_one_rejected(self, small_corpus):
         with pytest.raises(ConfigError, match="jobs"):
@@ -281,6 +300,10 @@ class TestGridSearch:
 
 
 class TestAblation:
+    def test_walks_sampled_once_per_poi_and_seed(self, small_corpus, sampled_walks):
+        ablate_concat(small_corpus, "hate", SMALL_CONFIG.replace(epochs=1), seeds=[0, 1])
+        assert len(sampled_walks) == 2 * sum(len(tree) for tree in small_corpus)
+
     def test_four_rows_in_scheme_order(self, small_corpus):
         rows = ablate_concat(small_corpus, "hate", SMALL_CONFIG, seeds=[0, 1])
         assert [r.scheme for r in rows] == ["uv", "uv_mul", "uv_absdiff", "uv_absdiff_mul"]
