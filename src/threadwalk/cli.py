@@ -228,11 +228,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    _, _, examples = _featurized(args, None)
+    config, _, examples = _featurized(args, None)
     write_lines(args.output, feature_dump_lines(examples))
     if args.traces:
         traces = zip(examples.tree_ids, examples.walks)
-        write_lines(args.traces, (walk.trace_line(tree_id) + "\n" for tree_id, walk in traces))
+        lines = (walk.trace_line(tree_id, config.gamma) + "\n" for tree_id, walk in traces)
+        write_lines(args.traces, lines)
     print(f"wrote {len(examples)} examples to {args.output}")
     return 0
 

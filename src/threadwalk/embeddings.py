@@ -102,9 +102,6 @@ class ExternalEmbeddingProvider:
             raise MissingEmbeddingError(f"no embedding for node id {node.id!r}")
         return self._matrix[row]
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
 
 def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
     """Load an embedding file.

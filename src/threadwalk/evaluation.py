@@ -49,10 +49,6 @@ class EvalReport:
     f1_pos: float | None
     zero_support_classes: tuple[str, ...]
 
-    @property
-    def total(self) -> int:
-        return int(self.confusion.sum())
-
     def to_dict(self) -> dict:
         return {**dataclasses.asdict(self), "confusion": self.confusion.tolist()}
 

@@ -170,11 +170,11 @@ class CorpusSide:
     It holds the PoIs in :func:`labeled_pois` order (``pois``, and their
     ``tree_ids``, ``node_ids`` and ``labels``), one embedding row per node
     of every tree with a PoI in ``vectors`` (shape ``(N, d)``), the row of
-    each node id of a PoI's tree in ``node_rows``, and the walks sampled
-    so far. Walks do not depend on ``gamma``, so the walks of one ``(p, L,
-    step cap)`` are sampled once per seed and reused by every gamma,
-    aggregation and scheme; the memo keeps one ``(p, L, step cap)`` at a
-    time.
+    each node id of a PoI's tree in ``node_rows``, and the walks of the last
+    ``(p, L, step cap, seed)`` featurized. Walks do not depend on ``gamma``,
+    so featurizing that key again under any gamma, aggregation or scheme
+    reuses them; callers that loop over seeds outside those settings
+    sample each walk once.
     """
 
     def __init__(
@@ -196,23 +196,20 @@ class CorpusSide:
                 row += 1
         self.vectors.setflags(write=False)
         self.node_rows = [rows_of[tree] for tree, _ in self.pois]
-        self._shape: tuple | None = None  # (p, L, step cap) of the memoized walks
-        self._walks: dict[int, tuple] = {}  # seed -> (gamma, samples, rows, lengths)
+        self._memo: tuple | None = None  # (p, L, step cap, seed), walks, rows, lengths
 
     def walks(
         self, config: WalkConfig
     ) -> tuple[tuple[WalkSample, ...], np.ndarray, np.ndarray]:
-        """The walk of every PoI under ``config``, weighted by its gamma; the
-        ``vectors`` row of each collected node, shape ``(n, K)`` with ``K``
-        the longest walk collected (not ``L``); and each walk's length.
+        """The walk of every PoI under ``config``; the ``vectors`` row of each
+        collected node, shape ``(n, K)`` with ``K`` the longest walk
+        collected (not ``L``); and each walk's length.
 
         Each PoI walks on its own derived stream, so a memoized walk is the
         walk that sampling again would give.
         """
-        shape = (config.p, config.L, config.resolved_step_cap)
-        if shape != self._shape:
-            self._shape, self._walks = shape, {}
-        if config.seed not in self._walks:
+        key = (config.p, config.L, config.resolved_step_cap, config.seed)
+        if self._memo is None or self._memo[0] != key:
             samples = tuple(
                 sample_walk(tree, node.id, config, walk_rng(config.seed, tree.tree_id, node.id))
                 for tree, node in self.pois
@@ -221,14 +218,8 @@ class CorpusSide:
             rows = np.zeros((len(samples), lengths.max(initial=1)), dtype=np.intp)
             for i, (sample, node_rows) in enumerate(zip(samples, self.node_rows)):
                 rows[i, : lengths[i]] = [node_rows[node_id] for node_id in sample.node_ids]
-            self._walks[config.seed] = (config.gamma, samples, rows, lengths)
-        gamma, samples, rows, lengths = self._walks[config.seed]
-        if gamma != config.gamma:
-            weights = {k: tuple(walk_weights(k, config.gamma)) for k in set(lengths.tolist())}
-            samples = tuple(
-                WalkSample(s.node_ids, weights[len(s.node_ids)], s.raw_steps) for s in samples
-            )
-            self._walks[config.seed] = (config.gamma, samples, rows, lengths)
+            self._memo = (key, samples, rows, lengths)
+        _, samples, rows, lengths = self._memo
         return samples, rows, lengths
 
     def examples(self, X: np.ndarray, walks: tuple[WalkSample, ...] | None = None) -> Examples:

@@ -140,14 +140,10 @@ def train(examples: Examples, config: TrainConfig) -> SoftmaxModel:
             _, grad_w, grad_b = loss_and_gradient(
                 weights, bias, X[idx], y[idx], config.l2, sample_w[idx]
             )
-            if config.momentum > 0.0:
-                vel_w = config.momentum * vel_w - config.learning_rate * grad_w
-                vel_b = config.momentum * vel_b - config.learning_rate * grad_b
-                weights = weights + vel_w
-                bias = bias + vel_b
-            else:
-                weights = weights - config.learning_rate * grad_w
-                bias = bias - config.learning_rate * grad_b
+            vel_w = config.momentum * vel_w - config.learning_rate * grad_w
+            vel_b = config.momentum * vel_b - config.learning_rate * grad_b
+            weights = weights + vel_w
+            bias = bias + vel_b
         epoch_loss, _, _ = loss_and_gradient(weights, bias, X, y, config.l2, sample_w)
         if not np.isfinite(epoch_loss):
             raise NonFiniteLossError(f"loss became {epoch_loss} after an epoch")
@@ -163,20 +159,17 @@ def train(examples: Examples, config: TrainConfig) -> SoftmaxModel:
 
 
 def predict_proba(model: SoftmaxModel, features: np.ndarray) -> np.ndarray:
-    """Class probabilities for one feature vector or a batch.
+    """Class probabilities for a batch of feature rows, shape ``(n, D)``.
 
     Computed with a max-shifted exponential, so extreme logits stay
     finite; each row sums to one.
     """
-    values = np.asarray(features, dtype=np.float64)
-    single = values.ndim == 1
-    batch = values[None, :] if single else values
+    batch = np.asarray(features, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != model.feature_dim:
         raise DimensionMismatchError(
-            f"features have dimension {batch.shape[-1]}, model expects {model.feature_dim}"
+            f"features have shape {batch.shape}, model expects (n, {model.feature_dim})"
         )
-    probs = np.exp(_log_softmax(batch @ model.weights.T + model.bias))
-    return probs[0] if single else probs
+    return np.exp(_log_softmax(batch @ model.weights.T + model.bias))
 
 
 def predict_labels(model: SoftmaxModel, features: np.ndarray) -> list[str]:

@@ -14,11 +14,11 @@ seed through named streams (tree split, per-node walks, training shuffle).
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -260,22 +260,37 @@ def _mean(reports: Sequence[EvalReport], metric: str) -> float:
 
 
 def average_over_seeds(
-    train_side: CorpusSide, test_side: CorpusSide, config: RunConfig, seeds: Sequence[int]
-) -> SeedAverage:
-    """One replicate per seed on the same split, metrics averaged."""
-    reports = tuple(replicate(train_side, test_side, config, seed).report for seed in seeds)
-    return SeedAverage(
-        p=config.p,
-        gamma=config.gamma,
-        scheme=config.scheme,
-        accuracy=_mean(reports, "accuracy"),
-        macro_f1=_mean(reports, "macro_f1"),
-        precision_pos=_mean(reports, "precision_pos"),
-        recall_pos=_mean(reports, "recall_pos"),
-        precision_macro=_mean(reports, "macro_precision"),
-        recall_macro=_mean(reports, "macro_recall"),
-        reports=reports,
-    )
+    train_side: CorpusSide,
+    test_side: CorpusSide,
+    configs: Sequence[RunConfig],
+    seeds: Sequence[int],
+) -> list[SeedAverage]:
+    """One replicate per seed and config on the same split; one
+    :class:`SeedAverage` per config, in config order.
+
+    Seeds are the outer loop, so the configs of one seed run together and
+    reuse the walks each side memoizes when they share ``p``, ``L`` and
+    the step cap.
+    """
+    by_seed = [
+        [replicate(train_side, test_side, config, seed).report for config in configs]
+        for seed in seeds
+    ]
+    return [
+        SeedAverage(
+            p=config.p,
+            gamma=config.gamma,
+            scheme=config.scheme,
+            accuracy=_mean(reports, "accuracy"),
+            macro_f1=_mean(reports, "macro_f1"),
+            precision_pos=_mean(reports, "precision_pos"),
+            recall_pos=_mean(reports, "recall_pos"),
+            precision_macro=_mean(reports, "macro_precision"),
+            recall_macro=_mean(reports, "macro_recall"),
+            reports=reports,
+        )
+        for config, reports in zip(configs, zip(*by_seed))
+    ]
 
 
 def run_pipeline(
@@ -369,6 +384,16 @@ def _split_for(
     return config, *corpus_sides(config, trees, train_trees, test_trees)
 
 
+def _check_values(name: str, values: Sequence[float]) -> None:
+    """Raise ConfigError if ``values`` is empty or repeats a value; ``0.0``
+    equals ``-0.0``, as they would as cell keys."""
+    if not values:
+        raise ConfigError(f"{name} must be non-empty")
+    repeated = [value for value, count in collections.Counter(values).items() if count > 1]
+    if repeated:
+        raise ConfigError(f"{name} must not repeat a value, got {repeated[0]!r} more than once")
+
+
 # --- hyperparameter grid search ---
 
 
@@ -398,30 +423,29 @@ def grid_search(
     """Evaluate every (p, gamma) cell, averaging metrics over the seeds.
 
     The tree split is fixed by ``config.seed``; each replicate reseeds
-    only the walks and the training shuffle. Ties on macro-F1 break by
-    higher accuracy, then lower p, then lower gamma.
+    only the walks and the training shuffle. Each list must be non-empty
+    and repeat no value. Ties on macro-F1 break by higher accuracy, then
+    lower p, then lower gamma.
     """
-    if not p_values or not gamma_values or not seeds:
-        raise ConfigError("p_values, gamma_values and seeds must be non-empty")
+    for name, values in (("p_values", p_values), ("gamma_values", gamma_values), ("seeds", seeds)):
+        _check_values(name, values)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     config, train_side, test_side = _split_for(trees, task, config)
-    cell_configs = [config.replace(p=p, gamma=g) for p in p_values for g in gamma_values]
-    for cell_config in cell_configs:
+    rows = [[config.replace(p=p, gamma=g) for g in gamma_values] for p in p_values]
+    for cell_config in itertools.chain(*rows):
         cell_config.validate()
-    cell = functools.partial(average_over_seeds, train_side, test_side, seeds=tuple(seeds))
-    # The fork start method launches every worker on the first submit, so
-    # ask for no more workers than there are cells.
-    workers = min(jobs, len(cell_configs))
+    row_averages = functools.partial(average_over_seeds, train_side, test_side, seeds=tuple(seeds))
+    # One task per p, so each worker samples the walks of its p once. The
+    # fork start method launches every worker on the first submit, so ask
+    # for no more workers than there are tasks.
+    workers = min(jobs, len(rows))
     if workers > 1:
-        # One chunk of consecutive cells per worker: the worker unpickles the
-        # sides once and reuses their walks across the gammas of each p.
-        chunksize = math.ceil(len(cell_configs) / workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            averages = list(pool.map(cell, cell_configs, chunksize=chunksize))
+            averages = list(pool.map(row_averages, rows))
     else:
-        averages = [cell(cell_config) for cell_config in cell_configs]
-    cells = {(c.p, c.gamma): c for c in averages}
+        averages = [row_averages(row) for row in rows]
+    cells = {(c.p, c.gamma): c for row in averages for c in row}
     return GridSearchResult(
         p_values=tuple(p_values),
         gamma_values=tuple(gamma_values),
@@ -450,13 +474,10 @@ def ablate_concat(
     seeds: Sequence[int],
 ) -> list[SeedAverage]:
     """Compare the four concatenation schemes under identical seeds."""
-    if not seeds:
-        raise ConfigError("seeds must be non-empty")
+    _check_values("seeds", seeds)
     config, train_side, test_side = _split_for(trees, task, config)
-    return [
-        average_over_seeds(train_side, test_side, config.replace(scheme=scheme.value), seeds)
-        for scheme in ConcatScheme
-    ]
+    configs = [config.replace(scheme=scheme.value) for scheme in ConcatScheme]
+    return average_over_seeds(train_side, test_side, configs, seeds)
 
 
 def ablation_csv(rows: Sequence[SeedAverage]) -> str:

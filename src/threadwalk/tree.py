@@ -25,7 +25,6 @@ from .errors import (
 
 SUPPORT = "support"
 ATTACK = "attack"
-POLARITY_LABELS = (SUPPORT, ATTACK)
 
 
 @dataclass(frozen=True)

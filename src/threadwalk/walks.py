@@ -63,28 +63,28 @@ class WalkSample:
     """Ordered distinct nodes collected by one walk.
 
     ``raw_steps`` is the physical trajectory after the start (revisits
-    included), kept so tests can replay a walk step by step.
+    included), kept so tests can replay a walk step by step. A walk holds
+    no weights: they depend only on its length and ``gamma``
+    (:func:`walk_weights`), so one walk serves every gamma.
     """
 
     node_ids: tuple[str, ...]
-    weights: tuple[float, ...]
     raw_steps: tuple[str, ...]
 
     @property
     def start(self) -> str:
         return self.node_ids[0]
 
-    def trace_record(self, tree_id: str = "") -> dict:
-        return {
+    def trace_line(self, tree_id: str, gamma: float) -> str:
+        """One JSON trace record, with the walk's weights under ``gamma``."""
+        record = {
             "tree_id": tree_id,
             "start": self.start,
             "raw_steps": list(self.raw_steps),
             "node_ids": list(self.node_ids),
-            "weights": list(self.weights),
+            "weights": walk_weights(len(self.node_ids), gamma),
         }
-
-    def trace_line(self, tree_id: str = "") -> str:
-        return json.dumps(self.trace_record(tree_id), sort_keys=True)
+        return json.dumps(record, sort_keys=True)
 
 
 def walk_weights(length: int, gamma: float) -> list[float]:
@@ -154,8 +154,7 @@ def sample_walk(
             visited.add(position)
             collected.append(position)
 
-    weights = walk_weights(len(collected), config.gamma)
-    return WalkSample(tuple(collected), tuple(weights), tuple(raw))
+    return WalkSample(tuple(collected), tuple(raw))
 
 
 def walk_rng(seed: int, tree_id: str, node_id: str) -> np.random.Generator:

@@ -326,6 +326,10 @@ def _single_error_line(capsys):
         ["grid-search", "--jobs", "1", "--seeds", "1.5"],
         ["ablate-concat", "--seeds", "0,x"],
         ["grid-search", "--jobs", "0", "--task", "hate"],
+        ["grid-search", "--jobs", "1", "--task", "hate", "--p-values", "0.5,0.5"],
+        ["grid-search", "--jobs", "1", "--task", "hate", "--gamma-values", "0.0,-0.0"],
+        ["grid-search", "--jobs", "1", "--task", "hate", "--seeds", "0,0"],
+        ["ablate-concat", "--task", "hate", "--seeds", "1,2,1"],
     ],
 )
 def test_bad_list_flag_exits_2(corpus_path, tmp_path, capsys, argv):

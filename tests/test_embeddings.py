@@ -87,9 +87,9 @@ class TestExternalEmbeddings:
         save_external_embeddings(table, path)
         provider = load_external_embeddings(path)
         assert provider.dimension == 2
-        assert len(provider) == 2
-        got = provider.vector_for(CommentNode("n2", None, "ignored"))
-        assert np.array_equal(got, table["n2"])
+        for node_id, vector in table.items():
+            got = provider.vector_for(CommentNode(node_id, None, "ignored"))
+            assert np.array_equal(got, vector)
 
     def test_header_declares_dimension(self, tmp_path):
         path = tmp_path / "emb.txt"

@@ -29,13 +29,16 @@ from threadwalk.walks import WalkConfig, sample_walk, walk_rng, walk_weights
 STRATEGIES = list(AggregationStrategy)
 
 
-def features_from_walk(tree, sample, provider, strategy, scheme, *, normalize_weights=True):
-    """Per-row reference: the feature row of one already-sampled walk."""
+def features_from_walk(
+    tree, sample, gamma, provider, strategy, scheme, *, normalize_weights=True
+):
+    """Per-row reference: the feature row of one already-sampled walk,
+    discounted under ``gamma``."""
     u = provider.vector_for(tree.node(sample.node_ids[0]))
     context = [provider.vector_for(tree.node(nid)) for nid in sample.node_ids[1:]]
     v = aggregate_context(
         context,
-        sample.weights[1:],
+        walk_weights(len(sample.node_ids), gamma)[1:],
         strategy,
         dim=provider.dimension,
         normalize=normalize_weights,
@@ -47,7 +50,7 @@ def featurize_node(tree, poi, provider, walk_config, strategy, scheme, rng, norm
     """Walk from ``poi`` on ``rng`` and build its feature row."""
     sample = sample_walk(tree, poi, walk_config, rng)
     return features_from_walk(
-        tree, sample, provider, strategy, scheme, normalize_weights=normalize
+        tree, sample, walk_config.gamma, provider, strategy, scheme, normalize_weights=normalize
     )
 
 
@@ -420,16 +423,13 @@ class TestCorpusSide:
                                 )
                                 assert got.X.tobytes() == want.tobytes(), (L, p, gamma)
 
-    def test_reused_walks_carry_new_gamma_weights(self, tmp_path):
+    def test_reused_walks_match_a_fresh_side(self, tmp_path):
         trees, provider = _side_corpus("hate", "hashed", tmp_path)
         side = CorpusSide(trees, provider, "hate")
         args = (AggregationStrategy.WEIGHTED_AVERAGE, ConcatScheme.UV_ABSDIFF)
         first = featurize_corpus(side, WalkConfig(p=0.5, gamma=0.8, seed=2), *args)
         second = featurize_corpus(side, WalkConfig(p=0.5, gamma=0.3, seed=2), *args)
-        assert [w.node_ids for w in second.walks] == [w.node_ids for w in first.walks]
-        for old, new in zip(first.walks, second.walks):
-            assert old.weights == tuple(walk_weights(len(old.node_ids), 0.8))
-            assert new.weights == tuple(walk_weights(len(new.node_ids), 0.3))
+        assert second.walks is first.walks
         fresh = featurize_corpus(
             CorpusSide(trees, provider, "hate"), WalkConfig(p=0.5, gamma=0.3, seed=2), *args
         )
@@ -439,13 +439,22 @@ class TestCorpusSide:
     def test_walks_sampled_once_per_seed(self, sampled_walks, tmp_path):
         trees, provider = _side_corpus("hate", "hashed", tmp_path)
         side = CorpusSide(trees, provider, "hate")
-        for gamma in (0.2, 0.9):
-            for seed in (0, 1):
+        for seed in (0, 1):
+            for gamma in (0.2, 0.9):
                 for scheme in ConcatScheme:
                     config = WalkConfig(p=0.4, gamma=gamma, seed=seed)
                     featurize_corpus(side, config, AggregationStrategy.SUM, scheme)
         assert len(sampled_walks) == 2 * len(side.pois)
         featurize_corpus(side, WalkConfig(p=0.6, seed=0), AggregationStrategy.SUM, scheme)
+        assert len(sampled_walks) == 3 * len(side.pois)
+
+    def test_returning_to_an_earlier_seed_samples_again(self, sampled_walks, tmp_path):
+        trees, provider = _side_corpus("hate", "hashed", tmp_path)
+        side = CorpusSide(trees, provider, "hate")
+        for seed in (0, 1, 0):
+            featurize_corpus(
+                side, WalkConfig(p=0.4, seed=seed), AggregationStrategy.SUM, ConcatScheme.UV
+            )
         assert len(sampled_walks) == 3 * len(side.pois)
 
     def test_huge_walk_length_sizes_arrays_by_longest_walk(self, tmp_path):

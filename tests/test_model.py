@@ -84,7 +84,7 @@ class TestTrain:
     def test_no_signal_predicts_priors(self):
         examples = make_examples([[1.0, 1.0]] * 100, ["c0", "c1"] * 50)
         model = train(examples, TrainConfig(epochs=30, seed=0))
-        probs = predict_proba(model, np.array([1.0, 1.0]))
+        probs = predict_proba(model, np.array([[1.0, 1.0]]))[0]
         assert probs == pytest.approx([0.5, 0.5], abs=0.02)
 
     def test_bit_identical_trajectories(self):
@@ -100,7 +100,7 @@ class TestTrain:
         examples = make_examples([[1.0, 2.0], [3.0, 4.0]], ["c0", "c1"])
         model = train(examples, TrainConfig(epochs=0))
         assert not model.weights.any() and not model.bias.any()
-        probs = predict_proba(model, np.array([5.0, -7.0]))
+        probs = predict_proba(model, np.array([[5.0, -7.0]]))[0]
         assert probs == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_loss_non_increasing_within_tolerance(self):
@@ -163,11 +163,11 @@ class TestTrain:
 class TestPredictProba:
     def test_zero_model_is_uniform(self):
         model = SoftmaxModel(np.zeros((2, 3)), np.zeros(2), ("a", "b"))
-        assert predict_proba(model, np.ones(3)) == pytest.approx([0.5, 0.5])
+        assert predict_proba(model, np.ones((1, 3)))[0] == pytest.approx([0.5, 0.5])
 
     def test_bias_dominates(self):
         model = SoftmaxModel(np.zeros((2, 1)), np.array([10.0, -10.0]), ("a", "b"))
-        probs = predict_proba(model, np.zeros(1))
+        probs = predict_proba(model, np.zeros((1, 1)))[0]
         assert probs[0] == pytest.approx(1.0, abs=1e-8)
         assert probs[1] == pytest.approx(0.0, abs=1e-8)
 
@@ -176,20 +176,21 @@ class TestPredictProba:
         weights = rng.normal(size=(3, 4))
         base = SoftmaxModel(weights, np.zeros(3), ("a", "b", "c"))
         shifted = SoftmaxModel(weights, np.full(3, 123.4), ("a", "b", "c"))
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         assert predict_proba(base, x).argmax() == predict_proba(shifted, x).argmax()
 
     def test_extreme_logits_stay_finite(self):
         model = SoftmaxModel(np.array([[1.0], [-1.0]]), np.zeros(2), ("a", "b"))
-        for x in (np.array([1e4]), np.array([-1e4])):
-            probs = predict_proba(model, x)
+        for x in (np.array([[1e4]]), np.array([[-1e4]])):
+            probs = predict_proba(model, x)[0]
             assert np.all(np.isfinite(probs))
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_dimension_check(self):
         model = SoftmaxModel(np.zeros((2, 3)), np.zeros(2), ("a", "b"))
-        with pytest.raises(DimensionMismatchError):
-            predict_proba(model, np.zeros(4))
+        for features in (np.zeros((1, 4)), np.zeros(3)):  # wrong width; not a batch
+            with pytest.raises(DimensionMismatchError):
+                predict_proba(model, features)
 
     def test_tie_breaks_to_lowest_class_index(self):
         model = SoftmaxModel(np.zeros((3, 2)), np.zeros(3), ("a", "b", "c"))
@@ -205,7 +206,7 @@ class TestPredictProba:
     )
     def test_rows_are_distributions(self, logits):
         model = SoftmaxModel(np.eye(3), np.zeros(3), ("a", "b", "c"))
-        probs = predict_proba(model, np.array(logits))
+        probs = predict_proba(model, np.array([logits]))[0]
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(probs >= 0) and np.all(probs <= 1)
 

@@ -194,9 +194,9 @@ def _cell(p, gamma, macro_f1, accuracy):
 
 @pytest.fixture
 def in_process_pool(monkeypatch) -> dict:
-    """Stands in for ProcessPoolExecutor: records the worker count and the
-    chunk size asked for, and maps in this process."""
-    asked = {"workers": [], "chunksize": []}
+    """Stands in for ProcessPoolExecutor: records the worker count, the
+    chunk size asked for and the mapped tasks, and maps in this process."""
+    asked = {"workers": [], "chunksize": [], "tasks": []}
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -210,6 +210,7 @@ def in_process_pool(monkeypatch) -> dict:
 
         def map(self, fn, items, chunksize=1):
             asked["chunksize"].append(chunksize)
+            asked["tasks"].extend(items)
             return map(fn, items)
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
@@ -283,16 +284,34 @@ class TestGridSearch:
         assert in_process_pool["workers"] == pools
         assert in_process_pool["chunksize"] == [1] * len(pools)  # one cell per worker
 
-    def test_chunk_of_consecutive_cells_per_worker(self, small_corpus, in_process_pool):
+    def test_one_task_per_p(self, small_corpus, in_process_pool):
         config = SMALL_CONFIG.replace(epochs=1)
         grid_search(small_corpus, "hate", [0.5, 1.0], [0.2, 0.5, 0.8], config, seeds=[0], jobs=4)
-        assert in_process_pool["workers"] == [4]
-        assert in_process_pool["chunksize"] == [2]  # 6 cells over 4 workers
+        assert in_process_pool["workers"] == [2]
+        tasks = [[(c.p, c.gamma) for c in task] for task in in_process_pool["tasks"]]
+        assert tasks == [[(p, g) for g in (0.2, 0.5, 0.8)] for p in (0.5, 1.0)]
 
     def test_walks_sampled_once_per_poi_and_seed(self, small_corpus, sampled_walks):
         config = SMALL_CONFIG.replace(epochs=1)
         grid_search(small_corpus, "hate", [0.5], [0.2, 0.5, 0.8], config, seeds=[0, 1])
         assert len(sampled_walks) == 2 * sum(len(tree) for tree in small_corpus)
+
+    def test_walks_sampled_once_per_p_and_seed(self, small_corpus, sampled_walks):
+        config = SMALL_CONFIG.replace(epochs=1)
+        grid_search(small_corpus, "hate", [0.5, 1.0], [0.2, 0.5, 0.8], config, seeds=[0, 1])
+        assert len(sampled_walks) == 4 * sum(len(tree) for tree in small_corpus)
+
+    @pytest.mark.parametrize(
+        "p_values, gamma_values, seeds, named",
+        [
+            ([0.5, 1.0, 0.5], [0.5], [0], "p_values .*0.5"),
+            ([0.5], [0.0, -0.0], [0], "gamma_values .*0.0"),
+            ([0.5], [0.5], [3, 3], "seeds .*3"),
+        ],
+    )
+    def test_repeated_value_rejected(self, small_corpus, p_values, gamma_values, seeds, named):
+        with pytest.raises(ConfigError, match=named):
+            grid_search(small_corpus, "hate", p_values, gamma_values, SMALL_CONFIG, seeds)
 
     def test_jobs_below_one_rejected(self, small_corpus):
         with pytest.raises(ConfigError, match="jobs"):
@@ -303,6 +322,10 @@ class TestAblation:
     def test_walks_sampled_once_per_poi_and_seed(self, small_corpus, sampled_walks):
         ablate_concat(small_corpus, "hate", SMALL_CONFIG.replace(epochs=1), seeds=[0, 1])
         assert len(sampled_walks) == 2 * sum(len(tree) for tree in small_corpus)
+
+    def test_repeated_seed_rejected(self, small_corpus):
+        with pytest.raises(ConfigError, match="seeds .*0"):
+            ablate_concat(small_corpus, "hate", SMALL_CONFIG, seeds=[0, 1, 0])
 
     def test_four_rows_in_scheme_order(self, small_corpus):
         rows = ablate_concat(small_corpus, "hate", SMALL_CONFIG, seeds=[0, 1])

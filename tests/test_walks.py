@@ -1,5 +1,6 @@
 """Walk sampling: transition law, revisit semantics, discount weights."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -22,10 +23,10 @@ from threadwalk.walks import (
 from conftest import make_chain, random_tree
 
 
-def root_seeking_walk(tree, start, L, gamma=1.0):
+def root_seeking_walk(tree, start, L):
     """Oracle for p = 1: the ancestor chain from ``start``, truncated to ``L``."""
     collected = tuple(([start] + ancestors(tree, start))[:L])
-    return WalkSample(collected, tuple(walk_weights(len(collected), gamma)), collected[1:])
+    return WalkSample(collected, collected[1:])
 
 
 class TestWalkConfig:
@@ -106,13 +107,11 @@ class TestSampleWalk:
         cfg = WalkConfig(p=1.0, gamma=0.5, L=4)
         sample = sample_walk(forked_tree, "a2", cfg, derived_rng(0))
         assert sample.node_ids == ("a2", "a1", "a0")
-        assert sample.weights == (1.0, 0.5, 0.25)
 
     def test_single_node(self):
         tree = build_tree([CommentNode("solo", None, "x")])
         sample = sample_walk(tree, "solo", WalkConfig(p=0.5, gamma=0.7, L=5), derived_rng(1))
         assert sample.node_ids == ("solo",)
-        assert sample.weights == (1.0,)
         assert sample.raw_steps == ()
 
     def test_start_at_root_with_p_one(self, fan_tree):
@@ -188,8 +187,9 @@ class TestSampleWalk:
         assert len(set(sample.node_ids)) == len(sample.node_ids)
         assert 1 <= len(sample.node_ids) <= L
         assert sample.node_ids[0] == start
-        # weights are exactly gamma ** position
-        assert list(sample.weights) == [gamma**k for k in range(len(sample.node_ids))]
+        # trace weights are exactly gamma ** position
+        weights = json.loads(sample.trace_line("t", gamma))["weights"]
+        assert weights == [gamma**k for k in range(len(sample.node_ids))]
         # replaying the raw step log reproduces the distinct sequence and
         # shows each raw step is graph-adjacent to the previous position
         position = start
@@ -229,21 +229,20 @@ class TestRootSeekingWalk:
 
     def test_equals_sampled_p_one(self, forked_tree):
         for start in forked_tree.node_ids():
-            direct = root_seeking_walk(forked_tree, start, 4, gamma=0.5)
+            direct = root_seeking_walk(forked_tree, start, 4)
             sampled = sample_walk(
                 forked_tree, start, WalkConfig(p=1.0, gamma=0.5, L=4), derived_rng(8)
             )
             assert direct == sampled
 
     def test_gamma_default_uniform(self, forked_tree):
-        assert root_seeking_walk(forked_tree, "a4", 4).weights == (1.0, 1.0, 1.0, 1.0)
+        trace = root_seeking_walk(forked_tree, "a4", 4).trace_line("forked", WalkConfig().gamma)
+        assert json.loads(trace)["weights"] == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_trace_line_round_trip(forked_tree):
-    import json
-
-    sample = root_seeking_walk(forked_tree, "a4", 4, gamma=0.5)
-    record = json.loads(sample.trace_line("forked"))
+    sample = root_seeking_walk(forked_tree, "a4", 4)
+    record = json.loads(sample.trace_line("forked", 0.5))
     assert record["tree_id"] == "forked"
     assert record["start"] == "a4"
     assert record["node_ids"] == ["a4", "a2", "a1", "a0"]
