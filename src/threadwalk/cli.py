@@ -20,10 +20,10 @@ from pathlib import Path
 from .corpus import corpus_stats, load_corpus, save_corpus, write_lines
 from .errors import ConfigError, InputError, ThreadwalkError, TooFewTreesError
 from .evaluation import error_analysis, evaluate, split_trees
-from .features import AggregationStrategy, ConcatScheme, Examples, TASKS
+from .features import Examples
 from .model import load_model, save_model, train
 from .pipeline import (
-    EMBEDDING_SOURCES,
+    CHOICES,
     RunConfig,
     ablate_concat,
     ablation_csv,
@@ -44,12 +44,6 @@ DEFAULT_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 _OUT_HELP = "output directory (default $THREADWALK_OUT or .)"
 _FLAG_TYPES = {"int": int, "float": float, "str": str}
-_FLAG_CHOICES = {
-    "task": TASKS,
-    "aggregation": [s.value for s in AggregationStrategy],
-    "scheme": [s.value for s in ConcatScheme],
-    "embedding": EMBEDDING_SOURCES,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -151,7 +145,7 @@ def _add_field_flags(p: argparse.ArgumentParser, cls: type, use_defaults: bool) 
             p.add_argument(flag, action=argparse.BooleanOptionalAction, default=default)
         else:
             p.add_argument(
-                flag, type=_FLAG_TYPES[kind], choices=_FLAG_CHOICES.get(f.name), default=default
+                flag, type=_FLAG_TYPES[kind], choices=CHOICES.get(f.name), default=default
             )
 
 

@@ -2,6 +2,7 @@
 
 A corpus file is newline-delimited JSON, one comment per line with fields
 ``{tree_id, id, parent_id (null for root), text, label (optional)}``.
+Ids are strings or integers; an integer id is read as its decimal string.
 Records are grouped by tree id (trees appear in first-seen order, records
 keep file order) and each group is validated by :func:`build_tree`.
 """
@@ -16,7 +17,9 @@ from typing import Iterable, Iterator, Sequence
 from .errors import MalformedFileError, ThreadwalkError
 from .tree import CommentNode, DiscussionTree, build_tree, to_baf
 
-_REQUIRED_FIELDS = ("tree_id", "id", "parent_id", "text")
+# The exact JSON types of each id field: a bool is not an integer id.
+_ID_TYPES = {"tree_id": {str, int}, "id": {str, int}, "parent_id": {str, int, type(None)}}
+_REQUIRED_FIELDS = (*_ID_TYPES, "text")
 
 
 def load_corpus(path: str | Path) -> list[DiscussionTree]:
@@ -41,8 +44,11 @@ def load_corpus(path: str | Path) -> list[DiscussionTree]:
             raise MalformedFileError(f"{path}:{lineno}: label must be a string or null")
         if not isinstance(obj["text"], str):
             raise MalformedFileError(f"{path}:{lineno}: text must be a string")
-        if obj["id"] is None or str(obj["id"]) == "":
+        if obj["id"] is None or obj["id"] == "":
             raise MalformedFileError(f"{path}:{lineno}: id must be non-empty")
+        for name, types in _ID_TYPES.items():
+            if type(obj[name]) not in types:
+                raise MalformedFileError(f"{path}:{lineno}: {name} must be a string or an integer")
         groups.setdefault(str(obj["tree_id"]), []).append(
             CommentNode(
                 id=str(obj["id"]),

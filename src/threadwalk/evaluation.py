@@ -193,11 +193,7 @@ class Misclassification:
 
     def to_dict(self) -> dict:
         return {
-            "tree_id": self.tree_id,
-            "node_id": self.node_id,
-            "text": self.text,
-            "true_label": self.true_label,
-            "predicted_label": self.predicted_label,
+            **dataclasses.asdict(self),
             "context": [{"id": cid, "text": ctext} for cid, ctext in self.context],
         }
 
@@ -229,7 +225,7 @@ def error_analysis(
     trees: Iterable[DiscussionTree],
 ) -> ErrorAnalysisResult:
     """List every misclassified example with surrounding context texts
-    (the nodes its walk collected after the PoI; none without walks).
+    (the nodes its walk collected after the PoI).
 
     The FP/FN counts reconcile with the confusion matrix by construction.
     """
@@ -240,25 +236,23 @@ def error_analysis(
         )
     by_id = {tree.tree_id: tree for tree in trees}
     pos = report.positive_label
-    walks = examples.walks or (None,) * len(examples)
 
     fps: list[Misclassification] = []
     fns: list[Misclassification] = []
-    rows = zip(examples.tree_ids, examples.node_ids, examples.labels, predictions, walks)
+    rows = zip(examples.tree_ids, examples.node_ids, examples.labels, predictions, examples.walks)
     for tree_id, node_id, label, pred, walk in rows:
         if pred == label:
             continue
         tree = by_id.get(tree_id)
         if tree is None:
             raise UnknownIdError(f"tree {tree_id!r} not in the supplied corpus")
-        context_ids = walk.node_ids[1:] if walk is not None else ()
         record = Misclassification(
             tree_id=tree_id,
             node_id=node_id,
             text=tree.node(node_id).text,
             true_label=label,
             predicted_label=pred,
-            context=tuple((cid, tree.node(cid).text) for cid in context_ids),
+            context=tuple((cid, tree.node(cid).text) for cid in walk.node_ids[1:]),
         )
         if pred == pos:
             fps.append(record)

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingProvider, HashedBowProvider
+from .embeddings import EmbeddingProvider
 from .errors import DimensionMismatchError, MissingLabelError, NegativeWeightError
 from .tree import CommentNode, DiscussionTree
 from .walks import WalkConfig, WalkSample, sample_walk, walk_rng, walk_weights
@@ -58,15 +58,14 @@ class Examples:
 
     Row ``i`` of ``X`` (read-only float64, shape ``(n, D)``) holds the
     features of the PoI ``node_ids[i]`` in tree ``tree_ids[i]``, labeled
-    ``labels[i]``. ``walks[i]`` is the walk the row was built from;
-    ``walks`` is None for inputs built without walks.
+    ``labels[i]``. ``walks[i]`` is the walk the row was built from.
     """
 
     X: np.ndarray
     tree_ids: tuple[str, ...]
     node_ids: tuple[str, ...]
     labels: tuple[str, ...]
-    walks: tuple[WalkSample, ...] | None = None
+    walks: tuple[WalkSample, ...]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -222,8 +221,8 @@ class CorpusSide:
         _, samples, rows, lengths = self._memo
         return samples, rows, lengths
 
-    def examples(self, X: np.ndarray, walks: tuple[WalkSample, ...] | None = None) -> Examples:
-        """``X`` (one row per PoI, made read-only) with the PoIs' columns."""
+    def examples(self, X: np.ndarray, walks: tuple[WalkSample, ...]) -> Examples:
+        """``X`` (one row per PoI, made read-only) with the PoIs' columns and walks."""
         X.setflags(write=False)
         return Examples(X, self.tree_ids, self.node_ids, self.labels, walks)
 
@@ -267,23 +266,6 @@ def featurize_corpus(
                 )
         concat_features(u, v, scheme, out=X[start : start + _BLOCK])
     return side.examples(X, samples)
-
-
-def bow_examples(
-    trees: Sequence[DiscussionTree], task: str, d: int, *, normalize: bool = False
-) -> Examples:
-    """Bag-of-words baseline inputs, built without walks.
-
-    Polarity concatenates the parent and child BoW vectors (the pair
-    framing); hate uses the single comment vector.
-    """
-    side = CorpusSide(trees, HashedBowProvider(d, normalize=normalize), task)
-    pois = list(zip(side.pois, side.node_rows))
-    X = side.vectors[[rows[node.id] for (_, node), rows in pois]]
-    if task == POLARITY_TASK:
-        parents = side.vectors[[rows[node.parent_id] for (_, node), rows in pois]]
-        X = np.concatenate([parents, X], axis=1)
-    return side.examples(X)
 
 
 def _check_task(task: str) -> None:

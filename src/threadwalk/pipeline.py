@@ -48,7 +48,12 @@ from .tree import DiscussionTree
 from .walks import DEFAULT_WALK_LENGTH, WalkConfig
 
 MANIFEST_FORMAT = "threadwalk-manifest-v1"
-EMBEDDING_SOURCES = ("hashed-bow", "external")
+CHOICES = {  # RunConfig field -> its allowed values
+    "task": TASKS,
+    "aggregation": tuple(s.value for s in AggregationStrategy),
+    "scheme": tuple(s.value for s in ConcatScheme),
+    "embedding": ("hashed-bow", "external"),
+}
 _ACCEPTED = {  # annotation -> (accepted Python types, description)
     "str": ((str,), "a string"),
     "int": ((int,), "an integer"),
@@ -99,8 +104,10 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
+        for name, choices in CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"p must be in [0, 1], got {self.p}")
         if not 0.0 <= self.gamma <= 1.0:
@@ -109,16 +116,6 @@ class RunConfig:
             raise ConfigError(f"walk_length must be >= 1, got {self.walk_length}")
         if self.step_cap is not None and self.step_cap < self.walk_length - 1:
             raise ConfigError(f"step_cap must be >= walk_length - 1, got {self.step_cap}")
-        try:
-            AggregationStrategy(self.aggregation)
-        except ValueError:
-            raise ConfigError(f"unknown aggregation {self.aggregation!r}") from None
-        try:
-            ConcatScheme(self.scheme)
-        except ValueError:
-            raise ConfigError(f"unknown scheme {self.scheme!r}") from None
-        if self.embedding not in EMBEDDING_SOURCES:
-            raise ConfigError(f"embedding must be one of {EMBEDDING_SOURCES}")
         if self.embedding == "external" and not self.embedding_file:
             raise ConfigError("embedding 'external' needs embedding_file")
         if self.embedding == "external" and not os.path.isfile(self.embedding_file):
@@ -401,9 +398,6 @@ def _check_values(name: str, values: Sequence[float]) -> None:
 class GridSearchResult:
     """Full Cartesian grid of seed-averaged reports."""
 
-    p_values: tuple[float, ...]
-    gamma_values: tuple[float, ...]
-    seeds: tuple[int, ...]
     cells: dict[tuple[float, float], SeedAverage]
     best: tuple[float, float]
 
@@ -446,13 +440,7 @@ def grid_search(
     else:
         averages = [row_averages(row) for row in rows]
     cells = {(c.p, c.gamma): c for row in averages for c in row}
-    return GridSearchResult(
-        p_values=tuple(p_values),
-        gamma_values=tuple(gamma_values),
-        seeds=tuple(seeds),
-        cells=cells,
-        best=_select_best(cells),
-    )
+    return GridSearchResult(cells=cells, best=_select_best(cells))
 
 
 def _select_best(cells: dict[tuple[float, float], SeedAverage]) -> tuple[float, float]:

@@ -187,16 +187,6 @@ def _check_acyclic(nodes: dict[str, CommentNode]) -> None:
         done.update(chain)
 
 
-def ancestors(tree: DiscussionTree, node_id: str) -> list[str]:
-    """Chain [parent, grandparent, ..., root]; empty for the root."""
-    chain: list[str] = []
-    cur = tree.parent(node_id)
-    while cur is not None:
-        chain.append(cur)
-        cur = tree.parent(cur)
-    return chain
-
-
 def to_baf(tree: DiscussionTree) -> BipolarFramework:
     """Export the tree as a bipolar argumentation framework.
 

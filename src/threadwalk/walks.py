@@ -136,20 +136,16 @@ def sample_walk(
     visited = {start}
     raw: list[str] = []
     position = start
-    steps = 0
     cap = config.resolved_step_cap
     total = len(tree)
     deterministic = config.p == 1.0
 
-    while len(collected) < config.L and steps < cap and len(visited) < total:
+    # Only a one-node tree has an empty distribution; it never enters the loop.
+    while len(collected) < config.L and len(raw) < cap and len(visited) < total:
         if deterministic and tree.parent(position) is None:
             break
-        dist = transition_distribution(tree, position, config.p)
-        if not dist:
-            break
-        position = _draw(dist, rng)
+        position = _draw(transition_distribution(tree, position, config.p), rng)
         raw.append(position)
-        steps += 1
         if position not in visited:
             visited.add(position)
             collected.append(position)

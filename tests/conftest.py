@@ -1,4 +1,5 @@
-"""Shared fixtures: small reference trees and random-tree helpers."""
+"""Shared fixtures: small reference trees, random-tree helpers and the
+test oracles (the ancestor chain and the bag-of-words baseline)."""
 
 from __future__ import annotations
 
@@ -6,9 +7,11 @@ import numpy as np
 import pytest
 
 from threadwalk import features
-from threadwalk.features import Examples, bow_examples
+from threadwalk.embeddings import HashedBowProvider
+from threadwalk.features import POLARITY_TASK, CorpusSide, Examples
 from threadwalk.model import train
 from threadwalk.tree import CommentNode, DiscussionTree, build_tree
+from threadwalk.walks import WalkSample
 
 
 @pytest.fixture
@@ -103,6 +106,30 @@ def random_tree(
     return build_tree(random_records(rng, size, label_choices), tree_id=tree_id)
 
 
+def ancestors(tree: DiscussionTree, node_id: str) -> list[str]:
+    """Chain [parent, grandparent, ..., root]; empty for the root."""
+    chain: list[str] = []
+    cur = tree.parent(node_id)
+    while cur is not None:
+        chain.append(cur)
+        cur = tree.parent(cur)
+    return chain
+
+
+def bow_examples(trees, task, d, *, normalize=False) -> Examples:
+    """Bag-of-words baseline inputs, the input the walk features are
+    measured against: polarity concatenates the parent and child BoW vectors
+    (the pair framing), hate uses the single comment vector. Each row's walk
+    is the PoI alone, since the baseline sees no context."""
+    side = CorpusSide(trees, HashedBowProvider(d, normalize=normalize), task)
+    pois = list(zip(side.pois, side.node_rows))
+    X = side.vectors[[rows[node.id] for (_, node), rows in pois]]
+    if task == POLARITY_TASK:
+        parents = side.vectors[[rows[node.parent_id] for (_, node), rows in pois]]
+        X = np.concatenate([parents, X], axis=1)
+    return side.examples(X, tuple(WalkSample((node_id,), ()) for node_id in side.node_ids))
+
+
 def bow_logreg_baseline(trees, task, d, config, *, normalize=False):
     """Train the bag-of-words logistic-regression baseline."""
     return train(bow_examples(trees, task, d, normalize=normalize), config)
@@ -110,13 +137,15 @@ def bow_logreg_baseline(trees, task, d, config, *, normalize=False):
 
 def make_examples(rows, labels, node_ids=None, walks=None, tree_id="t"):
     """Examples from feature rows and labels, all in tree ``tree_id``; node
-    ids default to n0, n1, ..."""
+    ids default to n0, n1, ... and walks to the PoI alone."""
     if node_ids is None:
         node_ids = [f"n{i}" for i in range(len(labels))]
+    if walks is None:
+        walks = [WalkSample((node_id,), ()) for node_id in node_ids]
     return Examples(
         X=np.asarray(rows, dtype=np.float64),
         tree_ids=(tree_id,) * len(labels),
         node_ids=tuple(node_ids),
         labels=tuple(labels),
-        walks=None if walks is None else tuple(walks),
+        walks=tuple(walks),
     )

@@ -18,7 +18,6 @@ from threadwalk.features import (
     ConcatScheme,
     CorpusSide,
     aggregate_context,
-    bow_examples,
 )
 from threadwalk.model import SoftmaxModel, TrainConfig, loss_and_gradient, train
 from threadwalk.pipeline import (
@@ -30,11 +29,11 @@ from threadwalk.pipeline import (
     run_pipeline,
 )
 from threadwalk.synthetic import CorpusSpec, generate
-from threadwalk.tree import CommentNode, ancestors, build_tree
+from threadwalk.tree import CommentNode, build_tree
 from threadwalk.walks import WalkConfig, sample_walk, walk_weights
 from threadwalk.seeding import derived_rng
 
-from conftest import bow_logreg_baseline, make_examples, random_tree
+from conftest import ancestors, bow_examples, bow_logreg_baseline, make_examples, random_tree
 
 
 def _report(num, name, ok, detail=""):

@@ -390,6 +390,22 @@ def test_int_config_value_for_float_field_runs(corpus_path, tmp_path):
     [
         ({"tree_id": "t", "id": "", "parent_id": "r", "text": "y"}, "id must be non-empty"),
         ({"tree_id": "t", "id": "c", "parent_id": "r", "text": None}, "text must be a string"),
+        *(
+            (
+                {"tree_id": "t", "id": "c", "parent_id": "r", "text": "y", name: value},
+                f"{name} must be a string or an integer",
+            )
+            for name, value in [
+                ("tree_id", None),
+                ("tree_id", True),
+                ("id", False),
+                ("id", ["x"]),
+                ("parent_id", True),
+                ("parent_id", {"id": "r"}),
+                ("tree_id", 1.0),
+                ("id", 2.5),
+            ]
+        ),
     ],
 )
 def test_bad_corpus_record_exits_2(tmp_path, capsys, record, message):
@@ -398,6 +414,15 @@ def test_bad_corpus_record_exits_2(tmp_path, capsys, record, message):
     path.write_text(json.dumps(root) + "\n" + json.dumps(record) + "\n")
     assert main(["validate", str(path)]) == 2
     assert _single_error_line(capsys) == f"error: {path}:2: {message}"
+
+
+@pytest.mark.parametrize("name", ["task", "aggregation", "scheme", "embedding"])
+def test_config_value_outside_choices_exits_2(corpus_path, tmp_path, capsys, name):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({name: "nonsense"}))
+    argv = ["run", "--corpus", str(corpus_path), "--config", str(config)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert _single_error_line(capsys).startswith(f"error: {name} must be one of (")
 
 
 _RUN_HATE = ["--task", "hate", "--epochs", "2", "--bow-dim", "8"]

@@ -101,6 +101,12 @@ def test_empty_id_names_the_line(tmp_path, node_id):
         load_corpus(path)
 
 
+def test_integer_ids_read_as_strings(tmp_path):
+    path = _write(tmp_path, [_record(7, 1, None, "x"), _record(7, 2, 1, "y")])
+    (tree,) = load_corpus(path)
+    assert (tree.tree_id, tree.root_id, tree.parent("2")) == ("7", "1", "1")
+
+
 @pytest.mark.parametrize("text", [None, 3, ["words"]])
 def test_non_string_text_names_the_line(tmp_path, text):
     path = _write(tmp_path, [_record("t", "r", None, text)])

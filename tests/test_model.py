@@ -11,7 +11,6 @@ from threadwalk.errors import (
     NonFiniteLossError,
     SingleClassDataError,
 )
-from threadwalk.features import bow_examples
 from threadwalk.model import (
     SoftmaxModel,
     TrainConfig,
@@ -24,7 +23,7 @@ from threadwalk.model import (
 )
 from threadwalk.tree import CommentNode, build_tree
 
-from conftest import bow_logreg_baseline, make_examples
+from conftest import bow_examples, bow_logreg_baseline, make_examples
 
 
 def _cluster_examples(rng, n, centers, margin=1.0):
@@ -284,7 +283,7 @@ class TestBowBaseline:
         examples = bow_examples([polarity], "polarity", 16)
         assert len(examples) == 2
         assert examples.X.shape == (2, 32)
-        assert examples.walks is None
+        assert [walk.node_ids for walk in examples.walks] == [("b",), ("c",)]
         from threadwalk.embeddings import hashed_bow_embed
 
         expected = np.concatenate(

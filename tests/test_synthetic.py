@@ -5,7 +5,6 @@ import pytest
 from threadwalk.corpus import save_corpus
 from threadwalk.errors import InvalidSpecError
 from threadwalk.evaluation import evaluate, split_trees
-from threadwalk.features import bow_examples
 from threadwalk.model import TrainConfig
 from threadwalk.embeddings import tokenize
 from threadwalk.synthetic import (
@@ -16,7 +15,7 @@ from threadwalk.synthetic import (
     generate,
 )
 
-from conftest import bow_logreg_baseline
+from conftest import bow_examples, bow_logreg_baseline
 
 
 class TestSpecValidation:

@@ -14,9 +14,9 @@ from threadwalk.errors import (
     NoRootError,
     UnknownIdError,
 )
-from threadwalk.tree import CommentNode, ancestors, build_tree, to_baf, tree_stats
+from threadwalk.tree import CommentNode, build_tree, to_baf, tree_stats
 
-from conftest import make_chain, random_records, random_tree
+from conftest import ancestors, make_chain, random_records, random_tree
 
 
 class TestBuildTree:

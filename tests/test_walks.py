@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadwalk.errors import UnknownIdError
-from threadwalk.tree import CommentNode, ancestors, build_tree
+from threadwalk.tree import CommentNode, build_tree
 from threadwalk.seeding import derived_rng
 from threadwalk.walks import (
     WalkConfig,
@@ -20,7 +20,7 @@ from threadwalk.walks import (
     walk_weights,
 )
 
-from conftest import make_chain, random_tree
+from conftest import ancestors, make_chain, random_tree
 
 
 def root_seeking_walk(tree, start, L):
