@@ -234,7 +234,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config, _, examples = _featurized(args, "train")
-    model = train(examples, config.train_config())
+    (model,) = train(examples.labels, examples.X[None], config.train_config())
     outdir = _outdir(args)
     save_model(model, outdir / "model.txt")
     write_manifest(config, outdir / "manifest.json")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -44,8 +45,9 @@ def load_corpus(path: str | Path) -> list[DiscussionTree]:
             raise MalformedFileError(f"{path}:{lineno}: label must be a string or null")
         if not isinstance(obj["text"], str):
             raise MalformedFileError(f"{path}:{lineno}: text must be a string")
-        if obj["id"] is None or obj["id"] == "":
-            raise MalformedFileError(f"{path}:{lineno}: id must be non-empty")
+        if obj["id"] is None or obj["id"] == "" or obj["tree_id"] == "":
+            empty = "tree_id" if obj["tree_id"] == "" else "id"
+            raise MalformedFileError(f"{path}:{lineno}: {empty} must be non-empty")
         for name, types in _ID_TYPES.items():
             if type(obj[name]) not in types:
                 raise MalformedFileError(f"{path}:{lineno}: {name} must be a string or an integer")
@@ -130,18 +132,11 @@ def corpus_stats(trees: Sequence[DiscussionTree]) -> dict:
     """Aggregate corpus-level counts used by the CLI validate command."""
     from .tree import tree_stats
 
-    total_nodes = 0
-    max_depth = 0
-    label_counts: dict[str, int] = {}
-    for tree in trees:
-        stats = tree_stats(tree)
-        total_nodes += stats.nodes
-        max_depth = max(max_depth, stats.depth)
-        for label, count in stats.label_counts.items():
-            label_counts[label] = label_counts.get(label, 0) + count
+    stats = [tree_stats(tree) for tree in trees]
+    label_counts = sum((Counter(s.label_counts) for s in stats), Counter())
     return {
         "trees": len(trees),
-        "nodes": total_nodes,
-        "max_depth": max_depth,
+        "nodes": sum(s.nodes for s in stats),
+        "max_depth": max((s.depth for s in stats), default=0),
         "label_counts": dict(sorted(label_counts.items())),
     }

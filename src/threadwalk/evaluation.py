@@ -61,10 +61,8 @@ class EvalReport:
             cells = "  ".join(f"{int(v):>{width}}" for v in row)
             lines.append(f"{name:>{width}}  {cells}")
         lines.append("")
-        lines.append(f"accuracy        {self.accuracy:.6f}")
-        lines.append(f"macro_f1        {self.macro_f1:.6f}")
-        lines.append(f"macro_precision {self.macro_precision:.6f}")
-        lines.append(f"macro_recall    {self.macro_recall:.6f}")
+        for name in ("accuracy", "macro_f1", "macro_precision", "macro_recall"):
+            lines.append(f"{name:<16}{getattr(self, name):.6f}")
         if self.positive_label is not None:
             lines.append(
                 f"positive class  {self.positive_label}"
@@ -208,15 +206,9 @@ class ErrorAnalysisResult:
     report: EvalReport
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps({"kind": "fp", **rec.to_dict()}, sort_keys=True)
-            for rec in self.false_positives
-        ]
-        lines += [
-            json.dumps({"kind": "fn", **rec.to_dict()}, sort_keys=True)
-            for rec in self.false_negatives
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        kinds = (("fp", self.false_positives), ("fn", self.false_negatives))
+        records = ({"kind": kind, **rec.to_dict()} for kind, recs in kinds for rec in recs)
+        return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
 def error_analysis(

@@ -232,6 +232,12 @@ class CorpusSide:
 _BLOCK = 256
 
 
+def feature_width(dim: int, scheme: ConcatScheme) -> int:
+    """Width of a feature row built from ``dim``-wide embeddings."""
+    zero = np.zeros(dim)  # only concat_features knows the layout's width
+    return concat_features(zero, zero, scheme).size
+
+
 def featurize_corpus(
     side: CorpusSide,
     walk_config: WalkConfig,
@@ -239,8 +245,10 @@ def featurize_corpus(
     scheme: ConcatScheme,
     *,
     normalize_weights: bool = True,
+    out: np.ndarray | None = None,
 ) -> Examples:
-    """One row per PoI of the side, in :func:`labeled_pois` order.
+    """One row per PoI of the side, in :func:`labeled_pois` order, written
+    into ``out`` (shape ``(n, D)``, made read-only) when given.
 
     Rows are built a block of PoIs at a time: ``u`` is gathered from the
     side's embedding matrix, the walks of each length are aggregated
@@ -248,8 +256,10 @@ def featurize_corpus(
     """
     samples, rows, lengths = side.walks(walk_config)
     weights = walk_weights(rows.shape[1], walk_config.gamma)
-    zero = np.zeros(side.vectors.shape[1])  # only concat_features knows the layout's width
-    X = np.empty((len(samples), concat_features(zero, zero, scheme).size))
+    shape = (len(samples), feature_width(side.vectors.shape[1], scheme))
+    X = np.empty(shape) if out is None else out
+    if X.shape != shape:
+        raise DimensionMismatchError(f"out has shape {X.shape}, expected {shape}")
     for start in range(0, len(samples), _BLOCK):
         block_rows, block_lengths = rows[start : start + _BLOCK], lengths[start : start + _BLOCK]
         u = side.vectors[block_rows[:, 0]]

@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .errors import (
     SingleClassDataError,
 )
 from .corpus import text_lines, write_lines
-from .features import Examples
 from .seeding import derived_rng
 
 MODEL_FORMAT = "threadwalk-softmax-v1"
@@ -83,43 +83,56 @@ def loss_and_gradient(
     y: np.ndarray,
     l2: float,
     sample_weights: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
+    *,
+    compute: str = "both",
+) -> tuple:
     """L2-regularized cross-entropy and its analytic gradient.
 
     ``y`` holds class indices. The data term is the sample-weighted mean
-    over the batch; the bias is not regularized.
+    over the batch; the bias is not regularized. ``weights (..., C, D)``,
+    ``bias (..., C)`` and ``X (..., n, D)`` may stack models on leading
+    axes, sharing ``y``; each gets the bytes of a 2-D call, with an array
+    loss. ``compute="loss"`` or ``"gradient"`` returns the other as None.
     """
-    n = X.shape[0]
+    n = X.shape[-2]
     sw = np.ones(n) if sample_weights is None else sample_weights
-    logits = X @ weights.T + bias
-    logp = _log_softmax(logits)
-    loss = float(-(sw * logp[np.arange(n), y]).sum() / n)
-    loss += 0.5 * l2 * float((weights * weights).sum())
-
-    probs = np.exp(logp)
-    delta = probs
-    delta[np.arange(n), y] -= 1.0
-    delta *= sw[:, None]
-    grad_w = delta.T @ X / n + l2 * weights
-    grad_b = delta.sum(axis=0) / n
+    logp = _log_softmax(X @ np.swapaxes(weights, -1, -2) + bias[..., None, :])
+    loss = grad_w = grad_b = None
+    if compute != "gradient":
+        # Contiguous, so each row sums in the order of a 2-D call.
+        picked = np.ascontiguousarray(logp[..., np.arange(n), y])
+        loss = -(sw * picked).sum(axis=-1) / n
+        loss = loss + 0.5 * l2 * (weights * weights).sum(axis=(-2, -1))
+        loss = float(loss) if loss.ndim == 0 else loss
+    if compute != "loss":
+        delta = np.exp(logp)
+        delta[..., np.arange(n), y] -= 1.0
+        delta *= sw[:, None]
+        grad_w = np.swapaxes(delta, -1, -2) @ X / n + l2 * weights
+        grad_b = delta.sum(axis=-2) / n
     return loss, grad_w, grad_b
 
 
-def train(examples: Examples, config: TrainConfig) -> SoftmaxModel:
-    """Fit a softmax model on labeled examples.
+def train(labels: Sequence[str], features: np.ndarray, config: TrainConfig) -> list[SoftmaxModel]:
+    """Fit one softmax model per matrix of the ``(K, n, D)`` stack ``features``.
 
     Deterministic per seed: zero initialization and a shuffle order drawn
-    from a stream derived from ``config.seed``.
+    from a stream derived from ``config.seed``. The models share the
+    shuffle and take each mini-batch step together, and each ends with the
+    bytes it gets alone (``features[k][None]``). The first epoch at which
+    any model's loss is non-finite raises NonFiniteLossError.
     """
-    names, y = np.unique(examples.labels, return_inverse=True)
+    X = features
+    if X.ndim != 3 or X.shape[1] != len(labels):
+        raise DimensionMismatchError(f"features of shape {X.shape} are not (K, {len(labels)}, D)")
+    names, y = np.unique(labels, return_inverse=True)
     class_names = tuple(names.tolist())
     if len(class_names) < 2:
         raise SingleClassDataError(f"need >= 2 classes, got {class_names}")
-    X = examples.X
-    n, dim = X.shape
+    n_models, n, dim = X.shape
     n_classes = len(class_names)
-    weights = np.zeros((n_classes, dim), dtype=np.float64)
-    bias = np.zeros(n_classes, dtype=np.float64)
+    weights = np.zeros((n_models, n_classes, dim), dtype=np.float64)
+    bias = np.zeros((n_models, n_classes), dtype=np.float64)
 
     if config.class_weighting:
         counts = np.bincount(y, minlength=n_classes).astype(np.float64)
@@ -131,31 +144,32 @@ def train(examples: Examples, config: TrainConfig) -> SoftmaxModel:
     vel_w = np.zeros_like(weights)
     vel_b = np.zeros_like(bias)
     rng = derived_rng(config.seed, "train-shuffle")
-    history: list[float] = []
+    histories: list[list[float]] = [[] for _ in range(n_models)]
 
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             _, grad_w, grad_b = loss_and_gradient(
-                weights, bias, X[idx], y[idx], config.l2, sample_w[idx]
+                weights, bias, X[:, idx], y[idx], config.l2, sample_w[idx], compute="gradient"
             )
             vel_w = config.momentum * vel_w - config.learning_rate * grad_w
             vel_b = config.momentum * vel_b - config.learning_rate * grad_b
             weights = weights + vel_w
             bias = bias + vel_b
-        epoch_loss, _, _ = loss_and_gradient(weights, bias, X, y, config.l2, sample_w)
-        if not np.isfinite(epoch_loss):
-            raise NonFiniteLossError(f"loss became {epoch_loss} after an epoch")
-        history.append(epoch_loss)
+        for k, history in enumerate(histories):
+            epoch_loss, _, _ = loss_and_gradient(
+                weights[k], bias[k], X[k], y, config.l2, sample_w, compute="loss"
+            )
+            if not np.isfinite(epoch_loss):
+                raise NonFiniteLossError(f"loss became {epoch_loss} after an epoch")
+            history.append(epoch_loss)
 
-    metadata = {
-        **dataclasses.asdict(config),
-        "n_examples": int(n),
-        "feature_dim": int(dim),
-        "loss_history": history,
-    }
-    return SoftmaxModel(weights=weights, bias=bias, class_names=class_names, metadata=metadata)
+    meta = {**dataclasses.asdict(config), "n_examples": int(n), "feature_dim": int(dim)}
+    return [
+        SoftmaxModel(weights[k], bias[k], class_names, {**meta, "loss_history": history})
+        for k, history in enumerate(histories)
+    ]
 
 
 def predict_proba(model: SoftmaxModel, features: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@
 Every experiment repeats one replicate: featurize both sides of a fixed
 tree split at a seed, train, evaluate. A run is one replicate at the
 configured seed; a grid cell and an ablation row each average replicates
-over a list of seeds. Each side of the split is compiled once into a
+over a list of seeds, and the replicates of one seed that share a feature
+width and training config train in lockstep, up to three at a time. Each
+side of the split is compiled once into a
 :class:`~threadwalk.features.CorpusSide`, so its comments are embedded
 once and its walks are sampled once per (p, seed) for the whole
 experiment. Every run writes a manifest that captures the full
@@ -26,6 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from .corpus import write_lines
 from .embeddings import (
     DEFAULT_BOW_DIM,
@@ -41,6 +45,7 @@ from .features import (
     CorpusSide,
     Examples,
     TASKS,
+    feature_width,
     featurize_corpus,
 )
 from .model import SoftmaxModel, TrainConfig, save_model, train
@@ -227,28 +232,61 @@ class SeedAverage:
     reports: tuple[EvalReport, ...] = field(compare=False)
 
 
-def featurize_split(side: CorpusSide, config: RunConfig, seed: int | None = None) -> Examples:
-    """Featurize one side of a split under the run configuration; the side
-    must have been built for ``config.task``."""
+def featurize_split(
+    side: CorpusSide, config: RunConfig, seed: int | None = None, out: np.ndarray | None = None
+) -> Examples:
+    """Featurize one side of a split under the run configuration, into
+    ``out`` when given; the side must have been built for ``config.task``."""
     return featurize_corpus(
         side,
         config.walk_config(seed),
         AggregationStrategy(config.aggregation),
         ConcatScheme(config.scheme),
         normalize_weights=config.normalize_weights,
+        out=out,
     )
 
 
 def replicate(
-    train_side: CorpusSide, test_side: CorpusSide, config: RunConfig, seed: int | None = None
-) -> Replicate:
-    """Featurize both sides, train, evaluate. ``seed`` (default
-    ``config.seed``) reseeds the walks and the training shuffle only; the
-    split is the caller's."""
-    train_examples = featurize_split(train_side, config, seed)
-    test_examples = featurize_split(test_side, config, seed)
-    model = train(train_examples, config.train_config(seed))
-    return Replicate(model, evaluate(model, test_examples), train_examples, test_examples)
+    train_side: CorpusSide,
+    test_side: CorpusSide,
+    configs: Sequence[RunConfig],
+    seed: int | None = None,
+) -> list[Replicate]:
+    """Featurize, train and evaluate configs that share one feature width
+    and training config, their train sides as one ``(K, n, D)`` stack
+    trained in lockstep. ``seed`` (default each config's) reseeds only the
+    walks and the training shuffle; the split is the caller's."""
+    width = feature_width(train_side.vectors.shape[1], ConcatScheme(configs[0].scheme))
+    stack = np.empty((len(configs), len(train_side.labels), width))
+    train_examples = [
+        featurize_split(train_side, config, seed, out=stack[k]) for k, config in enumerate(configs)
+    ]
+    models = train(train_side.labels, stack, configs[0].train_config(seed))
+    replicates = []
+    for config, model, examples in zip(configs, models, train_examples):
+        test_examples = featurize_split(test_side, config, seed)
+        replicates.append(Replicate(model, evaluate(model, test_examples), examples, test_examples))
+    return replicates
+
+
+# The most replicates trained in lockstep. On grid-hate (one core of a
+# 2-core VM), its 36 models trained in 1.09 s one at a time, 0.92 s in pairs,
+# 0.75 s in threes and 0.72 s in sixes, and peak RSS grew from 43.5 MB to
+# 47.4 MB at three and 53.0 MB at six: each model of a group holds its own
+# train feature matrix, so groups of six buy 4 % for 12 % more memory.
+LOCKSTEP_CAP = 3
+
+
+def _lockstep_groups(configs: Sequence[RunConfig], dim: int, seed: int) -> Iterator[list]:
+    """Runs of consecutive configs with one feature width (of ``dim``-wide
+    embeddings) and training config, cut into groups of LOCKSTEP_CAP."""
+    def key(config: RunConfig) -> tuple:
+        return feature_width(dim, ConcatScheme(config.scheme)), config.train_config(seed)
+
+    for _, run in itertools.groupby(configs, key):
+        run = list(run)
+        yield from (run[i : i + LOCKSTEP_CAP] for i in range(0, len(run), LOCKSTEP_CAP))
 
 
 def _mean(reports: Sequence[EvalReport], metric: str) -> float:
@@ -267,12 +305,16 @@ def average_over_seeds(
 
     Seeds are the outer loop, so the configs of one seed run together and
     reuse the walks each side memoizes when they share ``p``, ``L`` and
-    the step cap.
+    the step cap; each of their :func:`_lockstep_groups` trains as one
+    stack, which is freed before the next group is featurized.
     """
-    by_seed = [
-        [replicate(train_side, test_side, config, seed).report for config in configs]
-        for seed in seeds
-    ]
+    by_seed = []
+    for seed in seeds:
+        reports: list[EvalReport] = []
+        for group in _lockstep_groups(configs, train_side.vectors.shape[1], seed):
+            # Only the reports outlive this line, so the group's stack dies here.
+            reports.extend([rep.report for rep in replicate(train_side, test_side, group, seed)])
+        by_seed.append(reports)
     return [
         SeedAverage(
             p=config.p,
@@ -298,7 +340,7 @@ def run_pipeline(
 ) -> PipelineResult:
     """Execute split -> featurize -> train -> evaluate and write artifacts."""
     config, train_side, test_side = _split_for(trees, config.task, config)
-    model, report, train_examples, test_examples = replicate(train_side, test_side, config)
+    ((model, report, train_examples, test_examples),) = replicate(train_side, test_side, [config])
 
     artifacts: dict[str, Path] = {}
     if outdir is not None:

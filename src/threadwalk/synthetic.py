@@ -86,15 +86,8 @@ class GeneratedCorpus:
     spec: CorpusSpec | None = None
 
     def positive_fraction_realized(self) -> float:
-        positive = POSITIVE_LABEL[self.spec.task]
-        total = hits = 0
-        for tree in self.trees:
-            for node in tree:
-                if node.label is None:
-                    continue
-                total += 1
-                hits += node.label == positive
-        return hits / total if total else 0.0
+        labels = [node.label for tree in self.trees for node in tree if node.label is not None]
+        return labels.count(POSITIVE_LABEL[self.spec.task]) / len(labels) if labels else 0.0
 
     def context_fraction_realized(self) -> float:
         if not self.provenance:

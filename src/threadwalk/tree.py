@@ -9,7 +9,7 @@ from multiple workers is safe.
 from __future__ import annotations
 
 import warnings
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -220,26 +220,14 @@ def tree_stats(tree: DiscussionTree) -> TreeStats:
     The support fraction is reported as ``None`` when no edge carries a
     polarity label.
     """
-    label_counts: dict[str, int] = {}
-    n_attack = 0
-    n_support = 0
-    for node in tree:
-        if node.label is not None:
-            label_counts[node.label] = label_counts.get(node.label, 0) + 1
-        if node.id == tree.root_id:
-            continue
-        if node.label == ATTACK:
-            n_attack += 1
-        elif node.label == SUPPORT:
-            n_support += 1
+    label_counts = dict(Counter(node.label for node in tree if node.label is not None))
+    edge_labels = [node.label for node in tree if node.id != tree.root_id]
+    n_attack, n_support = edge_labels.count(ATTACK), edge_labels.count(SUPPORT)
 
-    depth = 0
-    queue = deque([(tree.root_id, 0)])
-    while queue:
-        nid, d = queue.popleft()
-        depth = max(depth, d)
-        for kid in tree.children(nid):
-            queue.append((kid, d + 1))
+    depth, level = -1, [tree.root_id]
+    while level:
+        depth += 1
+        level = [kid for nid in level for kid in tree.children(nid)]
 
     labeled_edges = n_attack + n_support
     fraction = n_support / labeled_edges if labeled_edges else None

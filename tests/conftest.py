@@ -132,7 +132,9 @@ def bow_examples(trees, task, d, *, normalize=False) -> Examples:
 
 def bow_logreg_baseline(trees, task, d, config, *, normalize=False):
     """Train the bag-of-words logistic-regression baseline."""
-    return train(bow_examples(trees, task, d, normalize=normalize), config)
+    examples = bow_examples(trees, task, d, normalize=normalize)
+    (model,) = train(examples.labels, examples.X[None], config)
+    return model
 
 
 def make_examples(rows, labels, node_ids=None, walks=None, tree_id="t"):

@@ -217,7 +217,7 @@ def test_criterion_07_context_helps(context_corpus):
         for seed in seeds:
             train_examples = featurize_split(CorpusSide(train_trees, provider, "hate"), arm_config, seed=seed)
             test_examples = featurize_split(CorpusSide(test_trees, provider, "hate"), arm_config, seed=seed)
-            model = train(train_examples, arm_config.train_config(seed=seed))
+            (model,) = train(train_examples.labels, train_examples.X[None], arm_config.train_config(seed=seed))
             scores.append(evaluate(model, test_examples).macro_f1)
         return float(np.mean(scores))
 

@@ -406,6 +406,7 @@ def test_int_config_value_for_float_field_runs(corpus_path, tmp_path):
                 ("id", 2.5),
             ]
         ),
+        ({"tree_id": "", "id": "c", "parent_id": "r", "text": "y"}, "tree_id must be non-empty"),
     ],
 )
 def test_bad_corpus_record_exits_2(tmp_path, capsys, record, message):

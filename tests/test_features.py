@@ -362,6 +362,18 @@ class TestFeaturizeCorpus:
         with pytest.raises(ValueError):
             CorpusSide([self._hate_tree()], HashedBowProvider(8), "stance")
 
+    def test_into_a_stack_row(self):
+        side = CorpusSide([self._hate_tree()], HashedBowProvider(8), "hate")
+        args = (WalkConfig(p=0.6, gamma=0.5, L=4, seed=3), AggregationStrategy.WEIGHTED_AVERAGE)
+        alone = featurize_corpus(side, *args, ConcatScheme.UV_MUL)
+        stack = np.zeros((2, 5, 24))
+        into = featurize_corpus(side, *args, ConcatScheme.UV_MUL, out=stack[1])
+        assert into.X.base is stack and not into.X.flags.writeable
+        assert stack[1].tobytes() == alone.X.tobytes() and not stack[0].any()
+        for scheme in (ConcatScheme.UV, ConcatScheme.UV_ABSDIFF_MUL):  # 16 and 32 wide
+            with pytest.raises(DimensionMismatchError):
+                featurize_corpus(side, *args, scheme, out=stack[0])
+
 
 class TestBatchAxis:
     @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -71,33 +71,115 @@ class TestGradient:
             assert rel_b < 1e-5
 
 
+
+class TestStackedLossAndGradient:
+    @pytest.mark.parametrize("n_models", [1, 2, 3])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_slices_match_2d_calls(self, n_models, weighted):
+        rng = np.random.default_rng(n_models)
+        W = rng.normal(size=(n_models, 3, 6))
+        b = rng.normal(size=(n_models, 3))
+        X = rng.normal(size=(n_models, 25, 6))
+        y = rng.integers(0, 3, size=25)
+        sw = rng.uniform(0.5, 2.0, size=25) if weighted else None
+        loss, grad_w, grad_b = loss_and_gradient(W, b, X, y, 0.01, sw)
+        assert loss.shape == (n_models,)
+        for k in range(n_models):
+            alone = loss_and_gradient(W[k], b[k], X[k], y, 0.01, sw)
+            assert isinstance(alone[0], float)
+            assert loss[k].tobytes() == np.float64(alone[0]).tobytes()
+            assert grad_w[k].tobytes() == alone[1].tobytes()
+            assert grad_b[k].tobytes() == alone[2].tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (2,)])
+    def test_selected_parts_match_default_call(self, shape):
+        rng = np.random.default_rng(9)
+        W, b = rng.normal(size=(*shape, 2, 4)), rng.normal(size=(*shape, 2))
+        X, y = rng.normal(size=(*shape, 17, 4)), rng.integers(0, 2, size=17)
+        sw = rng.uniform(0.5, 2.0, size=17)
+        loss, grad_w, grad_b = loss_and_gradient(W, b, X, y, 0.1, sw)
+        loss_only = loss_and_gradient(W, b, X, y, 0.1, sw, compute="loss")
+        gradient_only = loss_and_gradient(W, b, X, y, 0.1, sw, compute="gradient")
+        assert np.asarray(loss_only[0]).tobytes() == np.asarray(loss).tobytes()
+        assert loss_only[1:] == (None, None)
+        assert gradient_only[0] is None
+        assert gradient_only[1].tobytes() == grad_w.tobytes()
+        assert gradient_only[2].tobytes() == grad_b.tobytes()
+
+
+class TestLockstepTrain:
+    @staticmethod
+    def _problem(n_models, n=23, dim=5):
+        rng = np.random.default_rng(n_models)
+        labels = [("a", "b", "b", "c", "c", "c")[i % 6] for i in range(n)]
+        return labels, rng.normal(size=(n_models, n, dim))
+
+    @pytest.mark.parametrize("n_models", [1, 2, 3, 4])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("class_weighting", [False, True])
+    @pytest.mark.parametrize("batch_size, epochs", [(1, 2), (64, 4), (5, 3), (5, 0)])
+    def test_matches_one_at_a_time(self, n_models, momentum, class_weighting, batch_size, epochs):
+        labels, X = self._problem(n_models)
+        config = TrainConfig(
+            epochs=epochs,
+            batch_size=batch_size,
+            seed=11,
+            momentum=momentum,
+            class_weighting=class_weighting,
+        )
+        models = train(labels, X, config)
+        assert len(models) == n_models
+        for k, model in enumerate(models):
+            (alone,) = train(labels, X[k][None], config)
+            assert model.weights.tobytes() == alone.weights.tobytes()
+            assert model.bias.tobytes() == alone.bias.tobytes()
+            assert model.class_names == alone.class_names == ("a", "b", "c")
+            assert model.metadata == alone.metadata
+            assert len(model.metadata["loss_history"]) == epochs
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_one_diverging_model_fails_the_group(self, order):
+        labels = ["a", "b"]
+        X = np.array([[[0.0, 0.0], [0.0, 0.0]], [[1e200, 0.0], [0.0, 1e200]]])
+        config = TrainConfig(epochs=3, learning_rate=1e150, l2=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            train(labels, X[0][None], config)  # alone, the first model trains
+            with pytest.raises(NonFiniteLossError):
+                train(labels, X[list(order)], config)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (1, 1, 4, 2), (1, 3, 2), (2, 5, 2)])
+    def test_features_must_be_a_stack_of_n_rows(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            train(["a", "b", "a", "b"], np.ones(shape), TrainConfig(epochs=1))
+
+
 class TestTrain:
     def test_separable_data_high_accuracy(self):
         rng = np.random.default_rng(1)
         examples = _cluster_examples(rng, 200, [(1, 1), (-1, -1)])
-        model = train(examples, TrainConfig(epochs=50, seed=0))
+        (model,) = train(examples.labels, examples.X[None], TrainConfig(epochs=50, seed=0))
         predictions = predict_labels(model, examples.X)
         accuracy = np.mean([p == label for p, label in zip(predictions, examples.labels)])
         assert accuracy >= 0.99
 
     def test_no_signal_predicts_priors(self):
         examples = make_examples([[1.0, 1.0]] * 100, ["c0", "c1"] * 50)
-        model = train(examples, TrainConfig(epochs=30, seed=0))
+        (model,) = train(examples.labels, examples.X[None], TrainConfig(epochs=30, seed=0))
         probs = predict_proba(model, np.array([[1.0, 1.0]]))[0]
         assert probs == pytest.approx([0.5, 0.5], abs=0.02)
 
     def test_bit_identical_trajectories(self):
         rng = np.random.default_rng(2)
         examples = _cluster_examples(rng, 120, [(1, 0, 1), (0, 1, -1)])
-        a = train(examples, TrainConfig(epochs=20, seed=42))
-        b = train(examples, TrainConfig(epochs=20, seed=42))
+        (a,) = train(examples.labels, examples.X[None], TrainConfig(epochs=20, seed=42))
+        (b,) = train(examples.labels, examples.X[None], TrainConfig(epochs=20, seed=42))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
         assert a.metadata["loss_history"] == b.metadata["loss_history"]
 
     def test_zero_epochs_returns_zero_init(self):
         examples = make_examples([[1.0, 2.0], [3.0, 4.0]], ["c0", "c1"])
-        model = train(examples, TrainConfig(epochs=0))
+        (model,) = train(examples.labels, examples.X[None], TrainConfig(epochs=0))
         assert not model.weights.any() and not model.bias.any()
         probs = predict_proba(model, np.array([[5.0, -7.0]]))[0]
         assert probs == pytest.approx([0.5, 0.5], abs=1e-12)
@@ -105,7 +187,7 @@ class TestTrain:
     def test_loss_non_increasing_within_tolerance(self):
         rng = np.random.default_rng(3)
         examples = _cluster_examples(rng, 150, [(1, 1), (-1, 1), (0, -1)])
-        model = train(examples, TrainConfig(epochs=30, seed=1))
+        (model,) = train(examples.labels, examples.X[None], TrainConfig(epochs=30, seed=1))
         history = model.metadata["loss_history"]
         for earlier, later in zip(history, history[1:]):
             assert later <= earlier + 1e-3
@@ -126,26 +208,30 @@ class TestTrain:
             )
             return hits / 20
 
-        plain = train(examples, TrainConfig(epochs=5, seed=0, class_weighting=False))
-        weighted = train(examples, TrainConfig(epochs=5, seed=0, class_weighting=True))
+        plain_config = TrainConfig(epochs=5, seed=0, class_weighting=False)
+        (plain,) = train(examples.labels, examples.X[None], plain_config)
+        weighted_config = TrainConfig(epochs=5, seed=0, class_weighting=True)
+        (weighted,) = train(examples.labels, examples.X[None], weighted_config)
         assert minority_recall(weighted) > minority_recall(plain)
 
     def test_momentum_path_runs(self):
         rng = np.random.default_rng(5)
         examples = _cluster_examples(rng, 60, [(1, 1), (-1, -1)])
-        model = train(examples, TrainConfig(epochs=10, seed=0, momentum=0.9))
+        config = TrainConfig(epochs=10, seed=0, momentum=0.9)
+        (model,) = train(examples.labels, examples.X[None], config)
         assert np.all(np.isfinite(model.weights))
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassDataError):
-            train(make_examples([[1.0]], ["only"]), TrainConfig())
+            train(["only"], np.ones((1, 1, 1)), TrainConfig())
         with pytest.raises(SingleClassDataError):
-            train(make_examples(np.empty((0, 1)), []), TrainConfig())
+            train([], np.empty((1, 0, 1)), TrainConfig())
 
     def test_non_finite_loss_detected(self):
         examples = make_examples([[1e200, 0.0], [0.0, 1e200]], ["a", "b"])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLossError):
-            train(examples, TrainConfig(epochs=3, learning_rate=1e150, l2=0.0))
+            config = TrainConfig(epochs=3, learning_rate=1e150, l2=0.0)
+            train(examples.labels, examples.X[None], config)
 
     def test_config_validation(self):
         for bad in (
@@ -214,7 +300,7 @@ class TestPersistence:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         examples = _cluster_examples(rng, 80, [(1, 1, 0), (-1, 0, 1)])
-        model = train(examples, TrainConfig(epochs=15, seed=3))
+        (model,) = train(examples.labels, examples.X[None], TrainConfig(epochs=15, seed=3))
         path = tmp_path / "model.txt"
         save_model(model, path)
         loaded = load_model(path)

@@ -1,6 +1,7 @@
 """Pipeline orchestration: runs, manifests, grid search, ablation."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ from threadwalk import pipeline
 from threadwalk.evaluation import EvalReport
 from threadwalk.features import CorpusSide
 from threadwalk.pipeline import (
+    LOCKSTEP_CAP,
     RunConfig,
     SeedAverage,
     _select_best,
+    _split_for,
     ablate_concat,
     ablation_csv,
+    average_over_seeds,
     feature_dump_lines,
     grid_search,
     read_manifest,
@@ -335,3 +339,68 @@ class TestAblation:
         csv = ablation_csv(rows)
         assert csv.startswith("scheme,accuracy,macro_f1,precision_pos,recall_pos\n")
         assert len(csv.strip().split("\n")) == 5
+
+
+class TestLockstepGroups:
+    GAMMAS = (0.0, 0.2, 0.3, 0.5, 0.6, 0.8, 1.0)
+    SCHEMES = ("uv", "uv_mul", "uv_absdiff", "uv_absdiff_mul")
+
+    @pytest.fixture
+    def trained_groups(self, monkeypatch) -> list:
+        """The number of models of every ``train`` call from the pipeline."""
+        sizes = []
+        real_train = pipeline.train
+
+        def counted(labels, features, config):
+            sizes.append(len(features))
+            return real_train(labels, features, config)
+
+        monkeypatch.setattr(pipeline, "train", counted)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "field, values, groups",
+        [("gamma", GAMMAS, [3, 3, 1]), ("scheme", SCHEMES, [1, 2, 1])],
+    )
+    def test_groups_match_configs_run_alone(
+        self, small_corpus, trained_groups, field, values, groups
+    ):
+        config, train_side, test_side = _split_for(
+            small_corpus, "hate", SMALL_CONFIG.replace(epochs=3)
+        )
+        configs = [config.replace(**{field: value}) for value in values]
+        seeds = (0, 1)
+        together = average_over_seeds(train_side, test_side, configs, seeds)
+        assert trained_groups == groups * len(seeds)
+        assert max(trained_groups) <= LOCKSTEP_CAP
+        trained_groups.clear()
+        alone = [average_over_seeds(train_side, test_side, [c], seeds)[0] for c in configs]
+        assert trained_groups == [1] * len(configs) * len(seeds)
+        assert together == alone
+        for a, b in zip(together, alone):
+            assert [r.to_dict() for r in a.reports] == [r.to_dict() for r in b.reports]
+
+    def test_stack_freed_before_next_group(self, small_corpus, monkeypatch):
+        stacks = []  # a weak reference to each group's training stack
+        featurized_with_live_stack = []
+        real_train, real_featurize = pipeline.train, pipeline.featurize_split
+
+        def spy_train(labels, features, config):
+            stacks.append(weakref.ref(features))
+            return real_train(labels, features, config)
+
+        def spy_featurize(side, config, seed=None, out=None):
+            if out is not None:  # the train side of a group
+                featurized_with_live_stack.append(any(ref() is not None for ref in stacks))
+            return real_featurize(side, config, seed, out)
+
+        monkeypatch.setattr(pipeline, "train", spy_train)
+        monkeypatch.setattr(pipeline, "featurize_split", spy_featurize)
+        config, train_side, test_side = _split_for(
+            small_corpus, "hate", SMALL_CONFIG.replace(epochs=1)
+        )
+        configs = [config.replace(gamma=gamma) for gamma in self.GAMMAS]
+        average_over_seeds(train_side, test_side, configs, (0, 1))
+        assert len(stacks) == 6
+        assert len(featurized_with_live_stack) == 2 * len(configs)
+        assert not any(featurized_with_live_stack)

@@ -1,0 +1,54 @@
+"""The benchmark's tracer on a small grid search and a small ablation.
+
+The tracer counts a ``loss_and_gradient`` call as an epoch loss pass when
+its ``X`` has as many rows as ``len()`` of the first positional argument of
+``train``: a keyword call to ``train`` fails a traced run, and an epoch
+pass over a stack of models miscounts. These run the bench's own grid and
+ablation commands on a small corpus, traced and untraced, and read the
+counters the bench reports.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import run  # noqa: E402
+from inputs import make_inputs  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+@pytest.mark.parametrize(
+    "name, epochs, groups, walk_passes",
+    [
+        # 3 p x 6 gammas x 2 seeds; the six gammas of a (p, seed) train in two
+        # groups and share one walk per PoI
+        ("grid-hate", 20, 3 * 2 * 2, 3 * 2),
+        # 4 schemes x 2 seeds; per seed the widths 2d, 3d, 3d, 4d make three
+        # groups, and the schemes share one walk per PoI
+        ("ablate-hate", 50, 3 * 2, 2),
+    ],
+)
+def test_traced_counts_and_outputs(tmp_path, name, epochs, groups, walk_passes):
+    workload = dataclasses.replace(WORKLOADS[name], nodes=150)
+    stats = make_inputs(workload, 1, tmp_path)
+    spans = tmp_path / "spans.npz"
+    tracer = [sys.executable, str(run.HERE / "tracer.py"), str(spans)]
+    for prefix, out in ((tracer, "traced"), ([sys.executable, "-m", "threadwalk.cli"], "plain")):
+        argv = prefix + workload.command(tmp_path / "corpus.jsonl", None, tmp_path / out)
+        subprocess.run(argv, env=run.child_env(), check=True, capture_output=True)
+    for output in workload.outputs:
+        traced, plain = (tmp_path / out / output for out in ("traced", "plain"))
+        assert traced.read_bytes() == plain.read_bytes()
+
+    layers = run.layer_metrics(spans, stats, traced_wall=1.0, untraced_wall=1.0)
+    metrics = {metric: m["value"] for metric, m in layers["metrics"].items()}
+    assert metrics["model.epoch_loss_passes"] == workload.replicates * epochs
+    assert metrics["pipeline.replicates"] == groups
+    assert metrics["walks.samples"] == walk_passes * stats["pois_per_replicate"]
