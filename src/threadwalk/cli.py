@@ -172,7 +172,7 @@ def _parse_list(text: str | None, extras: dict, key: str, cast: type, default: t
     """A comma-separated flag, else the list under ``key`` in the config
     file, else ``default``. Malformed values raise ConfigError."""
     kind = cast.__name__
-    if text:
+    if text is not None:
         try:
             return tuple(cast(v) for v in text.split(","))
         except ValueError:
@@ -269,7 +269,7 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     p_values = _parse_list(args.p_values, extras, "p_values", float, DEFAULT_GRID)
     gamma_values = _parse_list(args.gamma_values, extras, "gamma_values", float, DEFAULT_GRID)
     seeds = _parse_list(args.seeds, extras, "seeds", int, DEFAULT_SEEDS)
-    result = grid_search(trees, config.task, p_values, gamma_values, config, seeds, jobs=args.jobs)
+    result = grid_search(trees, p_values, gamma_values, config, seeds, jobs=args.jobs)
     outdir = _outdir(args)
     write_lines(outdir / "grid.csv", [result.to_csv()])
     write_manifest(
@@ -290,7 +290,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     config, extras = _resolve_config(args)
     trees = load_corpus(args.corpus)
     seeds = _parse_list(args.seeds, extras, "seeds", int, DEFAULT_SEEDS)
-    rows = ablate_concat(trees, config.task, config, seeds)
+    rows = ablate_concat(trees, config, seeds)
     outdir = _outdir(args)
     write_lines(outdir / "ablation.csv", [ablation_csv(rows)])
     write_manifest(config, outdir / "manifest.json", extra={"seeds": list(seeds)})

@@ -53,6 +53,7 @@ from .tree import DiscussionTree
 from .walks import DEFAULT_WALK_LENGTH, WalkConfig
 
 MANIFEST_FORMAT = "threadwalk-manifest-v1"
+MANIFEST_LISTS = ("p_values", "gamma_values", "seeds")  # lists a config file may hold
 CHOICES = {  # RunConfig field -> its allowed values
     "task": TASKS,
     "aggregation": tuple(s.value for s in AggregationStrategy),
@@ -113,14 +114,6 @@ class RunConfig:
             value = getattr(self, name)
             if value not in choices:
                 raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigError(f"p must be in [0, 1], got {self.p}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.walk_length < 1:
-            raise ConfigError(f"walk_length must be >= 1, got {self.walk_length}")
-        if self.step_cap is not None and self.step_cap < self.walk_length - 1:
-            raise ConfigError(f"step_cap must be >= walk_length - 1, got {self.step_cap}")
         if self.embedding == "external" and not self.embedding_file:
             raise ConfigError("embedding 'external' needs embedding_file")
         if self.embedding == "external" and not os.path.isfile(self.embedding_file):
@@ -130,26 +123,27 @@ class RunConfig:
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
         try:
+            self.walk_config()
             self.train_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def walk_config(self, seed: int | None = None) -> WalkConfig:
+    def walk_config(self) -> WalkConfig:
         return WalkConfig(
             p=self.p,
             gamma=self.gamma,
             L=self.walk_length,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
             step_cap=self.step_cap,
         )
 
-    def train_config(self, seed: int | None = None) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         return TrainConfig(
             epochs=self.epochs,
             batch_size=self.batch_size,
             learning_rate=self.learning_rate,
             l2=self.l2,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
             class_weighting=self.class_weighting,
             momentum=self.momentum,
         )
@@ -232,14 +226,13 @@ class SeedAverage:
     reports: tuple[EvalReport, ...] = field(compare=False)
 
 
-def featurize_split(
-    side: CorpusSide, config: RunConfig, seed: int | None = None, out: np.ndarray | None = None
-) -> Examples:
-    """Featurize one side of a split under the run configuration, into
-    ``out`` when given; the side must have been built for ``config.task``."""
+def featurize_split(side: CorpusSide, config: RunConfig, out: np.ndarray | None = None) -> Examples:
+    """Featurize one side of a split under the run configuration, its walks
+    seeded by ``config.seed``, into ``out`` when given; the side must have
+    been built for ``config.task``."""
     return featurize_corpus(
         side,
-        config.walk_config(seed),
+        config.walk_config(),
         AggregationStrategy(config.aggregation),
         ConcatScheme(config.scheme),
         normalize_weights=config.normalize_weights,
@@ -248,24 +241,21 @@ def featurize_split(
 
 
 def replicate(
-    train_side: CorpusSide,
-    test_side: CorpusSide,
-    configs: Sequence[RunConfig],
-    seed: int | None = None,
+    train_side: CorpusSide, test_side: CorpusSide, configs: Sequence[RunConfig]
 ) -> list[Replicate]:
     """Featurize, train and evaluate configs that share one feature width
     and training config, their train sides as one ``(K, n, D)`` stack
-    trained in lockstep. ``seed`` (default each config's) reseeds only the
-    walks and the training shuffle; the split is the caller's."""
+    trained in lockstep. Each config's ``seed`` seeds only its walks and
+    the training shuffle; the split is the caller's."""
     width = feature_width(train_side.vectors.shape[1], ConcatScheme(configs[0].scheme))
     stack = np.empty((len(configs), len(train_side.labels), width))
     train_examples = [
-        featurize_split(train_side, config, seed, out=stack[k]) for k, config in enumerate(configs)
+        featurize_split(train_side, config, out=stack[k]) for k, config in enumerate(configs)
     ]
-    models = train(train_side.labels, stack, configs[0].train_config(seed))
+    models = train(train_side.labels, stack, configs[0].train_config())
     replicates = []
     for config, model, examples in zip(configs, models, train_examples):
-        test_examples = featurize_split(test_side, config, seed)
+        test_examples = featurize_split(test_side, config)
         replicates.append(Replicate(model, evaluate(model, test_examples), examples, test_examples))
     return replicates
 
@@ -278,11 +268,11 @@ def replicate(
 LOCKSTEP_CAP = 3
 
 
-def _lockstep_groups(configs: Sequence[RunConfig], dim: int, seed: int) -> Iterator[list]:
+def _lockstep_groups(configs: Sequence[RunConfig], dim: int) -> Iterator[list]:
     """Runs of consecutive configs with one feature width (of ``dim``-wide
     embeddings) and training config, cut into groups of LOCKSTEP_CAP."""
     def key(config: RunConfig) -> tuple:
-        return feature_width(dim, ConcatScheme(config.scheme)), config.train_config(seed)
+        return feature_width(dim, ConcatScheme(config.scheme)), config.train_config()
 
     for _, run in itertools.groupby(configs, key):
         run = list(run)
@@ -300,8 +290,10 @@ def average_over_seeds(
     configs: Sequence[RunConfig],
     seeds: Sequence[int],
 ) -> list[SeedAverage]:
-    """One replicate per seed and config on the same split; one
-    :class:`SeedAverage` per config, in config order.
+    """One replicate per seed and config on the same split, each config
+    reseeded to the seed; one :class:`SeedAverage` per config, in config
+    order. The split is made before, so the seed reaches only the walks and
+    the training shuffle.
 
     Seeds are the outer loop, so the configs of one seed run together and
     reuse the walks each side memoizes when they share ``p``, ``L`` and
@@ -311,9 +303,10 @@ def average_over_seeds(
     by_seed = []
     for seed in seeds:
         reports: list[EvalReport] = []
-        for group in _lockstep_groups(configs, train_side.vectors.shape[1], seed):
+        seeded = [config.replace(seed=seed) for config in configs]
+        for group in _lockstep_groups(seeded, train_side.vectors.shape[1]):
             # Only the reports outlive this line, so the group's stack dies here.
-            reports.extend([rep.report for rep in replicate(train_side, test_side, group, seed)])
+            reports.extend([rep.report for rep in replicate(train_side, test_side, group)])
         by_seed.append(reports)
     return [
         SeedAverage(
@@ -339,7 +332,7 @@ def run_pipeline(
     dump_features: bool = False,
 ) -> PipelineResult:
     """Execute split -> featurize -> train -> evaluate and write artifacts."""
-    config, train_side, test_side = _split_for(trees, config.task, config)
+    train_side, test_side = _split_for(trees, config)
     ((model, report, train_examples, test_examples),) = replicate(train_side, test_side, [config])
 
     artifacts: dict[str, Path] = {}
@@ -396,31 +389,37 @@ def write_manifest(config: RunConfig, path: str | Path, extra: dict | None = Non
 
 
 def read_manifest(path: str | Path) -> tuple[RunConfig, dict]:
-    """Load a manifest or bare config file; returns (config, extras)."""
+    """Load a manifest or bare config file; returns (config, extras).
+
+    A manifest holds the config under ``config``, a bare config holds its
+    fields at the top level. Beside them the file may hold ``format``, which
+    must be MANIFEST_FORMAT, and the lists named in MANIFEST_LISTS, which
+    are the extras; any other key is a ConfigError.
+    """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    if "config" in payload and isinstance(payload["config"], dict):
-        config = RunConfig.from_dict(payload["config"])
-        extras = {k: v for k, v in payload.items() if k not in ("config", "format")}
-        return config, extras
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    extras = {k: v for k, v in payload.items() if k not in known}
-    config = RunConfig.from_dict({k: v for k, v in payload.items() if k in known})
-    return config, extras
+    if payload.pop("format", MANIFEST_FORMAT) != MANIFEST_FORMAT:
+        raise ConfigError(f"{path}: format must be {MANIFEST_FORMAT!r}")
+    extras = {key: payload.pop(key) for key in MANIFEST_LISTS if key in payload}
+    if "config" not in payload:
+        return RunConfig.from_dict(payload), extras
+    config = payload.pop("config")
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: config must be a JSON object, got {config!r}")
+    if payload:
+        raise ConfigError(f"{path}: unknown manifest keys: {sorted(payload)}")
+    return RunConfig.from_dict(config), extras
 
 
-def _split_for(
-    trees: Sequence[DiscussionTree], task: str, config: RunConfig
-) -> tuple[RunConfig, CorpusSide, CorpusSide]:
-    """The config for ``task``, validated, and the two sides of its split."""
-    config = config.replace(task=task)
+def _split_for(trees: Sequence[DiscussionTree], config: RunConfig) -> list[CorpusSide]:
+    """Validate ``config`` and build the train and test sides of its split."""
     config.validate()
     train_trees, test_trees = split_trees(trees, config.split_fraction, config.seed)
-    return config, *corpus_sides(config, trees, train_trees, test_trees)
+    return corpus_sides(config, trees, train_trees, test_trees)
 
 
 def _check_values(name: str, values: Sequence[float]) -> None:
@@ -449,7 +448,6 @@ class GridSearchResult:
 
 def grid_search(
     trees: Sequence[DiscussionTree],
-    task: str,
     p_values: Sequence[float],
     gamma_values: Sequence[float],
     config: RunConfig,
@@ -467,7 +465,7 @@ def grid_search(
         _check_values(name, values)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    config, train_side, test_side = _split_for(trees, task, config)
+    train_side, test_side = _split_for(trees, config)
     rows = [[config.replace(p=p, gamma=g) for g in gamma_values] for p in p_values]
     for cell_config in itertools.chain(*rows):
         cell_config.validate()
@@ -498,14 +496,11 @@ def _select_best(cells: dict[tuple[float, float], SeedAverage]) -> tuple[float, 
 
 
 def ablate_concat(
-    trees: Sequence[DiscussionTree],
-    task: str,
-    config: RunConfig,
-    seeds: Sequence[int],
+    trees: Sequence[DiscussionTree], config: RunConfig, seeds: Sequence[int]
 ) -> list[SeedAverage]:
     """Compare the four concatenation schemes under identical seeds."""
     _check_values("seeds", seeds)
-    config, train_side, test_side = _split_for(trees, task, config)
+    train_side, test_side = _split_for(trees, config)
     configs = [config.replace(scheme=scheme.value) for scheme in ConcatScheme]
     return average_over_seeds(train_side, test_side, configs, seeds)
 

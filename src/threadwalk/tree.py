@@ -121,7 +121,7 @@ def build_tree(records: Sequence[CommentNode], tree_id: str = "") -> DiscussionT
     """Assemble and validate a discussion tree from flat comment records.
 
     Raises:
-        NoRootError: empty input or no parentless record.
+        NoRootError: empty input.
         DuplicateIdError, DanglingParentError, MultipleRootsError: shape
             violations.
         CycleDetectedError: the parent relation loops (self-reference or
@@ -149,8 +149,6 @@ def build_tree(records: Sequence[CommentNode], tree_id: str = "") -> DiscussionT
 
     _check_acyclic(nodes)
 
-    if not roots:
-        raise NoRootError("every record has a parent; no root found")
     if len(roots) > 1:
         raise MultipleRootsError(f"multiple parentless records: {roots}")
 

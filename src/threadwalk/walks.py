@@ -49,7 +49,7 @@ class WalkConfig:
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
+            raise ValueError(f"walk length L must be >= 1, got {self.L}")
         if self.step_cap is not None and self.step_cap < self.L - 1:
             raise ValueError(f"step_cap must be >= L - 1, got {self.step_cap}")
 

@@ -215,9 +215,10 @@ def test_criterion_07_context_helps(context_corpus):
         provider = arm_config.build_provider()
         scores = []
         for seed in seeds:
-            train_examples = featurize_split(CorpusSide(train_trees, provider, "hate"), arm_config, seed=seed)
-            test_examples = featurize_split(CorpusSide(test_trees, provider, "hate"), arm_config, seed=seed)
-            (model,) = train(train_examples.labels, train_examples.X[None], arm_config.train_config(seed=seed))
+            seeded = arm_config.replace(seed=seed)
+            train_examples = featurize_split(CorpusSide(train_trees, provider, "hate"), seeded)
+            test_examples = featurize_split(CorpusSide(test_trees, provider, "hate"), seeded)
+            (model,) = train(train_examples.labels, train_examples.X[None], seeded.train_config())
             scores.append(evaluate(model, test_examples).macro_f1)
         return float(np.mean(scores))
 
@@ -267,8 +268,8 @@ def test_criterion_08_grid_search_shape(grid_corpus):
     config = RunConfig(
         task="hate", class_weighting=True, seed=5, epochs=20, bow_dim=128
     )
-    first = grid_search(grid_corpus, "hate", values, values, config, seeds=(0, 1), jobs=2)
-    replay = grid_search(grid_corpus, "hate", values, values, config, seeds=(0, 1), jobs=1)
+    first = grid_search(grid_corpus, values, values, config, seeds=(0, 1), jobs=2)
+    replay = grid_search(grid_corpus, values, values, config, seeds=(0, 1), jobs=1)
     best_cell = first.cells[first.best]
     ok = (
         len(first.cells) == 36
@@ -282,7 +283,7 @@ def test_criterion_08_grid_search_shape(grid_corpus):
 
 def test_criterion_09_ablation_harness(grid_corpus):
     config = RunConfig(task="hate", p=0.8, gamma=0.8, class_weighting=True, seed=5)
-    rows = ablate_concat(grid_corpus, "hate", config, seeds=(0, 1, 2, 3, 4))
+    rows = ablate_concat(grid_corpus, config, seeds=(0, 1, 2, 3, 4))
     by_scheme = {row.scheme: row for row in rows}
     uv = by_scheme["uv"].macro_f1
     absdiff = by_scheme["uv_absdiff"].macro_f1

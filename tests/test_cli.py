@@ -330,6 +330,10 @@ def _single_error_line(capsys):
         ["grid-search", "--jobs", "1", "--task", "hate", "--gamma-values", "0.0,-0.0"],
         ["grid-search", "--jobs", "1", "--task", "hate", "--seeds", "0,0"],
         ["ablate-concat", "--task", "hate", "--seeds", "1,2,1"],
+        ["grid-search", "--jobs", "1", "--task", "hate", "--seeds", ""],
+        ["grid-search", "--jobs", "1", "--task", "hate", "--p-values", ""],
+        ["grid-search", "--jobs", "1", "--task", "hate", "--gamma-values", ""],
+        ["ablate-concat", "--task", "hate", "--seeds", ""],
     ],
 )
 def test_bad_list_flag_exits_2(corpus_path, tmp_path, capsys, argv):
@@ -368,6 +372,10 @@ def test_bad_list_in_config_exits_2(corpus_path, tmp_path, capsys, manifest):
         {"task": None},
         {"learning_rate": float("inf")},
         {"l2": 10**400},
+        {"walk_lenght": 6},
+        {"format": "threadwalk-manifest-v0"},
+        {"config": {"p": 0.5}},
+        {"config": 3},
     ],
 )
 def test_mistyped_config_exits_2(corpus_path, tmp_path, capsys, fields):

@@ -12,6 +12,7 @@ from threadwalk.evaluation import EvalReport
 from threadwalk.features import CorpusSide
 from threadwalk.pipeline import (
     LOCKSTEP_CAP,
+    MANIFEST_FORMAT,
     RunConfig,
     SeedAverage,
     _select_best,
@@ -67,6 +68,8 @@ class TestRunConfig:
             {"p": 1.5},
             {"gamma": -0.2},
             {"walk_length": 0},
+            {"step_cap": 1},
+            {"bow_dim": 0},
             {"aggregation": "maxpool"},
             {"scheme": "uvw"},
             {"embedding": "magic"},
@@ -154,6 +157,24 @@ class TestManifest:
             read_manifest(path)
 
     @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({"task": "hate", "walk_lenght": 6}, "walk_lenght"),
+            ({"format": MANIFEST_FORMAT, "config": {"task": "hate"}, "sedes": [0]}, "sedes"),
+            ({"config": {"task": "hate"}, "p": 0.5}, "'p'"),
+            ({"format": MANIFEST_FORMAT, "config": "hate"}, "config must be"),
+            ({"config": None, "task": "hate"}, "config must be"),
+            ({"format": "threadwalk-manifest-v0", "config": {"task": "hate"}}, "format"),
+            ({"format": None, "task": "hate"}, "format"),
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, payload, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=named):
+            read_manifest(path)
+
+    @pytest.mark.parametrize(
         "fields",
         [
             {"p": "0.5"},
@@ -234,7 +255,7 @@ class TestGridSearch:
 
     def test_single_cell_matches_direct_run(self, small_corpus):
         config = SMALL_CONFIG.replace(p=1.0, gamma=0.8, seed=4)
-        result = grid_search(small_corpus, "hate", [1.0], [0.8], config, seeds=[4])
+        result = grid_search(small_corpus, [1.0], [0.8], config, seeds=[4])
         assert set(result.cells) == {(1.0, 0.8)}
         direct = run_pipeline(small_corpus, config)
         cell = result.cells[(1.0, 0.8)]
@@ -243,9 +264,7 @@ class TestGridSearch:
         assert np.array_equal(cell.reports[0].confusion, direct.report.confusion)
 
     def test_full_cartesian_grid_and_csv(self, small_corpus):
-        result = grid_search(
-            small_corpus, "hate", [0.5, 1.0], [0.0, 0.5, 1.0], SMALL_CONFIG, seeds=[0, 1]
-        )
+        result = grid_search(small_corpus, [0.5, 1.0], [0.0, 0.5, 1.0], SMALL_CONFIG, seeds=[0, 1])
         assert len(result.cells) == 6
         csv = result.to_csv()
         lines = csv.strip().split("\n")
@@ -262,7 +281,6 @@ class TestGridSearch:
     def test_order_independent_of_jobs(self, small_corpus):
         kwargs = dict(
             trees=small_corpus,
-            task="hate",
             p_values=[0.5, 1.0],
             gamma_values=[0.2, 0.8],
             config=SMALL_CONFIG,
@@ -275,7 +293,7 @@ class TestGridSearch:
 
     def test_empty_grid_rejected(self, small_corpus):
         with pytest.raises(ConfigError):
-            grid_search(small_corpus, "hate", [], [0.5], SMALL_CONFIG, seeds=[0])
+            grid_search(small_corpus, [], [0.5], SMALL_CONFIG, seeds=[0])
 
     @pytest.mark.parametrize(
         "p_values, jobs, pools",
@@ -283,26 +301,26 @@ class TestGridSearch:
     )
     def test_workers_capped_by_cells(self, small_corpus, in_process_pool, p_values, jobs, pools):
         config = SMALL_CONFIG.replace(epochs=1)
-        result = grid_search(small_corpus, "hate", p_values, [0.8], config, seeds=[0], jobs=jobs)
+        result = grid_search(small_corpus, p_values, [0.8], config, seeds=[0], jobs=jobs)
         assert len(result.cells) == len(p_values)
         assert in_process_pool["workers"] == pools
         assert in_process_pool["chunksize"] == [1] * len(pools)  # one cell per worker
 
     def test_one_task_per_p(self, small_corpus, in_process_pool):
         config = SMALL_CONFIG.replace(epochs=1)
-        grid_search(small_corpus, "hate", [0.5, 1.0], [0.2, 0.5, 0.8], config, seeds=[0], jobs=4)
+        grid_search(small_corpus, [0.5, 1.0], [0.2, 0.5, 0.8], config, seeds=[0], jobs=4)
         assert in_process_pool["workers"] == [2]
         tasks = [[(c.p, c.gamma) for c in task] for task in in_process_pool["tasks"]]
         assert tasks == [[(p, g) for g in (0.2, 0.5, 0.8)] for p in (0.5, 1.0)]
 
     def test_walks_sampled_once_per_poi_and_seed(self, small_corpus, sampled_walks):
         config = SMALL_CONFIG.replace(epochs=1)
-        grid_search(small_corpus, "hate", [0.5], [0.2, 0.5, 0.8], config, seeds=[0, 1])
+        grid_search(small_corpus, [0.5], [0.2, 0.5, 0.8], config, seeds=[0, 1])
         assert len(sampled_walks) == 2 * sum(len(tree) for tree in small_corpus)
 
     def test_walks_sampled_once_per_p_and_seed(self, small_corpus, sampled_walks):
         config = SMALL_CONFIG.replace(epochs=1)
-        grid_search(small_corpus, "hate", [0.5, 1.0], [0.2, 0.5, 0.8], config, seeds=[0, 1])
+        grid_search(small_corpus, [0.5, 1.0], [0.2, 0.5, 0.8], config, seeds=[0, 1])
         assert len(sampled_walks) == 4 * sum(len(tree) for tree in small_corpus)
 
     @pytest.mark.parametrize(
@@ -315,26 +333,26 @@ class TestGridSearch:
     )
     def test_repeated_value_rejected(self, small_corpus, p_values, gamma_values, seeds, named):
         with pytest.raises(ConfigError, match=named):
-            grid_search(small_corpus, "hate", p_values, gamma_values, SMALL_CONFIG, seeds)
+            grid_search(small_corpus, p_values, gamma_values, SMALL_CONFIG, seeds)
 
     def test_jobs_below_one_rejected(self, small_corpus):
         with pytest.raises(ConfigError, match="jobs"):
-            grid_search(small_corpus, "hate", [0.5], [0.5], SMALL_CONFIG, seeds=[0], jobs=0)
+            grid_search(small_corpus, [0.5], [0.5], SMALL_CONFIG, seeds=[0], jobs=0)
 
 
 class TestAblation:
     def test_walks_sampled_once_per_poi_and_seed(self, small_corpus, sampled_walks):
-        ablate_concat(small_corpus, "hate", SMALL_CONFIG.replace(epochs=1), seeds=[0, 1])
+        ablate_concat(small_corpus, SMALL_CONFIG.replace(epochs=1), seeds=[0, 1])
         assert len(sampled_walks) == 2 * sum(len(tree) for tree in small_corpus)
 
     def test_repeated_seed_rejected(self, small_corpus):
         with pytest.raises(ConfigError, match="seeds .*0"):
-            ablate_concat(small_corpus, "hate", SMALL_CONFIG, seeds=[0, 1, 0])
+            ablate_concat(small_corpus, SMALL_CONFIG, seeds=[0, 1, 0])
 
     def test_four_rows_in_scheme_order(self, small_corpus):
-        rows = ablate_concat(small_corpus, "hate", SMALL_CONFIG, seeds=[0, 1])
+        rows = ablate_concat(small_corpus, SMALL_CONFIG, seeds=[0, 1])
         assert [r.scheme for r in rows] == ["uv", "uv_mul", "uv_absdiff", "uv_absdiff_mul"]
-        again = ablate_concat(small_corpus, "hate", SMALL_CONFIG, seeds=[0, 1])
+        again = ablate_concat(small_corpus, SMALL_CONFIG, seeds=[0, 1])
         assert rows == again  # identical seeds and split across reruns
         csv = ablation_csv(rows)
         assert csv.startswith("scheme,accuracy,macro_f1,precision_pos,recall_pos\n")
@@ -365,9 +383,8 @@ class TestLockstepGroups:
     def test_groups_match_configs_run_alone(
         self, small_corpus, trained_groups, field, values, groups
     ):
-        config, train_side, test_side = _split_for(
-            small_corpus, "hate", SMALL_CONFIG.replace(epochs=3)
-        )
+        config = SMALL_CONFIG.replace(epochs=3)
+        train_side, test_side = _split_for(small_corpus, config)
         configs = [config.replace(**{field: value}) for value in values]
         seeds = (0, 1)
         together = average_over_seeds(train_side, test_side, configs, seeds)
@@ -389,16 +406,15 @@ class TestLockstepGroups:
             stacks.append(weakref.ref(features))
             return real_train(labels, features, config)
 
-        def spy_featurize(side, config, seed=None, out=None):
+        def spy_featurize(side, config, out=None):
             if out is not None:  # the train side of a group
                 featurized_with_live_stack.append(any(ref() is not None for ref in stacks))
-            return real_featurize(side, config, seed, out)
+            return real_featurize(side, config, out)
 
         monkeypatch.setattr(pipeline, "train", spy_train)
         monkeypatch.setattr(pipeline, "featurize_split", spy_featurize)
-        config, train_side, test_side = _split_for(
-            small_corpus, "hate", SMALL_CONFIG.replace(epochs=1)
-        )
+        config = SMALL_CONFIG.replace(epochs=1)
+        train_side, test_side = _split_for(small_corpus, config)
         configs = [config.replace(gamma=gamma) for gamma in self.GAMMAS]
         average_over_seeds(train_side, test_side, configs, (0, 1))
         assert len(stacks) == 6
