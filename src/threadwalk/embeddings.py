@@ -1,20 +1,18 @@
 """Comment embeddings.
 
-Two providers satisfy the same contract (a fixed dimension and a vector
-for every comment): a built-in hashed bag-of-words embedder and a loader
-for externally computed sentence embeddings, which lets precomputed
-transformer vectors plug into the pipeline unchanged.
+Two providers satisfy the same contract (a fixed dimension and one matrix
+row for each of a list of comments): a built-in hashed bag-of-words
+embedder and a loader for externally computed sentence embeddings, which
+lets precomputed transformer vectors plug into the pipeline unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import re
-from array import array
 from pathlib import Path
-from typing import Protocol
+from typing import Iterator, NoReturn, Protocol, Sequence
 
 import numpy as np
 
@@ -37,38 +35,60 @@ def _token_hash(token: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def hashed_bow_embed(text: str, d: int = DEFAULT_BOW_DIM, normalize: bool = False) -> np.ndarray:
-    """Feature-hash unigram counts into ``d`` signed buckets.
+def hashed_bow_matrix(
+    texts: Sequence[str], d: int = DEFAULT_BOW_DIM, normalize: bool = False
+) -> np.ndarray:
+    """Feature-hash the unigram counts of each text into ``d`` signed
+    buckets: one row per text, shape ``(len(texts), d)``.
 
-    Deterministic across runs and platforms; empty text maps to the zero
-    vector (also after normalization).
+    Deterministic across runs and platforms; an empty text maps to the zero
+    row (also after normalization). Each distinct token is hashed once per
+    call. The counts and their squared norms are small integers, so they sum
+    exactly in any order: a row has the same bits whatever texts share the
+    call.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    vec = np.zeros(d, dtype=np.float64)
-    for token in tokenize(text):
-        h = _token_hash(token)
-        sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
-        vec[h % d] += sign
+    codes: dict[str, int] = {}  # token -> 2 * bucket, plus 1 if its sign is negative
+
+    def token_codes() -> Iterator[int]:
+        for row, text in enumerate(texts):
+            for token in tokenize(text):
+                code = codes.get(token)
+                if code is None:
+                    h = _token_hash(token)
+                    code = codes[token] = 2 * (h % d) + (h >> 63)
+                yield 2 * d * row + code
+
+    flat = np.fromiter(token_codes(), dtype=np.int64)  # 2 * (row * d + bucket) + sign bit
+    # bincount of no tokens returns int64 zeros, hence the cast
+    counts = np.bincount(flat >> 1, weights=1.0 - 2.0 * (flat & 1), minlength=len(texts) * d)
+    matrix = counts.astype(np.float64, copy=False).reshape(len(texts), d)
     if normalize:
-        norm = math.sqrt(float(vec @ vec))
-        if norm > 0.0:
-            vec /= norm
-    return vec
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+        matrix /= np.where(norms > 0.0, norms, 1.0)[:, None]
+    return matrix
+
+
+def hashed_bow_embed(text: str, d: int = DEFAULT_BOW_DIM, normalize: bool = False) -> np.ndarray:
+    """The :func:`hashed_bow_matrix` row of one text, shape ``(d,)``."""
+    return hashed_bow_matrix([text], d, normalize)[0]
 
 
 class EmbeddingProvider(Protocol):
-    """Fixed-dimension vectors for every comment of a corpus."""
+    """Fixed-dimension vectors for the comments of a corpus."""
 
     @property
     def dimension(self) -> int: ...
 
-    def vector_for(self, node: CommentNode) -> np.ndarray: ...
+    def vectors(self, nodes: Sequence[CommentNode]) -> np.ndarray:
+        """One row per node, shape ``(len(nodes), dimension)``."""
+        ...
 
 
 class HashedBowProvider:
     """Embeds comments by their text via the hashing trick. Nothing is
-    cached: featurization looks each comment up once per corpus side."""
+    cached: featurization embeds each corpus side once."""
 
     def __init__(self, dimension: int = DEFAULT_BOW_DIM, normalize: bool = True) -> None:
         if dimension < 1:
@@ -80,8 +100,12 @@ class HashedBowProvider:
     def dimension(self) -> int:
         return self._dimension
 
+    def vectors(self, nodes: Sequence[CommentNode]) -> np.ndarray:
+        texts = [node.text for node in nodes]
+        return hashed_bow_matrix(texts, self._dimension, normalize=self.normalize)
+
     def vector_for(self, node: CommentNode) -> np.ndarray:
-        return hashed_bow_embed(node.text, self._dimension, normalize=self.normalize)
+        return self.vectors([node])[0]
 
 
 class ExternalEmbeddingProvider:
@@ -96,22 +120,29 @@ class ExternalEmbeddingProvider:
     def dimension(self) -> int:
         return self._matrix.shape[1]
 
+    def vectors(self, nodes: Sequence[CommentNode]) -> np.ndarray:
+        """The rows of ``nodes``; MissingEmbeddingError names the first node
+        without one, before anything is allocated."""
+        try:
+            rows = [self._rows[node.id] for node in nodes]
+        except KeyError as exc:
+            raise MissingEmbeddingError(f"no embedding for node id {exc.args[0]!r}") from None
+        return self._matrix[np.array(rows, dtype=np.intp)]
+
     def vector_for(self, node: CommentNode) -> np.ndarray:
-        row = self._rows.get(node.id)
-        if row is None:
-            raise MissingEmbeddingError(f"no embedding for node id {node.id!r}")
-        return self._matrix[row]
+        return self.vectors([node])[0]
 
 
 def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
     """Load an embedding file.
 
     Format: first line ``d=<int>``, then one ``<node_id> v1 ... vd`` row
-    per comment. Node ids are treated as corpus-unique.
+    per comment, fields split on whitespace; blank lines are skipped.
+    Values are decimal floats as numpy reads them (``1.5``, ``-2e-3``; not
+    ``1_0``) and must be finite. Node ids are treated as corpus-unique. A
+    bad file raises for its first bad line.
     """
     path = Path(path)
-    rows: dict[str, int] = {}
-    values = array("d")  # the matrix, row after row
     lines = text_lines(path)
     header = next(lines, "").strip()
     if not header.startswith("d=") or not header[2:].isdecimal():
@@ -119,29 +150,60 @@ def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
     dim = int(header[2:])
     if dim < 1:
         raise MalformedFileError(f"{path}: dimension must be >= 1, got {dim}")
-    for lineno, line in enumerate(lines, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        node_id, raw_values = parts[0], parts[1:]
-        if node_id in rows:
-            raise MalformedFileError(f"{path}:{lineno}: duplicate id {node_id!r}")
-        if len(raw_values) != dim:
-            raise DimensionMismatchError(
-                f"{path}:{lineno}: expected {dim} values, got {len(raw_values)}"
+    rows: dict[str, int] = {}
+
+    def value_texts() -> Iterator[str]:
+        for line in lines:
+            parts = line.split(None, 1)
+            if not parts:
+                continue
+            if len(parts) == 1 or parts[0] in rows:
+                raise ValueError("an id without values, or a repeated id")
+            rows[parts[0]] = len(rows)
+            yield parts[1]
+
+    # The table is parsed in one call over lazily read lines. The first
+    # line is taken apart, so that a table without rows reads as (0, d)
+    # without numpy's empty-input warning.
+    texts = value_texts()
+    try:
+        first = next(texts, None)
+        matrix = (
+            np.empty((0, dim))
+            if first is None
+            else np.loadtxt(
+                itertools.chain([first], texts), dtype=np.float64, comments=None, ndmin=2
             )
-        try:
-            vec = np.array([float(v) for v in raw_values], dtype=np.float64)
-        except ValueError:
-            raise MalformedFileError(f"{path}:{lineno}: non-numeric value") from None
-        if not np.all(np.isfinite(vec)):
-            raise MalformedFileError(f"{path}:{lineno}: non-finite value")
-        rows[node_id] = len(rows)
-        values.frombytes(vec.tobytes())
-    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(rows), dim)
+        )
+    except ValueError:
+        _raise_first_fault(path, dim)
+    if matrix.shape != (len(rows), dim) or not np.isfinite(matrix).all():
+        _raise_first_fault(path, dim)
     matrix.setflags(write=False)
     return ExternalEmbeddingProvider(rows, matrix)
+
+
+def _raise_first_fault(path: Path, dim: int) -> NoReturn:
+    """Raise for the first bad line of an embedding file that failed to load."""
+    seen: set[str] = set()
+    for lineno, line in enumerate(itertools.islice(text_lines(path), 1, None), start=2):
+        parts = line.split(None, 1)
+        if not parts:
+            continue
+        node_id, values = parts[0], parts[1:]
+        if node_id in seen:
+            raise MalformedFileError(f"{path}:{lineno}: duplicate id {node_id!r}")
+        seen.add(node_id)
+        count = len(values[0].split()) if values else 0
+        if count != dim:
+            raise DimensionMismatchError(f"{path}:{lineno}: expected {dim} values, got {count}")
+        try:
+            vec = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            raise MalformedFileError(f"{path}:{lineno}: non-numeric value") from None
+        if not np.isfinite(vec).all():
+            raise MalformedFileError(f"{path}:{lineno}: non-finite value")
+    raise MalformedFileError(f"{path}: unreadable embedding table")
 
 
 def save_external_embeddings(vectors: dict[str, np.ndarray], path: str | Path) -> None:

@@ -184,16 +184,11 @@ class CorpusSide:
         self.node_ids = tuple(node.id for _, node in self.pois)
         self.labels = tuple(node.label for _, node in self.pois)
         walked = list(dict.fromkeys(tree for tree, _ in self.pois))
-        self.vectors = np.empty((sum(map(len, walked)), provider.dimension))
-        rows_of: dict[DiscussionTree, dict[str, int]] = {}
-        row = 0
-        for tree in walked:
-            rows_of[tree] = {}
-            for node in tree:
-                self.vectors[row] = provider.vector_for(node)
-                rows_of[tree][node.id] = row
-                row += 1
+        nodes = [node for tree in walked for node in tree]
+        self.vectors = provider.vectors(nodes)
         self.vectors.setflags(write=False)
+        rows = iter(range(len(nodes)))
+        rows_of = {tree: {node.id: next(rows) for node in tree} for tree in walked}
         self.node_rows = [rows_of[tree] for tree, _ in self.pois]
         self._memo: tuple | None = None  # (p, L, step cap, seed), walks, rows, lengths
 

@@ -60,6 +60,11 @@ CHOICES = {  # RunConfig field -> its allowed values
     "scheme": tuple(s.value for s in ConcatScheme),
     "embedding": ("hashed-bow", "external"),
 }
+# The widest hashed bag-of-words vector. Each comment costs bow_dim * 8 bytes
+# in its side's embedding matrix, and each PoI up to 4 * bow_dim * 8 bytes in
+# the feature matrix X (n * D * 8 bytes): at this limit 128 KiB and 512 KiB,
+# so a 2,000-PoI side needs about 1.25 GiB.
+MAX_BOW_DIM = 1 << 14
 _ACCEPTED = {  # annotation -> (accepted Python types, description)
     "str": ((str,), "a string"),
     "int": ((int,), "an integer"),
@@ -118,8 +123,8 @@ class RunConfig:
             raise ConfigError("embedding 'external' needs embedding_file")
         if self.embedding == "external" and not os.path.isfile(self.embedding_file):
             raise ConfigError(f"embedding file not found: {self.embedding_file}")
-        if self.bow_dim < 1:
-            raise ConfigError(f"bow_dim must be >= 1, got {self.bow_dim}")
+        if not 1 <= self.bow_dim <= MAX_BOW_DIM:
+            raise ConfigError(f"bow_dim must be in [1, {MAX_BOW_DIM}], got {self.bow_dim}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
         try:

@@ -1,13 +1,18 @@
 """Shared fixtures: small reference trees, random-tree helpers and the
-test oracles (the ancestor chain and the bag-of-words baseline)."""
+test oracles (the ancestor chain, the bag-of-words baseline, the one-text
+hashed bag-of-words embedder and the line-by-line embedding file parser)."""
 
 from __future__ import annotations
+
+import hashlib
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from threadwalk import features
-from threadwalk.embeddings import HashedBowProvider
+from threadwalk.embeddings import HashedBowProvider, tokenize
 from threadwalk.features import POLARITY_TASK, CorpusSide, Examples
 from threadwalk.model import train
 from threadwalk.tree import CommentNode, DiscussionTree, build_tree
@@ -114,6 +119,33 @@ def ancestors(tree: DiscussionTree, node_id: str) -> list[str]:
         chain.append(cur)
         cur = tree.parent(cur)
     return chain
+
+
+def hashed_bow_oracle(text: str, d: int, normalize: bool) -> np.ndarray:
+    """The hashed bag-of-words vector of one text, a token at a time: each
+    token adds its blake2b sign (the top bit) to bucket ``hash % d``."""
+    vec = np.zeros(d, dtype=np.float64)
+    for token in tokenize(text):
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        h = int.from_bytes(digest, "little")
+        vec[h % d] += 1.0 if (h >> 63) & 1 == 0 else -1.0
+    if normalize:
+        norm = math.sqrt(float(vec @ vec))
+        if norm > 0.0:
+            vec /= norm
+    return vec
+
+
+def parse_embeddings_oracle(path: Path) -> dict[str, np.ndarray]:
+    """The rows of a well-formed embedding file, in file order, each value
+    read by ``float()``."""
+    table = {}
+    with path.open(encoding="utf-8") as handle:
+        next(handle)  # the d=<int> header
+        for line in filter(str.strip, handle):
+            node_id, *values = line.split()
+            table[node_id] = np.array([float(v) for v in values], dtype=np.float64)
+    return table
 
 
 def bow_examples(trees, task, d, *, normalize=False) -> Examples:

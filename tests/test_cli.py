@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from threadwalk import cli, pipeline
 from threadwalk.cli import _resolve_config, build_parser, main
-from threadwalk.pipeline import RunConfig
+from threadwalk.pipeline import MAX_BOW_DIM, RunConfig
 from threadwalk.synthetic import CorpusSpec, generate
 
 
@@ -435,6 +435,33 @@ def test_config_value_outside_choices_exits_2(corpus_path, tmp_path, capsys, nam
 
 
 _RUN_HATE = ["--task", "hate", "--epochs", "2", "--bow-dim", "8"]
+
+
+@pytest.mark.parametrize("bow_dim", [MAX_BOW_DIM + 1, 100_000_000_000])
+def test_bow_dim_above_limit_exits_2(corpus_path, tmp_path, capsys, bow_dim):
+    argv = ["run", "--corpus", str(corpus_path), "--out", str(tmp_path), *_RUN_HATE]
+    assert main(argv + ["--bow-dim", str(bow_dim)]) == 2
+    assert _single_error_line(capsys) == (
+        f"error: bow_dim must be in [1, {MAX_BOW_DIM}], got {bow_dim}"
+    )
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ("d=8\n", "no embedding for node id"),
+        ("d=10000000000\n", "no embedding for node id"),
+        ("d=2\nn1 1_0 0\n", "emb.txt:2: non-numeric value"),
+        ("d=2\nn1 0 0\nn2 \u0661 0\n", "emb.txt:3: non-numeric value"),
+    ],
+    ids=["header-only", "header-only-huge-dimension", "underscore-digits", "non-ascii-digit"],
+)
+def test_unusable_embedding_file_exits_2(corpus_path, tmp_path, capsys, table, message):
+    embeddings = tmp_path / "emb.txt"
+    embeddings.write_text(table, encoding="utf-8")
+    argv = ["run", "--corpus", str(corpus_path), "--out", str(tmp_path / "out"), *_RUN_HATE]
+    assert main(argv + ["--embedding", "external", "--embedding-file", str(embeddings)]) == 2
+    assert message in _single_error_line(capsys)
 
 
 @pytest.mark.parametrize(

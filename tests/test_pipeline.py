@@ -13,6 +13,7 @@ from threadwalk.features import CorpusSide
 from threadwalk.pipeline import (
     LOCKSTEP_CAP,
     MANIFEST_FORMAT,
+    MAX_BOW_DIM,
     RunConfig,
     SeedAverage,
     _select_best,
@@ -70,6 +71,7 @@ class TestRunConfig:
             {"walk_length": 0},
             {"step_cap": 1},
             {"bow_dim": 0},
+            {"bow_dim": MAX_BOW_DIM + 1},
             {"aggregation": "maxpool"},
             {"scheme": "uvw"},
             {"embedding": "magic"},
@@ -82,6 +84,9 @@ class TestRunConfig:
     def test_validation(self, changes):
         with pytest.raises(ConfigError):
             SMALL_CONFIG.replace(**changes).validate()
+
+    def test_bow_dim_limit_is_valid(self):
+        SMALL_CONFIG.replace(bow_dim=MAX_BOW_DIM).validate()
 
 
 class TestRunPipeline:

@@ -1,11 +1,13 @@
-"""The benchmark's tracer on a small grid search and a small ablation.
+"""The benchmark's tracer on a small grid search, a small ablation and a
+small run that reads an embedding file.
 
 The tracer counts a ``loss_and_gradient`` call as an epoch loss pass when
 its ``X`` has as many rows as ``len()`` of the first positional argument of
 ``train``: a keyword call to ``train`` fails a traced run, and an epoch
-pass over a stack of models miscounts. These run the bench's own grid and
-ablation commands on a small corpus, traced and untraced, and read the
-counters the bench reports.
+pass over a stack of models miscounts. It times the embedding file's load
+inside ``RunConfig.build_provider``. These run the bench's own commands on
+a small corpus, traced and untraced, and read the counters the bench
+reports.
 """
 
 from __future__ import annotations
@@ -36,19 +38,33 @@ from workloads import WORKLOADS  # noqa: E402
     ],
 )
 def test_traced_counts_and_outputs(tmp_path, name, epochs, groups, walk_passes):
+    workload, stats, metrics = _traced_and_plain(tmp_path, name)
+    assert metrics["model.epoch_loss_passes"] == workload.replicates * epochs
+    assert metrics["pipeline.replicates"] == groups
+    assert metrics["walks.samples"] == walk_passes * stats["pois_per_replicate"]
+
+
+def test_traced_external_embedding_run(tmp_path):
+    _, stats, metrics = _traced_and_plain(tmp_path, "run-polarity-external")
+    assert metrics["embeddings.providers_built"] == 1
+    assert metrics["embeddings.provider_s"] > 0.0
+    assert metrics["walks.samples"] == stats["pois_per_replicate"]
+
+
+def _traced_and_plain(tmp_path, name):
+    """Run workload ``name`` cut to 150 nodes, traced and untraced; check that
+    both write the same bytes and return the workload, its input stats and
+    the traced run's per-layer metrics."""
     workload = dataclasses.replace(WORKLOADS[name], nodes=150)
     stats = make_inputs(workload, 1, tmp_path)
     spans = tmp_path / "spans.npz"
     tracer = [sys.executable, str(run.HERE / "tracer.py"), str(spans)]
+    corpus, embeddings = tmp_path / "corpus.jsonl", tmp_path / "embeddings.txt"
     for prefix, out in ((tracer, "traced"), ([sys.executable, "-m", "threadwalk.cli"], "plain")):
-        argv = prefix + workload.command(tmp_path / "corpus.jsonl", None, tmp_path / out)
+        argv = prefix + workload.command(corpus, embeddings, tmp_path / out)
         subprocess.run(argv, env=run.child_env(), check=True, capture_output=True)
     for output in workload.outputs:
         traced, plain = (tmp_path / out / output for out in ("traced", "plain"))
         assert traced.read_bytes() == plain.read_bytes()
-
     layers = run.layer_metrics(spans, stats, traced_wall=1.0, untraced_wall=1.0)
-    metrics = {metric: m["value"] for metric, m in layers["metrics"].items()}
-    assert metrics["model.epoch_loss_passes"] == workload.replicates * epochs
-    assert metrics["pipeline.replicates"] == groups
-    assert metrics["walks.samples"] == walk_passes * stats["pois_per_replicate"]
+    return workload, stats, {metric: m["value"] for metric, m in layers["metrics"].items()}
