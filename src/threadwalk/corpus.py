@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MalformedFileError, ThreadwalkError
-from .tree import CommentNode, DiscussionTree, build_tree, to_baf
+from .tree import CommentNode, DiscussionTree, build_tree, tree_stats
 
 # The exact JSON types of each id field: a bool is not an integer id.
 _ID_TYPES = {"tree_id": {str, int}, "id": {str, int}, "parent_id": {str, int, type(None)}}
@@ -112,26 +112,8 @@ def save_corpus(trees: Iterable[DiscussionTree], path: str | Path) -> None:
     write_lines(path, (json.dumps(record, sort_keys=True) + "\n" for record in records))
 
 
-def export_baf(tree: DiscussionTree, path: str | Path) -> None:
-    """Write the tree's argumentation edges, one JSON edge per line."""
-    framework = to_baf(tree)
-    relation = {edge: "attack" for edge in framework.attacks}
-    relation.update({edge: "support" for edge in framework.supports})
-    edges = ((node.id, node.parent_id) for node in tree if node.id != tree.root_id)
-    write_lines(
-        path,
-        (
-            json.dumps({"source": u, "target": v, "relation": relation[u, v]}, sort_keys=True)
-            + "\n"
-            for u, v in edges
-        ),
-    )
-
-
 def corpus_stats(trees: Sequence[DiscussionTree]) -> dict:
     """Aggregate corpus-level counts used by the CLI validate command."""
-    from .tree import tree_stats
-
     stats = [tree_stats(tree) for tree in trees]
     label_counts = sum((Counter(s.label_counts) for s in stats), Counter())
     return {

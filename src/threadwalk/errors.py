@@ -36,10 +36,6 @@ class UnknownIdError(ThreadwalkError):
     """An id was looked up that is not part of the tree."""
 
 
-class MissingPolarityLabelError(ThreadwalkError):
-    """A non-root node lacks a support/attack label."""
-
-
 # --- embeddings and features ---
 
 class DimensionMismatchError(InputError):

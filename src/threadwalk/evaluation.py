@@ -22,12 +22,14 @@ from .errors import (
     TooFewTreesError,
     UnknownIdError,
 )
-from .features import Examples
+from .features import HATE_TASK, POLARITY_TASK, TASK_LABELS, Examples
 from .model import SoftmaxModel, predict_labels
 from .seeding import derived_rng
 from .tree import DiscussionTree
 
-_POSITIVE_CANDIDATES = ("hate", "support")
+# The positive class of a binary report is the first of these among its
+# classes (hate before support), else its last class.
+_POSITIVE_PREFERENCE = tuple(TASK_LABELS[task][0] for task in (HATE_TASK, POLARITY_TASK))
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,6 @@ def report_from_pairs(
     y_true: Sequence[str],
     y_pred: Sequence[str],
     class_names: Sequence[str] | None = None,
-    positive_label: str | None = None,
 ) -> EvalReport:
     """Tally a confusion matrix from raw (true, predicted) pairs."""
     if len(y_true) == 0:
@@ -112,12 +113,10 @@ def report_from_pairs(
     confusion = np.zeros((len(names), len(names)), dtype=np.int64)
     for t, p in zip(y_true, y_pred):
         confusion[index[t], index[p]] += 1
-    return _report_from_confusion(names, confusion, positive_label)
+    return _report_from_confusion(names, confusion)
 
 
-def _report_from_confusion(
-    names: tuple[str, ...], confusion: np.ndarray, positive_label: str | None
-) -> EvalReport:
+def _report_from_confusion(names: tuple[str, ...], confusion: np.ndarray) -> EvalReport:
     total = int(confusion.sum())
     diag = np.diag(confusion).astype(np.float64)
     col_sums = confusion.sum(axis=0).astype(np.float64)
@@ -135,11 +134,7 @@ def _report_from_confusion(
             stacklevel=3,
         )
 
-    pos = None
-    if len(names) == 2:
-        pos = positive_label if positive_label is not None else _default_positive(names)
-        if pos not in names:
-            raise ValueError(f"positive label {pos!r} not among classes {names}")
+    pos = _positive_label(names) if len(names) == 2 else None
     pos_idx = names.index(pos) if pos is not None else None
 
     return EvalReport(
@@ -160,8 +155,8 @@ def _report_from_confusion(
     )
 
 
-def _default_positive(names: tuple[str, ...]) -> str:
-    for candidate in _POSITIVE_CANDIDATES:
+def _positive_label(names: tuple[str, ...]) -> str:
+    for candidate in _POSITIVE_PREFERENCE:
         if candidate in names:
             return candidate
     return names[-1]

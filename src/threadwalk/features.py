@@ -31,7 +31,7 @@ from .walks import WalkConfig, WalkSample, sample_walk, walk_rng, walk_weights
 POLARITY_TASK = "polarity"
 HATE_TASK = "hate"
 TASKS = (POLARITY_TASK, HATE_TASK)
-TASK_LABELS = {
+TASK_LABELS = {  # task -> its (positive, negative) labels
     POLARITY_TASK: ("support", "attack"),
     HATE_TASK: ("hate", "non-hate"),
 }

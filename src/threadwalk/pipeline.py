@@ -37,7 +37,7 @@ from .embeddings import (
     HashedBowProvider,
     load_external_embeddings,
 )
-from .errors import ConfigError
+from .errors import ConfigError, EmptyEvalSetError
 from .evaluation import EvalReport, evaluate, split_trees
 from .features import (
     AggregationStrategy,
@@ -421,10 +421,17 @@ def read_manifest(path: str | Path) -> tuple[RunConfig, dict]:
 
 
 def _split_for(trees: Sequence[DiscussionTree], config: RunConfig) -> list[CorpusSide]:
-    """Validate ``config`` and build the train and test sides of its split."""
+    """Validate ``config`` and build the train and test sides of its split;
+    EmptyEvalSetError, before anything is featurized, when the test side
+    has no PoIs."""
     config.validate()
     train_trees, test_trees = split_trees(trees, config.split_fraction, config.seed)
-    return corpus_sides(config, trees, train_trees, test_trees)
+    train_side, test_side = corpus_sides(config, trees, train_trees, test_trees)
+    if not test_side.pois:
+        raise EmptyEvalSetError(
+            f"the test side of the {config.task} split at seed {config.seed} has no PoIs"
+        )
+    return [train_side, test_side]
 
 
 def _check_values(name: str, values: Sequence[float]) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSpecError
-from .features import HATE_TASK, POLARITY_TASK, TASKS
+from .features import HATE_TASK, POLARITY_TASK, TASK_LABELS, TASKS
 from .tree import CommentNode, DiscussionTree, build_tree
 
 PLANT_PREFIX = "kcx"
@@ -31,8 +31,6 @@ SELF_POS_TOKEN = "ksp"
 SELF_NEG_TOKEN = "ksn"
 _SIGNAL_REPEATS = 3
 _ANCESTOR_DISTANCE = {HATE_TASK: 1, POLARITY_TASK: 2}
-POSITIVE_LABEL = {HATE_TASK: "hate", POLARITY_TASK: "support"}
-NEGATIVE_LABEL = {HATE_TASK: "non-hate", POLARITY_TASK: "attack"}
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,7 @@ class GeneratedCorpus:
 
     def positive_fraction_realized(self) -> float:
         labels = [node.label for tree in self.trees for node in tree if node.label is not None]
-        return labels.count(POSITIVE_LABEL[self.spec.task]) / len(labels) if labels else 0.0
+        return labels.count(TASK_LABELS[self.spec.task][0]) / len(labels) if labels else 0.0
 
     def context_fraction_realized(self) -> float:
         if not self.provenance:
@@ -109,8 +107,7 @@ def plant_token(depth: int, task: str) -> str:
 def generate(spec: CorpusSpec) -> GeneratedCorpus:
     """Generate a labeled corpus; deterministic per spec and seed."""
     rng = np.random.default_rng(spec.seed)
-    positive = POSITIVE_LABEL[spec.task]
-    negative = NEGATIVE_LABEL[spec.task]
+    positive, negative = TASK_LABELS[spec.task]
     distance = _ANCESTOR_DISTANCE[spec.task]
 
     trees: list[DiscussionTree] = []

@@ -11,20 +11,16 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     CycleDetectedError,
     DanglingParentError,
     DuplicateIdError,
-    MissingPolarityLabelError,
     MultipleRootsError,
     NoRootError,
     UnknownIdError,
 )
-
-SUPPORT = "support"
-ATTACK = "attack"
 
 
 @dataclass(frozen=True)
@@ -43,32 +39,12 @@ class CommentNode:
 
 
 @dataclass(frozen=True)
-class BipolarFramework:
-    """Arguments with disjoint attack and support relations."""
-
-    arguments: frozenset[str]
-    attacks: frozenset[tuple[str, str]]
-    supports: frozenset[tuple[str, str]]
-
-    def is_conflict_free(self, subset: Iterable[str]) -> bool:
-        """True when no argument in ``subset`` attacks another one in it."""
-        members = set(subset)
-        unknown = members - self.arguments
-        if unknown:
-            raise UnknownIdError(f"not arguments of this framework: {sorted(unknown)}")
-        return all(not (a in members and b in members) for a, b in self.attacks)
-
-
-@dataclass(frozen=True)
 class TreeStats:
     """Exact per-tree counts."""
 
     nodes: int
     depth: int
     label_counts: dict[str, int]
-    attacks: int
-    supports: int
-    support_fraction: float | None
 
 
 class DiscussionTree:
@@ -185,55 +161,12 @@ def _check_acyclic(nodes: dict[str, CommentNode]) -> None:
         done.update(chain)
 
 
-def to_baf(tree: DiscussionTree) -> BipolarFramework:
-    """Export the tree as a bipolar argumentation framework.
-
-    Every reply edge (child, parent) lands in the attack or support
-    relation according to the child's polarity label; the relations are
-    disjoint by construction.
-    """
-    attacks: set[tuple[str, str]] = set()
-    supports: set[tuple[str, str]] = set()
-    for node in tree:
-        if node.id == tree.root_id:
-            continue
-        if node.label == ATTACK:
-            attacks.add((node.id, node.parent_id))
-        elif node.label == SUPPORT:
-            supports.add((node.id, node.parent_id))
-        else:
-            raise MissingPolarityLabelError(
-                f"node {node.id!r} has no support/attack label (got {node.label!r})"
-            )
-    return BipolarFramework(
-        arguments=frozenset(tree.node_ids()),
-        attacks=frozenset(attacks),
-        supports=frozenset(supports),
-    )
-
-
 def tree_stats(tree: DiscussionTree) -> TreeStats:
-    """Exact node, depth and label counts for one tree.
-
-    The support fraction is reported as ``None`` when no edge carries a
-    polarity label.
-    """
+    """Exact node, depth and label counts for one tree."""
     label_counts = dict(Counter(node.label for node in tree if node.label is not None))
-    edge_labels = [node.label for node in tree if node.id != tree.root_id]
-    n_attack, n_support = edge_labels.count(ATTACK), edge_labels.count(SUPPORT)
 
     depth, level = -1, [tree.root_id]
     while level:
         depth += 1
         level = [kid for nid in level for kid in tree.children(nid)]
-
-    labeled_edges = n_attack + n_support
-    fraction = n_support / labeled_edges if labeled_edges else None
-    return TreeStats(
-        nodes=len(tree),
-        depth=depth,
-        label_counts=label_counts,
-        attacks=n_attack,
-        supports=n_support,
-        support_fraction=fraction,
-    )
+    return TreeStats(nodes=len(tree), depth=depth, label_counts=label_counts)

@@ -110,6 +110,31 @@ def test_wrong_task_label_domain_exits_2(corpus_path, tmp_path, capsys):
     assert "label" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("command", ["run", "grid-search", "ablate-concat"])
+def test_test_side_without_pois_exits_1_before_featurizing(tmp_path, capsys, monkeypatch, command):
+    # Six polarity trees. Seed 3 puts only t3 on the test side, and t3 is a
+    # bare root, which is no polarity PoI.
+    rows = []
+    for t in range(6):
+        rows.append({"tree_id": f"t{t}", "id": f"t{t}r", "parent_id": None, "text": "root"})
+        if t in (1, 2, 4):
+            for label in ("support", "attack"):
+                rows.append(
+                    {"tree_id": f"t{t}", "id": f"t{t}{label}", "parent_id": f"t{t}r",
+                     "text": label, "label": label}
+                )
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    monkeypatch.setattr(pipeline, "featurize_corpus", lambda *a, **k: pytest.fail("featurized"))
+    out = tmp_path / "out"
+    argv = [command, "--corpus", str(path), "--out", str(out), "--task", "polarity", "--seed", "3"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: the test side of the polarity split at seed 3 has no PoIs"]
+    assert not (out / "model.txt").exists()
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_train_then_evaluate_matches_run_report(corpus_path, tmp_path, capsys):
     rundir = tmp_path / "run"
     assert (

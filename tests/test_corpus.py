@@ -1,12 +1,11 @@
-"""Corpus file round trips and BAF export."""
+"""Corpus file round trips and corpus stats."""
 
 import json
 
 import pytest
 
-from threadwalk.corpus import export_baf, load_corpus, save_corpus, write_lines
+from threadwalk.corpus import corpus_stats, load_corpus, save_corpus, write_lines
 from threadwalk.errors import MalformedFileError
-from threadwalk.corpus import corpus_stats
 
 
 def _write(tmp_path, lines, name="corpus.jsonl"):
@@ -74,17 +73,6 @@ def test_blank_lines_skipped(tmp_path):
     path = _write(tmp_path, [_record("t", "r", None, "x"), "", _record("t", "c", "r", "y")])
     trees = load_corpus(path)
     assert len(trees) == 1 and len(trees[0]) == 2
-
-
-def test_export_baf(tmp_path, debate_tree):
-    path = tmp_path / "edges.jsonl"
-    export_baf(debate_tree, path)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert rows == [
-        {"relation": "attack", "source": "b", "target": "a"},
-        {"relation": "support", "source": "c", "target": "b"},
-        {"relation": "attack", "source": "d", "target": "c"},
-    ]
 
 
 def test_corpus_stats(debate_tree, fan_tree):

@@ -112,10 +112,6 @@ class TestReportFromPairs:
         report = report_from_pairs(["support", "attack"], ["support", "attack"])
         assert report.positive_label == "support"
 
-    def test_explicit_positive_label(self):
-        report = report_from_pairs(["a", "b"], ["a", "b"], positive_label="a")
-        assert report.positive_label == "a"
-
     def test_empty_pairs(self):
         with pytest.raises(EmptyEvalSetError):
             report_from_pairs([], [])

@@ -2,12 +2,15 @@
 
 The digests below pin the exact bytes the CLI writes for a 60-tree hate
 corpus (seed 3, 5 epochs, d=32), and for a 60-tree polarity corpus (seed 3)
-featurized with hashed bag-of-words and with an external embedding file. A
-refactor that changes any output, even in the last digit of a float, fails
-here and names the file.
+featurized with hashed bag-of-words and with an external embedding file,
+plus what ``generate`` and ``validate`` print for both corpora. A refactor
+that changes any output, even in the last digit of a float, fails here and
+names the file.
 """
 
+import contextlib
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -48,13 +51,31 @@ GOLDEN = {
     "polarity/featurize/traces.jsonl": "1d3bd1a447536784f450b821bbc573ebe2a58f8e58182123e12579a16a7071d5",
 }
 
+# What ``generate`` and ``validate`` print, with the output root spelled ROOT.
+PRINTED = {
+    "stdout/generate.txt": "2368a1a511ba9a2105e17a2aaa025cfde203b9214aa4c90815ddb09d52c85e73",
+    "stdout/validate.txt": "4d952ea4c8060453aa84086ef047d914280776e4ceedffb48ad40a4295cfa3d2",
+    "polarity/stdout/generate.txt": "3df4bc19588e4f9152d6d8513987f9a14b636da482c8406c6a2715aab7f82c23",
+    "polarity/stdout/validate.txt": "0c2aa6ebb72b3fb509db6218eda7db862b306bd8009ee06317751e80f621754b",
+}
+
+
+def printed(root, argv, name):
+    """Run one command; keep its stdout as ``root / name``."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(argv) == 0, argv
+    (root / name).parent.mkdir(parents=True, exist_ok=True)
+    (root / name).write_text(buffer.getvalue().replace(str(root), "ROOT"))
+
 
 def golden_outputs(root):
     """Run every subcommand under ``root``; return {relative path: sha256}."""
     corpus = root / "corpus.jsonl"
+    printed(root, ["generate", "--output", str(corpus), "--task", "hate", "--num-trees",
+                   "60", "--seed", "3"], "stdout/generate.txt")
+    printed(root, ["validate", str(corpus)], "stdout/validate.txt")
     commands = [
-        ["generate", "--output", str(corpus), "--task", "hate", "--num-trees", "60",
-         "--seed", "3"],
         ["run", "--corpus", str(corpus), "--out", str(root / "run"), "--dump-features"],
         ["grid-search", "--corpus", str(corpus), "--out", str(root / "grid"),
          "--p-values", "0.5,1.0", "--gamma-values", "0.0,0.8", "--seeds", "0,1",
@@ -71,11 +92,11 @@ def golden_outputs(root):
     ]
     (root / "featurize").mkdir()
     for argv in commands:
-        extra = FLAGS if argv[0] != "generate" else []
-        assert main(argv + extra) == 0, argv
+        assert main(argv + FLAGS) == 0, argv
     polarity_outputs(root / "polarity")
     return {
-        name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in GOLDEN
+        name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+        for name in {**GOLDEN, **PRINTED}
     }
 
 
@@ -86,7 +107,8 @@ def polarity_outputs(root):
     embeddings = root / "embeddings.txt"
     (root / "featurize").mkdir(parents=True)
     argv = ["generate", "--output", str(corpus), "--task", "polarity", "--num-trees", "60"]
-    assert main(argv + ["--seed", "3"]) == 0
+    printed(root, argv + ["--seed", "3"], "stdout/generate.txt")
+    printed(root, ["validate", str(corpus)], "stdout/validate.txt")
     rng = np.random.default_rng(3)
     node_ids = [node.id for tree in load_corpus(corpus) for node in tree]
     save_external_embeddings({nid: rng.standard_normal(16) for nid in node_ids}, embeddings)
@@ -110,3 +132,8 @@ def digests(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_unchanged(digests, name):
     assert digests[name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED))
+def test_printed_output_unchanged(digests, name):
+    assert digests[name] == PRINTED[name]

@@ -18,9 +18,6 @@ from threadwalk.pipeline import RunConfig
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "threadwalk"
 
-# Documented library API that no command uses; its tests stay.
-ALLOWED = {("corpus", "export_baf")}
-
 
 def _public_definitions(module: ast.Module) -> list[ast.stmt]:
     kinds = (ast.FunctionDef, ast.ClassDef)
@@ -56,7 +53,7 @@ def test_every_public_definition_is_reached():
                 name in names for other, names in names_in.items() if other != stem
             )
             in_perfbench = re.search(rf"\b{name}\b", perfbench) is not None
-            if not (in_package or in_perfbench or (stem, name) in ALLOWED):
+            if not (in_package or in_perfbench):
                 unreached.append(f"{stem}.{name}")
     assert unreached == [], f"public definitions nothing in src/ or perfbench/ reaches: {unreached}"
 

@@ -4,7 +4,8 @@ import pytest
 
 from threadwalk.corpus import save_corpus
 from threadwalk.errors import InvalidSpecError
-from threadwalk.evaluation import evaluate, split_trees
+from threadwalk.evaluation import evaluate, report_from_pairs, split_trees
+from threadwalk.features import TASK_LABELS, TASKS
 from threadwalk.model import TrainConfig
 from threadwalk.embeddings import tokenize
 from threadwalk.synthetic import (
@@ -70,6 +71,28 @@ class TestCalibration:
         replies = sum(len(t) - 1 for t in corpus.trees)
         labeled = sum(1 for t in corpus.trees for n in t if n.label is not None)
         assert labeled == replies
+
+
+class TestLabelTable:
+    """``TASK_LABELS[task]``, positive label first, is the only spelling of
+    a task's labels: the generator, its realized fraction and the report's
+    positive class all read it."""
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_generator_and_report_read_the_table(self, task):
+        positive, negative = TASK_LABELS[task]
+        corpus = generate(CorpusSpec(num_trees=30, positive_fraction=0.3, seed=5, task=task))
+        labels = [n.label for t in corpus.trees for n in t if n.label is not None]
+        assert set(labels) == {positive, negative}
+        assert corpus.positive_fraction_realized() == labels.count(positive) / len(labels)
+        # The negative label is listed last, so only the table picks the positive one.
+        report = report_from_pairs([positive, negative], [negative, negative], (positive, negative))
+        assert report.positive_label == positive
+
+    @pytest.mark.parametrize("class_names", [None, ("hate", "support"), ("support", "hate")])
+    def test_hate_before_support(self, class_names):
+        report = report_from_pairs(["hate", "support"], ["support", "support"], class_names)
+        assert report.positive_label == "hate"
 
 
 class TestDeterminism:

@@ -1,4 +1,4 @@
-"""Discussion tree construction, traversal and BAF export."""
+"""Discussion tree construction, traversal and per-tree stats."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,11 @@ from threadwalk.errors import (
     CycleDetectedError,
     DanglingParentError,
     DuplicateIdError,
-    MissingPolarityLabelError,
     MultipleRootsError,
     NoRootError,
     UnknownIdError,
 )
-from threadwalk.tree import CommentNode, build_tree, to_baf, tree_stats
+from threadwalk.tree import CommentNode, build_tree, tree_stats
 
 from conftest import ancestors, make_chain, random_records, random_tree
 
@@ -122,58 +121,18 @@ class TestAncestors:
             ancestors(forked_tree, "nope")
 
 
-class TestBaf:
-    def test_debate_relations(self, debate_tree):
-        baf = to_baf(debate_tree)
-        assert baf.arguments == frozenset({"a", "b", "c", "d"})
-        assert baf.attacks == frozenset({("b", "a"), ("d", "c")})
-        assert baf.supports == frozenset({("c", "b")})
-
-    def test_single_node(self):
-        tree = build_tree([CommentNode("solo", None, "x")])
-        baf = to_baf(tree)
-        assert baf.arguments == frozenset({"solo"})
-        assert baf.attacks == frozenset()
-        assert baf.supports == frozenset()
-
-    def test_every_edge_covered_once(self):
-        rng = np.random.default_rng(7)
-        tree = random_tree(rng, 50, label_choices=("support", "attack"))
-        baf = to_baf(tree)
-        # oracle: enumerate reply edges straight from the records
-        edges = {(n.id, n.parent_id) for n in tree if n.parent_id is not None}
-        assert len(baf.attacks) + len(baf.supports) == 49
-        assert baf.attacks | baf.supports == edges
-        assert baf.attacks & baf.supports == frozenset()
-
-    def test_missing_label(self, forked_tree):
-        with pytest.raises(MissingPolarityLabelError):
-            to_baf(forked_tree)
-
-    def test_conflict_freeness(self, debate_tree):
-        baf = to_baf(debate_tree)
-        assert baf.is_conflict_free({"a", "c"})
-        assert not baf.is_conflict_free({"a", "b"})
-        assert baf.is_conflict_free(set())
-        with pytest.raises(UnknownIdError):
-            baf.is_conflict_free({"zz"})
-
-
 class TestTreeStats:
     def test_debate_counts(self, debate_tree):
         stats = tree_stats(debate_tree)
         assert stats.nodes == 4
-        assert stats.attacks == 2
-        assert stats.supports == 1
-        assert stats.support_fraction == pytest.approx(1 / 3)
+        assert stats.label_counts == {"attack": 2, "support": 1}
         assert stats.depth == 3
 
     def test_single_node(self):
         stats = tree_stats(build_tree([CommentNode("solo", None, "x")]))
         assert stats.nodes == 1
         assert stats.depth == 0
-        assert stats.attacks == 0 and stats.supports == 0
-        assert stats.support_fraction is None
+        assert stats.label_counts == {}
 
     def test_fraction_matches_label_draw(self):
         rng = np.random.default_rng(3)
@@ -184,5 +143,5 @@ class TestTreeStats:
             n_support += label == "support"
             records.append(CommentNode(f"m{i:04d}", f"m{int(rng.integers(0, i)):04d}", "t", label=label))
         stats = tree_stats(build_tree(records))
-        assert stats.supports == n_support
-        assert stats.support_fraction == pytest.approx(0.431, abs=0.05)
+        assert stats.label_counts == {"support": n_support, "attack": 999 - n_support}
+        assert n_support / 999 == pytest.approx(0.431, abs=0.05)
