@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .corpus import corpus_stats, load_corpus, save_corpus, write_lines
 from .errors import ConfigError, InputError, ThreadwalkError, TooFewTreesError
-from .evaluation import error_analysis, evaluate, split_trees
+from .evaluation import error_analysis, evaluate
 from .features import Examples
 from .model import load_model, save_model, train
 from .pipeline import (
@@ -34,6 +34,7 @@ from .pipeline import (
     grid_search,
     read_manifest,
     run_pipeline,
+    split_sides,
     write_json,
     write_manifest,
 )
@@ -47,9 +48,8 @@ _FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, OSError) as exc:
         # Only the --corpus trees are ever split, so name that file.
@@ -65,8 +65,16 @@ def entrypoint() -> None:
     sys.exit(main())
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError on a bad flag instead of printing usage and exiting,
+    so that it ends as one ``error:`` line and exit 2; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="threadwalk",
         description="Walk-based context features for threaded-discussion classification.",
     )
@@ -188,17 +196,17 @@ def _parse_list(text: str | None, extras: dict, key: str, cast: type, default: t
 
 
 def _featurized(
-    args: argparse.Namespace, side: str | None
+    args: argparse.Namespace, side: int | None
 ) -> tuple[RunConfig, list[DiscussionTree], Examples]:
-    """Resolve the config, load the corpus, keep the ``"train"`` or ``"test"``
-    side of the split (or every tree for ``None``) and featurize it."""
+    """Resolve the config, load the corpus and featurize side ``side`` of its
+    split (0 train, 1 test), or the whole corpus for None."""
     config, _ = _resolve_config(args)
-    corpus = trees = load_corpus(args.corpus)
-    if side is not None:
-        train_trees, test_trees = split_trees(corpus, config.split_fraction, config.seed)
-        trees = train_trees if side == "train" else test_trees
-    (corpus_side,) = corpus_sides(config, corpus, trees)
-    return config, trees, featurize_split(corpus_side, config)
+    corpus = load_corpus(args.corpus)
+    if side is None:
+        (corpus_side,) = corpus_sides(config, corpus, corpus)
+    else:
+        corpus_side = split_sides(corpus, config)[side]
+    return config, corpus, featurize_split(corpus_side, config)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -233,7 +241,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config, _, examples = _featurized(args, "train")
+    config, _, examples = _featurized(args, 0)
     (model,) = train(examples.labels, examples.X[None], config.train_config())
     outdir = _outdir(args)
     save_model(model, outdir / "model.txt")
@@ -244,7 +252,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    _, _, examples = _featurized(args, "test")
+    _, _, examples = _featurized(args, 1)
     report = evaluate(model, examples)
     print(report.to_text(), end="")
     if args.out:
@@ -301,8 +309,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_error_analysis(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    _, test_trees, examples = _featurized(args, "test")
-    result = error_analysis(model, examples, test_trees)
+    _, corpus, examples = _featurized(args, 1)
+    result = error_analysis(model, examples, corpus)
     outdir = _outdir(args)
     write_lines(outdir / "errors.jsonl", [result.to_jsonl()])
     print(

@@ -196,6 +196,19 @@ def corpus_sides(
     return [CorpusSide(part, provider, config.task) for part in parts]
 
 
+def split_sides(trees: Sequence[DiscussionTree], config: RunConfig) -> list[CorpusSide]:
+    """Validate ``config`` and build the train and test sides of its split;
+    EmptyEvalSetError before any featurization if the test side has no PoIs."""
+    config.validate()
+    train_trees, test_trees = split_trees(trees, config.split_fraction, config.seed)
+    train_side, test_side = corpus_sides(config, trees, train_trees, test_trees)
+    if not test_side.pois:
+        raise EmptyEvalSetError(
+            f"the test side of the {config.task} split at seed {config.seed} has no PoIs"
+        )
+    return [train_side, test_side]
+
+
 @dataclass
 class PipelineResult:
     report: EvalReport
@@ -337,7 +350,7 @@ def run_pipeline(
     dump_features: bool = False,
 ) -> PipelineResult:
     """Execute split -> featurize -> train -> evaluate and write artifacts."""
-    train_side, test_side = _split_for(trees, config)
+    train_side, test_side = split_sides(trees, config)
     ((model, report, train_examples, test_examples),) = replicate(train_side, test_side, [config])
 
     artifacts: dict[str, Path] = {}
@@ -420,20 +433,6 @@ def read_manifest(path: str | Path) -> tuple[RunConfig, dict]:
     return RunConfig.from_dict(config), extras
 
 
-def _split_for(trees: Sequence[DiscussionTree], config: RunConfig) -> list[CorpusSide]:
-    """Validate ``config`` and build the train and test sides of its split;
-    EmptyEvalSetError, before anything is featurized, when the test side
-    has no PoIs."""
-    config.validate()
-    train_trees, test_trees = split_trees(trees, config.split_fraction, config.seed)
-    train_side, test_side = corpus_sides(config, trees, train_trees, test_trees)
-    if not test_side.pois:
-        raise EmptyEvalSetError(
-            f"the test side of the {config.task} split at seed {config.seed} has no PoIs"
-        )
-    return [train_side, test_side]
-
-
 def _check_values(name: str, values: Sequence[float]) -> None:
     """Raise ConfigError if ``values`` is empty or repeats a value; ``0.0``
     equals ``-0.0``, as they would as cell keys."""
@@ -477,7 +476,7 @@ def grid_search(
         _check_values(name, values)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    train_side, test_side = _split_for(trees, config)
+    train_side, test_side = split_sides(trees, config)
     rows = [[config.replace(p=p, gamma=g) for g in gamma_values] for p in p_values]
     for cell_config in itertools.chain(*rows):
         cell_config.validate()
@@ -512,7 +511,7 @@ def ablate_concat(
 ) -> list[SeedAverage]:
     """Compare the four concatenation schemes under identical seeds."""
     _check_values("seeds", seeds)
-    train_side, test_side = _split_for(trees, config)
+    train_side, test_side = split_sides(trees, config)
     configs = [config.replace(scheme=scheme.value) for scheme in ConcatScheme]
     return average_over_seeds(train_side, test_side, configs, seeds)
 

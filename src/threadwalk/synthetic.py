@@ -18,6 +18,7 @@ never appears in that node's own text.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,10 @@ class CorpusSpec:
     task: str = HATE_TASK
 
     def __post_init__(self) -> None:
+        for name in ("mean_tree_size", "size_dispersion", "branching"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidSpecError(f"{name} must be finite, got {value}")
         if self.num_trees < 1:
             raise InvalidSpecError(f"num_trees must be >= 1, got {self.num_trees}")
         if self.mean_tree_size < 1:

@@ -7,12 +7,14 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from threadwalk import cli, pipeline
 from threadwalk.cli import _resolve_config, build_parser, main
+from threadwalk.model import SoftmaxModel, save_model
 from threadwalk.pipeline import MAX_BOW_DIM, RunConfig
 from threadwalk.synthetic import CorpusSpec, generate
 
@@ -110,10 +112,14 @@ def test_wrong_task_label_domain_exits_2(corpus_path, tmp_path, capsys):
     assert "label" in capsys.readouterr().err.lower()
 
 
-@pytest.mark.parametrize("command", ["run", "grid-search", "ablate-concat"])
+@pytest.mark.parametrize(
+    "command",
+    ["run", "grid-search", "ablate-concat", "train", "evaluate", "error-analysis"],
+)
 def test_test_side_without_pois_exits_1_before_featurizing(tmp_path, capsys, monkeypatch, command):
     # Six polarity trees. Seed 3 puts only t3 on the test side, and t3 is a
-    # bare root, which is no polarity PoI.
+    # bare root, which is no polarity PoI. Every command that splits the
+    # corpus refuses the split before it featurizes either side.
     rows = []
     for t in range(6):
         rows.append({"tree_id": f"t{t}", "id": f"t{t}r", "parent_id": None, "text": "root"})
@@ -128,6 +134,11 @@ def test_test_side_without_pois_exits_1_before_featurizing(tmp_path, capsys, mon
     monkeypatch.setattr(pipeline, "featurize_corpus", lambda *a, **k: pytest.fail("featurized"))
     out = tmp_path / "out"
     argv = [command, "--corpus", str(path), "--out", str(out), "--task", "polarity", "--seed", "3"]
+    if command in ("evaluate", "error-analysis"):
+        # The model is loaded before the split, so any valid model file does.
+        model = tmp_path / "model.txt"
+        save_model(SoftmaxModel(np.zeros((2, 1)), np.zeros(2), ("attack", "support")), model)
+        argv += ["--model", str(model)]
     assert main(argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["error: the test side of the polarity split at seed 3 has no PoIs"]
@@ -323,10 +334,26 @@ def test_env_var_sets_default_outdir(corpus_path, tmp_path, monkeypatch):
     assert (outdir / "model.txt").exists()
 
 
-def test_bad_flag_exits_2(corpus_path):
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["run", "--corpus", "{corpus}", "--task", "sentiment"], "--task"),
+        (["run", "--corpus", "{corpus}", "--epochs", "1.5"], "--epochs"),
+        (["run"], "--corpus"),
+        (["sentiment"], "invalid choice: 'sentiment'"),
+    ],
+    ids=["task", "epochs", "no-corpus", "subcommand"],
+)
+def test_bad_flag_exits_2(corpus_path, capsys, argv, fragment):
+    assert main([arg.format(corpus=corpus_path) for arg in argv]) == 2
+    assert fragment in _single_error_line(capsys)
+
+
+def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["run", "--corpus", str(corpus_path), "--task", "sentiment"])
-    assert excinfo.value.code == 2
+        main(["run", "--help"])
+    assert excinfo.value.code == 0
+    assert "--corpus" in capsys.readouterr().out
 
 
 def test_missing_corpus_exits_2(tmp_path):

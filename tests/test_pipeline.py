@@ -17,7 +17,6 @@ from threadwalk.pipeline import (
     RunConfig,
     SeedAverage,
     _select_best,
-    _split_for,
     ablate_concat,
     ablation_csv,
     average_over_seeds,
@@ -25,6 +24,7 @@ from threadwalk.pipeline import (
     grid_search,
     read_manifest,
     run_pipeline,
+    split_sides,
     write_manifest,
 )
 from threadwalk.synthetic import CorpusSpec, generate
@@ -389,7 +389,7 @@ class TestLockstepGroups:
         self, small_corpus, trained_groups, field, values, groups
     ):
         config = SMALL_CONFIG.replace(epochs=3)
-        train_side, test_side = _split_for(small_corpus, config)
+        train_side, test_side = split_sides(small_corpus, config)
         configs = [config.replace(**{field: value}) for value in values]
         seeds = (0, 1)
         together = average_over_seeds(train_side, test_side, configs, seeds)
@@ -419,7 +419,7 @@ class TestLockstepGroups:
         monkeypatch.setattr(pipeline, "train", spy_train)
         monkeypatch.setattr(pipeline, "featurize_split", spy_featurize)
         config = SMALL_CONFIG.replace(epochs=1)
-        train_side, test_side = _split_for(small_corpus, config)
+        train_side, test_side = split_sides(small_corpus, config)
         configs = [config.replace(gamma=gamma) for gamma in self.GAMMAS]
         average_over_seeds(train_side, test_side, configs, (0, 1))
         assert len(stacks) == 6

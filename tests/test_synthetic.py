@@ -31,6 +31,12 @@ class TestSpecValidation:
             {"branching": 0.0},
             {"task": "stance"},
             {"size_dispersion": -1.0},
+            {"mean_tree_size": float("nan")},
+            {"mean_tree_size": float("inf")},
+            {"size_dispersion": float("nan")},
+            {"size_dispersion": float("inf")},
+            {"branching": float("nan")},
+            {"branching": float("inf")},
         ],
     )
     def test_rejected(self, bad):
