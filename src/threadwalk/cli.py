@@ -241,9 +241,9 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    outdir = _outdir(args)
     config, _, examples = _featurized(args, 0)
     (model,) = train(examples.labels, examples.X[None], config.train_config())
-    outdir = _outdir(args)
     save_model(model, outdir / "model.txt")
     write_manifest(config, outdir / "manifest.json")
     print(f"trained on {len(examples)} examples; model written to {outdir / 'model.txt'}")
@@ -251,12 +251,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    outdir = _outdir(args) if args.out else None
     model = load_model(args.model)
     _, _, examples = _featurized(args, 1)
     report = evaluate(model, examples)
     print(report.to_text(), end="")
-    if args.out:
-        outdir = _outdir(args)
+    if outdir is not None:
         write_lines(outdir / "report.txt", [report.to_text()])
         write_json(report.to_dict(), outdir / "metrics.json")
     return 0
@@ -265,9 +265,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config, _ = _resolve_config(args)
     trees = load_corpus(args.corpus)
-    result = run_pipeline(trees, config, outdir=_outdir(args), dump_features=args.dump_features)
+    result, artifacts = run_pipeline(
+        trees, config, outdir=_outdir(args), dump_features=args.dump_features
+    )
     print(result.report.to_text(), end="")
-    print(f"artifacts: {', '.join(str(p) for p in result.artifacts.values())}")
+    print(f"artifacts: {', '.join(str(p) for p in artifacts.values())}")
     return 0
 
 
@@ -277,8 +279,8 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     p_values = _parse_list(args.p_values, extras, "p_values", float, DEFAULT_GRID)
     gamma_values = _parse_list(args.gamma_values, extras, "gamma_values", float, DEFAULT_GRID)
     seeds = _parse_list(args.seeds, extras, "seeds", int, DEFAULT_SEEDS)
-    result = grid_search(trees, p_values, gamma_values, config, seeds, jobs=args.jobs)
     outdir = _outdir(args)
+    result = grid_search(trees, p_values, gamma_values, config, seeds, jobs=args.jobs)
     write_lines(outdir / "grid.csv", [result.to_csv()])
     write_manifest(
         config,
@@ -298,8 +300,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     config, extras = _resolve_config(args)
     trees = load_corpus(args.corpus)
     seeds = _parse_list(args.seeds, extras, "seeds", int, DEFAULT_SEEDS)
-    rows = ablate_concat(trees, config, seeds)
     outdir = _outdir(args)
+    rows = ablate_concat(trees, config, seeds)
     write_lines(outdir / "ablation.csv", [ablation_csv(rows)])
     write_manifest(config, outdir / "manifest.json", extra={"seeds": list(seeds)})
     for row in rows:
@@ -308,10 +310,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_error_analysis(args: argparse.Namespace) -> int:
+    outdir = _outdir(args)
     model = load_model(args.model)
     _, corpus, examples = _featurized(args, 1)
     result = error_analysis(model, examples, corpus)
-    outdir = _outdir(args)
     write_lines(outdir / "errors.jsonl", [result.to_jsonl()])
     print(
         f"{len(result.false_positives)} false positives, "

@@ -1,7 +1,7 @@
 """Comment embeddings.
 
-Two providers satisfy the same contract (a fixed dimension and one matrix
-row for each of a list of comments): a built-in hashed bag-of-words
+Two providers satisfy the same contract (one matrix row, of a fixed width,
+for each of a list of comments): a built-in hashed bag-of-words
 embedder and a loader for externally computed sentence embeddings, which
 lets precomputed transformer vectors plug into the pipeline unchanged.
 """
@@ -78,11 +78,8 @@ def hashed_bow_embed(text: str, d: int = DEFAULT_BOW_DIM, normalize: bool = Fals
 class EmbeddingProvider(Protocol):
     """Fixed-dimension vectors for the comments of a corpus."""
 
-    @property
-    def dimension(self) -> int: ...
-
     def vectors(self, nodes: Sequence[CommentNode]) -> np.ndarray:
-        """One row per node, shape ``(len(nodes), dimension)``."""
+        """One row per node, shape ``(len(nodes), d)`` with ``d`` fixed by the provider."""
         ...
 
 
@@ -91,18 +88,12 @@ class HashedBowProvider:
     cached: featurization embeds each corpus side once."""
 
     def __init__(self, dimension: int = DEFAULT_BOW_DIM, normalize: bool = True) -> None:
-        if dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {dimension}")
-        self._dimension = dimension
+        self.dimension = dimension
         self.normalize = normalize
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
 
     def vectors(self, nodes: Sequence[CommentNode]) -> np.ndarray:
         texts = [node.text for node in nodes]
-        return hashed_bow_matrix(texts, self._dimension, normalize=self.normalize)
+        return hashed_bow_matrix(texts, self.dimension, normalize=self.normalize)
 
     def vector_for(self, node: CommentNode) -> np.ndarray:
         return self.vectors([node])[0]
@@ -115,10 +106,6 @@ class ExternalEmbeddingProvider:
     def __init__(self, rows: dict[str, int], matrix: np.ndarray) -> None:
         self._rows = rows
         self._matrix = matrix
-
-    @property
-    def dimension(self) -> int:
-        return self._matrix.shape[1]
 
     def vectors(self, nodes: Sequence[CommentNode]) -> np.ndarray:
         """The rows of ``nodes``; MissingEmbeddingError names the first node

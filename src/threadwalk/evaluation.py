@@ -198,7 +198,6 @@ class ErrorAnalysisResult:
     positive_label: str
     false_positives: tuple[Misclassification, ...]
     false_negatives: tuple[Misclassification, ...]
-    report: EvalReport
 
     def to_jsonl(self) -> str:
         kinds = (("fp", self.false_positives), ("fn", self.false_negatives))
@@ -249,5 +248,4 @@ def error_analysis(
         positive_label=pos,
         false_positives=tuple(fps),
         false_negatives=tuple(fns),
-        report=report,
     )

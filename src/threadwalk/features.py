@@ -76,7 +76,6 @@ def aggregate_context(
     weights: Sequence[float],
     strategy: AggregationStrategy,
     *,
-    dim: int | None = None,
     normalize: bool = True,
 ) -> np.ndarray:
     """Combine context vectors into one vector ``v``.
@@ -90,24 +89,16 @@ def aggregate_context(
     SUM and AVERAGE ignore the weights; WEIGHTED_AVERAGE computes
     ``sum(w_i x_i) / sum(w_i)`` (or the raw discounted sum when
     ``normalize`` is off) and returns zero when all weights vanish. An
-    empty context yields the zero vector, which needs ``dim``.
+    empty context raises DimensionMismatchError.
     """
     w = np.asarray(weights, dtype=np.float64)
     try:
         stack = np.asarray(context_vectors, dtype=np.float64)
     except ValueError:  # a ragged sequence of vectors
         raise DimensionMismatchError("context vectors disagree on shape") from None
-    if w.size == 0 and stack.size == 0:
-        if dim is None:
-            raise ValueError("dim is required to aggregate an empty context")
-        return np.zeros(stack.shape[:-2] + (dim,), dtype=np.float64)
-    if w.ndim != 1 or stack.ndim not in (2, 3) or stack.shape[-2] != w.shape[0]:
+    if not w.size or w.ndim != 1 or stack.ndim not in (2, 3) or stack.shape[-2] != w.shape[0]:
         raise DimensionMismatchError(
-            f"context of shape {stack.shape} does not fit {w.shape[0]} weights"
-        )
-    if dim is not None and stack.shape[-1] != dim:
-        raise DimensionMismatchError(
-            f"context vectors have dimension {stack.shape[-1]}, expected {dim}"
+            f"context of shape {stack.shape} does not fit {w.size} weights"
         )
 
     if strategy is AggregationStrategy.SUM:

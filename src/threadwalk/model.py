@@ -146,24 +146,26 @@ def train(labels: Sequence[str], features: np.ndarray, config: TrainConfig) -> l
     rng = derived_rng(config.seed, "train-shuffle")
     histories: list[list[float]] = [[] for _ in range(n_models)]
 
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
-            _, grad_w, grad_b = loss_and_gradient(
-                weights, bias, X[:, idx], y[idx], config.l2, sample_w[idx], compute="gradient"
-            )
-            vel_w = config.momentum * vel_w - config.learning_rate * grad_w
-            vel_b = config.momentum * vel_b - config.learning_rate * grad_b
-            weights = weights + vel_w
-            bias = bias + vel_b
-        for k, history in enumerate(histories):
-            epoch_loss, _, _ = loss_and_gradient(
-                weights[k], bias[k], X[k], y, config.l2, sample_w, compute="loss"
-            )
-            if not np.isfinite(epoch_loss):
-                raise NonFiniteLossError(f"loss became {epoch_loss} after an epoch")
-            history.append(epoch_loss)
+    # A diverging run is reported by NonFiniteLossError, not numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            order = rng.permutation(n)
+            for lo in range(0, n, config.batch_size):
+                idx = order[lo : lo + config.batch_size]
+                _, grad_w, grad_b = loss_and_gradient(
+                    weights, bias, X[:, idx], y[idx], config.l2, sample_w[idx], compute="gradient"
+                )
+                vel_w = config.momentum * vel_w - config.learning_rate * grad_w
+                vel_b = config.momentum * vel_b - config.learning_rate * grad_b
+                weights = weights + vel_w
+                bias = bias + vel_b
+            for k, history in enumerate(histories):
+                epoch_loss, _, _ = loss_and_gradient(
+                    weights[k], bias[k], X[k], y, config.l2, sample_w, compute="loss"
+                )
+                if not np.isfinite(epoch_loss):
+                    raise NonFiniteLossError(f"loss became {epoch_loss} after an epoch")
+                history.append(epoch_loss)
 
     meta = {**dataclasses.asdict(config), "n_examples": int(n), "feature_dim": int(dim)}
     return [

@@ -209,15 +209,6 @@ def split_sides(trees: Sequence[DiscussionTree], config: RunConfig) -> list[Corp
     return [train_side, test_side]
 
 
-@dataclass
-class PipelineResult:
-    report: EvalReport
-    model: SoftmaxModel
-    train_examples: int
-    test_examples: int
-    artifacts: dict[str, Path]
-
-
 class Replicate(NamedTuple):
     """What one featurize -> train -> evaluate pass produced."""
 
@@ -348,10 +339,12 @@ def run_pipeline(
     config: RunConfig,
     outdir: str | Path | None = None,
     dump_features: bool = False,
-) -> PipelineResult:
-    """Execute split -> featurize -> train -> evaluate and write artifacts."""
+) -> tuple[Replicate, dict[str, Path]]:
+    """Execute split -> featurize -> train -> evaluate and write artifacts;
+    the replicate and the path of each artifact written."""
     train_side, test_side = split_sides(trees, config)
-    ((model, report, train_examples, test_examples),) = replicate(train_side, test_side, [config])
+    (result,) = replicate(train_side, test_side, [config])
+    model, report, train_examples, test_examples = result
 
     artifacts: dict[str, Path] = {}
     if outdir is not None:
@@ -380,13 +373,7 @@ def run_pipeline(
         # Last, so that a manifest vouches for a complete set of artifacts.
         artifacts["manifest"] = outdir / "manifest.json"
         write_manifest(config, artifacts["manifest"])
-    return PipelineResult(
-        report=report,
-        model=model,
-        train_examples=len(train_examples),
-        test_examples=len(test_examples),
-        artifacts=artifacts,
-    )
+    return result, artifacts
 
 
 def feature_dump_lines(examples: Examples) -> Iterator[str]:
@@ -476,10 +463,10 @@ def grid_search(
         _check_values(name, values)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    train_side, test_side = split_sides(trees, config)
     rows = [[config.replace(p=p, gamma=g) for g in gamma_values] for p in p_values]
     for cell_config in itertools.chain(*rows):
         cell_config.validate()
+    train_side, test_side = split_sides(trees, config)
     row_averages = functools.partial(average_over_seeds, train_side, test_side, seeds=tuple(seeds))
     # One task per p, so each worker samples the walks of its p once. The
     # fork start method launches every worker on the first submit, so ask

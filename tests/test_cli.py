@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -388,9 +389,33 @@ def _single_error_line(capsys):
         ["ablate-concat", "--task", "hate", "--seeds", ""],
     ],
 )
-def test_bad_list_flag_exits_2(corpus_path, tmp_path, capsys, argv):
+def test_bad_list_flag_exits_2(corpus_path, tmp_path, capsys, monkeypatch, argv):
+    # Every list is checked before a corpus side is built.
+    monkeypatch.setattr(pipeline, "corpus_sides", lambda *a: pytest.fail("built a side"))
     assert main(argv + ["--corpus", str(corpus_path), "--out", str(tmp_path)]) == 2
     _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "command", ["train", "evaluate", "grid-search", "ablate-concat", "error-analysis"]
+)
+def test_out_naming_a_file_exits_2_before_featurizing(
+    corpus_path, tmp_path, capsys, monkeypatch, command
+):
+    out = tmp_path / "taken"
+    out.write_text("")
+    monkeypatch.setattr(pipeline, "featurize_corpus", lambda *a, **k: pytest.fail("featurized"))
+    argv = [command, "--corpus", str(corpus_path), "--out", str(out), "--task", "hate"]
+    if command in ("evaluate", "error-analysis"):
+        model = tmp_path / "model.txt"
+        save_model(SoftmaxModel(np.zeros((2, 1)), np.zeros(2), ("hate", "non-hate")), model)
+        argv += ["--model", str(model)]
+    if command == "grid-search":
+        argv += ["--jobs", "1"]
+    assert main(argv + _fast_flags()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "File exists" in err, err
 
 
 @pytest.mark.parametrize(
@@ -577,6 +602,25 @@ def test_bad_corpus_structure_exits_2(tmp_path, capsys, records, message):
     assert main(["run", "--corpus", str(path), "--out", str(tmp_path), *_RUN_HATE]) == 2
     line = _single_error_line(capsys)
     assert str(path) in line and message in line
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--learning-rate", "1e300"],
+        ["--l2", "1e300"],
+        ["--momentum", "0.999999", "--learning-rate", "1e10"],
+    ],
+    ids=["learning-rate", "l2", "momentum"],
+)
+def test_diverging_run_prints_one_line(corpus_path, tmp_path, capsys, flags):
+    # Under pytest a warning never reaches stderr, so turn it into an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["run", "--corpus", str(corpus_path), "--out", str(tmp_path), "--task", "hate"]
+        code = main(argv + _fast_flags() + flags)
+    assert code == 1
+    assert "loss became" in _single_error_line(capsys)
 
 
 def test_failed_run_writes_no_manifest(corpus_path, tmp_path, capsys, monkeypatch):

@@ -106,7 +106,7 @@ class TestHashedBowProvider:
         node = CommentNode("n", None, "hello hello")
         first = provider.vector_for(node)
         second = provider.vector_for(CommentNode("other", None, "hello hello"))
-        assert provider.dimension == 32
+        assert provider.vectors([]).shape == (0, 32)
         assert np.array_equal(first, second)  # the text alone decides the vector
         assert np.array_equal(first, hashed_bow_embed("hello hello", 32))
 
@@ -143,7 +143,7 @@ class TestExternalEmbeddings:
         table = {"n1": np.array([1.0, -2.5]), "n2": np.array([0.25, 4.0])}
         save_external_embeddings(table, path)
         provider = load_external_embeddings(path)
-        assert provider.dimension == 2
+        assert provider.vectors([]).shape == (0, 2)
         for node_id, vector in table.items():
             got = provider.vector_for(CommentNode(node_id, None, "ignored"))
             assert np.array_equal(got, vector)
@@ -168,7 +168,6 @@ class TestExternalEmbeddings:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             provider = load_external_embeddings(path)
-        assert provider.dimension == dim
         assert provider.vectors([]).shape == (0, dim)
         with pytest.raises(MissingEmbeddingError, match="'n1'"):
             provider.vectors([CommentNode("n1", None, "x")])
@@ -176,7 +175,7 @@ class TestExternalEmbeddings:
     def test_header_declares_dimension(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("d=8\n" + "n1 " + " ".join(["0.0"] * 8) + "\n")
-        assert load_external_embeddings(path).dimension == 8
+        assert load_external_embeddings(path).vectors([]).shape == (0, 8)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "emb.txt"

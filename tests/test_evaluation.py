@@ -221,8 +221,9 @@ class TestErrorAnalysis:
         result = error_analysis(model, examples, [tree])
         assert len(result.false_positives) == 1
         assert len(result.false_negatives) == 1
-        confusion = result.report.confusion
-        pos = result.report.class_names.index("hate")
+        report = evaluate(model, examples)
+        confusion = report.confusion
+        pos = report.class_names.index("hate")
         neg = 1 - pos
         assert confusion[neg, pos] == len(result.false_positives)
         assert confusion[pos, neg] == len(result.false_negatives)

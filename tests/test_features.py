@@ -36,13 +36,14 @@ def features_from_walk(
     discounted under ``gamma``."""
     u = provider.vector_for(tree.node(sample.node_ids[0]))
     context = [provider.vector_for(tree.node(nid)) for nid in sample.node_ids[1:]]
-    v = aggregate_context(
-        context,
-        walk_weights(len(sample.node_ids), gamma)[1:],
-        strategy,
-        dim=provider.dimension,
-        normalize=normalize_weights,
-    )
+    v = np.zeros_like(u)  # an empty context aggregates to zero
+    if context:
+        v = aggregate_context(
+            context,
+            walk_weights(len(sample.node_ids), gamma)[1:],
+            strategy,
+            normalize=normalize_weights,
+        )
     return concat_features(u, v, scheme)
 
 
@@ -120,14 +121,10 @@ class TestAggregateContext:
         scaled = aggregate_context([3 * v for v in vecs], [1, 1], AggregationStrategy.SUM)
         assert np.allclose(scaled, 3 * once, atol=1e-12)
 
-    def test_empty_context_is_zero(self):
+    def test_empty_context_raises(self):
         for strategy in STRATEGIES:
-            out = aggregate_context([], [], strategy, dim=4)
-            assert np.array_equal(out, np.zeros(4))
-
-    def test_empty_context_needs_dim(self):
-        with pytest.raises(ValueError):
-            aggregate_context([], [], AggregationStrategy.SUM)
+            with pytest.raises(DimensionMismatchError):
+                aggregate_context(np.zeros((0, 4)), [], strategy)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -136,6 +133,8 @@ class TestAggregateContext:
             )
         with pytest.raises(DimensionMismatchError):
             aggregate_context([np.zeros(2)], [1, 1], AggregationStrategy.SUM)
+        with pytest.raises(DimensionMismatchError):  # weights must be a sequence
+            aggregate_context([np.zeros(2)], 1.0, AggregationStrategy.SUM)
 
     def test_negative_weight(self):
         with pytest.raises(NegativeWeightError):

@@ -92,24 +92,26 @@ class TestRunConfig:
 class TestRunPipeline:
     def test_artifacts_and_replay(self, small_corpus, tmp_path):
         first_dir = tmp_path / "first"
-        result = run_pipeline(small_corpus, SMALL_CONFIG, outdir=first_dir, dump_features=True)
+        result, artifacts = run_pipeline(
+            small_corpus, SMALL_CONFIG, outdir=first_dir, dump_features=True
+        )
         for name in ("manifest", "model", "report", "metrics", "features"):
-            assert result.artifacts[name].exists()
-        assert result.train_examples > result.test_examples > 0
+            assert artifacts[name].exists()
+        assert len(result.train_examples) > len(result.test_examples) > 0
 
         # byte-exact replay from the manifest alone
-        config, _ = read_manifest(result.artifacts["manifest"])
+        config, _ = read_manifest(artifacts["manifest"])
         second_dir = tmp_path / "second"
         run_pipeline(small_corpus, config, outdir=second_dir, dump_features=True)
         for name in ("model.txt", "metrics.json", "features.jsonl"):
             assert (second_dir / name).read_bytes() == (first_dir / name).read_bytes()
 
     def test_metrics_content(self, small_corpus, tmp_path):
-        result = run_pipeline(small_corpus, SMALL_CONFIG, outdir=tmp_path)
-        payload = json.loads(result.artifacts["metrics"].read_text())
+        result, artifacts = run_pipeline(small_corpus, SMALL_CONFIG, outdir=tmp_path)
+        payload = json.loads(artifacts["metrics"].read_text())
         assert payload["config"] == SMALL_CONFIG.to_dict()
         assert payload["report"]["accuracy"] == result.report.accuracy
-        assert payload["train_examples"] == result.train_examples
+        assert payload["train_examples"] == len(result.train_examples)
 
     def test_feature_dump_line_fields(self, small_corpus):
         from threadwalk.pipeline import featurize_split
@@ -135,7 +137,7 @@ class TestRunPipeline:
         path = tmp_path / "embeddings.txt"
         save_external_embeddings(table, path)
         config = SMALL_CONFIG.replace(embedding="external", embedding_file=str(path))
-        result = run_pipeline(small_corpus, config, outdir=tmp_path / "out")
+        result, _ = run_pipeline(small_corpus, config, outdir=tmp_path / "out")
         assert result.model.feature_dim == 24 * 3
         assert 0.0 <= result.report.macro_f1 <= 1.0
 
@@ -262,7 +264,7 @@ class TestGridSearch:
         config = SMALL_CONFIG.replace(p=1.0, gamma=0.8, seed=4)
         result = grid_search(small_corpus, [1.0], [0.8], config, seeds=[4])
         assert set(result.cells) == {(1.0, 0.8)}
-        direct = run_pipeline(small_corpus, config)
+        direct, _ = run_pipeline(small_corpus, config)
         cell = result.cells[(1.0, 0.8)]
         assert cell.macro_f1 == direct.report.macro_f1
         assert cell.accuracy == direct.report.accuracy

@@ -2,10 +2,14 @@
 
 Every public top-level function or class in ``src/threadwalk`` must be
 referenced from the package itself (outside its own definition) or from
-the benchmark harness in ``perfbench/``. Helpers that only tests need
-live in ``tests/conftest.py``. A :class:`RunConfig` is the one source of
-the settings it holds: nothing that takes one also takes one of its
-fields beside it.
+the benchmark harness in ``perfbench/``. The same holds one level down:
+every public method or property of a public class is read as an
+attribute in ``src/`` outside its own definition (or named in
+``perfbench/``), and every defaulted parameter of a public function is
+passed by some call in ``src/`` or ``perfbench/``. Helpers that only
+tests need live in ``tests/conftest.py``. A :class:`RunConfig` is the one
+source of the settings it holds: nothing that takes one also takes one
+of its fields beside it.
 """
 
 import ast
@@ -17,6 +21,8 @@ from threadwalk.pipeline import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "threadwalk"
+MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+PERFBENCH = {path.stem: path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))}
 
 
 def _public_definitions(module: ast.Module) -> list[ast.stmt]:
@@ -42,11 +48,10 @@ def _referenced_names(module: ast.Module, skip: ast.stmt | None) -> set[str]:
 
 
 def test_every_public_definition_is_reached():
-    modules = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
-    perfbench = "\n".join(p.read_text() for p in (ROOT / "perfbench").glob("*.py"))
-    names_in = {stem: _referenced_names(module, None) for stem, module in modules.items()}
+    perfbench = "\n".join(PERFBENCH.values())
+    names_in = {stem: _referenced_names(module, None) for stem, module in MODULES.items()}
     unreached = []
-    for stem, module in modules.items():
+    for stem, module in MODULES.items():
         for definition in _public_definitions(module):
             name = definition.name
             in_package = name in _referenced_names(module, definition) or any(
@@ -56,6 +61,60 @@ def test_every_public_definition_is_reached():
             if not (in_package or in_perfbench):
                 unreached.append(f"{stem}.{name}")
     assert unreached == [], f"public definitions nothing in src/ or perfbench/ reaches: {unreached}"
+
+
+def test_every_public_member_is_read():
+    attributes = [
+        node for module in MODULES.values() for node in ast.walk(module)
+        if isinstance(node, ast.Attribute)
+    ]
+    perfbench = "\n".join(PERFBENCH.values())
+    unread = []
+    for stem, module in MODULES.items():
+        classes = [c for c in _public_definitions(module) if isinstance(c, ast.ClassDef)]
+        for cls in classes:
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                own = set(ast.walk(member))
+                read = any(a.attr == member.name and a not in own for a in attributes)
+                if not (read or re.search(rf"\b{member.name}\b", perfbench)):
+                    unread.append(f"{stem}.{cls.name}.{member.name}")
+    assert unread == [], f"public members nothing in src/ or perfbench/ reads: {unread}"
+
+
+def _defaulted(args: ast.arguments) -> list[tuple[int | None, str]]:
+    """Each parameter with a default, as (position among the positional
+    parameters or None if keyword-only, name)."""
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    return [(i, a.arg) for i, a in enumerate(positional) if i >= first] + [
+        (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    if any(kw.arg in (name, None) for kw in call.keywords):  # None: **mapping
+        return True
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return position is not None and (len(call.args) > position or starred)
+
+
+def test_every_defaulted_parameter_is_passed():
+    sources = [*MODULES.values(), *(ast.parse(text) for text in PERFBENCH.values())]
+    calls = [n for tree in sources for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    callees = [getattr(c.func, "id", None) or getattr(c.func, "attr", None) for c in calls]
+    unpassed = []
+    for stem, module in MODULES.items():
+        functions = [f for f in _public_definitions(module) if isinstance(f, ast.FunctionDef)]
+        for function in functions:
+            callers = [c for c, name in zip(calls, callees) if name == function.name]
+            unpassed += [
+                f"{stem}.{function.name}({name})"
+                for position, name in _defaulted(function.args)
+                if not any(_passes(c, position, name) for c in callers)
+            ]
+    assert unpassed == [], f"defaulted parameters no call in src/ or perfbench/ passes: {unpassed}"
 
 
 def _run_config_overrides(module: ast.Module) -> list[str]:
