@@ -65,6 +65,16 @@ CHOICES = {  # RunConfig field -> its allowed values
 # the feature matrix X (n * D * 8 bytes): at this limit 128 KiB and 512 KiB,
 # so a 2,000-PoI side needs about 1.25 GiB.
 MAX_BOW_DIM = 1 << 14
+# The longest walk, the largest step cap and the most epochs. A side keeps
+# each PoI's raw-step log (8 bytes a step) and one row index per collected
+# node, so at MAX_STEP_CAP an 8,000-PoI side holds at most 64 MB of walks.
+# A raw step takes about 2 us (2-core VM, Python 3.11), so a p = 0 walk that
+# oscillates until the cap costs 2 ms, and that side at most 16 s. An epoch
+# at 8,000 PoIs and D = 768 takes about 40 ms there, so MAX_EPOCHS trains
+# one model in under 7 minutes.
+MAX_WALK_LENGTH = 100
+MAX_STEP_CAP = 10 * MAX_WALK_LENGTH  # the default cap of the longest walk
+MAX_EPOCHS = 10_000
 _ACCEPTED = {  # annotation -> (accepted Python types, description)
     "str": ((str,), "a string"),
     "int": ((int,), "an integer"),
@@ -125,6 +135,14 @@ class RunConfig:
             raise ConfigError(f"embedding file not found: {self.embedding_file}")
         if not 1 <= self.bow_dim <= MAX_BOW_DIM:
             raise ConfigError(f"bow_dim must be in [1, {MAX_BOW_DIM}], got {self.bow_dim}")
+        for name, limit in (
+            ("walk_length", MAX_WALK_LENGTH),
+            ("step_cap", MAX_STEP_CAP),
+            ("epochs", MAX_EPOCHS),
+        ):
+            value = getattr(self, name)
+            if value is not None and value > limit:
+                raise ConfigError(f"{name} must be <= {limit}, got {value}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
         try:

@@ -32,6 +32,18 @@ SELF_POS_TOKEN = "ksp"
 SELF_NEG_TOKEN = "ksn"
 _SIGNAL_REPEATS = 3
 _ANCESTOR_DISTANCE = {HATE_TASK: 1, POLARITY_TASK: 2}
+# The most comments a spec may expect (num_trees * mean_tree_size), and the
+# largest mean tree. Generating takes about 50 us and 0.6 KB per comment of
+# small trees (2-core VM, Python 3.11), so 10**6 comments take about a
+# minute and 600 MB. Preferential attachment is quadratic in one tree's
+# size: a 10,000-node tree takes about 3 s, so a 10**5-node one would take
+# about 5 minutes.
+MAX_EXPECTED_NODES = 10**6
+MAX_MEAN_TREE_SIZE = 10**4
+# The largest attachment smoothing weight. Picking a reply target divides by
+# the sum of one weight of about ``branching`` per node, which stays finite
+# at this limit for any tree below 10**8 nodes.
+MAX_BRANCHING = 1e300
 
 
 @dataclass(frozen=True)
@@ -55,18 +67,29 @@ class CorpusSpec:
                 raise InvalidSpecError(f"{name} must be finite, got {value}")
         if self.num_trees < 1:
             raise InvalidSpecError(f"num_trees must be >= 1, got {self.num_trees}")
-        if self.mean_tree_size < 1:
-            raise InvalidSpecError(f"mean_tree_size must be >= 1, got {self.mean_tree_size}")
+        if not 1 <= self.mean_tree_size <= MAX_MEAN_TREE_SIZE:
+            raise InvalidSpecError(
+                f"mean_tree_size must be in [1, {MAX_MEAN_TREE_SIZE}], got {self.mean_tree_size}"
+            )
+        if self.num_trees > MAX_EXPECTED_NODES / self.mean_tree_size:
+            raise InvalidSpecError(
+                f"num_trees * mean_tree_size must be <= {MAX_EXPECTED_NODES}, "
+                f"got {self.num_trees} * {self.mean_tree_size}"
+            )
         if self.size_dispersion < 0:
             raise InvalidSpecError(f"size_dispersion must be >= 0, got {self.size_dispersion}")
-        if self.branching <= 0:
-            raise InvalidSpecError(f"branching must be > 0, got {self.branching}")
+        if not 0 < self.branching <= MAX_BRANCHING:
+            raise InvalidSpecError(
+                f"branching must be in (0, {MAX_BRANCHING:g}], got {self.branching}"
+            )
         for name in ("positive_fraction", "context_signal"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise InvalidSpecError(f"{name} must be in [0, 1], got {value}")
         if self.vocabulary_size < 1:
             raise InvalidSpecError(f"vocabulary_size must be >= 1, got {self.vocabulary_size}")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
         if self.task not in TASKS:
             raise InvalidSpecError(f"task must be one of {TASKS}, got {self.task!r}")
 

@@ -94,30 +94,6 @@ def walk_weights(length: int, gamma: float) -> list[float]:
     return [float(gamma) ** k for k in range(length)]
 
 
-def transition_distribution(
-    tree: DiscussionTree, current: str, p: float
-) -> list[tuple[str, float]]:
-    """Next-step distribution from ``current``: parent gets ``p``, each of
-    the ``c`` children gets ``(1 - p) / c``. A leaf sends all mass to its
-    parent, the root spreads all mass over its children, and an isolated
-    node has an empty distribution."""
-    if current not in tree:
-        raise UnknownIdError(current)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    parent = tree.parent(current)
-    children = tree.children(current)
-    if parent is None and not children:
-        return []
-    if parent is None:
-        share = 1.0 / len(children)
-        return [(kid, share) for kid in children]
-    if not children:
-        return [(parent, 1.0)]
-    share = (1.0 - p) / len(children)
-    return [(parent, p)] + [(kid, share) for kid in children]
-
-
 def sample_walk(
     tree: DiscussionTree,
     start: str,
@@ -126,9 +102,11 @@ def sample_walk(
 ) -> WalkSample:
     """Run one biased root-seeking walk from ``start``.
 
-    Steps are drawn from :func:`transition_distribution` at the walk's
-    current physical position. With ``p == 1`` the output is seed
-    independent: the ancestor chain of ``start``, truncated to ``L``.
+    Each step draws ``r = rng.random()`` and takes the first option, the
+    parent and then the children in order, whose running sum of
+    probabilities exceeds ``r``, or the last option if rounding leaves ``r``
+    above every sum. With ``p == 1`` the output is seed independent: the
+    ancestor chain of ``start``, truncated to ``L``.
     """
     if start not in tree:
         raise UnknownIdError(start)
@@ -138,13 +116,27 @@ def sample_walk(
     position = start
     cap = config.resolved_step_cap
     total = len(tree)
-    deterministic = config.p == 1.0
+    p = config.p
 
-    # Only a one-node tree has an empty distribution; it never enters the loop.
+    # Only a one-node tree has no neighbor; it never enters the loop.
     while len(collected) < config.L and len(raw) < cap and len(visited) < total:
-        if deterministic and tree.parent(position) is None:
+        parent = tree.parent(position)
+        if parent is None and p == 1.0:
             break
-        position = _draw(transition_distribution(tree, position, config.p), rng)
+        children = tree.children(position)
+        r = rng.random()
+        # a leaf's parent has probability 1.0, which every draw is below
+        if parent is not None and (not children or r < p):
+            position = parent
+        else:
+            acc = 0.0 if parent is None else p
+            share = (1.0 if parent is None else 1.0 - p) / len(children)
+            position = children[-1]
+            for kid in children:
+                acc += share
+                if r < acc:
+                    position = kid
+                    break
         raw.append(position)
         if position not in visited:
             visited.add(position)
@@ -157,12 +149,3 @@ def walk_rng(seed: int, tree_id: str, node_id: str) -> np.random.Generator:
     """Per-node walk stream, independent of featurization order."""
     return derived_rng(seed, "walk", tree_id, node_id)
 
-
-def _draw(dist: list[tuple[str, float]], rng: np.random.Generator) -> str:
-    r = rng.random()
-    acc = 0.0
-    for node_id, prob in dist:
-        acc += prob
-        if r < acc:
-            return node_id
-    return dist[-1][0]

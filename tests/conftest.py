@@ -1,6 +1,7 @@
 """Shared fixtures: small reference trees, random-tree helpers and the
-test oracles (the ancestor chain, the bag-of-words baseline, the one-text
-hashed bag-of-words embedder and the line-by-line embedding file parser)."""
+test oracles (the ancestor chain, the walk step drawn from a listed
+transition distribution, the bag-of-words baseline, the one-text hashed
+bag-of-words embedder and the line-by-line embedding file parser)."""
 
 from __future__ import annotations
 
@@ -13,10 +14,11 @@ import pytest
 
 from threadwalk import features
 from threadwalk.embeddings import HashedBowProvider, tokenize
+from threadwalk.errors import UnknownIdError
 from threadwalk.features import POLARITY_TASK, CorpusSide, Examples
 from threadwalk.model import train
 from threadwalk.tree import CommentNode, DiscussionTree, build_tree
-from threadwalk.walks import WalkSample
+from threadwalk.walks import WalkConfig, WalkSample
 
 
 @pytest.fixture
@@ -119,6 +121,73 @@ def ancestors(tree: DiscussionTree, node_id: str) -> list[str]:
         chain.append(cur)
         cur = tree.parent(cur)
     return chain
+
+
+def transition_distribution(
+    tree: DiscussionTree, current: str, p: float
+) -> list[tuple[str, float]]:
+    """Next-step distribution from ``current``: parent gets ``p``, each of
+    the ``c`` children gets ``(1 - p) / c``. A leaf sends all mass to its
+    parent, the root spreads all mass over its children, and an isolated
+    node has an empty distribution."""
+    if current not in tree:
+        raise UnknownIdError(current)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    parent = tree.parent(current)
+    children = tree.children(current)
+    if parent is None and not children:
+        return []
+    if parent is None:
+        share = 1.0 / len(children)
+        return [(kid, share) for kid in children]
+    if not children:
+        return [(parent, 1.0)]
+    share = (1.0 - p) / len(children)
+    return [(parent, p)] + [(kid, share) for kid in children]
+
+
+def draw(dist: list[tuple[str, float]], rng: np.random.Generator) -> str:
+    """The first option whose running sum of probabilities exceeds one
+    uniform draw, or the last option if none does."""
+    r = rng.random()
+    acc = 0.0
+    for node_id, prob in dist:
+        acc += prob
+        if r < acc:
+            return node_id
+    return dist[-1][0]
+
+
+def oracle_walk(
+    tree: DiscussionTree,
+    start: str,
+    config: WalkConfig,
+    rng: np.random.Generator,
+) -> WalkSample:
+    """The biased root-seeking walk, each step drawn from the listed
+    :func:`transition_distribution` at the walk's current position."""
+    if start not in tree:
+        raise UnknownIdError(start)
+    collected = [start]
+    visited = {start}
+    raw: list[str] = []
+    position = start
+    cap = config.resolved_step_cap
+    total = len(tree)
+    deterministic = config.p == 1.0
+
+    # Only a one-node tree has an empty distribution; it never enters the loop.
+    while len(collected) < config.L and len(raw) < cap and len(visited) < total:
+        if deterministic and tree.parent(position) is None:
+            break
+        position = draw(transition_distribution(tree, position, config.p), rng)
+        raw.append(position)
+        if position not in visited:
+            visited.add(position)
+            collected.append(position)
+
+    return WalkSample(tuple(collected), tuple(raw))
 
 
 def hashed_bow_oracle(text: str, d: int, normalize: bool) -> np.ndarray:

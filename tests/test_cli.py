@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from threadwalk import cli, pipeline
 from threadwalk.cli import _resolve_config, build_parser, main
 from threadwalk.model import SoftmaxModel, save_model
-from threadwalk.pipeline import MAX_BOW_DIM, RunConfig
+from threadwalk.pipeline import (
+    MAX_BOW_DIM,
+    MAX_EPOCHS,
+    MAX_STEP_CAP,
+    MAX_WALK_LENGTH,
+    RunConfig,
+)
 from threadwalk.synthetic import CorpusSpec, generate
 
 
@@ -350,6 +356,23 @@ def test_bad_flag_exits_2(corpus_path, capsys, argv, fragment):
     assert fragment in _single_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--branching", "1e308"], "branching must be in (0, 1e+300], got 1e+308"),
+        (["--mean-tree-size", "1e300"], "mean_tree_size must be in [1, 10000], got 1e+300"),
+        (["--num-trees", "100001"], "num_trees * mean_tree_size must be <= 1000000"),
+    ],
+    ids=["seed", "branching", "mean-tree-size", "expected-nodes"],
+)
+def test_unrunnable_generate_spec_exits_2(tmp_path, capsys, flags, message):
+    output = tmp_path / "corpus.jsonl"
+    assert main(["generate", "--output", str(output), *flags]) == 2
+    assert _single_error_line(capsys).startswith(f"error: {message}")
+    assert not output.exists()
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--help"])
@@ -514,13 +537,28 @@ def test_config_value_outside_choices_exits_2(corpus_path, tmp_path, capsys, nam
 _RUN_HATE = ["--task", "hate", "--epochs", "2", "--bow-dim", "8"]
 
 
-@pytest.mark.parametrize("bow_dim", [MAX_BOW_DIM + 1, 100_000_000_000])
-def test_bow_dim_above_limit_exits_2(corpus_path, tmp_path, capsys, bow_dim):
+_BOW_DIM_RANGE = f"bow_dim must be in [1, {MAX_BOW_DIM}]"
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        pytest.param("--bow-dim", MAX_BOW_DIM + 1, _BOW_DIM_RANGE, id=str(MAX_BOW_DIM + 1)),
+        pytest.param("--bow-dim", 100_000_000_000, _BOW_DIM_RANGE, id="100000000000"),
+        pytest.param(
+            "--walk-length", MAX_WALK_LENGTH + 1, f"walk_length must be <= {MAX_WALK_LENGTH}",
+            id="walk_length",
+        ),
+        pytest.param(
+            "--step-cap", MAX_STEP_CAP + 1, f"step_cap must be <= {MAX_STEP_CAP}", id="step_cap"
+        ),
+        pytest.param("--epochs", MAX_EPOCHS + 1, f"epochs must be <= {MAX_EPOCHS}", id="epochs"),
+    ],
+)
+def test_bow_dim_above_limit_exits_2(corpus_path, tmp_path, capsys, flag, value, message):
     argv = ["run", "--corpus", str(corpus_path), "--out", str(tmp_path), *_RUN_HATE]
-    assert main(argv + ["--bow-dim", str(bow_dim)]) == 2
-    assert _single_error_line(capsys) == (
-        f"error: bow_dim must be in [1, {MAX_BOW_DIM}], got {bow_dim}"
-    )
+    assert main(argv + [flag, str(value)]) == 2
+    assert _single_error_line(capsys) == f"error: {message}, got {value}"
 
 
 @pytest.mark.parametrize(

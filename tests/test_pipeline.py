@@ -14,6 +14,9 @@ from threadwalk.pipeline import (
     LOCKSTEP_CAP,
     MANIFEST_FORMAT,
     MAX_BOW_DIM,
+    MAX_EPOCHS,
+    MAX_STEP_CAP,
+    MAX_WALK_LENGTH,
     RunConfig,
     SeedAverage,
     _select_best,
@@ -87,6 +90,12 @@ class TestRunConfig:
 
     def test_bow_dim_limit_is_valid(self):
         SMALL_CONFIG.replace(bow_dim=MAX_BOW_DIM).validate()
+
+    def test_walk_and_epoch_limits_are_valid(self):
+        SMALL_CONFIG.replace(
+            walk_length=MAX_WALK_LENGTH, step_cap=MAX_STEP_CAP, epochs=MAX_EPOCHS
+        ).validate()
+        SMALL_CONFIG.replace(walk_length=MAX_WALK_LENGTH, step_cap=None).validate()
 
 
 class TestRunPipeline:

@@ -9,6 +9,9 @@ from threadwalk.features import TASK_LABELS, TASKS
 from threadwalk.model import TrainConfig
 from threadwalk.embeddings import tokenize
 from threadwalk.synthetic import (
+    MAX_BRANCHING,
+    MAX_EXPECTED_NODES,
+    MAX_MEAN_TREE_SIZE,
     PLANT_PREFIX,
     SELF_NEG_TOKEN,
     SELF_POS_TOKEN,
@@ -37,11 +40,25 @@ class TestSpecValidation:
             {"size_dispersion": float("inf")},
             {"branching": float("nan")},
             {"branching": float("inf")},
+            {"seed": -1},
+            {"branching": 1e308},
+            {"branching": MAX_BRANCHING * 1.5},
+            {"mean_tree_size": 1e300},
+            {"mean_tree_size": MAX_MEAN_TREE_SIZE + 1},
+            {"num_trees": MAX_EXPECTED_NODES + 1, "mean_tree_size": 1.0},
+            {"num_trees": 10**400},
+            {"num_trees": MAX_EXPECTED_NODES // 12 + 1, "mean_tree_size": 12.0},
         ],
     )
     def test_rejected(self, bad):
         with pytest.raises(InvalidSpecError):
             CorpusSpec(**bad)
+
+    def test_limits_accepted(self):
+        CorpusSpec(num_trees=MAX_EXPECTED_NODES, mean_tree_size=1.0)
+        CorpusSpec(num_trees=100, mean_tree_size=MAX_MEAN_TREE_SIZE)
+        corpus = generate(CorpusSpec(num_trees=3, branching=MAX_BRANCHING, seed=0))
+        assert len(corpus.trees) == 3
 
 
 class TestCalibration:

@@ -1,4 +1,8 @@
-"""Walk sampling: transition law, revisit semantics, discount weights."""
+"""Walk sampling: transition law, revisit semantics, discount weights.
+
+The transition law is checked on the listed distribution of
+``conftest.transition_distribution``; ``sample_walk`` is pinned step for
+step to ``conftest.oracle_walk``, which draws from that list."""
 
 import json
 from collections import Counter
@@ -15,12 +19,11 @@ from threadwalk.walks import (
     WalkConfig,
     WalkSample,
     sample_walk,
-    transition_distribution,
     walk_rng,
     walk_weights,
 )
 
-from conftest import ancestors, make_chain, random_tree
+from conftest import ancestors, make_chain, oracle_walk, random_tree, transition_distribution
 
 
 def root_seeking_walk(tree, start, L):
@@ -205,6 +208,70 @@ class TestSampleWalk:
                 seen.add(step)
                 replayed.append(step)
         assert tuple(replayed) == sample.node_ids
+
+
+def star_tree(fan_out: int, hub_parent: bool):
+    """A hub with ``fan_out`` leaf replies; the hub is the root, or it
+    replies to a root of its own when ``hub_parent``."""
+    records = [CommentNode("root", None, "x")]
+    hub = "root"
+    if hub_parent:
+        records.append(CommentNode("hub", "root", "x"))
+        hub = "hub"
+    records += [CommentNode(f"k{i:03d}", hub, "y") for i in range(fan_out)]
+    return build_tree(records)
+
+
+class _FixedRng:
+    """Stands in for a Generator whose every draw is ``r``."""
+
+    def __init__(self, r: float):
+        self.r = r
+
+    def random(self) -> float:
+        return self.r
+
+
+class TestMatchesOracleWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.sampled_from(["random", "star", "hub"]),
+        size=st.integers(min_value=1, max_value=60),
+        fan_out=st.integers(min_value=130, max_value=160),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        p=st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+        L=st.integers(min_value=1, max_value=7),
+        extra_steps=st.none() | st.integers(min_value=0, max_value=30),
+    )
+    def test_same_steps_and_draws(self, shape, size, fan_out, seed, p, L, extra_steps):
+        rng = np.random.default_rng(seed)
+        if shape == "random":
+            tree = random_tree(rng, size)
+        else:
+            tree = star_tree(fan_out, hub_parent=shape == "hub")
+        start = str(rng.choice(tree.node_ids()))
+        step_cap = None if extra_steps is None else L - 1 + extra_steps
+        cfg = WalkConfig(p=p, L=L, step_cap=step_cap)
+        ours, theirs = derived_rng(seed, "walk"), derived_rng(seed, "walk")
+        assert sample_walk(tree, start, cfg, ours) == oracle_walk(tree, start, cfg, theirs)
+        # both consumed the same draws
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("hub_parent, p", [(False, 0.5), (True, 0.0)], ids=["root", "hub"])
+    def test_rounding_falls_back_to_last_child(self, hub_parent, p):
+        # six shares of 1/6 sum to nextafter(1.0, 0.0), so a draw of that
+        # value is below none of the running sums
+        r = np.nextafter(1.0, 0.0)
+        acc = 0.0
+        for _ in range(6):
+            acc += 1.0 / 6
+            assert not r < acc
+        tree = star_tree(6, hub_parent)
+        start = "hub" if hub_parent else "root"
+        cfg = WalkConfig(p=p, L=2)
+        expected = WalkSample((start, "k005"), ("k005",))
+        assert oracle_walk(tree, start, cfg, _FixedRng(r)) == expected
+        assert sample_walk(tree, start, cfg, _FixedRng(r)) == expected
 
 
 class TestRootSeekingWalk:
