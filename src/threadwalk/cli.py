@@ -15,13 +15,14 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .corpus import corpus_stats, load_corpus, save_corpus, write_lines
 from .errors import ConfigError, InputError, ThreadwalkError, TooFewTreesError
 from .evaluation import error_analysis, evaluate
 from .features import Examples
-from .model import load_model, save_model, train
+from .model import SoftmaxModel, load_model, save_model, train
 from .pipeline import (
     CHOICES,
     RunConfig,
@@ -39,7 +40,6 @@ from .pipeline import (
     write_manifest,
 )
 from .synthetic import CorpusSpec, generate
-from .tree import DiscussionTree
 
 DEFAULT_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
@@ -48,17 +48,21 @@ _FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (InputError, OSError) as exc:
-        # Only the --corpus trees are ever split, so name that file.
-        where = f"{args.corpus}: " if isinstance(exc, TooFewTreesError) else ""
-        print(f"error: {where}{exc}", file=sys.stderr)
-        return 2
-    except ThreadwalkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # One line per warning, without the source file and line behind it,
+        # in one write so that the lines of grid-search workers stay whole.
+        warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except (InputError, OSError) as exc:
+            # Only the --corpus trees are ever split, so name that file.
+            where = f"{args.corpus}: " if isinstance(exc, TooFewTreesError) else ""
+            print(f"error: {where}{exc}", file=sys.stderr)
+            return 2
+        except ThreadwalkError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def entrypoint() -> None:
@@ -195,9 +199,7 @@ def _parse_list(text: str | None, extras: dict, key: str, cast: type, default: t
     return tuple(cast(v) for v in values)
 
 
-def _featurized(
-    args: argparse.Namespace, side: int | None
-) -> tuple[RunConfig, list[DiscussionTree], Examples]:
+def _featurized(args: argparse.Namespace, side: int | None) -> tuple[RunConfig, Examples]:
     """Resolve the config, load the corpus and featurize side ``side`` of its
     split (0 train, 1 test), or the whole corpus for None."""
     config, _ = _resolve_config(args)
@@ -206,7 +208,20 @@ def _featurized(
         (corpus_side,) = corpus_sides(config, corpus, corpus)
     else:
         corpus_side = split_sides(corpus, config)[side]
-    return config, corpus, featurize_split(corpus_side, config)
+    return config, featurize_split(corpus_side, config)
+
+
+def _scored(args: argparse.Namespace) -> tuple[SoftmaxModel, Examples]:
+    """The ``--model`` file and the test side it scores, featurized under the
+    settings; ConfigError if those give rows of another width than it takes."""
+    model = load_model(args.model)
+    _, examples = _featurized(args, 1)
+    if examples.X.shape[1] != model.feature_dim:
+        raise ConfigError(
+            f"{args.model} takes {model.feature_dim} features per row, but these settings "
+            f"give {examples.X.shape[1]}; use the settings it was trained with"
+        )
+    return model, examples
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -230,11 +245,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    config, _, examples = _featurized(args, None)
+    config, examples = _featurized(args, None)
     write_lines(args.output, feature_dump_lines(examples))
     if args.traces:
-        traces = zip(examples.tree_ids, examples.walks)
-        lines = (walk.trace_line(tree_id, config.gamma) + "\n" for tree_id, walk in traces)
+        traces = zip(examples.trees, examples.walks)
+        lines = (walk.trace_line(tree.tree_id, config.gamma) + "\n" for tree, walk in traces)
         write_lines(args.traces, lines)
     print(f"wrote {len(examples)} examples to {args.output}")
     return 0
@@ -242,7 +257,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     outdir = _outdir(args)
-    config, _, examples = _featurized(args, 0)
+    config, examples = _featurized(args, 0)
     (model,) = train(examples.labels, examples.X[None], config.train_config())
     save_model(model, outdir / "model.txt")
     write_manifest(config, outdir / "manifest.json")
@@ -252,8 +267,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     outdir = _outdir(args) if args.out else None
-    model = load_model(args.model)
-    _, _, examples = _featurized(args, 1)
+    model, examples = _scored(args)
     report = evaluate(model, examples)
     print(report.to_text(), end="")
     if outdir is not None:
@@ -311,9 +325,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_error_analysis(args: argparse.Namespace) -> int:
     outdir = _outdir(args)
-    model = load_model(args.model)
-    _, corpus, examples = _featurized(args, 1)
-    result = error_analysis(model, examples, corpus)
+    model, examples = _scored(args)
+    result = error_analysis(model, examples)
     write_lines(outdir / "errors.jsonl", [result.to_jsonl()])
     print(
         f"{len(result.false_positives)} false positives, "

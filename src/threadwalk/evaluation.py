@@ -12,16 +12,11 @@ import dataclasses
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyEvalSetError,
-    NotBinaryTaskError,
-    TooFewTreesError,
-    UnknownIdError,
-)
+from .errors import EmptyEvalSetError, NotBinaryTaskError, TooFewTreesError
 from .features import HATE_TASK, POLARITY_TASK, TASK_LABELS, Examples
 from .model import SoftmaxModel, predict_labels
 from .seeding import derived_rng
@@ -205,13 +200,9 @@ class ErrorAnalysisResult:
         return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
-def error_analysis(
-    model: SoftmaxModel,
-    examples: Examples,
-    trees: Iterable[DiscussionTree],
-) -> ErrorAnalysisResult:
+def error_analysis(model: SoftmaxModel, examples: Examples) -> ErrorAnalysisResult:
     """List every misclassified example with surrounding context texts
-    (the nodes its walk collected after the PoI).
+    (the nodes its walk collected after the PoI), read from its row's tree.
 
     The FP/FN counts reconcile with the confusion matrix by construction.
     """
@@ -220,20 +211,16 @@ def error_analysis(
         raise NotBinaryTaskError(
             f"error analysis needs a binary task, got classes {report.class_names}"
         )
-    by_id = {tree.tree_id: tree for tree in trees}
     pos = report.positive_label
 
     fps: list[Misclassification] = []
     fns: list[Misclassification] = []
-    rows = zip(examples.tree_ids, examples.node_ids, examples.labels, predictions, examples.walks)
-    for tree_id, node_id, label, pred, walk in rows:
+    rows = zip(examples.trees, examples.node_ids, examples.labels, predictions, examples.walks)
+    for tree, node_id, label, pred, walk in rows:
         if pred == label:
             continue
-        tree = by_id.get(tree_id)
-        if tree is None:
-            raise UnknownIdError(f"tree {tree_id!r} not in the supplied corpus")
         record = Misclassification(
-            tree_id=tree_id,
+            tree_id=tree.tree_id,
             node_id=node_id,
             text=tree.node(node_id).text,
             true_label=label,

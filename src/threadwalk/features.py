@@ -10,8 +10,8 @@ A corpus side is compiled once into a :class:`CorpusSide`: its PoIs, one
 embedding matrix row per node and a memo of the walks sampled on it.
 Featurizing the side gives one :class:`Examples` record: a read-only
 float64 matrix ``X`` with one row per PoI, written in place a block of
-rows at a time, plus the tree id, node id, label and walk of each row in
-the same order. Training, evaluation, error analysis and the feature dump
+rows at a time, plus the tree, node id, label and walk of each row in the
+same order. Training, evaluation, error analysis and the feature dump
 all read it.
 """
 
@@ -57,12 +57,12 @@ class Examples:
     """The classifier input of one corpus side, one row per PoI.
 
     Row ``i`` of ``X`` (read-only float64, shape ``(n, D)``) holds the
-    features of the PoI ``node_ids[i]`` in tree ``tree_ids[i]``, labeled
+    features of the PoI ``node_ids[i]`` in tree ``trees[i]``, labeled
     ``labels[i]``. ``walks[i]`` is the walk the row was built from.
     """
 
     X: np.ndarray
-    tree_ids: tuple[str, ...]
+    trees: tuple[DiscussionTree, ...]
     node_ids: tuple[str, ...]
     labels: tuple[str, ...]
     walks: tuple[WalkSample, ...]
@@ -157,8 +157,8 @@ class CorpusSide:
     """One side of a tree split under a task, built once and featurized
     under any number of settings.
 
-    It holds the PoIs in :func:`labeled_pois` order (``pois``, and their
-    ``tree_ids``, ``node_ids`` and ``labels``), one embedding row per node
+    It holds the PoIs in :func:`labeled_pois` order (their ``trees``,
+    ``node_ids`` and ``labels``), one embedding row per node
     of every tree with a PoI in ``vectors`` (shape ``(N, d)``), the row of
     each node id of a PoI's tree in ``node_rows``, and the walks of the last
     ``(p, L, step cap, seed)`` featurized. Walks do not depend on ``gamma``,
@@ -170,17 +170,17 @@ class CorpusSide:
     def __init__(
         self, trees: Iterable[DiscussionTree], provider: EmbeddingProvider, task: str
     ) -> None:
-        self.pois = list(labeled_pois(trees, task))
-        self.tree_ids = tuple(tree.tree_id for tree, _ in self.pois)
-        self.node_ids = tuple(node.id for _, node in self.pois)
-        self.labels = tuple(node.label for _, node in self.pois)
-        walked = list(dict.fromkeys(tree for tree, _ in self.pois))
+        pois = list(labeled_pois(trees, task))
+        self.trees = tuple(tree for tree, _ in pois)
+        self.node_ids = tuple(node.id for _, node in pois)
+        self.labels = tuple(node.label for _, node in pois)
+        walked = list(dict.fromkeys(self.trees))
         nodes = [node for tree in walked for node in tree]
         self.vectors = provider.vectors(nodes)
         self.vectors.setflags(write=False)
         rows = iter(range(len(nodes)))
         rows_of = {tree: {node.id: next(rows) for node in tree} for tree in walked}
-        self.node_rows = [rows_of[tree] for tree, _ in self.pois]
+        self.node_rows = [rows_of[tree] for tree in self.trees]
         self._memo: tuple | None = None  # (p, L, step cap, seed), walks, rows, lengths
 
     def walks(
@@ -196,8 +196,8 @@ class CorpusSide:
         key = (config.p, config.L, config.resolved_step_cap, config.seed)
         if self._memo is None or self._memo[0] != key:
             samples = tuple(
-                sample_walk(tree, node.id, config, walk_rng(config.seed, tree.tree_id, node.id))
-                for tree, node in self.pois
+                sample_walk(tree, node_id, config, walk_rng(config.seed, tree.tree_id, node_id))
+                for tree, node_id in zip(self.trees, self.node_ids)
             )
             lengths = np.array([len(s.node_ids) for s in samples], dtype=np.intp)
             rows = np.zeros((len(samples), lengths.max(initial=1)), dtype=np.intp)
@@ -210,7 +210,7 @@ class CorpusSide:
     def examples(self, X: np.ndarray, walks: tuple[WalkSample, ...]) -> Examples:
         """``X`` (one row per PoI, made read-only) with the PoIs' columns and walks."""
         X.setflags(write=False)
-        return Examples(X, self.tree_ids, self.node_ids, self.labels, walks)
+        return Examples(X, self.trees, self.node_ids, self.labels, walks)
 
 
 # PoIs per block of feature rows, and context rows per gathered stack: bounds

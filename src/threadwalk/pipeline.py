@@ -220,7 +220,7 @@ def split_sides(trees: Sequence[DiscussionTree], config: RunConfig) -> list[Corp
     config.validate()
     train_trees, test_trees = split_trees(trees, config.split_fraction, config.seed)
     train_side, test_side = corpus_sides(config, trees, train_trees, test_trees)
-    if not test_side.pois:
+    if not test_side.labels:
         raise EmptyEvalSetError(
             f"the test side of the {config.task} split at seed {config.seed} has no PoIs"
         )
@@ -396,10 +396,10 @@ def run_pipeline(
 
 def feature_dump_lines(examples: Examples) -> Iterator[str]:
     """One JSON line per example, for cross-implementation diffing."""
-    columns = zip(examples.tree_ids, examples.node_ids, examples.labels, examples.X)
-    for tree_id, node_id, label, row in columns:
-        record = {"tree_id": tree_id, "node_id": node_id, "label": label, "features": row.tolist()}
-        yield json.dumps(record, sort_keys=True) + "\n"
+    columns = zip(examples.trees, examples.node_ids, examples.labels, examples.X)
+    for tree, node_id, label, row in columns:
+        ids = {"tree_id": tree.tree_id, "node_id": node_id}
+        yield json.dumps({**ids, "label": label, "features": row.tolist()}, sort_keys=True) + "\n"
 
 
 def write_json(payload: dict, path: str | Path) -> None:

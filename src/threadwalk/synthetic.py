@@ -44,6 +44,14 @@ MAX_MEAN_TREE_SIZE = 10**4
 # the sum of one weight of about ``branching`` per node, which stays finite
 # at this limit for any tree below 10**8 nodes.
 MAX_BRANCHING = 1e300
+# The largest lognormal sigma of tree sizes. Sizes are drawn with mean
+# ``mean_tree_size``, but the median falls as ``exp(-sigma**2 / 2)`` and
+# each draw is rounded up to at least one comment, so a wide spread turns
+# most trees into single comments and the expected total stops holding.
+# 200 trees of mean 12 (2,400 comments expected, seeds 0-2) gave 2,216-2,601
+# comments at sigma 0.8, 1,570-2,342 at 2.0, 664-1,616 at 3.0 and 202-223
+# at 5; above about 1.3e154 ``sigma * sigma`` overflows.
+MAX_SIZE_DISPERSION = 2.0
 
 
 @dataclass(frozen=True)
@@ -76,8 +84,10 @@ class CorpusSpec:
                 f"num_trees * mean_tree_size must be <= {MAX_EXPECTED_NODES}, "
                 f"got {self.num_trees} * {self.mean_tree_size}"
             )
-        if self.size_dispersion < 0:
-            raise InvalidSpecError(f"size_dispersion must be >= 0, got {self.size_dispersion}")
+        if not 0 <= self.size_dispersion <= MAX_SIZE_DISPERSION:
+            raise InvalidSpecError(
+                f"size_dispersion must be in [0, {MAX_SIZE_DISPERSION}], got {self.size_dispersion}"
+            )
         if not 0 < self.branching <= MAX_BRANCHING:
             raise InvalidSpecError(
                 f"branching must be in (0, {MAX_BRANCHING:g}], got {self.branching}"

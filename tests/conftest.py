@@ -223,10 +223,10 @@ def bow_examples(trees, task, d, *, normalize=False) -> Examples:
     (the pair framing), hate uses the single comment vector. Each row's walk
     is the PoI alone, since the baseline sees no context."""
     side = CorpusSide(trees, HashedBowProvider(d, normalize=normalize), task)
-    pois = list(zip(side.pois, side.node_rows))
-    X = side.vectors[[rows[node.id] for (_, node), rows in pois]]
+    pois = list(zip(side.trees, side.node_ids, side.node_rows))
+    X = side.vectors[[rows[node_id] for _, node_id, rows in pois]]
     if task == POLARITY_TASK:
-        parents = side.vectors[[rows[node.parent_id] for (_, node), rows in pois]]
+        parents = side.vectors[[rows[tree.parent(node_id)] for tree, node_id, rows in pois]]
         X = np.concatenate([parents, X], axis=1)
     return side.examples(X, tuple(WalkSample((node_id,), ()) for node_id in side.node_ids))
 
@@ -238,16 +238,19 @@ def bow_logreg_baseline(trees, task, d, config, *, normalize=False):
     return model
 
 
-def make_examples(rows, labels, node_ids=None, walks=None, tree_id="t"):
-    """Examples from feature rows and labels, all in tree ``tree_id``; node
-    ids default to n0, n1, ... and walks to the PoI alone."""
+def make_examples(rows, labels, node_ids=None, walks=None, tree=None):
+    """Examples from feature rows and labels, all in ``tree``; node ids
+    default to n0, n1, ..., walks to the PoI alone and the tree to a one-node
+    stand-in "t" that holds none of them, for callers that read no text."""
     if node_ids is None:
         node_ids = [f"n{i}" for i in range(len(labels))]
     if walks is None:
         walks = [WalkSample((node_id,), ()) for node_id in node_ids]
+    if tree is None:
+        tree = build_tree([CommentNode("stand-in", None, "stand-in text")], tree_id="t")
     return Examples(
         X=np.asarray(rows, dtype=np.float64),
-        tree_ids=(tree_id,) * len(labels),
+        trees=(tree,) * len(labels),
         node_ids=tuple(node_ids),
         labels=tuple(labels),
         walks=tuple(walks),

@@ -331,6 +331,37 @@ def test_error_analysis_reconciles(corpus_path, tmp_path, capsys):
     assert len(fns) == confusion[pos][neg]
 
 
+@pytest.mark.parametrize("command", ["evaluate", "error-analysis"])
+def test_model_of_another_width_exits_2(corpus_path, tmp_path, capsys, command):
+    traindir = tmp_path / "train"
+    argv = ["--corpus", str(corpus_path), "--task", "hate", *_fast_flags()]
+    assert main(["train", "--out", str(traindir), *argv]) == 0
+    capsys.readouterr()
+    model = traindir / "model.txt"
+    out = tmp_path / "out"
+    argv += ["--bow-dim", "16", "--model", str(model), "--out", str(out)]
+    assert main([command, *argv]) == 2
+    line = _single_error_line(capsys)
+    assert line == (
+        f"error: {model} takes 96 features per row, but these settings give 48; "
+        "use the settings it was trained with"
+    )
+    assert not (out / "errors.jsonl").exists() and not (out / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_library_warnings_print_one_line_each(corpus_path, tmp_path, capsys, command):
+    with corpus_path.open("a") as handle:
+        record = {"tree_id": "quiet", "id": "q0", "parent_id": None, "text": "", "label": "hate"}
+        handle.write(json.dumps(record) + "\n")
+    argv = ["validate", str(corpus_path)]
+    if command == "run":
+        argv = ["run", "--corpus", str(corpus_path), "--out", str(tmp_path / "out"), *_RUN_HATE]
+    assert main(argv) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["warning: 1 comment(s) with empty text kept in tree 'quiet'"]
+
+
 def test_env_var_sets_default_outdir(corpus_path, tmp_path, monkeypatch):
     outdir = tmp_path / "from-env"
     monkeypatch.setenv("THREADWALK_OUT", str(outdir))
@@ -363,8 +394,9 @@ def test_bad_flag_exits_2(corpus_path, capsys, argv, fragment):
         (["--branching", "1e308"], "branching must be in (0, 1e+300], got 1e+308"),
         (["--mean-tree-size", "1e300"], "mean_tree_size must be in [1, 10000], got 1e+300"),
         (["--num-trees", "100001"], "num_trees * mean_tree_size must be <= 1000000"),
+        (["--size-dispersion", "1e200"], "size_dispersion must be in [0, 2.0], got 1e+200"),
     ],
-    ids=["seed", "branching", "mean-tree-size", "expected-nodes"],
+    ids=["seed", "branching", "mean-tree-size", "expected-nodes", "size-dispersion"],
 )
 def test_unrunnable_generate_spec_exits_2(tmp_path, capsys, flags, message):
     output = tmp_path / "corpus.jsonl"
@@ -652,7 +684,7 @@ def test_bad_corpus_structure_exits_2(tmp_path, capsys, records, message):
     ids=["learning-rate", "l2", "momentum"],
 )
 def test_diverging_run_prints_one_line(corpus_path, tmp_path, capsys, flags):
-    # Under pytest a warning never reaches stderr, so turn it into an error.
+    # Turn any warning into an error, so that none can pass unseen.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         argv = ["run", "--corpus", str(corpus_path), "--out", str(tmp_path), "--task", "hate"]

@@ -27,13 +27,13 @@ def _identity_model(class_names):
     return SoftmaxModel(np.eye(n), np.zeros(n), tuple(class_names))
 
 
-def _examples_for(counts, class_names, prefix="n"):
+def _examples_for(counts, class_names, prefix="n", tree=None):
     """One example per counted (true, predicted) pair, with a one-hot
     feature on the predicted class; node ids are ``prefix`` + index."""
     y_true, y_pred = _pairs_from_counts(counts)
     rows = [np.eye(len(class_names))[class_names.index(p)] for p in y_pred]
     node_ids = [f"{prefix}{i:04d}" for i in range(len(y_true))]
-    return make_examples(rows, y_true, node_ids=node_ids)
+    return make_examples(rows, y_true, node_ids=node_ids, tree=tree)
 
 
 def _walk(poi, *context):
@@ -213,12 +213,13 @@ class TestErrorAnalysis:
             [true for _, true, _, _ in rows],
             node_ids=[nid for nid, _, _, _ in rows],
             walks=[_walk(nid, *ctx) for nid, _, _, ctx in rows],
+            tree=tree,
         )
         return _identity_model(classes), examples, tree
 
     def test_listings_reconcile_with_confusion(self):
         model, examples, tree = self._setup()
-        result = error_analysis(model, examples, [tree])
+        result = error_analysis(model, examples)
         assert len(result.false_positives) == 1
         assert len(result.false_negatives) == 1
         report = evaluate(model, examples)
@@ -230,7 +231,7 @@ class TestErrorAnalysis:
 
     def test_records_carry_context_texts(self):
         model, examples, tree = self._setup()
-        result = error_analysis(model, examples, [tree])
+        result = error_analysis(model, examples)
         fp = result.false_positives[0]
         assert fp.node_id == "d"
         assert fp.text == "more text"
@@ -246,8 +247,9 @@ class TestErrorAnalysis:
             [*(examples.labels[i] for i in keep), "hate"],
             node_ids=["r", "c", "b"],
             walks=[*(examples.walks[i] for i in keep), _walk("b", "r")],
+            tree=tree,
         )
-        result = error_analysis(model, correct, [tree])
+        result = error_analysis(model, correct)
         assert result.false_positives == ()
         assert result.false_negatives == ()
 
@@ -259,19 +261,19 @@ class TestErrorAnalysis:
             ("hate", "non-hate"): 62,
             ("hate", "hate"): 40,
         }
-        examples = _examples_for(counts, classes, prefix="e")
         records = [CommentNode("root", None, "root", label="non-hate")]
-        for i, (node_id, true) in enumerate(zip(examples.node_ids, examples.labels)):
-            records.append(CommentNode(node_id, "root", f"text {i}", label=true))
+        for i, true in enumerate(_pairs_from_counts(counts)[0]):
+            records.append(CommentNode(f"e{i:04d}", "root", f"text {i}", label=true))
         tree = build_tree(records, tree_id="t")
-        result = error_analysis(_identity_model(classes), examples, [tree])
+        examples = _examples_for(counts, classes, prefix="e", tree=tree)
+        result = error_analysis(_identity_model(classes), examples)
         assert len(result.false_positives) == 36
         assert len(result.false_negatives) == 62
 
     def test_not_binary(self):
         classes = ["a", "b", "c"]
         tree = build_tree([CommentNode("r", None, "x", label="a")], tree_id="t")
-        examples = make_examples([np.eye(3)[0]], ["a"], node_ids=["r"])
+        examples = make_examples([np.eye(3)[0]], ["a"], node_ids=["r"], tree=tree)
         with pytest.warns(UserWarning, match="no test support"):
             with pytest.raises(NotBinaryTaskError):
-                error_analysis(_identity_model(classes), examples, [tree])
+                error_analysis(_identity_model(classes), examples)

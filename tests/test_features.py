@@ -434,6 +434,19 @@ class TestCorpusSide:
                                 )
                                 assert got.X.tobytes() == want.tobytes(), (L, p, gamma)
 
+    @pytest.mark.parametrize("task", ["hate", "polarity"])
+    def test_rows_carry_their_trees(self, task, tmp_path):
+        trees, provider = _side_corpus(task, "hashed", tmp_path)
+        side = CorpusSide(trees, provider, task)
+        examples = featurize_corpus(
+            side, WalkConfig(p=0.5, seed=3), AggregationStrategy.SUM, ConcatScheme.UV
+        )
+        rows = list(zip(examples.trees, examples.node_ids, examples.walks))
+        assert rows and all(node_id in tree for tree, node_id, _ in rows)
+        assert all(set(walk.node_ids) <= set(tree.node_ids()) for tree, _, walk in rows)
+        in_order = [(tree.tree_id, node.id) for tree, node in labeled_pois(trees, task)]
+        assert [(tree.tree_id, node_id) for tree, node_id, _ in rows] == in_order
+
     def test_reused_walks_match_a_fresh_side(self, tmp_path):
         trees, provider = _side_corpus("hate", "hashed", tmp_path)
         side = CorpusSide(trees, provider, "hate")
@@ -455,9 +468,9 @@ class TestCorpusSide:
                 for scheme in ConcatScheme:
                     config = WalkConfig(p=0.4, gamma=gamma, seed=seed)
                     featurize_corpus(side, config, AggregationStrategy.SUM, scheme)
-        assert len(sampled_walks) == 2 * len(side.pois)
+        assert len(sampled_walks) == 2 * len(side.labels)
         featurize_corpus(side, WalkConfig(p=0.6, seed=0), AggregationStrategy.SUM, scheme)
-        assert len(sampled_walks) == 3 * len(side.pois)
+        assert len(sampled_walks) == 3 * len(side.labels)
 
     def test_returning_to_an_earlier_seed_samples_again(self, sampled_walks, tmp_path):
         trees, provider = _side_corpus("hate", "hashed", tmp_path)
@@ -466,7 +479,7 @@ class TestCorpusSide:
             featurize_corpus(
                 side, WalkConfig(p=0.4, seed=seed), AggregationStrategy.SUM, ConcatScheme.UV
             )
-        assert len(sampled_walks) == 3 * len(side.pois)
+        assert len(sampled_walks) == 3 * len(side.labels)
 
     def test_huge_walk_length_sizes_arrays_by_longest_walk(self, tmp_path):
         trees, provider = _side_corpus("polarity", "hashed", tmp_path)

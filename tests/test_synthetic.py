@@ -12,6 +12,7 @@ from threadwalk.synthetic import (
     MAX_BRANCHING,
     MAX_EXPECTED_NODES,
     MAX_MEAN_TREE_SIZE,
+    MAX_SIZE_DISPERSION,
     PLANT_PREFIX,
     SELF_NEG_TOKEN,
     SELF_POS_TOKEN,
@@ -48,6 +49,8 @@ class TestSpecValidation:
             {"num_trees": MAX_EXPECTED_NODES + 1, "mean_tree_size": 1.0},
             {"num_trees": 10**400},
             {"num_trees": MAX_EXPECTED_NODES // 12 + 1, "mean_tree_size": 12.0},
+            {"size_dispersion": MAX_SIZE_DISPERSION + 0.5},
+            {"size_dispersion": 1e200},
         ],
     )
     def test_rejected(self, bad):
@@ -58,6 +61,8 @@ class TestSpecValidation:
         CorpusSpec(num_trees=MAX_EXPECTED_NODES, mean_tree_size=1.0)
         CorpusSpec(num_trees=100, mean_tree_size=MAX_MEAN_TREE_SIZE)
         corpus = generate(CorpusSpec(num_trees=3, branching=MAX_BRANCHING, seed=0))
+        assert len(corpus.trees) == 3
+        corpus = generate(CorpusSpec(num_trees=3, size_dispersion=MAX_SIZE_DISPERSION, seed=0))
         assert len(corpus.trees) == 3
 
 
