@@ -33,7 +33,7 @@ def load_corpus(path: str | Path) -> list[DiscussionTree]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
             raise MalformedFileError(f"{path}:{lineno}: invalid JSON ({exc})") from None
         if not isinstance(obj, dict):
             raise MalformedFileError(f"{path}:{lineno}: record is not an object")

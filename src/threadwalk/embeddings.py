@@ -132,9 +132,12 @@ def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
     path = Path(path)
     lines = text_lines(path)
     header = next(lines, "").strip()
-    if not header.startswith("d=") or not header[2:].isdecimal():
-        raise MalformedFileError(f"{path}: first line must be 'd=<int>', got {header!r}")
-    dim = int(header[2:])
+    try:
+        if not header.startswith("d=") or not header[2:].isdecimal():
+            raise ValueError
+        dim = int(header[2:])  # ValueError past the interpreter's digit limit
+    except ValueError:
+        raise MalformedFileError(f"{path}: first line must be 'd=<int>', got {header!r}") from None
     if dim < 1:
         raise MalformedFileError(f"{path}: dimension must be >= 1, got {dim}")
     rows: dict[str, int] = {}

@@ -219,7 +219,7 @@ def load_model(path: str | Path) -> SoftmaxModel:
         rows = [np.array([float(v) for v in lines[4 + i].split()]) for i in range(n_classes)]
         bias = np.array([float(v) for v in lines[4 + n_classes].split()])
         weights = np.stack(rows)  # ValueError for ragged rows or no classes
-    except (IndexError, ValueError, json.JSONDecodeError) as exc:
+    except (IndexError, ValueError, RecursionError) as exc:
         raise MalformedFileError(f"{path}: truncated or corrupt model file ({exc})") from None
     if weights.shape != (n_classes, dim) or bias.shape != (n_classes,):
         raise MalformedFileError(f"{path}: parameter shapes disagree with header")

@@ -19,7 +19,7 @@ never appears in that node's own text.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,22 +104,15 @@ class CorpusSpec:
             raise InvalidSpecError(f"task must be one of {TASKS}, got {self.task!r}")
 
 
-@dataclass(frozen=True)
-class NodeProvenance:
-    """Ground truth about how a node's label was planted."""
-
-    source: str  # "context" or "self"
-    ancestor_id: str | None
-    plant_token: str | None
-
-
 @dataclass
 class GeneratedCorpus:
-    """Trees plus the ground-truth provenance used by tests."""
+    """Trees plus the ground truth of each label: ``provenance`` maps each
+    labeled node id to ``"context"`` (planted on its ancestor) or
+    ``"self"`` (in its own text)."""
 
     trees: list[DiscussionTree]
-    provenance: dict[str, NodeProvenance] = field(default_factory=dict)
-    spec: CorpusSpec | None = None
+    provenance: dict[str, str]
+    spec: CorpusSpec
 
     def positive_fraction_realized(self) -> float:
         labels = [node.label for tree in self.trees for node in tree if node.label is not None]
@@ -128,8 +121,7 @@ class GeneratedCorpus:
     def context_fraction_realized(self) -> float:
         if not self.provenance:
             return 0.0
-        borne = sum(1 for p in self.provenance.values() if p.source == "context")
-        return borne / len(self.provenance)
+        return list(self.provenance.values()).count("context") / len(self.provenance)
 
 
 def plant_token(depth: int, task: str) -> str:
@@ -149,7 +141,7 @@ def generate(spec: CorpusSpec) -> GeneratedCorpus:
     distance = _ANCESTOR_DISTANCE[spec.task]
 
     trees: list[DiscussionTree] = []
-    provenance: dict[str, NodeProvenance] = {}
+    provenance: dict[str, str] = {}
     digits = max(5, len(str(spec.num_trees)))
 
     for t in range(spec.num_trees):
@@ -183,17 +175,10 @@ def generate(spec: CorpusSpec) -> GeneratedCorpus:
             context_borne = ancestor is not None and rng.random() < spec.context_signal
             if context_borne:
                 is_positive = bool(hot[ancestor])
-                provenance[node_ids[i]] = NodeProvenance(
-                    source="context",
-                    ancestor_id=node_ids[ancestor],
-                    plant_token=plant_token(depths[ancestor], spec.task),
-                )
             else:
                 is_positive = bool(rng.random() < spec.positive_fraction)
                 texts[i] += [SELF_POS_TOKEN if is_positive else SELF_NEG_TOKEN] * _SIGNAL_REPEATS
-                provenance[node_ids[i]] = NodeProvenance(
-                    source="self", ancestor_id=None, plant_token=None
-                )
+            provenance[node_ids[i]] = "context" if context_borne else "self"
             labels[i] = positive if is_positive else negative
 
         records = [

@@ -4,6 +4,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -412,6 +415,20 @@ def test_help_exits_0(capsys):
     assert "--corpus" in capsys.readouterr().out
 
 
+def test_import_leaves_out_the_process_pool():
+    """Only grid-search with more than one worker imports it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    check = "import sys, threadwalk.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", check],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "False\n"
+
+
 def test_missing_corpus_exits_2(tmp_path):
     code = main(["validate", str(tmp_path / "absent.jsonl")])
     assert code == 2
@@ -593,6 +610,11 @@ def test_bow_dim_above_limit_exits_2(corpus_path, tmp_path, capsys, flag, value,
     assert _single_error_line(capsys) == f"error: {message}, got {value}"
 
 
+# Past the JSON parser's recursion limit, and past int()'s digit limit.
+_DEEP_NESTING = "[" * 100_000
+_HUGE_INTEGER = "9" * 5_000
+
+
 @pytest.mark.parametrize(
     "table, message",
     [
@@ -600,8 +622,15 @@ def test_bow_dim_above_limit_exits_2(corpus_path, tmp_path, capsys, flag, value,
         ("d=10000000000\n", "no embedding for node id"),
         ("d=2\nn1 1_0 0\n", "emb.txt:2: non-numeric value"),
         ("d=2\nn1 0 0\nn2 \u0661 0\n", "emb.txt:3: non-numeric value"),
+        (f"d={_HUGE_INTEGER}\n", "emb.txt: first line must be 'd=<int>', got 'd=9999"),
     ],
-    ids=["header-only", "header-only-huge-dimension", "underscore-digits", "non-ascii-digit"],
+    ids=[
+        "header-only",
+        "header-only-huge-dimension",
+        "underscore-digits",
+        "non-ascii-digit",
+        "dimension-past-digit-limit",
+    ],
 )
 def test_unusable_embedding_file_exits_2(corpus_path, tmp_path, capsys, table, message):
     embeddings = tmp_path / "emb.txt"
@@ -609,6 +638,39 @@ def test_unusable_embedding_file_exits_2(corpus_path, tmp_path, capsys, table, m
     argv = ["run", "--corpus", str(corpus_path), "--out", str(tmp_path / "out"), *_RUN_HATE]
     assert main(argv + ["--embedding", "external", "--embedding-file", str(embeddings)]) == 2
     assert message in _single_error_line(capsys)
+
+
+def test_deeply_nested_corpus_line_exits_2(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(_DEEP_NESTING + "\n")
+    assert main(["validate", str(path)]) == 2
+    assert _single_error_line(capsys).startswith(f"error: {path}:1: invalid JSON (")
+
+
+def test_huge_integer_corpus_id_exits_2(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(f'{{"tree_id": "t", "id": {_HUGE_INTEGER}, "parent_id": null, "text": "x"}}\n')
+    assert main(["validate", str(path)]) == 2
+    assert _single_error_line(capsys).startswith(f"error: {path}:1: invalid JSON (")
+
+
+def test_deeply_nested_config_exits_2(corpus_path, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(_DEEP_NESTING)
+    argv = ["run", "--corpus", str(corpus_path), "--config", str(config)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert _single_error_line(capsys).startswith(f"error: {config}: invalid JSON (")
+
+
+def test_deeply_nested_model_meta_exits_2(corpus_path, tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    save_model(SoftmaxModel(np.zeros((2, 3)), np.zeros(2), ("hate", "non-hate")), model)
+    lines = model.read_text().splitlines(keepends=True)
+    lines[3] = f"meta {_DEEP_NESTING}\n"
+    model.write_text("".join(lines))
+    argv = ["evaluate", "--corpus", str(corpus_path), "--model", str(model), *_RUN_HATE]
+    assert main(argv) == 2
+    assert _single_error_line(capsys).startswith(f"error: {model}: truncated or corrupt model file")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Pipeline orchestration: runs, manifests, grid search, ablation."""
 
+import concurrent.futures
+import itertools
 import json
 import weakref
 
@@ -26,6 +28,7 @@ from threadwalk.pipeline import (
     feature_dump_lines,
     grid_search,
     read_manifest,
+    replicate,
     run_pipeline,
     split_sides,
     write_manifest,
@@ -229,7 +232,6 @@ def _cell(p, gamma, macro_f1, accuracy):
         recall_pos=0.0,
         precision_macro=0.0,
         recall_macro=0.0,
-        reports=(),
     )
 
 
@@ -254,7 +256,7 @@ def in_process_pool(monkeypatch) -> dict:
             asked["tasks"].extend(items)
             return map(fn, items)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return asked
 
 
@@ -274,10 +276,12 @@ class TestGridSearch:
         result = grid_search(small_corpus, [1.0], [0.8], config, seeds=[4])
         assert set(result.cells) == {(1.0, 0.8)}
         direct, _ = run_pipeline(small_corpus, config)
+        (alone,) = replicate(*split_sides(small_corpus, config), [config])
+        assert alone.report.to_dict() == direct.report.to_dict()
         cell = result.cells[(1.0, 0.8)]
-        assert cell.macro_f1 == direct.report.macro_f1
-        assert cell.accuracy == direct.report.accuracy
-        assert np.array_equal(cell.reports[0].confusion, direct.report.confusion)
+        columns = {"precision_macro": "macro_precision", "recall_macro": "macro_recall"}
+        for column in ("accuracy", "macro_f1", "precision_pos", "recall_pos", *columns):
+            assert getattr(cell, column) == getattr(direct.report, columns.get(column, column))
 
     def test_full_cartesian_grid_and_csv(self, small_corpus):
         result = grid_search(small_corpus, [0.5, 1.0], [0.0, 0.5, 1.0], SMALL_CONFIG, seeds=[0, 1])
@@ -289,9 +293,15 @@ class TestGridSearch:
         )
         assert len(lines) == 7
         # mean over seeds, not pooled predictions
+        train_side, test_side = split_sides(small_corpus, SMALL_CONFIG)
+        cell_config = SMALL_CONFIG.replace(p=1.0, gamma=0.5)
+        per_seed = [
+            replicate(train_side, test_side, [cell_config.replace(seed=seed)])[0].report
+            for seed in (0, 1)
+        ]
         cell = result.cells[(1.0, 0.5)]
         assert cell.macro_f1 == pytest.approx(
-            sum(r.macro_f1 for r in cell.reports) / 2, abs=1e-15
+            sum(r.macro_f1 for r in per_seed) / 2, abs=1e-15
         )
 
     def test_order_independent_of_jobs(self, small_corpus):
@@ -403,15 +413,21 @@ class TestLockstepGroups:
         train_side, test_side = split_sides(small_corpus, config)
         configs = [config.replace(**{field: value}) for value in values]
         seeds = (0, 1)
-        together = average_over_seeds(train_side, test_side, configs, seeds)
+        average_over_seeds(train_side, test_side, configs, seeds)
         assert trained_groups == groups * len(seeds)
         assert max(trained_groups) <= LOCKSTEP_CAP
-        trained_groups.clear()
-        alone = [average_over_seeds(train_side, test_side, [c], seeds)[0] for c in configs]
-        assert trained_groups == [1] * len(configs) * len(seeds)
-        assert together == alone
-        for a, b in zip(together, alone):
-            assert [r.to_dict() for r in a.reports] == [r.to_dict() for r in b.reports]
+        # each group trained in lockstep gives what its configs give alone
+        bounds = [0, *itertools.accumulate(groups)]
+        for seed in seeds:
+            seeded = [c.replace(seed=seed) for c in configs]
+            for start, stop in zip(bounds, bounds[1:]):
+                together = replicate(train_side, test_side, seeded[start:stop])
+                for config, a in zip(seeded[start:stop], together):
+                    (b,) = replicate(train_side, test_side, [config])
+                    assert a.report.to_dict() == b.report.to_dict()
+                    assert np.array_equal(a.model.weights, b.model.weights)
+                    assert np.array_equal(a.model.bias, b.model.bias)
+                    assert a.model.metadata == b.model.metadata
 
     def test_stack_freed_before_next_group(self, small_corpus, monkeypatch):
         stacks = []  # a weak reference to each group's training stack

@@ -1,15 +1,18 @@
 """The package's public surface is product code.
 
 Every public top-level function or class in ``src/threadwalk`` must be
-referenced from the package itself (outside its own definition) or from
-the benchmark harness in ``perfbench/``. The same holds one level down:
-every public method or property of a public class is read as an
-attribute in ``src/`` outside its own definition (or named in
-``perfbench/``), and every defaulted parameter of a public function is
-passed by some call in ``src/`` or ``perfbench/``. Helpers that only
-tests need live in ``tests/conftest.py``. A :class:`RunConfig` is the one
-source of the settings it holds: nothing that takes one also takes one
-of its fields beside it.
+referenced from the package itself (outside its own definition) or named
+in the code of the benchmark harness in ``perfbench/``. The same holds
+one level down: every public method or property of a public class is
+read as an attribute in ``src/`` outside its own definition (or named in
+``perfbench/``), every field of a public dataclass or NamedTuple is read
+in ``src/`` (or named in ``perfbench/``), and every defaulted parameter
+of a public function is passed by some call in ``src/`` or
+``perfbench/``. "Named in ``perfbench/``" means an identifier of its
+code, not a word of its prose. Helpers that only tests need live in
+``tests/conftest.py``. A :class:`RunConfig` is the one source of the
+settings it holds: nothing that takes one also takes one of its fields
+beside it.
 """
 
 import ast
@@ -22,7 +25,38 @@ from threadwalk.pipeline import RunConfig
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "threadwalk"
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-PERFBENCH = {path.stem: path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))}
+PERFBENCH = [ast.parse(path.read_text()) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+
+
+def _identifiers(module: ast.Module) -> set[str]:
+    """The identifiers the code of ``module`` names: names, attributes,
+    imported names and aliases, parameters, keywords, and the identifier
+    tokens of its strings other than docstrings (``tracer.TARGETS`` names
+    the functions it wraps as strings)."""
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {
+        node.body[0].value for node in ast.walk(module)
+        if isinstance(node, scopes) and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    names = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update([*node.name.split("."), node.asname])
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.keyword):
+            names.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node not in docstrings:
+                names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+PERFBENCH_NAMES = set().union(*map(_identifiers, PERFBENCH))
 
 
 def _public_definitions(module: ast.Module) -> list[ast.stmt]:
@@ -48,7 +82,6 @@ def _referenced_names(module: ast.Module, skip: ast.stmt | None) -> set[str]:
 
 
 def test_every_public_definition_is_reached():
-    perfbench = "\n".join(PERFBENCH.values())
     names_in = {stem: _referenced_names(module, None) for stem, module in MODULES.items()}
     unreached = []
     for stem, module in MODULES.items():
@@ -57,8 +90,7 @@ def test_every_public_definition_is_reached():
             in_package = name in _referenced_names(module, definition) or any(
                 name in names for other, names in names_in.items() if other != stem
             )
-            in_perfbench = re.search(rf"\b{name}\b", perfbench) is not None
-            if not (in_package or in_perfbench):
+            if not (in_package or name in PERFBENCH_NAMES):
                 unreached.append(f"{stem}.{name}")
     assert unreached == [], f"public definitions nothing in src/ or perfbench/ reaches: {unreached}"
 
@@ -68,7 +100,6 @@ def test_every_public_member_is_read():
         node for module in MODULES.values() for node in ast.walk(module)
         if isinstance(node, ast.Attribute)
     ]
-    perfbench = "\n".join(PERFBENCH.values())
     unread = []
     for stem, module in MODULES.items():
         classes = [c for c in _public_definitions(module) if isinstance(c, ast.ClassDef)]
@@ -78,9 +109,77 @@ def test_every_public_member_is_read():
                     continue
                 own = set(ast.walk(member))
                 read = any(a.attr == member.name and a not in own for a in attributes)
-                if not (read or re.search(rf"\b{member.name}\b", perfbench)):
+                if not (read or member.name in PERFBENCH_NAMES):
                     unread.append(f"{stem}.{cls.name}.{member.name}")
     assert unread == [], f"public members nothing in src/ or perfbench/ reads: {unread}"
+
+
+def _name(node: ast.expr) -> str | None:
+    """The name a Name or Attribute node ends in."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _record_kind(cls: ast.ClassDef) -> str | None:
+    """Whether a class is a ``dataclass`` or a ``NamedTuple``; None if neither."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    kinds = {_name(m) for m in [*marks, *cls.bases]} & {"dataclass", "NamedTuple"}
+    return kinds.pop() if kinds else None
+
+
+def _getattr_names(module: ast.Module) -> set[str]:
+    """The strings listed in tuples and lists of a module that calls
+    ``getattr`` with a computed name, such as ``_GRID_COLUMNS``."""
+    calls = [n for n in ast.walk(module) if isinstance(n, ast.Call)]
+    if not any(
+        _name(c.func) == "getattr" and len(c.args) > 1 and not isinstance(c.args[1], ast.Constant)
+        for c in calls
+    ):
+        return set()
+    listed = [e for n in ast.walk(module) if isinstance(n, (ast.Tuple, ast.List)) for e in n.elts]
+    return {e.value for e in listed if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+
+
+def _unpacked_lengths(module: ast.Module) -> set[int]:
+    """The lengths of the unstarred tuple targets of assignments and loops."""
+    targets = [
+        target
+        for n in ast.walk(module)
+        if isinstance(n, (ast.Assign, ast.For, ast.comprehension))
+        for target in (n.targets if isinstance(n, ast.Assign) else [n.target])
+    ]
+    return {
+        len(t.elts)
+        for t in targets
+        if isinstance(t, (ast.Tuple, ast.List)) and not any(isinstance(e, ast.Starred) for e in t.elts)
+    }
+
+
+def test_every_public_field_is_read():
+    """A field of a public dataclass or NamedTuple is read as an attribute,
+    as a string in a getattr name list, by unpacking a NamedTuple into as
+    many names as it has fields, or by ``dataclasses.asdict`` inside its
+    own class."""
+    modules = list(MODULES.values())
+    read = {
+        n.attr for m in modules for n in ast.walk(m)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    read |= set().union(*map(_getattr_names, modules), PERFBENCH_NAMES)
+    lengths = set().union(*map(_unpacked_lengths, modules))
+    unread = []
+    for stem, module in MODULES.items():
+        for cls in _public_definitions(module):
+            kind = isinstance(cls, ast.ClassDef) and _record_kind(cls)
+            if not kind:
+                continue
+            fields = [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)]
+            as_dict = any(
+                isinstance(n, ast.Call) and _name(n.func) == "asdict" for n in ast.walk(cls)
+            )
+            unpacked = kind == "NamedTuple" and len(fields) in lengths
+            if not (as_dict or unpacked):
+                unread += [f"{stem}.{cls.name}.{f}" for f in fields if f not in read]
+    assert unread == [], f"public fields nothing in src/ reads or perfbench/ names: {unread}"
 
 
 def _defaulted(args: ast.arguments) -> list[tuple[int | None, str]]:
@@ -101,9 +200,9 @@ def _passes(call: ast.Call, position: int | None, name: str) -> bool:
 
 
 def test_every_defaulted_parameter_is_passed():
-    sources = [*MODULES.values(), *(ast.parse(text) for text in PERFBENCH.values())]
+    sources = [*MODULES.values(), *PERFBENCH]
     calls = [n for tree in sources for n in ast.walk(tree) if isinstance(n, ast.Call)]
-    callees = [getattr(c.func, "id", None) or getattr(c.func, "attr", None) for c in calls]
+    callees = [_name(c.func) for c in calls]
     unpassed = []
     for stem, module in MODULES.items():
         functions = [f for f in _public_definitions(module) if isinstance(f, ast.FunctionDef)]

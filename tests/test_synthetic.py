@@ -16,11 +16,13 @@ from threadwalk.synthetic import (
     PLANT_PREFIX,
     SELF_NEG_TOKEN,
     SELF_POS_TOKEN,
+    _ANCESTOR_DISTANCE,
     CorpusSpec,
     generate,
+    plant_token,
 )
 
-from conftest import bow_examples, bow_logreg_baseline
+from conftest import ancestors, bow_examples, bow_logreg_baseline
 
 
 class TestSpecValidation:
@@ -154,20 +156,25 @@ class TestPlantedSignals:
     @pytest.mark.parametrize("task", ["hate", "polarity"])
     def test_plant_only_on_ancestor_never_in_own_text(self, task):
         corpus = self._corpus(task)
-        nodes = {n.id: n for t in corpus.trees for n in t}
+        trees = {n.id: t for t in corpus.trees for n in t}
         checked = 0
-        for node_id, prov in corpus.provenance.items():
-            if prov.source != "context":
+        for node_id, source in corpus.provenance.items():
+            if source != "context":
                 continue
-            own_tokens = set(tokenize(nodes[node_id].text))
-            assert prov.plant_token not in own_tokens
+            tree = trees[node_id]
+            # the planting ancestor sits _ANCESTOR_DISTANCE parents up, and
+            # its plant token is tagged with its own depth
+            ancestor_id = ancestors(tree, node_id)[_ANCESTOR_DISTANCE[task] - 1]
+            token = plant_token(len(ancestors(tree, ancestor_id)), task)
+            own_tokens = set(tokenize(tree.node(node_id).text))
+            assert token not in own_tokens
             assert SELF_POS_TOKEN not in own_tokens
             assert SELF_NEG_TOKEN not in own_tokens
             # the deciding token sits on the ancestor iff it is hot, and
             # hotness encodes exactly the node's label
-            ancestor_tokens = set(tokenize(nodes[prov.ancestor_id].text))
-            positive = nodes[node_id].label in ("hate", "support")
-            assert (prov.plant_token in ancestor_tokens) == positive
+            ancestor_tokens = set(tokenize(tree.node(ancestor_id).text))
+            positive = tree.node(node_id).label in ("hate", "support")
+            assert (token in ancestor_tokens) == positive
             checked += 1
         assert checked > 100
 
@@ -176,8 +183,8 @@ class TestPlantedSignals:
         corpus = self._corpus(task)
         nodes = {n.id: n for t in corpus.trees for n in t}
         checked = 0
-        for node_id, prov in corpus.provenance.items():
-            if prov.source != "self":
+        for node_id, source in corpus.provenance.items():
+            if source != "self":
                 continue
             own = set(tokenize(nodes[node_id].text))
             positive = nodes[node_id].label in ("hate", "support")
