@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -28,10 +29,12 @@ from .pipeline import (
     RunConfig,
     ablate_concat,
     ablation_csv,
+    best_cell,
     check_type,
     corpus_sides,
     feature_dump_lines,
     featurize_split,
+    grid_csv,
     grid_search,
     read_manifest,
     run_pipeline,
@@ -279,11 +282,27 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config, _ = _resolve_config(args)
     trees = load_corpus(args.corpus)
-    result, artifacts = run_pipeline(
-        trees, config, outdir=_outdir(args), dump_features=args.dump_features
-    )
-    print(result.report.to_text(), end="")
-    print(f"artifacts: {', '.join(str(p) for p in artifacts.values())}")
+    outdir = _outdir(args)
+    model, report, train_examples, test_examples = run_pipeline(trees, config)
+    artifacts = [outdir / "model.txt", outdir / "report.txt", outdir / "metrics.json"]
+    save_model(model, artifacts[0])
+    write_lines(artifacts[1], [report.to_text()])
+    metrics = {
+        "report": report.to_dict(),
+        "train_examples": len(train_examples),
+        "test_examples": len(test_examples),
+        "config": config.to_dict(),
+    }
+    write_json(metrics, artifacts[2])
+    if args.dump_features:
+        artifacts.append(outdir / "features.jsonl")
+        examples = (train_examples, test_examples)
+        write_lines(artifacts[-1], itertools.chain(*map(feature_dump_lines, examples)))
+    # Last, so that a manifest vouches for a complete set of artifacts.
+    artifacts.append(outdir / "manifest.json")
+    write_manifest(config, artifacts[-1])
+    print(report.to_text(), end="")
+    print(f"artifacts: {', '.join(map(str, artifacts))}")
     return 0
 
 
@@ -294,14 +313,14 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     gamma_values = _parse_list(args.gamma_values, extras, "gamma_values", float, DEFAULT_GRID)
     seeds = _parse_list(args.seeds, extras, "seeds", int, DEFAULT_SEEDS)
     outdir = _outdir(args)
-    result = grid_search(trees, p_values, gamma_values, config, seeds, jobs=args.jobs)
-    write_lines(outdir / "grid.csv", [result.to_csv()])
+    cells = grid_search(trees, p_values, gamma_values, config, seeds, jobs=args.jobs)
+    write_lines(outdir / "grid.csv", [grid_csv(cells)])
     write_manifest(
         config,
         outdir / "manifest.json",
         extra={"p_values": list(p_values), "gamma_values": list(gamma_values), "seeds": list(seeds)},
     )
-    best = result.cells[result.best]
+    best = best_cell(cells)
     print(f"grid written to {outdir / 'grid.csv'}")
     print(
         f"best cell p={best.p} gamma={best.gamma} "

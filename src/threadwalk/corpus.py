@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -23,6 +24,19 @@ _ID_TYPES = {"tree_id": {str, int}, "id": {str, int}, "parent_id": {str, int, ty
 _REQUIRED_FIELDS = (*_ID_TYPES, "text")
 
 
+def parse_int(text: str) -> int:
+    """``int(text)``; past the interpreter's digit limit, a ValueError that
+    names the limit rather than how to raise it."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text.lstrip("+-")) > limit:
+        raise ValueError(f"an integer longer than {limit} digits")
+    return int(text)
+
+
+# Decodes as json.loads does, reading integers with parse_int.
+JSON_DECODER = json.JSONDecoder(parse_int=parse_int)
+
+
 def load_corpus(path: str | Path) -> list[DiscussionTree]:
     """Read a corpus file into a list of validated discussion trees."""
     groups: dict[str, list[CommentNode]] = {}
@@ -32,7 +46,7 @@ def load_corpus(path: str | Path) -> list[DiscussionTree]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = JSON_DECODER.decode(line)
         except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
             raise MalformedFileError(f"{path}:{lineno}: invalid JSON ({exc})") from None
         if not isinstance(obj, dict):

@@ -137,7 +137,8 @@ def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
             raise ValueError
         dim = int(header[2:])  # ValueError past the interpreter's digit limit
     except ValueError:
-        raise MalformedFileError(f"{path}: first line must be 'd=<int>', got {header!r}") from None
+        shown = repr(header[:40]) + ("..." if len(header) > 40 else "")
+        raise MalformedFileError(f"{path}: first line must be 'd=<int>', got {shown}") from None
     if dim < 1:
         raise MalformedFileError(f"{path}: dimension must be >= 1, got {dim}")
     rows: dict[str, int] = {}

@@ -26,7 +26,7 @@ from .errors import (
     NonFiniteLossError,
     SingleClassDataError,
 )
-from .corpus import text_lines, write_lines
+from .corpus import JSON_DECODER, parse_int, text_lines, write_lines
 from .seeding import derived_rng
 
 MODEL_FORMAT = "threadwalk-softmax-v1"
@@ -214,8 +214,8 @@ def load_model(path: str | Path) -> SoftmaxModel:
         raise MalformedFileError(f"{path}: not a {MODEL_FORMAT} file")
     try:
         class_names = tuple(lines[1].split("\t")[1:])
-        n_classes, dim = (int(x) for x in lines[2].split()[1:])
-        metadata = json.loads(lines[3][len("meta ") :])
+        n_classes, dim = (parse_int(x) for x in lines[2].split()[1:])
+        metadata = JSON_DECODER.decode(lines[3][len("meta ") :])
         rows = [np.array([float(v) for v in lines[4 + i].split()]) for i in range(n_classes)]
         bias = np.array([float(v) for v in lines[4 + n_classes].split()])
         weights = np.stack(rows)  # ValueError for ragged rows or no classes

@@ -8,10 +8,11 @@ width and training config train in lockstep, up to three at a time. Each
 side of the split is compiled once into a
 :class:`~threadwalk.features.CorpusSide`, so its comments are embedded
 once and its walks are sampled once per (p, seed) for the whole
-experiment. Every run writes a manifest that captures the full
-resolved configuration, and replaying a manifest reproduces metrics and
-model files byte for byte: all randomness flows from the single top-level
-seed through named streams (tree split, per-node walks, training shuffle).
+experiment. Experiments return values; the command line writes their
+files in the formats defined here. A manifest captures the full resolved
+configuration, and replaying one reproduces metrics and model files byte
+for byte: all randomness flows from the single top-level seed through
+named streams (tree split, per-node walks, training shuffle).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import write_lines
+from .corpus import JSON_DECODER, write_lines
 from .embeddings import (
     DEFAULT_BOW_DIM,
     EmbeddingProvider,
@@ -47,7 +48,7 @@ from .features import (
     feature_width,
     featurize_corpus,
 )
-from .model import SoftmaxModel, TrainConfig, save_model, train
+from .model import SoftmaxModel, TrainConfig, train
 from .tree import DiscussionTree
 from .walks import DEFAULT_WALK_LENGTH, WalkConfig
 
@@ -349,46 +350,10 @@ def average_over_seeds(
     ]
 
 
-def run_pipeline(
-    trees: Sequence[DiscussionTree],
-    config: RunConfig,
-    outdir: str | Path | None = None,
-    dump_features: bool = False,
-) -> tuple[Replicate, dict[str, Path]]:
-    """Execute split -> featurize -> train -> evaluate and write artifacts;
-    the replicate and the path of each artifact written."""
-    train_side, test_side = split_sides(trees, config)
-    (result,) = replicate(train_side, test_side, [config])
-    model, report, train_examples, test_examples = result
-
-    artifacts: dict[str, Path] = {}
-    if outdir is not None:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        artifacts["model"] = outdir / "model.txt"
-        save_model(model, artifacts["model"])
-        artifacts["report"] = outdir / "report.txt"
-        write_lines(artifacts["report"], [report.to_text()])
-        artifacts["metrics"] = outdir / "metrics.json"
-        metrics = {
-            "report": report.to_dict(),
-            "train_examples": len(train_examples),
-            "test_examples": len(test_examples),
-            "config": config.to_dict(),
-        }
-        write_json(metrics, artifacts["metrics"])
-        if dump_features:
-            artifacts["features"] = outdir / "features.jsonl"
-            write_lines(
-                artifacts["features"],
-                itertools.chain(
-                    feature_dump_lines(train_examples), feature_dump_lines(test_examples)
-                ),
-            )
-        # Last, so that a manifest vouches for a complete set of artifacts.
-        artifacts["manifest"] = outdir / "manifest.json"
-        write_manifest(config, artifacts["manifest"])
-    return result, artifacts
+def run_pipeline(trees: Sequence[DiscussionTree], config: RunConfig) -> Replicate:
+    """Split, featurize, train and evaluate once, at ``config.seed``."""
+    (result,) = replicate(*split_sides(trees, config), [config])
+    return result
 
 
 def feature_dump_lines(examples: Examples) -> Iterator[str]:
@@ -417,7 +382,7 @@ def read_manifest(path: str | Path) -> tuple[RunConfig, dict]:
     are the extras; any other key is a ConfigError.
     """
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = JSON_DECODER.decode(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # invalid JSON or UTF-8, or too deep
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
@@ -448,17 +413,6 @@ def _check_values(name: str, values: Sequence[float]) -> None:
 # --- hyperparameter grid search ---
 
 
-@dataclass
-class GridSearchResult:
-    """Full Cartesian grid of seed-averaged reports."""
-
-    cells: dict[tuple[float, float], SeedAverage]
-    best: tuple[float, float]
-
-    def to_csv(self) -> str:
-        return _csv(_GRID_COLUMNS, [self.cells[key] for key in sorted(self.cells)])
-
-
 def grid_search(
     trees: Sequence[DiscussionTree],
     p_values: Sequence[float],
@@ -466,13 +420,13 @@ def grid_search(
     config: RunConfig,
     seeds: Sequence[int],
     jobs: int = 1,
-) -> GridSearchResult:
-    """Evaluate every (p, gamma) cell, averaging metrics over the seeds.
+) -> list[SeedAverage]:
+    """One :class:`SeedAverage` per (p, gamma) cell, in (p, gamma) order,
+    each averaging its metrics over the seeds.
 
     The tree split is fixed by ``config.seed``; each replicate reseeds
     only the walks and the training shuffle. Each list must be non-empty
-    and repeat no value. Ties on macro-F1 break by higher accuracy, then
-    lower p, then lower gamma.
+    and repeat no value.
     """
     for name, values in (("p_values", p_values), ("gamma_values", gamma_values), ("seeds", seeds)):
         _check_values(name, values)
@@ -494,17 +448,17 @@ def grid_search(
             averages = list(pool.map(row_averages, rows))
     else:
         averages = [row_averages(row) for row in rows]
-    cells = {(c.p, c.gamma): c for row in averages for c in row}
-    return GridSearchResult(cells=cells, best=_select_best(cells))
+    return sorted(itertools.chain(*averages), key=lambda cell: (cell.p, cell.gamma))
 
 
-def _select_best(cells: dict[tuple[float, float], SeedAverage]) -> tuple[float, float]:
-    """Best cell by macro-F1; ties break by higher accuracy, then lower p,
-    then lower gamma."""
-    return max(
-        cells,
-        key=lambda key: (cells[key].macro_f1, cells[key].accuracy, -key[0], -key[1]),
-    )
+def best_cell(cells: Sequence[SeedAverage]) -> SeedAverage:
+    """The cell of highest macro-F1; ties break by higher accuracy, then
+    lower p, then lower gamma."""
+    return max(cells, key=lambda cell: (cell.macro_f1, cell.accuracy, -cell.p, -cell.gamma))
+
+
+def grid_csv(cells: Sequence[SeedAverage]) -> str:
+    return _csv(_GRID_COLUMNS, cells)
 
 
 # --- concatenation ablation ---

@@ -20,13 +20,16 @@ from threadwalk.features import (
     aggregate_context,
 )
 from threadwalk.model import SoftmaxModel, TrainConfig, loss_and_gradient, train
+from threadwalk.cli import main
+from threadwalk.corpus import save_corpus
 from threadwalk.pipeline import (
     RunConfig,
     ablate_concat,
+    best_cell,
     featurize_split,
+    grid_csv,
     grid_search,
     read_manifest,
-    run_pipeline,
 )
 from threadwalk.synthetic import CorpusSpec, generate
 from threadwalk.tree import CommentNode, build_tree
@@ -270,14 +273,14 @@ def test_criterion_08_grid_search_shape(grid_corpus):
     )
     first = grid_search(grid_corpus, values, values, config, seeds=(0, 1), jobs=2)
     replay = grid_search(grid_corpus, values, values, config, seeds=(0, 1), jobs=1)
-    best_cell = first.cells[first.best]
+    best, best_replay = best_cell(first), best_cell(replay)
     ok = (
-        len(first.cells) == 36
-        and first.to_csv() == replay.to_csv()
-        and first.best == replay.best
-        and best_cell.gamma != 0.0
+        len(first) == 36
+        and grid_csv(first) == grid_csv(replay)
+        and (best.p, best.gamma) == (best_replay.p, best_replay.gamma)
+        and best.gamma != 0.0
     )
-    detail = f"36 cells, best=(p={best_cell.p}, gamma={best_cell.gamma}, f1={best_cell.macro_f1:.4f})"
+    detail = f"36 cells, best=(p={best.p}, gamma={best.gamma}, f1={best.macro_f1:.4f})"
     _report(8, "grid-search shape and replay", ok, detail)
 
 
@@ -295,14 +298,18 @@ def test_criterion_09_ablation_harness(grid_corpus):
 
 
 def test_criterion_10_manifest_determinism(grid_corpus, tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(grid_corpus, corpus)
+    first, second = tmp_path / "first", tmp_path / "second"
+    flags = ["--task", "hate", "--p", "0.8", "--gamma", "0.6", "--epochs", "15",
+             "--bow-dim", "64", "--class-weighting", "--seed", "9"]
+    assert main(["run", "--corpus", str(corpus), "--out", str(first), *flags]) == 0
     config = RunConfig(
         task="hate", p=0.8, gamma=0.6, epochs=15, bow_dim=64, class_weighting=True, seed=9
     )
-    first = tmp_path / "first"
-    run_pipeline(grid_corpus, config, outdir=first)
-    replayed, _ = read_manifest(first / "manifest.json")
-    second = tmp_path / "second"
-    run_pipeline(grid_corpus, replayed, outdir=second)
+    assert read_manifest(first / "manifest.json") == (config, {})
+    replay = ["--config", str(first / "manifest.json")]
+    assert main(["run", "--corpus", str(corpus), "--out", str(second), *replay]) == 0
     ok = all(
         (first / name).read_bytes() == (second / name).read_bytes()
         for name in ("metrics.json", "model.txt", "report.txt", "manifest.json")

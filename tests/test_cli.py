@@ -19,12 +19,14 @@ from hypothesis import strategies as st
 from threadwalk import cli, pipeline
 from threadwalk.cli import _resolve_config, build_parser, main
 from threadwalk.model import SoftmaxModel, save_model
+from threadwalk.corpus import load_corpus
 from threadwalk.pipeline import (
     MAX_BOW_DIM,
     MAX_EPOCHS,
     MAX_STEP_CAP,
     MAX_WALK_LENGTH,
     RunConfig,
+    run_pipeline,
 )
 from threadwalk.synthetic import CorpusSpec, generate
 
@@ -103,6 +105,37 @@ def test_run_and_manifest_replay(corpus_path, tmp_path):
     assert code == 0
     assert (second / "metrics.json").read_bytes() == (first / "metrics.json").read_bytes()
     assert (second / "model.txt").read_bytes() == (first / "model.txt").read_bytes()
+
+
+def test_run_artifacts_and_replay(corpus_path, tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["run", "--corpus", str(corpus_path), "--task", "hate", "--dump-features"]
+    assert main(argv + _fast_flags() + ["--out", str(first)]) == 0
+    names = ["model.txt", "report.txt", "metrics.json", "features.jsonl", "manifest.json"]
+    assert sorted(path.name for path in first.iterdir()) == sorted(names)
+    artifacts = ", ".join(str(first / name) for name in names)
+    assert capsys.readouterr().out.splitlines()[-1] == f"artifacts: {artifacts}"
+    metrics = json.loads((first / "metrics.json").read_text())
+    assert metrics["train_examples"] > metrics["test_examples"] > 0
+
+    # byte-exact replay from the manifest alone
+    replay = ["run", "--corpus", str(corpus_path), "--config", str(first / "manifest.json")]
+    assert main(replay + ["--dump-features", "--out", str(second)]) == 0
+    for name in ("model.txt", "metrics.json", "features.jsonl"):
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_run_metrics_content(corpus_path, tmp_path):
+    argv = ["run", "--corpus", str(corpus_path), "--out", str(tmp_path), "--task", "hate"]
+    assert main(argv + _fast_flags()) == 0
+    config = RunConfig(task="hate", epochs=8, bow_dim=32, seed=2)
+    result = run_pipeline(load_corpus(corpus_path), config)
+    payload = json.loads((tmp_path / "metrics.json").read_text())
+    assert payload["config"] == config.to_dict()
+    assert payload["report"]["accuracy"] == result.report.accuracy
+    assert payload["train_examples"] == len(result.train_examples)
+    assert payload["test_examples"] == len(result.test_examples)
+    assert (tmp_path / "report.txt").read_text() == result.report.to_text()
 
 
 def test_wrong_task_label_domain_exits_2(corpus_path, tmp_path, capsys):
@@ -654,6 +687,41 @@ def test_huge_integer_corpus_id_exits_2(tmp_path, capsys):
     assert _single_error_line(capsys).startswith(f"error: {path}:1: invalid JSON (")
 
 
+@pytest.mark.parametrize(
+    "target", ["embedding-header", "corpus-id", "config-seed", "model-meta", "model-dims"]
+)
+def test_overlong_integer_gives_a_short_error(corpus_path, tmp_path, capsys, target):
+    """An integer past the interpreter's digit limit is named by that limit,
+    in a line that does not echo it."""
+    path = tmp_path / "input"
+    argv = ["run", "--corpus", str(corpus_path), "--out", str(tmp_path / "out"), *_RUN_HATE]
+    message = f"an integer longer than {sys.get_int_max_str_digits()} digits"
+    if target == "embedding-header":
+        path.write_text(f"d={_HUGE_INTEGER}\n")
+        argv += ["--embedding", "external", "--embedding-file", str(path)]
+        message = "first line must be 'd=<int>'"
+    elif target == "corpus-id":
+        record = f'{{"tree_id": "t", "id": {_HUGE_INTEGER}, "parent_id": null, "text": "x"}}'
+        path.write_text(record)
+        argv = ["validate", str(path)]
+    elif target == "config-seed":
+        path.write_text(f'{{"seed": {_HUGE_INTEGER}}}')
+        argv += ["--config", str(path)]
+    else:
+        save_model(SoftmaxModel(np.zeros((2, 3)), np.zeros(2), ("hate", "non-hate")), path)
+        lines = path.read_text().splitlines(keepends=True)
+        if target == "model-meta":
+            lines[3] = f'meta {{"epochs": {_HUGE_INTEGER}}}\n'
+        else:
+            lines[2] = f"dims 2 {_HUGE_INTEGER}\n"
+        path.write_text("".join(lines))
+        argv = ["evaluate", "--corpus", str(corpus_path), "--model", str(path), *_RUN_HATE]
+    assert main(argv) == 2
+    line = _single_error_line(capsys)
+    assert len(line.encode()) < 300 and "set_int_max_str_digits" not in line, line
+    assert message in line
+
+
 def test_deeply_nested_config_exits_2(corpus_path, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(_DEEP_NESTING)
@@ -755,13 +823,27 @@ def test_diverging_run_prints_one_line(corpus_path, tmp_path, capsys, flags):
     assert "loss became" in _single_error_line(capsys)
 
 
-def test_failed_run_writes_no_manifest(corpus_path, tmp_path, capsys, monkeypatch):
-    def full_disk(model, path):
+@pytest.mark.parametrize(
+    "command, first_writer, flags",
+    [
+        ("run", "save_model", []),
+        ("train", "save_model", []),
+        ("grid-search", "write_lines", ["--p-values", "0.5", "--gamma-values", "0.8", "--seeds",
+                                        "0", "--jobs", "1"]),
+        ("ablate-concat", "write_lines", ["--seeds", "0"]),
+    ],
+    ids=["run", "train", "grid-search", "ablate-concat"],
+)
+def test_failed_run_writes_no_manifest(
+    corpus_path, tmp_path, capsys, monkeypatch, command, first_writer, flags
+):
+    def full_disk(content, path):
         raise OSError(28, "No space left on device", str(path))
 
-    monkeypatch.setattr(pipeline, "save_model", full_disk)
+    monkeypatch.setattr(cli, first_writer, full_disk)
     out = tmp_path / "out"
-    assert main(["run", "--corpus", str(corpus_path), "--out", str(out), *_RUN_HATE]) == 2
+    argv = [command, "--corpus", str(corpus_path), "--out", str(out), *_RUN_HATE, *flags]
+    assert main(argv) == 2
     _single_error_line(capsys)
     assert not (out / "manifest.json").exists()
 

@@ -5,12 +5,15 @@ corpus (seed 3, 5 epochs, d=32), and for a 60-tree polarity corpus (seed 3)
 featurized with hashed bag-of-words and with an external embedding file,
 plus what ``generate`` and ``validate`` print for both corpora. A refactor
 that changes any output, even in the last digit of a float, fails here and
-names the file.
+names the file. The order of a corpus file's records changes no output
+either, as long as each tree keeps the order of its own records.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -137,3 +140,34 @@ def test_output_bytes_unchanged(digests, name):
 @pytest.mark.parametrize("name", sorted(PRINTED))
 def test_printed_output_unchanged(digests, name):
     assert digests[name] == PRINTED[name]
+
+
+def test_record_order_changes_no_output(tmp_path):
+    """The hate corpus with its trees reversed and their records dealt out
+    round-robin, each tree's records in their order, gives the same files."""
+    corpus = tmp_path / "corpus.jsonl"
+    argv = ["generate", "--output", str(corpus), "--task", "hate", "--num-trees", "60"]
+    assert main(argv + ["--seed", "3"]) == 0
+    trees: dict[str, list[str]] = {}
+    for line in corpus.read_text().splitlines(keepends=True):
+        trees.setdefault(json.loads(line)["tree_id"], []).append(line)
+    rounds = itertools.zip_longest(*reversed(trees.values()), fillvalue="")
+    dealt = tmp_path / "dealt.jsonl"
+    dealt.write_text("".join(itertools.chain(*rounds)))
+    assert sorted(dealt.read_text().splitlines()) == sorted(corpus.read_text().splitlines())
+    assert dealt.read_text() != corpus.read_text()
+    for path, out in ((corpus, tmp_path / "a"), (dealt, tmp_path / "b")):
+        (out / "featurize").mkdir(parents=True)
+        commands = [
+            ["run", "--out", str(out / "run"), "--dump-features"],
+            ["featurize", "--output", str(out / "featurize/features.jsonl"),
+             "--traces", str(out / "featurize/traces.jsonl")],
+            ["grid-search", "--out", str(out / "grid"), "--p-values", "0.5,1.0",
+             "--gamma-values", "0.0,0.8", "--seeds", "0,1", "--jobs", "1"],
+        ]
+        for argv in commands:
+            assert main(argv + ["--corpus", str(path), *FLAGS]) == 0, argv
+    written = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*.*"))
+    assert len(written) == 9
+    for name in written:
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes(), name

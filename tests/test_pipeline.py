@@ -21,11 +21,12 @@ from threadwalk.pipeline import (
     MAX_WALK_LENGTH,
     RunConfig,
     SeedAverage,
-    _select_best,
     ablate_concat,
     ablation_csv,
     average_over_seeds,
+    best_cell,
     feature_dump_lines,
+    grid_csv,
     grid_search,
     read_manifest,
     replicate,
@@ -102,29 +103,6 @@ class TestRunConfig:
 
 
 class TestRunPipeline:
-    def test_artifacts_and_replay(self, small_corpus, tmp_path):
-        first_dir = tmp_path / "first"
-        result, artifacts = run_pipeline(
-            small_corpus, SMALL_CONFIG, outdir=first_dir, dump_features=True
-        )
-        for name in ("manifest", "model", "report", "metrics", "features"):
-            assert artifacts[name].exists()
-        assert len(result.train_examples) > len(result.test_examples) > 0
-
-        # byte-exact replay from the manifest alone
-        config, _ = read_manifest(artifacts["manifest"])
-        second_dir = tmp_path / "second"
-        run_pipeline(small_corpus, config, outdir=second_dir, dump_features=True)
-        for name in ("model.txt", "metrics.json", "features.jsonl"):
-            assert (second_dir / name).read_bytes() == (first_dir / name).read_bytes()
-
-    def test_metrics_content(self, small_corpus, tmp_path):
-        result, artifacts = run_pipeline(small_corpus, SMALL_CONFIG, outdir=tmp_path)
-        payload = json.loads(artifacts["metrics"].read_text())
-        assert payload["config"] == SMALL_CONFIG.to_dict()
-        assert payload["report"]["accuracy"] == result.report.accuracy
-        assert payload["train_examples"] == len(result.train_examples)
-
     def test_feature_dump_line_fields(self, small_corpus):
         from threadwalk.pipeline import featurize_split
 
@@ -149,7 +127,7 @@ class TestRunPipeline:
         path = tmp_path / "embeddings.txt"
         save_external_embeddings(table, path)
         config = SMALL_CONFIG.replace(embedding="external", embedding_file=str(path))
-        result, _ = run_pipeline(small_corpus, config, outdir=tmp_path / "out")
+        result = run_pipeline(small_corpus, config)
         assert result.model.feature_dim == 24 * 3
         assert 0.0 <= result.report.macro_f1 <= 1.0
 
@@ -262,31 +240,34 @@ def in_process_pool(monkeypatch) -> dict:
 
 class TestGridSearch:
     def test_tie_breaking(self):
-        cells = {
-            (0.2, 0.4): _cell(0.2, 0.4, 0.9, 0.8),
-            (0.4, 0.2): _cell(0.4, 0.2, 0.9, 0.9),
-            (0.2, 0.2): _cell(0.2, 0.2, 0.9, 0.9),
-            (0.2, 0.0): _cell(0.2, 0.0, 0.8, 0.99),
-        }
+        cells = [
+            _cell(0.2, 0.4, 0.9, 0.8),
+            _cell(0.4, 0.2, 0.9, 0.9),
+            _cell(0.2, 0.2, 0.9, 0.9),
+            _cell(0.2, 0.0, 0.8, 0.99),
+        ]
         # macro-F1 tie at 0.9 -> higher accuracy -> lower p -> lower gamma
-        assert _select_best(cells) == (0.2, 0.2)
+        for order in itertools.permutations(cells):
+            best = best_cell(order)
+            assert (best.p, best.gamma) == (0.2, 0.2)
 
     def test_single_cell_matches_direct_run(self, small_corpus):
         config = SMALL_CONFIG.replace(p=1.0, gamma=0.8, seed=4)
-        result = grid_search(small_corpus, [1.0], [0.8], config, seeds=[4])
-        assert set(result.cells) == {(1.0, 0.8)}
-        direct, _ = run_pipeline(small_corpus, config)
+        (cell,) = grid_search(small_corpus, [1.0], [0.8], config, seeds=[4])
+        assert (cell.p, cell.gamma) == (1.0, 0.8)
+        direct = run_pipeline(small_corpus, config)
         (alone,) = replicate(*split_sides(small_corpus, config), [config])
         assert alone.report.to_dict() == direct.report.to_dict()
-        cell = result.cells[(1.0, 0.8)]
         columns = {"precision_macro": "macro_precision", "recall_macro": "macro_recall"}
         for column in ("accuracy", "macro_f1", "precision_pos", "recall_pos", *columns):
             assert getattr(cell, column) == getattr(direct.report, columns.get(column, column))
 
     def test_full_cartesian_grid_and_csv(self, small_corpus):
-        result = grid_search(small_corpus, [0.5, 1.0], [0.0, 0.5, 1.0], SMALL_CONFIG, seeds=[0, 1])
-        assert len(result.cells) == 6
-        csv = result.to_csv()
+        cells = grid_search(small_corpus, [1.0, 0.5], [0.5, 0.0, 1.0], SMALL_CONFIG, seeds=[0, 1])
+        assert [(c.p, c.gamma) for c in cells] == [
+            (p, g) for p in (0.5, 1.0) for g in (0.0, 0.5, 1.0)
+        ]
+        csv = grid_csv(cells)
         lines = csv.strip().split("\n")
         assert lines[0] == (
             "p,gamma,accuracy,macro_f1,precision_pos,recall_pos,precision_macro,recall_macro"
@@ -299,7 +280,7 @@ class TestGridSearch:
             replicate(train_side, test_side, [cell_config.replace(seed=seed)])[0].report
             for seed in (0, 1)
         ]
-        cell = result.cells[(1.0, 0.5)]
+        (cell,) = [c for c in cells if (c.p, c.gamma) == (1.0, 0.5)]
         assert cell.macro_f1 == pytest.approx(
             sum(r.macro_f1 for r in per_seed) / 2, abs=1e-15
         )
@@ -314,8 +295,9 @@ class TestGridSearch:
         )
         serial = grid_search(**kwargs, jobs=1)
         parallel = grid_search(**kwargs, jobs=2)
-        assert serial.to_csv() == parallel.to_csv()
-        assert serial.best == parallel.best
+        assert grid_csv(serial) == grid_csv(parallel)
+        best, again = best_cell(serial), best_cell(parallel)
+        assert (best.p, best.gamma) == (again.p, again.gamma)
 
     def test_empty_grid_rejected(self, small_corpus):
         with pytest.raises(ConfigError):
@@ -327,8 +309,8 @@ class TestGridSearch:
     )
     def test_workers_capped_by_cells(self, small_corpus, in_process_pool, p_values, jobs, pools):
         config = SMALL_CONFIG.replace(epochs=1)
-        result = grid_search(small_corpus, p_values, [0.8], config, seeds=[0], jobs=jobs)
-        assert len(result.cells) == len(p_values)
+        cells = grid_search(small_corpus, p_values, [0.8], config, seeds=[0], jobs=jobs)
+        assert len(cells) == len(p_values)
         assert in_process_pool["workers"] == pools
         assert in_process_pool["chunksize"] == [1] * len(pools)  # one cell per worker
 

@@ -12,7 +12,9 @@ of a public function is passed by some call in ``src/`` or
 code, not a word of its prose. Helpers that only tests need live in
 ``tests/conftest.py``. A :class:`RunConfig` is the one source of the
 settings it holds: nothing that takes one also takes one of its fields
-beside it.
+beside it. Only the command line decides what files a command writes:
+outside ``cli.py``, a function that writes a file is named only inside
+the definition of another.
 """
 
 import ast
@@ -239,3 +241,30 @@ def test_no_parameter_overrides_a_run_config_field():
         for name in _run_config_overrides(ast.parse(path.read_text()))
     ]
     assert found == [], f"parameters that override a RunConfig field: {found}"
+
+
+WRITERS = {
+    "write_lines", "write_json", "write_manifest", "save_model", "save_corpus",
+    "save_external_embeddings",
+}
+
+
+def test_only_the_cli_writes_files():
+    """A writer is called or passed, outside ``cli.py``, only in the body of
+    another writer; a top-level statement outside any definition names none."""
+    stray = []
+    for stem, module in MODULES.items():
+        if stem == "cli":
+            continue
+        for statement in module.body:
+            owner = getattr(statement, "name", None)
+            if owner in WRITERS:
+                continue
+            stray += [
+                f"{stem}.{owner}: {_name(node)}"
+                for node in ast.walk(statement)
+                if isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)
+                and _name(node) in WRITERS
+            ]
+    assert stray == [], f"files written outside cli.py: {stray}"
