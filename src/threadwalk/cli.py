@@ -15,14 +15,15 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
 
 from .corpus import corpus_stats, load_corpus, save_corpus, write_lines
-from .errors import ConfigError, InputError, ThreadwalkError, TooFewTreesError
+from .errors import ConfigError, InputError, ThreadwalkError, TooFewTreesError, quote
 from .evaluation import error_analysis, evaluate
-from .features import Examples
+from .features import TASK_LABELS, Examples, featurize_split
 from .model import SoftmaxModel, load_model, save_model, train
 from .pipeline import (
     CHOICES,
@@ -33,7 +34,6 @@ from .pipeline import (
     check_type,
     corpus_sides,
     feature_dump_lines,
-    featurize_split,
     grid_csv,
     grid_search,
     read_manifest,
@@ -74,10 +74,15 @@ def entrypoint() -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Raises ConfigError on a bad flag instead of printing usage and exiting,
-    so that it ends as one ``error:`` line and exit 2; subparsers inherit it."""
+    so that it ends as one short ``error:`` line and exit 2; subparsers
+    inherit it."""
 
     def error(self, message: str):
-        raise ConfigError(message)
+        # Each value argparse quotes is cut as quote() cuts it; then a line
+        # longer than any argparse writes itself, such as one listing stray
+        # arguments, is cut too.
+        message = re.sub(r"'([^']{40})[^']+'", r"'\1'...", message)
+        raise ConfigError(message[:280] + ("..." if len(message) > 280 else ""))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,12 +196,14 @@ def _parse_list(text: str | None, extras: dict, key: str, cast: type, default: t
         try:
             return tuple(cast(v) for v in text.split(","))
         except ValueError:
-            raise ConfigError(f"{key} needs comma-separated {kind} values, got {text!r}") from None
+            raise ConfigError(
+                f"{key} needs comma-separated {kind} values, got {quote(text)}"
+            ) from None
     if key not in extras:
         return default
     values = extras[key]
     if not isinstance(values, list):
-        raise ConfigError(f"{key} must be a list of {kind} values, got {values!r}")
+        raise ConfigError(f"{key} must be a list of {kind} values, got {quote(values)}")
     for value in values:
         check_type(key, value, kind)
     return tuple(cast(v) for v in values)
@@ -216,9 +223,16 @@ def _featurized(args: argparse.Namespace, side: int | None) -> tuple[RunConfig, 
 
 def _scored(args: argparse.Namespace) -> tuple[SoftmaxModel, Examples]:
     """The ``--model`` file and the test side it scores, featurized under the
-    settings; ConfigError if those give rows of another width than it takes."""
+    settings; ConfigError if the model's classes are not the task's labels,
+    or if the settings give rows of another width than it takes."""
     model = load_model(args.model)
-    _, examples = _featurized(args, 1)
+    config, examples = _featurized(args, 1)
+    labels = TASK_LABELS[config.task]
+    if sorted(model.class_names) != sorted(labels):
+        raise ConfigError(
+            f"{args.model} predicts {quote(model.class_names)}, not the {config.task} labels "
+            f"{labels}; use the task it was trained for"
+        )
     if examples.X.shape[1] != model.feature_dim:
         raise ConfigError(
             f"{args.model} takes {model.feature_dim} features per row, but these settings "
@@ -261,7 +275,7 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     outdir = _outdir(args)
     config, examples = _featurized(args, 0)
-    (model,) = train(examples.labels, examples.X[None], config.train_config())
+    (model,) = train(examples.labels, examples.X[None], config)
     save_model(model, outdir / "model.txt")
     write_manifest(config, outdir / "manifest.json")
     print(f"trained on {len(examples)} examples; model written to {outdir / 'model.txt'}")

@@ -17,7 +17,7 @@ from typing import Iterator, NoReturn, Protocol, Sequence
 import numpy as np
 
 from .corpus import text_lines, write_lines
-from .errors import DimensionMismatchError, MalformedFileError, MissingEmbeddingError
+from .errors import DimensionMismatchError, MalformedFileError, MissingEmbeddingError, quote
 from .tree import CommentNode
 
 DEFAULT_BOW_DIM = 256
@@ -137,8 +137,8 @@ def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
             raise ValueError
         dim = int(header[2:])  # ValueError past the interpreter's digit limit
     except ValueError:
-        shown = repr(header[:40]) + ("..." if len(header) > 40 else "")
-        raise MalformedFileError(f"{path}: first line must be 'd=<int>', got {shown}") from None
+        message = f"first line must be 'd=<int>', got {quote(header)}"
+        raise MalformedFileError(f"{path}: {message}") from None
     if dim < 1:
         raise MalformedFileError(f"{path}: dimension must be >= 1, got {dim}")
     rows: dict[str, int] = {}

@@ -1,4 +1,15 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and how their messages
+quote a value."""
+
+
+def quote(value: object) -> str:
+    """``repr(value)`` for an error message, cut to one short line: a string
+    shows its first 40 characters, anything else the first 40 of its repr,
+    and "..." marks a cut."""
+    if isinstance(value, str):
+        return repr(value[:40]) + ("..." if len(value) > 40 else "")
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 class ThreadwalkError(Exception):

@@ -19,14 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingProvider
 from .errors import DimensionMismatchError, MissingLabelError, NegativeWeightError
 from .tree import CommentNode, DiscussionTree
-from .walks import WalkConfig, WalkSample, sample_walk, walk_rng, walk_weights
+from .walks import WalkSample, sample_walk, walk_rng, walk_weights
+
+if TYPE_CHECKING:
+    from .pipeline import RunConfig
 
 POLARITY_TASK = "polarity"
 HATE_TASK = "hate"
@@ -183,9 +186,7 @@ class CorpusSide:
         self.node_rows = [rows_of[tree] for tree in self.trees]
         self._memo: tuple | None = None  # (p, L, step cap, seed), walks, rows, lengths
 
-    def walks(
-        self, config: WalkConfig
-    ) -> tuple[tuple[WalkSample, ...], np.ndarray, np.ndarray]:
+    def walks(self, config: RunConfig) -> tuple[tuple[WalkSample, ...], np.ndarray, np.ndarray]:
         """The walk of every PoI under ``config``; the ``vectors`` row of each
         collected node, shape ``(n, K)`` with ``K`` the longest walk
         collected (not ``L``); and each walk's length.
@@ -193,7 +194,7 @@ class CorpusSide:
         Each PoI walks on its own derived stream, so a memoized walk is the
         walk that sampling again would give.
         """
-        key = (config.p, config.L, config.resolved_step_cap, config.seed)
+        key = (config.p, config.walk_length, config.resolved_step_cap, config.seed)
         if self._memo is None or self._memo[0] != key:
             samples = tuple(
                 sample_walk(tree, node_id, config, walk_rng(config.seed, tree.tree_id, node_id))
@@ -224,24 +225,20 @@ def feature_width(dim: int, scheme: ConcatScheme) -> int:
     return concat_features(zero, zero, scheme).size
 
 
-def featurize_corpus(
-    side: CorpusSide,
-    walk_config: WalkConfig,
-    strategy: AggregationStrategy,
-    scheme: ConcatScheme,
-    *,
-    normalize_weights: bool = True,
-    out: np.ndarray | None = None,
-) -> Examples:
-    """One row per PoI of the side, in :func:`labeled_pois` order, written
-    into ``out`` (shape ``(n, D)``, made read-only) when given.
+def featurize_split(side: CorpusSide, config: RunConfig, out: np.ndarray | None = None) -> Examples:
+    """One row per PoI of the side, in :func:`labeled_pois` order, under the
+    walk, aggregation and concatenation settings of ``config``, its walks
+    seeded by ``config.seed``; written into ``out`` (shape ``(n, D)``, made
+    read-only) when given. The side must have been built for ``config.task``.
 
     Rows are built a block of PoIs at a time: ``u`` is gathered from the
     side's embedding matrix, the walks of each length are aggregated
     together, and the concatenation is written into that block of ``X``.
     """
-    samples, rows, lengths = side.walks(walk_config)
-    weights = walk_weights(rows.shape[1], walk_config.gamma)
+    samples, rows, lengths = side.walks(config)
+    weights = walk_weights(rows.shape[1], config.gamma)
+    strategy = AggregationStrategy(config.aggregation)
+    scheme = ConcatScheme(config.scheme)
     shape = (len(samples), feature_width(side.vectors.shape[1], scheme))
     X = np.empty(shape) if out is None else out
     if X.shape != shape:
@@ -258,7 +255,7 @@ def featurize_corpus(
                     side.vectors[block_rows[part, 1 : k + 1]],
                     weights[1 : k + 1],
                     strategy,
-                    normalize=normalize_weights,
+                    normalize=config.normalize_weights,
                 )
         concat_features(u, v, scheme, out=X[start : start + _BLOCK])
     return side.examples(X, samples)

@@ -10,13 +10,11 @@ inverse-frequency class weighting.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -29,32 +27,14 @@ from .errors import (
 from .corpus import JSON_DECODER, parse_int, text_lines, write_lines
 from .seeding import derived_rng
 
+if TYPE_CHECKING:
+    from .pipeline import RunConfig
+
 MODEL_FORMAT = "threadwalk-softmax-v1"
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Optimizer settings. ``epochs = 0`` returns the zero initialization."""
-
-    epochs: int = 50
-    batch_size: int = 32
-    learning_rate: float = 0.1
-    l2: float = 1e-4
-    seed: int = 0
-    class_weighting: bool = False
-    momentum: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
-        if not 0 <= self.l2 < math.inf:
-            raise ValueError(f"l2 must be >= 0 and finite, got {self.l2}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+# The RunConfig fields that training reads; a model's metadata records them.
+TRAIN_FIELDS = (
+    "epochs", "batch_size", "learning_rate", "l2", "seed", "class_weighting", "momentum"
+)
 
 
 @dataclass
@@ -113,8 +93,10 @@ def loss_and_gradient(
     return loss, grad_w, grad_b
 
 
-def train(labels: Sequence[str], features: np.ndarray, config: TrainConfig) -> list[SoftmaxModel]:
-    """Fit one softmax model per matrix of the ``(K, n, D)`` stack ``features``.
+def train(labels: Sequence[str], features: np.ndarray, config: RunConfig) -> list[SoftmaxModel]:
+    """Fit one softmax model per matrix of the ``(K, n, D)`` stack ``features``
+    under the settings of ``config`` named in TRAIN_FIELDS; zero epochs
+    return the zero initialization.
 
     Deterministic per seed: zero initialization and a shuffle order drawn
     from a stream derived from ``config.seed``. The models share the
@@ -167,7 +149,8 @@ def train(labels: Sequence[str], features: np.ndarray, config: TrainConfig) -> l
                     raise NonFiniteLossError(f"loss became {epoch_loss} after an epoch")
                 history.append(epoch_loss)
 
-    meta = {**dataclasses.asdict(config), "n_examples": int(n), "feature_dim": int(dim)}
+    meta = {name: getattr(config, name) for name in TRAIN_FIELDS}
+    meta.update(n_examples=int(n), feature_dim=int(dim))
     return [
         SoftmaxModel(weights[k], bias[k], class_names, {**meta, "loss_history": history})
         for k, history in enumerate(histories)
@@ -225,6 +208,10 @@ def load_model(path: str | Path) -> SoftmaxModel:
         raise MalformedFileError(f"{path}: parameter shapes disagree with header")
     if len(class_names) != n_classes:
         raise MalformedFileError(f"{path}: {len(class_names)} class names for {n_classes} classes")
+    if n_classes < 2 or "" in class_names or len(set(class_names)) != n_classes:
+        raise MalformedFileError(f"{path}: class names must be two or more, distinct and non-empty")
+    if any(line.strip() for line in lines[5 + n_classes :]):
+        raise MalformedFileError(f"{path}: unexpected line after the bias row")
     if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
         raise MalformedFileError(f"{path}: non-finite parameter")
     return SoftmaxModel(weights=weights, bias=bias, class_names=class_names, metadata=metadata)

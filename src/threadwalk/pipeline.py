@@ -4,7 +4,7 @@ Every experiment repeats one replicate: featurize both sides of a fixed
 tree split at a seed, train, evaluate. A run is one replicate at the
 configured seed; a grid cell and an ablation row each average replicates
 over a list of seeds, and the replicates of one seed that share a feature
-width and training config train in lockstep, up to three at a time. Each
+width and training settings train in lockstep, up to three at a time. Each
 side of the split is compiled once into a
 :class:`~threadwalk.features.CorpusSide`, so its comments are embedded
 once and its walks are sampled once per (p, seed) for the whole
@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .embeddings import (
     HashedBowProvider,
     load_external_embeddings,
 )
-from .errors import ConfigError, EmptyEvalSetError
+from .errors import ConfigError, EmptyEvalSetError, quote
 from .evaluation import EvalReport, evaluate, split_trees
 from .features import (
     AggregationStrategy,
@@ -46,11 +47,11 @@ from .features import (
     Examples,
     TASKS,
     feature_width,
-    featurize_corpus,
+    featurize_split,
 )
-from .model import SoftmaxModel, TrainConfig, train
+from .model import TRAIN_FIELDS, SoftmaxModel, train
 from .tree import DiscussionTree
-from .walks import DEFAULT_WALK_LENGTH, WalkConfig
+from .walks import DEFAULT_WALK_LENGTH
 
 MANIFEST_FORMAT = "threadwalk-manifest-v1"
 MANIFEST_LISTS = ("p_values", "gamma_values", "seeds")  # lists a config file may hold
@@ -96,7 +97,7 @@ def check_type(name: str, value: object, annotation: str) -> None:
     fits = isinstance(value, types) and (kind == "bool" or not isinstance(value, bool))
     if not fits or (kind == "float" and not abs(value) <= sys.float_info.max):
         null = " or null" if optional else ""
-        raise ConfigError(f"{name} must be {description}{null}, got {value!r}")
+        raise ConfigError(f"{name} must be {description}{null}, got {quote(value)}")
 
 
 @dataclass(frozen=True)
@@ -125,51 +126,39 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        """Raise ConfigError for the first setting out of its range."""
         for name, choices in CHOICES.items():
             value = getattr(self, name)
             if value not in choices:
-                raise ConfigError(f"{name} must be one of {choices}, got {value!r}")
+                raise ConfigError(f"{name} must be one of {choices}, got {quote(value)}")
         if self.embedding == "external" and not self.embedding_file:
             raise ConfigError("embedding 'external' needs embedding_file")
         if self.embedding == "external" and not os.path.isfile(self.embedding_file):
             raise ConfigError(f"embedding file not found: {self.embedding_file}")
-        if not 1 <= self.bow_dim <= MAX_BOW_DIM:
-            raise ConfigError(f"bow_dim must be in [1, {MAX_BOW_DIM}], got {self.bow_dim}")
-        for name, limit in (
-            ("walk_length", MAX_WALK_LENGTH),
-            ("step_cap", MAX_STEP_CAP),
-            ("epochs", MAX_EPOCHS),
+        L, cap, rate = self.walk_length, self.step_cap, self.learning_rate
+        for fits, name, rule, value in (
+            (1 <= self.bow_dim <= MAX_BOW_DIM, "bow_dim", f"in [1, {MAX_BOW_DIM}]", self.bow_dim),
+            (L <= MAX_WALK_LENGTH, "walk_length", f"<= {MAX_WALK_LENGTH}", L),
+            (cap is None or cap <= MAX_STEP_CAP, "step_cap", f"<= {MAX_STEP_CAP}", cap),
+            (self.epochs <= MAX_EPOCHS, "epochs", f"<= {MAX_EPOCHS}", self.epochs),
+            (0.0 < self.split_fraction < 1.0, "split_fraction", "in (0, 1)", self.split_fraction),
+            (0.0 <= self.p <= 1.0, "p", "in [0, 1]", self.p),
+            (0.0 <= self.gamma <= 1.0, "gamma", "in [0, 1]", self.gamma),
+            (L >= 1, "walk length L", ">= 1", L),
+            (cap is None or cap >= L - 1, "step_cap", ">= L - 1", cap),
+            (self.epochs >= 0, "epochs", ">= 0", self.epochs),
+            (self.batch_size >= 1, "batch_size", ">= 1", self.batch_size),
+            (0 < rate < math.inf, "learning_rate", "> 0 and finite", rate),
+            (0 <= self.l2 < math.inf, "l2", ">= 0 and finite", self.l2),
+            (0.0 <= self.momentum < 1.0, "momentum", "in [0, 1)", self.momentum),
         ):
-            value = getattr(self, name)
-            if value is not None and value > limit:
-                raise ConfigError(f"{name} must be <= {limit}, got {value}")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
-        try:
-            self.walk_config()
-            self.train_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            if not fits:
+                raise ConfigError(f"{name} must be {rule}, got {quote(value)}")
 
-    def walk_config(self) -> WalkConfig:
-        return WalkConfig(
-            p=self.p,
-            gamma=self.gamma,
-            L=self.walk_length,
-            seed=self.seed,
-            step_cap=self.step_cap,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            l2=self.l2,
-            seed=self.seed,
-            class_weighting=self.class_weighting,
-            momentum=self.momentum,
-        )
+    @property
+    def resolved_step_cap(self) -> int:
+        """``step_cap``, or ``10 * walk_length`` when it is None."""
+        return self.step_cap if self.step_cap is not None else 10 * self.walk_length
 
     def build_provider(self) -> EmbeddingProvider:
         if self.embedding == "external":
@@ -252,33 +241,19 @@ class SeedAverage:
     recall_macro: float
 
 
-def featurize_split(side: CorpusSide, config: RunConfig, out: np.ndarray | None = None) -> Examples:
-    """Featurize one side of a split under the run configuration, its walks
-    seeded by ``config.seed``, into ``out`` when given; the side must have
-    been built for ``config.task``."""
-    return featurize_corpus(
-        side,
-        config.walk_config(),
-        AggregationStrategy(config.aggregation),
-        ConcatScheme(config.scheme),
-        normalize_weights=config.normalize_weights,
-        out=out,
-    )
-
-
 def replicate(
     train_side: CorpusSide, test_side: CorpusSide, configs: Sequence[RunConfig]
 ) -> list[Replicate]:
     """Featurize, train and evaluate configs that share one feature width
-    and training config, their train sides as one ``(K, n, D)`` stack
-    trained in lockstep. Each config's ``seed`` seeds only its walks and
+    and the settings named in TRAIN_FIELDS, their train sides as one
+    ``(K, n, D)`` stack trained in lockstep. Each config's ``seed`` seeds only its walks and
     the training shuffle; the split is the caller's."""
     width = feature_width(train_side.vectors.shape[1], ConcatScheme(configs[0].scheme))
     stack = np.empty((len(configs), len(train_side.labels), width))
     train_examples = [
         featurize_split(train_side, config, out=stack[k]) for k, config in enumerate(configs)
     ]
-    models = train(train_side.labels, stack, configs[0].train_config())
+    models = train(train_side.labels, stack, configs[0])
     replicates = []
     for config, model, examples in zip(configs, models, train_examples):
         test_examples = featurize_split(test_side, config)
@@ -296,9 +271,10 @@ LOCKSTEP_CAP = 3
 
 def _lockstep_groups(configs: Sequence[RunConfig], dim: int) -> Iterator[list]:
     """Runs of consecutive configs with one feature width (of ``dim``-wide
-    embeddings) and training config, cut into groups of LOCKSTEP_CAP."""
+    embeddings) and training settings, cut into groups of LOCKSTEP_CAP."""
     def key(config: RunConfig) -> tuple:
-        return feature_width(dim, ConcatScheme(config.scheme)), config.train_config()
+        training = tuple(getattr(config, name) for name in TRAIN_FIELDS)
+        return feature_width(dim, ConcatScheme(config.scheme)), training
 
     for _, run in itertools.groupby(configs, key):
         run = list(run)
@@ -394,7 +370,7 @@ def read_manifest(path: str | Path) -> tuple[RunConfig, dict]:
         return RunConfig.from_dict(payload), extras
     config = payload.pop("config")
     if not isinstance(config, dict):
-        raise ConfigError(f"{path}: config must be a JSON object, got {config!r}")
+        raise ConfigError(f"{path}: config must be a JSON object, got {quote(config)}")
     if payload:
         raise ConfigError(f"{path}: unknown manifest keys: {sorted(payload)}")
     return RunConfig.from_dict(config), extras

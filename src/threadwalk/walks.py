@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,37 +26,10 @@ from .errors import UnknownIdError
 from .seeding import derived_rng
 from .tree import DiscussionTree
 
+if TYPE_CHECKING:
+    from .pipeline import RunConfig
+
 DEFAULT_WALK_LENGTH = 4
-
-
-@dataclass(frozen=True)
-class WalkConfig:
-    """Parameters of a biased root-seeking walk.
-
-    ``L`` is the maximum number of distinct nodes including the start;
-    ``step_cap`` bounds raw steps (defaults to ``10 * L``) so walks that
-    oscillate among visited nodes terminate.
-    """
-
-    p: float = 1.0
-    gamma: float = 1.0
-    L: int = DEFAULT_WALK_LENGTH
-    seed: int = 0
-    step_cap: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.L < 1:
-            raise ValueError(f"walk length L must be >= 1, got {self.L}")
-        if self.step_cap is not None and self.step_cap < self.L - 1:
-            raise ValueError(f"step_cap must be >= L - 1, got {self.step_cap}")
-
-    @property
-    def resolved_step_cap(self) -> int:
-        return self.step_cap if self.step_cap is not None else 10 * self.L
 
 
 @dataclass(frozen=True)
@@ -97,10 +71,11 @@ def walk_weights(length: int, gamma: float) -> list[float]:
 def sample_walk(
     tree: DiscussionTree,
     start: str,
-    config: WalkConfig,
+    config: RunConfig,
     rng: np.random.Generator,
 ) -> WalkSample:
-    """Run one biased root-seeking walk from ``start``.
+    """Run one biased root-seeking walk from ``start`` under ``config.p``,
+    ``config.walk_length`` (``L``) and ``config.resolved_step_cap``.
 
     Each step draws ``r = rng.random()`` and takes the first option, the
     parent and then the children in order, whose running sum of
@@ -119,7 +94,7 @@ def sample_walk(
     p = config.p
 
     # Only a one-node tree has no neighbor; it never enters the loop.
-    while len(collected) < config.L and len(raw) < cap and len(visited) < total:
+    while len(collected) < config.walk_length and len(raw) < cap and len(visited) < total:
         parent = tree.parent(position)
         if parent is None and p == 1.0:
             break

@@ -17,8 +17,9 @@ from threadwalk.embeddings import HashedBowProvider, tokenize
 from threadwalk.errors import UnknownIdError
 from threadwalk.features import POLARITY_TASK, CorpusSide, Examples
 from threadwalk.model import train
+from threadwalk.pipeline import RunConfig
 from threadwalk.tree import CommentNode, DiscussionTree, build_tree
-from threadwalk.walks import WalkConfig, WalkSample
+from threadwalk.walks import WalkSample
 
 
 @pytest.fixture
@@ -162,7 +163,7 @@ def draw(dist: list[tuple[str, float]], rng: np.random.Generator) -> str:
 def oracle_walk(
     tree: DiscussionTree,
     start: str,
-    config: WalkConfig,
+    config: RunConfig,
     rng: np.random.Generator,
 ) -> WalkSample:
     """The biased root-seeking walk, each step drawn from the listed
@@ -178,7 +179,7 @@ def oracle_walk(
     deterministic = config.p == 1.0
 
     # Only a one-node tree has an empty distribution; it never enters the loop.
-    while len(collected) < config.L and len(raw) < cap and len(visited) < total:
+    while len(collected) < config.walk_length and len(raw) < cap and len(visited) < total:
         if deterministic and tree.parent(position) is None:
             break
         position = draw(transition_distribution(tree, position, config.p), rng)

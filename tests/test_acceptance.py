@@ -18,22 +18,22 @@ from threadwalk.features import (
     ConcatScheme,
     CorpusSide,
     aggregate_context,
+    featurize_split,
 )
-from threadwalk.model import SoftmaxModel, TrainConfig, loss_and_gradient, train
+from threadwalk.model import SoftmaxModel, loss_and_gradient, train
 from threadwalk.cli import main
 from threadwalk.corpus import save_corpus
 from threadwalk.pipeline import (
     RunConfig,
     ablate_concat,
     best_cell,
-    featurize_split,
     grid_csv,
     grid_search,
     read_manifest,
 )
 from threadwalk.synthetic import CorpusSpec, generate
 from threadwalk.tree import CommentNode, build_tree
-from threadwalk.walks import WalkConfig, sample_walk, walk_weights
+from threadwalk.walks import sample_walk, walk_weights
 from threadwalk.seeding import derived_rng
 
 from conftest import ancestors, bow_examples, bow_logreg_baseline, make_examples, random_tree
@@ -74,7 +74,7 @@ def context_corpus():
 
 
 def test_criterion_01_walk_distribution_oracle(fan_tree):
-    config = WalkConfig(p=0.75, gamma=1.0, L=2)
+    config = RunConfig(p=0.75, gamma=1.0, walk_length=2)
     start = time.perf_counter()
     counts = Counter(
         sample_walk(fan_tree, "a1", config, derived_rng(314, i)).node_ids[1]
@@ -97,9 +97,10 @@ def test_criterion_02_deterministic_walk_equivalence():
         tree = random_tree(rng, int(rng.integers(1, 201)), tree_id=f"rt{i}")
         start = str(rng.choice(tree.node_ids()))
         L = int(rng.integers(1, 7))
+        config = RunConfig(p=1.0, gamma=1.0, walk_length=L)
         expected = tuple(([start] + ancestors(tree, start))[:L])
         for seed in (0, 1, 2):
-            sample = sample_walk(tree, start, WalkConfig(p=1.0, L=L), derived_rng(seed, i))
+            sample = sample_walk(tree, start, config, derived_rng(seed, i))
             if sample.node_ids != expected:
                 ok = False
                 break
@@ -221,7 +222,7 @@ def test_criterion_07_context_helps(context_corpus):
             seeded = arm_config.replace(seed=seed)
             train_examples = featurize_split(CorpusSide(train_trees, provider, "hate"), seeded)
             test_examples = featurize_split(CorpusSide(test_trees, provider, "hate"), seeded)
-            (model,) = train(train_examples.labels, train_examples.X[None], seeded.train_config())
+            (model,) = train(train_examples.labels, train_examples.X[None], seeded)
             scores.append(evaluate(model, test_examples).macro_f1)
         return float(np.mean(scores))
 
@@ -230,7 +231,7 @@ def test_criterion_07_context_helps(context_corpus):
 
     bow_scores = []
     for seed in seeds:
-        bow_config = TrainConfig(epochs=100, seed=seed, class_weighting=True)
+        bow_config = RunConfig(epochs=100, seed=seed, class_weighting=True)
         model = bow_logreg_baseline(train_trees, "hate", config.bow_dim, bow_config)
         bow_scores.append(
             evaluate(model, bow_examples(test_trees, "hate", config.bow_dim)).macro_f1

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from threadwalk import cli, pipeline
+from threadwalk import cli, features, pipeline
 from threadwalk.cli import _resolve_config, build_parser, main
-from threadwalk.model import SoftmaxModel, save_model
+from threadwalk.errors import InputError
+from threadwalk.model import SoftmaxModel, load_model, save_model
 from threadwalk.corpus import load_corpus
 from threadwalk.pipeline import (
     MAX_BOW_DIM,
@@ -26,6 +28,7 @@ from threadwalk.pipeline import (
     MAX_STEP_CAP,
     MAX_WALK_LENGTH,
     RunConfig,
+    read_manifest,
     run_pipeline,
 )
 from threadwalk.synthetic import CorpusSpec, generate
@@ -174,7 +177,7 @@ def test_test_side_without_pois_exits_1_before_featurizing(tmp_path, capsys, mon
                 )
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-    monkeypatch.setattr(pipeline, "featurize_corpus", lambda *a, **k: pytest.fail("featurized"))
+    monkeypatch.setattr(features, "sample_walk", lambda *a, **k: pytest.fail("featurized"))
     out = tmp_path / "out"
     argv = [command, "--corpus", str(path), "--out", str(out), "--task", "polarity", "--seed", "3"]
     if command in ("evaluate", "error-analysis"):
@@ -385,6 +388,48 @@ def test_model_of_another_width_exits_2(corpus_path, tmp_path, capsys, command):
     assert not (out / "errors.jsonl").exists() and not (out / "metrics.json").exists()
 
 
+@pytest.mark.parametrize(
+    "classes, tail, message",
+    [
+        (("hate", "hate"), "", "class names must be two or more, distinct and non-empty"),
+        (("", ""), "", "class names must be two or more, distinct and non-empty"),
+        (("hate",), "", "class names must be two or more, distinct and non-empty"),
+        (("hate", "non-hate"), "0.5 0.5\n", "unexpected line after the bias row"),
+    ],
+    ids=["repeated-classes", "empty-classes", "one-class", "line-after-bias"],
+)
+def test_bad_model_file_exits_2(corpus_path, tmp_path, capsys, classes, tail, message):
+    # 24 features per row, as the settings of _RUN_HATE give.
+    model = tmp_path / "model.txt"
+    save_model(SoftmaxModel(np.zeros((len(classes), 24)), np.zeros(len(classes)), classes), model)
+    with model.open("a") as handle:
+        handle.write(tail)
+    argv = ["evaluate", "--corpus", str(corpus_path), "--model", str(model), *_RUN_HATE]
+    assert main(argv) == 2
+    assert _single_error_line(capsys) == f"error: {model}: {message}"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "error-analysis"])
+def test_model_of_another_task_exits_2(tmp_path, capsys, command):
+    polarity, hate = tmp_path / "polarity.jsonl", tmp_path / "hate.jsonl"
+    for task, path in (("polarity", polarity), ("hate", hate)):
+        argv = ["generate", "--output", str(path), "--task", task, "--num-trees", "20"]
+        assert main(argv + ["--mean-tree-size", "6", "--seed", "4"]) == 0
+    flags = ["--epochs", "2", "--bow-dim", "8"]
+    traindir, out = tmp_path / "train", tmp_path / "out"
+    argv = ["train", "--corpus", str(polarity), "--task", "polarity", "--out", str(traindir)]
+    assert main(argv + flags) == 0
+    capsys.readouterr()
+    model = traindir / "model.txt"
+    argv = [command, "--corpus", str(hate), "--task", "hate", "--model", str(model)]
+    assert main(argv + flags + ["--out", str(out)]) == 2
+    assert _single_error_line(capsys) == (
+        f"error: {model} predicts ('attack', 'support'), not the hate labels "
+        "('hate', 'non-hate'); use the task it was trained for"
+    )
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_library_warnings_print_one_line_each(corpus_path, tmp_path, capsys, command):
     with corpus_path.open("a") as handle:
@@ -509,7 +554,7 @@ def test_out_naming_a_file_exits_2_before_featurizing(
 ):
     out = tmp_path / "taken"
     out.write_text("")
-    monkeypatch.setattr(pipeline, "featurize_corpus", lambda *a, **k: pytest.fail("featurized"))
+    monkeypatch.setattr(features, "sample_walk", lambda *a, **k: pytest.fail("featurized"))
     argv = [command, "--corpus", str(corpus_path), "--out", str(out), "--task", "hate"]
     if command in ("evaluate", "error-analysis"):
         model = tmp_path / "model.txt"
@@ -720,6 +765,46 @@ def test_overlong_integer_gives_a_short_error(corpus_path, tmp_path, capsys, tar
     line = _single_error_line(capsys)
     assert len(line.encode()) < 300 and "set_int_max_str_digits" not in line, line
     assert message in line
+
+
+_LONG = "x" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, config, start",
+    [
+        (["run"], {"task": _LONG}, "task must be one of ('polarity', 'hate'), got 'xxx"),
+        (["run"], {"seed": _LONG}, "seed must be an integer, got 'xxx"),
+        (["run"], {"config": [_LONG]}, "must be a JSON object, got ['xxx"),
+        (["grid-search"], {"p_values": _LONG}, "p_values must be a list of float values, got"),
+        (["run", "--seed", "9" * 5_000], None, "argument --seed: invalid int value: '999"),
+        (["run", "--task", "y" * 5_000], None, "argument --task: invalid choice: 'yyy"),
+        (["run", "--bow-dim", "9" * 4_000], None, "bow_dim must be in [1, 16384], got 999"),
+        (["grid-search", "--p-values", "z" * 5_000], None, "p_values needs comma-separated"),
+        (["run", "q" * 5_000], None, "unrecognized arguments: qqq"),
+    ],
+    ids=[
+        "config-task",
+        "config-seed",
+        "config-not-an-object",
+        "config-p-values",
+        "seed-flag",
+        "task-flag",
+        "bow-dim-flag",
+        "p-values-flag",
+        "stray-argument",
+    ],
+)
+def test_long_value_gives_a_short_error(corpus_path, tmp_path, capsys, argv, config, start):
+    """An error line quotes at most the start of a long value."""
+    argv = [*argv, "--corpus", str(corpus_path), "--out", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    line = _single_error_line(capsys)
+    assert len(line.encode()) < 300 and start in line, line
 
 
 def test_deeply_nested_config_exits_2(corpus_path, tmp_path, capsys):
@@ -1083,3 +1168,82 @@ def test_fuzzed_input_files_exit_cleanly(tiny_corpus, target, data):
     lines = stderr.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), stderr.getvalue()
     assert code == 2, lines[0]
+
+
+# --- fuzzing the model and manifest files ---
+
+# What a mutation may put in place of one token of a file.
+_HOSTILE = (
+    _DEEP_NESTING.encode(),
+    _HUGE_INTEGER.encode(),
+    b"NaN",
+    b"Infinity",
+    b"-Infinity",
+    b"\xff\xfe\x80",
+)
+
+
+def _mutate(data, original: bytes) -> bytes:
+    """``original`` truncated at a byte, with a byte flipped or deleted, a
+    line duplicated or two lines swapped, or one token replaced by a hostile
+    value (deep nesting, a 5,000-digit integer, NaN, Infinity, non-UTF-8)."""
+    kind = data.draw(st.sampled_from(["truncate", "flip", "delete", "duplicate", "swap", "token"]))
+    at = data.draw(st.integers(0, len(original) - 1))
+    if kind == "truncate":
+        return original[:at]
+    if kind == "flip":
+        flipped = original[at] ^ data.draw(st.integers(1, 255))
+        return original[:at] + bytes([flipped]) + original[at + 1 :]
+    if kind == "delete":
+        return original[:at] + original[at + 1 :]
+    lines = original.splitlines(keepends=True)
+    i, j = (data.draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+    if kind == "duplicate":
+        lines.insert(j, lines[i])
+        return b"".join(lines)
+    if kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+        return b"".join(lines)
+    token = data.draw(st.sampled_from(list(re.finditer(rb"[\w.+-]+", original))))
+    hostile = data.draw(st.sampled_from(_HOSTILE))
+    return original[: token.start()] + hostile + original[token.end() :]
+
+
+FUZZED_FILES = {"model": "model.txt", "manifest": "manifest.json"}
+
+
+@pytest.fixture(scope="module")
+def trained_files(tiny_corpus, tmp_path_factory):
+    """The ``model.txt`` and ``manifest.json`` of a run on the tiny corpus."""
+    out = tmp_path_factory.mktemp("trained")
+    argv = ["run", "--corpus", str(tiny_corpus), "--out", str(out), *_RUN_HATE]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return {name: (out / file).read_bytes() for name, file in FUZZED_FILES.items()}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(target=st.sampled_from(["model", "manifest"]), data=st.data())
+def test_fuzzed_model_and_manifest_exit_cleanly(tiny_corpus, trained_files, target, data):
+    mutated = _mutate(data, trained_files[target])
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "input"
+        path.write_bytes(mutated)
+        corpus = ["--corpus", str(tiny_corpus), "--out", scratch]
+        if target == "model":
+            argv, read = ["evaluate", *corpus, "--model", str(path), *_RUN_HATE], load_model
+        else:
+            argv, read = ["run", *corpus, "--config", str(path)], read_manifest
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        try:
+            read(path)
+            rejected = False
+        except InputError:
+            rejected = True
+    lines = stderr.getvalue().splitlines()
+    errors = [line for line in lines if line.startswith("error: ")]
+    assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
+    assert code in (0, 1, 2) and len(errors) == (code != 0), lines
+    assert code == 2 or not rejected, lines

@@ -18,13 +18,14 @@ from threadwalk.features import (
     CorpusSide,
     aggregate_context,
     concat_features,
-    featurize_corpus,
+    featurize_split,
     labeled_pois,
 )
+from threadwalk.pipeline import RunConfig
 from threadwalk.seeding import derived_rng
 from threadwalk.synthetic import CorpusSpec, generate
 from threadwalk.tree import CommentNode, build_tree
-from threadwalk.walks import WalkConfig, sample_walk, walk_rng, walk_weights
+from threadwalk.walks import sample_walk, walk_rng, walk_weights
 
 STRATEGIES = list(AggregationStrategy)
 
@@ -47,25 +48,25 @@ def features_from_walk(
     return concat_features(u, v, scheme)
 
 
-def featurize_node(tree, poi, provider, walk_config, strategy, scheme, rng, normalize=True):
-    """Walk from ``poi`` on ``rng`` and build its feature row."""
-    sample = sample_walk(tree, poi, walk_config, rng)
+def featurize_node(tree, poi, provider, config, rng):
+    """Walk from ``poi`` on ``rng`` and build its feature row under ``config``."""
+    sample = sample_walk(tree, poi, config, rng)
+    strategy, scheme = AggregationStrategy(config.aggregation), ConcatScheme(config.scheme)
     return features_from_walk(
-        tree, sample, walk_config.gamma, provider, strategy, scheme, normalize_weights=normalize
+        tree, sample, config.gamma, provider, strategy, scheme,
+        normalize_weights=config.normalize_weights,
     )
 
 
-def per_row_features(trees, provider, walk_config, strategy, scheme, task, normalize):
-    """Per-row reference for featurize_corpus: one walk on each PoI's own
+def per_row_features(trees, provider, config):
+    """Per-row reference for featurize_split: one walk on each PoI's own
     stream, one row at a time."""
-    seed = walk_config.seed
     return np.array(
         [
             featurize_node(
-                tree, node.id, provider, walk_config, strategy, scheme,
-                walk_rng(seed, tree.tree_id, node.id), normalize,
+                tree, node.id, provider, config, walk_rng(config.seed, tree.tree_id, node.id)
             )
-            for tree, node in labeled_pois(trees, task)
+            for tree, node in labeled_pois(trees, config.task)
         ]
     )
 
@@ -222,9 +223,7 @@ class TestFeaturizeNode:
             tree,
             "solo",
             provider,
-            WalkConfig(p=0.5, gamma=0.9, L=4),
-            AggregationStrategy.WEIGHTED_AVERAGE,
-            ConcatScheme.UV_ABSDIFF,
+            RunConfig(p=0.5, gamma=0.9, walk_length=4),
             derived_rng(0),
         )
         u = provider.vector_for(tree.node("solo"))
@@ -237,9 +236,7 @@ class TestFeaturizeNode:
             forked_tree,
             "a4",
             known_provider,
-            WalkConfig(p=0.7, gamma=0.0, L=4),
-            AggregationStrategy.WEIGHTED_AVERAGE,
-            ConcatScheme.UV_ABSDIFF,
+            RunConfig(p=0.7, gamma=0.0, walk_length=4),
             derived_rng(1),
         )
         v_block = row[3:6]
@@ -250,9 +247,7 @@ class TestFeaturizeNode:
             forked_tree,
             "a2",
             known_provider,
-            WalkConfig(p=1.0, gamma=0.5, L=4),
-            AggregationStrategy.WEIGHTED_AVERAGE,
-            ConcatScheme.UV_ABSDIFF,
+            RunConfig(p=1.0, gamma=0.5, walk_length=4),
             derived_rng(2),
         )
         # walk is (a2, a1, a0); oracle v = (0.5 x(a1) + 0.25 x(a0)) / 0.75
@@ -269,9 +264,7 @@ class TestFeaturizeNode:
                 forked_tree,
                 "a4",
                 known_provider,
-                WalkConfig(p=1.0, gamma=0.8, L=4),
-                AggregationStrategy.WEIGHTED_AVERAGE,
-                ConcatScheme.UV_ABSDIFF,
+                RunConfig(p=1.0, gamma=0.8, walk_length=4),
                 derived_rng(seed),
             )
             for seed in (0, 1, 2)
@@ -312,11 +305,9 @@ class TestFeaturizeCorpus:
         )
 
     def test_polarity_example_per_non_root(self):
-        examples = featurize_corpus(
+        examples = featurize_split(
             CorpusSide([self._polarity_tree()], HashedBowProvider(8), "polarity"),
-            WalkConfig(p=0.8, gamma=0.8, L=4, seed=0),
-            AggregationStrategy.WEIGHTED_AVERAGE,
-            ConcatScheme.UV_ABSDIFF,
+            RunConfig(p=0.8, gamma=0.8, walk_length=4, seed=0),
         )
         assert len(examples) == 3
         assert examples.node_ids == ("b", "c", "d")
@@ -326,11 +317,9 @@ class TestFeaturizeCorpus:
         assert [walk.start for walk in examples.walks] == ["b", "c", "d"]
 
     def test_hate_example_per_node(self):
-        examples = featurize_corpus(
+        examples = featurize_split(
             CorpusSide([self._hate_tree()], HashedBowProvider(8), "hate"),
-            WalkConfig(p=0.8, gamma=0.8, L=4, seed=0),
-            AggregationStrategy.WEIGHTED_AVERAGE,
-            ConcatScheme.UV_ABSDIFF,
+            RunConfig(task="hate", p=0.8, gamma=0.8, walk_length=4, seed=0),
         )
         assert len(examples) == 5
 
@@ -345,13 +334,9 @@ class TestFeaturizeCorpus:
     def test_canonical_order_and_determinism(self):
         trees = [self._hate_tree(), self._polarity_tree()]
         # order by tree id then node id, regardless of input order
-        kwargs = dict(
-            walk_config=WalkConfig(p=0.6, gamma=0.5, L=4, seed=3),
-            strategy=AggregationStrategy.WEIGHTED_AVERAGE,
-            scheme=ConcatScheme.UV_ABSDIFF,
-        )
-        first = featurize_corpus(CorpusSide([trees[0]], HashedBowProvider(8), "hate"), **kwargs)
-        again = featurize_corpus(CorpusSide([trees[0]], HashedBowProvider(8), "hate"), **kwargs)
+        config = RunConfig(task="hate", p=0.6, gamma=0.5, walk_length=4, seed=3)
+        first = featurize_split(CorpusSide([trees[0]], HashedBowProvider(8), "hate"), config)
+        again = featurize_split(CorpusSide([trees[0]], HashedBowProvider(8), "hate"), config)
         assert list(first.node_ids) == sorted(first.node_ids)
         assert first.node_ids == again.node_ids
         assert np.array_equal(first.X, again.X)
@@ -363,15 +348,15 @@ class TestFeaturizeCorpus:
 
     def test_into_a_stack_row(self):
         side = CorpusSide([self._hate_tree()], HashedBowProvider(8), "hate")
-        args = (WalkConfig(p=0.6, gamma=0.5, L=4, seed=3), AggregationStrategy.WEIGHTED_AVERAGE)
-        alone = featurize_corpus(side, *args, ConcatScheme.UV_MUL)
+        config = RunConfig(task="hate", p=0.6, gamma=0.5, walk_length=4, seed=3, scheme="uv_mul")
+        alone = featurize_split(side, config)
         stack = np.zeros((2, 5, 24))
-        into = featurize_corpus(side, *args, ConcatScheme.UV_MUL, out=stack[1])
+        into = featurize_split(side, config, out=stack[1])
         assert into.X.base is stack and not into.X.flags.writeable
         assert stack[1].tobytes() == alone.X.tobytes() and not stack[0].any()
-        for scheme in (ConcatScheme.UV, ConcatScheme.UV_ABSDIFF_MUL):  # 16 and 32 wide
+        for scheme in ("uv", "uv_absdiff_mul"):  # 16 and 32 wide
             with pytest.raises(DimensionMismatchError):
-                featurize_corpus(side, *args, scheme, out=stack[0])
+                featurize_split(side, config.replace(scheme=scheme), out=stack[0])
 
 
 class TestBatchAxis:
@@ -422,25 +407,25 @@ class TestCorpusSide:
         for L in (1, 2, 4, 7):
             for p in (0.0, 0.5, 1.0):
                 for gamma in (0.0, 0.3, 1.0):
-                    config = WalkConfig(p=p, gamma=gamma, L=L, seed=11)
+                    walk = RunConfig(task=task, p=p, gamma=gamma, walk_length=L, seed=11)
                     for strategy in STRATEGIES:
                         for normalize in (True, False):
                             for scheme in ConcatScheme:
-                                got = featurize_corpus(
-                                    side, config, strategy, scheme, normalize_weights=normalize
+                                config = walk.replace(
+                                    aggregation=strategy.value,
+                                    scheme=scheme.value,
+                                    normalize_weights=normalize,
                                 )
-                                want = per_row_features(
-                                    trees, provider, config, strategy, scheme, task, normalize
-                                )
+                                got = featurize_split(side, config)
+                                want = per_row_features(trees, provider, config)
                                 assert got.X.tobytes() == want.tobytes(), (L, p, gamma)
 
     @pytest.mark.parametrize("task", ["hate", "polarity"])
     def test_rows_carry_their_trees(self, task, tmp_path):
         trees, provider = _side_corpus(task, "hashed", tmp_path)
         side = CorpusSide(trees, provider, task)
-        examples = featurize_corpus(
-            side, WalkConfig(p=0.5, seed=3), AggregationStrategy.SUM, ConcatScheme.UV
-        )
+        config = RunConfig(task=task, p=0.5, gamma=1.0, seed=3, aggregation="sum", scheme="uv")
+        examples = featurize_split(side, config)
         rows = list(zip(examples.trees, examples.node_ids, examples.walks))
         assert rows and all(node_id in tree for tree, node_id, _ in rows)
         assert all(set(walk.node_ids) <= set(tree.node_ids()) for tree, _, walk in rows)
@@ -450,13 +435,11 @@ class TestCorpusSide:
     def test_reused_walks_match_a_fresh_side(self, tmp_path):
         trees, provider = _side_corpus("hate", "hashed", tmp_path)
         side = CorpusSide(trees, provider, "hate")
-        args = (AggregationStrategy.WEIGHTED_AVERAGE, ConcatScheme.UV_ABSDIFF)
-        first = featurize_corpus(side, WalkConfig(p=0.5, gamma=0.8, seed=2), *args)
-        second = featurize_corpus(side, WalkConfig(p=0.5, gamma=0.3, seed=2), *args)
+        config = RunConfig(task="hate", p=0.5, gamma=0.8, seed=2)
+        first = featurize_split(side, config)
+        second = featurize_split(side, config.replace(gamma=0.3))
         assert second.walks is first.walks
-        fresh = featurize_corpus(
-            CorpusSide(trees, provider, "hate"), WalkConfig(p=0.5, gamma=0.3, seed=2), *args
-        )
+        fresh = featurize_split(CorpusSide(trees, provider, "hate"), config.replace(gamma=0.3))
         assert second.walks == fresh.walks
         assert second.X.tobytes() == fresh.X.tobytes()
 
@@ -466,42 +449,41 @@ class TestCorpusSide:
         for seed in (0, 1):
             for gamma in (0.2, 0.9):
                 for scheme in ConcatScheme:
-                    config = WalkConfig(p=0.4, gamma=gamma, seed=seed)
-                    featurize_corpus(side, config, AggregationStrategy.SUM, scheme)
+                    config = RunConfig(task="hate", p=0.4, gamma=gamma, seed=seed)
+                    featurize_split(side, config.replace(aggregation="sum", scheme=scheme.value))
         assert len(sampled_walks) == 2 * len(side.labels)
-        featurize_corpus(side, WalkConfig(p=0.6, seed=0), AggregationStrategy.SUM, scheme)
+        featurize_split(side, config.replace(p=0.6, gamma=1.0, seed=0))
         assert len(sampled_walks) == 3 * len(side.labels)
 
     def test_returning_to_an_earlier_seed_samples_again(self, sampled_walks, tmp_path):
         trees, provider = _side_corpus("hate", "hashed", tmp_path)
         side = CorpusSide(trees, provider, "hate")
         for seed in (0, 1, 0):
-            featurize_corpus(
-                side, WalkConfig(p=0.4, seed=seed), AggregationStrategy.SUM, ConcatScheme.UV
-            )
+            config = RunConfig(task="hate", p=0.4, gamma=1.0, seed=seed)
+            featurize_split(side, config.replace(aggregation="sum", scheme="uv"))
         assert len(sampled_walks) == 3 * len(side.labels)
 
     def test_huge_walk_length_sizes_arrays_by_longest_walk(self, tmp_path):
         trees, provider = _side_corpus("polarity", "hashed", tmp_path)
         side = CorpusSide(trees, provider, "polarity")
         for p in (0.5, 1.0):
-            config = WalkConfig(p=p, gamma=0.9, L=10**6, seed=1)
-            _, rows, _ = side.walks(config)
+            walk = RunConfig(p=p, gamma=0.9, walk_length=10**6, seed=1, scheme="uv_absdiff_mul")
+            _, rows, _ = side.walks(walk)
             assert rows.shape[1] <= max(len(tree) for tree in trees)
             for strategy in STRATEGIES:
-                got = featurize_corpus(side, config, strategy, ConcatScheme.UV_ABSDIFF_MUL)
-                want = per_row_features(
-                    trees, provider, config, strategy, ConcatScheme.UV_ABSDIFF_MUL, "polarity", True
-                )
+                config = walk.replace(aggregation=strategy.value)
+                got = featurize_split(side, config)
+                want = per_row_features(trees, provider, config)
                 assert got.X.tobytes() == want.tobytes()
 
     def test_blocks_cover_every_row(self, monkeypatch, tmp_path):
         trees, provider = _side_corpus("hate", "external", tmp_path)
         monkeypatch.setattr(features, "_BLOCK", 3)
         side = CorpusSide(trees, provider, "hate")
-        config = WalkConfig(p=0.5, gamma=0.7, L=7, seed=3)
-        got = featurize_corpus(side, config, AggregationStrategy.AVERAGE, ConcatScheme.UV_MUL)
-        want = per_row_features(
-            trees, provider, config, AggregationStrategy.AVERAGE, ConcatScheme.UV_MUL, "hate", True
+        config = RunConfig(
+            task="hate", p=0.5, gamma=0.7, walk_length=7, seed=3, aggregation="average",
+            scheme="uv_mul",
         )
+        got = featurize_split(side, config)
+        want = per_row_features(trees, provider, config)
         assert got.X.tobytes() == want.tobytes()

@@ -11,7 +11,7 @@ import pytest
 from threadwalk.errors import ConfigError
 from threadwalk import pipeline
 from threadwalk.evaluation import EvalReport
-from threadwalk.features import CorpusSide
+from threadwalk.features import CorpusSide, featurize_split
 from threadwalk.pipeline import (
     LOCKSTEP_CAP,
     MANIFEST_FORMAT,
@@ -46,6 +46,44 @@ SMALL_CONFIG = RunConfig(
     seed=3,
 )
 
+# Settings RunConfig.validate rejects, each with its message.
+VALIDATION_CASES = [
+    ({"task": "stance"}, "task must be one of ('polarity', 'hate'), got 'stance'"),
+    ({"p": 1.5}, "p must be in [0, 1], got 1.5"),
+    ({"gamma": -0.2}, "gamma must be in [0, 1], got -0.2"),
+    ({"walk_length": 0}, "walk length L must be >= 1, got 0"),
+    ({"step_cap": 1}, "step_cap must be >= L - 1, got 1"),
+    ({"bow_dim": 0}, f"bow_dim must be in [1, {MAX_BOW_DIM}], got 0"),
+    ({"bow_dim": MAX_BOW_DIM + 1}, f"bow_dim must be in [1, {MAX_BOW_DIM}], got {MAX_BOW_DIM + 1}"),
+    (
+        {"aggregation": "maxpool"},
+        "aggregation must be one of ('sum', 'average', 'weighted_average'), got 'maxpool'",
+    ),
+    (
+        {"scheme": "uvw"},
+        "scheme must be one of ('uv', 'uv_mul', 'uv_absdiff', 'uv_absdiff_mul'), got 'uvw'",
+    ),
+    ({"embedding": "magic"}, "embedding must be one of ('hashed-bow', 'external'), got 'magic'"),
+    ({"split_fraction": 0.0}, "split_fraction must be in (0, 1), got 0.0"),
+    ({"epochs": -2}, "epochs must be >= 0, got -2"),
+    (
+        {"embedding": "external", "embedding_file": None},
+        "embedding 'external' needs embedding_file",
+    ),
+    (
+        {"embedding": "external", "embedding_file": "/nonexistent/file.txt"},
+        "embedding file not found: /nonexistent/file.txt",
+    ),
+    ({"p": -0.1}, "p must be in [0, 1], got -0.1"),
+    ({"p": 1.1}, "p must be in [0, 1], got 1.1"),
+    ({"gamma": 2.0}, "gamma must be in [0, 1], got 2.0"),
+    ({"epochs": -1}, "epochs must be >= 0, got -1"),
+    ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+    ({"learning_rate": 0.0}, "learning_rate must be > 0 and finite, got 0.0"),
+    ({"l2": -0.1}, "l2 must be >= 0 and finite, got -0.1"),
+    ({"momentum": 1.0}, "momentum must be in [0, 1), got 1.0"),
+]
+
 
 @pytest.fixture(scope="module")
 def small_corpus():
@@ -70,27 +108,28 @@ class TestRunConfig:
             RunConfig.from_dict({"tsak": "hate"})
 
     @pytest.mark.parametrize(
-        "changes",
+        "changes, message",
         [
-            {"task": "stance"},
-            {"p": 1.5},
-            {"gamma": -0.2},
-            {"walk_length": 0},
-            {"step_cap": 1},
-            {"bow_dim": 0},
-            {"bow_dim": MAX_BOW_DIM + 1},
-            {"aggregation": "maxpool"},
-            {"scheme": "uvw"},
-            {"embedding": "magic"},
-            {"split_fraction": 0.0},
-            {"epochs": -2},
-            {"embedding": "external", "embedding_file": None},
-            {"embedding": "external", "embedding_file": "/nonexistent/file.txt"},
+            pytest.param(changes, message, id=f"changes{i}")
+            for i, (changes, message) in enumerate(VALIDATION_CASES)
         ],
     )
-    def test_validation(self, changes):
-        with pytest.raises(ConfigError):
+    def test_validation(self, changes, message):
+        with pytest.raises(ConfigError) as raised:
             SMALL_CONFIG.replace(**changes).validate()
+        assert str(raised.value) == message
+
+    def test_walk_length_floor(self):
+        with pytest.raises(ConfigError, match=r"^walk length L must be >= 1, got 0$"):
+            SMALL_CONFIG.replace(walk_length=0).validate()
+        SMALL_CONFIG.replace(walk_length=1).validate()
+
+    def test_step_cap_floor(self):
+        with pytest.raises(ConfigError, match=r"^step_cap must be >= L - 1, got 2$"):
+            SMALL_CONFIG.replace(walk_length=4, step_cap=2).validate()
+        SMALL_CONFIG.replace(walk_length=4, step_cap=3).validate()
+        assert SMALL_CONFIG.replace(walk_length=4).resolved_step_cap == 40
+        assert SMALL_CONFIG.replace(walk_length=4, step_cap=3).resolved_step_cap == 3
 
     def test_bow_dim_limit_is_valid(self):
         SMALL_CONFIG.replace(bow_dim=MAX_BOW_DIM).validate()
@@ -104,8 +143,6 @@ class TestRunConfig:
 
 class TestRunPipeline:
     def test_feature_dump_line_fields(self, small_corpus):
-        from threadwalk.pipeline import featurize_split
-
         side = CorpusSide(small_corpus[:2], SMALL_CONFIG.build_provider(), SMALL_CONFIG.task)
         examples = featurize_split(side, SMALL_CONFIG)
         lines = list(feature_dump_lines(examples))

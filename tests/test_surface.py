@@ -12,9 +12,10 @@ of a public function is passed by some call in ``src/`` or
 code, not a word of its prose. Helpers that only tests need live in
 ``tests/conftest.py``. A :class:`RunConfig` is the one source of the
 settings it holds: nothing that takes one also takes one of its fields
-beside it. Only the command line decides what files a command writes:
-outside ``cli.py``, a function that writes a file is named only inside
-the definition of another.
+beside it, and no record of a module that ``pipeline.py`` imports
+declares a field named like one of its settings. Only the command line
+decides what files a command writes: outside ``cli.py``, a function that
+writes a file is named only inside the definition of another.
 """
 
 import ast
@@ -241,6 +242,25 @@ def test_no_parameter_overrides_a_run_config_field():
         for name in _run_config_overrides(ast.parse(path.read_text()))
     ]
     assert found == [], f"parameters that override a RunConfig field: {found}"
+
+
+def test_layers_declare_no_run_config_field():
+    """A public dataclass or NamedTuple of a module that ``pipeline.py``
+    imports declares no field named like a RunConfig field: the layers a
+    RunConfig drives read their settings from it, not from a record of
+    their own."""
+    settings = {f.name for f in dataclasses.fields(RunConfig)}
+    imported = {
+        node.module for node in ast.walk(MODULES["pipeline"])
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    found = []
+    for stem in sorted(imported):
+        for cls in _public_definitions(MODULES[stem]):
+            if isinstance(cls, ast.ClassDef) and _record_kind(cls):
+                fields = [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)]
+                found += [f"{stem}.{cls.name}.{f}" for f in fields if f in settings]
+    assert found == [], f"RunConfig fields declared by the layers it drives: {found}"
 
 
 WRITERS = {

@@ -6,7 +6,7 @@ from threadwalk.corpus import save_corpus
 from threadwalk.errors import InvalidSpecError
 from threadwalk.evaluation import evaluate, report_from_pairs, split_trees
 from threadwalk.features import TASK_LABELS, TASKS
-from threadwalk.model import TrainConfig
+from threadwalk.pipeline import RunConfig
 from threadwalk.embeddings import tokenize
 from threadwalk.synthetic import (
     MAX_BRANCHING,
@@ -214,7 +214,7 @@ class TestContextSignalKnob:
         corpus = generate(spec)
         train_trees, test_trees = split_trees(corpus.trees, 0.8, seed=0)
         model = bow_logreg_baseline(
-            train_trees, "hate", 256, TrainConfig(epochs=40, seed=0, class_weighting=True)
+            train_trees, "hate", 256, RunConfig(epochs=40, seed=0, class_weighting=True)
         )
         report = evaluate(model, bow_examples(test_trees, "hate", 256))
         majority = max(

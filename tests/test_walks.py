@@ -13,15 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadwalk.errors import UnknownIdError
+from threadwalk.pipeline import RunConfig
 from threadwalk.tree import CommentNode, build_tree
 from threadwalk.seeding import derived_rng
-from threadwalk.walks import (
-    WalkConfig,
-    WalkSample,
-    sample_walk,
-    walk_rng,
-    walk_weights,
-)
+from threadwalk.walks import WalkSample, sample_walk, walk_rng, walk_weights
 
 from conftest import ancestors, make_chain, oracle_walk, random_tree, transition_distribution
 
@@ -30,19 +25,6 @@ def root_seeking_walk(tree, start, L):
     """Oracle for p = 1: the ancestor chain from ``start``, truncated to ``L``."""
     collected = tuple(([start] + ancestors(tree, start))[:L])
     return WalkSample(collected, collected[1:])
-
-
-class TestWalkConfig:
-    @pytest.mark.parametrize("bad", [{"p": -0.1}, {"p": 1.1}, {"gamma": 2.0}, {"L": 0}])
-    def test_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            WalkConfig(**bad)
-
-    def test_step_cap_floor(self):
-        with pytest.raises(ValueError):
-            WalkConfig(L=4, step_cap=2)
-        assert WalkConfig(L=4).resolved_step_cap == 40
-        assert WalkConfig(L=4, step_cap=3).resolved_step_cap == 3
 
 
 class TestWalkWeights:
@@ -107,22 +89,24 @@ class TestTransitionDistribution:
 
 class TestSampleWalk:
     def test_deterministic_walk_stops_at_root(self, forked_tree):
-        cfg = WalkConfig(p=1.0, gamma=0.5, L=4)
+        cfg = RunConfig(p=1.0, gamma=0.5, walk_length=4)
         sample = sample_walk(forked_tree, "a2", cfg, derived_rng(0))
         assert sample.node_ids == ("a2", "a1", "a0")
 
     def test_single_node(self):
         tree = build_tree([CommentNode("solo", None, "x")])
-        sample = sample_walk(tree, "solo", WalkConfig(p=0.5, gamma=0.7, L=5), derived_rng(1))
+        cfg = RunConfig(p=0.5, gamma=0.7, walk_length=5)
+        sample = sample_walk(tree, "solo", cfg, derived_rng(1))
         assert sample.node_ids == ("solo",)
         assert sample.raw_steps == ()
 
     def test_start_at_root_with_p_one(self, fan_tree):
-        sample = sample_walk(fan_tree, "a0", WalkConfig(p=1.0, L=4), derived_rng(2))
+        cfg = RunConfig(p=1.0, gamma=1.0, walk_length=4)
+        sample = sample_walk(fan_tree, "a0", cfg, derived_rng(2))
         assert sample.node_ids == ("a0",)
 
     def test_first_step_frequencies(self, fan_tree):
-        cfg = WalkConfig(p=0.75, gamma=1.0, L=2)
+        cfg = RunConfig(p=0.75, gamma=1.0, walk_length=2)
         counts = Counter(
             sample_walk(fan_tree, "a1", cfg, derived_rng(99, i)).node_ids[1]
             for i in range(4000)
@@ -132,19 +116,20 @@ class TestSampleWalk:
             assert counts[kid] / 4000 == pytest.approx(1 / 12, abs=0.03)
 
     def test_same_seed_same_walk(self, forked_tree):
-        cfg = WalkConfig(p=0.6, gamma=0.9, L=4, seed=5)
+        cfg = RunConfig(p=0.6, gamma=0.9, walk_length=4, seed=5)
         first = sample_walk(forked_tree, "a4", cfg, walk_rng(5, "forked", "a4"))
         second = sample_walk(forked_tree, "a4", cfg, walk_rng(5, "forked", "a4"))
         assert first == second
 
     def test_p_one_matches_ancestor_chain_for_any_seed(self):
         rng = np.random.default_rng(13)
+        cfg = RunConfig(p=1.0, gamma=1.0, walk_length=4)
         for _ in range(50):
             tree = random_tree(rng, int(rng.integers(2, 60)))
             start = str(rng.choice(tree.node_ids()))
             expected = ([start] + ancestors(tree, start))[:4]
             for seed in (0, 1, 2):
-                sample = sample_walk(tree, start, WalkConfig(p=1.0, L=4), derived_rng(seed))
+                sample = sample_walk(tree, start, cfg, derived_rng(seed))
                 assert list(sample.node_ids) == expected
 
     def test_step_cap_breaks_oscillation(self):
@@ -157,20 +142,20 @@ class TestSampleWalk:
             CommentNode("z", "x", "x"),
         ]
         tree = build_tree(records)
-        cfg = WalkConfig(p=0.0, gamma=1.0, L=4, step_cap=11)
+        cfg = RunConfig(p=0.0, gamma=1.0, walk_length=4, step_cap=11)
         sample = sample_walk(tree, "x", cfg, derived_rng(3))
         assert sample.node_ids == ("x", "z")
         assert len(sample.raw_steps) == 11
 
     def test_stops_when_tree_exhausted(self, fan_tree):
-        cfg = WalkConfig(p=0.5, gamma=1.0, L=50)
+        cfg = RunConfig(p=0.5, gamma=1.0, walk_length=50)
         sample = sample_walk(fan_tree, "a2", cfg, derived_rng(4))
         assert set(sample.node_ids) == set(fan_tree.node_ids())
         assert len(sample.node_ids) == 5
 
     def test_unknown_start(self, fan_tree):
         with pytest.raises(UnknownIdError):
-            sample_walk(fan_tree, "zz", WalkConfig(), derived_rng(0))
+            sample_walk(fan_tree, "zz", RunConfig(p=1.0, gamma=1.0), derived_rng(0))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -184,7 +169,7 @@ class TestSampleWalk:
         rng = np.random.default_rng(seed)
         tree = random_tree(rng, size)
         start = str(rng.choice(tree.node_ids()))
-        cfg = WalkConfig(p=p, gamma=gamma, L=L)
+        cfg = RunConfig(p=p, gamma=gamma, walk_length=L)
         sample = sample_walk(tree, start, cfg, derived_rng(seed, "walks"))
 
         assert len(set(sample.node_ids)) == len(sample.node_ids)
@@ -251,7 +236,7 @@ class TestMatchesOracleWalk:
             tree = star_tree(fan_out, hub_parent=shape == "hub")
         start = str(rng.choice(tree.node_ids()))
         step_cap = None if extra_steps is None else L - 1 + extra_steps
-        cfg = WalkConfig(p=p, L=L, step_cap=step_cap)
+        cfg = RunConfig(p=p, gamma=1.0, walk_length=L, step_cap=step_cap)
         ours, theirs = derived_rng(seed, "walk"), derived_rng(seed, "walk")
         assert sample_walk(tree, start, cfg, ours) == oracle_walk(tree, start, cfg, theirs)
         # both consumed the same draws
@@ -268,7 +253,7 @@ class TestMatchesOracleWalk:
             assert not r < acc
         tree = star_tree(6, hub_parent)
         start = "hub" if hub_parent else "root"
-        cfg = WalkConfig(p=p, L=2)
+        cfg = RunConfig(p=p, gamma=1.0, walk_length=2)
         expected = WalkSample((start, "k005"), ("k005",))
         assert oracle_walk(tree, start, cfg, _FixedRng(r)) == expected
         assert sample_walk(tree, start, cfg, _FixedRng(r)) == expected
@@ -298,12 +283,13 @@ class TestRootSeekingWalk:
         for start in forked_tree.node_ids():
             direct = root_seeking_walk(forked_tree, start, 4)
             sampled = sample_walk(
-                forked_tree, start, WalkConfig(p=1.0, gamma=0.5, L=4), derived_rng(8)
+                forked_tree, start, RunConfig(p=1.0, gamma=0.5, walk_length=4), derived_rng(8)
             )
             assert direct == sampled
 
     def test_gamma_default_uniform(self, forked_tree):
-        trace = root_seeking_walk(forked_tree, "a4", 4).trace_line("forked", WalkConfig().gamma)
+        # gamma = 1.0 weights every collected node alike
+        trace = root_seeking_walk(forked_tree, "a4", 4).trace_line("forked", 1.0)
         assert json.loads(trace)["weights"] == [1.0, 1.0, 1.0, 1.0]
 
 
