@@ -3,9 +3,10 @@
 Subcommands: validate, generate, featurize, train, evaluate, run,
 grid-search, ablate-concat, error-analysis. Flags override a JSON config
 file (``--config``), which overrides built-in defaults; every run writes
-a manifest sufficient for bit-exact replay. Exit status is 0 on success,
-1 on runtime failure and 2 on bad input: a flag, a config value, or a
-corpus, embedding, model or manifest file.
+a manifest sufficient for bit-exact replay. ``evaluate`` and
+``error-analysis`` take their settings from the model file instead. Exit
+status is 0 on success, 1 on runtime failure and 2 on bad input: a flag,
+a config value, or a corpus, embedding, model or manifest file.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import warnings
 from pathlib import Path
 
 from .corpus import corpus_stats, load_corpus, save_corpus, write_lines
-from .errors import ConfigError, InputError, ThreadwalkError, TooFewTreesError, quote
+from .errors import ConfigError, InputError, ThreadwalkError, TooFewTreesError, quote, quote_list
 from .evaluation import error_analysis, evaluate
 from .features import TASK_LABELS, Examples, featurize_split
 from .model import SoftmaxModel, load_model, save_model, train
@@ -109,14 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     _corpus_command(sub, "train", "train on the train split and save the model", cmd_train)
 
-    p = _corpus_command(
-        sub,
-        "evaluate",
-        "evaluate a saved model on the test split",
-        cmd_evaluate,
-        out="optional directory for report files",
+    _corpus_command(
+        sub, "evaluate", "evaluate a saved model on the test split", cmd_evaluate,
+        out="optional directory for report files", scores=True,
     )
-    p.add_argument("--model", required=True)
 
     p = _corpus_command(sub, "run", "full pipeline: split, featurize, train, evaluate", cmd_run)
     p.add_argument("--dump-features", action="store_true")
@@ -130,25 +127,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = _corpus_command(sub, "ablate-concat", "compare the four concatenation schemes", cmd_ablate)
     p.add_argument("--seeds", help="comma-separated, default 0,1,2,3,4")
 
-    p = _corpus_command(
-        sub, "error-analysis", "list FPs and FNs with walk context", cmd_error_analysis
+    _corpus_command(
+        sub, "error-analysis", "list FPs and FNs with walk context", cmd_error_analysis,
+        scores=True,
     )
-    p.add_argument("--model", required=True)
 
     return parser
 
 
 def _corpus_command(
-    sub: argparse._SubParsersAction, name: str, help: str, func, out: str | None = _OUT_HELP
+    sub: argparse._SubParsersAction, name: str, help: str, func, out: str | None = _OUT_HELP,
+    scores: bool = False,
 ) -> argparse.ArgumentParser:
     """A subcommand that reads ``--corpus`` under the run options; ``out``
-    is the help of its ``--out`` flag, or None for a command without one."""
-    p = sub.add_parser(name, help=help)
+    is the help of its ``--out`` flag, or None for a command without one.
+    A command that ``scores`` a ``--model`` file reads the run settings from
+    it and takes only ``--embedding-file`` beside it, and no abbreviated
+    flag, so that ``--embedding`` is refused, not read as that one."""
+    p = sub.add_parser(name, help=help, allow_abbrev=not scores)
     p.add_argument("--corpus", required=True)
     if out is not None:
         p.add_argument("--out", help=out)
-    p.add_argument("--config", help="JSON config or manifest file; flags override it")
-    _add_field_flags(p, RunConfig, use_defaults=False)
+    if scores:
+        p.add_argument("--model", required=True)
+        p.add_argument("--embedding-file", help="the embedding table, for an external model")
+    else:
+        p.add_argument("--config", help="JSON config or manifest file; flags override it")
+        _add_field_flags(p, RunConfig, use_defaults=False)
     p.set_defaults(func=func)
     return p
 
@@ -209,34 +214,42 @@ def _parse_list(text: str | None, extras: dict, key: str, cast: type, default: t
     return tuple(cast(v) for v in values)
 
 
-def _featurized(args: argparse.Namespace, side: int | None) -> tuple[RunConfig, Examples]:
-    """Resolve the config, load the corpus and featurize side ``side`` of its
-    split (0 train, 1 test), or the whole corpus for None."""
+def _featurized(args: argparse.Namespace, split: bool) -> tuple[RunConfig, Examples]:
+    """Resolve the config, load the corpus and featurize the train side of its
+    split, or the whole corpus if not ``split``."""
     config, _ = _resolve_config(args)
     corpus = load_corpus(args.corpus)
-    if side is None:
-        (corpus_side,) = corpus_sides(config, corpus, corpus)
-    else:
-        corpus_side = split_sides(corpus, config)[side]
-    return config, featurize_split(corpus_side, config)
+    sides = split_sides(corpus, config) if split else corpus_sides(config, corpus, corpus)
+    return config, featurize_split(sides[0], config)
 
 
 def _scored(args: argparse.Namespace) -> tuple[SoftmaxModel, Examples]:
     """The ``--model`` file and the test side it scores, featurized under the
-    settings; ConfigError if the model's classes are not the task's labels,
-    or if the settings give rows of another width than it takes."""
+    settings it records and ``--embedding-file``; ConfigError if it records
+    none, if its classes are not its task's labels, or if the embeddings
+    give rows of another width than it takes."""
     model = load_model(args.model)
-    config, examples = _featurized(args, 1)
+    settings = {**model.metadata, "embedding_file": args.embedding_file}
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    missing = [name for name in names if name not in settings]
+    if missing:
+        raise ConfigError(f"{args.model}: meta lacks {quote_list(missing)}; retrain it")
+    try:
+        config = RunConfig.from_dict({name: settings[name] for name in names})
+        config.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{args.model}: {exc}") from None
     labels = TASK_LABELS[config.task]
     if sorted(model.class_names) != sorted(labels):
         raise ConfigError(
-            f"{args.model} predicts {quote(model.class_names)}, not the {config.task} labels "
-            f"{labels}; use the task it was trained for"
+            f"{args.model} predicts {quote(model.class_names)}, not the labels {labels} "
+            f"of the {config.task} task its settings name"
         )
+    examples = featurize_split(split_sides(load_corpus(args.corpus), config)[1], config)
     if examples.X.shape[1] != model.feature_dim:
         raise ConfigError(
-            f"{args.model} takes {model.feature_dim} features per row, but these settings "
-            f"give {examples.X.shape[1]}; use the settings it was trained with"
+            f"{args.model} takes {model.feature_dim} features per row, but these embeddings "
+            f"give {examples.X.shape[1]}; use the table it was trained on"
         )
     return model, examples
 
@@ -262,7 +275,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    config, examples = _featurized(args, None)
+    config, examples = _featurized(args, split=False)
     write_lines(args.output, feature_dump_lines(examples))
     if args.traces:
         traces = zip(examples.trees, examples.walks)
@@ -274,8 +287,8 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     outdir = _outdir(args)
-    config, examples = _featurized(args, 0)
-    (model,) = train(examples.labels, examples.X[None], config)
+    config, examples = _featurized(args, split=True)
+    (model,) = train(examples.labels, examples.X[None], [config])
     save_model(model, outdir / "model.txt")
     write_manifest(config, outdir / "manifest.json")
     print(f"trained on {len(examples)} examples; model written to {outdir / 'model.txt'}")

@@ -1,15 +1,27 @@
 """Exception types shared across the toolkit, and how their messages
 quote a value."""
 
+from typing import Sequence
+
+
+def cut(text: str, limit: int = 40) -> str:
+    """``text`` cut to its first ``limit`` characters; "..." marks a cut."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
 
 def quote(value: object) -> str:
     """``repr(value)`` for an error message, cut to one short line: a string
-    shows its first 40 characters, anything else the first 40 of its repr,
-    and "..." marks a cut."""
+    shows its first 40 characters, anything else the first 40 of its repr."""
     if isinstance(value, str):
         return repr(value[:40]) + ("..." if len(value) > 40 else "")
-    text = repr(value)
-    return text if len(text) <= 40 else text[:40] + "..."
+    return cut(repr(value))
+
+
+def quote_list(values: Sequence) -> str:
+    """``values`` as a list of quote()d items, the first five of them and
+    then the count of the rest; a short list of short strings is its repr."""
+    more = f" and {len(values) - 5} more" if len(values) > 5 else ""
+    return "[" + ", ".join(map(quote, values[:5])) + "]" + more
 
 
 class ThreadwalkError(Exception):

@@ -23,6 +23,7 @@ from .errors import (
     MalformedFileError,
     NonFiniteLossError,
     SingleClassDataError,
+    quote,
 )
 from .corpus import JSON_DECODER, parse_int, text_lines, write_lines
 from .seeding import derived_rng
@@ -31,7 +32,7 @@ if TYPE_CHECKING:
     from .pipeline import RunConfig
 
 MODEL_FORMAT = "threadwalk-softmax-v1"
-# The RunConfig fields that training reads; a model's metadata records them.
+# The RunConfig fields that training reads, which the models of one stack share.
 TRAIN_FIELDS = (
     "epochs", "batch_size", "learning_rate", "l2", "seed", "class_weighting", "momentum"
 )
@@ -93,20 +94,26 @@ def loss_and_gradient(
     return loss, grad_w, grad_b
 
 
-def train(labels: Sequence[str], features: np.ndarray, config: RunConfig) -> list[SoftmaxModel]:
-    """Fit one softmax model per matrix of the ``(K, n, D)`` stack ``features``
-    under the settings of ``config`` named in TRAIN_FIELDS; zero epochs
-    return the zero initialization.
+def train(
+    labels: Sequence[str], features: np.ndarray, configs: Sequence[RunConfig]
+) -> list[SoftmaxModel]:
+    """Fit one softmax model per matrix of the ``(K, n, D)`` stack ``features``,
+    model k under ``configs[k]``; the K configs share the settings named in
+    TRAIN_FIELDS. Zero epochs return the zero initialization. Each model's
+    metadata records every setting of its config but the embedding file,
+    whose path would tie the bytes to a directory.
 
     Deterministic per seed: zero initialization and a shuffle order drawn
-    from a stream derived from ``config.seed``. The models share the
+    from a stream derived from the shared ``seed``. The models share the
     shuffle and take each mini-batch step together, and each ends with the
     bytes it gets alone (``features[k][None]``). The first epoch at which
     any model's loss is non-finite raises NonFiniteLossError.
     """
-    X = features
-    if X.ndim != 3 or X.shape[1] != len(labels):
-        raise DimensionMismatchError(f"features of shape {X.shape} are not (K, {len(labels)}, D)")
+    X, config = features, configs[0]
+    if X.ndim != 3 or X.shape[:2] != (len(configs), len(labels)):
+        raise DimensionMismatchError(
+            f"features of shape {X.shape} are not ({len(configs)}, {len(labels)}, D)"
+        )
     names, y = np.unique(labels, return_inverse=True)
     class_names = tuple(names.tolist())
     if len(class_names) < 2:
@@ -149,12 +156,12 @@ def train(labels: Sequence[str], features: np.ndarray, config: RunConfig) -> lis
                     raise NonFiniteLossError(f"loss became {epoch_loss} after an epoch")
                 history.append(epoch_loss)
 
-    meta = {name: getattr(config, name) for name in TRAIN_FIELDS}
-    meta.update(n_examples=int(n), feature_dim=int(dim))
-    return [
-        SoftmaxModel(weights[k], bias[k], class_names, {**meta, "loss_history": history})
-        for k, history in enumerate(histories)
-    ]
+    models = []
+    for k, history in enumerate(histories):
+        meta = {name: v for name, v in configs[k].to_dict().items() if name != "embedding_file"}
+        meta.update(n_examples=int(n), feature_dim=int(dim), loss_history=history)
+        models.append(SoftmaxModel(weights[k], bias[k], class_names, meta))
+    return models
 
 
 def predict_proba(model: SoftmaxModel, features: np.ndarray) -> np.ndarray:
@@ -195,6 +202,9 @@ def load_model(path: str | Path) -> SoftmaxModel:
     lines = [line.rstrip("\n") for line in text_lines(path)]
     if not lines or lines[0] != MODEL_FORMAT:
         raise MalformedFileError(f"{path}: not a {MODEL_FORMAT} file")
+    labels = ("classes\t", "dims ", "meta ")
+    if not all(line.startswith(label) for line, label in zip(lines[1:4], labels)):
+        raise MalformedFileError(f"{path}: lines 2 to 4 must start with {labels}")
     try:
         class_names = tuple(lines[1].split("\t")[1:])
         n_classes, dim = (parse_int(x) for x in lines[2].split()[1:])
@@ -204,6 +214,8 @@ def load_model(path: str | Path) -> SoftmaxModel:
         weights = np.stack(rows)  # ValueError for ragged rows or no classes
     except (IndexError, ValueError, RecursionError) as exc:
         raise MalformedFileError(f"{path}: truncated or corrupt model file ({exc})") from None
+    if not isinstance(metadata, dict):
+        raise MalformedFileError(f"{path}: meta must be a JSON object, got {quote(metadata)}")
     if weights.shape != (n_classes, dim) or bias.shape != (n_classes,):
         raise MalformedFileError(f"{path}: parameter shapes disagree with header")
     if len(class_names) != n_classes:

@@ -38,7 +38,7 @@ from .embeddings import (
     HashedBowProvider,
     load_external_embeddings,
 )
-from .errors import ConfigError, EmptyEvalSetError, quote
+from .errors import ConfigError, EmptyEvalSetError, cut, quote, quote_list
 from .evaluation import EvalReport, evaluate, split_trees
 from .features import (
     AggregationStrategy,
@@ -134,7 +134,7 @@ class RunConfig:
         if self.embedding == "external" and not self.embedding_file:
             raise ConfigError("embedding 'external' needs embedding_file")
         if self.embedding == "external" and not os.path.isfile(self.embedding_file):
-            raise ConfigError(f"embedding file not found: {self.embedding_file}")
+            raise ConfigError(f"embedding file not found: {cut(self.embedding_file, 200)}")
         L, cap, rate = self.walk_length, self.step_cap, self.learning_rate
         for fits, name, rule, value in (
             (1 <= self.bow_dim <= MAX_BOW_DIM, "bow_dim", f"in [1, {MAX_BOW_DIM}]", self.bow_dim),
@@ -173,7 +173,7 @@ class RunConfig:
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         unknown = set(data) - set(types)
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {quote_list(sorted(unknown))}")
         for name, value in data.items():
             check_type(name, value, types[name])
         return cls(**data)
@@ -253,7 +253,7 @@ def replicate(
     train_examples = [
         featurize_split(train_side, config, out=stack[k]) for k, config in enumerate(configs)
     ]
-    models = train(train_side.labels, stack, configs[0])
+    models = train(train_side.labels, stack, configs)
     replicates = []
     for config, model, examples in zip(configs, models, train_examples):
         test_examples = featurize_split(test_side, config)
@@ -372,7 +372,7 @@ def read_manifest(path: str | Path) -> tuple[RunConfig, dict]:
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: config must be a JSON object, got {quote(config)}")
     if payload:
-        raise ConfigError(f"{path}: unknown manifest keys: {sorted(payload)}")
+        raise ConfigError(f"{path}: unknown manifest keys: {quote_list(sorted(payload))}")
     return RunConfig.from_dict(config), extras
 
 

@@ -20,6 +20,7 @@ from .errors import (
     MultipleRootsError,
     NoRootError,
     UnknownIdError,
+    quote_list,
 )
 
 
@@ -126,7 +127,7 @@ def build_tree(records: Sequence[CommentNode], tree_id: str = "") -> DiscussionT
     _check_acyclic(nodes)
 
     if len(roots) > 1:
-        raise MultipleRootsError(f"multiple parentless records: {roots}")
+        raise MultipleRootsError(f"multiple parentless records: {quote_list(roots)}")
 
     children: dict[str, list[str]] = {}
     for rec in records:

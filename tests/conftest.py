@@ -235,7 +235,7 @@ def bow_examples(trees, task, d, *, normalize=False) -> Examples:
 def bow_logreg_baseline(trees, task, d, config, *, normalize=False):
     """Train the bag-of-words logistic-regression baseline."""
     examples = bow_examples(trees, task, d, normalize=normalize)
-    (model,) = train(examples.labels, examples.X[None], config)
+    (model,) = train(examples.labels, examples.X[None], [config])
     return model
 
 

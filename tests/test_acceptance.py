@@ -222,7 +222,7 @@ def test_criterion_07_context_helps(context_corpus):
             seeded = arm_config.replace(seed=seed)
             train_examples = featurize_split(CorpusSide(train_trees, provider, "hate"), seeded)
             test_examples = featurize_split(CorpusSide(test_trees, provider, "hate"), seeded)
-            (model,) = train(train_examples.labels, train_examples.X[None], seeded)
+            (model,) = train(train_examples.labels, train_examples.X[None], [seeded])
             scores.append(evaluate(model, test_examples).macro_f1)
         return float(np.mean(scores))
 

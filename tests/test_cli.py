@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from threadwalk import cli, features, pipeline
 from threadwalk.cli import _resolve_config, build_parser, main
+from threadwalk.embeddings import save_external_embeddings
 from threadwalk.errors import InputError
 from threadwalk.model import SoftmaxModel, load_model, save_model
 from threadwalk.corpus import load_corpus
@@ -62,6 +63,11 @@ def corpus_path(tmp_path):
 
 def _fast_flags():
     return ["--epochs", "8", "--bow-dim", "32", "--seed", "2"]
+
+
+def _recorded(config):
+    """The settings a model trained under ``config`` records in its metadata."""
+    return {name: v for name, v in config.to_dict().items() if name != "embedding_file"}
 
 
 def test_generate_then_validate(corpus_path, capsys):
@@ -179,12 +185,17 @@ def test_test_side_without_pois_exits_1_before_featurizing(tmp_path, capsys, mon
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     monkeypatch.setattr(features, "sample_walk", lambda *a, **k: pytest.fail("featurized"))
     out = tmp_path / "out"
-    argv = [command, "--corpus", str(path), "--out", str(out), "--task", "polarity", "--seed", "3"]
+    argv = [command, "--corpus", str(path), "--out", str(out)]
     if command in ("evaluate", "error-analysis"):
-        # The model is loaded before the split, so any valid model file does.
+        # The model is loaded before the split, so any valid model file that
+        # records these settings does.
         model = tmp_path / "model.txt"
-        save_model(SoftmaxModel(np.zeros((2, 1)), np.zeros(2), ("attack", "support")), model)
+        settings = _recorded(RunConfig(task="polarity", seed=3))
+        classes = ("attack", "support")
+        save_model(SoftmaxModel(np.zeros((2, 1)), np.zeros(2), classes, settings), model)
         argv += ["--model", str(model)]
+    else:
+        argv += ["--task", "polarity", "--seed", "3"]
     assert main(argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["error: the test side of the polarity split at seed 3 has no PoIs"]
@@ -193,14 +204,12 @@ def test_test_side_without_pois_exits_1_before_featurizing(tmp_path, capsys, mon
 
 
 def test_train_then_evaluate_matches_run_report(corpus_path, tmp_path, capsys):
+    """``evaluate`` needs nothing but the corpus and the model file to score
+    a model trained under settings other than the defaults."""
     rundir = tmp_path / "run"
-    assert (
-        main(
-            ["run", "--corpus", str(corpus_path), "--out", str(rundir), "--task", "hate"]
-            + _fast_flags()
-        )
-        == 0
-    )
+    flags = ["--task", "hate", "--scheme", "uv_mul", "--p", "0.2", "--walk-length", "3"]
+    flags += ["--aggregation", "sum", *_fast_flags(), "--seed", "5"]
+    assert main(["run", "--corpus", str(corpus_path), "--out", str(rundir), *flags]) == 0
     capsys.readouterr()
 
     traindir = tmp_path / "train"
@@ -221,17 +230,7 @@ def test_train_then_evaluate_matches_run_report(corpus_path, tmp_path, capsys):
     assert (traindir / "model.txt").read_bytes() == (rundir / "model.txt").read_bytes()
     capsys.readouterr()
 
-    code = main(
-        [
-            "evaluate",
-            "--corpus",
-            str(corpus_path),
-            "--model",
-            str(traindir / "model.txt"),
-            "--config",
-            str(rundir / "manifest.json"),
-        ]
-    )
+    code = main(["evaluate", "--corpus", str(corpus_path), "--model", str(traindir / "model.txt")])
     assert code == 0
     printed = capsys.readouterr().out
     assert printed == (rundir / "report.txt").read_text()
@@ -352,8 +351,6 @@ def test_error_analysis_reconciles(corpus_path, tmp_path, capsys):
             str(corpus_path),
             "--model",
             str(rundir / "model.txt"),
-            "--config",
-            str(rundir / "manifest.json"),
             "--out",
             str(out),
         ]
@@ -372,18 +369,26 @@ def test_error_analysis_reconciles(corpus_path, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["evaluate", "error-analysis"])
 def test_model_of_another_width_exits_2(corpus_path, tmp_path, capsys, command):
+    """A model trained on an external table, scored with a narrower one."""
+    rng = np.random.default_rng(5)
+    node_ids = [node.id for tree in load_corpus(corpus_path) for node in tree]
+    tables = {d: tmp_path / f"emb{d}.txt" for d in (6, 3)}
+    for d, path in tables.items():
+        save_external_embeddings({nid: rng.standard_normal(d) for nid in node_ids}, path)
     traindir = tmp_path / "train"
-    argv = ["--corpus", str(corpus_path), "--task", "hate", *_fast_flags()]
-    assert main(["train", "--out", str(traindir), *argv]) == 0
+    argv = ["train", "--corpus", str(corpus_path), "--task", "hate", *_fast_flags()]
+    argv += ["--out", str(traindir), "--embedding", "external", "--embedding-file", str(tables[6])]
+    assert main(argv) == 0
     capsys.readouterr()
-    model = traindir / "model.txt"
-    out = tmp_path / "out"
-    argv += ["--bow-dim", "16", "--model", str(model), "--out", str(out)]
-    assert main([command, *argv]) == 2
+    model, out = traindir / "model.txt", tmp_path / "out"
+    argv = [command, "--corpus", str(corpus_path), "--model", str(model)]
+    assert main([*argv, "--out", str(tmp_path / "ok"), "--embedding-file", str(tables[6])]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out), "--embedding-file", str(tables[3])]) == 2
     line = _single_error_line(capsys)
     assert line == (
-        f"error: {model} takes 96 features per row, but these settings give 48; "
-        "use the settings it was trained with"
+        f"error: {model} takes 18 features per row, but these embeddings give 9; "
+        "use the table it was trained on"
     )
     assert not (out / "errors.jsonl").exists() and not (out / "metrics.json").exists()
 
@@ -399,33 +404,92 @@ def test_model_of_another_width_exits_2(corpus_path, tmp_path, capsys, command):
     ids=["repeated-classes", "empty-classes", "one-class", "line-after-bias"],
 )
 def test_bad_model_file_exits_2(corpus_path, tmp_path, capsys, classes, tail, message):
-    # 24 features per row, as the settings of _RUN_HATE give.
     model = tmp_path / "model.txt"
     save_model(SoftmaxModel(np.zeros((len(classes), 24)), np.zeros(len(classes)), classes), model)
     with model.open("a") as handle:
         handle.write(tail)
-    argv = ["evaluate", "--corpus", str(corpus_path), "--model", str(model), *_RUN_HATE]
+    argv = ["evaluate", "--corpus", str(corpus_path), "--model", str(model)]
     assert main(argv) == 2
+    assert _single_error_line(capsys) == f"error: {model}: {message}"
+
+
+_LINE_LABELS = "lines 2 to 4 must start with ('classes\\t', 'dims ', 'meta ')"
+
+
+@pytest.mark.parametrize(
+    "index, line, message",
+    [
+        (1, "classez\thate\tnon-hate\n", _LINE_LABELS),
+        (2, "dimz 2 24\n", _LINE_LABELS),
+        (3, "mota {}\n", _LINE_LABELS),
+        (3, "meta [1, 2]\n", "meta must be a JSON object, got [1, 2]"),
+        (3, 'meta "' + "m" * 100 + '"\n', "meta must be a JSON object, got '" + "m" * 40 + "'..."),
+    ],
+    ids=["classes-label", "dims-label", "meta-label", "meta-list", "meta-long-string"],
+)
+def test_mislabeled_model_header_exits_2(corpus_path, tmp_path, capsys, index, line, message):
+    model = tmp_path / "model.txt"
+    settings = _recorded(RunConfig(task="hate", bow_dim=8))
+    save_model(SoftmaxModel(np.zeros((2, 24)), np.zeros(2), ("hate", "non-hate"), settings), model)
+    lines = model.read_text().splitlines(keepends=True)
+    lines[index] = line
+    model.write_text("".join(lines))
+    assert main(["evaluate", "--corpus", str(corpus_path), "--model", str(model)]) == 2
+    assert _single_error_line(capsys) == f"error: {model}: {message}"
+
+
+# The meta of a model written before models recorded their run settings.
+_OLD_META = {
+    "epochs": 2, "batch_size": 32, "learning_rate": 0.1, "l2": 0.0001, "seed": 0,
+    "class_weighting": True, "momentum": 0.0, "n_examples": 30, "feature_dim": 24,
+    "loss_history": [0.69, 0.65],
+}
+
+
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        (_OLD_META, "meta lacks ['task', 'p', 'gamma', 'walk_length', 'step_cap'] and 7 more; "
+                    "retrain it"),
+        ({**_recorded(RunConfig(task="hate")), "bow_normalize": None},
+         "bow_normalize must be true or false, got None"),
+        ({**_recorded(RunConfig(task="hate")), "p": 2}, "p must be in [0, 1], got 2"),
+        (_recorded(RunConfig(task="spam")), "task must be one of ('polarity', 'hate'), got 'spam'"),
+        (_recorded(RunConfig(task="hate", embedding="external")),
+         "embedding 'external' needs embedding_file"),
+    ],
+    ids=[
+        "written-without-settings", "mistyped", "out-of-range", "unknown-task",
+        "external-without-table",
+    ],
+)
+def test_model_without_usable_settings_exits_2(corpus_path, tmp_path, capsys, meta, message):
+    """Every model written before models recorded their run settings is
+    refused, and so is one whose settings do not make a valid config."""
+    model = tmp_path / "model.txt"
+    save_model(SoftmaxModel(np.zeros((2, 24)), np.zeros(2), ("hate", "non-hate"), meta), model)
+    assert main(["evaluate", "--corpus", str(corpus_path), "--model", str(model)]) == 2
     assert _single_error_line(capsys) == f"error: {model}: {message}"
 
 
 @pytest.mark.parametrize("command", ["evaluate", "error-analysis"])
 def test_model_of_another_task_exits_2(tmp_path, capsys, command):
-    polarity, hate = tmp_path / "polarity.jsonl", tmp_path / "hate.jsonl"
-    for task, path in (("polarity", polarity), ("hate", hate)):
-        argv = ["generate", "--output", str(path), "--task", task, "--num-trees", "20"]
-        assert main(argv + ["--mean-tree-size", "6", "--seed", "4"]) == 0
-    flags = ["--epochs", "2", "--bow-dim", "8"]
-    traindir, out = tmp_path / "train", tmp_path / "out"
-    argv = ["train", "--corpus", str(polarity), "--task", "polarity", "--out", str(traindir)]
-    assert main(argv + flags) == 0
+    """A hate model whose ``meta`` was edited to name the polarity task."""
+    corpus, traindir, out = tmp_path / "hate.jsonl", tmp_path / "train", tmp_path / "out"
+    argv = ["generate", "--output", str(corpus), "--task", "hate", "--num-trees", "20"]
+    assert main(argv + ["--mean-tree-size", "6", "--seed", "4"]) == 0
+    argv = ["train", "--corpus", str(corpus), "--task", "hate", "--out", str(traindir)]
+    assert main(argv + ["--epochs", "2", "--bow-dim", "8"]) == 0
     capsys.readouterr()
     model = traindir / "model.txt"
-    argv = [command, "--corpus", str(hate), "--task", "hate", "--model", str(model)]
-    assert main(argv + flags + ["--out", str(out)]) == 2
+    text = model.read_text()
+    assert text.count('"task": "hate"') == 1
+    model.write_text(text.replace('"task": "hate"', '"task": "polarity"'))
+    argv = [command, "--corpus", str(corpus), "--model", str(model), "--out", str(out)]
+    assert main(argv) == 2
     assert _single_error_line(capsys) == (
-        f"error: {model} predicts ('attack', 'support'), not the hate labels "
-        "('hate', 'non-hate'); use the task it was trained for"
+        f"error: {model} predicts ('hate', 'non-hate'), not the labels "
+        "('support', 'attack') of the polarity task its settings name"
     )
     assert not out.exists() or not any(out.iterdir())
 
@@ -555,14 +619,18 @@ def test_out_naming_a_file_exits_2_before_featurizing(
     out = tmp_path / "taken"
     out.write_text("")
     monkeypatch.setattr(features, "sample_walk", lambda *a, **k: pytest.fail("featurized"))
-    argv = [command, "--corpus", str(corpus_path), "--out", str(out), "--task", "hate"]
+    argv = [command, "--corpus", str(corpus_path), "--out", str(out)]
     if command in ("evaluate", "error-analysis"):
         model = tmp_path / "model.txt"
-        save_model(SoftmaxModel(np.zeros((2, 1)), np.zeros(2), ("hate", "non-hate")), model)
+        settings = _recorded(RunConfig(task="hate", epochs=8, bow_dim=32, seed=2))
+        classes = ("hate", "non-hate")
+        save_model(SoftmaxModel(np.zeros((2, 1)), np.zeros(2), classes, settings), model)
         argv += ["--model", str(model)]
+    else:
+        argv += ["--task", "hate", *_fast_flags()]
     if command == "grid-search":
         argv += ["--jobs", "1"]
-    assert main(argv + _fast_flags()) == 2
+    assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "File exists" in err, err
@@ -760,7 +828,7 @@ def test_overlong_integer_gives_a_short_error(corpus_path, tmp_path, capsys, tar
         else:
             lines[2] = f"dims 2 {_HUGE_INTEGER}\n"
         path.write_text("".join(lines))
-        argv = ["evaluate", "--corpus", str(corpus_path), "--model", str(path), *_RUN_HATE]
+        argv = ["evaluate", "--corpus", str(corpus_path), "--model", str(path)]
     assert main(argv) == 2
     line = _single_error_line(capsys)
     assert len(line.encode()) < 300 and "set_int_max_str_digits" not in line, line
@@ -807,6 +875,61 @@ def test_long_value_gives_a_short_error(corpus_path, tmp_path, capsys, argv, con
     assert len(line.encode()) < 300 and start in line, line
 
 
+def _naming_command(tmp_path, corpus_path, target, names):
+    """A command whose error line names ``names``: the unknown keys of a
+    config or manifest file, the embedding file ``names[0]``, or the roots
+    of one tree."""
+    path = tmp_path / "input"
+    run = ["run", "--corpus", str(corpus_path), "--out", str(tmp_path / "out"), *_RUN_HATE]
+    if target == "config-keys":
+        path.write_text(json.dumps(dict.fromkeys(names, 1)))
+        return run + ["--config", str(path)]
+    if target == "manifest-keys":
+        path.write_text(json.dumps({"config": {}, **dict.fromkeys(names, 1)}))
+        return run + ["--config", str(path)]
+    if target == "embedding-file":
+        return run + ["--embedding", "external", "--embedding-file", str(tmp_path / names[0])]
+    rows = [{"tree_id": "t", "id": name, "parent_id": None, "text": "x"} for name in names]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return ["validate", str(path)]
+
+
+@pytest.mark.parametrize(
+    "target, names, start",
+    [
+        ("config-keys", ["x" * 100_000], "unknown config keys: ['xxx"),
+        ("config-keys", [f"k{i:04}" for i in range(3_000)], "keys: ['k0000', 'k0001', 'k0002', "),
+        ("manifest-keys", ["y" * 100_000], "unknown manifest keys: ['yyy"),
+        ("embedding-file", ["e" * 3_000], "embedding file not found: "),
+        ("tree-roots", [f"r{i}" for i in range(3_000)], "records: ['r0', 'r1', 'r2', 'r3', 'r4'] "),
+        ("tree-roots", ["a" * 5_000, "b" * 5_000], "multiple parentless records: ['aaa"),
+    ],
+    ids=["long-key", "many-keys", "long-manifest-key", "long-path", "many-roots", "long-roots"],
+)
+def test_long_list_or_path_gives_a_short_error(corpus_path, tmp_path, capsys, target, names, start):
+    """An error line shows at most five of the keys or ids it lists, each
+    cut, and cuts the path it names."""
+    assert main(_naming_command(tmp_path, corpus_path, target, names)) == 2
+    line = _single_error_line(capsys)
+    assert len(line.encode()) < 300 and start in line, line
+
+
+@pytest.mark.parametrize(
+    "target, names, message",
+    [
+        ("config-keys", ["tpyo", "bogus"], "unknown config keys: ['bogus', 'tpyo']"),
+        ("manifest-keys", ["notes", "extra"], "{input}: unknown manifest keys: ['extra', 'notes']"),
+        ("embedding-file", ["missing.txt"], "embedding file not found: {tmp}/missing.txt"),
+        ("tree-roots", ["a", "b"], "{input}: tree 't': multiple parentless records: ['a', 'b']"),
+    ],
+    ids=["two-keys", "two-manifest-keys", "path", "two-roots"],
+)
+def test_short_list_or_path_prints_whole(corpus_path, tmp_path, capsys, target, names, message):
+    assert main(_naming_command(tmp_path, corpus_path, target, names)) == 2
+    message = message.format(input=tmp_path / "input", tmp=tmp_path)
+    assert _single_error_line(capsys) == f"error: {message}"
+
+
 def test_deeply_nested_config_exits_2(corpus_path, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(_DEEP_NESTING)
@@ -821,7 +944,7 @@ def test_deeply_nested_model_meta_exits_2(corpus_path, tmp_path, capsys):
     lines = model.read_text().splitlines(keepends=True)
     lines[3] = f"meta {_DEEP_NESTING}\n"
     model.write_text("".join(lines))
-    argv = ["evaluate", "--corpus", str(corpus_path), "--model", str(model), *_RUN_HATE]
+    argv = ["evaluate", "--corpus", str(corpus_path), "--model", str(model)]
     assert main(argv) == 2
     assert _single_error_line(capsys).startswith(f"error: {model}: truncated or corrupt model file")
 
@@ -833,8 +956,8 @@ def test_deeply_nested_model_meta_exits_2(corpus_path, tmp_path, capsys):
         (["validate", "{binary}"], "{binary}"),
         (["run", "--corpus", "{corpus}", "--out", "{out}", "--embedding", "external",
           "--embedding-file", "{binary}", *_RUN_HATE], "{binary}"),
-        (["evaluate", "--corpus", "{corpus}", "--model", "{dir}", *_RUN_HATE], "{dir}"),
-        (["evaluate", "--corpus", "{corpus}", "--model", "{binary}", *_RUN_HATE], "{binary}"),
+        (["evaluate", "--corpus", "{corpus}", "--model", "{dir}"], "{dir}"),
+        (["evaluate", "--corpus", "{corpus}", "--model", "{binary}"], "{binary}"),
         (["run", "--corpus", "{corpus}", "--out", "{file}", *_RUN_HATE], "{file}"),
         (["featurize", "--corpus", "{corpus}", "--output", "{dir}", *_RUN_HATE], "{dir}"),
     ],
@@ -999,6 +1122,40 @@ def test_generate_flags_round_trip(tmp_path, monkeypatch):
     output = tmp_path / "corpus.jsonl"
     assert main(["generate", "--output", str(output), *_as_flags(spec)]) == 0
     assert specs == [spec]
+
+
+# A model trained under the defaults, with one epoch and its step cap
+# spelled out; each run option set to the value it was trained with.
+_TRAINED = RunConfig(epochs=1, step_cap=40)
+_RUN_OPTIONS = ["--config"] + [f for f in _as_flags(_TRAINED) if "--embedding-file" not in f]
+
+
+@pytest.fixture(scope="module")
+def trained_polarity(tmp_path_factory):
+    """A polarity corpus, and the directory of a model trained on it under
+    ``_TRAINED`` with its manifest."""
+    root = tmp_path_factory.mktemp("trained-polarity")
+    corpus = root / "corpus.jsonl"
+    argv = ["generate", "--output", str(corpus), "--task", "polarity", "--num-trees", "20"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--mean-tree-size", "6", "--seed", "4"]) == 0
+        argv = ["train", "--corpus", str(corpus), "--out", str(root / "train")]
+        assert main(argv + ["--epochs", "1", "--step-cap", "40"]) == 0
+    return corpus, root / "train"
+
+
+@pytest.mark.parametrize("option", _RUN_OPTIONS, ids=[o.split("=")[0][2:] for o in _RUN_OPTIONS])
+@pytest.mark.parametrize("command", ["evaluate", "error-analysis"])
+def test_scoring_commands_take_no_run_option(trained_polarity, tmp_path, capsys, command, option):
+    """The model file is the one source of its settings, so even a value
+    that agrees with it is refused."""
+    corpus, train = trained_polarity
+    if option == "--config":
+        option = f"--config={train / 'manifest.json'}"
+    argv = [command, "--corpus", str(corpus), "--model", str(train / "model.txt")]
+    assert main([*argv, "--out", str(tmp_path), option]) == 2
+    assert _single_error_line(capsys) == f"error: unrecognized arguments: {option}"
+    assert not any(tmp_path.iterdir())
 
 
 def _shared_id_corpus(path):
@@ -1209,6 +1366,35 @@ def _mutate(data, original: bytes) -> bytes:
     return original[: token.start()] + hostile + original[token.end() :]
 
 
+# A run setting of a model's meta set to a value of another type, out of
+# range, or unknown.
+_META_EDITS = [
+    ("p", "0.8"), ("walk_length", 4.0), ("bow_dim", True), ("p", 2), ("scheme", "uv_sum"),
+    ("task", "spam"),
+]
+
+
+def _edit_meta(data, original: bytes) -> bytes:
+    """``original``, a model file, with one run setting of its ``meta``
+    dropped, set by one of _META_EDITS or set to a 5,000-digit integer, or
+    with a ``meta`` that is not an object."""
+    lines = original.splitlines(keepends=True)
+    meta = json.loads(lines[3][len("meta ") :])
+    settings = sorted(_recorded(RunConfig()))
+    kind = data.draw(st.sampled_from(["drop", "edit", "huge", "not-object"]))
+    if kind == "drop":
+        del meta[data.draw(st.sampled_from(settings))]
+    elif kind == "edit":
+        name, value = data.draw(st.sampled_from(_META_EDITS))
+        meta[name] = value
+    elif kind == "huge":
+        meta[data.draw(st.sampled_from(settings))] = "HUGE"
+    else:
+        meta = data.draw(st.sampled_from([[meta], "meta", 3, None]))
+    lines[3] = b"meta " + json.dumps(meta).replace('"HUGE"', _HUGE_INTEGER).encode() + b"\n"
+    return b"".join(lines)
+
+
 FUZZED_FILES = {"model": "model.txt", "manifest": "manifest.json"}
 
 
@@ -1222,16 +1408,21 @@ def trained_files(tiny_corpus, tmp_path_factory):
     return {name: (out / file).read_bytes() for name, file in FUZZED_FILES.items()}
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(target=st.sampled_from(["model", "manifest"]), data=st.data())
+@settings(max_examples=240, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(target=st.sampled_from(["model", "meta", "manifest"]), data=st.data())
 def test_fuzzed_model_and_manifest_exit_cleanly(tiny_corpus, trained_files, target, data):
-    mutated = _mutate(data, trained_files[target])
+    """A mutated file ends in at most one ``error:`` line, and a model whose
+    run settings were edited (target "meta") is refused."""
+    if target == "meta":
+        mutated = _edit_meta(data, trained_files["model"])
+    else:
+        mutated = _mutate(data, trained_files[target])
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "input"
         path.write_bytes(mutated)
         corpus = ["--corpus", str(tiny_corpus), "--out", scratch]
-        if target == "model":
-            argv, read = ["evaluate", *corpus, "--model", str(path), *_RUN_HATE], load_model
+        if target != "manifest":
+            argv, read = ["evaluate", *corpus, "--model", str(path)], load_model
         else:
             argv, read = ["run", *corpus, "--config", str(path)], read_manifest
         stderr = io.StringIO()
@@ -1246,4 +1437,4 @@ def test_fuzzed_model_and_manifest_exit_cleanly(tiny_corpus, trained_files, targ
     errors = [line for line in lines if line.startswith("error: ")]
     assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
     assert code in (0, 1, 2) and len(errors) == (code != 0), lines
-    assert code == 2 or not rejected, lines
+    assert code == 2 or not (rejected or target == "meta"), lines

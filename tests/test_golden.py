@@ -27,7 +27,7 @@ FLAGS = ["--task", "hate", "--seed", "3", "--epochs", "5", "--bow-dim", "32"]
 GOLDEN = {
     "corpus.jsonl": "96e9440d80a4ba8b1d3ce3325943c7d4558c88150ac0fd72df9679ca9b2ea7c4",
     "run/metrics.json": "7e173fd88a312f5ff1a560a11f0e7f4a3f1cc8b984999991ed306d89e3d48933",
-    "run/model.txt": "7c5ec001156458f1f676e2fa0b03a30004655d0f809347c9030eaef6bf1497dc",
+    "run/model.txt": "93ad18a9f7a9a60aba9f7adb0d95b4dbb5f760fa309edc31e817096d3609eac2",
     "run/report.txt": "65f06c79ac72ab6f5543841cf1c46f0a575d8ad0f60a5bea1ab0c238aa9402fc",
     "run/manifest.json": "48f50bf77ac2d7dd05da92e7cce3d5757cc1e62c6989bf0e4cb2f39723cd4091",
     "run/features.jsonl": "913a40bc8245f82704f86225356e46d086a398b1d32f94e33a0a95ef35e84eae",
@@ -36,7 +36,7 @@ GOLDEN = {
     "errors/errors.jsonl": "bcd15fb5bd7ac45e8c3900cd01270d64f0472c3ec630881c5359a5c6c709cf18",
     "featurize/features.jsonl": "a6a4385c2b6598868d5bfcbaeec65cf7789341203f9bff850c94f5cdb55f1f22",
     "featurize/traces.jsonl": "208ec967c32cd0c6ba9c0bce36adb31bddeedcc267d4093494055726b152e49c",
-    "train/model.txt": "7c5ec001156458f1f676e2fa0b03a30004655d0f809347c9030eaef6bf1497dc",
+    "train/model.txt": "93ad18a9f7a9a60aba9f7adb0d95b4dbb5f760fa309edc31e817096d3609eac2",
     "train/manifest.json": "48f50bf77ac2d7dd05da92e7cce3d5757cc1e62c6989bf0e4cb2f39723cd4091",
     "evaluate/report.txt": "65f06c79ac72ab6f5543841cf1c46f0a575d8ad0f60a5bea1ab0c238aa9402fc",
     "evaluate/metrics.json": "f7366847df174811e99f544ecc9f1c01414479131b83e75313624b913044bc7c",
@@ -44,10 +44,10 @@ GOLDEN = {
     # embedding file's temporary path, so only its path-free files are pinned.
     "polarity/run/metrics.json": "a540e86af9cbb5dfff14467df39ef289e1ca603d89f2c3a45ce4a03ae204ddd0",
     "polarity/run/manifest.json": "8eaffe605c675deed90ec3e34c5eb2902d9052ec86bd46fd2bf8ced366e33dae",
-    "polarity/run/model.txt": "59bd22ccad4bf9fc2178c30ad840ebc87811327945705a2d02f641e195e7e7e7",
+    "polarity/run/model.txt": "7c581c6e7241fa7dbff89df735fc322f97002684526733399ed5395f9002ee24",
     "polarity/run/report.txt": "ac6cd27313f1f26d64387fe701ca0faa2f6aba8ebb4f09df859de03b7b5a7fb8",
     "polarity/run/features.jsonl": "2c2af18cb7c123b2d384944e1af29b4230c186b009ff246a5f35e71b01db2db5",
-    "polarity/external/model.txt": "89a9528e515c8a5c5d506464d1a6e4ff064fa6944b3a52ef224b8adc0cbfd3f7",
+    "polarity/external/model.txt": "8f3d459d3a40a303a587cf6616e666c753f52f243ce6c26d7ff847bec50554ec",
     "polarity/external/report.txt": "b05f32e3841757413a8a59269eb01149ae23d72a86fbb2759142afa4c22e6b0c",
     "polarity/external/features.jsonl": "84239113f532fa54175c3a1fecb476bc2716d34c1bcbfa9ed84f01c2f6758b09",
     "polarity/featurize/features.jsonl": "a634dd1f24e7d25d4da8aa9e09cba474c0b85cc144f05d61720f8bf9fd1762d5",
@@ -85,17 +85,21 @@ def golden_outputs(root):
          "--jobs", "1"],
         ["ablate-concat", "--corpus", str(corpus), "--out", str(root / "ablate"),
          "--seeds", "0,1"],
-        ["error-analysis", "--corpus", str(corpus), "--model", str(root / "run/model.txt"),
-         "--out", str(root / "errors")],
         ["featurize", "--corpus", str(corpus), "--output", str(root / "featurize/features.jsonl"),
          "--traces", str(root / "featurize/traces.jsonl")],
         ["train", "--corpus", str(corpus), "--out", str(root / "train")],
-        ["evaluate", "--corpus", str(corpus), "--model", str(root / "train/model.txt"),
-         "--out", str(root / "evaluate")],
     ]
     (root / "featurize").mkdir()
     for argv in commands:
         assert main(argv + FLAGS) == 0, argv
+    # These two read the settings from the model file, so they take no FLAGS.
+    for argv in (
+        ["error-analysis", "--corpus", str(corpus), "--model", str(root / "run/model.txt"),
+         "--out", str(root / "errors")],
+        ["evaluate", "--corpus", str(corpus), "--model", str(root / "train/model.txt"),
+         "--out", str(root / "evaluate")],
+    ):
+        assert main(argv) == 0, argv
     polarity_outputs(root / "polarity")
     return {
         name: hashlib.sha256((root / name).read_bytes()).hexdigest()

@@ -130,10 +130,10 @@ class TestLockstepTrain:
             momentum=momentum,
             class_weighting=class_weighting,
         )
-        models = train(labels, X, config)
+        models = train(labels, X, [config] * n_models)
         assert len(models) == n_models
         for k, model in enumerate(models):
-            (alone,) = train(labels, X[k][None], config)
+            (alone,) = train(labels, X[k][None], [config])
             assert model.weights.tobytes() == alone.weights.tobytes()
             assert model.bias.tobytes() == alone.bias.tobytes()
             assert model.class_names == alone.class_names == ("a", "b", "c")
@@ -146,43 +146,53 @@ class TestLockstepTrain:
         X = np.array([[[0.0, 0.0], [0.0, 0.0]], [[1e200, 0.0], [0.0, 1e200]]])
         config = UNWEIGHTED.replace(epochs=3, learning_rate=1e150, l2=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            train(labels, X[0][None], config)  # alone, the first model trains
+            train(labels, X[0][None], [config])  # alone, the first model trains
             with pytest.raises(NonFiniteLossError):
-                train(labels, X[list(order)], config)
+                train(labels, X[list(order)], [config] * 2)
 
-    @pytest.mark.parametrize("shape", [(4, 2), (1, 1, 4, 2), (1, 3, 2), (2, 5, 2)])
+    def test_each_model_records_its_own_config(self):
+        labels, X = self._problem(3)
+        base = RunConfig(epochs=1, seed=4, embedding_file="vectors.txt")
+        configs = [base, base.replace(gamma=0.3, scheme="uv"), base.replace(p=0.1, walk_length=7)]
+        for config, model in zip(configs, train(labels, X, configs)):
+            recorded = {k: v for k, v in config.to_dict().items() if k != "embedding_file"}
+            assert recorded.items() <= model.metadata.items()
+            assert "embedding_file" not in model.metadata
+
+    # The last shape stacks two models for the one config.
+    @pytest.mark.parametrize("shape", [(4, 2), (1, 1, 4, 2), (1, 3, 2), (2, 5, 2), (2, 4, 2)])
     def test_features_must_be_a_stack_of_n_rows(self, shape):
         with pytest.raises(DimensionMismatchError):
-            train(["a", "b", "a", "b"], np.ones(shape), UNWEIGHTED.replace(epochs=1))
+            train(["a", "b", "a", "b"], np.ones(shape), [UNWEIGHTED.replace(epochs=1)])
 
 
 class TestTrain:
     def test_separable_data_high_accuracy(self):
         rng = np.random.default_rng(1)
         examples = _cluster_examples(rng, 200, [(1, 1), (-1, -1)])
-        (model,) = train(examples.labels, examples.X[None], UNWEIGHTED.replace(epochs=50, seed=0))
+        (model,) = train(examples.labels, examples.X[None], [UNWEIGHTED.replace(epochs=50, seed=0)])
         predictions = predict_labels(model, examples.X)
         accuracy = np.mean([p == label for p, label in zip(predictions, examples.labels)])
         assert accuracy >= 0.99
 
     def test_no_signal_predicts_priors(self):
         examples = make_examples([[1.0, 1.0]] * 100, ["c0", "c1"] * 50)
-        (model,) = train(examples.labels, examples.X[None], UNWEIGHTED.replace(epochs=30, seed=0))
+        (model,) = train(examples.labels, examples.X[None], [UNWEIGHTED.replace(epochs=30, seed=0)])
         probs = predict_proba(model, np.array([[1.0, 1.0]]))[0]
         assert probs == pytest.approx([0.5, 0.5], abs=0.02)
 
     def test_bit_identical_trajectories(self):
         rng = np.random.default_rng(2)
         examples = _cluster_examples(rng, 120, [(1, 0, 1), (0, 1, -1)])
-        (a,) = train(examples.labels, examples.X[None], UNWEIGHTED.replace(epochs=20, seed=42))
-        (b,) = train(examples.labels, examples.X[None], UNWEIGHTED.replace(epochs=20, seed=42))
+        (a,) = train(examples.labels, examples.X[None], [UNWEIGHTED.replace(epochs=20, seed=42)])
+        (b,) = train(examples.labels, examples.X[None], [UNWEIGHTED.replace(epochs=20, seed=42)])
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
         assert a.metadata["loss_history"] == b.metadata["loss_history"]
 
     def test_zero_epochs_returns_zero_init(self):
         examples = make_examples([[1.0, 2.0], [3.0, 4.0]], ["c0", "c1"])
-        (model,) = train(examples.labels, examples.X[None], UNWEIGHTED.replace(epochs=0))
+        (model,) = train(examples.labels, examples.X[None], [UNWEIGHTED.replace(epochs=0)])
         assert not model.weights.any() and not model.bias.any()
         probs = predict_proba(model, np.array([[5.0, -7.0]]))[0]
         assert probs == pytest.approx([0.5, 0.5], abs=1e-12)
@@ -190,7 +200,7 @@ class TestTrain:
     def test_loss_non_increasing_within_tolerance(self):
         rng = np.random.default_rng(3)
         examples = _cluster_examples(rng, 150, [(1, 1), (-1, 1), (0, -1)])
-        (model,) = train(examples.labels, examples.X[None], UNWEIGHTED.replace(epochs=30, seed=1))
+        (model,) = train(examples.labels, examples.X[None], [UNWEIGHTED.replace(epochs=30, seed=1)])
         history = model.metadata["loss_history"]
         for earlier, later in zip(history, history[1:]):
             assert later <= earlier + 1e-3
@@ -212,29 +222,29 @@ class TestTrain:
             return hits / 20
 
         plain_config = UNWEIGHTED.replace(epochs=5, seed=0)
-        (plain,) = train(examples.labels, examples.X[None], plain_config)
+        (plain,) = train(examples.labels, examples.X[None], [plain_config])
         weighted_config = RunConfig(epochs=5, seed=0, class_weighting=True)
-        (weighted,) = train(examples.labels, examples.X[None], weighted_config)
+        (weighted,) = train(examples.labels, examples.X[None], [weighted_config])
         assert minority_recall(weighted) > minority_recall(plain)
 
     def test_momentum_path_runs(self):
         rng = np.random.default_rng(5)
         examples = _cluster_examples(rng, 60, [(1, 1), (-1, -1)])
         config = UNWEIGHTED.replace(epochs=10, seed=0, momentum=0.9)
-        (model,) = train(examples.labels, examples.X[None], config)
+        (model,) = train(examples.labels, examples.X[None], [config])
         assert np.all(np.isfinite(model.weights))
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassDataError):
-            train(["only"], np.ones((1, 1, 1)), UNWEIGHTED)
+            train(["only"], np.ones((1, 1, 1)), [UNWEIGHTED])
         with pytest.raises(SingleClassDataError):
-            train([], np.empty((1, 0, 1)), UNWEIGHTED)
+            train([], np.empty((1, 0, 1)), [UNWEIGHTED])
 
     def test_non_finite_loss_detected(self):
         examples = make_examples([[1e200, 0.0], [0.0, 1e200]], ["a", "b"])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLossError):
             config = UNWEIGHTED.replace(epochs=3, learning_rate=1e150, l2=0.0)
-            train(examples.labels, examples.X[None], config)
+            train(examples.labels, examples.X[None], [config])
 
 
 class TestPredictProba:
@@ -292,7 +302,7 @@ class TestPersistence:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         examples = _cluster_examples(rng, 80, [(1, 1, 0), (-1, 0, 1)])
-        (model,) = train(examples.labels, examples.X[None], UNWEIGHTED.replace(epochs=15, seed=3))
+        (model,) = train(examples.labels, examples.X[None], [UNWEIGHTED.replace(epochs=15, seed=3)])
         path = tmp_path / "model.txt"
         save_model(model, path)
         loaded = load_model(path)

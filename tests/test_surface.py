@@ -13,7 +13,10 @@ code, not a word of its prose. Helpers that only tests need live in
 ``tests/conftest.py``. A :class:`RunConfig` is the one source of the
 settings it holds: nothing that takes one also takes one of its fields
 beside it, and no record of a module that ``pipeline.py`` imports
-declares a field named like one of its settings. Only the command line
+declares a field named like one of its settings. A model file is the one
+source of the settings it was trained under: ``evaluate`` and
+``error-analysis`` take no run option but ``--embedding-file``, and every
+model ``train`` returns records every other setting. Only the command line
 decides what files a command writes: outside ``cli.py``, a function that
 writes a file is named only inside the definition of another.
 """
@@ -23,7 +26,9 @@ import dataclasses
 import re
 from pathlib import Path
 
-from threadwalk.pipeline import RunConfig
+from threadwalk.cli import build_parser
+from threadwalk.pipeline import RunConfig, run_pipeline
+from threadwalk.synthetic import CorpusSpec, generate
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "threadwalk"
@@ -261,6 +266,25 @@ def test_layers_declare_no_run_config_field():
                 fields = [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)]
                 found += [f"{stem}.{cls.name}.{f}" for f in fields if f in settings]
     assert found == [], f"RunConfig fields declared by the layers it drives: {found}"
+
+
+def test_scoring_commands_read_their_settings_from_the_model():
+    """Neither ``evaluate`` nor ``error-analysis`` declares ``--config`` or a
+    flag named like a RunConfig field but ``--embedding-file``, and the model
+    that ``train`` returns to a run records every other field in its metadata."""
+    settings = {f.name for f in dataclasses.fields(RunConfig)} - {"embedding_file"}
+    declared = []
+    for command in ("evaluate", "error-analysis"):
+        args = build_parser().parse_args([command, "--corpus", "c", "--model", "m"])
+        names = sorted(vars(args).keys() & (settings | {"config"}))
+        declared += [f"{command} --{name.replace('_', '-')}" for name in names]
+    trees = generate(CorpusSpec(num_trees=8, mean_tree_size=4.0)).trees
+    model = run_pipeline(trees, RunConfig(task="hate", epochs=0, bow_dim=4)).model
+    missing = sorted(settings - model.metadata.keys())
+    assert (declared, missing) == ([], []), (
+        f"run options of the commands that score a model file: {declared}; "
+        f"settings a trained model does not record: {missing}"
+    )
 
 
 WRITERS = {
