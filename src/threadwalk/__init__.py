@@ -18,7 +18,8 @@ from .pipeline import (
     ablate_concat,
     grid_search,
     read_manifest,
-    run_pipeline,
+    replicate,
+    split_sides,
     write_manifest,
 )
 from .synthetic import CorpusSpec, generate

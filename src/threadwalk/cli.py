@@ -22,7 +22,15 @@ import warnings
 from pathlib import Path
 
 from .corpus import corpus_stats, load_corpus, save_corpus, write_lines
-from .errors import ConfigError, InputError, ThreadwalkError, TooFewTreesError, quote, quote_list
+from .errors import (
+    ConfigError,
+    InputError,
+    ThreadwalkError,
+    TooFewTreesError,
+    cut_path,
+    quote,
+    quote_list,
+)
 from .evaluation import error_analysis, evaluate
 from .features import TASK_LABELS, Examples, featurize_split
 from .model import SoftmaxModel, load_model, save_model, train
@@ -38,7 +46,7 @@ from .pipeline import (
     grid_csv,
     grid_search,
     read_manifest,
-    run_pipeline,
+    replicate,
     split_sides,
     write_json,
     write_manifest,
@@ -60,8 +68,10 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
             return args.func(args)
         except (InputError, OSError) as exc:
+            if isinstance(exc, OSError) and isinstance(exc.filename, str):
+                exc.filename = cut_path(exc.filename)  # the OS message echoes it
             # Only the --corpus trees are ever split, so name that file.
-            where = f"{args.corpus}: " if isinstance(exc, TooFewTreesError) else ""
+            where = f"{cut_path(args.corpus)}: " if isinstance(exc, TooFewTreesError) else ""
             print(f"error: {where}{exc}", file=sys.stderr)
             return 2
         except ThreadwalkError as exc:
@@ -228,27 +238,27 @@ def _scored(args: argparse.Namespace) -> tuple[SoftmaxModel, Examples]:
     settings it records and ``--embedding-file``; ConfigError if it records
     none, if its classes are not its task's labels, or if the embeddings
     give rows of another width than it takes."""
-    model = load_model(args.model)
+    model, where = load_model(args.model), cut_path(args.model)
     settings = {**model.metadata, "embedding_file": args.embedding_file}
     names = [f.name for f in dataclasses.fields(RunConfig)]
     missing = [name for name in names if name not in settings]
     if missing:
-        raise ConfigError(f"{args.model}: meta lacks {quote_list(missing)}; retrain it")
+        raise ConfigError(f"{where}: meta lacks {quote_list(missing)}; retrain it")
     try:
         config = RunConfig.from_dict({name: settings[name] for name in names})
         config.validate()
     except ConfigError as exc:
-        raise ConfigError(f"{args.model}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
     labels = TASK_LABELS[config.task]
     if sorted(model.class_names) != sorted(labels):
         raise ConfigError(
-            f"{args.model} predicts {quote(model.class_names)}, not the labels {labels} "
+            f"{where} predicts {quote(model.class_names)}, not the labels {labels} "
             f"of the {config.task} task its settings name"
         )
     examples = featurize_split(split_sides(load_corpus(args.corpus), config)[1], config)
     if examples.X.shape[1] != model.feature_dim:
         raise ConfigError(
-            f"{args.model} takes {model.feature_dim} features per row, but these embeddings "
+            f"{where} takes {model.feature_dim} features per row, but these embeddings "
             f"give {examples.X.shape[1]}; use the table it was trained on"
         )
     return model, examples
@@ -310,20 +320,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     config, _ = _resolve_config(args)
     trees = load_corpus(args.corpus)
     outdir = _outdir(args)
-    model, report, train_examples, test_examples = run_pipeline(trees, config)
+    train_side, test_side = split_sides(trees, config)
+    ((model, report, test_examples),) = replicate(train_side, test_side, [config])
     artifacts = [outdir / "model.txt", outdir / "report.txt", outdir / "metrics.json"]
     save_model(model, artifacts[0])
     write_lines(artifacts[1], [report.to_text()])
     metrics = {
         "report": report.to_dict(),
-        "train_examples": len(train_examples),
+        "train_examples": len(train_side.labels),
         "test_examples": len(test_examples),
         "config": config.to_dict(),
     }
     write_json(metrics, artifacts[2])
     if args.dump_features:
         artifacts.append(outdir / "features.jsonl")
-        examples = (train_examples, test_examples)
+        # The train side's walks are memoized, so its rows come out as trained on.
+        examples = (featurize_split(train_side, config), test_examples)
         write_lines(artifacts[-1], itertools.chain(*map(feature_dump_lines, examples)))
     # Last, so that a manifest vouches for a complete set of artifacts.
     artifacts.append(outdir / "manifest.json")

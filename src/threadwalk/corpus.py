@@ -16,7 +16,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import MalformedFileError, ThreadwalkError
+from .errors import MalformedFileError, ThreadwalkError, cut_path
 from .tree import CommentNode, DiscussionTree, build_tree, tree_stats
 
 # The exact JSON types of each id field: a bool is not an integer id.
@@ -40,7 +40,7 @@ JSON_DECODER = json.JSONDecoder(parse_int=parse_int)
 def load_corpus(path: str | Path) -> list[DiscussionTree]:
     """Read a corpus file into a list of validated discussion trees."""
     groups: dict[str, list[CommentNode]] = {}
-    path = Path(path)
+    path, where = Path(path), cut_path(path)
     for lineno, line in enumerate(text_lines(path), start=1):
         line = line.strip()
         if not line:
@@ -48,23 +48,23 @@ def load_corpus(path: str | Path) -> list[DiscussionTree]:
         try:
             obj = JSON_DECODER.decode(line)
         except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
-            raise MalformedFileError(f"{path}:{lineno}: invalid JSON ({exc})") from None
+            raise MalformedFileError(f"{where}:{lineno}: invalid JSON ({exc})") from None
         if not isinstance(obj, dict):
-            raise MalformedFileError(f"{path}:{lineno}: record is not an object")
+            raise MalformedFileError(f"{where}:{lineno}: record is not an object")
         missing = [f for f in _REQUIRED_FIELDS if f not in obj]
         if missing:
-            raise MalformedFileError(f"{path}:{lineno}: missing fields {missing}")
+            raise MalformedFileError(f"{where}:{lineno}: missing fields {missing}")
         label = obj.get("label")
         if label is not None and not isinstance(label, str):
-            raise MalformedFileError(f"{path}:{lineno}: label must be a string or null")
+            raise MalformedFileError(f"{where}:{lineno}: label must be a string or null")
         if not isinstance(obj["text"], str):
-            raise MalformedFileError(f"{path}:{lineno}: text must be a string")
+            raise MalformedFileError(f"{where}:{lineno}: text must be a string")
         if obj["id"] is None or obj["id"] == "" or obj["tree_id"] == "":
             empty = "tree_id" if obj["tree_id"] == "" else "id"
-            raise MalformedFileError(f"{path}:{lineno}: {empty} must be non-empty")
+            raise MalformedFileError(f"{where}:{lineno}: {empty} must be non-empty")
         for name, types in _ID_TYPES.items():
             if type(obj[name]) not in types:
-                raise MalformedFileError(f"{path}:{lineno}: {name} must be a string or an integer")
+                raise MalformedFileError(f"{where}:{lineno}: {name} must be a string or an integer")
         groups.setdefault(str(obj["tree_id"]), []).append(
             CommentNode(
                 id=str(obj["id"]),
@@ -78,7 +78,7 @@ def load_corpus(path: str | Path) -> list[DiscussionTree]:
         try:
             trees.append(build_tree(records, tree_id=tid))
         except ThreadwalkError as exc:
-            raise type(exc)(f"{path}: tree {tid!r}: {exc}") from None
+            raise type(exc)(f"{where}: tree {tid!r}: {exc}") from None
     return trees
 
 
@@ -88,7 +88,7 @@ def text_lines(path: Path) -> Iterator[str]:
         with path.open("r", encoding="utf-8") as handle:
             yield from handle
     except UnicodeDecodeError:
-        raise MalformedFileError(f"{path}: not UTF-8 text") from None
+        raise MalformedFileError(f"{cut_path(path)}: not UTF-8 text") from None
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:

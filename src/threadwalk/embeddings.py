@@ -1,9 +1,10 @@
 """Comment embeddings.
 
-Two providers satisfy the same contract (one matrix row, of a fixed width,
-for each of a list of comments): a built-in hashed bag-of-words
-embedder and a loader for externally computed sentence embeddings, which
-lets precomputed transformer vectors plug into the pipeline unchanged.
+Two providers satisfy the same contract (one row of a fixed width for each
+of a list of comments, as exact values and a divisor): a built-in hashed
+bag-of-words embedder and a loader for externally computed sentence
+embeddings, which lets precomputed transformer vectors plug into the
+pipeline unchanged.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from typing import Iterator, NoReturn, Protocol, Sequence
 import numpy as np
 
 from .corpus import text_lines, write_lines
-from .errors import DimensionMismatchError, MalformedFileError, MissingEmbeddingError, quote
+from .errors import (
+    DimensionMismatchError,
+    MalformedFileError,
+    MissingEmbeddingError,
+    cut_path,
+    quote,
+)
 from .tree import CommentNode
 
 DEFAULT_BOW_DIM = 256
@@ -35,17 +42,18 @@ def _token_hash(token: str) -> int:
     return int.from_bytes(digest, "little")
 
 
-def hashed_bow_matrix(
+def hashed_bow_rows(
     texts: Sequence[str], d: int = DEFAULT_BOW_DIM, normalize: bool = False
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Feature-hash the unigram counts of each text into ``d`` signed
-    buckets: one row per text, shape ``(len(texts), d)``.
+    buckets, one row per text, shape ``(len(texts), d)``, in the narrowest
+    signed integer dtype that holds them; and one divisor per row, its norm
+    under ``normalize`` and otherwise (or for an empty text) 1.0.
 
-    Deterministic across runs and platforms; an empty text maps to the zero
-    row (also after normalization). Each distinct token is hashed once per
-    call. The counts and their squared norms are small integers, so they sum
-    exactly in any order: a row has the same bits whatever texts share the
-    call.
+    Deterministic across runs and platforms. Each distinct token is hashed
+    once per call. The counts and their squared norms are small integers,
+    so they sum exactly in any order: a row has the same bits whatever
+    texts share the call.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -63,11 +71,22 @@ def hashed_bow_matrix(
     flat = np.fromiter(token_codes(), dtype=np.int64)  # 2 * (row * d + bucket) + sign bit
     # bincount of no tokens returns int64 zeros, hence the cast
     counts = np.bincount(flat >> 1, weights=1.0 - 2.0 * (flat & 1), minlength=len(texts) * d)
-    matrix = counts.astype(np.float64, copy=False).reshape(len(texts), d)
-    if normalize:
-        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-        matrix /= np.where(norms > 0.0, norms, 1.0)[:, None]
-    return matrix
+    counts = counts.astype(np.float64, copy=False).reshape(len(texts), d)
+    norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+    divisors = np.where(normalize & (norms > 0.0), norms, 1.0)
+    low, high = counts.min(initial=0.0), counts.max(initial=0.0)
+    limits = map(np.iinfo, (np.int8, np.int16, np.int32, np.int64))
+    dtype = next(t.dtype for t in limits if t.min <= low and high <= t.max)
+    return counts.astype(dtype), divisors
+
+
+def hashed_bow_matrix(
+    texts: Sequence[str], d: int = DEFAULT_BOW_DIM, normalize: bool = False
+) -> np.ndarray:
+    """The :func:`hashed_bow_rows` of ``texts`` divided out: one float64 row
+    per text; an empty text maps to the zero row."""
+    counts, divisors = hashed_bow_rows(texts, d, normalize)
+    return counts / divisors[:, None]
 
 
 def hashed_bow_embed(text: str, d: int = DEFAULT_BOW_DIM, normalize: bool = False) -> np.ndarray:
@@ -78,8 +97,10 @@ def hashed_bow_embed(text: str, d: int = DEFAULT_BOW_DIM, normalize: bool = Fals
 class EmbeddingProvider(Protocol):
     """Fixed-dimension vectors for the comments of a corpus."""
 
-    def vectors(self, nodes: Sequence[CommentNode]) -> np.ndarray:
-        """One row per node, shape ``(len(nodes), d)`` with ``d`` fixed by the provider."""
+    def scaled_rows(self, nodes: Sequence[CommentNode]) -> tuple[np.ndarray, np.ndarray]:
+        """One row of exact values per node, shape ``(len(nodes), d)`` with
+        ``d`` fixed by the provider, in the narrowest dtype that holds them,
+        and the float64 divisor of each: node ``i`` is ``values[i] / divisors[i]``."""
         ...
 
 
@@ -90,6 +111,10 @@ class HashedBowProvider:
     def __init__(self, dimension: int = DEFAULT_BOW_DIM, normalize: bool = True) -> None:
         self.dimension = dimension
         self.normalize = normalize
+
+    def scaled_rows(self, nodes: Sequence[CommentNode]) -> tuple[np.ndarray, np.ndarray]:
+        """The signed counts and divisors of :func:`hashed_bow_rows`."""
+        return hashed_bow_rows([node.text for node in nodes], self.dimension, self.normalize)
 
     def vectors(self, nodes: Sequence[CommentNode]) -> np.ndarray:
         texts = [node.text for node in nodes]
@@ -116,6 +141,10 @@ class ExternalEmbeddingProvider:
             raise MissingEmbeddingError(f"no embedding for node id {exc.args[0]!r}") from None
         return self._matrix[np.array(rows, dtype=np.intp)]
 
+    def scaled_rows(self, nodes: Sequence[CommentNode]) -> tuple[np.ndarray, np.ndarray]:
+        """The float64 rows of ``nodes``, each with a divisor of 1.0."""
+        return self.vectors(nodes), np.ones(len(nodes))
+
     def vector_for(self, node: CommentNode) -> np.ndarray:
         return self.vectors([node])[0]
 
@@ -129,7 +158,7 @@ def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
     ``1_0``) and must be finite. Node ids are treated as corpus-unique. A
     bad file raises for its first bad line.
     """
-    path = Path(path)
+    path, where = Path(path), cut_path(path)
     lines = text_lines(path)
     header = next(lines, "").strip()
     try:
@@ -138,9 +167,9 @@ def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
         dim = int(header[2:])  # ValueError past the interpreter's digit limit
     except ValueError:
         message = f"first line must be 'd=<int>', got {quote(header)}"
-        raise MalformedFileError(f"{path}: {message}") from None
+        raise MalformedFileError(f"{where}: {message}") from None
     if dim < 1:
-        raise MalformedFileError(f"{path}: dimension must be >= 1, got {dim}")
+        raise MalformedFileError(f"{where}: dimension must be >= 1, got {dim}")
     rows: dict[str, int] = {}
 
     def value_texts() -> Iterator[str]:
@@ -177,24 +206,25 @@ def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
 def _raise_first_fault(path: Path, dim: int) -> NoReturn:
     """Raise for the first bad line of an embedding file that failed to load."""
     seen: set[str] = set()
+    where = cut_path(path)
     for lineno, line in enumerate(itertools.islice(text_lines(path), 1, None), start=2):
         parts = line.split(None, 1)
         if not parts:
             continue
         node_id, values = parts[0], parts[1:]
         if node_id in seen:
-            raise MalformedFileError(f"{path}:{lineno}: duplicate id {node_id!r}")
+            raise MalformedFileError(f"{where}:{lineno}: duplicate id {node_id!r}")
         seen.add(node_id)
         count = len(values[0].split()) if values else 0
         if count != dim:
-            raise DimensionMismatchError(f"{path}:{lineno}: expected {dim} values, got {count}")
+            raise DimensionMismatchError(f"{where}:{lineno}: expected {dim} values, got {count}")
         try:
             vec = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
-            raise MalformedFileError(f"{path}:{lineno}: non-numeric value") from None
+            raise MalformedFileError(f"{where}:{lineno}: non-numeric value") from None
         if not np.isfinite(vec).all():
-            raise MalformedFileError(f"{path}:{lineno}: non-finite value")
-    raise MalformedFileError(f"{path}: unreadable embedding table")
+            raise MalformedFileError(f"{where}:{lineno}: non-finite value")
+    raise MalformedFileError(f"{where}: unreadable embedding table")
 
 
 def save_external_embeddings(vectors: dict[str, np.ndarray], path: str | Path) -> None:

@@ -1,12 +1,18 @@
 """Exception types shared across the toolkit, and how their messages
 quote a value."""
 
+import os
 from typing import Sequence
 
 
 def cut(text: str, limit: int = 40) -> str:
     """``text`` cut to its first ``limit`` characters; "..." marks a cut."""
     return text if len(text) <= limit else text[:limit] + "..."
+
+
+def cut_path(path: str | os.PathLike) -> str:
+    """A path as an error message names it: cut to its first 200 characters."""
+    return cut(os.fspath(path), 200)
 
 
 def quote(value: object) -> str:

@@ -7,7 +7,8 @@ concatenated under one of four schemes; ``(u, v, |u - v|)`` is the
 default. An empty context yields ``v = 0``.
 
 A corpus side is compiled once into a :class:`CorpusSide`: its PoIs, one
-embedding matrix row per node and a memo of the walks sampled on it.
+embedding row per node (its provider's exact values and a divisor) and a
+memo of the walks sampled on it.
 Featurizing the side gives one :class:`Examples` record: a read-only
 float64 matrix ``X`` with one row per PoI, written in place a block of
 rows at a time, plus the tree, node id, label and walk of each row in the
@@ -161,13 +162,14 @@ class CorpusSide:
     under any number of settings.
 
     It holds the PoIs in :func:`labeled_pois` order (their ``trees``,
-    ``node_ids`` and ``labels``), one embedding row per node
-    of every tree with a PoI in ``vectors`` (shape ``(N, d)``), the row of
-    each node id of a PoI's tree in ``node_rows``, and the walks of the last
-    ``(p, L, step cap, seed)`` featurized. Walks do not depend on ``gamma``,
-    so featurizing that key again under any gamma, aggregation or scheme
-    reuses them; callers that loop over seeds outside those settings
-    sample each walk once.
+    ``node_ids`` and ``labels``), one embedding row per node of every tree
+    with a PoI as the provider's ``values`` (shape ``(N, d)``, in the
+    narrowest dtype that holds them) and float64 ``divisors`` (shape
+    ``(N,)``), the row of each node id of a PoI's tree in ``node_rows``, and
+    the walks of the last ``(p, L, step cap, seed)`` featurized. Walks do
+    not depend on ``gamma``, so featurizing that key again under any gamma,
+    aggregation or scheme reuses them; callers that loop over seeds outside
+    those settings sample each walk once.
     """
 
     def __init__(
@@ -179,15 +181,20 @@ class CorpusSide:
         self.labels = tuple(node.label for _, node in pois)
         walked = list(dict.fromkeys(self.trees))
         nodes = [node for tree in walked for node in tree]
-        self.vectors = provider.vectors(nodes)
-        self.vectors.setflags(write=False)
+        self.values, self.divisors = provider.scaled_rows(nodes)
+        self.values.setflags(write=False)
         rows = iter(range(len(nodes)))
         rows_of = {tree: {node.id: next(rows) for node in tree} for tree in walked}
         self.node_rows = [rows_of[tree] for tree in self.trees]
         self._memo: tuple | None = None  # (p, L, step cap, seed), walks, rows, lengths
 
+    def embeddings(self, rows: np.ndarray) -> np.ndarray:
+        """The float64 embeddings of the node rows ``rows`` (an index array
+        of any shape), each decoded by one division."""
+        return self.values[rows] / self.divisors[rows][..., None]
+
     def walks(self, config: RunConfig) -> tuple[tuple[WalkSample, ...], np.ndarray, np.ndarray]:
-        """The walk of every PoI under ``config``; the ``vectors`` row of each
+        """The walk of every PoI under ``config``; the embedding row of each
         collected node, shape ``(n, K)`` with ``K`` the longest walk
         collected (not ``L``); and each walk's length.
 
@@ -231,28 +238,29 @@ def featurize_split(side: CorpusSide, config: RunConfig, out: np.ndarray | None 
     seeded by ``config.seed``; written into ``out`` (shape ``(n, D)``, made
     read-only) when given. The side must have been built for ``config.task``.
 
-    Rows are built a block of PoIs at a time: ``u`` is gathered from the
-    side's embedding matrix, the walks of each length are aggregated
-    together, and the concatenation is written into that block of ``X``.
+    Rows are built a block of PoIs at a time: ``u`` is decoded from the
+    side's embedding rows the block reads, the walks of each length are
+    aggregated together, and the concatenation is written into that block
+    of ``X``.
     """
     samples, rows, lengths = side.walks(config)
     weights = walk_weights(rows.shape[1], config.gamma)
     strategy = AggregationStrategy(config.aggregation)
     scheme = ConcatScheme(config.scheme)
-    shape = (len(samples), feature_width(side.vectors.shape[1], scheme))
+    shape = (len(samples), feature_width(side.values.shape[1], scheme))
     X = np.empty(shape) if out is None else out
     if X.shape != shape:
         raise DimensionMismatchError(f"out has shape {X.shape}, expected {shape}")
     for start in range(0, len(samples), _BLOCK):
         block_rows, block_lengths = rows[start : start + _BLOCK], lengths[start : start + _BLOCK]
-        u = side.vectors[block_rows[:, 0]]
+        u = side.embeddings(block_rows[:, 0])
         v = np.zeros_like(u)
         for k in np.unique(block_lengths[block_lengths > 1] - 1):  # context length
             walks_k = np.flatnonzero(block_lengths == k + 1)
             step = max(1, _BLOCK // k)
             for part in (walks_k[i : i + step] for i in range(0, len(walks_k), step)):
                 v[part] = aggregate_context(
-                    side.vectors[block_rows[part, 1 : k + 1]],
+                    side.embeddings(block_rows[part, 1 : k + 1]),
                     weights[1 : k + 1],
                     strategy,
                     normalize=config.normalize_weights,

@@ -23,6 +23,7 @@ from .errors import (
     MalformedFileError,
     NonFiniteLossError,
     SingleClassDataError,
+    cut_path,
     quote,
 )
 from .corpus import JSON_DECODER, parse_int, text_lines, write_lines
@@ -198,13 +199,13 @@ def save_model(model: SoftmaxModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> SoftmaxModel:
-    path = Path(path)
+    path, where = Path(path), cut_path(path)
     lines = [line.rstrip("\n") for line in text_lines(path)]
     if not lines or lines[0] != MODEL_FORMAT:
-        raise MalformedFileError(f"{path}: not a {MODEL_FORMAT} file")
+        raise MalformedFileError(f"{where}: not a {MODEL_FORMAT} file")
     labels = ("classes\t", "dims ", "meta ")
     if not all(line.startswith(label) for line, label in zip(lines[1:4], labels)):
-        raise MalformedFileError(f"{path}: lines 2 to 4 must start with {labels}")
+        raise MalformedFileError(f"{where}: lines 2 to 4 must start with {labels}")
     try:
         class_names = tuple(lines[1].split("\t")[1:])
         n_classes, dim = (parse_int(x) for x in lines[2].split()[1:])
@@ -213,17 +214,19 @@ def load_model(path: str | Path) -> SoftmaxModel:
         bias = np.array([float(v) for v in lines[4 + n_classes].split()])
         weights = np.stack(rows)  # ValueError for ragged rows or no classes
     except (IndexError, ValueError, RecursionError) as exc:
-        raise MalformedFileError(f"{path}: truncated or corrupt model file ({exc})") from None
+        raise MalformedFileError(f"{where}: truncated or corrupt model file ({exc})") from None
     if not isinstance(metadata, dict):
-        raise MalformedFileError(f"{path}: meta must be a JSON object, got {quote(metadata)}")
+        raise MalformedFileError(f"{where}: meta must be a JSON object, got {quote(metadata)}")
     if weights.shape != (n_classes, dim) or bias.shape != (n_classes,):
-        raise MalformedFileError(f"{path}: parameter shapes disagree with header")
+        raise MalformedFileError(f"{where}: parameter shapes disagree with header")
     if len(class_names) != n_classes:
-        raise MalformedFileError(f"{path}: {len(class_names)} class names for {n_classes} classes")
+        raise MalformedFileError(f"{where}: {len(class_names)} class names for {n_classes} classes")
     if n_classes < 2 or "" in class_names or len(set(class_names)) != n_classes:
-        raise MalformedFileError(f"{path}: class names must be two or more, distinct and non-empty")
+        raise MalformedFileError(
+            f"{where}: class names must be two or more, distinct and non-empty"
+        )
     if any(line.strip() for line in lines[5 + n_classes :]):
-        raise MalformedFileError(f"{path}: unexpected line after the bias row")
+        raise MalformedFileError(f"{where}: unexpected line after the bias row")
     if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-        raise MalformedFileError(f"{path}: non-finite parameter")
+        raise MalformedFileError(f"{where}: non-finite parameter")
     return SoftmaxModel(weights=weights, bias=bias, class_names=class_names, metadata=metadata)

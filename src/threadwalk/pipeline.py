@@ -38,7 +38,7 @@ from .embeddings import (
     HashedBowProvider,
     load_external_embeddings,
 )
-from .errors import ConfigError, EmptyEvalSetError, cut, quote, quote_list
+from .errors import ConfigError, EmptyEvalSetError, cut_path, quote, quote_list
 from .evaluation import EvalReport, evaluate, split_trees
 from .features import (
     AggregationStrategy,
@@ -61,10 +61,12 @@ CHOICES = {  # RunConfig field -> its allowed values
     "scheme": tuple(s.value for s in ConcatScheme),
     "embedding": ("hashed-bow", "external"),
 }
-# The widest hashed bag-of-words vector. Each comment costs bow_dim * 8 bytes
-# in its side's embedding matrix, and each PoI up to 4 * bow_dim * 8 bytes in
-# the feature matrix X (n * D * 8 bytes): at this limit 128 KiB and 512 KiB,
-# so a 2,000-PoI side needs about 1.25 GiB.
+# The widest hashed bag-of-words vector. A side keeps each comment's counts in
+# the narrowest integer dtype that holds them, bow_dim bytes while every count
+# is under 128, and one 8-byte divisor; each PoI costs up to 4 * bow_dim * 8
+# bytes in the feature matrix X (n * D * 8 bytes). At this limit that is
+# 16 KiB and 512 KiB, so a 2,000-PoI side needs about 1.0 GiB. A run frees
+# the train side's X before it builds the test side's.
 MAX_BOW_DIM = 1 << 14
 # The longest walk, the largest step cap and the most epochs. A side keeps
 # each PoI's raw-step log (8 bytes a step) and one row index per collected
@@ -133,8 +135,12 @@ class RunConfig:
                 raise ConfigError(f"{name} must be one of {choices}, got {quote(value)}")
         if self.embedding == "external" and not self.embedding_file:
             raise ConfigError("embedding 'external' needs embedding_file")
+        if self.embedding != "external" and self.embedding_file is not None:
+            raise ConfigError(
+                f"embedding_file is read only by embedding 'external', not {quote(self.embedding)}"
+            )
         if self.embedding == "external" and not os.path.isfile(self.embedding_file):
-            raise ConfigError(f"embedding file not found: {cut(self.embedding_file, 200)}")
+            raise ConfigError(f"embedding file not found: {cut_path(self.embedding_file)}")
         L, cap, rate = self.walk_length, self.step_cap, self.learning_rate
         for fits, name, rule, value in (
             (1 <= self.bow_dim <= MAX_BOW_DIM, "bow_dim", f"in [1, {MAX_BOW_DIM}]", self.bow_dim),
@@ -221,7 +227,6 @@ class Replicate(NamedTuple):
 
     model: SoftmaxModel
     report: EvalReport
-    train_examples: Examples
     test_examples: Examples
 
 
@@ -247,17 +252,18 @@ def replicate(
     """Featurize, train and evaluate configs that share one feature width
     and the settings named in TRAIN_FIELDS, their train sides as one
     ``(K, n, D)`` stack trained in lockstep. Each config's ``seed`` seeds only its walks and
-    the training shuffle; the split is the caller's."""
-    width = feature_width(train_side.vectors.shape[1], ConcatScheme(configs[0].scheme))
+    the training shuffle; the split is the caller's. The stack is freed
+    once the models are trained, before the test sides are featurized."""
+    width = feature_width(train_side.values.shape[1], ConcatScheme(configs[0].scheme))
     stack = np.empty((len(configs), len(train_side.labels), width))
-    train_examples = [
-        featurize_split(train_side, config, out=stack[k]) for k, config in enumerate(configs)
-    ]
+    for k, config in enumerate(configs):
+        featurize_split(train_side, config, out=stack[k])
     models = train(train_side.labels, stack, configs)
+    del stack
     replicates = []
-    for config, model, examples in zip(configs, models, train_examples):
+    for config, model in zip(configs, models):
         test_examples = featurize_split(test_side, config)
-        replicates.append(Replicate(model, evaluate(model, test_examples), examples, test_examples))
+        replicates.append(Replicate(model, evaluate(model, test_examples), test_examples))
     return replicates
 
 
@@ -300,14 +306,14 @@ def average_over_seeds(
     Seeds are the outer loop, so the configs of one seed run together and
     reuse the walks each side memoizes when they share ``p``, ``L`` and
     the step cap; each of their :func:`_lockstep_groups` trains as one
-    stack, which is freed before the next group is featurized.
+    stack, which is freed before the group's test sides are featurized.
     """
     by_seed = []
     for seed in seeds:
         reports: list[EvalReport] = []
         seeded = [config.replace(seed=seed) for config in configs]
-        for group in _lockstep_groups(seeded, train_side.vectors.shape[1]):
-            # Only the reports outlive this line, so the group's stack dies here.
+        for group in _lockstep_groups(seeded, train_side.values.shape[1]):
+            # Only the reports outlive this line, so the group's test sides die here.
             reports.extend([rep.report for rep in replicate(train_side, test_side, group)])
         by_seed.append(reports)
     return [
@@ -324,12 +330,6 @@ def average_over_seeds(
         )
         for config, reports in zip(configs, zip(*by_seed))
     ]
-
-
-def run_pipeline(trees: Sequence[DiscussionTree], config: RunConfig) -> Replicate:
-    """Split, featurize, train and evaluate once, at ``config.seed``."""
-    (result,) = replicate(*split_sides(trees, config), [config])
-    return result
 
 
 def feature_dump_lines(examples: Examples) -> Iterator[str]:
@@ -357,22 +357,23 @@ def read_manifest(path: str | Path) -> tuple[RunConfig, dict]:
     must be MANIFEST_FORMAT, and the lists named in MANIFEST_LISTS, which
     are the extras; any other key is a ConfigError.
     """
+    where = cut_path(path)
     try:
         payload = JSON_DECODER.decode(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # invalid JSON or UTF-8, or too deep
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+        raise ConfigError(f"{where}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
+        raise ConfigError(f"{where}: expected a JSON object")
     if payload.pop("format", MANIFEST_FORMAT) != MANIFEST_FORMAT:
-        raise ConfigError(f"{path}: format must be {MANIFEST_FORMAT!r}")
+        raise ConfigError(f"{where}: format must be {MANIFEST_FORMAT!r}")
     extras = {key: payload.pop(key) for key in MANIFEST_LISTS if key in payload}
     if "config" not in payload:
         return RunConfig.from_dict(payload), extras
     config = payload.pop("config")
     if not isinstance(config, dict):
-        raise ConfigError(f"{path}: config must be a JSON object, got {quote(config)}")
+        raise ConfigError(f"{where}: config must be a JSON object, got {quote(config)}")
     if payload:
-        raise ConfigError(f"{path}: unknown manifest keys: {quote_list(sorted(payload))}")
+        raise ConfigError(f"{where}: unknown manifest keys: {quote_list(sorted(payload))}")
     return RunConfig.from_dict(config), extras
 
 

@@ -225,9 +225,9 @@ def bow_examples(trees, task, d, *, normalize=False) -> Examples:
     is the PoI alone, since the baseline sees no context."""
     side = CorpusSide(trees, HashedBowProvider(d, normalize=normalize), task)
     pois = list(zip(side.trees, side.node_ids, side.node_rows))
-    X = side.vectors[[rows[node_id] for _, node_id, rows in pois]]
+    X = side.embeddings([rows[node_id] for _, node_id, rows in pois])
     if task == POLARITY_TASK:
-        parents = side.vectors[[rows[tree.parent(node_id)] for tree, node_id, rows in pois]]
+        parents = side.embeddings([rows[tree.parent(node_id)] for tree, node_id, rows in pois])
         X = np.concatenate([parents, X], axis=1)
     return side.examples(X, tuple(WalkSample((node_id,), ()) for node_id in side.node_ids))
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from threadwalk import cli, features, pipeline
 from threadwalk.cli import _resolve_config, build_parser, main
-from threadwalk.embeddings import save_external_embeddings
+from threadwalk.embeddings import load_external_embeddings, save_external_embeddings
 from threadwalk.errors import InputError
 from threadwalk.model import SoftmaxModel, load_model, save_model
 from threadwalk.corpus import load_corpus
@@ -30,7 +30,8 @@ from threadwalk.pipeline import (
     MAX_WALK_LENGTH,
     RunConfig,
     read_manifest,
-    run_pipeline,
+    replicate,
+    split_sides,
 )
 from threadwalk.synthetic import CorpusSpec, generate
 
@@ -138,11 +139,12 @@ def test_run_metrics_content(corpus_path, tmp_path):
     argv = ["run", "--corpus", str(corpus_path), "--out", str(tmp_path), "--task", "hate"]
     assert main(argv + _fast_flags()) == 0
     config = RunConfig(task="hate", epochs=8, bow_dim=32, seed=2)
-    result = run_pipeline(load_corpus(corpus_path), config)
+    train_side, test_side = split_sides(load_corpus(corpus_path), config)
+    (result,) = replicate(train_side, test_side, [config])
     payload = json.loads((tmp_path / "metrics.json").read_text())
     assert payload["config"] == config.to_dict()
     assert payload["report"]["accuracy"] == result.report.accuracy
-    assert payload["train_examples"] == len(result.train_examples)
+    assert payload["train_examples"] == len(train_side.labels)
     assert payload["test_examples"] == len(result.test_examples)
     assert (tmp_path / "report.txt").read_text() == result.report.to_text()
 
@@ -930,6 +932,68 @@ def test_short_list_or_path_prints_whole(corpus_path, tmp_path, capsys, target, 
     assert _single_error_line(capsys) == f"error: {message}"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{missing}"],
+        ["run", "--corpus", "{corpus}", "--out", "{missing}", *_RUN_HATE],
+        ["run", "--corpus", "{corpus}", "--config", "{bad_json}"],
+        ["evaluate", "--corpus", "{corpus}", "--model", "{no_meta_model}"],
+        ["evaluate", "--corpus", "{corpus}", "--model", "{bad_json}"],
+        ["run", "--corpus", "{one_tree}", *_RUN_HATE],
+        ["validate", "{bad_json}"],
+        ["run", "--corpus", "{corpus}", "--embedding", "external", "--embedding-file", "{bad_json}",
+         *_RUN_HATE],
+    ],
+    ids=[
+        "os-error", "out", "config", "model-settings", "model-file", "too-few-trees",
+        "corpus-file", "embedding-file",
+    ],
+)
+def test_long_path_is_cut_in_the_error_line(corpus_path, tmp_path, capsys, argv):
+    """Every path an error line echoes, from the OS, a reader or the command
+    line, is cut to 200 characters."""
+    deep = tmp_path.joinpath(*["d" * 199] * 15)  # 3,000 characters
+    deep.mkdir(parents=True)
+    (deep / "bad.json").write_text("[\n")
+    save_model(SoftmaxModel(np.zeros((2, 1)), np.zeros(2), ("hate", "non-hate")), deep / "model")
+    record = {"tree_id": "t", "id": "a", "parent_id": None, "text": "x", "label": "hate"}
+    (deep / "one.jsonl").write_text(json.dumps(record) + "\n")
+    paths = {
+        "corpus": corpus_path,
+        "missing": tmp_path / ("m" * 3_000),
+        "bad_json": deep / "bad.json",
+        "no_meta_model": deep / "model",
+        "one_tree": deep / "one.jsonl",
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    line = _single_error_line(capsys)
+    assert len(line.encode()) < 300 and "..." in line, line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--corpus", "{corpus}", "--model", "{model}", "--embedding-file", "{missing}"],
+        ["run", "--corpus", "{corpus}", "--out", "{out}", "--embedding-file", "{missing}",
+         *_RUN_HATE],
+    ],
+    ids=["evaluate", "run"],
+)
+def test_embedding_file_without_external_embedding_exits_2(corpus_path, tmp_path, capsys, argv):
+    """An embedding file that the settings would not read is refused."""
+    model = tmp_path / "model"
+    assert main(["train", "--corpus", str(corpus_path), "--out", str(model), *_RUN_HATE]) == 0
+    names = {
+        "corpus": corpus_path, "model": model / "model.txt", "missing": "/nonexistent/file.txt",
+        "out": tmp_path / "out",
+    }
+    capsys.readouterr()
+    assert main([arg.format(**names) for arg in argv]) == 2
+    line = _single_error_line(capsys)
+    assert "embedding_file is read only by embedding 'external', not 'hashed-bow'" in line, line
+
+
 def test_deeply_nested_config_exits_2(corpus_path, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(_DEEP_NESTING)
@@ -1438,3 +1502,48 @@ def test_fuzzed_model_and_manifest_exit_cleanly(tiny_corpus, trained_files, targ
     assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
     assert code in (0, 1, 2) and len(errors) == (code != 0), lines
     assert code == 2 or not (rejected or target == "meta"), lines
+
+
+@pytest.fixture(scope="module")
+def input_files(tiny_corpus):
+    """An embedding table for every node of the tiny corpus (16 values a row,
+    about 17 KB, so a fault can sit past the first block read) and a bare
+    config file, one setting a line."""
+    rng = np.random.default_rng(7)
+    table = {node.id: rng.standard_normal(16) for tree in load_corpus(tiny_corpus) for node in tree}
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "embeddings.txt"
+        save_external_embeddings(table, path)
+        embedding = path.read_bytes()
+    config = {"task": "hate", "epochs": 2, "bow_dim": 8, "p": 0.5, "step_cap": None, "seeds": [0]}
+    return {"embedding": embedding, "config": json.dumps(config, indent=2).encode()}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(target=st.sampled_from(["embedding", "config"]), data=st.data())
+def test_fuzzed_embedding_and_config_files_exit_cleanly(tiny_corpus, input_files, target, data):
+    """A mutated embedding or config file ends in at most one ``error:``
+    line, and one that its reader rejects exits 2."""
+    mutated = _mutate(data, input_files[target])
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "input"
+        path.write_bytes(mutated)
+        run = ["run", "--corpus", str(tiny_corpus), "--out", scratch]
+        if target == "embedding":
+            argv = [*run, *_RUN_HATE, "--embedding", "external", "--embedding-file", str(path)]
+            read = load_external_embeddings
+        else:
+            argv, read = [*run, "--config", str(path)], read_manifest
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        try:
+            read(path)
+            rejected = False
+        except InputError:
+            rejected = True
+    lines = stderr.getvalue().splitlines()
+    errors = [line for line in lines if line.startswith("error: ")]
+    assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
+    assert code in (0, 1, 2) and len(errors) == (code != 0), lines
+    assert code == 2 or not rejected, lines

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from threadwalk.embeddings import (
     HashedBowProvider,
+    hashed_bow_matrix,
     load_external_embeddings,
     save_external_embeddings,
 )
@@ -399,6 +400,40 @@ def _side_corpus(task, embedding, tmp_path):
 
 
 class TestCorpusSide:
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize(
+        "text, dtype", [("", np.int8), ("w " * 200, np.int16), ("w " * 40_000, np.int32)]
+    )
+    @pytest.mark.filterwarnings(r"ignore:1 comment\(s\) with empty text")
+    def test_hashed_rows_decode_to_the_matrix_bytes(self, text, dtype, normalize):
+        """A side keeps its counts in the narrowest integer dtype, and each
+        row decodes to the hashed_bow_matrix row, bit for bit."""
+        texts = [text, "a b b c"]
+        nodes = [CommentNode("n0", None, text, "hate"), CommentNode("n1", "n0", texts[1], "hate")]
+        tree = build_tree(nodes, tree_id="t")
+        side = CorpusSide([tree], HashedBowProvider(16, normalize), "hate")
+        assert side.values.dtype == dtype
+        rows = np.array([side.node_rows[0][node.id] for node in nodes])
+        want = hashed_bow_matrix(texts, 16, normalize)
+        assert side.embeddings(rows).tobytes() == want.tobytes()
+
+    def test_hashed_storage_is_a_quarter_of_float64(self):
+        """With every count in int16, a hashed side's values take at most a
+        quarter of its float64 matrix, beside one divisor per row."""
+        trees = generate(CorpusSpec(num_trees=20, mean_tree_size=6.0, seed=2, task="hate")).trees
+        side = CorpusSide(trees, HashedBowProvider(64), "hate")
+        n = sum(len(tree) for tree in trees)
+        assert side.values.itemsize <= 2 and side.values.shape == (n, 64)
+        assert side.values.nbytes <= n * 64 * 8 / 4 and side.divisors.nbytes == n * 8
+
+    def test_external_rows_decode_to_the_table_bytes(self, tmp_path):
+        trees, provider = _side_corpus("hate", "external", tmp_path)
+        side = CorpusSide(trees, provider, "hate")
+        rows = [node_rows[node_id] for node_rows, node_id in zip(side.node_rows, side.node_ids)]
+        nodes = [tree.node(node_id) for tree, node_id in zip(side.trees, side.node_ids)]
+        assert side.values.dtype == np.float64 and np.all(side.divisors == 1.0)
+        assert side.embeddings(np.array(rows)).tobytes() == provider.vectors(nodes).tobytes()
+
     @pytest.mark.parametrize("task", ["hate", "polarity"])
     @pytest.mark.parametrize("embedding", ["hashed", "external"])
     def test_bytes_match_per_row(self, task, embedding, tmp_path):

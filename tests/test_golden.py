@@ -10,10 +10,12 @@ either, as long as each tree keeps the order of its own records.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,14 +138,34 @@ def digests(tmp_path_factory):
     return golden_outputs(tmp_path_factory.mktemp("golden"))
 
 
+def machine() -> str:
+    """What a float digest may depend on beside the code: the numpy version,
+    the OpenBLAS core numpy's bundled library runs on (``unknown`` if it
+    cannot be asked) and numpy's enabled CPU features."""
+    core = "unknown"
+    package = Path(np.__file__).parent
+    libraries = [*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]
+    for path in sorted(libraries):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+        break
+    umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath
+    features = " ".join(name for name, on in umath.__cpu_features__.items() if on)
+    return f"numpy {np.__version__}, OpenBLAS core {core}, CPU features: {features}"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_unchanged(digests, name):
-    assert digests[name] == GOLDEN[name]
+    assert digests[name] == GOLDEN[name], f"{name} differs on {machine()}"
 
 
 @pytest.mark.parametrize("name", sorted(PRINTED))
 def test_printed_output_unchanged(digests, name):
-    assert digests[name] == PRINTED[name]
+    assert digests[name] == PRINTED[name], f"{name} differs on {machine()}"
 
 
 def test_record_order_changes_no_output(tmp_path):

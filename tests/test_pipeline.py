@@ -3,6 +3,7 @@
 import concurrent.futures
 import itertools
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -30,7 +31,6 @@ from threadwalk.pipeline import (
     grid_search,
     read_manifest,
     replicate,
-    run_pipeline,
     split_sides,
     write_manifest,
 )
@@ -164,7 +164,7 @@ class TestRunPipeline:
         path = tmp_path / "embeddings.txt"
         save_external_embeddings(table, path)
         config = SMALL_CONFIG.replace(embedding="external", embedding_file=str(path))
-        result = run_pipeline(small_corpus, config)
+        (result,) = replicate(*split_sides(small_corpus, config), [config])
         assert result.model.feature_dim == 24 * 3
         assert 0.0 <= result.report.macro_f1 <= 1.0
 
@@ -292,9 +292,7 @@ class TestGridSearch:
         config = SMALL_CONFIG.replace(p=1.0, gamma=0.8, seed=4)
         (cell,) = grid_search(small_corpus, [1.0], [0.8], config, seeds=[4])
         assert (cell.p, cell.gamma) == (1.0, 0.8)
-        direct = run_pipeline(small_corpus, config)
-        (alone,) = replicate(*split_sides(small_corpus, config), [config])
-        assert alone.report.to_dict() == direct.report.to_dict()
+        (direct,) = replicate(*split_sides(small_corpus, config), [config])
         columns = {"precision_macro": "macro_precision", "recall_macro": "macro_recall"}
         for column in ("accuracy", "macro_f1", "precision_pos", "recall_pos", *columns):
             assert getattr(cell, column) == getattr(direct.report, columns.get(column, column))
@@ -471,3 +469,26 @@ class TestLockstepGroups:
         assert len(stacks) == 6
         assert len(featurized_with_live_stack) == 2 * len(configs)
         assert not any(featurized_with_live_stack)
+
+    def test_test_side_featurized_without_the_train_stack(self, small_corpus, monkeypatch):
+        """When a test side is featurized, the memory allocated since the
+        replicate began is less than one train feature matrix."""
+        config = SMALL_CONFIG.replace(epochs=1, bow_dim=512)
+        train_side, test_side = split_sides(small_corpus, config)
+        train_matrix = len(train_side.labels) * 3 * 512 * 8  # bytes of (n, D) float64
+        grown = []
+        real_featurize = pipeline.featurize_split
+
+        def spy_featurize(side, config, out=None):
+            if out is None:  # a test side
+                grown.append(tracemalloc.get_traced_memory()[0] - baseline)
+            return real_featurize(side, config, out)
+
+        monkeypatch.setattr(pipeline, "featurize_split", spy_featurize)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            replicate(train_side, test_side, [config, config.replace(gamma=0.5)])
+        finally:
+            tracemalloc.stop()
+        assert len(grown) == 2 and max(grown) < train_matrix, (grown, train_matrix)

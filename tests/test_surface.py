@@ -27,7 +27,7 @@ import re
 from pathlib import Path
 
 from threadwalk.cli import build_parser
-from threadwalk.pipeline import RunConfig, run_pipeline
+from threadwalk.pipeline import RunConfig, replicate, split_sides
 from threadwalk.synthetic import CorpusSpec, generate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -279,7 +279,8 @@ def test_scoring_commands_read_their_settings_from_the_model():
         names = sorted(vars(args).keys() & (settings | {"config"}))
         declared += [f"{command} --{name.replace('_', '-')}" for name in names]
     trees = generate(CorpusSpec(num_trees=8, mean_tree_size=4.0)).trees
-    model = run_pipeline(trees, RunConfig(task="hate", epochs=0, bow_dim=4)).model
+    config = RunConfig(task="hate", epochs=0, bow_dim=4)
+    ((model, _, _),) = replicate(*split_sides(trees, config), [config])
     missing = sorted(settings - model.metadata.keys())
     assert (declared, missing) == ([], []), (
         f"run options of the commands that score a model file: {declared}; "
