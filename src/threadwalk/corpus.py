@@ -9,12 +9,14 @@ keep file order) and each group is validated by :func:`build_tree`.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .errors import MalformedFileError, ThreadwalkError, cut_path
 from .tree import CommentNode, DiscussionTree, build_tree, tree_stats
@@ -82,32 +84,49 @@ def load_corpus(path: str | Path) -> list[DiscussionTree]:
     return trees
 
 
-def text_lines(path: Path) -> Iterator[str]:
-    """The lines of a UTF-8 text file; MalformedFileError if it is not UTF-8."""
+def text_lines(path: Path, source: BinaryIO | None = None) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read from ``source`` (an open binary
+    stream of ``path``) if given; MalformedFileError if it is not UTF-8."""
     try:
-        with path.open("r", encoding="utf-8") as handle:
+        with io.TextIOWrapper(source or path.open("rb"), encoding="utf-8") as handle:
             yield from handle
     except UnicodeDecodeError:
         raise MalformedFileError(f"{cut_path(path)}: not UTF-8 text") from None
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Stream ``lines`` into a UTF-8 text file atomically.
+def write_bytes(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Stream ``chunks`` into a file atomically.
 
-    The lines go to a temporary file in the target's directory, which
-    replaces ``path`` only after the last line is written; on any failure
-    the temporary file is removed and ``path`` is left as it was.
+    The chunks go to a new temporary file in the target's directory, which
+    replaces ``path`` only after the last chunk is written. The temporary
+    file is created exclusively under an unpredictable name, so a file or
+    symlink planted beside the target is never written through, and it
+    gets the mode a new file would (``0o666`` less the umask). On any
+    failure the temporary file is removed and ``path`` is left as it was.
     """
     path = Path(os.path.abspath(path))
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-    handle = tmp.open("w", encoding="utf-8")
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     try:
-        with handle:
-            handle.writelines(lines)
+        with open(fd, "wb") as handle:
+            os.fchmod(fd, 0o666 & ~_umask())
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink()
+        os.unlink(tmp)
         raise
+
+
+def _umask() -> int:
+    """The process's file mode creation mask, read by setting a strict one
+    for the moment it takes to restore it."""
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Stream ``lines`` into a UTF-8 text file atomically (see :func:`write_bytes`)."""
+    write_bytes(path, (line.encode("utf-8") for line in lines))
 
 
 def save_corpus(trees: Iterable[DiscussionTree], path: str | Path) -> None:

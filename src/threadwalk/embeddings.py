@@ -10,14 +10,18 @@ pipeline unchanged.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
+import os
 import re
+import stat
+import zlib
 from pathlib import Path
-from typing import Iterator, NoReturn, Protocol, Sequence
+from typing import BinaryIO, Iterator, NoReturn, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import text_lines, write_lines
+from .corpus import text_lines, write_bytes, write_lines
 from .errors import (
     DimensionMismatchError,
     MalformedFileError,
@@ -28,6 +32,7 @@ from .errors import (
 from .tree import CommentNode
 
 DEFAULT_BOW_DIM = 256
+_BLOCK_CELLS = 1 << 20  # float64 counts held at once by hashed_bow_rows: 8 MiB
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -59,8 +64,8 @@ def hashed_bow_rows(
         raise ValueError(f"dimension must be >= 1, got {d}")
     codes: dict[str, int] = {}  # token -> 2 * bucket, plus 1 if its sign is negative
 
-    def token_codes() -> Iterator[int]:
-        for row, text in enumerate(texts):
+    def token_codes(block: Sequence[str]) -> Iterator[int]:
+        for row, text in enumerate(block):
             for token in tokenize(text):
                 code = codes.get(token)
                 if code is None:
@@ -68,16 +73,26 @@ def hashed_bow_rows(
                     code = codes[token] = 2 * (h % d) + (h >> 63)
                 yield 2 * d * row + code
 
-    flat = np.fromiter(token_codes(), dtype=np.int64)  # 2 * (row * d + bucket) + sign bit
-    # bincount of no tokens returns int64 zeros, hence the cast
-    counts = np.bincount(flat >> 1, weights=1.0 - 2.0 * (flat & 1), minlength=len(texts) * d)
-    counts = counts.astype(np.float64, copy=False).reshape(len(texts), d)
-    norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
-    divisors = np.where(normalize & (norms > 0.0), norms, 1.0)
-    low, high = counts.min(initial=0.0), counts.max(initial=0.0)
-    limits = map(np.iinfo, (np.int8, np.int16, np.int32, np.int64))
-    dtype = next(t.dtype for t in limits if t.min <= low and high <= t.max)
-    return counts.astype(dtype), divisors
+    # Rows are counted a block at a time, so the float64 counts take at
+    # most _BLOCK_CELLS cells; the result widens when a block needs it.
+    values = np.empty((len(texts), d), dtype=np.int8)
+    divisors = np.empty(len(texts))
+    low = high = 0.0
+    step = max(1, _BLOCK_CELLS // d)
+    for start in range(0, len(texts), step):
+        block = texts[start : start + step]
+        flat = np.fromiter(token_codes(block), dtype=np.int64)  # 2 * (row * d + bucket) + sign
+        # bincount of no tokens returns int64 zeros, hence the cast
+        counts = np.bincount(flat >> 1, weights=1.0 - 2.0 * (flat & 1), minlength=len(block) * d)
+        counts = counts.astype(np.float64, copy=False).reshape(len(block), d)
+        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+        divisors[start : start + len(block)] = np.where(normalize & (norms > 0.0), norms, 1.0)
+        low, high = min(low, counts.min(initial=0.0)), max(high, counts.max(initial=0.0))
+        limits = map(np.iinfo, (np.int8, np.int16, np.int32, np.int64))
+        dtype = next(t.dtype for t in limits if t.min <= low and high <= t.max)
+        values = values.astype(dtype, copy=False)
+        values[start : start + len(block)] = counts
+    return values, divisors
 
 
 def hashed_bow_matrix(
@@ -157,9 +172,34 @@ def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
     Values are decimal floats as numpy reads them (``1.5``, ``-2e-3``; not
     ``1_0``) and must be finite. Node ids are treated as corpus-unique. A
     bad file raises for its first bad line.
+
+    Each regular file's bytes are parsed once: a parse leaves a sidecar,
+    ``.<name>.threadwalk-cache`` beside the file, and a later load of bytes
+    with the sha256 it records reads the ids and rows from it instead. The
+    sidecar only caches: a load that cannot use it, read it or write it
+    parses, and a parse that fails writes none.
     """
-    path, where = Path(path), cut_path(path)
-    lines = text_lines(path)
+    path = Path(path)
+    sidecar = path.with_name(f".{path.name}{_CACHE_SUFFIX}")
+    with path.open("rb", buffering=0) as source:
+        info = os.fstat(source.fileno())
+        regular = stat.S_ISREG(info.st_mode)
+        if regular:
+            cached = _read_cache(sidecar, _HashingReader(source), info.st_size)
+            if cached is not None:
+                return ExternalEmbeddingProvider(*cached)
+            source.seek(0)
+        hashing = _HashingReader(source)
+        rows, matrix = _parse_table(path, text_lines(path, io.BufferedReader(hashing)))
+    if regular:
+        _write_cache(sidecar, hashing, rows, matrix)
+    return ExternalEmbeddingProvider(rows, matrix)
+
+
+def _parse_table(path: Path, lines: Iterator[str]) -> tuple[dict[str, int], np.ndarray]:
+    """The row of each id and the read-only ``(n, d)`` matrix of the
+    embedding file ``path``, whose lines are ``lines``."""
+    where = cut_path(path)
     header = next(lines, "").strip()
     try:
         if not header.startswith("d=") or not header[2:].isdecimal():
@@ -200,7 +240,103 @@ def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
     if matrix.shape != (len(rows), dim) or not np.isfinite(matrix).all():
         _raise_first_fault(path, dim)
     matrix.setflags(write=False)
-    return ExternalEmbeddingProvider(rows, matrix)
+    return rows, matrix
+
+
+# The sidecar of an embedding file: one ASCII header line, then the ids in
+# file order, one a line (UTF-8), then the rows as little-endian float64,
+# row-major. The header names the format, the numpy version that parsed
+# the file, the sha256 and length of the file's bytes, n, d, the length of
+# the id block and the CRC-32 of everything after the header.
+_CACHE_SUFFIX = ".threadwalk-cache"
+_CACHE_FORMAT = "threadwalk-embedding-cache/1"
+_CACHE_HEADER = re.compile(
+    re.escape(_CACHE_FORMAT.encode()) + rb" numpy=(?P<numpy>\S+) sha256=(?P<sha256>[0-9a-f]{64})"
+    rb" size=(?P<size>\d{1,18}) n=(?P<n>\d{1,18}) d=(?P<d>[1-9]\d{0,17})"
+    rb" ids=(?P<ids>\d{1,18}) crc32=(?P<crc32>[0-9a-f]{8})\n"
+)
+
+
+class _HashingReader(io.RawIOBase):
+    """A binary stream of what it reads from ``source``, keeping the sha256
+    and the length of every byte that passes."""
+
+    def __init__(self, source: BinaryIO) -> None:
+        self._source = source
+        self.sha256 = hashlib.sha256()
+        self.size = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._source.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:count])
+        self.size += count
+        return count
+
+
+def _read_cache(
+    sidecar: Path, source: _HashingReader, size: int
+) -> tuple[dict[str, int], np.ndarray] | None:
+    """The ids and rows that ``sidecar`` holds for the bytes of ``source``,
+    a regular file of ``size`` bytes not yet read; None if it holds none.
+    ``source`` is read through only if the header records that size."""
+    try:
+        # Non-blocking, so that a FIFO planted at the sidecar path is no hang.
+        fd = os.open(sidecar, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        with open(fd, "rb") as cache:
+            header = cache.readline(512)
+            match = _CACHE_HEADER.fullmatch(header)
+            if match is None:
+                return None
+            n, d, id_bytes = (int(match[k]) for k in ("n", "d", "ids"))
+            if (
+                match["numpy"] != np.__version__.encode()
+                or int(match["size"]) != size
+                or os.fstat(cache.fileno()).st_size != len(header) + id_bytes + 8 * n * d
+            ):
+                return None
+            chunk = bytearray(1 << 20)
+            while source.readinto(chunk):
+                pass
+            if source.sha256.hexdigest().encode() != match["sha256"]:
+                return None
+            ids = cache.read(id_bytes)
+            matrix = np.empty((n, d), dtype="<f8")
+            values = matrix.view(np.uint8).reshape(-1)
+            if cache.readinto(values) != values.size or zlib.crc32(
+                values, zlib.crc32(ids)
+            ) != int(match["crc32"], 16):
+                return None
+            names = ids.decode("utf-8").split("\n")
+    except (OSError, ValueError):
+        return None
+    last = names.pop()
+    rows = dict(zip(names, range(n)))
+    if last or len(names) != n or len(rows) != n:
+        return None
+    matrix = matrix.astype(np.float64, copy=False)
+    matrix.setflags(write=False)
+    return rows, matrix
+
+
+def _write_cache(
+    sidecar: Path, source: _HashingReader, rows: dict[str, int], matrix: np.ndarray
+) -> None:
+    """Write the sidecar of the parsed bytes of ``source``; quietly write
+    none when the file system refuses it."""
+    ids = "".join(f"{node_id}\n" for node_id in rows).encode("utf-8")
+    values = np.ascontiguousarray(matrix, dtype="<f8").view(np.uint8).reshape(-1)
+    header = (
+        f"{_CACHE_FORMAT} numpy={np.__version__} sha256={source.sha256.hexdigest()}"
+        f" size={source.size} n={matrix.shape[0]} d={matrix.shape[1]} ids={len(ids)}"
+        f" crc32={zlib.crc32(values, zlib.crc32(ids)):08x}\n"
+    )
+    try:
+        write_bytes(sidecar, [header.encode("ascii"), ids, values])
+    except OSError:
+        pass
 
 
 def _raise_first_fault(path: Path, dim: int) -> NoReturn:

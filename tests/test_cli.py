@@ -788,6 +788,19 @@ def test_unusable_embedding_file_exits_2(corpus_path, tmp_path, capsys, table, m
     assert message in _single_error_line(capsys)
 
 
+def test_unparsable_embedding_file_leaves_no_sidecar(corpus_path, tmp_path, capsys):
+    """A table that fails to parse is parsed again on the next load, with
+    the same exit code and line, and no cache is left beside it."""
+    embeddings = tmp_path / "emb.txt"
+    embeddings.write_text("d=2\nn1 0 0\nn2 0 x\n", encoding="utf-8")
+    argv = ["run", "--corpus", str(corpus_path), "--out", str(tmp_path / "out"), *_RUN_HATE]
+    argv += ["--embedding", "external", "--embedding-file", str(embeddings)]
+    for _ in range(2):
+        assert main(argv) == 2
+        assert _single_error_line(capsys) == f"error: {embeddings}:3: non-numeric value"
+    assert [path.name for path in tmp_path.iterdir() if path.name.startswith(".")] == []
+
+
 def test_deeply_nested_corpus_line_exits_2(tmp_path, capsys):
     path = tmp_path / "corpus.jsonl"
     path.write_text(_DEEP_NESTING + "\n")
@@ -1534,11 +1547,59 @@ def test_fuzzed_embedding_and_config_files_exit_cleanly(tiny_corpus, input_files
             read = load_external_embeddings
         else:
             argv, read = [*run, "--config", str(path)], read_manifest
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
+        # A table is loaded twice: parsed, then from its sidecar if it has one.
+        outcomes = []
+        for _ in range(1 + (target == "embedding")):
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            outcomes.append((code, stderr.getvalue()))
+        assert outcomes[-1] == outcomes[0]
         try:
             read(path)
+            rejected = False
+        except InputError:
+            rejected = True
+    lines = stderr.getvalue().splitlines()
+    errors = [line for line in lines if line.startswith("error: ")]
+    assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
+    assert code in (0, 1, 2) and len(errors) == (code != 0), lines
+    assert code == 2 or not rejected, lines
+
+
+# A value of each JSON type, for a corpus field given another type.
+_JSON_VALUES = [None, True, 0, 1.5, "x", [], {}]
+
+
+def _retype(data, original: bytes) -> bytes:
+    """``original``, a corpus file, with one field of one record set to a
+    value of another JSON type."""
+    lines = original.splitlines(keepends=True)
+    at = data.draw(st.integers(0, len(lines) - 1))
+    record = json.loads(lines[at])
+    name = data.draw(st.sampled_from(sorted(record)))
+    others = [value for value in _JSON_VALUES if type(value) is not type(record[name])]
+    record[name] = data.draw(st.sampled_from(others))
+    lines[at] = json.dumps(record).encode() + b"\n"
+    return b"".join(lines)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(retype=st.booleans(), data=st.data())
+def test_fuzzed_corpus_file_exits_cleanly(tiny_corpus, retype, data):
+    """A corpus file that was cut, had a byte flipped or deleted, a line
+    duplicated or swapped, a token made hostile or a field retyped ends in
+    at most one ``error:`` line, and one that load_corpus rejects exits 2."""
+    original = tiny_corpus.read_bytes()
+    mutated = _retype(data, original) if retype else _mutate(data, original)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "corpus.jsonl"
+        path.write_bytes(mutated)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--corpus", str(path), "--out", scratch, *_RUN_HATE])
+        try:
+            load_corpus(path)
             rejected = False
         except InputError:
             rejected = True

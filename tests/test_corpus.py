@@ -1,6 +1,7 @@
 """Corpus file round trips and corpus stats."""
 
 import json
+import os
 
 import pytest
 
@@ -115,3 +116,27 @@ def test_failed_write_leaves_no_file(tmp_path):
     with pytest.raises(RuntimeError):
         write_lines(kept, lines())
     assert list(tmp_path.iterdir()) == [kept] and kept.read_text() == "old\n"
+
+
+def test_write_never_follows_a_planted_temp_file(tmp_path):
+    """A symlink planted at the temporary name an earlier writer used,
+    ``.<name>.<pid>.tmp``, is neither written through nor moved into place."""
+    victim = tmp_path / "victim.txt"
+    victim.write_text("victim\n")
+    out = tmp_path / "out.txt"
+    planted = tmp_path / f".out.txt.{os.getpid()}.tmp"
+    planted.symlink_to(victim)
+    write_lines(out, ["hello\n"])
+    assert victim.read_text() == "victim\n"
+    assert out.is_file() and not out.is_symlink() and out.read_text() == "hello\n"
+    assert planted.is_symlink()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o002])
+def test_written_file_takes_the_mode_of_a_new_file(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_lines(tmp_path / "out.txt", ["x\n"])
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.txt").stat().st_mode & 0o777 == 0o666 & ~umask

@@ -1,8 +1,12 @@
 """Hashed bag-of-words embedder and external embedding tables."""
 
+import os
 import tempfile
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +14,13 @@ from conftest import hashed_bow_oracle, parse_embeddings_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threadwalk import embeddings
 from threadwalk.embeddings import (
     ExternalEmbeddingProvider,
     HashedBowProvider,
     hashed_bow_embed,
     hashed_bow_matrix,
+    hashed_bow_rows,
     load_external_embeddings,
     save_external_embeddings,
     tokenize,
@@ -98,6 +104,36 @@ class TestHashedBowMatrix:
         assert np.array_equal(_bits(matrix), _bits(expected))
         for text, row in zip(texts, expected):
             assert np.array_equal(_bits(hashed_bow_embed(text, d, normalize)), _bits(row))
+
+
+class TestHashedBowRows:
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_rows_counted_in_blocks_keep_their_bits(self, monkeypatch, normalize):
+        """Counted one row at a time, rows that widen the dtype twice (int8,
+        then int16, then int32) give the bytes of one block and the oracle."""
+        texts = ["a b", "", "w " * 200, "c", "w " * 40_000, "d d e"]
+        whole = hashed_bow_rows(texts, 8, normalize)
+        monkeypatch.setattr(embeddings, "_BLOCK_CELLS", 1)
+        values, divisors = hashed_bow_rows(texts, 8, normalize)
+        assert values.dtype == whole[0].dtype == np.int32
+        assert values.tobytes() == whole[0].tobytes()
+        assert divisors.tobytes() == whole[1].tobytes()
+        oracle = np.array([hashed_bow_oracle(text, 8, normalize) for text in texts])
+        assert np.array_equal(_bits(values / divisors[:, None]), _bits(oracle))
+
+    def test_float64_counts_are_bounded(self):
+        """2,000 texts at d = 16,384 give a 32.8 MB int8 result, and the
+        call's traced peak stays under twice that (the float64 counts of the
+        whole call would take 262 MB)."""
+        texts = [" ".join(f"w{(7 * i + 13 * j) % 3001}" for j in range(40)) for i in range(2000)]
+        tracemalloc.start()
+        try:
+            values, _ = hashed_bow_rows(texts, 16_384, normalize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.dtype == np.int8 and values.nbytes == 2000 * 16_384
+        assert peak < 2 * values.nbytes
 
 
 class TestHashedBowProvider:
@@ -251,3 +287,153 @@ class TestExternalEmbeddings:
         with pytest.raises(error) as excinfo:
             load_external_embeddings(path)
         assert str(excinfo.value) == f"{path}{message}"
+
+
+def _sidecar(path: Path) -> Path:
+    return path.with_name(f".{path.name}.threadwalk-cache")
+
+
+def _loaded(path: Path) -> tuple[dict, np.ndarray]:
+    """The rows and matrix bits a load of ``path`` gives."""
+    provider = load_external_embeddings(path)
+    assert not provider._matrix.flags.writeable
+    return provider._rows, _bits(provider._matrix)
+
+
+def _table(path: Path, seed: int = 4) -> Path:
+    """A table with extreme values, a negative zero and a non-ASCII id."""
+    rng = np.random.default_rng(seed)
+    table = {f"n{i}": rng.standard_normal(3) for i in range(40)}
+    table["café"] = np.array([-0.0, 5e-324, -1.7976931348623157e308])
+    save_external_embeddings(table, path)
+    return path
+
+
+def _parsed_only():
+    """np.loadtxt counted; the one parser of a table."""
+    return mock.patch.object(np, "loadtxt", wraps=np.loadtxt)
+
+
+# How a sidecar can be wrong: cut, a flipped byte in each part, empty,
+# another table's, or of another format or numpy version.
+_FAULTS = ["truncate", "flip-header", "flip-ids", "flip-rows", "empty", "other-table",
+           "other-format", "other-numpy"]
+
+
+def _fault(data, kind: str, good: bytes, other: bytes) -> bytes:
+    header_end = good.index(b"\n") + 1
+    ids_end = header_end + int(good[:header_end].split(b" ids=")[1].split(b" ")[0])
+    if kind == "truncate":
+        return good[: data.draw(st.integers(0, len(good) - 1))]
+    if kind.startswith("flip"):
+        start, end = {"header": (0, header_end), "ids": (header_end, ids_end),
+                      "rows": (ids_end, len(good))}[kind[5:]]
+        at = data.draw(st.integers(start, end - 1))
+        return good[:at] + bytes([good[at] ^ data.draw(st.integers(1, 255))]) + good[at + 1 :]
+    if kind == "other-format":
+        return good.replace(b"threadwalk-embedding-cache/1 ", b"threadwalk-embedding-cache/2 ", 1)
+    if kind == "other-numpy":
+        return good.replace(f"numpy={np.__version__} ".encode(), b"numpy=1.0.0 ", 1)
+    return {"empty": b"", "other-table": other}[kind]
+
+
+class TestSidecarCache:
+    def test_second_load_reads_the_sidecar(self, tmp_path, monkeypatch):
+        path = _table(tmp_path / "emb.txt")
+        rows, bits = _loaded(path)
+        assert _sidecar(path).is_file()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [_sidecar(path).name, "emb.txt"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed a table with a valid sidecar")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        cached_rows, cached_bits = _loaded(path)
+        assert cached_rows == rows and list(cached_rows) == list(rows)
+        assert np.array_equal(cached_bits, bits)
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(_FAULTS), data=st.data())
+    def test_faulty_sidecar_is_a_miss_and_is_replaced(self, kind, data):
+        with tempfile.TemporaryDirectory() as scratch:
+            path, other = _table(Path(scratch) / "emb.txt"), _table(Path(scratch) / "b.txt", 5)
+            with _parsed_only() as parse:
+                rows, bits = _loaded(path)
+                _loaded(other)
+                assert parse.call_count == 2
+            good = _sidecar(path).read_bytes()
+            _sidecar(path).write_bytes(_fault(data, kind, good, _sidecar(other).read_bytes()))
+            with _parsed_only() as parse:
+                got_rows, got_bits = _loaded(path)
+                assert parse.call_count == 1
+            assert got_rows == rows and np.array_equal(got_bits, bits)
+            assert _sidecar(path).read_bytes() == good
+
+    def test_directory_at_the_sidecar_path_writes_nothing(self, tmp_path):
+        path = _table(tmp_path / "emb.txt")
+        _sidecar(path).mkdir()
+        with _parsed_only() as parse:
+            first, again = _loaded(path), _loaded(path)
+            assert parse.call_count == 2
+        assert first[0] == again[0] and np.array_equal(first[1], again[1])
+        assert sorted(p.name for p in tmp_path.iterdir()) == [_sidecar(path).name, "emb.txt"]
+        assert list(_sidecar(path).iterdir()) == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_at_the_sidecar_path_is_replaced(self, tmp_path):
+        """Reading a named pipe planted at the sidecar path does not wait
+        for a writer; the parse's sidecar takes its place."""
+        path = _table(tmp_path / "emb.txt")
+        os.mkfifo(_sidecar(path))
+        with _parsed_only() as parse:
+            rows, bits = _loaded(path)
+            assert parse.call_count == 1
+        assert _sidecar(path).is_file()
+        with _parsed_only() as parse:
+            cached_rows, cached_bits = _loaded(path)
+            assert parse.call_count == 0
+        assert cached_rows == rows and np.array_equal(cached_bits, bits)
+
+    def test_refused_write_is_quiet(self, tmp_path, monkeypatch):
+        def full_disk(path, chunks):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(embeddings, "write_bytes", full_disk)
+        path = _table(tmp_path / "emb.txt")
+        _loaded(path)
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_edited_source_is_parsed_again(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("d=2\nn1 0.25 1.0\nn2 2.0 3.0\n")
+        assert load_external_embeddings(path).vector_for(CommentNode("n1", None, "")).tolist() == [
+            0.25, 1.0
+        ]
+        size = path.stat().st_size
+        with path.open("r+b") as handle:  # in place, the length kept
+            handle.seek(len("d=2\nn1 0."))
+            handle.write(b"75")
+        assert path.stat().st_size == size
+        provider = load_external_embeddings(path)
+        assert provider.vector_for(CommentNode("n1", None, "")).tolist() == [0.75, 1.0]
+
+    def test_failed_parse_writes_no_sidecar(self, tmp_path):
+        path = _write(tmp_path, "d=2\nn1 0.0 1.0\nn2 0.0 oops\n")
+        for _ in range(2):
+            with pytest.raises(MalformedFileError, match=":3: non-numeric value"):
+                load_external_embeddings(path)
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_is_parsed_and_not_cached(self, tmp_path):
+        table = _table(tmp_path / "source.txt").read_bytes()
+        fifo = tmp_path / "emb.txt"
+        os.mkfifo(fifo)
+        want = _loaded(tmp_path / "source.txt")
+        for _ in range(2):
+            writer = threading.Thread(target=fifo.write_bytes, args=(table,))
+            writer.start()
+            got = _loaded(fifo)
+            writer.join()
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        assert not _sidecar(fifo).exists()

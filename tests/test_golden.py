@@ -2,11 +2,12 @@
 
 The digests below pin the exact bytes the CLI writes for a 60-tree hate
 corpus (seed 3, 5 epochs, d=32), and for a 60-tree polarity corpus (seed 3)
-featurized with hashed bag-of-words and with an external embedding file,
-plus what ``generate`` and ``validate`` print for both corpora. A refactor
-that changes any output, even in the last digit of a float, fails here and
-names the file. The order of a corpus file's records changes no output
-either, as long as each tree keeps the order of its own records.
+featurized with hashed bag-of-words and with an external embedding file
+(parsed, and again read from its sidecar), plus what ``generate`` and
+``validate`` print for both corpora. A refactor that changes any output,
+even in the last digit of a float, fails here and names the file. The
+order of a corpus file's records changes no output either, as long as
+each tree keeps the order of its own records.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import io
 import itertools
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,6 +56,13 @@ GOLDEN = {
     "polarity/external/features.jsonl": "84239113f532fa54175c3a1fecb476bc2716d34c1bcbfa9ed84f01c2f6758b09",
     "polarity/featurize/features.jsonl": "a634dd1f24e7d25d4da8aa9e09cba474c0b85cc144f05d61720f8bf9fd1762d5",
     "polarity/featurize/traces.jsonl": "1d3bd1a447536784f450b821bbc573ebe2a58f8e58182123e12579a16a7071d5",
+}
+
+# The external run again, its table now read from the sidecar the first
+# run left: each file must match the pin of the first run's.
+WARM = {
+    f"polarity/external-warm/{name}": f"polarity/external/{name}"
+    for name in ("model.txt", "report.txt", "features.jsonl")
 }
 
 # What ``generate`` and ``validate`` print, with the output root spelled ROOT.
@@ -105,13 +114,14 @@ def golden_outputs(root):
     polarity_outputs(root / "polarity")
     return {
         name: hashlib.sha256((root / name).read_bytes()).hexdigest()
-        for name in {**GOLDEN, **PRINTED}
+        for name in {**GOLDEN, **PRINTED, **WARM}
     }
 
 
 def polarity_outputs(root):
     """Polarity runs: hashed bag-of-words, an external embedding file with
-    seeded random vectors, and featurize with walk traces."""
+    seeded random vectors (parsed, then read from its sidecar), and
+    featurize with walk traces."""
     corpus = root / "corpus.jsonl"
     embeddings = root / "embeddings.txt"
     (root / "featurize").mkdir(parents=True)
@@ -129,8 +139,14 @@ def polarity_outputs(root):
         ["featurize", "--corpus", str(corpus), "--output", str(root / "featurize/features.jsonl"),
          "--traces", str(root / "featurize/traces.jsonl")],
     ]
+    sidecar = root / ".embeddings.txt.threadwalk-cache"
+    assert not sidecar.exists()
     for argv in commands:
         assert main(argv + flags) == 0, argv
+    assert sidecar.is_file()
+    warm = commands[1][:4] + [str(root / "external-warm")] + commands[1][5:]
+    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed a cached table")):
+        assert main(warm + flags) == 0, warm
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +177,11 @@ def machine() -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_unchanged(digests, name):
     assert digests[name] == GOLDEN[name], f"{name} differs on {machine()}"
+
+
+@pytest.mark.parametrize("name", sorted(WARM))
+def test_warm_external_run_matches_the_pins(digests, name):
+    assert digests[name] == GOLDEN[WARM[name]], f"{name} differs on {machine()}"
 
 
 @pytest.mark.parametrize("name", sorted(PRINTED))
