@@ -12,8 +12,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import secrets
 import sys
-import tempfile
 from collections import Counter
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
@@ -100,28 +100,21 @@ def write_bytes(path: str | Path, chunks: Iterable[bytes]) -> None:
     The chunks go to a new temporary file in the target's directory, which
     replaces ``path`` only after the last chunk is written. The temporary
     file is created exclusively under an unpredictable name, so a file or
-    symlink planted beside the target is never written through, and it
-    gets the mode a new file would (``0o666`` less the umask). On any
-    failure the temporary file is removed and ``path`` is left as it was.
+    symlink planted beside the target is never written through, and the
+    kernel gives it the mode of any new file (``0o666`` less the umask).
+    On any failure the temporary file is removed and ``path`` is left as
+    it was.
     """
     path = Path(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as handle:
-            os.fchmod(fd, 0o666 & ~_umask())
             handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def _umask() -> int:
-    """The process's file mode creation mask, read by setting a strict one
-    for the moment it takes to restore it."""
-    mask = os.umask(0o077)
-    os.umask(mask)
-    return mask
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:

@@ -185,7 +185,7 @@ def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
         info = os.fstat(source.fileno())
         regular = stat.S_ISREG(info.st_mode)
         if regular:
-            cached = _read_cache(sidecar, _HashingReader(source), info.st_size)
+            cached = _read_cache(sidecar, _HashingReader(source), info)
             if cached is not None:
                 return ExternalEmbeddingProvider(*cached)
             source.seek(0)
@@ -277,24 +277,32 @@ class _HashingReader(io.RawIOBase):
 
 
 def _read_cache(
-    sidecar: Path, source: _HashingReader, size: int
+    sidecar: Path, source: _HashingReader, info: os.stat_result
 ) -> tuple[dict[str, int], np.ndarray] | None:
     """The ids and rows that ``sidecar`` holds for the bytes of ``source``,
-    a regular file of ``size`` bytes not yet read; None if it holds none.
-    ``source`` is read through only if the header records that size."""
+    a regular file with the status ``info``, not yet read; None if it holds
+    none. ``source`` is read through only if the header records its size.
+
+    A sidecar is trusted only if it is owned by the table's owner or by
+    this process's user, and only with what a parse could give: distinct
+    ids that are non-empty and hold no whitespace, and finite rows.
+    """
     try:
-        # Non-blocking, so that a FIFO planted at the sidecar path is no hang.
-        fd = os.open(sidecar, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
-        with open(fd, "rb") as cache:
+        # Non-blocking, so that a FIFO planted at the sidecar path is no hang;
+        # a symlink is not followed, since the writer never makes one.
+        flags = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_NOFOLLOW", 0)
+        with open(os.open(sidecar, flags), "rb") as cache:
             header = cache.readline(512)
             match = _CACHE_HEADER.fullmatch(header)
             if match is None:
                 return None
             n, d, id_bytes = (int(match[k]) for k in ("n", "d", "ids"))
+            owned = os.fstat(cache.fileno())
             if (
-                match["numpy"] != np.__version__.encode()
-                or int(match["size"]) != size
-                or os.fstat(cache.fileno()).st_size != len(header) + id_bytes + 8 * n * d
+                (owned.st_uid != info.st_uid and owned.st_uid != os.getuid())
+                or match["numpy"] != np.__version__.encode()
+                or int(match["size"]) != info.st_size
+                or owned.st_size != len(header) + id_bytes + 8 * n * d
             ):
                 return None
             chunk = bytearray(1 << 20)
@@ -309,12 +317,19 @@ def _read_cache(
                 values, zlib.crc32(ids)
             ) != int(match["crc32"], 16):
                 return None
-            names = ids.decode("utf-8").split("\n")
+            text = ids.decode("utf-8")
     except (OSError, ValueError):
         return None
-    last = names.pop()
+    # The parser splits fields on str.split's whitespace, so the ids of a
+    # parse are exactly the fields that split gives of their block.
+    names = text.split()
     rows = dict(zip(names, range(n)))
-    if last or len(names) != n or len(rows) != n:
+    if (
+        text != "".join(f"{name}\n" for name in names)
+        or len(names) != n
+        or len(rows) != n
+        or not np.isfinite(matrix).all()
+    ):
         return None
     matrix = matrix.astype(np.float64, copy=False)
     matrix.setflags(write=False)

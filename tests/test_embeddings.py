@@ -309,6 +309,15 @@ def _table(path: Path, seed: int = 4) -> Path:
     return path
 
 
+def _plant(path: Path, rows: dict, matrix: np.ndarray) -> None:
+    """Write the sidecar of the current bytes of ``path`` as holding
+    ``rows`` and ``matrix``, with a true digest and CRC."""
+    with path.open("rb", buffering=0) as source:
+        hashing = embeddings._HashingReader(source)
+        hashing.readall()
+    embeddings._write_cache(_sidecar(path), hashing, rows, np.asarray(matrix, dtype=np.float64))
+
+
 def _parsed_only():
     """np.loadtxt counted; the one parser of a table."""
     return mock.patch.object(np, "loadtxt", wraps=np.loadtxt)
@@ -368,6 +377,75 @@ class TestSidecarCache:
                 assert parse.call_count == 1
             assert got_rows == rows and np.array_equal(got_bits, bits)
             assert _sidecar(path).read_bytes() == good
+
+    @pytest.mark.parametrize(
+        "plant",
+        [
+            lambda rows, matrix: (rows, np.where(matrix == matrix[0, 0], np.nan, matrix)),
+            lambda rows, matrix: (rows, np.where(matrix == matrix[1, 1], -np.inf, matrix)),
+            lambda rows, matrix: ({"" if k == "n1" else k: v for k, v in rows.items()}, matrix),
+            lambda rows, matrix: ({"n 1" if k == "n1" else k: v for k, v in rows.items()}, matrix),
+            lambda rows, matrix: ({"n\x1f1" if k == "n1" else k: v for k, v in rows.items()},
+                                  matrix),
+            lambda rows, matrix: ({"n 1" if k == "n1" else "" if k == "n2" else k: v
+                                   for k, v in rows.items()}, matrix),
+        ],
+        ids=["nan-row", "infinite-row", "empty-id", "id-with-space", "id-with-separator",
+             "space-and-empty-id"],
+    )
+    def test_planted_sidecar_no_parse_gives_is_a_miss(self, tmp_path, plant):
+        """A sidecar with a true digest and CRC but ids or rows that no
+        parse gives is not read: the load parses and rewrites it."""
+        path = _table(tmp_path / "emb.txt")
+        rows, bits = _loaded(path)
+        good = _sidecar(path).read_bytes()
+        _plant(path, *plant(rows, load_external_embeddings(path)._matrix))
+        assert _sidecar(path).read_bytes() != good
+        with _parsed_only() as parse:
+            got_rows, got_bits = _loaded(path)
+            assert parse.call_count == 1
+        assert got_rows == rows and np.array_equal(got_bits, bits)
+        assert _sidecar(path).read_bytes() == good
+
+    def test_sidecar_of_another_owner_is_a_miss(self, tmp_path, monkeypatch):
+        """A valid sidecar that neither the table's owner nor this user owns
+        is not read; one this user owns is."""
+        path = _table(tmp_path / "emb.txt")
+        rows, bits = _loaded(path)
+        matrix = load_external_embeddings(path)._matrix
+        _plant(path, rows, -matrix)
+        planted = _sidecar(path).stat().st_ino
+        fstat = os.fstat
+
+        def other_owner(fd):
+            info = fstat(fd)
+            if info.st_ino != planted:
+                return info
+            fields = list(info[:10])
+            fields[4] = max(info.st_uid, os.getuid()) + 1  # st_uid
+            return os.stat_result(fields)
+
+        monkeypatch.setattr(os, "fstat", other_owner)
+        with _parsed_only() as parse:
+            got_rows, got_bits = _loaded(path)
+            assert parse.call_count == 1
+        assert got_rows == rows and np.array_equal(got_bits, bits)
+        monkeypatch.undo()
+        _plant(path, rows, -matrix)
+        assert np.array_equal(_loaded(path)[1], _bits(-matrix))
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks")
+    def test_symlink_at_the_sidecar_path_is_not_followed(self, tmp_path):
+        path = _table(tmp_path / "emb.txt")
+        rows, bits = _loaded(path)
+        _plant(path, rows, -load_external_embeddings(path)._matrix)
+        _sidecar(path).rename(tmp_path / "planted")
+        _sidecar(path).symlink_to(tmp_path / "planted")
+        with _parsed_only() as parse:
+            got_rows, got_bits = _loaded(path)
+            assert parse.call_count == 1
+        assert got_rows == rows and np.array_equal(got_bits, bits)
+        assert not _sidecar(path).is_symlink()
 
     def test_directory_at_the_sidecar_path_writes_nothing(self, tmp_path):
         path = _table(tmp_path / "emb.txt")
