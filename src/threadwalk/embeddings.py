@@ -42,11 +42,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _token_hash(token: str) -> int:
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
-
-
 def hashed_bow_rows(
     texts: Sequence[str], d: int = DEFAULT_BOW_DIM, normalize: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -69,7 +64,8 @@ def hashed_bow_rows(
             for token in tokenize(text):
                 code = codes.get(token)
                 if code is None:
-                    h = _token_hash(token)
+                    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+                    h = int.from_bytes(digest, "little")
                     code = codes[token] = 2 * (h % d) + (h >> 63)
                 yield 2 * d * row + code
 
@@ -95,18 +91,10 @@ def hashed_bow_rows(
     return values, divisors
 
 
-def hashed_bow_matrix(
-    texts: Sequence[str], d: int = DEFAULT_BOW_DIM, normalize: bool = False
-) -> np.ndarray:
-    """The :func:`hashed_bow_rows` of ``texts`` divided out: one float64 row
-    per text; an empty text maps to the zero row."""
-    counts, divisors = hashed_bow_rows(texts, d, normalize)
-    return counts / divisors[:, None]
-
-
 def hashed_bow_embed(text: str, d: int = DEFAULT_BOW_DIM, normalize: bool = False) -> np.ndarray:
-    """The :func:`hashed_bow_matrix` row of one text, shape ``(d,)``."""
-    return hashed_bow_matrix([text], d, normalize)[0]
+    """The :func:`hashed_bow_rows` row of one text divided out, shape ``(d,)``."""
+    # perfbench/inputs.py writes its table with this; one divisor broadcasts over one row.
+    return np.divide(*hashed_bow_rows([text], d, normalize))[0]
 
 
 class EmbeddingProvider(Protocol):
@@ -131,12 +119,9 @@ class HashedBowProvider:
         """The signed counts and divisors of :func:`hashed_bow_rows`."""
         return hashed_bow_rows([node.text for node in nodes], self.dimension, self.normalize)
 
-    def vectors(self, nodes: Sequence[CommentNode]) -> np.ndarray:
-        texts = [node.text for node in nodes]
-        return hashed_bow_matrix(texts, self.dimension, normalize=self.normalize)
-
     def vector_for(self, node: CommentNode) -> np.ndarray:
-        return self.vectors([node])[0]
+        # Timed by perfbench/tracer.py TARGETS; nothing in the package calls it.
+        return np.divide(*self.scaled_rows([node]))[0]
 
 
 class ExternalEmbeddingProvider:
@@ -147,21 +132,18 @@ class ExternalEmbeddingProvider:
         self._rows = rows
         self._matrix = matrix
 
-    def vectors(self, nodes: Sequence[CommentNode]) -> np.ndarray:
-        """The rows of ``nodes``; MissingEmbeddingError names the first node
-        without one, before anything is allocated."""
+    def scaled_rows(self, nodes: Sequence[CommentNode]) -> tuple[np.ndarray, np.ndarray]:
+        """The float64 rows of ``nodes``, each with a divisor of 1.0;
+        MissingEmbeddingError names the first node without one, before any allocation."""
         try:
             rows = [self._rows[node.id] for node in nodes]
         except KeyError as exc:
             raise MissingEmbeddingError(f"no embedding for node id {exc.args[0]!r}") from None
-        return self._matrix[np.array(rows, dtype=np.intp)]
-
-    def scaled_rows(self, nodes: Sequence[CommentNode]) -> tuple[np.ndarray, np.ndarray]:
-        """The float64 rows of ``nodes``, each with a divisor of 1.0."""
-        return self.vectors(nodes), np.ones(len(nodes))
+        return self._matrix[np.array(rows, dtype=np.intp)], np.ones(len(nodes))
 
     def vector_for(self, node: CommentNode) -> np.ndarray:
-        return self.vectors([node])[0]
+        # Timed by perfbench/tracer.py TARGETS; nothing in the package calls it.
+        return np.divide(*self.scaled_rows([node]))[0]
 
 
 def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
@@ -177,28 +159,32 @@ def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
     ``.<name>.threadwalk-cache`` beside the file, and a later load of bytes
     with the sha256 it records reads the ids and rows from it instead. The
     sidecar only caches: a load that cannot use it, read it or write it
-    parses, and a parse that fails writes none.
+    parses, and a parse that fails writes none. Any other file, such as a
+    named pipe, is read once, into memory, and parsed every time.
     """
     path = Path(path)
     sidecar = path.with_name(f".{path.name}{_CACHE_SUFFIX}")
-    with path.open("rb", buffering=0) as source:
-        info = os.fstat(source.fileno())
+    with path.open("rb", buffering=0) as file:
+        info = os.fstat(file.fileno())
         regular = stat.S_ISREG(info.st_mode)
+        source = file if regular else io.BytesIO(file.readall())
         if regular:
             cached = _read_cache(sidecar, _HashingReader(source), info)
             if cached is not None:
                 return ExternalEmbeddingProvider(*cached)
             source.seek(0)
         hashing = _HashingReader(source)
-        rows, matrix = _parse_table(path, text_lines(path, io.BufferedReader(hashing)))
+        rows, matrix = _parse_table(path, text_lines(path, io.BufferedReader(hashing)), source)
     if regular:
         _write_cache(sidecar, hashing, rows, matrix)
     return ExternalEmbeddingProvider(rows, matrix)
 
 
-def _parse_table(path: Path, lines: Iterator[str]) -> tuple[dict[str, int], np.ndarray]:
+def _parse_table(
+    path: Path, lines: Iterator[str], source: BinaryIO
+) -> tuple[dict[str, int], np.ndarray]:
     """The row of each id and the read-only ``(n, d)`` matrix of the
-    embedding file ``path``, whose lines are ``lines``."""
+    embedding file ``path``, whose ``lines`` are read from ``source``."""
     where = cut_path(path)
     header = next(lines, "").strip()
     try:
@@ -236,9 +222,9 @@ def _parse_table(path: Path, lines: Iterator[str]) -> tuple[dict[str, int], np.n
             )
         )
     except ValueError:
-        _raise_first_fault(path, dim)
+        _raise_first_fault(path, source, dim)
     if matrix.shape != (len(rows), dim) or not np.isfinite(matrix).all():
-        _raise_first_fault(path, dim)
+        _raise_first_fault(path, source, dim)
     matrix.setflags(write=False)
     return rows, matrix
 
@@ -354,11 +340,14 @@ def _write_cache(
         pass
 
 
-def _raise_first_fault(path: Path, dim: int) -> NoReturn:
-    """Raise for the first bad line of an embedding file that failed to load."""
+def _raise_first_fault(path: Path, source: BinaryIO, dim: int) -> NoReturn:
+    """Raise for the first bad line of an embedding file that failed to load,
+    searching the bytes of ``source``: a pipe's writer may be gone, so ``path`` is not reopened."""
     seen: set[str] = set()
     where = cut_path(path)
-    for lineno, line in enumerate(itertools.islice(text_lines(path), 1, None), start=2):
+    source.seek(0)
+    lines = text_lines(path, io.BufferedReader(source))
+    for lineno, line in enumerate(itertools.islice(lines, 1, None), start=2):
         parts = line.split(None, 1)
         if not parts:
             continue
@@ -379,11 +368,19 @@ def _raise_first_fault(path: Path, dim: int) -> NoReturn:
 
 
 def save_external_embeddings(vectors: dict[str, np.ndarray], path: str | Path) -> None:
-    """Write an embedding table in the format read back by the loader."""
+    """Write an embedding table in the format read back by the loader.
+    A table the loader would refuse raises, before anything is written."""
     dims = {np.asarray(v).shape[0] for v in vectors.values()}
     if len(dims) > 1:
         raise DimensionMismatchError(f"mixed dimensions in embedding table: {sorted(dims)}")
     dim = dims.pop() if dims else 0
+    if dim < 1:
+        raise DimensionMismatchError(f"embedding dimension must be >= 1, got {dim}")
+    for node_id, vec in vectors.items():
+        if node_id.split() != [node_id]:
+            raise MalformedFileError(f"embedding id {quote(node_id)} is empty or holds whitespace")
+        if not np.isfinite(vec).all():
+            raise MalformedFileError(f"non-finite value for embedding id {quote(node_id)}")
     rows = (
         f"{node_id} {' '.join(repr(float(x)) for x in np.asarray(vec))}\n"
         for node_id, vec in vectors.items()

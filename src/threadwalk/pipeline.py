@@ -139,8 +139,10 @@ class RunConfig:
             raise ConfigError(
                 f"embedding_file is read only by embedding 'external', not {quote(self.embedding)}"
             )
-        if self.embedding == "external" and not os.path.isfile(self.embedding_file):
+        if self.embedding == "external" and not os.path.exists(self.embedding_file):
             raise ConfigError(f"embedding file not found: {cut_path(self.embedding_file)}")
+        if self.embedding == "external" and os.path.isdir(self.embedding_file):
+            raise ConfigError(f"embedding file is a directory: {cut_path(self.embedding_file)}")
         L, cap, rate = self.walk_length, self.step_cap, self.learning_rate
         for fits, name, rule, value in (
             (1 <= self.bow_dim <= MAX_BOW_DIM, "bow_dim", f"in [1, {MAX_BOW_DIM}]", self.bow_dim),

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -799,6 +800,74 @@ def test_unparsable_embedding_file_leaves_no_sidecar(corpus_path, tmp_path, caps
         assert main(argv) == 2
         assert _single_error_line(capsys) == f"error: {embeddings}:3: non-numeric value"
     assert [path.name for path in tmp_path.iterdir() if path.name.startswith(".")] == []
+
+
+def _cli(argv: list[str]) -> subprocess.CompletedProcess:
+    """The command line run in a child process, killed after two minutes."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "threadwalk.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@contextlib.contextmanager
+def _fed_fifo(path: Path, data: bytes):
+    """A named pipe at ``path`` that a thread fills with ``data`` for its
+    first reader. On exit the thread has ended, whether a reader came or not."""
+    os.mkfifo(path)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        for _ in range(100):  # a reader opened and closed lets a waiting writer's open return
+            if not writer.is_alive():
+                break
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=0.1)
+        assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_piped_embedding_table_runs_like_its_file(corpus_path, tmp_path):
+    """A table read from a named pipe gives the model and report of the
+    same table read from a file, and leaves no sidecar beside the pipe."""
+    rng = np.random.default_rng(3)
+    node_ids = [node.id for tree in load_corpus(corpus_path) for node in tree]
+    table = tmp_path / "emb.txt"
+    save_external_embeddings({nid: rng.standard_normal(6) for nid in node_ids}, table)
+    run = ["run", "--corpus", str(corpus_path), *_RUN_HATE, "--embedding", "external"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*run, "--out", str(tmp_path / "file"), "--embedding-file", str(table)]) == 0
+    (tmp_path / "pipe").mkdir()
+    with _fed_fifo(tmp_path / "pipe" / "emb.txt", table.read_bytes()) as fifo:
+        done = _cli([*run, "--out", str(tmp_path / "out"), "--embedding-file", str(fifo)])
+    assert done.returncode == 0, done.stderr
+    assert os.listdir(tmp_path / "pipe") == ["emb.txt"]
+    model, metrics = ("model.txt", "metrics.json")
+    assert (tmp_path / "out" / model).read_bytes() == (tmp_path / "file" / model).read_bytes()
+    reports = [json.loads((tmp_path / out / metrics).read_text())["report"] for out in ("file", "out")]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_malformed_piped_embedding_table_exits_2(corpus_path, tmp_path):
+    """The first bad line of a piped table is found in the bytes read from
+    it: the pipe, whose writer is gone, is not opened again."""
+    with _fed_fifo(tmp_path / "emb.txt", b"d=2\nn1 0.0 oops\n") as fifo:
+        argv = ["run", "--corpus", str(corpus_path), "--out", str(tmp_path / "out"), *_RUN_HATE]
+        done = _cli([*argv, "--embedding", "external", "--embedding-file", str(fifo)])
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [f"error: {fifo}:2: non-numeric value"]
 
 
 def test_deeply_nested_corpus_line_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Hashed bag-of-words embedder and external embedding tables."""
 
 import os
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -19,7 +20,6 @@ from threadwalk.embeddings import (
     ExternalEmbeddingProvider,
     HashedBowProvider,
     hashed_bow_embed,
-    hashed_bow_matrix,
     hashed_bow_rows,
     load_external_embeddings,
     save_external_embeddings,
@@ -31,6 +31,31 @@ from threadwalk.tree import CommentNode
 
 def _bits(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+
+
+_OPENS: dict[str, int] = {}  # absolute path -> times opened, for the paths being counted
+
+
+def _count_opens(event: str, args: tuple) -> None:
+    if event == "open" and _OPENS and isinstance(args[0], (str, os.PathLike)):
+        path = os.path.abspath(args[0])
+        if path in _OPENS:
+            _OPENS[path] += 1
+
+
+sys.addaudithook(_count_opens)
+
+
+def _opens_of(path: Path, action) -> int:
+    """How many times ``action()`` opens ``path``, by any means of opening
+    a file that the interpreter audits."""
+    key = os.path.abspath(path)
+    _OPENS[key] = 0
+    try:
+        action()
+    finally:
+        count = _OPENS.pop(key)
+    return count
 
 
 class TestTokenize:
@@ -94,12 +119,16 @@ _TEXTS = st.lists(
 )
 
 
-class TestHashedBowMatrix:
+class TestHashedBowScaledRows:
     @settings(max_examples=150, deadline=None)
     @given(_TEXTS, st.integers(min_value=1, max_value=64), st.booleans())
     def test_equals_token_at_a_time_oracle(self, texts, d, normalize):
-        matrix = hashed_bow_matrix(texts, d, normalize)
-        assert matrix.dtype == np.float64 and matrix.shape == (len(texts), d)
+        """Each scaled row decodes to the oracle's vector, bit for bit, and
+        so does the one-text embedding of the same text."""
+        nodes = [CommentNode(f"n{i}", None, text) for i, text in enumerate(texts)]
+        values, divisors = HashedBowProvider(d, normalize).scaled_rows(nodes)
+        assert values.shape == (len(texts), d) and divisors.shape == (len(texts),)
+        matrix = values / divisors[:, None]
         expected = np.array([hashed_bow_oracle(t, d, normalize) for t in texts]).reshape(-1, d)
         assert np.array_equal(_bits(matrix), _bits(expected))
         for text, row in zip(texts, expected):
@@ -142,18 +171,21 @@ class TestHashedBowProvider:
         node = CommentNode("n", None, "hello hello")
         first = provider.vector_for(node)
         second = provider.vector_for(CommentNode("other", None, "hello hello"))
-        assert provider.vectors([]).shape == (0, 32)
         assert np.array_equal(first, second)  # the text alone decides the vector
         assert np.array_equal(first, hashed_bow_embed("hello hello", 32))
 
-    def test_vectors_one_row_per_node(self):
+    def test_scaled_rows_one_row_per_node(self):
         provider = HashedBowProvider(16)
         nodes = [CommentNode(f"n{i}", None, text) for i, text in enumerate(["a b", "", "a b"])]
-        matrix = provider.vectors(nodes)
-        assert matrix.shape == (3, 16)
-        for node, row in zip(nodes, matrix):
-            assert np.array_equal(provider.vector_for(node), row)
-        assert provider.vectors([]).shape == (0, 16)
+        values, divisors = provider.scaled_rows(nodes)
+        assert values.shape == (3, 16) and divisors.shape == (3,)
+        for node, row in zip(nodes, values / divisors[:, None]):
+            assert np.array_equal(_bits(provider.vector_for(node)), _bits(row))
+        assert np.array_equal(values[0], values[2]) and divisors[0] == divisors[2]
+
+    def test_no_nodes_give_empty_rows(self):
+        values, divisors = HashedBowProvider(16).scaled_rows([])
+        assert values.shape == (0, 16) and divisors.shape == (0,)
 
 
 _ID = st.text(st.characters(blacklist_categories=("C", "Z")), min_size=1, max_size=6)
@@ -179,7 +211,8 @@ class TestExternalEmbeddings:
         table = {"n1": np.array([1.0, -2.5]), "n2": np.array([0.25, 4.0])}
         save_external_embeddings(table, path)
         provider = load_external_embeddings(path)
-        assert provider.vectors([]).shape == (0, 2)
+        values, divisors = provider.scaled_rows([])
+        assert values.shape == (0, 2) and divisors.shape == (0,)
         for node_id, vector in table.items():
             got = provider.vector_for(CommentNode(node_id, None, "ignored"))
             assert np.array_equal(got, vector)
@@ -193,7 +226,8 @@ class TestExternalEmbeddings:
             provider = load_external_embeddings(path)
             oracle = parse_embeddings_oracle(path)
         nodes = [CommentNode(node_id, None, "") for node_id in table]
-        matrix = provider.vectors(nodes)
+        matrix, divisors = provider.scaled_rows(nodes)
+        assert matrix.dtype == np.float64 and divisors.tolist() == [1.0] * len(table)
         assert list(oracle) == list(table)
         assert np.array_equal(_bits(matrix), _bits(np.array(list(table.values()))))
         assert np.array_equal(_bits(matrix), _bits(np.array(list(oracle.values()))))
@@ -204,14 +238,15 @@ class TestExternalEmbeddings:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             provider = load_external_embeddings(path)
-        assert provider.vectors([]).shape == (0, dim)
+        values, divisors = provider.scaled_rows([])
+        assert values.shape == (0, dim) and divisors.shape == (0,)
         with pytest.raises(MissingEmbeddingError, match="'n1'"):
-            provider.vectors([CommentNode("n1", None, "x")])
+            provider.scaled_rows([CommentNode("n1", None, "x")])
 
     def test_header_declares_dimension(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("d=8\n" + "n1 " + " ".join(["0.0"] * 8) + "\n")
-        assert load_external_embeddings(path).vectors([]).shape == (0, 8)
+        assert load_external_embeddings(path).scaled_rows([])[0].shape == (0, 8)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -248,14 +283,14 @@ class TestExternalEmbeddings:
         path = tmp_path / "emb.txt"
         path.write_text("d=1\nn1 0.5\n")
         provider = load_external_embeddings(path)
-        with pytest.raises(MissingEmbeddingError):
+        with pytest.raises(MissingEmbeddingError, match="'absent'"):
             provider.vector_for(CommentNode("absent", None, "x"))
 
     def test_first_missing_node_in_node_order(self):
         provider = ExternalEmbeddingProvider({"n1": 0}, np.zeros((1, 2)))
         nodes = [CommentNode(node_id, None, "") for node_id in ("n1", "late", "early")]
         with pytest.raises(MissingEmbeddingError, match="'late'"):
-            provider.vectors(nodes)
+            provider.scaled_rows(nodes)
 
     @pytest.mark.parametrize(
         "rows, error, message",
@@ -502,6 +537,41 @@ class TestSidecarCache:
                 load_external_embeddings(path)
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_each_load_opens_the_table_once(self, tmp_path):
+        """A parse, a sidecar read and a failed parse each open the table's
+        path once: the first bad line is searched for in the open file."""
+        good, bad = _table(tmp_path / "emb.txt"), tmp_path / "bad.txt"
+        bad.write_text("d=2\nn1 0.0 1.0\nn2 0.0 oops\n")
+
+        def load_bad():
+            with pytest.raises(MalformedFileError, match=":3: non-numeric value"):
+                load_external_embeddings(bad)
+
+        with _parsed_only() as parse:
+            opens = [_opens_of(good, lambda: load_external_embeddings(good)) for _ in range(2)]
+            assert parse.call_count == 1
+        assert opens == [1, 1]
+        assert [_opens_of(bad, load_bad) for _ in range(2)] == [1, 1]
+
+    def test_fault_is_reported_in_the_bytes_parsed(self, tmp_path, monkeypatch):
+        """A table replaced while it is parsed is reported for the first bad
+        line of the bytes that were parsed, not of the new file."""
+        path = _write(tmp_path, "d=2\nn1 0.0 oops\n")
+        later = tmp_path / "later.txt"
+        later.write_text("d=2\nn1 0 0\nn2 1\n")
+        loadtxt = np.loadtxt
+
+        def replace_then_parse(*args, **kwargs):
+            if later.exists():
+                os.replace(later, path)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", replace_then_parse)
+        with pytest.raises(MalformedFileError) as excinfo:
+            load_external_embeddings(path)
+        assert not later.exists()
+        assert str(excinfo.value) == f"{path}:2: non-numeric value"
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_fifo_is_parsed_and_not_cached(self, tmp_path):
         table = _table(tmp_path / "source.txt").read_bytes()
@@ -515,3 +585,31 @@ class TestSidecarCache:
             writer.join()
             assert got[0] == want[0] and np.array_equal(got[1], want[1])
         assert not _sidecar(fifo).exists()
+
+
+class TestSaveExternalEmbeddings:
+    @pytest.mark.parametrize(
+        "table, error, message",
+        [
+            ({"a b": [1.0]}, MalformedFileError, "embedding id 'a b' is empty or holds whitespace"),
+            ({"n1": [1.0], "a\nb": [2.0]}, MalformedFileError,
+             "embedding id 'a\\nb' is empty or holds whitespace"),
+            ({"": [1.0]}, MalformedFileError, "embedding id '' is empty or holds whitespace"),
+            ({"n1": [1.0], "n2": [np.nan], "n3": [np.inf]}, MalformedFileError,
+             "non-finite value for embedding id 'n2'"),
+            ({"n1": [0.5, -np.inf]}, MalformedFileError, "non-finite value for embedding id 'n1'"),
+            ({"n1": [1.0], "x" * 50 + " y": [1.0], "c\td": [1.0]}, MalformedFileError,
+             f"embedding id '{'x' * 40}'... is empty or holds whitespace"),
+            ({}, DimensionMismatchError, "embedding dimension must be >= 1, got 0"),
+            ({"n1": []}, DimensionMismatchError, "embedding dimension must be >= 1, got 0"),
+        ],
+        ids=["id-with-space", "id-with-newline", "empty-id", "nan-value", "infinite-value",
+             "first-bad-id-cut", "empty-table", "zero-width-rows"],
+    )
+    def test_table_the_loader_refuses_is_not_written(self, tmp_path, table, error, message):
+        path = tmp_path / "emb.txt"
+        table = {node_id: np.array(row, dtype=np.float64) for node_id, row in table.items()}
+        with pytest.raises(error) as excinfo:
+            save_external_embeddings(table, path)
+        assert str(excinfo.value) == message
+        assert list(tmp_path.iterdir()) == []

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from conftest import hashed_bow_oracle, parse_embeddings_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadwalk.embeddings import (
     HashedBowProvider,
-    hashed_bow_matrix,
     load_external_embeddings,
     save_external_embeddings,
 )
@@ -405,16 +405,16 @@ class TestCorpusSide:
         "text, dtype", [("", np.int8), ("w " * 200, np.int16), ("w " * 40_000, np.int32)]
     )
     @pytest.mark.filterwarnings(r"ignore:1 comment\(s\) with empty text")
-    def test_hashed_rows_decode_to_the_matrix_bytes(self, text, dtype, normalize):
+    def test_hashed_rows_decode_to_the_oracle_bytes(self, text, dtype, normalize):
         """A side keeps its counts in the narrowest integer dtype, and each
-        row decodes to the hashed_bow_matrix row, bit for bit."""
+        row decodes to the token-at-a-time oracle's row, bit for bit."""
         texts = [text, "a b b c"]
         nodes = [CommentNode("n0", None, text, "hate"), CommentNode("n1", "n0", texts[1], "hate")]
         tree = build_tree(nodes, tree_id="t")
         side = CorpusSide([tree], HashedBowProvider(16, normalize), "hate")
         assert side.values.dtype == dtype
         rows = np.array([side.node_rows[0][node.id] for node in nodes])
-        want = hashed_bow_matrix(texts, 16, normalize)
+        want = np.array([hashed_bow_oracle(text, 16, normalize) for text in texts])
         assert side.embeddings(rows).tobytes() == want.tobytes()
 
     def test_hashed_storage_is_a_quarter_of_float64(self):
@@ -432,7 +432,9 @@ class TestCorpusSide:
         rows = [node_rows[node_id] for node_rows, node_id in zip(side.node_rows, side.node_ids)]
         nodes = [tree.node(node_id) for tree, node_id in zip(side.trees, side.node_ids)]
         assert side.values.dtype == np.float64 and np.all(side.divisors == 1.0)
-        assert side.embeddings(np.array(rows)).tobytes() == provider.vectors(nodes).tobytes()
+        table = parse_embeddings_oracle(tmp_path / "emb.txt")
+        want = np.array([table[node.id] for node in nodes])
+        assert side.embeddings(np.array(rows)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("task", ["hate", "polarity"])
     @pytest.mark.parametrize("embedding", ["hashed", "external"])

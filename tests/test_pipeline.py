@@ -82,6 +82,7 @@ VALIDATION_CASES = [
     ({"learning_rate": 0.0}, "learning_rate must be > 0 and finite, got 0.0"),
     ({"l2": -0.1}, "l2 must be >= 0 and finite, got -0.1"),
     ({"momentum": 1.0}, "momentum must be in [0, 1), got 1.0"),
+    ({"embedding": "external", "embedding_file": "/"}, "embedding file is a directory: /"),
 ]
 
 
