@@ -853,9 +853,9 @@ def test_piped_embedding_table_runs_like_its_file(corpus_path, tmp_path):
         done = _cli([*run, "--out", str(tmp_path / "out"), "--embedding-file", str(fifo)])
     assert done.returncode == 0, done.stderr
     assert os.listdir(tmp_path / "pipe") == ["emb.txt"]
-    model, metrics = ("model.txt", "metrics.json")
-    assert (tmp_path / "out" / model).read_bytes() == (tmp_path / "file" / model).read_bytes()
-    reports = [json.loads((tmp_path / out / metrics).read_text())["report"] for out in ("file", "out")]
+    piped, read = tmp_path / "out", tmp_path / "file"
+    assert (piped / "model.txt").read_bytes() == (read / "model.txt").read_bytes()
+    reports = [json.loads((out / "metrics.json").read_text())["report"] for out in (piped, read)]
     assert reports[0] == reports[1]
 
 

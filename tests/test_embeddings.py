@@ -43,6 +43,7 @@ def _count_opens(event: str, args: tuple) -> None:
             _OPENS[path] += 1
 
 
+# An audit hook cannot be removed: this one stays and counts nothing while _OPENS is empty.
 sys.addaudithook(_count_opens)
 
 
