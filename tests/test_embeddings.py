@@ -120,7 +120,7 @@ _TEXTS = st.lists(
 )
 
 
-class TestHashedBowScaledRows:
+class TestHashedBowMatrix:
     @settings(max_examples=150, deadline=None)
     @given(_TEXTS, st.integers(min_value=1, max_value=64), st.booleans())
     def test_equals_token_at_a_time_oracle(self, texts, d, normalize):
@@ -175,7 +175,7 @@ class TestHashedBowProvider:
         assert np.array_equal(first, second)  # the text alone decides the vector
         assert np.array_equal(first, hashed_bow_embed("hello hello", 32))
 
-    def test_scaled_rows_one_row_per_node(self):
+    def test_vectors_one_row_per_node(self):
         provider = HashedBowProvider(16)
         nodes = [CommentNode(f"n{i}", None, text) for i, text in enumerate(["a b", "", "a b"])]
         values, divisors = provider.scaled_rows(nodes)

@@ -405,9 +405,9 @@ class TestCorpusSide:
         "text, dtype", [("", np.int8), ("w " * 200, np.int16), ("w " * 40_000, np.int32)]
     )
     @pytest.mark.filterwarnings(r"ignore:1 comment\(s\) with empty text")
-    def test_hashed_rows_decode_to_the_oracle_bytes(self, text, dtype, normalize):
+    def test_hashed_rows_decode_to_the_matrix_bytes(self, text, dtype, normalize):
         """A side keeps its counts in the narrowest integer dtype, and each
-        row decodes to the token-at-a-time oracle's row, bit for bit."""
+        row decodes to the row of the oracle's matrix, bit for bit."""
         texts = [text, "a b b c"]
         nodes = [CommentNode("n0", None, text, "hate"), CommentNode("n1", "n0", texts[1], "hate")]
         tree = build_tree(nodes, tree_id="t")
