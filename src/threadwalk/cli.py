@@ -61,8 +61,7 @@ _FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():
-        # One line per warning, without the source file and line behind it,
-        # in one write so that the lines of grid-search workers stay whole.
+        # One line per warning, without the source file and line behind it.
         warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
         try:
             args = build_parser().parse_args(argv)
@@ -224,15 +223,6 @@ def _parse_list(text: str | None, extras: dict, key: str, cast: type, default: t
     return tuple(cast(v) for v in values)
 
 
-def _featurized(args: argparse.Namespace, split: bool) -> tuple[RunConfig, Examples]:
-    """Resolve the config, load the corpus and featurize the train side of its
-    split, or the whole corpus if not ``split``."""
-    config, _ = _resolve_config(args)
-    corpus = load_corpus(args.corpus)
-    sides = split_sides(corpus, config) if split else corpus_sides(config, corpus, corpus)
-    return config, featurize_split(sides[0], config)
-
-
 def _scored(args: argparse.Namespace) -> tuple[SoftmaxModel, Examples]:
     """The ``--model`` file and the test side it scores, featurized under the
     settings it records and ``--embedding-file``; ConfigError if it records
@@ -285,7 +275,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_featurize(args: argparse.Namespace) -> int:
-    config, examples = _featurized(args, split=False)
+    config, _ = _resolve_config(args)
+    corpus = load_corpus(args.corpus)
+    examples = featurize_split(corpus_sides(config, corpus, corpus)[0], config)
     write_lines(args.output, feature_dump_lines(examples))
     if args.traces:
         traces = zip(examples.trees, examples.walks)
@@ -297,7 +289,8 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     outdir = _outdir(args)
-    config, examples = _featurized(args, split=True)
+    config, _ = _resolve_config(args)
+    examples = featurize_split(split_sides(load_corpus(args.corpus), config)[0], config)
     (model,) = train(examples.labels, examples.X[None], [config])
     save_model(model, outdir / "model.txt")
     write_manifest(config, outdir / "manifest.json")

@@ -14,11 +14,12 @@ import json
 import os
 import secrets
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
-from .errors import MalformedFileError, ThreadwalkError, cut_path
+from .errors import MalformedFileError, ThreadwalkError, cut_path, quote, quote_list
 from .tree import CommentNode, DiscussionTree, build_tree, tree_stats
 
 # The exact JSON types of each id field: a bool is not an integer id.
@@ -40,7 +41,7 @@ JSON_DECODER = json.JSONDecoder(parse_int=parse_int)
 
 
 def load_corpus(path: str | Path) -> list[DiscussionTree]:
-    """Read a corpus file into a list of validated discussion trees."""
+    """Read a corpus file into validated trees; one warning names those with empty texts."""
     groups: dict[str, list[CommentNode]] = {}
     path, where = Path(path), cut_path(path)
     for lineno, line in enumerate(text_lines(path), start=1):
@@ -80,7 +81,11 @@ def load_corpus(path: str | Path) -> list[DiscussionTree]:
         try:
             trees.append(build_tree(records, tree_id=tid))
         except ThreadwalkError as exc:
-            raise type(exc)(f"{where}: tree {tid!r}: {exc}") from None
+            raise type(exc)(f"{where}: tree {quote(tid)}: {exc}") from None
+    empty = Counter(tid for tid, records in groups.items() for rec in records if not rec.text)
+    if empty:
+        message = f"{where}: {empty.total()} comment(s) with empty text kept, in tree(s) "
+        warnings.warn(message + quote_list(list(empty)), stacklevel=2)
     return trees
 
 

@@ -138,7 +138,7 @@ class ExternalEmbeddingProvider:
         try:
             rows = [self._rows[node.id] for node in nodes]
         except KeyError as exc:
-            raise MissingEmbeddingError(f"no embedding for node id {exc.args[0]!r}") from None
+            raise MissingEmbeddingError(f"no embedding for node id {quote(exc.args[0])}") from None
         return self._matrix[np.array(rows, dtype=np.intp)], np.ones(len(nodes))
 
     def vector_for(self, node: CommentNode) -> np.ndarray:
@@ -353,7 +353,7 @@ def _raise_first_fault(path: Path, source: BinaryIO, dim: int) -> NoReturn:
             continue
         node_id, values = parts[0], parts[1:]
         if node_id in seen:
-            raise MalformedFileError(f"{where}:{lineno}: duplicate id {node_id!r}")
+            raise MalformedFileError(f"{where}:{lineno}: duplicate id {quote(node_id)}")
         seen.add(node_id)
         count = len(values[0].split()) if values else 0
         if count != dim:

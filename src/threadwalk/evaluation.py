@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -123,11 +122,6 @@ def _report_from_confusion(names: tuple[str, ...], confusion: np.ndarray) -> Eva
     f1 = np.divide(2 * precision * recall, pr_sum, out=np.zeros_like(diag), where=pr_sum > 0)
 
     zero_support = tuple(names[i] for i in range(len(names)) if row_sums[i] == 0)
-    if zero_support:
-        warnings.warn(
-            f"classes with no test support score f1 = 0: {list(zero_support)}",
-            stacklevel=3,
-        )
 
     pos = _positive_label(names) if len(names) == 2 else None
     pos_idx = names.index(pos) if pos is not None else None

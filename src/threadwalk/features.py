@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingProvider
-from .errors import DimensionMismatchError, MissingLabelError, NegativeWeightError
+from .errors import DimensionMismatchError, MissingLabelError, NegativeWeightError, quote
 from .tree import CommentNode, DiscussionTree
 from .walks import WalkSample, sample_walk, walk_rng, walk_weights
 
@@ -277,10 +277,10 @@ def _check_task(task: str) -> None:
 def _check_label(label: str | None, node_id: str, tree_id: str, task: str) -> None:
     if label is None:
         raise MissingLabelError(
-            f"node {node_id!r} in tree {tree_id!r} has no label for task {task!r}"
+            f"node {quote(node_id)} in tree {quote(tree_id)} has no label for task {quote(task)}"
         )
     if label not in TASK_LABELS[task]:
         raise MissingLabelError(
-            f"node {node_id!r} in tree {tree_id!r} has label {label!r}, "
+            f"node {quote(node_id)} in tree {quote(tree_id)} has label {quote(label)}, "
             f"not a {task} label {TASK_LABELS[task]}"
         )

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
@@ -45,6 +46,7 @@ from .features import (
     ConcatScheme,
     CorpusSide,
     Examples,
+    TASK_LABELS,
     TASKS,
     feature_width,
     featurize_split,
@@ -204,8 +206,8 @@ def corpus_sides(
             for node_id in tree.node_ids():
                 if tree_of.setdefault(node_id, tree.tree_id) != tree.tree_id:
                     raise ConfigError(
-                        f"node id {node_id!r} appears in trees {tree_of[node_id]!r} and "
-                        f"{tree.tree_id!r}; external embeddings need corpus-unique ids"
+                        f"node id {quote(node_id)} appears in trees {quote(tree_of[node_id])} "
+                        f"and {quote(tree.tree_id)}; external embeddings need corpus-unique ids"
                     )
     provider = config.build_provider()
     return [CorpusSide(part, provider, config.task) for part in parts]
@@ -213,14 +215,17 @@ def corpus_sides(
 
 def split_sides(trees: Sequence[DiscussionTree], config: RunConfig) -> list[CorpusSide]:
     """Validate ``config`` and build the train and test sides of its split;
-    EmptyEvalSetError before any featurization if the test side has no PoIs."""
+    EmptyEvalSetError before any featurization if the test side has no PoIs,
+    and one warning if it lacks a label, which every report then flags."""
     config.validate()
     train_trees, test_trees = split_trees(trees, config.split_fraction, config.seed)
     train_side, test_side = corpus_sides(config, trees, train_trees, test_trees)
+    where = f"the test side of the {config.task} split at seed {config.seed}"
     if not test_side.labels:
-        raise EmptyEvalSetError(
-            f"the test side of the {config.task} split at seed {config.seed} has no PoIs"
-        )
+        raise EmptyEvalSetError(f"{where} has no PoIs")
+    missing = sorted(set(TASK_LABELS[config.task]) - set(test_side.labels))
+    if missing:
+        warnings.warn(f"{where} lacks classes {quote_list(missing)}; they score f1 = 0")
     return [train_side, test_side]
 
 

@@ -35,11 +35,14 @@ _ANCESTOR_DISTANCE = {HATE_TASK: 1, POLARITY_TASK: 2}
 # The most comments a spec may expect (num_trees * mean_tree_size), and the
 # largest mean tree. Generating takes about 50 us and 0.6 KB per comment of
 # small trees (2-core VM, Python 3.11), so 10**6 comments take about a
-# minute and 600 MB. Preferential attachment is quadratic in one tree's
-# size: a 10,000-node tree takes about 3 s, so a 10**5-node one would take
-# about 5 minutes.
+# minute and 600 MB.
 MAX_EXPECTED_NODES = 10**6
 MAX_MEAN_TREE_SIZE = 10**4
+# The largest tree; each size draw is taken, then clamped to it. Preferential
+# attachment is quadratic in a tree's size: a shape took 2.8 s at 10,000 nodes
+# and 10.5 s at this cap (same VM), while at the largest mean and spread one
+# draw in sixty passes 10**5 nodes, which by that growth would take 4 minutes.
+MAX_TREE_SIZE = 20_000
 # The largest attachment smoothing weight. Picking a reply target divides by
 # the sum of one weight of about ``branching`` per node, which stays finite
 # at this limit for any tree below 10**8 nodes.
@@ -200,7 +203,7 @@ def _draw_size(spec: CorpusSpec, rng: np.random.Generator) -> int:
         return max(1, int(round(spec.mean_tree_size)))
     sigma = spec.size_dispersion
     mu = float(np.log(spec.mean_tree_size)) - 0.5 * sigma * sigma
-    return max(1, int(rng.lognormal(mu, sigma) + 0.5))
+    return min(MAX_TREE_SIZE, max(1, int(rng.lognormal(mu, sigma) + 0.5)))
 
 
 def _tree_shape(size: int, branching: float, rng: np.random.Generator) -> list[int | None]:

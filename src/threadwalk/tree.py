@@ -8,7 +8,6 @@ from multiple workers is safe.
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -20,6 +19,7 @@ from .errors import (
     MultipleRootsError,
     NoRootError,
     UnknownIdError,
+    quote,
     quote_list,
 )
 
@@ -112,16 +112,16 @@ def build_tree(records: Sequence[CommentNode], tree_id: str = "") -> DiscussionT
         if not rec.id:
             raise ValueError("comment ids must be non-empty")
         if rec.id in nodes:
-            raise DuplicateIdError(f"duplicate comment id {rec.id!r}")
+            raise DuplicateIdError(f"duplicate comment id {quote(rec.id)}")
         if rec.parent_id == rec.id:
-            raise CycleDetectedError(f"comment {rec.id!r} replies to itself")
+            raise CycleDetectedError(f"comment {quote(rec.id)} replies to itself")
         nodes[rec.id] = rec
 
     roots = [r.id for r in records if r.parent_id is None]
     for rec in records:
         if rec.parent_id is not None and rec.parent_id not in nodes:
             raise DanglingParentError(
-                f"comment {rec.id!r} replies to unknown id {rec.parent_id!r}"
+                f"comment {quote(rec.id)} replies to unknown id {quote(rec.parent_id)}"
             )
 
     _check_acyclic(nodes)
@@ -133,13 +133,6 @@ def build_tree(records: Sequence[CommentNode], tree_id: str = "") -> DiscussionT
     for rec in records:
         if rec.parent_id is not None:
             children.setdefault(rec.parent_id, []).append(rec.id)
-
-    empty = sum(1 for rec in records if not rec.text)
-    if empty:
-        warnings.warn(
-            f"{empty} comment(s) with empty text kept in tree {tree_id or roots[0]!r}",
-            stacklevel=2,
-        )
 
     index = {pid: tuple(kids) for pid, kids in children.items()}
     return DiscussionTree(nodes, roots[0], index, tree_id=tree_id)
@@ -155,7 +148,7 @@ def _check_acyclic(nodes: dict[str, CommentNode]) -> None:
         cur: str | None = start
         while cur is not None and cur not in done:
             if cur in on_chain:
-                raise CycleDetectedError(f"reply cycle through {cur!r}")
+                raise CycleDetectedError(f"reply cycle through {quote(cur)}")
             chain.append(cur)
             on_chain.add(cur)
             cur = nodes[cur].parent_id

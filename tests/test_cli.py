@@ -507,7 +507,49 @@ def test_library_warnings_print_one_line_each(corpus_path, tmp_path, capsys, com
         argv = ["run", "--corpus", str(corpus_path), "--out", str(tmp_path / "out"), *_RUN_HATE]
     assert main(argv) == 0
     lines = capsys.readouterr().err.splitlines()
-    assert lines == ["warning: 1 comment(s) with empty text kept in tree 'quiet'"]
+    assert lines == [
+        f"warning: {corpus_path}: 1 comment(s) with empty text kept, in tree(s) ['quiet']"
+    ]
+
+
+@pytest.mark.parametrize("last", ["t4", "t" * 3_000], ids=["short-ids", "long-id"])
+def test_empty_texts_warn_once_per_file(tmp_path, capsys, last):
+    """Five trees that each keep an empty comment give one short line."""
+    path = tmp_path / "corpus.jsonl"
+    tree_ids = ["t0", "t1", "t2", "t3", last]
+    rows = [{"tree_id": tid, "id": "r", "parent_id": None, "text": ""} for tid in tree_ids]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert main(["validate", str(path)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and len(lines[0].encode()) < 300, lines
+    trees = "['t0', 't1', 't2', 't3', " + ("'t4']" if last == "t4" else f"'{'t' * 40}'...]")
+    assert lines[0] == f"warning: {path}: 5 comment(s) with empty text kept, in tree(s) {trees}"
+
+
+_GRID_4_SEEDS = ["grid-search", "--p-values", "0,1", "--gamma-values", "0.5", "--seeds", "0,1,2,3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*_GRID_4_SEEDS, "--jobs", "1"], [*_GRID_4_SEEDS, "--jobs", "2"], ["run"]],
+    ids=["grid-jobs-1", "grid-jobs-2", "run"],
+)
+def test_missing_class_warns_once_per_command(tmp_path, argv):
+    """A split whose test side lacks a class gives one line that names the
+    split seed, however many replicates and workers score it."""
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+    spec = ["--num-trees", "6", "--mean-tree-size", "3", "--positive-fraction", "0.1"]
+    assert main(["generate", "--output", str(corpus), "--task", "hate", *spec, "--seed", "0"]) == 0
+    common = ["--corpus", str(corpus), "--out", str(out), "--task", "hate", "--epochs", "2"]
+    done = _cli([*argv, *common])
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines() == [
+        "warning: the test side of the hate split at seed 0 lacks classes ['non-hate']; "
+        "they score f1 = 0"
+    ]
+    if argv == ["run"]:
+        report = json.loads((out / "metrics.json").read_text())["report"]
+        assert report["zero_support_classes"] == ["non-hate"]
 
 
 def test_env_var_sets_default_outdir(corpus_path, tmp_path, monkeypatch):
@@ -961,8 +1003,8 @@ def test_long_value_gives_a_short_error(corpus_path, tmp_path, capsys, argv, con
 
 def _naming_command(tmp_path, corpus_path, target, names):
     """A command whose error line names ``names``: the unknown keys of a
-    config or manifest file, the embedding file ``names[0]``, or the roots
-    of one tree."""
+    config or manifest file, the embedding file ``names[0]``, the roots
+    of one tree, the ids of a tree named ``names[0]``, or the label ``names[0]``."""
     path = tmp_path / "input"
     run = ["run", "--corpus", str(corpus_path), "--out", str(tmp_path / "out"), *_RUN_HATE]
     if target == "config-keys":
@@ -973,7 +1015,13 @@ def _naming_command(tmp_path, corpus_path, target, names):
         return run + ["--config", str(path)]
     if target == "embedding-file":
         return run + ["--embedding", "external", "--embedding-file", str(tmp_path / names[0])]
-    rows = [{"tree_id": "t", "id": name, "parent_id": None, "text": "x"} for name in names]
+    if target == "label":
+        row = {"tree_id": "odd", "id": "o0", "parent_id": None, "text": "x", "label": names[0]}
+        with corpus_path.open("a") as handle:
+            handle.write(json.dumps(row) + "\n")
+        return run
+    tree_id = names[0] if target == "duplicate-ids" else "t"
+    rows = [{"tree_id": tree_id, "id": name, "parent_id": None, "text": "x"} for name in names]
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     return ["validate", str(path)]
 
@@ -987,12 +1035,17 @@ def _naming_command(tmp_path, corpus_path, target, names):
         ("embedding-file", ["e" * 3_000], "embedding file not found: "),
         ("tree-roots", [f"r{i}" for i in range(3_000)], "records: ['r0', 'r1', 'r2', 'r3', 'r4'] "),
         ("tree-roots", ["a" * 5_000, "b" * 5_000], "multiple parentless records: ['aaa"),
+        ("duplicate-ids", ["d" * 3_000] * 2, "'...: duplicate comment id 'ddd"),
+        ("label", ["l" * 3_000], "has label 'lll"),
     ],
-    ids=["long-key", "many-keys", "long-manifest-key", "long-path", "many-roots", "long-roots"],
+    ids=[
+        "long-key", "many-keys", "long-manifest-key", "long-path", "many-roots", "long-roots",
+        "long-duplicate-id", "long-label",
+    ],
 )
 def test_long_list_or_path_gives_a_short_error(corpus_path, tmp_path, capsys, target, names, start):
     """An error line shows at most five of the keys or ids it lists, each
-    cut, and cuts the path it names."""
+    cut, and cuts the path, id or label it names."""
     assert main(_naming_command(tmp_path, corpus_path, target, names)) == 2
     line = _single_error_line(capsys)
     assert len(line.encode()) < 300 and start in line, line

@@ -103,8 +103,7 @@ class TestReportFromPairs:
         )
 
     def test_zero_support_class_flagged(self):
-        with pytest.warns(UserWarning, match="no test support"):
-            report = report_from_pairs(["a", "a"], ["a", "b"], class_names=("a", "b"))
+        report = report_from_pairs(["a", "a"], ["a", "b"], class_names=("a", "b"))
         assert report.zero_support_classes == ("b",)
         assert report.f1_per_class[1] == 0.0
 
@@ -274,6 +273,5 @@ class TestErrorAnalysis:
         classes = ["a", "b", "c"]
         tree = build_tree([CommentNode("r", None, "x", label="a")], tree_id="t")
         examples = make_examples([np.eye(3)[0]], ["a"], node_ids=["r"], tree=tree)
-        with pytest.warns(UserWarning, match="no test support"):
-            with pytest.raises(NotBinaryTaskError):
-                error_analysis(_identity_model(classes), examples)
+        with pytest.raises(NotBinaryTaskError):
+            error_analysis(_identity_model(classes), examples)

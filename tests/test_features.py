@@ -404,7 +404,6 @@ class TestCorpusSide:
     @pytest.mark.parametrize(
         "text, dtype", [("", np.int8), ("w " * 200, np.int16), ("w " * 40_000, np.int32)]
     )
-    @pytest.mark.filterwarnings(r"ignore:1 comment\(s\) with empty text")
     def test_hashed_rows_decode_to_the_matrix_bytes(self, text, dtype, normalize):
         """A side keeps its counts in the narrowest integer dtype, and each
         row decodes to the row of the oracle's matrix, bit for bit."""

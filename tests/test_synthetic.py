@@ -2,6 +2,7 @@
 
 import pytest
 
+from threadwalk import synthetic
 from threadwalk.corpus import save_corpus
 from threadwalk.errors import InvalidSpecError
 from threadwalk.evaluation import evaluate, report_from_pairs, split_trees
@@ -138,6 +139,17 @@ class TestDeterminism:
         save_corpus(generate(CorpusSpec(num_trees=40, seed=9)).trees, one)
         save_corpus(generate(CorpusSpec(num_trees=40, seed=10)).trees, two)
         assert one.read_bytes() != two.read_bytes()
+
+    def test_tree_size_is_capped(self, monkeypatch):
+        """Each size draw is clamped to MAX_TREE_SIZE but still taken, so the
+        trees before the first clamped one are those of an unclamped run."""
+        spec = CorpusSpec(num_trees=40, mean_tree_size=12.0, size_dispersion=1.5, seed=0)
+        free = [(tree.tree_id, list(tree)) for tree in generate(spec).trees]
+        monkeypatch.setattr(synthetic, "MAX_TREE_SIZE", 20)
+        capped = [(tree.tree_id, list(tree)) for tree in generate(spec).trees]
+        assert max(len(nodes) for _, nodes in capped) == 20
+        first = next(i for i, (_, nodes) in enumerate(free) if len(nodes) > 20)
+        assert first > 0 and capped[:first] == free[:first]
 
 
 class TestPlantedSignals:

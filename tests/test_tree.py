@@ -1,5 +1,7 @@
 """Discussion tree construction, traversal and per-tree stats."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,8 +66,11 @@ class TestBuildTree:
             build_tree([CommentNode("", None, "a")])
 
     def test_empty_text_warns(self):
+        """An empty comment is kept without a warning: load_corpus warns
+        once per file instead."""
         records = [CommentNode("r", None, ""), CommentNode("s", "r", "ok")]
-        with pytest.warns(UserWarning, match="empty text"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             tree = build_tree(records)
         assert len(tree) == 2
 
