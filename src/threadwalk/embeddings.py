@@ -16,6 +16,7 @@ import os
 import re
 import stat
 import zlib
+from array import array
 from pathlib import Path
 from typing import BinaryIO, Iterator, NoReturn, Protocol, Sequence
 
@@ -33,6 +34,8 @@ from .tree import CommentNode
 
 DEFAULT_BOW_DIM = 256
 _BLOCK_CELLS = 1 << 20  # float64 counts held at once by hashed_bow_rows: 8 MiB
+# Tokens counted at once: their codes, buckets and signed weights take 8 MiB.
+_BLOCK_TOKENS = _BLOCK_CELLS // 4
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -58,36 +61,44 @@ def hashed_bow_rows(
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     codes: dict[str, int] = {}  # token -> 2 * bucket, plus 1 if its sign is negative
+    step = max(1, _BLOCK_CELLS // d)
 
-    def token_codes(block: Sequence[str]) -> Iterator[int]:
-        for row, text in enumerate(block):
-            for token in tokenize(text):
+    def blocks() -> Iterator[tuple[int, int, array]]:
+        """Each block's rows and their tokens' codes ``2 * (row * d + bucket)
+        + sign``: at most ``step`` rows and, unless one text alone has more,
+        _BLOCK_TOKENS tokens."""
+        start, flat = 0, array("q")
+        for row, text in enumerate(texts):
+            tokens = tokenize(text)
+            if row - start == step or (flat and len(flat) + len(tokens) > _BLOCK_TOKENS):
+                yield start, row, flat
+                start, flat = row, array("q")
+            for token in tokens:
                 code = codes.get(token)
                 if code is None:
                     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
                     h = int.from_bytes(digest, "little")
                     code = codes[token] = 2 * (h % d) + (h >> 63)
-                yield 2 * d * row + code
+                flat.append(2 * d * (row - start) + code)
+        yield start, len(texts), flat
 
     # Rows are counted a block at a time, so the float64 counts take at
     # most _BLOCK_CELLS cells; the result widens when a block needs it.
     values = np.empty((len(texts), d), dtype=np.int8)
     divisors = np.empty(len(texts))
     low = high = 0.0
-    step = max(1, _BLOCK_CELLS // d)
-    for start in range(0, len(texts), step):
-        block = texts[start : start + step]
-        flat = np.fromiter(token_codes(block), dtype=np.int64)  # 2 * (row * d + bucket) + sign
+    for start, stop, block in blocks():
+        flat = np.frombuffer(block, dtype=np.int64)
         # bincount of no tokens returns int64 zeros, hence the cast
-        counts = np.bincount(flat >> 1, weights=1.0 - 2.0 * (flat & 1), minlength=len(block) * d)
-        counts = counts.astype(np.float64, copy=False).reshape(len(block), d)
+        counts = np.bincount(flat >> 1, weights=1.0 - 2.0 * (flat & 1), minlength=(stop - start) * d)
+        counts = counts.astype(np.float64, copy=False).reshape(stop - start, d)
         norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
-        divisors[start : start + len(block)] = np.where(normalize & (norms > 0.0), norms, 1.0)
+        divisors[start:stop] = np.where(normalize & (norms > 0.0), norms, 1.0)
         low, high = min(low, counts.min(initial=0.0)), max(high, counts.max(initial=0.0))
         limits = map(np.iinfo, (np.int8, np.int16, np.int32, np.int64))
         dtype = next(t.dtype for t in limits if t.min <= low and high <= t.max)
         values = values.astype(dtype, copy=False)
-        values[start : start + len(block)] = counts
+        values[start:stop] = counts
     return values, divisors
 
 

@@ -27,7 +27,8 @@ import numpy as np
 from .embeddings import EmbeddingProvider
 from .errors import DimensionMismatchError, MissingLabelError, NegativeWeightError, quote
 from .tree import CommentNode, DiscussionTree
-from .walks import WalkSample, sample_walk, walk_rng, walk_weights
+from .seeding import _pcg64_doubles, _pcg64_states
+from .walks import WalkSample, sample_walk, walk_rng, walk_seed, walk_weights
 
 if TYPE_CHECKING:
     from .pipeline import RunConfig
@@ -157,6 +158,34 @@ def labeled_pois(
             yield tree, node
 
 
+# Doubles drawn side-wide for each PoI's walk, and PoIs per batch of streams.
+# Walks need few draws: at the default p, 5.6 on average on an 8,000-node
+# hate corpus (5 % need more than 12, the most was 40) and 3.6 on a
+# polarity one.
+_DRAWS = 12
+_STREAMS = 1024
+
+
+class _WalkStream:
+    """The :func:`walk_rng` stream of one PoI: its first draws, drawn
+    side-wide, and past them its Generator advanced by as many."""
+
+    __slots__ = ("_draws", "_key")
+
+    def __init__(self, draws: np.ndarray, seed: int, tree: DiscussionTree, node_id: str) -> None:
+        self._draws = iter(draws.tolist())
+        self._key = (seed, tree.tree_id, node_id)
+
+    def random(self) -> float:
+        draw = next(self._draws, None)
+        if draw is None:
+            rng = walk_rng(*self._key)
+            rng.bit_generator.advance(_DRAWS)
+            self._draws = iter(rng.random, None)  # rng.random never returns None
+            draw = next(self._draws)
+        return draw
+
+
 class CorpusSide:
     """One side of a tree split under a task, built once and featurized
     under any number of settings.
@@ -198,20 +227,26 @@ class CorpusSide:
         collected node, shape ``(n, K)`` with ``K`` the longest walk
         collected (not ``L``); and each walk's length.
 
-        Each PoI walks on its own derived stream, so a memoized walk is the
-        walk that sampling again would give.
+        Each PoI walks on its own :func:`walk_rng` stream, so a memoized walk
+        is the walk that sampling again would give. The first draws of a
+        block of streams are drawn at once, without a Generator per PoI.
         """
         key = (config.p, config.walk_length, config.resolved_step_cap, config.seed)
         if self._memo is None or self._memo[0] != key:
-            samples = tuple(
-                sample_walk(tree, node_id, config, walk_rng(config.seed, tree.tree_id, node_id))
-                for tree, node_id in zip(self.trees, self.node_ids)
-            )
+            samples: list[WalkSample] = []
+            for lo in range(0, len(self.node_ids), _STREAMS):
+                pois = list(zip(self.trees[lo : lo + _STREAMS], self.node_ids[lo : lo + _STREAMS]))
+                seeds = (walk_seed(config.seed, tree.tree_id, node_id) for tree, node_id in pois)
+                states = _pcg64_states(np.fromiter(seeds, dtype=np.uint64, count=len(pois)))
+                samples.extend(
+                    sample_walk(tree, node_id, config, _WalkStream(draws, config.seed, tree, node_id))
+                    for (tree, node_id), draws in zip(pois, _pcg64_doubles(states, _DRAWS))
+                )
             lengths = np.array([len(s.node_ids) for s in samples], dtype=np.intp)
             rows = np.zeros((len(samples), lengths.max(initial=1)), dtype=np.intp)
             for i, (sample, node_rows) in enumerate(zip(samples, self.node_rows)):
                 rows[i, : lengths[i]] = [node_rows[node_id] for node_id in sample.node_ids]
-            self._memo = (key, samples, rows, lengths)
+            self._memo = (key, tuple(samples), rows, lengths)
         _, samples, rows, lengths = self._memo
         return samples, rows, lengths
 
@@ -255,7 +290,8 @@ def featurize_split(side: CorpusSide, config: RunConfig, out: np.ndarray | None 
         block_rows, block_lengths = rows[start : start + _BLOCK], lengths[start : start + _BLOCK]
         u = side.embeddings(block_rows[:, 0])
         v = np.zeros_like(u)
-        for k in np.unique(block_lengths[block_lengths > 1] - 1):  # context length
+        # context lengths in ascending order; np.unique would import numpy.ma
+        for k in np.flatnonzero(np.bincount(block_lengths)[2:]) + 1:
             walks_k = np.flatnonzero(block_lengths == k + 1)
             step = max(1, _BLOCK // k)
             for part in (walks_k[i : i + step] for i in range(0, len(walks_k), step)):

@@ -24,7 +24,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommentNode:
     """One comment record: an id, an optional parent and a task label.
 

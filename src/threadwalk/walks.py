@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import UnknownIdError
-from .seeding import derived_rng
+from .seeding import stable_seed
 from .tree import DiscussionTree
 
 if TYPE_CHECKING:
@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 DEFAULT_WALK_LENGTH = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalkSample:
     """Ordered distinct nodes collected by one walk.
 
@@ -80,8 +80,9 @@ def sample_walk(
     Each step draws ``r = rng.random()`` and takes the first option, the
     parent and then the children in order, whose running sum of
     probabilities exceeds ``r``, or the last option if rounding leaves ``r``
-    above every sum. With ``p == 1`` the output is seed independent: the
-    ancestor chain of ``start``, truncated to ``L``.
+    above every sum; ``rng`` is a Generator or anything whose ``random()``
+    gives a Generator's draws. With ``p == 1`` the output is seed
+    independent: the ancestor chain of ``start``, truncated to ``L``.
     """
     if start not in tree:
         raise UnknownIdError(start)
@@ -120,7 +121,12 @@ def sample_walk(
     return WalkSample(tuple(collected), tuple(raw))
 
 
+def walk_seed(seed: int, tree_id: str, node_id: str) -> int:
+    """The seed of a node's walk stream, independent of featurization order."""
+    return stable_seed(seed, "walk", tree_id, node_id)
+
+
 def walk_rng(seed: int, tree_id: str, node_id: str) -> np.random.Generator:
-    """Per-node walk stream, independent of featurization order."""
-    return derived_rng(seed, "walk", tree_id, node_id)
+    """Per-node walk stream: ``np.random.default_rng(walk_seed(...))``."""
+    return np.random.default_rng(walk_seed(seed, tree_id, node_id))
 

@@ -616,6 +616,30 @@ def test_import_leaves_out_the_process_pool():
     assert done.stdout == "False\n"
 
 
+def test_featurizing_commands_leave_out_numpy_ma(corpus_path, tmp_path):
+    """numpy.ma costs a command about 1.25 MB and 15 ms to import, and
+    neither run nor ablate-concat needs it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    flags = ["--corpus", str(corpus_path), "--task", "hate", *_fast_flags()]
+    commands = [
+        ["run", "--out", str(tmp_path / "run"), *flags],
+        ["ablate-concat", "--seeds", "0,1", "--out", str(tmp_path / "ablate"), *flags],
+    ]
+    check = (
+        "import sys, threadwalk.cli as cli; "
+        f"print([cli.main(argv) for argv in {commands!r}], 'numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", check],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert done.stdout.splitlines()[-1] == "[0, 0] False"
+
+
 def test_missing_corpus_exits_2(tmp_path):
     code = main(["validate", str(tmp_path / "absent.jsonl")])
     assert code == 2

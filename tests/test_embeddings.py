@@ -165,6 +165,22 @@ class TestHashedBowRows:
         assert values.dtype == np.int8 and values.nbytes == 2000 * 16_384
         assert peak < 2 * values.nbytes
 
+    def test_token_arrays_are_bounded(self):
+        """2,000 texts of 400 tokens at d = 256 fit one block of rows, but
+        their 800,000 tokens are counted in blocks of _BLOCK_TOKENS: the
+        call's traced peak above its result stays under the float64 counts
+        of one block (at most 8 MiB) plus 8 MiB for its tokens (about 26 MB
+        when the tokens of a block of rows were counted at once)."""
+        texts = [" ".join(f"w{(7 * i + 13 * j) % 1009}" for j in range(400)) for i in range(2000)]
+        tracemalloc.start()
+        try:
+            values, divisors = hashed_bow_rows(texts, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.dtype == np.int8 and values.shape == (2000, 256)
+        assert peak - values.nbytes - divisors.nbytes < 16 * 2**20
+
 
 class TestHashedBowProvider:
     def test_dimension_constant_and_vector_by_text(self):

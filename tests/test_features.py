@@ -515,6 +515,7 @@ class TestCorpusSide:
     def test_blocks_cover_every_row(self, monkeypatch, tmp_path):
         trees, provider = _side_corpus("hate", "external", tmp_path)
         monkeypatch.setattr(features, "_BLOCK", 3)
+        monkeypatch.setattr(features, "_STREAMS", 2)
         side = CorpusSide(trees, provider, "hate")
         config = RunConfig(
             task="hate", p=0.5, gamma=0.7, walk_length=7, seed=3, aggregation="average",
@@ -523,3 +524,19 @@ class TestCorpusSide:
         got = featurize_split(side, config)
         want = per_row_features(trees, provider, config)
         assert got.X.tobytes() == want.tobytes()
+
+
+def test_walk_past_the_side_wide_draws_continues_its_stream():
+    """At p = 0 the walk from "a" bounces between its two leaves until the
+    step cap, three times past the draws taken side-wide; every return to
+    "a" reads a draw, so each walk is its own stream's to the end."""
+    nodes = [CommentNode("r", None, "r", "hate")]
+    nodes += [CommentNode(n, parent, n, "hate") for n, parent in (("a", "r"), ("b", "a"), ("c", "a"))]
+    tree = build_tree(nodes, tree_id="t")
+    side = CorpusSide([tree], HashedBowProvider(8), "hate")
+    for seed in range(4):
+        config = RunConfig(task="hate", p=0.0, step_cap=3 * features._DRAWS + 1, seed=seed)
+        samples, _, _ = side.walks(config)
+        want = [sample_walk(tree, n, config, walk_rng(seed, "t", n)) for n in side.node_ids]
+        assert list(samples) == want
+        assert len(samples[side.node_ids.index("a")].raw_steps) == config.step_cap

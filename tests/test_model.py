@@ -1,5 +1,10 @@
 """Softmax classifier: gradients, determinism, persistence, baseline."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +113,57 @@ class TestStackedLossAndGradient:
         assert gradient_only[0] is None
         assert gradient_only[1].tobytes() == grad_w.tobytes()
         assert gradient_only[2].tobytes() == grad_b.tobytes()
+
+
+# Run in a child process: the digest of what training and scoring compute
+# with BLAS products, at the sizes they compute it (a loss pass over every
+# row, 32-row gradient steps, probabilities for a whole side).
+BLAS_DIGEST = """
+import hashlib
+import numpy as np
+from threadwalk.model import SoftmaxModel, loss_and_gradient, predict_proba
+
+rng = np.random.default_rng(7)
+digest = hashlib.sha256()
+for n, D in [(6580, 768), (2000, 1536), (4385, 64)]:
+    W, b = rng.normal(size=(2, D)) * 0.1, rng.normal(size=2)
+    X, y, sw = rng.normal(size=(n, D)), rng.integers(0, 2, n), rng.uniform(0.5, 2.0, n)
+    digest.update(np.float64(loss_and_gradient(W, b, X, y, 0.01, sw, compute="loss")[0]))
+    digest.update(predict_proba(SoftmaxModel(W, b, ("a", "b")), X))
+for K, n, D in [(1, 32, 768), (3, 32, 768), (3, 17, 1536)]:
+    W, b = rng.normal(size=(K, 2, D)) * 0.1, rng.normal(size=(K, 2))
+    X, y, sw = rng.normal(size=(K, n, D)), rng.integers(0, 2, n), rng.uniform(0.5, 2.0, n)
+    for part in loss_and_gradient(W, b, X, y, 0.01, sw, compute="gradient")[1:]:
+        digest.update(part)
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("core", [None, "Haswell", "Sandybridge"])
+def test_bytes_do_not_depend_on_the_blas_thread_count(core):
+    """One BLAS thread against the default number, under three OpenBLAS
+    cores, each set for the child process only. ``W @ X.T`` would fail this
+    under Haswell on two threads from about 700 rows of 768 columns; ``X @ W.T``
+    gives the same bytes on either."""
+    env = {
+        name: v for name, v in os.environ.items()
+        if name not in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", BLAS_DIGEST],
+            env={**env, **threads},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        ).stdout
+        for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"})
+    ]
+    assert digests[0] == digests[1]
 
 
 class TestLockstepTrain:

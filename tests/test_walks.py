@@ -5,6 +5,7 @@ The transition law is checked on the listed distribution of
 step to ``conftest.oracle_walk``, which draws from that list."""
 
 import json
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -301,3 +302,13 @@ def test_trace_line_round_trip(forked_tree):
     assert record["node_ids"] == ["a4", "a2", "a1", "a0"]
     assert record["raw_steps"] == list(sample.raw_steps)
     assert record["weights"] == [1.0, 0.5, 0.25, 0.125]
+
+
+@pytest.mark.parametrize(
+    "record", [CommentNode("a", "r", "text", "hate"), WalkSample(("a", "r"), ("r",))]
+)
+def test_records_are_slotted_and_survive_pickling(record):
+    """One record per comment and per walk, each without a ``__dict__``;
+    ``grid-search --jobs`` pickles both into its workers."""
+    assert not hasattr(record, "__dict__")
+    assert pickle.loads(pickle.dumps(record)) == record
