@@ -65,7 +65,13 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
         try:
             args = build_parser().parse_args(argv)
-            return args.func(args)
+            status = args.func(args)
+            sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+            return status
+        except BrokenPipeError:
+            # The reader left (``| head``): the flush at exit goes to /dev/null.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         except (InputError, OSError) as exc:
             if isinstance(exc, OSError) and isinstance(exc.filename, str):
                 exc.filename = cut_path(exc.filename)  # the OS message echoes it

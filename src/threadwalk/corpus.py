@@ -43,6 +43,7 @@ JSON_DECODER = json.JSONDecoder(parse_int=parse_int)
 def load_corpus(path: str | Path) -> list[DiscussionTree]:
     """Read a corpus file into validated trees; one warning names those with empty texts."""
     groups: dict[str, list[CommentNode]] = {}
+    empty: Counter[str] = Counter()  # comments with empty text, by tree
     path, where = Path(path), cut_path(path)
     for lineno, line in enumerate(text_lines(path), start=1):
         line = line.strip()
@@ -54,46 +55,45 @@ def load_corpus(path: str | Path) -> list[DiscussionTree]:
             raise MalformedFileError(f"{where}:{lineno}: invalid JSON ({exc})") from None
         if not isinstance(obj, dict):
             raise MalformedFileError(f"{where}:{lineno}: record is not an object")
-        missing = [f for f in _REQUIRED_FIELDS if f not in obj]
-        if missing:
-            raise MalformedFileError(f"{where}:{lineno}: missing fields {missing}")
+        try:
+            values = [obj[f] for f in _REQUIRED_FIELDS]
+        except KeyError:
+            missing = [f for f in _REQUIRED_FIELDS if f not in obj]
+            raise MalformedFileError(f"{where}:{lineno}: missing fields {missing}") from None
+        tree_id, node_id, parent_id, text = values
         label = obj.get("label")
         if label is not None and not isinstance(label, str):
             raise MalformedFileError(f"{where}:{lineno}: label must be a string or null")
-        if not isinstance(obj["text"], str):
+        if not isinstance(text, str):
             raise MalformedFileError(f"{where}:{lineno}: text must be a string")
-        if obj["id"] is None or obj["id"] == "" or obj["tree_id"] == "":
-            empty = "tree_id" if obj["tree_id"] == "" else "id"
-            raise MalformedFileError(f"{where}:{lineno}: {empty} must be non-empty")
-        for name, types in _ID_TYPES.items():
-            if type(obj[name]) not in types:
+        if node_id is None or node_id == "" or tree_id == "":
+            name = "tree_id" if tree_id == "" else "id"
+            raise MalformedFileError(f"{where}:{lineno}: {name} must be non-empty")
+        for (name, types), value in zip(_ID_TYPES.items(), values):
+            if type(value) not in types:
                 raise MalformedFileError(f"{where}:{lineno}: {name} must be a string or an integer")
-        groups.setdefault(str(obj["tree_id"]), []).append(
-            CommentNode(
-                id=str(obj["id"]),
-                parent_id=None if obj["parent_id"] is None else str(obj["parent_id"]),
-                text=obj["text"],
-                label=label,
-            )
-        )
+        tid = str(tree_id)
+        if not text:
+            empty[tid] += 1
+        parent_id = None if parent_id is None else str(parent_id)
+        groups.setdefault(tid, []).append(CommentNode(str(node_id), parent_id, text, label))
     trees = []
     for tid, records in groups.items():
         try:
             trees.append(build_tree(records, tree_id=tid))
         except ThreadwalkError as exc:
             raise type(exc)(f"{where}: tree {quote(tid)}: {exc}") from None
-    empty = Counter(tid for tid, records in groups.items() for rec in records if not rec.text)
     if empty:
         message = f"{where}: {empty.total()} comment(s) with empty text kept, in tree(s) "
-        warnings.warn(message + quote_list(list(empty)), stacklevel=2)
+        warnings.warn(message + quote_list([tid for tid in groups if tid in empty]), stacklevel=2)
     return trees
 
 
 def text_lines(path: Path, source: BinaryIO | None = None) -> Iterator[str]:
-    """The lines of a UTF-8 text file, read from ``source`` (an open binary
-    stream of ``path``) if given; MalformedFileError if it is not UTF-8."""
+    """The lines of a UTF-8 text file, less a leading byte-order mark, read from
+    ``source`` (an open binary stream of ``path``) if given; MalformedFileError if not UTF-8."""
     try:
-        with io.TextIOWrapper(source or path.open("rb"), encoding="utf-8") as handle:
+        with io.TextIOWrapper(source or path.open("rb"), encoding="utf-8-sig") as handle:
             yield from handle
     except UnicodeDecodeError:
         raise MalformedFileError(f"{cut_path(path)}: not UTF-8 text") from None

@@ -366,7 +366,7 @@ def read_manifest(path: str | Path) -> tuple[RunConfig, dict]:
     """
     where = cut_path(path)
     try:
-        payload = JSON_DECODER.decode(Path(path).read_text(encoding="utf-8"))
+        payload = JSON_DECODER.decode(Path(path).read_text(encoding="utf-8-sig"))
     except (ValueError, RecursionError) as exc:  # invalid JSON or UTF-8, or too deep
         raise ConfigError(f"{where}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):

@@ -97,17 +97,19 @@ class DiscussionTree:
 def build_tree(records: Sequence[CommentNode], tree_id: str = "") -> DiscussionTree:
     """Assemble and validate a discussion tree from flat comment records.
 
-    Raises:
+    Raises, checking in this order:
         NoRootError: empty input.
-        DuplicateIdError, DanglingParentError, MultipleRootsError: shape
-            violations.
-        CycleDetectedError: the parent relation loops (self-reference or
-            a longer cycle).
+        ValueError, DuplicateIdError, CycleDetectedError: the first record
+            with an empty id, a repeated id or a reply to itself.
+        DanglingParentError: a reply to an unknown id.
+        CycleDetectedError: a longer cycle; the message names a node on it.
+        MultipleRootsError: more than one parentless record.
     """
     if not records:
         raise NoRootError("cannot build a tree from zero records")
 
     nodes: dict[str, CommentNode] = {}
+    children: dict[str | None, list[str]] = {}  # roots under None
     for rec in records:
         if not rec.id:
             raise ValueError("comment ids must be non-empty")
@@ -116,43 +118,31 @@ def build_tree(records: Sequence[CommentNode], tree_id: str = "") -> DiscussionT
         if rec.parent_id == rec.id:
             raise CycleDetectedError(f"comment {quote(rec.id)} replies to itself")
         nodes[rec.id] = rec
+        children.setdefault(rec.parent_id, []).append(rec.id)
 
-    roots = [r.id for r in records if r.parent_id is None]
-    for rec in records:
-        if rec.parent_id is not None and rec.parent_id not in nodes:
-            raise DanglingParentError(
-                f"comment {quote(rec.id)} replies to unknown id {quote(rec.parent_id)}"
-            )
+    roots = children.pop(None, [])
+    # Keys keep first-use order: the first unknown one is the first dangling record's.
+    for pid, ids in children.items():
+        if pid not in nodes:
+            raise DanglingParentError(f"comment {quote(ids[0])} replies to unknown id {quote(pid)}")
 
-    _check_acyclic(nodes)
+    reached = list(roots)
+    for nid in reached:  # grows as it goes, down to every node below a root
+        reached.extend(children.get(nid, ()))
+    if len(reached) < len(nodes):
+        # No root reaches the parent of an unreached node either, so the chain loops.
+        seen = set(reached)
+        cur = next(nid for nid in nodes if nid not in seen)
+        while cur not in seen:
+            seen.add(cur)
+            cur = nodes[cur].parent_id
+        raise CycleDetectedError(f"reply cycle through {quote(cur)}")
 
     if len(roots) > 1:
         raise MultipleRootsError(f"multiple parentless records: {quote_list(roots)}")
 
-    children: dict[str, list[str]] = {}
-    for rec in records:
-        if rec.parent_id is not None:
-            children.setdefault(rec.parent_id, []).append(rec.id)
-
     index = {pid: tuple(kids) for pid, kids in children.items()}
     return DiscussionTree(nodes, roots[0], index, tree_id=tree_id)
-
-
-def _check_acyclic(nodes: dict[str, CommentNode]) -> None:
-    # Follow parent pointers with memoisation; a chain that re-enters
-    # itself before reaching a known-good node is a cycle.
-    done: set[str] = set()
-    for start in nodes:
-        chain: list[str] = []
-        on_chain: set[str] = set()
-        cur: str | None = start
-        while cur is not None and cur not in done:
-            if cur in on_chain:
-                raise CycleDetectedError(f"reply cycle through {quote(cur)}")
-            chain.append(cur)
-            on_chain.add(cur)
-            cur = nodes[cur].parent_id
-        done.update(chain)
 
 
 def tree_stats(tree: DiscussionTree) -> TreeStats:

@@ -1,7 +1,8 @@
 """Shared fixtures: small reference trees, random-tree helpers and the
-test oracles (the ancestor chain, the walk step drawn from a listed
-transition distribution, the bag-of-words baseline, the one-text hashed
-bag-of-words embedder and the line-by-line embedding file parser)."""
+test oracles (the tree builder with its parent-chain cycle check, the
+ancestor chain, the walk step drawn from a listed transition distribution,
+the bag-of-words baseline, the one-text hashed bag-of-words embedder and
+the line-by-line embedding file parser)."""
 
 from __future__ import annotations
 
@@ -14,7 +15,16 @@ import pytest
 
 from threadwalk import features
 from threadwalk.embeddings import HashedBowProvider, tokenize
-from threadwalk.errors import UnknownIdError
+from threadwalk.errors import (
+    CycleDetectedError,
+    DanglingParentError,
+    DuplicateIdError,
+    MultipleRootsError,
+    NoRootError,
+    UnknownIdError,
+    quote,
+    quote_list,
+)
 from threadwalk.features import POLARITY_TASK, CorpusSide, Examples
 from threadwalk.model import train
 from threadwalk.pipeline import RunConfig
@@ -112,6 +122,47 @@ def random_tree(
     label_choices: tuple[str, ...] | None = None,
 ) -> DiscussionTree:
     return build_tree(random_records(rng, size, label_choices), tree_id=tree_id)
+
+
+def oracle_build_tree(records: list[CommentNode], tree_id: str = "") -> DiscussionTree:
+    """build_tree checked in passes: the records' ids, then their parents,
+    then a walk up each parent chain, memoised, for a cycle, then the
+    roots, and last the child index."""
+    if not records:
+        raise NoRootError("cannot build a tree from zero records")
+    nodes: dict[str, CommentNode] = {}
+    for rec in records:
+        if not rec.id:
+            raise ValueError("comment ids must be non-empty")
+        if rec.id in nodes:
+            raise DuplicateIdError(f"duplicate comment id {quote(rec.id)}")
+        if rec.parent_id == rec.id:
+            raise CycleDetectedError(f"comment {quote(rec.id)} replies to itself")
+        nodes[rec.id] = rec
+    roots = [r.id for r in records if r.parent_id is None]
+    for rec in records:
+        if rec.parent_id is not None and rec.parent_id not in nodes:
+            raise DanglingParentError(
+                f"comment {quote(rec.id)} replies to unknown id {quote(rec.parent_id)}"
+            )
+    done: set[str] = set()
+    for start in nodes:
+        chain: list[str] = []
+        cur: str | None = start
+        while cur is not None and cur not in done:
+            if cur in chain:
+                raise CycleDetectedError(f"reply cycle through {quote(cur)}")
+            chain.append(cur)
+            cur = nodes[cur].parent_id
+        done.update(chain)
+    if len(roots) > 1:
+        raise MultipleRootsError(f"multiple parentless records: {quote_list(roots)}")
+    children: dict[str, list[str]] = {}
+    for rec in records:
+        if rec.parent_id is not None:
+            children.setdefault(rec.parent_id, []).append(rec.id)
+    index = {pid: tuple(kids) for pid, kids in children.items()}
+    return DiscussionTree(nodes, roots[0], index, tree_id=tree_id)
 
 
 def ancestors(tree: DiscussionTree, node_id: str) -> list[str]:

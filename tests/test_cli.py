@@ -33,6 +33,7 @@ from threadwalk.pipeline import (
     read_manifest,
     replicate,
     split_sides,
+    write_manifest,
 )
 from threadwalk.synthetic import CorpusSpec, generate
 
@@ -868,16 +869,54 @@ def test_unparsable_embedding_file_leaves_no_sidecar(corpus_path, tmp_path, caps
     assert [path.name for path in tmp_path.iterdir() if path.name.startswith(".")] == []
 
 
-def _cli(argv: list[str]) -> subprocess.CompletedProcess:
-    """The command line run in a child process, killed after two minutes."""
+def _cli(argv: list[str], stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """The command line run in a child process, killed after two minutes;
+    its stderr is captured, and so is its stdout unless ``stdout`` is given."""
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run(
         [sys.executable, "-m", "threadwalk.cli", *argv],
         env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_closed_stdout_exits_1_without_an_error_line(corpus_path, tmp_path, capsys, command):
+    """A reader that left (``| head``) is not bad input: the command exits 1
+    and writes nothing to stderr, and ``run`` leaves every artifact whole."""
+    run = ["run", "--corpus", str(corpus_path), *_RUN_HATE, "--out"]
+    argv = [*run, str(tmp_path / "closed")] if command == "run" else ["validate", str(corpus_path)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # so that the child's first write to stdout fails
+    try:
+        done = _cli(argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
+    if command == "run":
+        assert main([*run, str(tmp_path / "open")]) == 0
+        written = {path.name: path.read_bytes() for path in (tmp_path / "closed").iterdir()}
+        assert written == {path.name: path.read_bytes() for path in (tmp_path / "open").iterdir()}
+        assert sorted(written) == ["manifest.json", "metrics.json", "model.txt", "report.txt"]
+
+
+def test_leading_byte_order_mark_changes_no_output(corpus_path, tmp_path, capsys):
+    """A corpus or config file that starts with a byte-order mark reads as
+    the same file without it."""
+    marked = tmp_path / "marked.jsonl"
+    marked.write_bytes(b"\xef\xbb\xbf" + corpus_path.read_bytes())
+    printed = []
+    for path in (corpus_path, marked):
+        assert main(["validate", str(path)]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
+    config, marked = tmp_path / "config.json", tmp_path / "marked.json"
+    write_manifest(RunConfig(task="hate", seed=5), config)
+    marked.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+    assert read_manifest(marked) == read_manifest(config) == (RunConfig(task="hate", seed=5), {})
 
 
 @contextlib.contextmanager

@@ -2,11 +2,12 @@
 
 import json
 import os
+import warnings
 
 import pytest
 
 from threadwalk.corpus import corpus_stats, load_corpus, save_corpus, write_lines
-from threadwalk.errors import MalformedFileError
+from threadwalk.errors import DanglingParentError, MalformedFileError
 
 
 def _write(tmp_path, lines, name="corpus.jsonl"):
@@ -74,6 +75,42 @@ def test_blank_lines_skipped(tmp_path):
     path = _write(tmp_path, [_record("t", "r", None, "x"), "", _record("t", "c", "r", "y")])
     trees = load_corpus(path)
     assert len(trees) == 1 and len(trees[0]) == 2
+
+
+def test_empty_texts_warn_once_in_first_appearance_order(tmp_path):
+    """Tree ``a`` appears first, tree ``b`` has the first empty comment."""
+    lines = [
+        _record("a", "r", None, "root"),
+        _record("b", "r", None, ""),
+        _record("a", "c", "r", ""),
+        _record("b", "c", "r", ""),
+    ]
+    path = _write(tmp_path, lines)
+    with pytest.warns(UserWarning) as caught:
+        load_corpus(path)
+    assert [str(w.message) for w in caught] == [
+        f"{path}: 3 comment(s) with empty text kept, in tree(s) ['a', 'b']"
+    ]
+    # A later tree that fails validation raises, and nothing is warned.
+    path = _write(tmp_path, [*lines, _record("z", "r", "ghost", "x")], name="bad.jsonl")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DanglingParentError):
+            load_corpus(path)
+
+
+def test_leading_byte_order_mark_is_not_part_of_the_first_record(tmp_path, debate_tree, fan_tree):
+    plain, marked, again = (tmp_path / f"{name}.jsonl" for name in ("plain", "marked", "again"))
+    save_corpus([debate_tree, fan_tree], plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    save_corpus(load_corpus(marked), again)
+    assert again.read_bytes() == plain.read_bytes()
+
+
+def test_byte_order_mark_after_the_start_is_invalid_json(tmp_path):
+    path = _write(tmp_path, [_record("t", "r", None, "x"), "\ufeff" + _record("t", "c", "r", "y")])
+    with pytest.raises(MalformedFileError, match=":2: invalid JSON"):
+        load_corpus(path)
 
 
 def test_corpus_stats(debate_tree, fan_tree):

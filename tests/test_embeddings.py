@@ -413,6 +413,20 @@ class TestSidecarCache:
         assert cached_rows == rows and list(cached_rows) == list(rows)
         assert np.array_equal(cached_bits, bits)
 
+    def test_leading_byte_order_mark_gives_the_same_rows(self, tmp_path):
+        """A marked table parses to the same rows, and is then read from
+        its own sidecar, which keys its raw bytes."""
+        path = _table(tmp_path / "emb.txt")
+        rows, bits = _loaded(path)
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for parses in (1, 0):
+            with _parsed_only() as parse:
+                marked_rows, marked_bits = _loaded(marked)
+            assert parse.call_count == parses
+            assert list(marked_rows) == list(rows) and np.array_equal(marked_bits, bits)
+        assert _sidecar(marked).read_bytes() != _sidecar(path).read_bytes()
+
     @settings(max_examples=120, deadline=None)
     @given(kind=st.sampled_from(_FAULTS), data=st.data())
     def test_faulty_sidecar_is_a_miss_and_is_replaced(self, kind, data):

@@ -371,6 +371,13 @@ class TestPersistence:
         save_model(loaded, other)
         assert other.read_bytes() == path.read_bytes()
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path, marked, again = (tmp_path / name for name in ("model.txt", "marked.txt", "again.txt"))
+        save_model(SoftmaxModel(np.eye(3), np.arange(3.0), ("a", "b", "c")), path)
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        save_model(load_model(marked), again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_three_classes_load(self, tmp_path):
         path = tmp_path / "model.txt"
         save_model(SoftmaxModel(np.eye(3), np.arange(3.0), ("a", "b", "c")), path)

@@ -1,5 +1,6 @@
 """Discussion tree construction, traversal and per-tree stats."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from threadwalk.errors import (
 )
 from threadwalk.tree import CommentNode, build_tree, tree_stats
 
-from conftest import ancestors, make_chain, random_records, random_tree
+from conftest import ancestors, make_chain, oracle_build_tree, random_records, random_tree
 
 
 class TestBuildTree:
@@ -98,6 +99,75 @@ class TestBuildTree:
         # children order follows input order, so only the sets must agree
         for nid in tree.node_ids():
             assert set(other.children(nid)) == set(tree.children(nid))
+
+
+_FAULTS = (
+    "none", "duplicate-id", "self-reply", "dangling-parent", "cycle-inside", "cycle-beside",
+    "second-root", "no-root",
+)
+
+
+def _plant(records: list[CommentNode], fault: str, rng: np.random.Generator) -> list:
+    """``records`` (a valid tree, root first) with one fault of the kind named."""
+    records, size = list(records), len(records)
+
+    def reparent(i: int, parent_id: str | None) -> None:
+        records[i] = dataclasses.replace(records[i], parent_id=parent_id)
+
+    if fault == "duplicate-id":
+        records.append(CommentNode(records[rng.integers(size)].id, records[0].id, "again"))
+    elif fault == "self-reply":
+        i = int(rng.integers(size))
+        reparent(i, records[i].id)
+    elif fault == "dangling-parent":
+        # Several records, replying to one of two unknown ids.
+        for i in rng.choice(size, size=min(size, 3), replace=False):
+            reparent(int(i), str(rng.choice(["ghost", "phantom"])))
+    elif fault == "cycle-inside" and size > 2:
+        # Non-root nodes that reply round a loop of 2 to 5; their subtrees hang off it.
+        length = min(size - 1, int(rng.integers(2, 6)))
+        ring = rng.choice(np.arange(1, size), size=length, replace=False)
+        for at, nxt in zip(ring, np.roll(ring, -1)):
+            reparent(int(at), records[nxt].id)
+    elif fault.startswith("cycle"):
+        # Beside the tree (also when it has too few replies for a loop
+        # inside), with a reply hanging off the loop.
+        ring = [f"c{k}" for k in range(int(rng.integers(2, 6)))]
+        records += [CommentNode(nid, ring[k - 1], "loop") for k, nid in enumerate(ring)]
+        records.append(CommentNode("hanger", ring[int(rng.integers(len(ring)))], "off the loop"))
+    elif fault == "second-root":
+        records.append(CommentNode("other-root", None, "another thread"))
+    elif fault == "no-root":
+        reparent(0, records[rng.integers(size)].id if size > 1 else "m0000")
+    rng.shuffle(records)
+    return records
+
+
+def _outcome(build, records):
+    """The tree ``build`` makes of ``records`` (its root, parents and
+    children in order), or the type and message of what it raises."""
+    try:
+        tree = build(records, tree_id="t")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tree.root_id, [(n.id, n.parent_id, tree.children(n.id)) for n in tree]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(_FAULTS),
+)
+def test_build_tree_matches_the_chain_walking_oracle(size, seed, fault):
+    """Validating on the child index gives the tree, or the error and
+    message, of checking each parent chain for a cycle."""
+    rng = np.random.default_rng(seed)
+    records = _plant(random_records(rng, size), fault, rng)
+    expected = _outcome(oracle_build_tree, records)
+    assert _outcome(build_tree, records) == expected
+    raised = isinstance(expected[0], type)
+    assert raised == (fault != "none")
 
 
 class TestAncestors:
