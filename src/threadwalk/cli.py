@@ -5,13 +5,15 @@ grid-search, ablate-concat, error-analysis. Flags override a JSON config
 file (``--config``), which overrides built-in defaults; every run writes
 a manifest sufficient for bit-exact replay. ``evaluate`` and
 ``error-analysis`` take their settings from the model file instead. Exit
-status is 0 on success, 1 on runtime failure and 2 on bad input: a flag,
-a config value, or a corpus, embedding, model or manifest file.
+status is 0 on success, 1 on runtime failure, 2 on bad input (a flag,
+a config value, or a corpus, embedding, model or manifest file) and 130
+on an interrupt.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -62,7 +64,7 @@ _FLAG_TYPES = {"int": int, "float": float, "str": str}
 def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():
         # One line per warning, without the source file and line behind it.
-        warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
+        warnings.showwarning = lambda message, *_: _say(f"warning: {message}")
         try:
             args = build_parser().parse_args(argv)
             status = args.func(args)
@@ -72,16 +74,28 @@ def main(argv: list[str] | None = None) -> int:
             # The reader left (``| head``): the flush at exit goes to /dev/null.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 1
+        except KeyboardInterrupt:
+            _say("interrupted")
+            return 130
         except (InputError, OSError) as exc:
             if isinstance(exc, OSError) and isinstance(exc.filename, str):
                 exc.filename = cut_path(exc.filename)  # the OS message echoes it
             # Only the --corpus trees are ever split, so name that file.
             where = f"{cut_path(args.corpus)}: " if isinstance(exc, TooFewTreesError) else ""
-            print(f"error: {where}{exc}", file=sys.stderr)
+            _say(f"error: {where}{exc}")
             return 2
         except ThreadwalkError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _say(f"error: {exc}")
             return 1
+
+
+def _say(line: str) -> None:
+    """Write ``line`` to stderr; a closed stderr drops it and changes nothing else.
+    (Python starts with ``sys.stderr`` None if fd 2 is closed, and ``print``
+    would then write to stdout.)"""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
 
 
 def entrypoint() -> None:
@@ -229,11 +243,12 @@ def _parse_list(text: str | None, extras: dict, key: str, cast: type, default: t
     return tuple(cast(v) for v in values)
 
 
-def _scored(args: argparse.Namespace) -> tuple[SoftmaxModel, Examples]:
+def _scored(args: argparse.Namespace, out: bool) -> tuple[SoftmaxModel, Examples, Path | None]:
     """The ``--model`` file and the test side it scores, featurized under the
-    settings it records and ``--embedding-file``; ConfigError if it records
-    none, if its classes are not its task's labels, or if the embeddings
-    give rows of another width than it takes."""
+    settings it records and ``--embedding-file``, and if ``out`` the output
+    directory, made once the model and corpus are read; ConfigError if the
+    model records no settings, if its classes are not its task's labels, or
+    if the embeddings give rows of another width than it takes."""
     model, where = load_model(args.model), cut_path(args.model)
     settings = {**model.metadata, "embedding_file": args.embedding_file}
     names = [f.name for f in dataclasses.fields(RunConfig)]
@@ -251,13 +266,15 @@ def _scored(args: argparse.Namespace) -> tuple[SoftmaxModel, Examples]:
             f"{where} predicts {quote(model.class_names)}, not the labels {labels} "
             f"of the {config.task} task its settings name"
         )
-    examples = featurize_split(split_sides(load_corpus(args.corpus), config)[1], config)
+    test_side = split_sides(load_corpus(args.corpus), config)[1]
+    outdir = _outdir(args) if out else None
+    examples = featurize_split(test_side, config)
     if examples.X.shape[1] != model.feature_dim:
         raise ConfigError(
             f"{where} takes {model.feature_dim} features per row, but these embeddings "
             f"give {examples.X.shape[1]}; use the table it was trained on"
         )
-    return model, examples
+    return model, examples, outdir
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -294,9 +311,10 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    outdir = _outdir(args)
     config, _ = _resolve_config(args)
-    examples = featurize_split(split_sides(load_corpus(args.corpus), config)[0], config)
+    trees = load_corpus(args.corpus)
+    outdir = _outdir(args)
+    examples = featurize_split(split_sides(trees, config)[0], config)
     (model,) = train(examples.labels, examples.X[None], [config])
     save_model(model, outdir / "model.txt")
     write_manifest(config, outdir / "manifest.json")
@@ -305,8 +323,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    outdir = _outdir(args) if args.out else None
-    model, examples = _scored(args)
+    model, examples, outdir = _scored(args, out=bool(args.out))
     report = evaluate(model, examples)
     print(report.to_text(), end="")
     if outdir is not None:
@@ -381,14 +398,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_error_analysis(args: argparse.Namespace) -> int:
-    outdir = _outdir(args)
-    model, examples = _scored(args)
-    result = error_analysis(model, examples)
-    write_lines(outdir / "errors.jsonl", [result.to_jsonl()])
+    model, examples, outdir = _scored(args, out=True)
+    positive_label, records = error_analysis(model, examples)
+    write_lines(outdir / "errors.jsonl", (json.dumps(r, sort_keys=True) + "\n" for r in records))
+    fps = sum(record["kind"] == "fp" for record in records)
     print(
-        f"{len(result.false_positives)} false positives, "
-        f"{len(result.false_negatives)} false negatives "
-        f"(positive class {result.positive_label!r}); listings in {outdir / 'errors.jsonl'}"
+        f"{fps} false positives, {len(records) - fps} false negatives "
+        f"(positive class {positive_label!r}); listings in {outdir / 'errors.jsonl'}"
     )
     return 0
 

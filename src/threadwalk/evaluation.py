@@ -9,7 +9,6 @@ For binary tasks the positive-class view is reported as well.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -162,41 +161,11 @@ def _predict_and_score(model: SoftmaxModel, examples: Examples) -> tuple[EvalRep
     return report_from_pairs(examples.labels, predictions, names), predictions
 
 
-@dataclass(frozen=True)
-class Misclassification:
-    """One wrongly predicted example with its walk-sampled context."""
-
-    tree_id: str
-    node_id: str
-    text: str
-    true_label: str
-    predicted_label: str
-    context: tuple[tuple[str, str], ...]  # (node id, text) pairs
-
-    def to_dict(self) -> dict:
-        return {
-            **dataclasses.asdict(self),
-            "context": [{"id": cid, "text": ctext} for cid, ctext in self.context],
-        }
-
-
-@dataclass(frozen=True)
-class ErrorAnalysisResult:
-    """False-positive and false-negative listings for a binary task."""
-
-    positive_label: str
-    false_positives: tuple[Misclassification, ...]
-    false_negatives: tuple[Misclassification, ...]
-
-    def to_jsonl(self) -> str:
-        kinds = (("fp", self.false_positives), ("fn", self.false_negatives))
-        records = ({"kind": kind, **rec.to_dict()} for kind, recs in kinds for rec in recs)
-        return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
-
-
-def error_analysis(model: SoftmaxModel, examples: Examples) -> ErrorAnalysisResult:
-    """List every misclassified example with surrounding context texts
-    (the nodes its walk collected after the PoI), read from its row's tree.
+def error_analysis(model: SoftmaxModel, examples: Examples) -> tuple[str, list[dict]]:
+    """The positive label, and the record that one line of ``errors.jsonl``
+    holds for each misclassified row: false positives first, each group in
+    row order. A record's ``context`` lists the nodes its walk collected
+    after the PoI, with their texts read from the row's tree.
 
     The FP/FN counts reconcile with the confusion matrix by construction.
     """
@@ -206,27 +175,19 @@ def error_analysis(model: SoftmaxModel, examples: Examples) -> ErrorAnalysisResu
             f"error analysis needs a binary task, got classes {report.class_names}"
         )
     pos = report.positive_label
-
-    fps: list[Misclassification] = []
-    fns: list[Misclassification] = []
     rows = zip(examples.trees, examples.node_ids, examples.labels, predictions, examples.walks)
-    for tree, node_id, label, pred, walk in rows:
-        if pred == label:
-            continue
-        record = Misclassification(
-            tree_id=tree.tree_id,
-            node_id=node_id,
-            text=tree.node(node_id).text,
-            true_label=label,
-            predicted_label=pred,
-            context=tuple((cid, tree.node(cid).text) for cid in walk.node_ids[1:]),
-        )
-        if pred == pos:
-            fps.append(record)
-        else:
-            fns.append(record)
-    return ErrorAnalysisResult(
-        positive_label=pos,
-        false_positives=tuple(fps),
-        false_negatives=tuple(fns),
-    )
+    records = [
+        {
+            "kind": "fp" if pred == pos else "fn",
+            "tree_id": tree.tree_id,
+            "node_id": node_id,
+            "text": tree.node(node_id).text,
+            "true_label": label,
+            "predicted_label": pred,
+            "context": [{"id": cid, "text": tree.node(cid).text} for cid in walk.node_ids[1:]],
+        }
+        for tree, node_id, label, pred, walk in rows
+        if pred != label
+    ]
+    # A stable sort, so each kind keeps row order.
+    return pos, sorted(records, key=lambda record: record["kind"] == "fn")

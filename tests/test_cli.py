@@ -19,6 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from threadwalk import cli, features, pipeline
+from threadwalk import corpus as corpus_module
+from threadwalk import model as model_module
 from threadwalk.cli import _resolve_config, build_parser, main
 from threadwalk.embeddings import load_external_embeddings, save_external_embeddings
 from threadwalk.errors import InputError
@@ -613,6 +615,7 @@ def test_import_leaves_out_the_process_pool():
         capture_output=True,
         text=True,
         check=True,
+        timeout=120,
     )
     assert done.stdout == "False\n"
 
@@ -680,6 +683,14 @@ def test_bad_list_flag_exits_2(corpus_path, tmp_path, capsys, monkeypatch, argv)
     _single_error_line(capsys)
 
 
+def _zero_hate_model(path: Path) -> Path:
+    """A one-feature hate model with zero weights, saved at ``path``."""
+    settings = _recorded(RunConfig(task="hate", epochs=8, bow_dim=32, seed=2))
+    classes = ("hate", "non-hate")
+    save_model(SoftmaxModel(np.zeros((2, 1)), np.zeros(2), classes, settings), path)
+    return path
+
+
 @pytest.mark.parametrize(
     "command", ["train", "evaluate", "grid-search", "ablate-concat", "error-analysis"]
 )
@@ -691,11 +702,7 @@ def test_out_naming_a_file_exits_2_before_featurizing(
     monkeypatch.setattr(features, "sample_walk", lambda *a, **k: pytest.fail("featurized"))
     argv = [command, "--corpus", str(corpus_path), "--out", str(out)]
     if command in ("evaluate", "error-analysis"):
-        model = tmp_path / "model.txt"
-        settings = _recorded(RunConfig(task="hate", epochs=8, bow_dim=32, seed=2))
-        classes = ("hate", "non-hate")
-        save_model(SoftmaxModel(np.zeros((2, 1)), np.zeros(2), classes, settings), model)
-        argv += ["--model", str(model)]
+        argv += ["--model", str(_zero_hate_model(tmp_path / "model.txt"))]
     else:
         argv += ["--task", "hate", *_fast_flags()]
     if command == "grid-search":
@@ -704,6 +711,20 @@ def test_out_naming_a_file_exits_2_before_featurizing(
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "File exists" in err, err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "error-analysis"])
+def test_failing_command_leaves_no_out_directory(tmp_path, capsys, command):
+    """``--out`` is made only once the inputs are read, as ``run`` makes it."""
+    out = tmp_path / "new"
+    argv = [command, "--corpus", str(tmp_path / "absent.jsonl"), "--out", str(out)]
+    if command == "train":
+        argv += ["--task", "hate", *_fast_flags()]
+    else:
+        argv += ["--model", str(_zero_hate_model(tmp_path / "model.txt"))]
+    assert main(argv) == 2
+    assert "No such file" in _single_error_line(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -869,15 +890,19 @@ def test_unparsable_embedding_file_leaves_no_sidecar(corpus_path, tmp_path, caps
     assert [path.name for path in tmp_path.iterdir() if path.name.startswith(".")] == []
 
 
-def _cli(argv: list[str], stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def _cli(
+    argv: list[str], stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=None
+) -> subprocess.CompletedProcess:
     """The command line run in a child process, killed after two minutes;
-    its stderr is captured, and so is its stdout unless ``stdout`` is given."""
+    its stdout and stderr are captured unless ``stdout`` or ``stderr`` is
+    given, and ``preexec_fn`` runs in the child before the command."""
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run(
         [sys.executable, "-m", "threadwalk.cli", *argv],
         env={**os.environ, "PYTHONPATH": str(src)},
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
+        preexec_fn=preexec_fn,
         text=True,
         timeout=120,
     )
@@ -901,6 +926,21 @@ def test_closed_stdout_exits_1_without_an_error_line(corpus_path, tmp_path, caps
         written = {path.name: path.read_bytes() for path in (tmp_path / "closed").iterdir()}
         assert written == {path.name: path.read_bytes() for path in (tmp_path / "open").iterdir()}
         assert sorted(written) == ["manifest.json", "metrics.json", "model.txt", "report.txt"]
+
+
+@pytest.mark.parametrize("name, status", [("absent.jsonl", 2), ("empty-text.jsonl", 0)])
+def test_closed_stderr_keeps_the_exit_status(tmp_path, capsys, name, status):
+    """A warning or ``error:`` line that cannot be written is dropped: the
+    command exits as it does with stderr open, and prints the same stdout."""
+    corpus = tmp_path / name
+    if status == 0:  # one comment, of empty text, which the loader warns of
+        record = {"tree_id": "t", "id": "a", "parent_id": None, "text": "", "label": "hate"}
+        corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["validate", str(corpus)]) == status
+    printed = capsys.readouterr()
+    assert printed.err.startswith("warning: " if status == 0 else "error: ")
+    done = _cli(["validate", str(corpus)], stderr=None, preexec_fn=lambda: os.close(2))
+    assert (done.returncode, done.stdout) == (status, printed.out)
 
 
 def test_leading_byte_order_mark_changes_no_output(corpus_path, tmp_path, capsys):
@@ -1793,3 +1833,37 @@ def test_fuzzed_corpus_file_exits_cleanly(tiny_corpus, retype, data):
     assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
     assert code in (0, 1, 2) and len(errors) == (code != 0), lines
     assert code == 2 or not rejected, lines
+
+
+# Where each stage can be interrupted: a module and one function it calls.
+_STAGES = {
+    "loading": (corpus_module, "text_lines"),
+    "featurizing": (features, "sample_walk"),
+    "training": (model_module, "loss_and_gradient"),
+    "writing": (corpus_module, "write_bytes"),
+}
+
+
+@pytest.mark.parametrize("stage", _STAGES)
+@pytest.mark.parametrize("command", ["run", "train", "grid-search"])
+def test_interrupt_exits_130_with_one_line(
+    corpus_path, tmp_path, capsys, monkeypatch, command, stage
+):
+    """Ctrl-C at any stage ends the command with ``interrupted``, exit 130 and
+    no traceback, and since the manifest is written last, with no manifest."""
+    module, name = _STAGES[stage]
+    calls = []
+
+    def interrupt(*args, **kwargs):
+        calls.append(name)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(module, name, interrupt)
+    out = tmp_path / "out"
+    argv = [command, "--corpus", str(corpus_path), "--out", str(out), *_RUN_HATE]
+    if command == "grid-search":
+        argv += ["--jobs", "1", "--p-values", "0.5", "--gamma-values", "0.5", "--seeds", "0"]
+    assert main(argv) == 130
+    assert calls == [name]
+    assert capsys.readouterr().err == "interrupted\n"
+    assert not (out / "manifest.json").exists()

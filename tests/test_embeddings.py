@@ -610,10 +610,11 @@ class TestSidecarCache:
         os.mkfifo(fifo)
         want = _loaded(tmp_path / "source.txt")
         for _ in range(2):
-            writer = threading.Thread(target=fifo.write_bytes, args=(table,))
+            writer = threading.Thread(target=fifo.write_bytes, args=(table,), daemon=True)
             writer.start()
             got = _loaded(fifo)
-            writer.join()
+            writer.join(timeout=60)
+            assert not writer.is_alive()
             assert got[0] == want[0] and np.array_equal(got[1], want[1])
         assert not _sidecar(fifo).exists()
 

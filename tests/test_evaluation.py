@@ -218,25 +218,29 @@ class TestErrorAnalysis:
 
     def test_listings_reconcile_with_confusion(self):
         model, examples, tree = self._setup()
-        result = error_analysis(model, examples)
-        assert len(result.false_positives) == 1
-        assert len(result.false_negatives) == 1
+        positive_label, records = error_analysis(model, examples)
+        kinds = [record["kind"] for record in records]
+        assert (positive_label, kinds) == ("hate", ["fp", "fn"])
         report = evaluate(model, examples)
         confusion = report.confusion
         pos = report.class_names.index("hate")
         neg = 1 - pos
-        assert confusion[neg, pos] == len(result.false_positives)
-        assert confusion[pos, neg] == len(result.false_negatives)
+        assert confusion[neg, pos] == kinds.count("fp")
+        assert confusion[pos, neg] == kinds.count("fn")
 
     def test_records_carry_context_texts(self):
         model, examples, tree = self._setup()
-        result = error_analysis(model, examples)
-        fp = result.false_positives[0]
-        assert fp.node_id == "d"
-        assert fp.text == "more text"
-        assert fp.context == (("c", "fine text"), ("r", "root text"))
-        jsonl = result.to_jsonl()
-        assert jsonl.count("\n") == 2
+        _, records = error_analysis(model, examples)
+        assert records[0] == {
+            "kind": "fp",
+            "tree_id": "t",
+            "node_id": "d",
+            "text": "more text",
+            "true_label": "non-hate",
+            "predicted_label": "hate",
+            "context": [{"id": "c", "text": "fine text"}, {"id": "r", "text": "root text"}],
+        }
+        assert records[1]["node_id"] == "b" and len(records) == 2
 
     def test_perfect_predictor_empty(self):
         model, examples, tree = self._setup()
@@ -248,9 +252,7 @@ class TestErrorAnalysis:
             walks=[*(examples.walks[i] for i in keep), _walk("b", "r")],
             tree=tree,
         )
-        result = error_analysis(model, correct)
-        assert result.false_positives == ()
-        assert result.false_negatives == ()
+        assert error_analysis(model, correct) == ("hate", [])
 
     def test_counts_from_known_confusion(self):
         classes = ["hate", "non-hate"]
@@ -265,9 +267,10 @@ class TestErrorAnalysis:
             records.append(CommentNode(f"e{i:04d}", "root", f"text {i}", label=true))
         tree = build_tree(records, tree_id="t")
         examples = _examples_for(counts, classes, prefix="e", tree=tree)
-        result = error_analysis(_identity_model(classes), examples)
-        assert len(result.false_positives) == 36
-        assert len(result.false_negatives) == 62
+        _, records = error_analysis(_identity_model(classes), examples)
+        kinds = [record["kind"] for record in records]
+        assert kinds == ["fp"] * 36 + ["fn"] * 62
+        assert all(record["predicted_label"] == "hate" for record in records[:36])
 
     def test_not_binary(self):
         classes = ["a", "b", "c"]

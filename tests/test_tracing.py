@@ -62,7 +62,7 @@ def _traced_and_plain(tmp_path, name):
     corpus, embeddings = tmp_path / "corpus.jsonl", tmp_path / "embeddings.txt"
     for prefix, out in ((tracer, "traced"), ([sys.executable, "-m", "threadwalk.cli"], "plain")):
         argv = prefix + workload.command(corpus, embeddings, tmp_path / out)
-        subprocess.run(argv, env=run.child_env(), check=True, capture_output=True)
+        subprocess.run(argv, env=run.child_env(), check=True, capture_output=True, timeout=300)
     for output in workload.outputs:
         traced, plain = (tmp_path / out / output for out in ("traced", "plain"))
         assert traced.read_bytes() == plain.read_bytes()
