@@ -216,6 +216,8 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
 
 
 def _outdir(args: argparse.Namespace) -> Path:
+    """The output directory, made if it does not exist. Commands call this
+    once their inputs are read, so a bad input leaves no new directory."""
     out = args.out or os.environ.get("THREADWALK_OUT") or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -312,9 +314,9 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config, _ = _resolve_config(args)
-    trees = load_corpus(args.corpus)
+    train_side = split_sides(load_corpus(args.corpus), config)[0]
     outdir = _outdir(args)
-    examples = featurize_split(split_sides(trees, config)[0], config)
+    examples = featurize_split(train_side, config)
     (model,) = train(examples.labels, examples.X[None], [config])
     save_model(model, outdir / "model.txt")
     write_manifest(config, outdir / "manifest.json")
@@ -334,9 +336,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config, _ = _resolve_config(args)
-    trees = load_corpus(args.corpus)
+    train_side, test_side = split_sides(load_corpus(args.corpus), config)
     outdir = _outdir(args)
-    train_side, test_side = split_sides(trees, config)
     ((model, report, test_examples),) = replicate(train_side, test_side, [config])
     artifacts = [outdir / "model.txt", outdir / "report.txt", outdir / "metrics.json"]
     save_model(model, artifacts[0])
@@ -367,8 +368,10 @@ def cmd_grid_search(args: argparse.Namespace) -> int:
     p_values = _parse_list(args.p_values, extras, "p_values", float, DEFAULT_GRID)
     gamma_values = _parse_list(args.gamma_values, extras, "gamma_values", float, DEFAULT_GRID)
     seeds = _parse_list(args.seeds, extras, "seeds", int, DEFAULT_SEEDS)
+    cells = grid_search(
+        trees, p_values, gamma_values, config, seeds, jobs=args.jobs, on_split=lambda: _outdir(args)
+    )
     outdir = _outdir(args)
-    cells = grid_search(trees, p_values, gamma_values, config, seeds, jobs=args.jobs)
     write_lines(outdir / "grid.csv", [grid_csv(cells)])
     write_manifest(
         config,
@@ -388,8 +391,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     config, extras = _resolve_config(args)
     trees = load_corpus(args.corpus)
     seeds = _parse_list(args.seeds, extras, "seeds", int, DEFAULT_SEEDS)
+    rows = ablate_concat(trees, config, seeds, on_split=lambda: _outdir(args))
     outdir = _outdir(args)
-    rows = ablate_concat(trees, config, seeds)
     write_lines(outdir / "ablation.csv", [ablation_csv(rows)])
     write_manifest(config, outdir / "manifest.json", extra={"seeds": list(seeds)})
     for row in rows:

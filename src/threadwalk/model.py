@@ -54,8 +54,16 @@ class SoftmaxModel:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    if logits.shape[-1] != 2:
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # Two classes without reductions over the class axis, which cost more per
+    # call than the work: the max of two values is one of them and their sum
+    # is one rounding, so the bytes are a reduction's.
+    shifted = logits - np.maximum(logits[..., :1], logits[..., 1:])
+    exps = np.exp(shifted)
+    shifted -= np.log(exps[..., :1] + exps[..., 1:])
+    return shifted
 
 
 def loss_and_gradient(
@@ -78,7 +86,11 @@ def loss_and_gradient(
     """
     n = X.shape[-2]
     sw = np.ones(n) if sample_weights is None else sample_weights
-    logp = _log_softmax(X @ np.swapaxes(weights, -1, -2) + bias[..., None, :])
+    # Each in-place step below is the same IEEE operation as its out-of-place
+    # form, so the bytes are those of ``X @ W.T + b`` and so on.
+    logits = X @ weights.swapaxes(-1, -2)
+    logits += bias[..., None, :]
+    logp = _log_softmax(logits)
     loss = grad_w = grad_b = None
     if compute != "gradient":
         # Contiguous, so each row sums in the order of a 2-D call.
@@ -90,8 +102,11 @@ def loss_and_gradient(
         delta = np.exp(logp)
         delta[..., np.arange(n), y] -= 1.0
         delta *= sw[:, None]
-        grad_w = np.swapaxes(delta, -1, -2) @ X / n + l2 * weights
-        grad_b = delta.sum(axis=-2) / n
+        grad_w = delta.swapaxes(-1, -2) @ X
+        grad_w /= n
+        grad_w += l2 * weights
+        grad_b = delta.sum(axis=-2)
+        grad_b /= n
     return loss, grad_w, grad_b
 
 
@@ -145,10 +160,11 @@ def train(
                 _, grad_w, grad_b = loss_and_gradient(
                     weights, bias, X[:, idx], y[idx], config.l2, sample_w[idx], compute="gradient"
                 )
-                vel_w = config.momentum * vel_w - config.learning_rate * grad_w
-                vel_b = config.momentum * vel_b - config.learning_rate * grad_b
-                weights = weights + vel_w
-                bias = bias + vel_b
+                for param, vel, grad in ((weights, vel_w, grad_w), (bias, vel_b, grad_b)):
+                    vel *= config.momentum
+                    grad *= config.learning_rate
+                    vel -= grad
+                    param += vel
             for k, history in enumerate(histories):
                 epoch_loss, _, _ = loss_and_gradient(
                     weights[k], bias[k], X[k], y, config.l2, sample_w, compute="loss"

@@ -28,7 +28,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,8 +75,8 @@ MAX_BOW_DIM = 1 << 14
 # node, so at MAX_STEP_CAP an 8,000-PoI side holds at most 64 MB of walks.
 # A raw step takes about 2 us (2-core VM, Python 3.11), so a p = 0 walk that
 # oscillates until the cap costs 2 ms, and that side at most 16 s. An epoch
-# at 8,000 PoIs and D = 768 takes about 40 ms there, so MAX_EPOCHS trains
-# one model in under 7 minutes.
+# at 8,000 PoIs, D = 768 and two classes takes about 18 ms there (one core,
+# in-process), so MAX_EPOCHS trains one model in about 3 minutes.
 MAX_WALK_LENGTH = 100
 MAX_STEP_CAP = 10 * MAX_WALK_LENGTH  # the default cap of the longest walk
 MAX_EPOCHS = 10_000
@@ -404,13 +404,15 @@ def grid_search(
     config: RunConfig,
     seeds: Sequence[int],
     jobs: int = 1,
+    on_split: Callable[[], object] = lambda: None,
 ) -> list[SeedAverage]:
     """One :class:`SeedAverage` per (p, gamma) cell, in (p, gamma) order,
     each averaging its metrics over the seeds.
 
     The tree split is fixed by ``config.seed``; each replicate reseeds
     only the walks and the training shuffle. Each list must be non-empty
-    and repeat no value.
+    and repeat no value. ``on_split`` is called once both sides are built,
+    before any featurization.
     """
     for name, values in (("p_values", p_values), ("gamma_values", gamma_values), ("seeds", seeds)):
         _check_values(name, values)
@@ -420,6 +422,7 @@ def grid_search(
     for cell_config in itertools.chain(*rows):
         cell_config.validate()
     train_side, test_side = split_sides(trees, config)
+    on_split()
     row_averages = functools.partial(average_over_seeds, train_side, test_side, seeds=tuple(seeds))
     # One task per p, so each worker samples the walks of its p once. The
     # fork start method launches every worker on the first submit, so ask
@@ -427,9 +430,17 @@ def grid_search(
     workers = min(jobs, len(rows))
     if workers > 1:
         # Imported here: on a 2-core VM it adds 20-30 ms to every command's start.
+        import signal
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            averages = list(pool.map(row_averages, rows))
+        # Ctrl-C reaches the whole process group. The workers ignore it and
+        # finish the tasks they hold; this process drops the rest and raises.
+        ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
+        with ProcessPoolExecutor(workers, initializer=signal.signal, initargs=ignore_sigint) as pool:
+            try:
+                averages = list(pool.map(row_averages, rows))
+            except KeyboardInterrupt:
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         averages = [row_averages(row) for row in rows]
     return sorted(itertools.chain(*averages), key=lambda cell: (cell.p, cell.gamma))
@@ -449,11 +460,16 @@ def grid_csv(cells: Sequence[SeedAverage]) -> str:
 
 
 def ablate_concat(
-    trees: Sequence[DiscussionTree], config: RunConfig, seeds: Sequence[int]
+    trees: Sequence[DiscussionTree],
+    config: RunConfig,
+    seeds: Sequence[int],
+    on_split: Callable[[], object] = lambda: None,
 ) -> list[SeedAverage]:
-    """Compare the four concatenation schemes under identical seeds."""
+    """Compare the four concatenation schemes under identical seeds;
+    ``on_split`` as in :func:`grid_search`."""
     _check_values("seeds", seeds)
     train_side, test_side = split_sides(trees, config)
+    on_split()
     configs = [config.replace(scheme=scheme.value) for scheme in ConcatScheme]
     return average_over_seeds(train_side, test_side, configs, seeds)
 

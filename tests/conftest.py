@@ -1,8 +1,9 @@
 """Shared fixtures: small reference trees, random-tree helpers and the
 test oracles (the tree builder with its parent-chain cycle check, the
 ancestor chain, the walk step drawn from a listed transition distribution,
-the bag-of-words baseline, the one-text hashed bag-of-words embedder and
-the line-by-line embedding file parser)."""
+the bag-of-words baseline, the one-text hashed bag-of-words embedder, the
+line-by-line embedding file parser, and the softmax's reduction log-softmax
+and out-of-place training loop)."""
 
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from threadwalk.errors import (
 from threadwalk.features import POLARITY_TASK, CorpusSide, Examples
 from threadwalk.model import train
 from threadwalk.pipeline import RunConfig
+from threadwalk.seeding import derived_rng
 from threadwalk.tree import CommentNode, DiscussionTree, build_tree
 from threadwalk.walks import WalkSample
 
@@ -307,3 +309,52 @@ def make_examples(rows, labels, node_ids=None, walks=None, tree=None):
         labels=tuple(labels),
         walks=tuple(walks),
     )
+
+
+def log_softmax_oracle(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis by ``max`` and ``sum`` reductions."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def train_oracle(labels, X: np.ndarray, config: RunConfig):
+    """The weights ``(K, C, D)``, bias ``(K, C)`` and loss histories that
+    :func:`threadwalk.model.train` should give for the ``(K, n, D)`` stack
+    ``X``, by out-of-place steps: each statement allocates its result."""
+    names, y = np.unique(labels, return_inverse=True)
+    n_models, n, dim = X.shape
+    if config.class_weighting:
+        counts = np.bincount(y, minlength=len(names)).astype(np.float64)
+        sample_w = (n / (len(names) * counts))[y]
+    else:
+        sample_w = np.ones(n)
+
+    def log_probs(weights, bias, rows):
+        return log_softmax_oracle(rows @ np.swapaxes(weights, -1, -2) + bias[..., None, :])
+
+    weights = np.zeros((n_models, len(names), dim))
+    bias = np.zeros((n_models, len(names)))
+    vel_w, vel_b = np.zeros_like(weights), np.zeros_like(bias)
+    rng = derived_rng(config.seed, "train-shuffle")
+    histories = [[] for _ in range(n_models)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            order = rng.permutation(n)
+            for lo in range(0, n, config.batch_size):
+                idx = order[lo : lo + config.batch_size]
+                rows, m = X[:, idx], len(idx)
+                delta = np.exp(log_probs(weights, bias, rows))
+                delta[..., np.arange(m), y[idx]] -= 1.0
+                delta *= sample_w[idx][:, None]
+                grad_w = np.swapaxes(delta, -1, -2) @ rows / m + config.l2 * weights
+                grad_b = delta.sum(axis=-2) / m
+                vel_w = config.momentum * vel_w - config.learning_rate * grad_w
+                vel_b = config.momentum * vel_b - config.learning_rate * grad_b
+                weights = weights + vel_w
+                bias = bias + vel_b
+            for k, history in enumerate(histories):
+                picked = np.ascontiguousarray(log_probs(weights[k], bias[k], X[k])[np.arange(n), y])
+                loss = -(sample_w * picked).sum(axis=-1) / n
+                loss = loss + 0.5 * config.l2 * (weights[k] * weights[k]).sum(axis=(-2, -1))
+                history.append(float(loss))
+    return weights, bias, histories

@@ -6,10 +6,12 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -692,7 +694,7 @@ def _zero_hate_model(path: Path) -> Path:
 
 
 @pytest.mark.parametrize(
-    "command", ["train", "evaluate", "grid-search", "ablate-concat", "error-analysis"]
+    "command", ["run", "train", "evaluate", "grid-search", "ablate-concat", "error-analysis"]
 )
 def test_out_naming_a_file_exits_2_before_featurizing(
     corpus_path, tmp_path, capsys, monkeypatch, command
@@ -724,6 +726,29 @@ def test_failing_command_leaves_no_out_directory(tmp_path, capsys, command):
         argv += ["--model", str(_zero_hate_model(tmp_path / "model.txt"))]
     assert main(argv) == 2
     assert "No such file" in _single_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["run", "train", "grid-search", "ablate-concat", "evaluate", "error-analysis"]
+)
+def test_malformed_embedding_table_leaves_no_out_directory(corpus_path, tmp_path, capsys, command):
+    """``--out`` is made only once the embedding table is read."""
+    table, out = tmp_path / "bad.txt", tmp_path / "new"
+    table.write_text("d=2\nn1 0 0\nn2 0 x\n", encoding="utf-8")
+    argv = [command, "--corpus", str(corpus_path), "--out", str(out)]
+    argv += ["--embedding-file", str(table)]
+    if command in ("evaluate", "error-analysis"):
+        settings = _recorded(RunConfig(task="hate", embedding="external", epochs=8, seed=2))
+        model = SoftmaxModel(np.zeros((2, 6)), np.zeros(2), ("hate", "non-hate"), settings)
+        save_model(model, tmp_path / "model.txt")
+        argv += ["--model", str(tmp_path / "model.txt")]
+    else:
+        argv += ["--embedding", "external", "--task", "hate", "--epochs", "8", "--seed", "2"]
+    if command == "grid-search":
+        argv += ["--jobs", "1"]
+    assert main(argv) == 2
+    assert _single_error_line(capsys) == f"error: {table}:3: non-numeric value"
     assert not out.exists()
 
 
@@ -1867,3 +1892,59 @@ def test_interrupt_exits_130_with_one_line(
     assert calls == [name]
     assert capsys.readouterr().err == "interrupted\n"
     assert not (out / "manifest.json").exists()
+
+
+def _process_group(pgid: int) -> list[int]:
+    """The live processes of a process group, read from /proc."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        with contextlib.suppress(OSError):
+            state, _, group = stat.read_text().rpartition(")")[2].split()[:3]
+            if int(group) == pgid and state != "Z":
+                pids.append(int(stat.parent.name))
+    return pids
+
+
+def _ignores_sigint(pid: int) -> bool:
+    with contextlib.suppress(OSError):
+        for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+            if line.startswith("SigIgn:"):
+                return bool(int(line.split()[1], 16) >> (signal.SIGINT - 1) & 1)
+    return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc")
+def test_interrupted_pool_exits_130_with_one_line(corpus_path, tmp_path):
+    """Ctrl-C sent to the process group of ``grid-search --jobs 2`` once both
+    workers ignore it ends the command as a one-process run ends: exit 130,
+    one ``interrupted`` line, no manifest and no process of the group left."""
+    out = tmp_path / "out"
+    argv = ["grid-search", "--corpus", str(corpus_path), "--out", str(out), "--task", "hate"]
+    argv += ["--epochs", "2000", "--bow-dim", "32", "--jobs", "2", "--gamma-values", "0.5"]
+    argv += ["--p-values", "0,0.2,0.4,0.6,0.8,1", "--seeds", "0"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "threadwalk.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while True:
+            workers = [pid for pid in _process_group(proc.pid) if pid != proc.pid]
+            if len(workers) == 2 and all(map(_ignores_sigint, workers)):
+                break
+            assert proc.poll() is None and time.monotonic() < deadline, "no pool ignored SIGINT"
+            time.sleep(0.005)
+        os.killpg(proc.pid, signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, stderr, stdout) == (130, "interrupted\n", "")
+    assert not (out / "manifest.json").exists()
+    assert _process_group(proc.pid) == []

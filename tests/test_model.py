@@ -1,5 +1,6 @@
 """Softmax classifier: gradients, determinism, persistence, baseline."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from threadwalk.errors import (
     DimensionMismatchError,
@@ -18,6 +20,7 @@ from threadwalk.errors import (
 )
 from threadwalk.model import (
     SoftmaxModel,
+    _log_softmax,
     load_model,
     loss_and_gradient,
     predict_labels,
@@ -28,7 +31,15 @@ from threadwalk.model import (
 from threadwalk.pipeline import RunConfig
 from threadwalk.tree import CommentNode, build_tree
 
-from conftest import bow_examples, bow_logreg_baseline, make_examples
+from conftest import (
+    bow_examples,
+    bow_logreg_baseline,
+    log_softmax_oracle,
+    make_examples,
+    train_oracle,
+)
+
+TESTS_DIR = Path(__file__).resolve().parent
 
 # Training settings without class weighting, which a run config turns on.
 UNWEIGHTED = RunConfig(class_weighting=False)
@@ -145,13 +156,7 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(core):
     cores, each set for the child process only. ``W @ X.T`` would fail this
     under Haswell on two threads from about 700 rows of 768 columns; ``X @ W.T``
     gives the same bytes on either."""
-    env = {
-        name: v for name, v in os.environ.items()
-        if name not in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-    }
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    if core is not None:
-        env["OPENBLAS_CORETYPE"] = core
+    env = _child_env(core)
     digests = [
         subprocess.run(
             [sys.executable, "-c", BLAS_DIGEST],
@@ -164,6 +169,102 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(core):
         for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"})
     ]
     assert digests[0] == digests[1]
+
+
+def _child_env(core: str | None) -> dict:
+    """This process's environment without its BLAS core and thread settings,
+    with ``core`` as OPENBLAS_CORETYPE unless it is None, and with the
+    package and these tests importable."""
+    env = {
+        name: v for name, v in os.environ.items()
+        if name not in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    env["PYTHONPATH"] = os.pathsep.join([str(TESTS_DIR.parent / "src"), str(TESTS_DIR)])
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
+    return env
+
+
+# Values that a reduction and a two-value closed form might treat apart.
+_EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e308, -1.7e308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.one_of(
+            st.tuples(st.integers(0, 6), st.just(2)),
+            st.tuples(st.integers(1, 3), st.integers(0, 6), st.just(2)),
+        ),
+        elements=st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64)),
+    )
+)
+def test_two_class_log_softmax_matches_the_reductions(logits):
+    """The two-class closed form gives the reductions' bytes: finite entries
+    bit for bit, NaN and each infinity at the same positions."""
+    with np.errstate(all="ignore"):
+        got, want = _log_softmax(logits), log_softmax_oracle(logits)
+    finite = np.isfinite(want)
+    for kind in (np.isfinite, np.isnan, np.isposinf, np.isneginf):
+        assert np.array_equal(kind(got), kind(want))
+    assert np.array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
+
+
+# (K, classes, momentum, class_weighting, batch_size, n, D, epochs); a batch
+# of 64 exceeds the 23 rows, and the last cases take BLAS-sized products.
+TRAIN_CASES = [
+    (*head, batch, 23, 5, 3)
+    for *head, batch in itertools.product((1, 2, 3), (2, 3), (0.0, 0.9), (False, True), (1, 5, 64))
+] + [(1, 2, 0.9, True, 32, 300, 768, 2), (3, 2, 0.0, True, 32, 300, 768, 2)]
+
+
+def assert_train_matches_oracle(n_models, n_classes, momentum, class_weighting, batch, n, dim, epochs):
+    rng = np.random.default_rng([n_models, n_classes, batch, dim])
+    labels = [f"c{min(i % 5, n_classes - 1)}" for i in range(n)]  # unbalanced classes
+    X = rng.normal(size=(n_models, n, dim))
+    config = RunConfig(
+        epochs=epochs,
+        batch_size=batch,
+        momentum=momentum,
+        class_weighting=class_weighting,
+        l2=0.01,
+        seed=n_models + batch,
+    )
+    weights, bias, histories = train_oracle(labels, X, config)
+    for k, model in enumerate(train(labels, X, [config] * n_models)):
+        assert model.weights.tobytes() == weights[k].tobytes()
+        assert model.bias.tobytes() == bias[k].tobytes()
+        history = model.metadata["loss_history"]
+        assert np.array(history).tobytes() == np.array(histories[k]).tobytes()
+
+
+@pytest.mark.parametrize("case", TRAIN_CASES)
+def test_train_matches_the_out_of_place_oracle(case):
+    assert_train_matches_oracle(*case)
+
+
+TRAIN_ORACLE_CHECK = """
+from test_model import TRAIN_CASES, assert_train_matches_oracle
+for case in TRAIN_CASES:
+    assert_train_matches_oracle(*case)
+print(len(TRAIN_CASES))
+"""
+
+
+@pytest.mark.parametrize("core", [None, "Haswell", "Sandybridge"])
+def test_train_matches_the_oracle_under_each_blas_core(core):
+    """The comparison above in a child process under each OpenBLAS core,
+    since each core takes its own route through the products."""
+    result = subprocess.run(
+        [sys.executable, "-c", TRAIN_ORACLE_CHECK],
+        env=_child_env(core),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{len(TRAIN_CASES)}\n"
 
 
 class TestLockstepTrain:

@@ -3,6 +3,7 @@
 import concurrent.futures
 import itertools
 import json
+import signal
 import tracemalloc
 import weakref
 
@@ -254,12 +255,14 @@ def _cell(p, gamma, macro_f1, accuracy):
 @pytest.fixture
 def in_process_pool(monkeypatch) -> dict:
     """Stands in for ProcessPoolExecutor: records the worker count, the
-    chunk size asked for and the mapped tasks, and maps in this process."""
-    asked = {"workers": [], "chunksize": [], "tasks": []}
+    worker initializer, the chunk size asked for and the mapped tasks, and
+    maps in this process, without running the initializer."""
+    asked = {"workers": [], "initializer": [], "chunksize": [], "tasks": []}
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             asked["workers"].append(max_workers)
+            asked["initializer"].append((initializer, initargs))
 
         def __enter__(self):
             return self
@@ -349,6 +352,8 @@ class TestGridSearch:
         assert len(cells) == len(p_values)
         assert in_process_pool["workers"] == pools
         assert in_process_pool["chunksize"] == [1] * len(pools)  # one cell per worker
+        ignore_sigint = (signal.signal, (signal.SIGINT, signal.SIG_IGN))
+        assert in_process_pool["initializer"] == [ignore_sigint] * len(pools)
 
     def test_one_task_per_p(self, small_corpus, in_process_pool):
         config = SMALL_CONFIG.replace(epochs=1)
