@@ -100,7 +100,9 @@ def loss_and_gradient(
         loss = float(loss) if loss.ndim == 0 else loss
     if compute != "loss":
         delta = np.exp(logp)
-        delta[..., np.arange(n), y] -= 1.0
+        # Subtracts the one-hot rows; x - 0.0 is x for every x, -0.0 and NaN
+        # included, so the bytes are those of ``delta[..., arange(n), y] -= 1``.
+        delta -= y[:, None] == np.arange(delta.shape[-1])
         delta *= sw[:, None]
         grad_w = delta.swapaxes(-1, -2) @ X
         grad_w /= n
@@ -146,8 +148,12 @@ def train(
     else:
         sample_w = np.ones(n, dtype=np.float64)
 
-    vel_w = np.zeros_like(weights)
-    vel_b = np.zeros_like(bias)
+    # Without momentum, ``param -= lr * grad`` gives the bytes of the velocity
+    # step ``param += 0 * vel - lr * grad`` while ``vel`` is finite, as the
+    # parameters start at +0.0 and neither form can make one -0.0; a
+    # non-finite ``vel`` comes with a non-finite parameter, which the epoch's
+    # loss reports either way.
+    velocities = (np.zeros_like(weights), np.zeros_like(bias)) if config.momentum else (None, None)
     rng = derived_rng(config.seed, "train-shuffle")
     histories: list[list[float]] = [[] for _ in range(n_models)]
 
@@ -155,16 +161,21 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.epochs):
             order = rng.permutation(n)
+            y_order, w_order = y[order], sample_w[order]
             for lo in range(0, n, config.batch_size):
-                idx = order[lo : lo + config.batch_size]
+                batch = slice(lo, lo + config.batch_size)
+                rows = X.take(order[batch], axis=1)
                 _, grad_w, grad_b = loss_and_gradient(
-                    weights, bias, X[:, idx], y[idx], config.l2, sample_w[idx], compute="gradient"
+                    weights, bias, rows, y_order[batch], config.l2, w_order[batch], compute="gradient"
                 )
-                for param, vel, grad in ((weights, vel_w, grad_w), (bias, vel_b, grad_b)):
-                    vel *= config.momentum
+                for param, vel, grad in zip((weights, bias), velocities, (grad_w, grad_b)):
                     grad *= config.learning_rate
-                    vel -= grad
-                    param += vel
+                    if vel is None:
+                        param -= grad
+                    else:
+                        vel *= config.momentum
+                        vel -= grad
+                        param += vel
             for k, history in enumerate(histories):
                 epoch_loss, _, _ = loss_and_gradient(
                     weights[k], bias[k], X[k], y, config.l2, sample_w, compute="loss"

@@ -433,14 +433,14 @@ def grid_search(
         import signal
         from concurrent.futures import ProcessPoolExecutor
         # Ctrl-C reaches the whole process group. The workers ignore it and
-        # finish the tasks they hold; this process drops the rest and raises.
+        # finish the tasks they hold, and this process raises once they have.
+        # The pool marks every task it queues as running, past the reach of
+        # cancelling, so it is handed one task per worker at a time.
         ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
+        averages = []
         with ProcessPoolExecutor(workers, initializer=signal.signal, initargs=ignore_sigint) as pool:
-            try:
-                averages = list(pool.map(row_averages, rows))
-            except KeyboardInterrupt:
-                pool.shutdown(cancel_futures=True)
-                raise
+            for lo in range(0, len(rows), workers):
+                averages += pool.map(row_averages, rows[lo : lo + workers])
     else:
         averages = [row_averages(row) for row in rows]
     return sorted(itertools.chain(*averages), key=lambda cell: (cell.p, cell.gamma))

@@ -211,6 +211,94 @@ def test_two_class_log_softmax_matches_the_reductions(logits):
     assert np.array_equal(got[finite].view(np.uint64), want[finite].view(np.uint64))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda n_classes: hnp.arrays(
+            np.float64,
+            st.one_of(
+                st.tuples(st.integers(0, 6), st.just(n_classes)),
+                st.tuples(st.integers(1, 3), st.integers(0, 6), st.just(n_classes)),
+            ),
+            elements=st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64)),
+        )
+    ),
+    st.data(),
+)
+def test_one_hot_subtraction_matches_the_fancy_index(probs, data):
+    """Subtracting the one-hot rows as a boolean array gives the bytes of
+    subtracting 1.0 at ``[..., arange(n), y]``, NaN payloads included."""
+    n, n_classes = probs.shape[-2:]
+    y = np.array(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)), dtype=np.intp)
+    want, got = probs.copy(), probs.copy()
+    want[..., np.arange(n), y] -= 1.0
+    got -= y[:, None] == np.arange(n_classes)
+    assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
+_STEP_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1.7e308, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 5)),
+        elements=st.one_of(st.sampled_from(_STEP_FLOATS), st.floats(width=64)),
+    ),
+    st.one_of(st.sampled_from([5e-324, 1e-300, 0.1, 1e300]), st.floats(0.0, 1e308, exclude_min=True)),
+)
+def test_velocity_free_step_matches_the_velocity_form(grads, learning_rate):
+    """``param -= lr * grad`` against ``vel = 0 * vel - lr * grad; param +=
+    vel`` from parameters at +0.0, one gradient row per step: every entry
+    whose velocity is finite gets the same bytes, and a parameter is
+    non-finite in both forms or in neither."""
+    param, stepped, vel = np.zeros(grads.shape[1]), np.zeros(grads.shape[1]), np.zeros(grads.shape[1])
+    with np.errstate(all="ignore"):
+        for grad in grads:
+            finite_vel = np.isfinite(vel)
+            vel *= 0.0
+            vel -= learning_rate * grad
+            param += vel
+            stepped -= learning_rate * grad
+            assert param[finite_vel].tobytes() == stepped[finite_vel].tobytes()
+            assert np.array_equal(np.isfinite(param), np.isfinite(stepped))
+
+
+# (learning rate, l2, the feature scale of each model of a stack of up to
+# three; a stack of K takes the last K). The penalty overflows first (loss
+# inf) tens of epochs in; the logits of the large-scale models overflow in
+# the first epoch, with steps left to take on non-finite parameters (nan).
+DIVERGING = {
+    "penalty": (1e3, 0.01, (1.0, 1e40, 1e20), 5, 40),
+    "logits": (1e150, 0.0, (1.0, 1e200, 1e190), 1, 2),
+}
+
+
+@pytest.mark.parametrize("n_models", [1, 3])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("case", DIVERGING)
+def test_divergence_matches_the_oracle(case, momentum, n_models):
+    """A diverging run stops at the oracle's first non-finite epoch loss,
+    with the oracle's value in the message, whether it steps through a
+    velocity (momentum 0.9) or without one (momentum 0)."""
+    learning_rate, l2, scales, batch, epochs = DIVERGING[case]
+    rng = np.random.default_rng([n_models, 7])
+    X = rng.normal(size=(n_models, 23, 5)) * np.array(scales[-n_models:])[:, None, None]
+    labels = [f"c{min(i % 5, 1)}" for i in range(23)]
+    config = UNWEIGHTED.replace(
+        epochs=epochs, batch_size=batch, momentum=momentum, l2=l2, learning_rate=learning_rate, seed=3
+    )
+    _, _, histories = train_oracle(labels, X, config)
+    losses = np.array(histories)
+    epoch = np.flatnonzero(~np.isfinite(losses).all(axis=0))[0]
+    first = losses[np.flatnonzero(~np.isfinite(losses[:, epoch]))[0], epoch]
+    train(labels, X, [config.replace(epochs=epoch)] * n_models)
+    with pytest.raises(NonFiniteLossError) as raised:
+        train(labels, X, [config.replace(epochs=epoch + 1)] * n_models)
+    assert str(raised.value) == f"loss became {first} after an epoch"
+
+
 # (K, classes, momentum, class_weighting, batch_size, n, D, epochs); a batch
 # of 64 exceeds the 23 rows, and the last cases take BLAS-sized products.
 TRAIN_CASES = [

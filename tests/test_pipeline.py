@@ -256,8 +256,10 @@ def _cell(p, gamma, macro_f1, accuracy):
 def in_process_pool(monkeypatch) -> dict:
     """Stands in for ProcessPoolExecutor: records the worker count, the
     worker initializer, the chunk size asked for and the mapped tasks, and
-    maps in this process, without running the initializer."""
-    asked = {"workers": [], "initializer": [], "chunksize": [], "tasks": []}
+    maps in this process, without running the initializer. Setting
+    ``asked["interrupt_after"]`` to a count raises KeyboardInterrupt, as
+    Ctrl-C would, once that many results have been read."""
+    asked = {"workers": [], "initializer": [], "chunksize": [], "tasks": [], "interrupt_after": None}
 
     class InProcessPool:
         def __init__(self, max_workers, initializer=None, initargs=()):
@@ -273,7 +275,16 @@ def in_process_pool(monkeypatch) -> dict:
         def map(self, fn, items, chunksize=1):
             asked["chunksize"].append(chunksize)
             asked["tasks"].extend(items)
-            return map(fn, items)
+            return self._results(fn, list(items))
+
+        @staticmethod
+        def _results(fn, items):
+            for item in items:
+                if asked["interrupt_after"] == 0:
+                    raise KeyboardInterrupt
+                yield fn(item)
+                if asked["interrupt_after"] is not None:
+                    asked["interrupt_after"] -= 1
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return asked
@@ -325,18 +336,20 @@ class TestGridSearch:
         )
 
     def test_order_independent_of_jobs(self, small_corpus):
+        """Two workers take the three rows in two rounds, three in one."""
         kwargs = dict(
             trees=small_corpus,
-            p_values=[0.5, 1.0],
+            p_values=[0.0, 0.5, 1.0],
             gamma_values=[0.2, 0.8],
             config=SMALL_CONFIG,
             seeds=[0],
         )
         serial = grid_search(**kwargs, jobs=1)
-        parallel = grid_search(**kwargs, jobs=2)
-        assert grid_csv(serial) == grid_csv(parallel)
-        best, again = best_cell(serial), best_cell(parallel)
-        assert (best.p, best.gamma) == (again.p, again.gamma)
+        for jobs in (2, 3):
+            parallel = grid_search(**kwargs, jobs=jobs)
+            assert grid_csv(serial) == grid_csv(parallel)
+            best, again = best_cell(serial), best_cell(parallel)
+            assert (best.p, best.gamma) == (again.p, again.gamma)
 
     def test_empty_grid_rejected(self, small_corpus):
         with pytest.raises(ConfigError):
@@ -361,6 +374,17 @@ class TestGridSearch:
         assert in_process_pool["workers"] == [2]
         tasks = [[(c.p, c.gamma) for c in task] for task in in_process_pool["tasks"]]
         assert tasks == [[(p, g) for g in (0.2, 0.5, 0.8)] for p in (0.5, 1.0)]
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_interrupt_leaves_no_task_queued(self, small_corpus, in_process_pool, jobs):
+        """The pool holds one task per worker at a time, each of which a
+        worker starts at once, so Ctrl-C finds no task waiting to start."""
+        in_process_pool["interrupt_after"] = 1
+        config = SMALL_CONFIG.replace(epochs=1)
+        with pytest.raises(KeyboardInterrupt):
+            grid_search(small_corpus, [0.0, 0.4, 0.8, 1.0], [0.5], config, seeds=[0], jobs=jobs)
+        assert in_process_pool["workers"] == [jobs]
+        assert len(in_process_pool["tasks"]) == jobs
 
     def test_walks_sampled_once_per_poi_and_seed(self, small_corpus, sampled_walks):
         config = SMALL_CONFIG.replace(epochs=1)

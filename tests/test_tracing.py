@@ -3,11 +3,12 @@ small run that reads an embedding file.
 
 The tracer counts a ``loss_and_gradient`` call as an epoch loss pass when
 its ``X`` has as many rows as ``len()`` of the first positional argument of
-``train``: a keyword call to ``train`` fails a traced run, and an epoch
-pass over a stack of models miscounts. It times the embedding file's load
-inside ``RunConfig.build_provider``. These run the bench's own commands on
-a small corpus, traced and untraced, and read the counters the bench
-reports.
+``train``, and as a mini-batch step otherwise: a keyword call to ``train``
+fails a traced run, an epoch pass over a stack of models miscounts, and
+so does a step that calls ``loss_and_gradient`` other than once. It times
+the embedding file's load inside ``RunConfig.build_provider``. These run
+the bench's own commands on a small corpus, traced and untraced, and read
+the counters the bench reports.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from threadwalk.corpus import load_corpus
+from threadwalk.evaluation import split_trees
+from threadwalk.features import labeled_pois
+from threadwalk.pipeline import RunConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -40,6 +46,8 @@ from workloads import WORKLOADS  # noqa: E402
 def test_traced_counts_and_outputs(tmp_path, name, epochs, groups, walk_passes):
     workload, stats, metrics = _traced_and_plain(tmp_path, name)
     assert metrics["model.epoch_loss_passes"] == workload.replicates * epochs
+    steps = _steps_per_epoch(workload, tmp_path / "corpus.jsonl")
+    assert metrics["model.minibatch_steps"] == groups * steps * epochs
     assert metrics["pipeline.replicates"] == groups
     assert metrics["walks.samples"] == walk_passes * stats["pois_per_replicate"]
 
@@ -49,6 +57,16 @@ def test_traced_external_embedding_run(tmp_path):
     assert metrics["embeddings.providers_built"] == 1
     assert metrics["embeddings.provider_s"] > 0.0
     assert metrics["walks.samples"] == stats["pois_per_replicate"]
+
+
+def _steps_per_epoch(workload, corpus):
+    """Mini-batch steps per epoch, ``ceil(n_train / batch_size)``, for the
+    train side of the workload's split of ``corpus``."""
+    seed = int(workload.args[workload.args.index("--seed") + 1])
+    config = RunConfig(seed=seed)
+    train_trees, _ = split_trees(load_corpus(corpus), config.split_fraction, config.seed)
+    n_train = sum(1 for _ in labeled_pois(train_trees, workload.task))
+    return -(-n_train // config.batch_size)
 
 
 def _traced_and_plain(tmp_path, name):
