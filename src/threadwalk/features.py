@@ -49,12 +49,22 @@ class AggregationStrategy(Enum):
 
 
 class ConcatScheme(Enum):
-    """Feature layouts: (u,v), (u,v,u*v), (u,v,|u-v|), (u,v,|u-v|,u*v)."""
+    """Feature layouts: (u,v), (u,v,u*v), (u,v,|u-v|), (u,v,|u-v|,u*v).
+
+    A value names its layout's blocks in column order: ``uv`` (u, then v),
+    ``absdiff`` (|u - v|) and ``mul`` (u * v).
+    """
 
     UV = "uv"
     UV_MUL = "uv_mul"
     UV_ABSDIFF = "uv_absdiff"
     UV_ABSDIFF_MUL = "uv_absdiff_mul"
+
+
+def extends_layout(scheme: ConcatScheme, prefix: ConcatScheme) -> bool:
+    """Whether the columns of ``prefix`` are the first columns of ``scheme``,
+    for the same ``u`` and ``v``, and ``scheme`` has more."""
+    return scheme.value.startswith(prefix.value + "_")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,14 +138,9 @@ def concat_features(
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim not in (1, 2):
         raise DimensionMismatchError(f"u has shape {u.shape}, v has shape {v.shape}")
-    if scheme is ConcatScheme.UV:
-        parts = (u, v)
-    elif scheme is ConcatScheme.UV_MUL:
-        parts = (u, v, u * v)
-    elif scheme is ConcatScheme.UV_ABSDIFF:
-        parts = (u, v, np.abs(u - v))
-    else:
-        parts = (u, v, np.abs(u - v), u * v)
+    parts = [u, v]
+    for block in scheme.value.split("_")[1:]:
+        parts.append(np.abs(u - v) if block == "absdiff" else u * v)
     return np.concatenate(parts, axis=-1, out=out)
 
 

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     MalformedFileError,
     NonFiniteLossError,
@@ -75,6 +76,7 @@ def loss_and_gradient(
     sample_weights: np.ndarray | None = None,
     *,
     compute: str = "both",
+    stacks: Sequence[tuple] | None = None,
 ) -> tuple:
     """L2-regularized cross-entropy and its analytic gradient.
 
@@ -83,12 +85,28 @@ def loss_and_gradient(
     ``bias (..., C)`` and ``X (..., n, D)`` may stack models on leading
     axes, sharing ``y``; each gets the bytes of a 2-D call, with an array
     loss. ``compute="loss"`` or ``"gradient"`` returns the other as None.
+
+    With ``stacks``, the models differ in width: ``weights`` is a flat
+    buffer, and ``grad_w`` one like it. Each ``(W, rows)`` of ``stacks``
+    holds the weights ``W (m, C, D_j)`` of m models, the next values of the
+    buffer, that read the first ``D_j`` columns of the matrices ``X[rows]``;
+    ``bias (M, C)`` holds the biases of all M models in order. Each model
+    still gets the bytes of a 2-D call on a contiguous copy of its columns.
     """
     n = X.shape[-2]
     sw = np.ones(n) if sample_weights is None else sample_weights
     # Each in-place step below is the same IEEE operation as its out-of-place
     # form, so the bytes are those of ``X @ W.T + b`` and so on.
-    logits = X @ weights.swapaxes(-1, -2)
+    if stacks is None:
+        logits = X @ weights.swapaxes(-1, -2)
+    else:
+        logits = np.empty((*bias.shape[:-1], n, bias.shape[-1]))
+        parts, end = [], 0  # (weights, columns, models) of each stack
+        for W, rows in stacks:
+            x, models = X[rows, :, : W.shape[-1]], slice(end, end + len(W))
+            np.matmul(x, W.swapaxes(-1, -2), out=logits[models])
+            parts.append((W, x, models))
+            end += len(W)
     logits += bias[..., None, :]
     logp = _log_softmax(logits)
     loss = grad_w = grad_b = None
@@ -96,7 +114,11 @@ def loss_and_gradient(
         # Contiguous, so each row sums in the order of a 2-D call.
         picked = np.ascontiguousarray(logp[..., np.arange(n), y])
         loss = -(sw * picked).sum(axis=-1) / n
-        loss = loss + 0.5 * l2 * (weights * weights).sum(axis=(-2, -1))
+        if stacks is None:
+            penalty = (weights * weights).sum(axis=(-2, -1))
+        else:
+            penalty = np.concatenate([(W * W).sum(axis=(-2, -1)) for W, _, _ in parts])
+        loss = loss + 0.5 * l2 * penalty
         loss = float(loss) if loss.ndim == 0 else loss
     if compute != "loss":
         delta = np.exp(logp)
@@ -104,7 +126,14 @@ def loss_and_gradient(
         # included, so the bytes are those of ``delta[..., arange(n), y] -= 1``.
         delta -= y[:, None] == np.arange(delta.shape[-1])
         delta *= sw[:, None]
-        grad_w = delta.swapaxes(-1, -2) @ X
+        if stacks is None:
+            grad_w = delta.swapaxes(-1, -2) @ X
+        else:
+            grad_w, end = np.empty_like(weights), 0
+            for W, x, models in parts:
+                out = grad_w[end : end + W.size].reshape(W.shape)
+                np.matmul(delta[models].swapaxes(-1, -2), x, out=out)
+                end += W.size
         grad_w /= n
         grad_w += l2 * weights
         grad_b = delta.sum(axis=-2)
@@ -113,33 +142,67 @@ def loss_and_gradient(
 
 
 def train(
-    labels: Sequence[str], features: np.ndarray, configs: Sequence[RunConfig]
+    labels: Sequence[str],
+    features: np.ndarray,
+    configs: Sequence[RunConfig],
+    columns: Sequence[tuple[int, int]] | None = None,
 ) -> list[SoftmaxModel]:
-    """Fit one softmax model per matrix of the ``(K, n, D)`` stack ``features``,
-    model k under ``configs[k]``; the K configs share the settings named in
-    TRAIN_FIELDS. Zero epochs return the zero initialization. Each model's
-    metadata records every setting of its config but the embedding file,
-    whose path would tie the bytes to a directory.
+    """Fit one softmax model per config, model k under ``configs[k]`` on the
+    first ``w`` columns of the matrix ``features[b]`` of the ``(B, n, D)``
+    stack ``features``, for ``(b, w) = columns[k]``; without ``columns``,
+    model k reads all of ``features[k]``. Every matrix is read by some model,
+    and the configs must agree on the settings named in TRAIN_FIELDS.
+    Zero epochs return the zero initialization. Each model's metadata
+    records every setting of its config but the embedding file, whose path
+    would tie the bytes to a directory.
 
     Deterministic per seed: zero initialization and a shuffle order drawn
     from a stream derived from the shared ``seed``. The models share the
-    shuffle and take each mini-batch step together, and each ends with the
-    bytes it gets alone (``features[k][None]``). The first epoch at which
-    any model's loss is non-finite raises NonFiniteLossError.
+    shuffle and take each mini-batch step together, one gather of the rows
+    of every matrix and one product per width stacked over the models of
+    that width, and each ends with the bytes it gets alone (a contiguous
+    copy of its columns, ``[None]``). The first epoch at which any model's
+    loss is non-finite raises NonFiniteLossError.
     """
     X, config = features, configs[0]
-    if X.ndim != 3 or X.shape[:2] != (len(configs), len(labels)):
+    for name in TRAIN_FIELDS:
+        values = list(dict.fromkeys(getattr(c, name) for c in configs))
+        if len(values) > 1:
+            got = f"{quote(values[0])} and {quote(values[1])}"
+            raise ConfigError(f"models trained together must share {name}, got {got}")
+    if columns is None:
+        columns = [(k, X.shape[-1]) for k in range(len(configs))]
+    if (
+        X.ndim != 3
+        or X.shape[1] != len(labels)
+        or len(columns) != len(configs)
+        or {b for b, _ in columns} != set(range(len(X)))
+        or not all(0 < w <= X.shape[2] for _, w in columns)
+    ):
         raise DimensionMismatchError(
-            f"features of shape {X.shape} are not ({len(configs)}, {len(labels)}, D)"
+            f"features of shape {X.shape} do not hold columns {columns[:5]} of {len(labels)} rows"
         )
     names, y = np.unique(labels, return_inverse=True)
     class_names = tuple(names.tolist())
     if len(class_names) < 2:
         raise SingleClassDataError(f"need >= 2 classes, got {class_names}")
-    n_models, n, dim = X.shape
-    n_classes = len(class_names)
-    weights = np.zeros((n_models, n_classes, dim), dtype=np.float64)
-    bias = np.zeros((n_models, n_classes), dtype=np.float64)
+    n, n_classes = len(labels), len(class_names)
+    # One stack of models per width, the widest first, in config order, with
+    # their weights in one buffer; a stack that reads consecutive matrices
+    # takes its columns as a view of the gathered rows.
+    by_width = sorted(range(len(configs)), key=lambda k: -columns[k][1])
+    weights = np.zeros(n_classes * sum(width for _, width in columns))
+    stacks, end = [], 0  # (weights, rows) of each stack
+    for width, ks in itertools.groupby(by_width, key=lambda k: columns[k][1]):
+        r = [columns[k][0] for k in ks]
+        reads = slice(r[0], r[-1] + 1) if r == list(range(r[0], r[-1] + 1)) else r
+        size = len(r) * n_classes * width
+        stacks.append((weights[end : end + size].reshape(len(r), n_classes, width), reads))
+        end += size
+    bias = np.zeros((len(configs), n_classes))
+    params = dict(zip(by_width, zip((W for stack, _ in stacks for W in stack), bias)))
+    if len(stacks) == 1 and stacks[0][1] == slice(0, len(X)) and width == X.shape[2]:
+        weights, stacks = stacks[0][0], None  # one width, each matrix whole: a plain stack
 
     if config.class_weighting:
         counts = np.bincount(y, minlength=n_classes).astype(np.float64)
@@ -155,7 +218,7 @@ def train(
     # loss reports either way.
     velocities = (np.zeros_like(weights), np.zeros_like(bias)) if config.momentum else (None, None)
     rng = derived_rng(config.seed, "train-shuffle")
-    histories: list[list[float]] = [[] for _ in range(n_models)]
+    histories: list[list[float]] = [[] for _ in configs]
 
     # A diverging run is reported by NonFiniteLossError, not numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -166,7 +229,8 @@ def train(
                 batch = slice(lo, lo + config.batch_size)
                 rows = X.take(order[batch], axis=1)
                 _, grad_w, grad_b = loss_and_gradient(
-                    weights, bias, rows, y_order[batch], config.l2, w_order[batch], compute="gradient"
+                    weights, bias, rows, y_order[batch], config.l2, w_order[batch],
+                    compute="gradient", stacks=stacks,
                 )
                 for param, vel, grad in zip((weights, bias), velocities, (grad_w, grad_b)):
                     grad *= config.learning_rate
@@ -177,8 +241,9 @@ def train(
                         vel -= grad
                         param += vel
             for k, history in enumerate(histories):
+                (base, width), (W, b) = columns[k], params[k]
                 epoch_loss, _, _ = loss_and_gradient(
-                    weights[k], bias[k], X[k], y, config.l2, sample_w, compute="loss"
+                    W, b, X[base, :, :width], y, config.l2, sample_w, compute="loss"
                 )
                 if not np.isfinite(epoch_loss):
                     raise NonFiniteLossError(f"loss became {epoch_loss} after an epoch")
@@ -187,8 +252,8 @@ def train(
     models = []
     for k, history in enumerate(histories):
         meta = {name: v for name, v in configs[k].to_dict().items() if name != "embedding_file"}
-        meta.update(n_examples=int(n), feature_dim=int(dim), loss_history=history)
-        models.append(SoftmaxModel(weights[k], bias[k], class_names, meta))
+        meta.update(n_examples=int(n), feature_dim=int(columns[k][1]), loss_history=history)
+        models.append(SoftmaxModel(*params[k], class_names, meta))
     return models
 
 

@@ -4,8 +4,10 @@ Every experiment repeats one replicate: featurize both sides of a fixed
 tree split at a seed, train, evaluate. A run is one replicate at the
 configured seed; a grid cell and an ablation row each average replicates
 over a list of seeds, and the replicates of one seed that share a feature
-width and training settings train in lockstep, up to three at a time. Each
-side of the split is compiled once into a
+width and training settings train in lockstep, up to three at a time. A
+replicate whose features are the first columns of another's, as ``(u, v)``
+and ``(u, v, |u - v|)`` are of ``(u, v, |u - v|, u*v)``, trains with that
+one on views of its matrices. Each side of the split is compiled once into a
 :class:`~threadwalk.features.CorpusSide`, so its comments are embedded
 once and its walks are sampled once per (p, seed) for the whole
 experiment. Experiments return values; the command line writes their
@@ -48,6 +50,7 @@ from .features import (
     Examples,
     TASK_LABELS,
     TASKS,
+    extends_layout,
     feature_width,
     featurize_split,
 )
@@ -256,42 +259,77 @@ class SeedAverage:
 def replicate(
     train_side: CorpusSide, test_side: CorpusSide, configs: Sequence[RunConfig]
 ) -> list[Replicate]:
-    """Featurize, train and evaluate configs that share one feature width
-    and the settings named in TRAIN_FIELDS, their train sides as one
-    ``(K, n, D)`` stack trained in lockstep. Each config's ``seed`` seeds only its walks and
-    the training shuffle; the split is the caller's. The stack is freed
-    once the models are trained, before the test sides are featurized."""
-    width = feature_width(train_side.values.shape[1], ConcatScheme(configs[0].scheme))
-    stack = np.empty((len(configs), len(train_side.labels), width))
-    for k, config in enumerate(configs):
-        featurize_split(train_side, config, out=stack[k])
-    models = train(train_side.labels, stack, configs)
+    """Featurize, train and evaluate configs that share the settings named
+    in TRAIN_FIELDS, trained in lockstep. A config whose features are the
+    first columns of another's (see :func:`_prefix_bases`) trains and is
+    evaluated on views of that config's matrices; the others hold one
+    feature width, and their train sides form one ``(B, n, D)`` stack. Each
+    config's ``seed`` seeds only its walks and the training shuffle; the
+    split is the caller's. The stack is freed once the models are trained,
+    before the test sides are featurized."""
+    dim = train_side.values.shape[1]
+    bases = _prefix_bases(configs, dim)
+    held = [k for k, base in enumerate(bases) if base == k]
+    widths = [feature_width(dim, ConcatScheme(config.scheme)) for config in configs]
+    stack = np.empty((len(held), len(train_side.labels), widths[held[0]]))
+    for j, k in enumerate(held):
+        featurize_split(train_side, configs[k], out=stack[j])
+    columns = [(held.index(base), width) for base, width in zip(bases, widths)]
+    models = train(train_side.labels, stack, configs, columns=columns)
     del stack
+    tests = {k: featurize_split(test_side, configs[k]) for k in held}
     replicates = []
-    for config, model in zip(configs, models):
-        test_examples = featurize_split(test_side, config)
+    for base, width, model in zip(bases, widths, models):
+        test_examples = dataclasses.replace(tests[base], X=tests[base].X[:, :width])
         replicates.append(Replicate(model, evaluate(model, test_examples), test_examples))
     return replicates
 
 
-# The most replicates trained in lockstep. On grid-hate (one core of a
-# 2-core VM), its 36 models trained in 1.09 s one at a time, 0.92 s in pairs,
+def _prefix_bases(configs: Sequence[RunConfig], dim: int) -> list[int]:
+    """The index of the config whose feature matrix each config reads: the
+    widest (of ``dim``-wide embeddings; the first of equal width) of those
+    that differ from it only in a scheme that extends its layout, or itself.
+    Such a base reads its own matrix: a layout that extended it would
+    extend the config's too, and be wider."""
+    def reads(k: int, j: int) -> bool:  # config k reads the matrix of config j
+        config, base = configs[k], configs[j]
+        schemes = ConcatScheme(base.scheme), ConcatScheme(config.scheme)
+        return extends_layout(*schemes) and base.replace(scheme=config.scheme) == config
+
+    def width(j: int) -> int:
+        return feature_width(dim, ConcatScheme(configs[j].scheme))
+
+    ks = range(len(configs))
+    return [max((j for j in ks if reads(k, j)), key=width, default=k) for k in ks]
+
+
+# The most feature matrices a lockstep group holds. On grid-hate (one core of
+# a 2-core VM), its 36 models trained in 1.09 s one at a time, 0.92 s in pairs,
 # 0.75 s in threes and 0.72 s in sixes, and peak RSS grew from 43.5 MB to
-# 47.4 MB at three and 53.0 MB at six: each model of a group holds its own
-# train feature matrix, so groups of six buy 4 % for 12 % more memory.
+# 47.4 MB at three and 53.0 MB at six: each of those models held its own
+# train feature matrix, so groups of six buy 4 % for 12 % more memory. A
+# model that reads a view of another's matrix is not counted.
 LOCKSTEP_CAP = 3
 
 
-def _lockstep_groups(configs: Sequence[RunConfig], dim: int) -> Iterator[list]:
-    """Runs of consecutive configs with one feature width (of ``dim``-wide
-    embeddings) and training settings, cut into groups of LOCKSTEP_CAP."""
-    def key(config: RunConfig) -> tuple:
-        training = tuple(getattr(config, name) for name in TRAIN_FIELDS)
-        return feature_width(dim, ConcatScheme(config.scheme)), training
+def _lockstep_groups(configs: Sequence[RunConfig], dim: int) -> list[list[int]]:
+    """The indices of the configs that train together, in the order of
+    their first config: runs of consecutive configs that read their own
+    matrix (see :func:`_prefix_bases`) with one feature width (of
+    ``dim``-wide embeddings) and training settings, cut into LOCKSTEP_CAP
+    matrices, each with the configs that read them."""
+    def key(k: int) -> tuple:
+        training = tuple(getattr(configs[k], name) for name in TRAIN_FIELDS)
+        return feature_width(dim, ConcatScheme(configs[k].scheme)), training
 
-    for _, run in itertools.groupby(configs, key):
+    bases = _prefix_bases(configs, dim)
+    groups = []
+    for _, run in itertools.groupby((k for k, base in enumerate(bases) if base == k), key):
         run = list(run)
-        yield from (run[i : i + LOCKSTEP_CAP] for i in range(0, len(run), LOCKSTEP_CAP))
+        for i in range(0, len(run), LOCKSTEP_CAP):
+            held = run[i : i + LOCKSTEP_CAP]
+            groups.append([k for k, base in enumerate(bases) if base in held])
+    return sorted(groups)
 
 
 def _mean(reports: Sequence[EvalReport], metric: str) -> float:
@@ -317,12 +355,15 @@ def average_over_seeds(
     """
     by_seed = []
     for seed in seeds:
-        reports: list[EvalReport] = []
+        reports: dict[int, EvalReport] = {}
         seeded = [config.replace(seed=seed) for config in configs]
         for group in _lockstep_groups(seeded, train_side.values.shape[1]):
+            members = [seeded[k] for k in group]
             # Only the reports outlive this line, so the group's test sides die here.
-            reports.extend([rep.report for rep in replicate(train_side, test_side, group)])
-        by_seed.append(reports)
+            reports.update(
+                zip(group, [rep.report for rep in replicate(train_side, test_side, members)])
+            )
+        by_seed.append([reports[k] for k in range(len(configs))])
     return [
         SeedAverage(
             p=config.p,

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from threadwalk.errors import (
+    ConfigError,
     DimensionMismatchError,
     MalformedFileError,
     NonFiniteLossError,
     SingleClassDataError,
 )
 from threadwalk.model import (
+    TRAIN_FIELDS,
     SoftmaxModel,
     _log_softmax,
     load_model,
@@ -110,6 +112,31 @@ class TestStackedLossAndGradient:
             assert grad_w[k].tobytes() == alone[1].tobytes()
             assert grad_b[k].tobytes() == alone[2].tobytes()
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_width_stacks_match_2d_calls(self, weighted):
+        """Stacks of widths 6 (both matrices), 4 and 2 (the second matrix)
+        in one flat buffer: each model's loss and gradient are the bytes of
+        a 2-D call on a contiguous copy of its columns."""
+        rng = np.random.default_rng(4)
+        X, y = rng.normal(size=(2, 25, 6)), rng.integers(0, 3, size=25)
+        sw = rng.uniform(0.5, 2.0, size=25) if weighted else None
+        weights, bias = rng.normal(size=3 * (2 * 6 + 4 + 2)), rng.normal(size=(4, 3))
+        shapes, reads = [(2, 3, 6), (1, 3, 4), (1, 3, 2)], [slice(0, 2), slice(1, 2), [1]]
+        ends = itertools.accumulate(int(np.prod(shape)) for shape in shapes)
+        stacks = [
+            (weights[end - int(np.prod(shape)) : end].reshape(shape), rows)
+            for shape, rows, end in zip(shapes, reads, ends)
+        ]
+        loss, grad_w, grad_b = loss_and_gradient(weights, bias, X, y, 0.01, sw, stacks=stacks)
+        models = [*enumerate(stacks[0][0]), (1, stacks[1][0][0]), (1, stacks[2][0][0])]
+        grads = np.split(grad_w, np.cumsum([W.size for _, W in models])[:-1])
+        for k, ((base, W), grad) in enumerate(zip(models, grads)):
+            columns = np.ascontiguousarray(X[base, :, : W.shape[1]])
+            alone = loss_and_gradient(W.copy(), bias[k], columns, y, 0.01, sw)
+            assert loss[k].tobytes() == np.float64(alone[0]).tobytes()
+            assert grad.tobytes() == alone[1].tobytes()
+            assert grad_b[k].tobytes() == alone[2].tobytes()
+
     @pytest.mark.parametrize("shape", [(), (2,)])
     def test_selected_parts_match_default_call(self, shape):
         rng = np.random.default_rng(9)
@@ -169,6 +196,50 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(core):
         for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"})
     ]
     assert digests[0] == digests[1]
+
+
+# Run in a child process: a model that reads the first columns of a
+# lockstep group's matrix takes its products on a strided view, written into
+# a slice of the group's buffer, where alone it takes them on a contiguous
+# copy; prints the products compared after asserting each pair equal. Widths
+# 2d, 3d and 4d of d = 256 columns, 2-D at a 32-row batch and at full sides,
+# stacked at a batch and at a small side.
+PREFIX_VIEW_CHECK = """
+import numpy as np
+
+rng = np.random.default_rng(5)
+d, compared = 256, 0
+for n, stacked in [(32, True), (952, True), (6580, False)]:
+    shape = (2, n, 4 * d) if stacked else (n, 4 * d)
+    X = rng.normal(size=shape)
+    delta = rng.normal(size=(*shape[:-1], 2))
+    for width in (2 * d, 3 * d, 4 * d):
+        W = rng.normal(size=(*shape[:-2], 2, width)) * 0.1
+        view, copy = X[..., :width], np.ascontiguousarray(X[..., :width])
+        logits = np.matmul(view, W.swapaxes(-1, -2), out=np.empty((*shape[:-1], 2)))
+        grad = np.matmul(delta.swapaxes(-1, -2), view, out=np.empty(W.shape))
+        assert logits.tobytes() == (copy @ W.swapaxes(-1, -2)).tobytes(), (n, width, "logits")
+        assert grad.tobytes() == (delta.swapaxes(-1, -2) @ copy).tobytes(), (n, width, "gradient")
+        assert (view @ W.swapaxes(-1, -2)).tobytes() == logits.tobytes(), (n, width, "scores")
+        compared += 3
+print(compared)
+"""
+
+
+@pytest.mark.parametrize("core", [None, "Haswell", "Sandybridge"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_prefix_views_give_the_bytes_of_contiguous_copies(core, threads):
+    """The BLAS products of a prefix model equal those of a contiguous copy
+    of its columns under three OpenBLAS cores, on one and on two threads."""
+    result = subprocess.run(
+        [sys.executable, "-c", PREFIX_VIEW_CHECK],
+        env={**_child_env(core), "OPENBLAS_NUM_THREADS": threads},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "27\n"
 
 
 def _child_env(core: str | None) -> dict:
@@ -394,6 +465,80 @@ class TestLockstepTrain:
             train(labels, X[0][None], [config])  # alone, the first model trains
             with pytest.raises(NonFiniteLossError):
                 train(labels, X[list(order)], [config] * 2)
+
+    # (matrices, the (matrix, width) each model reads) of 8-column matrices:
+    # one matrix and the ablation's widths 2d, 3d and 4d; prefixes before
+    # their matrix; two matrices with a stacked prefix width; a prefix width
+    # read from matrices out of order; and a matrix no model reads whole.
+    PREFIX_CASES = [
+        (1, [(0, 4), (0, 8), (0, 6)]),
+        (1, [(0, 2), (0, 6), (0, 8)]),
+        (2, [(0, 8), (1, 8), (0, 4), (1, 4)]),
+        (3, [(0, 6), (1, 6), (2, 6), (2, 3), (0, 3)]),
+        (2, [(1, 8), (0, 5), (1, 2)]),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(PREFIX_CASES)))
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("class_weighting", [False, True])
+    @pytest.mark.parametrize("batch_size, epochs", [(1, 2), (64, 4), (5, 3), (5, 0)])
+    def test_prefix_models_match_one_at_a_time(
+        self, case, momentum, class_weighting, batch_size, epochs
+    ):
+        """A model that reads the first columns of a matrix ends with the
+        bytes it gets alone on a contiguous copy of those columns."""
+        n_matrices, columns = self.PREFIX_CASES[case]
+        labels, X = self._problem(n_matrices, dim=8)
+        config = RunConfig(
+            epochs=epochs,
+            batch_size=batch_size,
+            seed=11,
+            momentum=momentum,
+            class_weighting=class_weighting,
+        )
+        models = train(labels, X, [config] * len(columns), columns)
+        assert len(models) == len(columns)
+        for (base, width), model in zip(columns, models):
+            (alone,) = train(labels, np.ascontiguousarray(X[base, :, :width])[None], [config])
+            assert model.weights.tobytes() == alone.weights.tobytes()
+            assert model.bias.tobytes() == alone.bias.tobytes()
+            assert model.metadata == alone.metadata
+            assert len(model.metadata["loss_history"]) == epochs
+            assert np.array(model.metadata["loss_history"]).tobytes() == np.array(
+                alone.metadata["loss_history"]
+            ).tobytes()
+
+    @pytest.mark.parametrize("columns", [[(0, 4), (0, 2)], [(0, 2), (0, 4)]])
+    def test_one_diverging_model_fails_a_prefix_group(self, columns):
+        """The first two columns are zeros, so the model that reads only them
+        trains; the one that reads all four diverges, alone as in the group."""
+        labels = ["a", "b"]
+        X = np.array([[[0.0, 0.0, 1e200, 0.0], [0.0, 0.0, 0.0, 1e200]]])
+        config = UNWEIGHTED.replace(epochs=3, learning_rate=1e150, l2=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            train(labels, X[:, :, :2].copy(), [config])  # alone, the prefix model trains
+            with pytest.raises(NonFiniteLossError) as alone:
+                train(labels, X, [config])
+            with pytest.raises(NonFiniteLossError) as together:
+                train(labels, X, [config] * 2, columns)
+        assert str(together.value) == str(alone.value)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 7), ("batch_size", 5), ("learning_rate", 0.5), ("l2", 0.0), ("seed", 5),
+        ("class_weighting", False), ("momentum", 0.9),
+    ])
+    def test_models_must_share_the_training_settings(self, field, value):
+        labels, X = self._problem(2)
+        base = RunConfig(epochs=3, learning_rate=0.1, seed=4)
+        assert field in TRAIN_FIELDS and getattr(base, field) != value
+        with pytest.raises(ConfigError, match=f"must share {field}, got "):
+            train(labels, X, [base, base.replace(**{field: value})])
+
+    def test_the_first_differing_training_setting_is_named(self):
+        labels, X = self._problem(2)
+        base = RunConfig(epochs=3, learning_rate=0.1)
+        with pytest.raises(ConfigError, match="must share epochs, got 3 and 7"):
+            train(labels, X, [base, base.replace(learning_rate=0.5, epochs=7)])
 
     def test_each_model_records_its_own_config(self):
         labels, X = self._problem(3)

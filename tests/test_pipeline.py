@@ -438,20 +438,29 @@ class TestLockstepGroups:
 
     @pytest.fixture
     def trained_groups(self, monkeypatch) -> list:
-        """The number of models of every ``train`` call from the pipeline."""
-        sizes = []
+        """The configs and the number of feature matrices of every ``train``
+        call from the pipeline."""
+        calls = []
         real_train = pipeline.train
 
-        def counted(labels, features, config):
-            sizes.append(len(features))
-            return real_train(labels, features, config)
+        def counted(labels, features, configs, **kwargs):
+            calls.append((list(configs), len(features)))
+            return real_train(labels, features, configs, **kwargs)
 
         monkeypatch.setattr(pipeline, "train", counted)
-        return sizes
+        return calls
 
+    # (the indices of the configs of each group, the matrices it holds) per
+    # seed. The schemes (u, v) and (u, v, |u - v|) read the first columns of
+    # (u, v, |u - v|, u*v), so they train on its matrix; without it, (u, v)
+    # reads the first of the two equally wide layouts that begin with it.
     @pytest.mark.parametrize(
         "field, values, groups",
-        [("gamma", GAMMAS, [3, 3, 1]), ("scheme", SCHEMES, [1, 2, 1])],
+        [
+            ("gamma", GAMMAS, [([0, 1, 2], 3), ([3, 4, 5], 3), ([6], 1)]),
+            ("scheme", SCHEMES, [([0, 2, 3], 1), ([1], 1)]),
+            ("scheme", SCHEMES[:3], [([0, 1, 2], 2)]),
+        ],
     )
     def test_groups_match_configs_run_alone(
         self, small_corpus, trained_groups, field, values, groups
@@ -461,29 +470,29 @@ class TestLockstepGroups:
         configs = [config.replace(**{field: value}) for value in values]
         seeds = (0, 1)
         average_over_seeds(train_side, test_side, configs, seeds)
-        assert trained_groups == groups * len(seeds)
-        assert max(trained_groups) <= LOCKSTEP_CAP
+        seeded = [[c.replace(seed=seed) for c in configs] for seed in seeds]
+        expected = [([s[k] for k in group], matrices) for s in seeded for group, matrices in groups]
+        assert trained_groups == expected
+        assert max(matrices for _, matrices in trained_groups) <= LOCKSTEP_CAP
         # each group trained in lockstep gives what its configs give alone
-        bounds = [0, *itertools.accumulate(groups)]
-        for seed in seeds:
-            seeded = [c.replace(seed=seed) for c in configs]
-            for start, stop in zip(bounds, bounds[1:]):
-                together = replicate(train_side, test_side, seeded[start:stop])
-                for config, a in zip(seeded[start:stop], together):
-                    (b,) = replicate(train_side, test_side, [config])
-                    assert a.report.to_dict() == b.report.to_dict()
-                    assert np.array_equal(a.model.weights, b.model.weights)
-                    assert np.array_equal(a.model.bias, b.model.bias)
-                    assert a.model.metadata == b.model.metadata
+        for members, _ in expected:
+            together = replicate(train_side, test_side, members)
+            for config, a in zip(members, together):
+                (b,) = replicate(train_side, test_side, [config])
+                assert a.report.to_dict() == b.report.to_dict()
+                assert a.model.weights.tobytes() == b.model.weights.tobytes()
+                assert a.model.bias.tobytes() == b.model.bias.tobytes()
+                assert a.model.metadata == b.model.metadata
+                assert a.test_examples.X.tobytes() == b.test_examples.X.tobytes()
 
     def test_stack_freed_before_next_group(self, small_corpus, monkeypatch):
         stacks = []  # a weak reference to each group's training stack
         featurized_with_live_stack = []
         real_train, real_featurize = pipeline.train, pipeline.featurize_split
 
-        def spy_train(labels, features, config):
+        def spy_train(labels, features, configs, **kwargs):
             stacks.append(weakref.ref(features))
-            return real_train(labels, features, config)
+            return real_train(labels, features, configs, **kwargs)
 
         def spy_featurize(side, config, out=None):
             if out is not None:  # the train side of a group

@@ -38,9 +38,10 @@ from workloads import WORKLOADS  # noqa: E402
         # 3 p x 6 gammas x 2 seeds; the six gammas of a (p, seed) train in two
         # groups and share one walk per PoI
         ("grid-hate", 20, 3 * 2 * 2, 3 * 2),
-        # 4 schemes x 2 seeds; per seed the widths 2d, 3d, 3d, 4d make three
-        # groups, and the schemes share one walk per PoI
-        ("ablate-hate", 50, 3 * 2, 2),
+        # 4 schemes x 2 seeds; per seed (u, v) and (u, v, |u - v|) are the
+        # first columns of (u, v, |u - v|, u*v) and train on its matrix, so
+        # the schemes make two groups, and they share one walk per PoI
+        ("ablate-hate", 50, 2 * 2, 2),
     ],
 )
 def test_traced_counts_and_outputs(tmp_path, name, epochs, groups, walk_passes):
