@@ -199,11 +199,12 @@ class CorpusSide:
     ``node_ids`` and ``labels``), one embedding row per node of every tree
     with a PoI as the provider's ``values`` (shape ``(N, d)``, in the
     narrowest dtype that holds them) and float64 ``divisors`` (shape
-    ``(N,)``), the row of each node id of a PoI's tree in ``node_rows``, and
-    the walks of the last ``(p, L, step cap, seed)`` featurized. Walks do
-    not depend on ``gamma``, so featurizing that key again under any gamma,
-    aggregation or scheme reuses them; callers that loop over seeds outside
-    those settings sample each walk once.
+    ``(N,)``), and the walks of the last ``(p, L, step cap, seed)``
+    featurized. The rows are the nodes of each tree with a PoI in tree
+    order, the trees in PoI order; one private map per tree gives the row
+    of each node id. Walks do not depend on ``gamma``, so featurizing that
+    key again under any gamma, aggregation or scheme reuses them; callers
+    that loop over seeds outside those settings sample each walk once.
     """
 
     def __init__(
@@ -218,8 +219,7 @@ class CorpusSide:
         self.values, self.divisors = provider.scaled_rows(nodes)
         self.values.setflags(write=False)
         rows = iter(range(len(nodes)))
-        rows_of = {tree: {node.id: next(rows) for node in tree} for tree in walked}
-        self.node_rows = [rows_of[tree] for tree in self.trees]
+        self._rows = {tree: {node.id: next(rows) for node in tree} for tree in walked}
         self._memo: tuple | None = None  # (p, L, step cap, seed), walks, rows, lengths
 
     def embeddings(self, rows: np.ndarray) -> np.ndarray:
@@ -248,17 +248,14 @@ class CorpusSide:
                     for (tree, node_id), draws in zip(pois, _pcg64_doubles(states, _DRAWS))
                 )
             lengths = np.array([len(s.node_ids) for s in samples], dtype=np.intp)
+            maps = map(self._rows.__getitem__, self.trees)
+            ids = (rows_of[node_id] for rows_of, s in zip(maps, samples) for node_id in s.node_ids)
+            flat = np.fromiter(ids, np.intp, int(lengths.sum()))
             rows = np.zeros((len(samples), lengths.max(initial=1)), dtype=np.intp)
-            for i, (sample, node_rows) in enumerate(zip(samples, self.node_rows)):
-                rows[i, : lengths[i]] = [node_rows[node_id] for node_id in sample.node_ids]
+            rows[np.arange(rows.shape[1]) < lengths[:, None]] = flat
             self._memo = (key, tuple(samples), rows, lengths)
         _, samples, rows, lengths = self._memo
         return samples, rows, lengths
-
-    def examples(self, X: np.ndarray, walks: tuple[WalkSample, ...]) -> Examples:
-        """``X`` (one row per PoI, made read-only) with the PoIs' columns and walks."""
-        X.setflags(write=False)
-        return Examples(X, self.trees, self.node_ids, self.labels, walks)
 
 
 # PoIs per block of feature rows, and context rows per gathered stack: bounds
@@ -307,7 +304,8 @@ def featurize_split(side: CorpusSide, config: RunConfig, out: np.ndarray | None 
                     normalize=config.normalize_weights,
                 )
         concat_features(u, v, scheme, out=X[start : start + _BLOCK])
-    return side.examples(X, samples)
+    X.setflags(write=False)
+    return Examples(X, side.trees, side.node_ids, side.labels, samples)
 
 
 def _check_task(task: str) -> None:

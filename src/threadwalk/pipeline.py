@@ -303,12 +303,12 @@ def _prefix_bases(configs: Sequence[RunConfig], dim: int) -> list[int]:
     return [max((j for j in ks if reads(k, j)), key=width, default=k) for k in ks]
 
 
-# The most feature matrices a lockstep group holds. On grid-hate (one core of
-# a 2-core VM), its 36 models trained in 1.09 s one at a time, 0.92 s in pairs,
-# 0.75 s in threes and 0.72 s in sixes, and peak RSS grew from 43.5 MB to
-# 47.4 MB at three and 53.0 MB at six: each of those models held its own
-# train feature matrix, so groups of six buy 4 % for 12 % more memory. A
-# model that reads a view of another's matrix is not counted.
+# The most feature matrices a lockstep group holds. On grid-hate (in-process,
+# one core of a 2-core VM, median of 15), its 36 models trained in 0.55 s one
+# matrix at a time, 0.38 s in threes and 0.38 s in sixes, and peak RSS grew
+# from 40.5 MB to 43.6 MB at three and 48.8 MB at six, as a group holds all
+# its train feature matrices at once: groups of six buy no time for 12 % more
+# memory. A model that reads a view of another's matrix is not counted.
 LOCKSTEP_CAP = 3
 
 
@@ -479,9 +479,20 @@ def grid_search(
         # cancelling, so it is handed one task per worker at a time.
         ignore_sigint = (signal.SIGINT, signal.SIG_IGN)
         averages = []
-        with ProcessPoolExecutor(workers, initializer=signal.signal, initargs=ignore_sigint) as pool:
-            for lo in range(0, len(rows), workers):
-                averages += pool.map(row_averages, rows[lo : lo + workers])
+        # The pool forks its workers and starts its manager thread inside the
+        # first map, and a Ctrl-C there leaves a pool that cannot shut down (a
+        # traceback, or a hang at exit). So SIGINT stays blocked until that map
+        # returns, and one that came meanwhile is raised then.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        try:
+            pool = ProcessPoolExecutor(workers, initializer=signal.signal, initargs=ignore_sigint)
+            with pool:
+                for lo in range(0, len(rows), workers):
+                    batch = pool.map(row_averages, rows[lo : lo + workers])
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    averages += batch
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     else:
         averages = [row_averages(row) for row in rows]
     return sorted(itertools.chain(*averages), key=lambda cell: (cell.p, cell.gamma))

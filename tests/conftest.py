@@ -104,8 +104,10 @@ def make_chain(depth: int, tree_id: str = "chain") -> DiscussionTree:
 def random_records(
     rng: np.random.Generator, size: int, label_choices: tuple[str, ...] | None = None
 ) -> list[CommentNode]:
-    """Uniform random recursive tree as flat records (node i replies to < i)."""
-    records = [CommentNode("m0000", None, "root text")]
+    """Uniform random recursive tree as flat records (node i replies to < i),
+    each labeled, the root first, when ``label_choices`` is given."""
+    root_label = None if label_choices is None else str(rng.choice(label_choices))
+    records = [CommentNode("m0000", None, "root text", label=root_label)]
     for i in range(1, size):
         parent = int(rng.integers(0, i))
         label = None
@@ -271,18 +273,28 @@ def parse_embeddings_oracle(path: Path) -> dict[str, np.ndarray]:
     return table
 
 
+def side_rows(side: CorpusSide) -> dict[tuple[DiscussionTree, str], int]:
+    """The embedding row of each ``(tree, node id)`` of a side, in its
+    documented order: the nodes of each tree with a PoI in tree order, the
+    trees in PoI order."""
+    walked = dict.fromkeys(side.trees)
+    return {key: row for row, key in enumerate((t, node.id) for t in walked for node in t)}
+
+
 def bow_examples(trees, task, d, *, normalize=False) -> Examples:
     """Bag-of-words baseline inputs, the input the walk features are
     measured against: polarity concatenates the parent and child BoW vectors
     (the pair framing), hate uses the single comment vector. Each row's walk
     is the PoI alone, since the baseline sees no context."""
     side = CorpusSide(trees, HashedBowProvider(d, normalize=normalize), task)
-    pois = list(zip(side.trees, side.node_ids, side.node_rows))
-    X = side.embeddings([rows[node_id] for _, node_id, rows in pois])
+    rows, pois = side_rows(side), list(zip(side.trees, side.node_ids))
+    X = side.embeddings([rows[tree, node_id] for tree, node_id in pois])
     if task == POLARITY_TASK:
-        parents = side.embeddings([rows[tree.parent(node_id)] for tree, node_id, rows in pois])
+        parents = side.embeddings([rows[tree, tree.parent(node_id)] for tree, node_id in pois])
         X = np.concatenate([parents, X], axis=1)
-    return side.examples(X, tuple(WalkSample((node_id,), ()) for node_id in side.node_ids))
+    X.setflags(write=False)
+    walks = tuple(WalkSample((node_id,), ()) for node_id in side.node_ids)
+    return Examples(X, side.trees, side.node_ids, side.labels, walks)
 
 
 def bow_logreg_baseline(trees, task, d, config, *, normalize=False):

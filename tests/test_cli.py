@@ -1948,3 +1948,68 @@ def test_interrupted_pool_exits_130_with_one_line(corpus_path, tmp_path):
     assert (proc.returncode, stderr, stdout) == (130, "interrupted\n", "")
     assert not (out / "manifest.json").exists()
     assert _process_group(proc.pid) == []
+
+
+# Sends SIGINT to its own process group at the ``argv[1]``-th entry to or exit
+# from a pool start-up step, then runs the CLI on the rest of ``argv``.
+_INTERRUPT_AT_POOL_START = """
+import os, signal, sys
+from concurrent.futures.process import ProcessPoolExecutor
+from threadwalk.cli import main
+
+at, seen = int(sys.argv[1]), [0]
+
+def event():
+    seen[0] += 1
+    if seen[0] == at:
+        os.killpg(0, signal.SIGINT)
+
+def hooked(step):
+    def run(*args):
+        event()
+        result = step(*args)
+        event()
+        return result
+    return run
+
+for name in {steps!r}:
+    setattr(ProcessPoolExecutor, name, hooked(getattr(ProcessPoolExecutor, name)))
+sys.exit(main(sys.argv[2:]))
+"""
+_POOL_START_STEPS = ("_start_executor_manager_thread", "_adjust_process_count", "_spawn_process")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc")
+@pytest.mark.parametrize("at", range(1, 7))
+def test_interrupt_during_pool_start_exits_130_with_one_line(corpus_path, tmp_path, at):
+    """Ctrl-C at each entry to and exit from a step of pool start-up (with
+    fork: the manager thread's start, and each worker's fork inside it) ends
+    ``grid-search --jobs 2`` with exit 130, one ``interrupted`` line, no
+    manifest and no process of the group left."""
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    if not all(hasattr(ProcessPoolExecutor, step) for step in _POOL_START_STEPS):
+        pytest.skip("this Python's ProcessPoolExecutor has other start-up steps")
+    out = tmp_path / "out"
+    argv = ["grid-search", "--corpus", str(corpus_path), "--out", str(out), "--task", "hate"]
+    argv += ["--epochs", "1", "--bow-dim", "8", "--jobs", "2", "--gamma-values", "0.5"]
+    argv += ["--p-values", "0,1", "--seeds", "0"]
+    script = _INTERRUPT_AT_POOL_START.format(steps=_POOL_START_STEPS)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, str(at), *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, stderr, stdout) == (130, "interrupted\n", "")
+    assert not (out / "manifest.json").exists()
+    assert _process_group(proc.pid) == []

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import hashed_bow_oracle, parse_embeddings_oracle
+from conftest import hashed_bow_oracle, parse_embeddings_oracle, random_tree, side_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -412,7 +412,7 @@ class TestCorpusSide:
         tree = build_tree(nodes, tree_id="t")
         side = CorpusSide([tree], HashedBowProvider(16, normalize), "hate")
         assert side.values.dtype == dtype
-        rows = np.array([side.node_rows[0][node.id] for node in nodes])
+        rows = np.array([side_rows(side)[tree, node.id] for node in nodes])
         want = np.array([hashed_bow_oracle(text, 16, normalize) for text in texts])
         assert side.embeddings(rows).tobytes() == want.tobytes()
 
@@ -428,12 +428,12 @@ class TestCorpusSide:
     def test_external_rows_decode_to_the_table_bytes(self, tmp_path):
         trees, provider = _side_corpus("hate", "external", tmp_path)
         side = CorpusSide(trees, provider, "hate")
-        rows = [node_rows[node_id] for node_rows, node_id in zip(side.node_rows, side.node_ids)]
+        _, rows, _ = side.walks(RunConfig(task="hate", walk_length=1))
         nodes = [tree.node(node_id) for tree, node_id in zip(side.trees, side.node_ids)]
         assert side.values.dtype == np.float64 and np.all(side.divisors == 1.0)
         table = parse_embeddings_oracle(tmp_path / "emb.txt")
         want = np.array([table[node.id] for node in nodes])
-        assert side.embeddings(np.array(rows)).tobytes() == want.tobytes()
+        assert side.embeddings(rows[:, 0]).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("task", ["hate", "polarity"])
     @pytest.mark.parametrize("embedding", ["hashed", "external"])
@@ -540,3 +540,38 @@ def test_walk_past_the_side_wide_draws_continues_its_stream():
         want = [sample_walk(tree, n, config, walk_rng(seed, "t", n)) for n in side.node_ids]
         assert list(samples) == want
         assert len(samples[side.node_ids.index("a")].raw_steps) == config.step_cap
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    sizes=st.lists(st.integers(1, 15), min_size=1, max_size=4),
+    task=st.sampled_from(["hate", "polarity"]),
+    L=st.integers(1, 7),
+    p=st.sampled_from([0.0, 0.5, 1.0]),
+    short_cap=st.booleans(),
+)
+def test_walk_rows_follow_the_documented_row_order(seed, sizes, task, L, p, short_cap):
+    """On a random forest, each walk's rows are its sampled ids mapped
+    through the side's documented row order, padded with row 0 to the
+    longest walk, and its length is the number of ids it collected."""
+    rng = np.random.default_rng(seed)
+    labels = features.TASK_LABELS[task]
+    trees = [
+        random_tree(rng, size, tree_id=f"t{i}", label_choices=labels)
+        for i, size in enumerate(sizes)
+    ]
+    side = CorpusSide(trees, HashedBowProvider(4), task)
+    config = RunConfig(
+        task=task, p=p, walk_length=L, step_cap=L - 1 if short_cap else None, seed=seed
+    )
+    _, rows, lengths = side.walks(config)
+    order = side_rows(side)
+    pois = list(zip(side.trees, side.node_ids))
+    walks = [sample_walk(t, n, config, walk_rng(seed, t.tree_id, n)).node_ids for t, n in pois]
+    want = np.zeros((len(walks), max(map(len, walks), default=1)), dtype=np.intp)
+    for i, ((tree, _), walk) in enumerate(zip(pois, walks)):
+        want[i, : len(walk)] = [order[tree, node_id] for node_id in walk]
+    assert lengths.tolist() == list(map(len, walks))
+    assert rows.dtype == want.dtype and rows.shape == want.shape
+    assert rows.tobytes() == want.tobytes()

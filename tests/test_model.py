@@ -115,8 +115,8 @@ class TestStackedLossAndGradient:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_width_stacks_match_2d_calls(self, weighted):
         """Stacks of widths 6 (both matrices), 4 and 2 (the second matrix)
-        in one flat buffer: each model's loss and gradient are the bytes of
-        a 2-D call on a contiguous copy of its columns."""
+        in one flat buffer: each model's gradient is the bytes of a 2-D call
+        on a contiguous copy of its columns."""
         rng = np.random.default_rng(4)
         X, y = rng.normal(size=(2, 25, 6)), rng.integers(0, 3, size=25)
         sw = rng.uniform(0.5, 2.0, size=25) if weighted else None
@@ -127,15 +127,26 @@ class TestStackedLossAndGradient:
             (weights[end - int(np.prod(shape)) : end].reshape(shape), rows)
             for shape, rows, end in zip(shapes, reads, ends)
         ]
-        loss, grad_w, grad_b = loss_and_gradient(weights, bias, X, y, 0.01, sw, stacks=stacks)
+        loss, grad_w, grad_b = loss_and_gradient(
+            weights, bias, X, y, 0.01, sw, compute="gradient", stacks=stacks
+        )
+        assert loss is None
         models = [*enumerate(stacks[0][0]), (1, stacks[1][0][0]), (1, stacks[2][0][0])]
         grads = np.split(grad_w, np.cumsum([W.size for _, W in models])[:-1])
         for k, ((base, W), grad) in enumerate(zip(models, grads)):
             columns = np.ascontiguousarray(X[base, :, : W.shape[1]])
             alone = loss_and_gradient(W.copy(), bias[k], columns, y, 0.01, sw)
-            assert loss[k].tobytes() == np.float64(alone[0]).tobytes()
             assert grad.tobytes() == alone[1].tobytes()
             assert grad_b[k].tobytes() == alone[2].tobytes()
+
+    @pytest.mark.parametrize("compute", ["both", "loss"])
+    def test_width_stacks_refuse_a_loss(self, compute):
+        W = np.zeros((1, 2, 3))
+        with pytest.raises(ValueError, match="gradient only"):
+            loss_and_gradient(
+                W.ravel(), np.zeros((1, 2)), np.ones((1, 4, 3)), np.array([0, 1, 0, 1]), 0.1,
+                compute=compute, stacks=[(W, slice(0, 1))],
+            )
 
     @pytest.mark.parametrize("shape", [(), (2,)])
     def test_selected_parts_match_default_call(self, shape):
