@@ -27,6 +27,7 @@ from .corpus import corpus_stats, load_corpus, save_corpus, write_lines
 from .errors import (
     ConfigError,
     InputError,
+    NonFiniteScoreError,
     ThreadwalkError,
     TooFewTreesError,
     cut_path,
@@ -80,8 +81,9 @@ def main(argv: list[str] | None = None) -> int:
         except (InputError, OSError) as exc:
             if isinstance(exc, OSError) and isinstance(exc.filename, str):
                 exc.filename = cut_path(exc.filename)  # the OS message echoes it
-            # Only the --corpus trees are ever split, so name that file.
-            where = f"{cut_path(args.corpus)}: " if isinstance(exc, TooFewTreesError) else ""
+            # Only the --corpus trees are ever split, and a --model file scores rows.
+            flag = {TooFewTreesError: "corpus", NonFiniteScoreError: "model"}.get(type(exc))
+            where = f"{cut_path(getattr(args, flag))}: " if flag and hasattr(args, flag) else ""
             _say(f"error: {where}{exc}")
             return 2
         except ThreadwalkError as exc:
@@ -245,12 +247,11 @@ def _parse_list(text: str | None, extras: dict, key: str, cast: type, default: t
     return tuple(cast(v) for v in values)
 
 
-def _scored(args: argparse.Namespace, out: bool) -> tuple[SoftmaxModel, Examples, Path | None]:
+def _scored(args: argparse.Namespace) -> tuple[SoftmaxModel, Examples]:
     """The ``--model`` file and the test side it scores, featurized under the
-    settings it records and ``--embedding-file``, and if ``out`` the output
-    directory, made once the model and corpus are read; ConfigError if the
-    model records no settings, if its classes are not its task's labels, or
-    if the embeddings give rows of another width than it takes."""
+    settings it records and ``--embedding-file``; ConfigError if the model
+    records no settings, if its classes are not its task's labels, or if
+    the embeddings give rows of another width than it takes."""
     model, where = load_model(args.model), cut_path(args.model)
     settings = {**model.metadata, "embedding_file": args.embedding_file}
     names = [f.name for f in dataclasses.fields(RunConfig)]
@@ -269,14 +270,13 @@ def _scored(args: argparse.Namespace, out: bool) -> tuple[SoftmaxModel, Examples
             f"of the {config.task} task its settings name"
         )
     test_side = split_sides(load_corpus(args.corpus), config)[1]
-    outdir = _outdir(args) if out else None
     examples = featurize_split(test_side, config)
     if examples.X.shape[1] != model.feature_dim:
         raise ConfigError(
             f"{where} takes {model.feature_dim} features per row, but these embeddings "
             f"give {examples.X.shape[1]}; use the table it was trained on"
         )
-    return model, examples, outdir
+    return model, examples
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -325,12 +325,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    model, examples, outdir = _scored(args, out=bool(args.out))
-    report = evaluate(model, examples)
-    print(report.to_text(), end="")
-    if outdir is not None:
+    report = evaluate(*_scored(args))
+    if args.out:
+        outdir = _outdir(args)
         write_lines(outdir / "report.txt", [report.to_text()])
         write_json(report.to_dict(), outdir / "metrics.json")
+    print(report.to_text(), end="")
     return 0
 
 
@@ -338,22 +338,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     config, _ = _resolve_config(args)
     train_side, test_side = split_sides(load_corpus(args.corpus), config)
     outdir = _outdir(args)
-    ((model, report, test_examples),) = replicate(train_side, test_side, [config])
+    ((model, report),) = replicate(train_side, test_side, [config])
     artifacts = [outdir / "model.txt", outdir / "report.txt", outdir / "metrics.json"]
     save_model(model, artifacts[0])
     write_lines(artifacts[1], [report.to_text()])
-    metrics = {
-        "report": report.to_dict(),
-        "train_examples": len(train_side.labels),
-        "test_examples": len(test_examples),
-        "config": config.to_dict(),
-    }
-    write_json(metrics, artifacts[2])
+    sizes = {"train_examples": len(train_side.labels), "test_examples": len(test_side.labels)}
+    write_json({"report": report.to_dict(), **sizes, "config": config.to_dict()}, artifacts[2])
     if args.dump_features:
         artifacts.append(outdir / "features.jsonl")
-        # The train side's walks are memoized, so its rows come out as trained on.
-        examples = (featurize_split(train_side, config), test_examples)
-        write_lines(artifacts[-1], itertools.chain(*map(feature_dump_lines, examples)))
+        # Each side's walks are memoized, so its rows come out as trained or scored on.
+        sides = (featurize_split(side, config) for side in (train_side, test_side))
+        write_lines(artifacts[-1], itertools.chain.from_iterable(map(feature_dump_lines, sides)))
     # Last, so that a manifest vouches for a complete set of artifacts.
     artifacts.append(outdir / "manifest.json")
     write_manifest(config, artifacts[-1])
@@ -401,8 +396,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_error_analysis(args: argparse.Namespace) -> int:
-    model, examples, outdir = _scored(args, out=True)
-    positive_label, records = error_analysis(model, examples)
+    positive_label, records = error_analysis(*_scored(args))
+    outdir = _outdir(args)
     write_lines(outdir / "errors.jsonl", (json.dumps(r, sort_keys=True) + "\n" for r in records))
     fps = sum(record["kind"] == "fp" for record in records)
     print(

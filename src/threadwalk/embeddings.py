@@ -38,6 +38,9 @@ _BLOCK_CELLS = 1 << 20  # float64 counts held at once by hashed_bow_rows: 8 MiB
 _BLOCK_TOKENS = _BLOCK_CELLS // 4
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# The largest |value| of an embedding table: u * v, |u - v| and the sum of a
+# walk's context rows (at most pipeline.MAX_WALK_LENGTH - 1) stay finite.
+MAX_EMBEDDING_VALUE = 1e150
 
 
 def tokenize(text: str) -> list[str]:
@@ -163,8 +166,8 @@ def load_external_embeddings(path: str | Path) -> ExternalEmbeddingProvider:
     Format: first line ``d=<int>``, then one ``<node_id> v1 ... vd`` row
     per comment, fields split on whitespace; blank lines are skipped.
     Values are decimal floats as numpy reads them (``1.5``, ``-2e-3``; not
-    ``1_0``) and must be finite. Node ids are treated as corpus-unique. A
-    bad file raises for its first bad line.
+    ``1_0``) within +-MAX_EMBEDDING_VALUE. Node ids are treated as
+    corpus-unique. A bad file raises for its first bad line.
 
     Each regular file's bytes are parsed once: a parse leaves a sidecar,
     ``.<name>.threadwalk-cache`` beside the file, and a later load of bytes
@@ -234,7 +237,7 @@ def _parse_table(
         )
     except ValueError:
         _raise_first_fault(path, source, dim)
-    if matrix.shape != (len(rows), dim) or not np.isfinite(matrix).all():
+    if matrix.shape != (len(rows), dim) or _value_fault(matrix):
         _raise_first_fault(path, source, dim)
     matrix.setflags(write=False)
     return rows, matrix
@@ -282,7 +285,7 @@ def _read_cache(
 
     A sidecar is trusted only if it is owned by the table's owner or by
     this process's user, and only with what a parse could give: distinct
-    ids that are non-empty and hold no whitespace, and finite rows.
+    ids that are non-empty and hold no whitespace, and rows in range.
     """
     try:
         # Non-blocking, so that a FIFO planted at the sidecar path is no hang;
@@ -325,7 +328,7 @@ def _read_cache(
         text != "".join(f"{name}\n" for name in names)
         or len(names) != n
         or len(rows) != n
-        or not np.isfinite(matrix).all()
+        or _value_fault(matrix)
     ):
         return None
     matrix = matrix.astype(np.float64, copy=False)
@@ -373,9 +376,20 @@ def _raise_first_fault(path: Path, source: BinaryIO, dim: int) -> NoReturn:
             vec = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
             raise MalformedFileError(f"{where}:{lineno}: non-numeric value") from None
-        if not np.isfinite(vec).all():
-            raise MalformedFileError(f"{where}:{lineno}: non-finite value")
+        if fault := _value_fault(vec):
+            raise MalformedFileError(f"{where}:{lineno}: {fault}")
     raise MalformedFileError(f"{where}: unreadable embedding table")
+
+
+def _value_fault(values: np.ndarray) -> str | None:
+    """Why the loader refuses ``values``, or None; found from their min and
+    max, without a temporary the size of ``values``."""
+    low, high = (values.min(), values.max()) if values.size else (0.0, 0.0)
+    if not (np.isfinite(low) and np.isfinite(high)):
+        return "non-finite value"
+    if max(-low, high) > MAX_EMBEDDING_VALUE:
+        return f"value outside [-{MAX_EMBEDDING_VALUE:.0e}, {MAX_EMBEDDING_VALUE:.0e}]"
+    return None
 
 
 def save_external_embeddings(vectors: dict[str, np.ndarray], path: str | Path) -> None:
@@ -390,8 +404,8 @@ def save_external_embeddings(vectors: dict[str, np.ndarray], path: str | Path) -
     for node_id, vec in vectors.items():
         if node_id.split() != [node_id]:
             raise MalformedFileError(f"embedding id {quote(node_id)} is empty or holds whitespace")
-        if not np.isfinite(vec).all():
-            raise MalformedFileError(f"non-finite value for embedding id {quote(node_id)}")
+        if fault := _value_fault(np.asarray(vec, dtype=np.float64)):
+            raise MalformedFileError(f"{fault} for embedding id {quote(node_id)}")
     rows = (
         f"{node_id} {' '.join(repr(float(x)) for x in np.asarray(vec))}\n"
         for node_id, vec in vectors.items()

@@ -97,6 +97,10 @@ class NonFiniteLossError(ThreadwalkError):
     """The training loss became NaN or infinite."""
 
 
+class NonFiniteScoreError(InputError):
+    """A model's class scores for some row are NaN or infinite."""
+
+
 # --- evaluation ---
 
 class TooFewTreesError(InputError):

@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatchError,
     MalformedFileError,
     NonFiniteLossError,
+    NonFiniteScoreError,
     SingleClassDataError,
     cut_path,
     quote,
@@ -264,14 +265,19 @@ def predict_proba(model: SoftmaxModel, features: np.ndarray) -> np.ndarray:
     """Class probabilities for a batch of feature rows, shape ``(n, D)``.
 
     Computed with a max-shifted exponential, so extreme logits stay
-    finite; each row sums to one.
+    finite; each row sums to one. Non-finite logits raise NonFiniteScoreError.
     """
     batch = np.asarray(features, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != model.feature_dim:
         raise DimensionMismatchError(
             f"features have shape {batch.shape}, model expects (n, {model.feature_dim})"
         )
-    return np.exp(_log_softmax(batch @ model.weights.T + model.bias))
+    # The shift of finite logits may overflow to -inf, whose exponential is 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = batch @ model.weights.T + model.bias
+        if bad := np.count_nonzero(~np.isfinite(logits).all(axis=1)):
+            raise NonFiniteScoreError(f"class scores of {bad} of {len(batch)} rows are not finite")
+        return np.exp(_log_softmax(logits))
 
 
 def predict_labels(model: SoftmaxModel, features: np.ndarray) -> list[str]:

@@ -237,7 +237,6 @@ class Replicate(NamedTuple):
 
     model: SoftmaxModel
     report: EvalReport
-    test_examples: Examples
 
 
 @dataclass(frozen=True)
@@ -259,48 +258,45 @@ class SeedAverage:
 def replicate(
     train_side: CorpusSide, test_side: CorpusSide, configs: Sequence[RunConfig]
 ) -> list[Replicate]:
-    """Featurize, train and evaluate configs that share the settings named
-    in TRAIN_FIELDS, trained in lockstep. A config whose features are the
-    first columns of another's (see :func:`_prefix_bases`) trains and is
-    evaluated on views of that config's matrices; the others hold one
-    feature width, and their train sides form one ``(B, n, D)`` stack. Each
-    config's ``seed`` seeds only its walks and the training shuffle; the
-    split is the caller's. The stack is freed once the models are trained,
-    before the test sides are featurized."""
-    dim = train_side.values.shape[1]
-    bases = _prefix_bases(configs, dim)
-    held = [k for k, base in enumerate(bases) if base == k]
-    widths = [feature_width(dim, ConcatScheme(config.scheme)) for config in configs]
-    stack = np.empty((len(held), len(train_side.labels), widths[held[0]]))
-    for j, k in enumerate(held):
-        featurize_split(train_side, configs[k], out=stack[j])
-    columns = [(held.index(base), width) for base, width in zip(bases, widths)]
-    models = train(train_side.labels, stack, configs, columns=columns)
-    del stack
-    tests = {k: featurize_split(test_side, configs[k]) for k in held}
-    replicates = []
-    for base, width, model in zip(bases, widths, models):
-        test_examples = dataclasses.replace(tests[base], X=tests[base].X[:, :width])
-        replicates.append(Replicate(model, evaluate(model, test_examples), test_examples))
-    return replicates
+    """Featurize, train and evaluate each of ``configs`` on the split of the
+    two sides, in :func:`_lockstep_groups`; one :class:`Replicate` per
+    config, in config order. A config's ``seed`` seeds only its walks and
+    the training shuffle. A group's train sides form one ``(B, n, D)``
+    stack, freed once its models are trained, before its test sides are
+    featurized; those are freed before the next group starts. A config
+    whose features are the first columns of another's (see
+    :func:`_prefix_bases`) reads views of that config's matrices."""
+    widths = [feature_width(train_side.values.shape[1], ConcatScheme(c.scheme)) for c in configs]
+    replicates: dict[int, Replicate] = {}
+    for group in _lockstep_groups(configs, widths):
+        held = sorted(set(group.values()))
+        stack = np.empty((len(held), len(train_side.labels), widths[held[0]]))
+        for j, k in enumerate(held):
+            featurize_split(train_side, configs[k], out=stack[j])
+        columns = [(held.index(base), widths[k]) for k, base in group.items()]
+        models = train(train_side.labels, stack, [configs[k] for k in group], columns=columns)
+        del stack
+        tests = {k: featurize_split(test_side, configs[k]) for k in held}
+        for (k, base), model in zip(group.items(), models):
+            test = dataclasses.replace(tests[base], X=tests[base].X[:, : widths[k]])
+            replicates[k] = Replicate(model, evaluate(model, test))
+        del tests, test
+    return [replicates[k] for k in range(len(configs))]
 
 
-def _prefix_bases(configs: Sequence[RunConfig], dim: int) -> list[int]:
+def _prefix_bases(configs: Sequence[RunConfig], widths: Sequence[int]) -> list[int]:
     """The index of the config whose feature matrix each config reads: the
-    widest (of ``dim``-wide embeddings; the first of equal width) of those
-    that differ from it only in a scheme that extends its layout, or itself.
-    Such a base reads its own matrix: a layout that extended it would
-    extend the config's too, and be wider."""
+    widest (of ``widths``, the configs' feature widths; the first of equal
+    width) of those that differ from it only in a scheme that extends its
+    layout, or itself. Such a base reads its own matrix: a layout that
+    extended it would extend the config's too, and be wider."""
     def reads(k: int, j: int) -> bool:  # config k reads the matrix of config j
         config, base = configs[k], configs[j]
         schemes = ConcatScheme(base.scheme), ConcatScheme(config.scheme)
         return extends_layout(*schemes) and base.replace(scheme=config.scheme) == config
 
-    def width(j: int) -> int:
-        return feature_width(dim, ConcatScheme(configs[j].scheme))
-
     ks = range(len(configs))
-    return [max((j for j in ks if reads(k, j)), key=width, default=k) for k in ks]
+    return [max((j for j in ks if reads(k, j)), key=widths.__getitem__, default=k) for k in ks]
 
 
 # The most feature matrices a lockstep group holds. On grid-hate (in-process,
@@ -312,24 +308,29 @@ def _prefix_bases(configs: Sequence[RunConfig], dim: int) -> list[int]:
 LOCKSTEP_CAP = 3
 
 
-def _lockstep_groups(configs: Sequence[RunConfig], dim: int) -> list[list[int]]:
-    """The indices of the configs that train together, in the order of
-    their first config: runs of consecutive configs that read their own
-    matrix (see :func:`_prefix_bases`) with one feature width (of
-    ``dim``-wide embeddings) and training settings, cut into LOCKSTEP_CAP
-    matrices, each with the configs that read them."""
+def _lockstep_groups(configs: Sequence[RunConfig], widths: Sequence[int]) -> list[dict[int, int]]:
+    """The configs that train together, in the order of their first config,
+    each group mapping its configs' indices to those of the configs whose
+    matrices they read (see :func:`_prefix_bases`): runs of consecutive
+    configs that read their own matrix with one of ``widths`` and training
+    settings, cut into LOCKSTEP_CAP matrices, with the configs that read them."""
     def key(k: int) -> tuple:
-        training = tuple(getattr(configs[k], name) for name in TRAIN_FIELDS)
-        return feature_width(dim, ConcatScheme(configs[k].scheme)), training
+        return widths[k], tuple(getattr(configs[k], name) for name in TRAIN_FIELDS)
 
-    bases = _prefix_bases(configs, dim)
+    bases = _prefix_bases(configs, widths)
     groups = []
     for _, run in itertools.groupby((k for k, base in enumerate(bases) if base == k), key):
         run = list(run)
         for i in range(0, len(run), LOCKSTEP_CAP):
             held = run[i : i + LOCKSTEP_CAP]
-            groups.append([k for k, base in enumerate(bases) if base in held])
-    return sorted(groups)
+            groups.append({k: base for k, base in enumerate(bases) if base in held})
+    return sorted(groups, key=min)
+
+
+# The EvalReport metric behind each averaged field of SeedAverage, in field order.
+_AVERAGED = (
+    "accuracy", "macro_f1", "precision_pos", "recall_pos", "macro_precision", "macro_recall"
+)
 
 
 def _mean(reports: Sequence[EvalReport], metric: str) -> float:
@@ -343,40 +344,18 @@ def average_over_seeds(
     configs: Sequence[RunConfig],
     seeds: Sequence[int],
 ) -> list[SeedAverage]:
-    """One replicate per seed and config on the same split, each config
-    reseeded to the seed; one :class:`SeedAverage` per config, in config
-    order. The split is made before, so the seed reaches only the walks and
-    the training shuffle.
-
-    Seeds are the outer loop, so the configs of one seed run together and
-    reuse the walks each side memoizes when they share ``p``, ``L`` and
-    the step cap; each of their :func:`_lockstep_groups` trains as one
-    stack, which is freed before the group's test sides are featurized.
-    """
-    by_seed = []
-    for seed in seeds:
-        reports: dict[int, EvalReport] = {}
-        seeded = [config.replace(seed=seed) for config in configs]
-        for group in _lockstep_groups(seeded, train_side.values.shape[1]):
-            members = [seeded[k] for k in group]
-            # Only the reports outlive this line, so the group's test sides die here.
-            reports.update(
-                zip(group, [rep.report for rep in replicate(train_side, test_side, members)])
-            )
-        by_seed.append([reports[k] for k in range(len(configs))])
+    """One :class:`SeedAverage` per config, in config order, from one
+    :func:`replicate` of every config reseeded to every seed on the same
+    split, which is made before: the seed reaches only the walks and the
+    training shuffle. Seeds are the outer loop, so the configs of one seed
+    run together and reuse the walks each side memoizes when they share
+    ``p``, ``L`` and the step cap."""
+    seeded = [config.replace(seed=seed) for seed in seeds for config in configs]
+    reports = [result.report for result in replicate(train_side, test_side, seeded)]
+    per_config = (reports[k :: len(configs)] for k in range(len(configs)))
     return [
-        SeedAverage(
-            p=config.p,
-            gamma=config.gamma,
-            scheme=config.scheme,
-            accuracy=_mean(reports, "accuracy"),
-            macro_f1=_mean(reports, "macro_f1"),
-            precision_pos=_mean(reports, "precision_pos"),
-            recall_pos=_mean(reports, "recall_pos"),
-            precision_macro=_mean(reports, "macro_precision"),
-            recall_macro=_mean(reports, "macro_recall"),
-        )
-        for config, reports in zip(configs, zip(*by_seed))
+        SeedAverage(config.p, config.gamma, config.scheme, *(_mean(by_seed, m) for m in _AVERAGED))
+        for config, by_seed in zip(configs, per_config)
     ]
 
 

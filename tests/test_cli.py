@@ -151,7 +151,7 @@ def test_run_metrics_content(corpus_path, tmp_path):
     assert payload["config"] == config.to_dict()
     assert payload["report"]["accuracy"] == result.report.accuracy
     assert payload["train_examples"] == len(train_side.labels)
-    assert payload["test_examples"] == len(result.test_examples)
+    assert payload["test_examples"] == len(test_side.labels)
     assert (tmp_path / "report.txt").read_text() == result.report.to_text()
 
 
@@ -398,7 +398,40 @@ def test_model_of_another_width_exits_2(corpus_path, tmp_path, capsys, command):
         f"error: {model} takes 18 features per row, but these embeddings give 9; "
         "use the table it was trained on"
     )
-    assert not (out / "errors.jsonl").exists() and not (out / "metrics.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "error-analysis"])
+def test_model_with_non_finite_scores_exits_2(corpus_path, tmp_path, capsys, command):
+    """Weights of alternating sign and size 1e308 overflow the scores: the
+    error line names the model file, and no numpy warning, file or
+    ``--out`` directory is left."""
+    traindir = tmp_path / "train"
+    argv = ["train", "--corpus", str(corpus_path), "--task", "hate", *_fast_flags()]
+    assert main([*argv, "--out", str(traindir)]) == 0
+    model, path = load_model(traindir / "model.txt"), traindir / "huge.txt"
+    model.weights[:] = np.where(np.indices(model.weights.shape).sum(axis=0) % 2, -1e308, 1e308)
+    save_model(model, path)
+    capsys.readouterr()
+    out = tmp_path / "new"
+    assert main([command, "--corpus", str(corpus_path), "--model", str(path), "--out", str(out)]) == 2
+    line = _single_error_line(capsys)
+    assert re.fullmatch(rf"error: {re.escape(str(path))}: class scores of \d+ of \d+ rows are not finite", line)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["featurize", "run"])
+def test_embedding_values_past_the_bound_exit_2(corpus_path, tmp_path, capsys, command):
+    """A finite table of +-1e308 rows would make infinite features: it is
+    refused at its first line, before any output is written."""
+    node_ids = [node.id for tree in load_corpus(corpus_path) for node in tree]
+    table, out = tmp_path / "huge.txt", tmp_path / "new"
+    table.write_text("d=2\n" + "".join(f"{node_id} 1e308 -1e308\n" for node_id in node_ids))
+    argv = [command, "--corpus", str(corpus_path), "--task", "hate", "--embedding", "external"]
+    argv += ["--embedding-file", str(table), "--output" if command == "featurize" else "--out"]
+    assert main([*argv, str(out)]) == 2
+    assert _single_error_line(capsys) == f"error: {table}:2: value outside [-1e+150, 1e+150]"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -686,10 +719,11 @@ def test_bad_list_flag_exits_2(corpus_path, tmp_path, capsys, monkeypatch, argv)
 
 
 def _zero_hate_model(path: Path) -> Path:
-    """A one-feature hate model with zero weights, saved at ``path``."""
+    """A hate model with zero weights, saved at ``path``: it scores the rows
+    of its (u, v, |u - v|) layout of 32-wide embeddings."""
     settings = _recorded(RunConfig(task="hate", epochs=8, bow_dim=32, seed=2))
     classes = ("hate", "non-hate")
-    save_model(SoftmaxModel(np.zeros((2, 1)), np.zeros(2), classes, settings), path)
+    save_model(SoftmaxModel(np.zeros((2, 96)), np.zeros(2), classes, settings), path)
     return path
 
 
@@ -699,13 +733,15 @@ def _zero_hate_model(path: Path) -> Path:
 def test_out_naming_a_file_exits_2_before_featurizing(
     corpus_path, tmp_path, capsys, monkeypatch, command
 ):
+    """A command that scores a model makes ``--out`` once the model has
+    scored, so only it featurizes first."""
     out = tmp_path / "taken"
     out.write_text("")
-    monkeypatch.setattr(features, "sample_walk", lambda *a, **k: pytest.fail("featurized"))
     argv = [command, "--corpus", str(corpus_path), "--out", str(out)]
     if command in ("evaluate", "error-analysis"):
         argv += ["--model", str(_zero_hate_model(tmp_path / "model.txt"))]
     else:
+        monkeypatch.setattr(features, "sample_walk", lambda *a, **k: pytest.fail("featurized"))
         argv += ["--task", "hate", *_fast_flags()]
     if command == "grid-search":
         argv += ["--jobs", "1"]

@@ -56,6 +56,13 @@ def test_invalid_json_line(tmp_path):
         load_corpus(path)
 
 
+def test_record_that_is_not_an_object(tmp_path):
+    path = _write(tmp_path, [_record("t", "r", None, "x"), "[1]"])
+    with pytest.raises(MalformedFileError) as excinfo:
+        load_corpus(path)
+    assert str(excinfo.value) == f"{path}:2: record is not an object"
+
+
 def test_missing_field(tmp_path):
     path = _write(tmp_path, [json.dumps({"tree_id": "t", "id": "r", "text": "x"})])
     with pytest.raises(MalformedFileError, match="missing fields"):

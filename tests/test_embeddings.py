@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from threadwalk import embeddings
 from threadwalk.embeddings import (
+    MAX_EMBEDDING_VALUE,
     ExternalEmbeddingProvider,
     HashedBowProvider,
     hashed_bow_embed,
@@ -206,8 +207,8 @@ class TestHashedBowProvider:
 
 
 _ID = st.text(st.characters(blacklist_categories=("C", "Z")), min_size=1, max_size=6)
-_VALUE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+_VALUE = st.floats(-MAX_EMBEDDING_VALUE, MAX_EMBEDDING_VALUE) | st.sampled_from(
+    [-0.0, 5e-324, MAX_EMBEDDING_VALUE, -MAX_EMBEDDING_VALUE]
 )
 _TABLES = st.integers(min_value=1, max_value=6).flatmap(
     lambda d: st.dictionaries(
@@ -318,6 +319,9 @@ class TestExternalEmbeddings:
             (["n1 0 0", "n2 1 2 3", "n3 1 2 3"], DimensionMismatchError,
              ":3: expected 2 values, got 3"),
             (["n1 0 0", "n2 1 inf", "n2 x"], MalformedFileError, ":3: non-finite value"),
+            (["n1 1e150 -1e150", "n2 1 -1.0000000000000002e150", "n2 x"], MalformedFileError,
+             ":3: value outside [-1e+150, 1e+150]"),
+            (["n1 1e308 -1e308"], MalformedFileError, ":2: value outside [-1e+150, 1e+150]"),
             (["n1 0 1_0", "n1 0 0"], MalformedFileError, ":2: non-numeric value"),
             (["n1 0 0", "n2 \u0661 0"], MalformedFileError, ":3: non-numeric value"),
             (["n1 0 0 # note", "n2 0 0"], DimensionMismatchError,
@@ -329,6 +333,8 @@ class TestExternalEmbeddings:
             "id-without-values",
             "every-row-too-long",
             "non-finite-then-short",
+            "past-the-bound-then-duplicate",
+            "huge-but-finite",
             "underscore-digits",
             "non-ascii-digit",
             "hash-is-no-comment",
@@ -356,7 +362,7 @@ def _table(path: Path, seed: int = 4) -> Path:
     """A table with extreme values, a negative zero and a non-ASCII id."""
     rng = np.random.default_rng(seed)
     table = {f"n{i}": rng.standard_normal(3) for i in range(40)}
-    table["café"] = np.array([-0.0, 5e-324, -1.7976931348623157e308])
+    table["café"] = np.array([-0.0, 5e-324, -MAX_EMBEDDING_VALUE])
     save_external_embeddings(table, path)
     return path
 
@@ -449,6 +455,7 @@ class TestSidecarCache:
         [
             lambda rows, matrix: (rows, np.where(matrix == matrix[0, 0], np.nan, matrix)),
             lambda rows, matrix: (rows, np.where(matrix == matrix[1, 1], -np.inf, matrix)),
+            lambda rows, matrix: (rows, np.where(matrix == matrix[1, 1], 1e151, matrix)),
             lambda rows, matrix: ({"" if k == "n1" else k: v for k, v in rows.items()}, matrix),
             lambda rows, matrix: ({"n 1" if k == "n1" else k: v for k, v in rows.items()}, matrix),
             lambda rows, matrix: ({"n\x1f1" if k == "n1" else k: v for k, v in rows.items()},
@@ -456,7 +463,7 @@ class TestSidecarCache:
             lambda rows, matrix: ({"n 1" if k == "n1" else "" if k == "n2" else k: v
                                    for k, v in rows.items()}, matrix),
         ],
-        ids=["nan-row", "infinite-row", "empty-id", "id-with-space", "id-with-separator",
+        ids=["nan-row", "infinite-row", "out-of-range-row", "empty-id", "id-with-space", "id-with-separator",
              "space-and-empty-id"],
     )
     def test_planted_sidecar_no_parse_gives_is_a_miss(self, tmp_path, plant):
@@ -630,12 +637,17 @@ class TestSaveExternalEmbeddings:
             ({"n1": [1.0], "n2": [np.nan], "n3": [np.inf]}, MalformedFileError,
              "non-finite value for embedding id 'n2'"),
             ({"n1": [0.5, -np.inf]}, MalformedFileError, "non-finite value for embedding id 'n1'"),
+            ({"n1": [1e150], "n2": [-1e151]}, MalformedFileError,
+             "value outside [-1e+150, 1e+150] for embedding id 'n2'"),
+            ({"n1": [1.0], "n2": [1.0, 2.0], "n3": [1.0, 2.0, 3.0]}, DimensionMismatchError,
+             "mixed dimensions in embedding table: [1, 2, 3]"),
             ({"n1": [1.0], "x" * 50 + " y": [1.0], "c\td": [1.0]}, MalformedFileError,
              f"embedding id '{'x' * 40}'... is empty or holds whitespace"),
             ({}, DimensionMismatchError, "embedding dimension must be >= 1, got 0"),
             ({"n1": []}, DimensionMismatchError, "embedding dimension must be >= 1, got 0"),
         ],
         ids=["id-with-space", "id-with-newline", "empty-id", "nan-value", "infinite-value",
+             "out-of-range-value", "mixed-dimensions",
              "first-bad-id-cut", "empty-table", "zero-width-rows"],
     )
     def test_table_the_loader_refuses_is_not_written(self, tmp_path, table, error, message):

@@ -111,6 +111,14 @@ class TestReportFromPairs:
         report = report_from_pairs(["support", "attack"], ["support", "attack"])
         assert report.positive_label == "support"
 
+    def test_pairs_of_unequal_length(self):
+        with pytest.raises(ValueError, match="^2 true labels but 1 predictions$"):
+            report_from_pairs(["a", "b"], ["a"])
+
+    def test_text_names_classes_without_test_support(self):
+        report = report_from_pairs(["a", "a"], ["a", "b"], class_names=("a", "b", "c"))
+        assert report.to_text().splitlines()[-1] == "no test support: b, c"
+
     def test_empty_pairs(self):
         with pytest.raises(EmptyEvalSetError):
             report_from_pairs([], [])

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from threadwalk.errors import (
     DimensionMismatchError,
     MalformedFileError,
     NonFiniteLossError,
+    NonFiniteScoreError,
     SingleClassDataError,
 )
 from threadwalk.model import (
@@ -674,6 +676,19 @@ class TestPredictProba:
             assert np.all(np.isfinite(probs))
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_non_finite_scores_raise(self):
+        """Scores that overflow raise, without a numpy warning, instead of
+        predicting the first class for every row; finite scores as far
+        apart as two doubles can be still give probabilities."""
+        model = SoftmaxModel(np.array([[1e308, 0.0], [-1e308, 0.0]]), np.zeros(2), ("a", "b"))
+        features = np.array([[1.0, 0.0], [10.0, 0.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteScoreError) as excinfo:
+                predict_labels(model, features)
+            assert predict_proba(model, features[[0, 2]]).tolist() == [[1.0, 0.0], [0.5, 0.5]]
+        assert str(excinfo.value) == "class scores of 1 of 3 rows are not finite"
+
     def test_dimension_check(self):
         model = SoftmaxModel(np.zeros((2, 3)), np.zeros(2), ("a", "b"))
         for features in (np.zeros((1, 4)), np.zeros(3)):  # wrong width; not a batch
@@ -753,6 +768,15 @@ class TestPersistence:
         path.write_text(f"threadwalk-softmax-v1\nclasses\ta\tb\ndims {dims}\nmeta {{}}\n{params}\n")
         with pytest.raises(MalformedFileError):
             load_model(path)
+
+    def test_class_names_of_another_count(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text(
+            "threadwalk-softmax-v1\nclasses\ta\tb\tc\ndims 2 1\nmeta {}\n0.0\n0.0\n0.0 0.0\n"
+        )
+        with pytest.raises(MalformedFileError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == f"{path}: 3 class names for 2 classes"
 
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "model.txt"

@@ -192,6 +192,13 @@ class TestManifest:
         with pytest.raises(ConfigError):
             read_manifest(path)
 
+    def test_json_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[]")
+        with pytest.raises(ConfigError) as excinfo:
+            read_manifest(path)
+        assert str(excinfo.value) == f"{path}: expected a JSON object"
+
     @pytest.mark.parametrize(
         "payload, named",
         [
@@ -437,57 +444,100 @@ class TestLockstepGroups:
     SCHEMES = ("uv", "uv_mul", "uv_absdiff", "uv_absdiff_mul")
 
     @pytest.fixture
-    def trained_groups(self, monkeypatch) -> list:
-        """The configs and the number of feature matrices of every ``train``
-        call from the pipeline."""
+    def calls(self, monkeypatch) -> list:
+        """Every ``featurize_split`` and ``train`` call from the pipeline: the
+        side and config featurized and whether into a stack; the configs
+        trained, the number of matrices and the columns each model reads."""
         calls = []
-        real_train = pipeline.train
+        real_featurize, real_train = pipeline.featurize_split, pipeline.train
 
-        def counted(labels, features, configs, **kwargs):
-            calls.append((list(configs), len(features)))
-            return real_train(labels, features, configs, **kwargs)
+        def spy_featurize(side, config, out=None):
+            calls.append(("featurize", side, config, out is not None))
+            return real_featurize(side, config, out)
 
-        monkeypatch.setattr(pipeline, "train", counted)
+        def spy_train(labels, features, configs, columns):
+            calls.append(("train", list(configs), len(features), columns))
+            return real_train(labels, features, configs, columns=columns)
+
+        monkeypatch.setattr(pipeline, "featurize_split", spy_featurize)
+        monkeypatch.setattr(pipeline, "train", spy_train)
         return calls
 
-    # (the indices of the configs of each group, the matrices it holds) per
-    # seed. The schemes (u, v) and (u, v, |u - v|) read the first columns of
+    # Per seed, in call order: the configs of each group, the configs whose
+    # matrices it holds and the (matrix, width / d) that each config reads.
+    # The schemes (u, v) and (u, v, |u - v|) read the first columns of
     # (u, v, |u - v|, u*v), so they train on its matrix; without it, (u, v)
     # reads the first of the two equally wide layouts that begin with it.
     @pytest.mark.parametrize(
         "field, values, groups",
         [
-            ("gamma", GAMMAS, [([0, 1, 2], 3), ([3, 4, 5], 3), ([6], 1)]),
-            ("scheme", SCHEMES, [([0, 2, 3], 1), ([1], 1)]),
-            ("scheme", SCHEMES[:3], [([0, 1, 2], 2)]),
+            (
+                "gamma",
+                GAMMAS,
+                [
+                    ([0, 1, 2], [0, 1, 2], [(0, 3), (1, 3), (2, 3)]),
+                    ([3, 4, 5], [3, 4, 5], [(0, 3), (1, 3), (2, 3)]),
+                    ([6], [6], [(0, 3)]),
+                ],
+            ),
+            ("scheme", SCHEMES, [([0, 2, 3], [3], [(0, 2), (0, 3), (0, 4)]), ([1], [1], [(0, 3)])]),
+            ("scheme", SCHEMES[:3], [([0, 1, 2], [1, 2], [(0, 2), (0, 3), (1, 3)])]),
         ],
     )
     def test_groups_match_configs_run_alone(
-        self, small_corpus, trained_groups, field, values, groups
+        self, small_corpus, monkeypatch, calls, field, values, groups
     ):
+        """Seeds are the outer loop; each group featurizes the train sides of
+        the matrices it holds, trains them, then featurizes their test sides."""
         config = SMALL_CONFIG.replace(epochs=3)
         train_side, test_side = split_sides(small_corpus, config)
         configs = [config.replace(**{field: value}) for value in values]
         seeds = (0, 1)
-        average_over_seeds(train_side, test_side, configs, seeds)
-        seeded = [[c.replace(seed=seed) for c in configs] for seed in seeds]
-        expected = [([s[k] for k in group], matrices) for s in seeded for group, matrices in groups]
-        assert trained_groups == expected
-        assert max(matrices for _, matrices in trained_groups) <= LOCKSTEP_CAP
-        # each group trained in lockstep gives what its configs give alone
-        for members, _ in expected:
-            together = replicate(train_side, test_side, members)
-            for config, a in zip(members, together):
-                (b,) = replicate(train_side, test_side, [config])
-                assert a.report.to_dict() == b.report.to_dict()
-                assert a.model.weights.tobytes() == b.model.weights.tobytes()
-                assert a.model.bias.tobytes() == b.model.bias.tobytes()
-                assert a.model.metadata == b.model.metadata
-                assert a.test_examples.X.tobytes() == b.test_examples.X.tobytes()
+        replicated = []
+        real_replicate = pipeline.replicate
 
-    def test_stack_freed_before_next_group(self, small_corpus, monkeypatch):
-        stacks = []  # a weak reference to each group's training stack
-        featurized_with_live_stack = []
+        def spy_replicate(train_side, test_side, configs):
+            replicated.append(list(configs))
+            return real_replicate(train_side, test_side, configs)
+
+        monkeypatch.setattr(pipeline, "replicate", spy_replicate)
+        average_over_seeds(train_side, test_side, configs, seeds)
+        seeded = [c.replace(seed=seed) for seed in seeds for c in configs]
+        assert replicated == [seeded]
+        expected = []
+        for s in (seeded[: len(configs)], seeded[len(configs) :]):
+            for members, held, columns in groups:
+                expected += [("featurize", train_side, s[k], True) for k in held]
+                dim = config.bow_dim
+                trained = [(b, w * dim) for b, w in columns]
+                expected.append(("train", [s[k] for k in members], len(held), trained))
+                expected += [("featurize", test_side, s[k], False) for k in held]
+        assert calls == expected
+        assert max(matrices for kind, _, matrices, _ in calls if kind == "train") <= LOCKSTEP_CAP
+
+    def test_one_call_runs_any_configs(self, small_corpus):
+        """The four schemes at two seeds and a config that trains longer, in
+        one call, each give what the config gives alone."""
+        config = SMALL_CONFIG.replace(epochs=3)
+        train_side, test_side = split_sides(small_corpus, config)
+        configs = [config.replace(scheme=s, seed=seed) for seed in (0, 1) for s in self.SCHEMES]
+        configs.insert(3, config.replace(scheme="uv_mul", epochs=4))
+        together = replicate(train_side, test_side, configs)
+        assert len(together) == len(configs)
+        for config, a in zip(configs, together):
+            (b,) = replicate(train_side, test_side, [config])
+            assert a.report.to_dict() == b.report.to_dict()
+            assert a.model.weights.tobytes() == b.model.weights.tobytes()
+            assert a.model.bias.tobytes() == b.model.bias.tobytes()
+            assert a.model.metadata == b.model.metadata
+
+    @pytest.mark.parametrize("field, values", [("gamma", GAMMAS), ("scheme", SCHEMES)])
+    def test_each_group_frees_its_matrices(self, small_corpus, monkeypatch, field, values):
+        """A group's train stack is gone before its test sides are
+        featurized, and its test matrices before the next group's train
+        side is."""
+        stacks, tests = [], []  # weak references to the matrices of each kind
+        featurized_with_live = []  # per featurization: (train side?, any live matrix of the other kind)
         real_train, real_featurize = pipeline.train, pipeline.featurize_split
 
         def spy_train(labels, features, configs, **kwargs):
@@ -495,19 +545,22 @@ class TestLockstepGroups:
             return real_train(labels, features, configs, **kwargs)
 
         def spy_featurize(side, config, out=None):
-            if out is not None:  # the train side of a group
-                featurized_with_live_stack.append(any(ref() is not None for ref in stacks))
-            return real_featurize(side, config, out)
+            live = any(ref() is not None for ref in (tests if out is not None else stacks))
+            featurized_with_live.append((out is not None, live))
+            examples = real_featurize(side, config, out)
+            if out is None:
+                tests.append(weakref.ref(examples.X))
+            return examples
 
         monkeypatch.setattr(pipeline, "train", spy_train)
         monkeypatch.setattr(pipeline, "featurize_split", spy_featurize)
         config = SMALL_CONFIG.replace(epochs=1)
         train_side, test_side = split_sides(small_corpus, config)
-        configs = [config.replace(gamma=gamma) for gamma in self.GAMMAS]
+        configs = [config.replace(**{field: value}) for value in values]
         average_over_seeds(train_side, test_side, configs, (0, 1))
-        assert len(stacks) == 6
-        assert len(featurized_with_live_stack) == 2 * len(configs)
-        assert not any(featurized_with_live_stack)
+        assert len(stacks) == {"gamma": 6, "scheme": 4}[field]
+        assert len(tests) == sum(not into_stack for into_stack, _ in featurized_with_live)
+        assert not any(live for _, live in featurized_with_live)
 
     def test_test_side_featurized_without_the_train_stack(self, small_corpus, monkeypatch):
         """When a test side is featurized, the memory allocated since the

@@ -281,7 +281,7 @@ def test_scoring_commands_read_their_settings_from_the_model():
         declared += [f"{command} --{name.replace('_', '-')}" for name in names]
     trees = generate(CorpusSpec(num_trees=8, mean_tree_size=4.0)).trees
     config = RunConfig(task="hate", epochs=0, bow_dim=4)
-    ((model, _, _),) = replicate(*split_sides(trees, config), [config])
+    ((model, _),) = replicate(*split_sides(trees, config), [config])
     missing = sorted(settings - model.metadata.keys())
     assert (declared, missing) == ([], []), (
         f"run options of the commands that score a model file: {declared}; "
