@@ -531,6 +531,30 @@ class TestLockstepGroups:
             assert a.model.bias.tobytes() == b.model.bias.tobytes()
             assert a.model.metadata == b.model.metadata
 
+    def test_stack_freed_before_next_group(self, small_corpus, monkeypatch):
+        stacks = []  # a weak reference to each group's training stack
+        featurized_with_live_stack = []
+        real_train, real_featurize = pipeline.train, pipeline.featurize_split
+
+        def spy_train(labels, features, configs, **kwargs):
+            stacks.append(weakref.ref(features))
+            return real_train(labels, features, configs, **kwargs)
+
+        def spy_featurize(side, config, out=None):
+            if out is not None:  # the train side of a group
+                featurized_with_live_stack.append(any(ref() is not None for ref in stacks))
+            return real_featurize(side, config, out)
+
+        monkeypatch.setattr(pipeline, "train", spy_train)
+        monkeypatch.setattr(pipeline, "featurize_split", spy_featurize)
+        config = SMALL_CONFIG.replace(epochs=1)
+        train_side, test_side = split_sides(small_corpus, config)
+        configs = [config.replace(gamma=gamma) for gamma in self.GAMMAS]
+        average_over_seeds(train_side, test_side, configs, (0, 1))
+        assert len(stacks) == 6
+        assert len(featurized_with_live_stack) == 2 * len(configs)
+        assert not any(featurized_with_live_stack)
+
     @pytest.mark.parametrize("field, values", [("gamma", GAMMAS), ("scheme", SCHEMES)])
     def test_each_group_frees_its_matrices(self, small_corpus, monkeypatch, field, values):
         """A group's train stack is gone before its test sides are
