@@ -327,12 +327,6 @@ def _lockstep_groups(configs: Sequence[RunConfig], widths: Sequence[int]) -> lis
     return sorted(groups, key=min)
 
 
-# The EvalReport metric behind each averaged field of SeedAverage, in field order.
-_AVERAGED = (
-    "accuracy", "macro_f1", "precision_pos", "recall_pos", "macro_precision", "macro_recall"
-)
-
-
 def _mean(reports: Sequence[EvalReport], metric: str) -> float:
     values = [getattr(r, metric) for r in reports if getattr(r, metric) is not None]
     return sum(values) / len(values) if values else float("nan")
@@ -351,11 +345,21 @@ def average_over_seeds(
     run together and reuse the walks each side memoizes when they share
     ``p``, ``L`` and the step cap."""
     seeded = [config.replace(seed=seed) for seed in seeds for config in configs]
-    reports = [result.report for result in replicate(train_side, test_side, seeded)]
-    per_config = (reports[k :: len(configs)] for k in range(len(configs)))
+    every = [result.report for result in replicate(train_side, test_side, seeded)]
+    per_config = (every[k :: len(configs)] for k in range(len(configs)))
     return [
-        SeedAverage(config.p, config.gamma, config.scheme, *(_mean(by_seed, m) for m in _AVERAGED))
-        for config, by_seed in zip(configs, per_config)
+        SeedAverage(
+            p=config.p,
+            gamma=config.gamma,
+            scheme=config.scheme,
+            accuracy=_mean(reports, "accuracy"),
+            macro_f1=_mean(reports, "macro_f1"),
+            precision_pos=_mean(reports, "precision_pos"),
+            recall_pos=_mean(reports, "recall_pos"),
+            precision_macro=_mean(reports, "macro_precision"),
+            recall_macro=_mean(reports, "macro_recall"),
+        )
+        for config, reports in zip(configs, per_config)
     ]
 
 

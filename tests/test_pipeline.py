@@ -488,22 +488,24 @@ class TestLockstepGroups:
         self, small_corpus, monkeypatch, calls, field, values, groups
     ):
         """Seeds are the outer loop; each group featurizes the train sides of
-        the matrices it holds, trains them, then featurizes their test sides."""
+        the matrices it holds, trains them, then featurizes their test sides;
+        and each config gives what it gives alone."""
         config = SMALL_CONFIG.replace(epochs=3)
         train_side, test_side = split_sides(small_corpus, config)
         configs = [config.replace(**{field: value}) for value in values]
         seeds = (0, 1)
-        replicated = []
+        replicated = []  # (configs, results) of each replicate call
         real_replicate = pipeline.replicate
 
         def spy_replicate(train_side, test_side, configs):
-            replicated.append(list(configs))
-            return real_replicate(train_side, test_side, configs)
+            results = real_replicate(train_side, test_side, configs)
+            replicated.append((list(configs), results))
+            return results
 
         monkeypatch.setattr(pipeline, "replicate", spy_replicate)
         average_over_seeds(train_side, test_side, configs, seeds)
         seeded = [c.replace(seed=seed) for seed in seeds for c in configs]
-        assert replicated == [seeded]
+        assert [configs for configs, _ in replicated] == [seeded]
         expected = []
         for s in (seeded[: len(configs)], seeded[len(configs) :]):
             for members, held, columns in groups:
@@ -514,6 +516,13 @@ class TestLockstepGroups:
                 expected += [("featurize", test_side, s[k], False) for k in held]
         assert calls == expected
         assert max(matrices for kind, _, matrices, _ in calls if kind == "train") <= LOCKSTEP_CAP
+        # each config trained in its group gives what it gives alone
+        for config, a in zip(seeded, replicated[0][1]):
+            (b,) = real_replicate(train_side, test_side, [config])
+            assert a.report.to_dict() == b.report.to_dict()
+            assert a.model.weights.tobytes() == b.model.weights.tobytes()
+            assert a.model.bias.tobytes() == b.model.bias.tobytes()
+            assert a.model.metadata == b.model.metadata
 
     def test_one_call_runs_any_configs(self, small_corpus):
         """The four schemes at two seeds and a config that trains longer, in
@@ -532,8 +541,11 @@ class TestLockstepGroups:
             assert a.model.metadata == b.model.metadata
 
     def test_stack_freed_before_next_group(self, small_corpus, monkeypatch):
-        stacks = []  # a weak reference to each group's training stack
-        featurized_with_live_stack = []
+        """For the gamma row and the scheme ablation: a group's train stack
+        is gone before its test sides are featurized, and its stack and test
+        matrices before the next group's train side is."""
+        stacks, tests = [], []  # weak references to each group's stack and test matrices
+        featurized_with_live = []  # per featurization: (train side?, any of those refs live)
         real_train, real_featurize = pipeline.train, pipeline.featurize_split
 
         def spy_train(labels, features, configs, **kwargs):
@@ -541,36 +553,9 @@ class TestLockstepGroups:
             return real_train(labels, features, configs, **kwargs)
 
         def spy_featurize(side, config, out=None):
-            if out is not None:  # the train side of a group
-                featurized_with_live_stack.append(any(ref() is not None for ref in stacks))
-            return real_featurize(side, config, out)
-
-        monkeypatch.setattr(pipeline, "train", spy_train)
-        monkeypatch.setattr(pipeline, "featurize_split", spy_featurize)
-        config = SMALL_CONFIG.replace(epochs=1)
-        train_side, test_side = split_sides(small_corpus, config)
-        configs = [config.replace(gamma=gamma) for gamma in self.GAMMAS]
-        average_over_seeds(train_side, test_side, configs, (0, 1))
-        assert len(stacks) == 6
-        assert len(featurized_with_live_stack) == 2 * len(configs)
-        assert not any(featurized_with_live_stack)
-
-    @pytest.mark.parametrize("field, values", [("gamma", GAMMAS), ("scheme", SCHEMES)])
-    def test_each_group_frees_its_matrices(self, small_corpus, monkeypatch, field, values):
-        """A group's train stack is gone before its test sides are
-        featurized, and its test matrices before the next group's train
-        side is."""
-        stacks, tests = [], []  # weak references to the matrices of each kind
-        featurized_with_live = []  # per featurization: (train side?, any live matrix of the other kind)
-        real_train, real_featurize = pipeline.train, pipeline.featurize_split
-
-        def spy_train(labels, features, configs, **kwargs):
-            stacks.append(weakref.ref(features))
-            return real_train(labels, features, configs, **kwargs)
-
-        def spy_featurize(side, config, out=None):
-            live = any(ref() is not None for ref in (tests if out is not None else stacks))
-            featurized_with_live.append((out is not None, live))
+            # A group's test matrices live on while it featurizes its next test side.
+            refs = stacks + tests if out is not None else stacks
+            featurized_with_live.append((out is not None, any(ref() is not None for ref in refs)))
             examples = real_featurize(side, config, out)
             if out is None:
                 tests.append(weakref.ref(examples.X))
@@ -580,11 +565,19 @@ class TestLockstepGroups:
         monkeypatch.setattr(pipeline, "featurize_split", spy_featurize)
         config = SMALL_CONFIG.replace(epochs=1)
         train_side, test_side = split_sides(small_corpus, config)
-        configs = [config.replace(**{field: value}) for value in values]
-        average_over_seeds(train_side, test_side, configs, (0, 1))
-        assert len(stacks) == {"gamma": 6, "scheme": 4}[field]
-        assert len(tests) == sum(not into_stack for into_stack, _ in featurized_with_live)
-        assert not any(live for _, live in featurized_with_live)
+        # (the groups, the matrices featurized per side) over two seeds
+        for field, values, groups, matrices in (
+            ("gamma", self.GAMMAS, 6, 14),
+            ("scheme", self.SCHEMES, 4, 4),
+        ):
+            for log in (stacks, tests, featurized_with_live):
+                log.clear()
+            configs = [config.replace(**{field: value}) for value in values]
+            average_over_seeds(train_side, test_side, configs, (0, 1))
+            assert len(stacks) == groups
+            assert [into_stack for into_stack, _ in featurized_with_live].count(True) == matrices
+            assert len(tests) == matrices
+            assert not any(live for _, live in featurized_with_live), field
 
     def test_test_side_featurized_without_the_train_stack(self, small_corpus, monkeypatch):
         """When a test side is featurized, the memory allocated since the
