@@ -43,7 +43,6 @@ from .pipeline import (
     ablate_concat,
     ablation_csv,
     best_cell,
-    check_type,
     corpus_sides,
     feature_dump_lines,
     grid_csv,
@@ -228,23 +227,16 @@ def _outdir(args: argparse.Namespace) -> Path:
 
 def _parse_list(text: str | None, extras: dict, key: str, cast: type, default: tuple) -> tuple:
     """A comma-separated flag, else the list under ``key`` in the config
-    file, else ``default``. Malformed values raise ConfigError."""
-    kind = cast.__name__
+    file (its items checked by read_manifest), else ``default``. Malformed
+    flag values raise ConfigError."""
     if text is not None:
         try:
             return tuple(cast(v) for v in text.split(","))
         except ValueError:
             raise ConfigError(
-                f"{key} needs comma-separated {kind} values, got {quote(text)}"
+                f"{key} needs comma-separated {cast.__name__} values, got {quote(text)}"
             ) from None
-    if key not in extras:
-        return default
-    values = extras[key]
-    if not isinstance(values, list):
-        raise ConfigError(f"{key} must be a list of {kind} values, got {quote(values)}")
-    for value in values:
-        check_type(key, value, kind)
-    return tuple(cast(v) for v in values)
+    return tuple(map(cast, extras[key])) if key in extras else default
 
 
 def _scored(args: argparse.Namespace) -> tuple[SoftmaxModel, Examples]:

@@ -171,24 +171,13 @@ _DRAWS = 12
 _STREAMS = 1024
 
 
-class _WalkStream:
-    """The :func:`walk_rng` stream of one PoI: its first draws, drawn
+def _stream(first: np.ndarray, seed: int, tree: DiscussionTree, node_id: str) -> Iterator[float]:
+    """The :func:`walk_rng` stream of one PoI: its ``first`` draws, drawn
     side-wide, and past them its Generator advanced by as many."""
-
-    __slots__ = ("_draws", "_key")
-
-    def __init__(self, draws: np.ndarray, seed: int, tree: DiscussionTree, node_id: str) -> None:
-        self._draws = iter(draws.tolist())
-        self._key = (seed, tree.tree_id, node_id)
-
-    def random(self) -> float:
-        draw = next(self._draws, None)
-        if draw is None:
-            rng = walk_rng(*self._key)
-            rng.bit_generator.advance(_DRAWS)
-            self._draws = iter(rng.random, None)  # rng.random never returns None
-            draw = next(self._draws)
-        return draw
+    yield from first.tolist()
+    rng = walk_rng(seed, tree.tree_id, node_id)
+    rng.bit_generator.advance(len(first))
+    yield from iter(rng.random, None)  # rng.random never returns None
 
 
 class CorpusSide:
@@ -243,10 +232,9 @@ class CorpusSide:
                 pois = list(zip(self.trees[lo : lo + _STREAMS], self.node_ids[lo : lo + _STREAMS]))
                 seeds = (walk_seed(config.seed, tree.tree_id, node_id) for tree, node_id in pois)
                 states = _pcg64_states(np.fromiter(seeds, dtype=np.uint64, count=len(pois)))
-                samples.extend(
-                    sample_walk(tree, node_id, config, _WalkStream(draws, config.seed, tree, node_id))
-                    for (tree, node_id), draws in zip(pois, _pcg64_doubles(states, _DRAWS))
-                )
+                for (tree, node_id), first in zip(pois, _pcg64_doubles(states, _DRAWS)):
+                    draw = _stream(first, config.seed, tree, node_id).__next__
+                    samples.append(sample_walk(tree, node_id, config, draw))
             lengths = np.array([len(s.node_ids) for s in samples], dtype=np.intp)
             maps = map(self._rows.__getitem__, self.trees)
             ids = (rows_of[node_id] for rows_of, s in zip(maps, samples) for node_id in s.node_ids)

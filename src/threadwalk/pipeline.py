@@ -1,20 +1,21 @@
 """End-to-end experiment orchestration.
 
-Every experiment repeats one replicate: featurize both sides of a fixed
-tree split at a seed, train, evaluate. A run is one replicate at the
-configured seed; a grid cell and an ablation row each average replicates
-over a list of seeds, and the replicates of one seed that share a feature
-width and training settings train in lockstep, up to three at a time. A
-replicate whose features are the first columns of another's, as ``(u, v)``
-and ``(u, v, |u - v|)`` are of ``(u, v, |u - v|, u*v)``, trains with that
-one on views of its matrices. Each side of the split is compiled once into a
-:class:`~threadwalk.features.CorpusSide`, so its comments are embedded
-once and its walks are sampled once per (p, seed) for the whole
-experiment. Experiments return values; the command line writes their
-files in the formats defined here. A manifest captures the full resolved
-configuration, and replaying one reproduces metrics and model files byte
-for byte: all randomness flows from the single top-level seed through
-named streams (tree split, per-node walks, training shuffle).
+Every experiment repeats one replicate: featurize both sides of a fixed tree
+split at a seed, train, evaluate. A run is one replicate at the configured
+seed; a grid cell and an ablation row each average replicates over a list of
+seeds. Replicates of one seed that share a feature width and training
+settings train in lockstep, on at most LOCKSTEP_CAP train matrices at a time;
+one whose features are the first columns of another's, as ``(u, v)`` and
+``(u, v, |u - v|)`` are of ``(u, v, |u - v|, u*v)``, trains on views of that
+one's matrix, which the cap does not count, so the ablation trains three
+models on one matrix. Each side of the split is compiled once into a
+:class:`~threadwalk.features.CorpusSide`, so its comments are embedded once
+and its walks are sampled once per (p, seed) for the whole experiment.
+Experiments return values; the command line writes their files in the formats
+defined here. A manifest captures the full resolved configuration, and
+replaying one reproduces metrics and model files byte for byte: all
+randomness flows from the single top-level seed through named streams (tree
+split, per-node walks, training shuffle).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .embeddings import (
     HashedBowProvider,
     load_external_embeddings,
 )
-from .errors import ConfigError, EmptyEvalSetError, cut_path, quote, quote_list
+from .errors import ConfigError, EmptyEvalSetError, MissingEmbeddingError, cut_path, quote, quote_list
 from .evaluation import EvalReport, evaluate, split_trees
 from .features import (
     AggregationStrategy,
@@ -59,7 +60,7 @@ from .tree import DiscussionTree
 from .walks import DEFAULT_WALK_LENGTH
 
 MANIFEST_FORMAT = "threadwalk-manifest-v1"
-MANIFEST_LISTS = ("p_values", "gamma_values", "seeds")  # lists a config file may hold
+MANIFEST_LISTS = {"p_values": "float", "gamma_values": "float", "seeds": "int"}  # list -> item type
 CHOICES = {  # RunConfig field -> its allowed values
     "task": TASKS,
     "aggregation": tuple(s.value for s in AggregationStrategy),
@@ -213,7 +214,10 @@ def corpus_sides(
                         f"and {quote(tree.tree_id)}; external embeddings need corpus-unique ids"
                     )
     provider = config.build_provider()
-    return [CorpusSide(part, provider, config.task) for part in parts]
+    try:
+        return [CorpusSide(part, provider, config.task) for part in parts]
+    except MissingEmbeddingError as exc:
+        raise MissingEmbeddingError(f"{cut_path(config.embedding_file)}: {exc}") from None
 
 
 def split_sides(trees: Sequence[DiscussionTree], config: RunConfig) -> list[CorpusSide]:
@@ -386,26 +390,35 @@ def read_manifest(path: str | Path) -> tuple[RunConfig, dict]:
     A manifest holds the config under ``config``, a bare config holds its
     fields at the top level. Beside them the file may hold ``format``, which
     must be MANIFEST_FORMAT, and the lists named in MANIFEST_LISTS, which
-    are the extras; any other key is a ConfigError.
+    are the extras; any other key or value is a ConfigError that names the file.
     """
     where = cut_path(path)
     try:
         payload = JSON_DECODER.decode(Path(path).read_text(encoding="utf-8-sig"))
     except (ValueError, RecursionError) as exc:  # invalid JSON or UTF-8, or too deep
         raise ConfigError(f"{where}: invalid JSON ({exc})") from None
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
-    if payload.pop("format", MANIFEST_FORMAT) != MANIFEST_FORMAT:
-        raise ConfigError(f"{where}: format must be {MANIFEST_FORMAT!r}")
-    extras = {key: payload.pop(key) for key in MANIFEST_LISTS if key in payload}
-    if "config" not in payload:
-        return RunConfig.from_dict(payload), extras
-    config = payload.pop("config")
-    if not isinstance(config, dict):
-        raise ConfigError(f"{where}: config must be a JSON object, got {quote(config)}")
-    if payload:
-        raise ConfigError(f"{where}: unknown manifest keys: {quote_list(sorted(payload))}")
-    return RunConfig.from_dict(config), extras
+    try:
+        if not isinstance(payload, dict):
+            raise ConfigError("expected a JSON object")
+        if payload.pop("format", MANIFEST_FORMAT) != MANIFEST_FORMAT:
+            raise ConfigError(f"format must be {MANIFEST_FORMAT!r}")
+        extras = {key: payload.pop(key) for key in MANIFEST_LISTS if key in payload}
+        for key, values in extras.items():
+            kind = MANIFEST_LISTS[key]
+            if not isinstance(values, list):
+                raise ConfigError(f"{key} must be a list of {kind} values, got {quote(values)}")
+            for value in values:
+                check_type(key, value, kind)
+        if "config" not in payload:
+            return RunConfig.from_dict(payload), extras
+        config = payload.pop("config")
+        if not isinstance(config, dict):
+            raise ConfigError(f"config must be a JSON object, got {quote(config)}")
+        if payload:
+            raise ConfigError(f"unknown manifest keys: {quote_list(sorted(payload))}")
+        return RunConfig.from_dict(config), extras
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _check_values(name: str, values: Sequence[float]) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -72,17 +72,17 @@ def sample_walk(
     tree: DiscussionTree,
     start: str,
     config: RunConfig,
-    rng: np.random.Generator,
+    draw: Callable[[], float],
 ) -> WalkSample:
     """Run one biased root-seeking walk from ``start`` under ``config.p``,
     ``config.walk_length`` (``L``) and ``config.resolved_step_cap``.
 
-    Each step draws ``r = rng.random()`` and takes the first option, the
-    parent and then the children in order, whose running sum of
-    probabilities exceeds ``r``, or the last option if rounding leaves ``r``
-    above every sum; ``rng`` is a Generator or anything whose ``random()``
-    gives a Generator's draws. With ``p == 1`` the output is seed
-    independent: the ancestor chain of ``start``, truncated to ``L``.
+    Each step calls ``draw()`` once for a uniform ``r`` in [0, 1), as a
+    Generator's ``random`` gives, and takes the first option, the parent
+    and then the children in order, whose running sum of probabilities
+    exceeds ``r``, or the last option if rounding leaves ``r`` above every
+    sum. With ``p == 1`` the output is seed independent: the ancestor chain
+    of ``start``, truncated to ``L``.
     """
     if start not in tree:
         raise UnknownIdError(start)
@@ -100,7 +100,7 @@ def sample_walk(
         if parent is None and p == 1.0:
             break
         children = tree.children(position)
-        r = rng.random()
+        r = draw()
         # a leaf's parent has probability 1.0, which every draw is below
         if parent is not None and (not children or r < p):
             position = parent

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from threadwalk import features
 from threadwalk.embeddings import HashedBowProvider, tokenize
 from threadwalk.errors import (
     CycleDetectedError,
@@ -36,16 +35,20 @@ from threadwalk.walks import WalkSample
 
 @pytest.fixture
 def sampled_walks(monkeypatch) -> list:
-    """The arguments of every walk sampled by featurization, in call order."""
-    calls = []
-    sample_walk = features.sample_walk
+    """The walks of every pass in which a side samples, in pass order: each
+    ``CorpusSide.walks`` call that does not answer from the side's memo."""
+    walks = []
+    side_walks = CorpusSide.walks
 
-    def counted(*args):
-        calls.append(args)
-        return sample_walk(*args)
+    def counted(side, config):
+        memo = side._memo
+        result = side_walks(side, config)
+        if side._memo is not memo:
+            walks.extend(result[0])
+        return result
 
-    monkeypatch.setattr(features, "sample_walk", counted)
-    return calls
+    monkeypatch.setattr(CorpusSide, "walks", counted)
+    return walks
 
 
 @pytest.fixture

@@ -77,7 +77,7 @@ def test_criterion_01_walk_distribution_oracle(fan_tree):
     config = RunConfig(p=0.75, gamma=1.0, walk_length=2)
     start = time.perf_counter()
     counts = Counter(
-        sample_walk(fan_tree, "a1", config, derived_rng(314, i)).node_ids[1]
+        sample_walk(fan_tree, "a1", config, derived_rng(314, i).random).node_ids[1]
         for i in range(10_000)
     )
     elapsed = time.perf_counter() - start
@@ -100,7 +100,7 @@ def test_criterion_02_deterministic_walk_equivalence():
         config = RunConfig(p=1.0, gamma=1.0, walk_length=L)
         expected = tuple(([start] + ancestors(tree, start))[:L])
         for seed in (0, 1, 2):
-            sample = sample_walk(tree, start, config, derived_rng(seed, i))
+            sample = sample_walk(tree, start, config, derived_rng(seed, i).random)
             if sample.node_ids != expected:
                 ok = False
                 break

@@ -191,7 +191,7 @@ def test_test_side_without_pois_exits_1_before_featurizing(tmp_path, capsys, mon
                 )
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-    monkeypatch.setattr(features, "sample_walk", lambda *a, **k: pytest.fail("featurized"))
+    monkeypatch.setattr(features.CorpusSide, "walks", lambda *a, **k: pytest.fail("featurized"))
     out = tmp_path / "out"
     argv = [command, "--corpus", str(path), "--out", str(out)]
     if command in ("evaluate", "error-analysis"):
@@ -741,7 +741,7 @@ def test_out_naming_a_file_exits_2_before_featurizing(
     if command in ("evaluate", "error-analysis"):
         argv += ["--model", str(_zero_hate_model(tmp_path / "model.txt"))]
     else:
-        monkeypatch.setattr(features, "sample_walk", lambda *a, **k: pytest.fail("featurized"))
+        monkeypatch.setattr(features.CorpusSide, "walks", lambda *a, **k: pytest.fail("featurized"))
         argv += ["--task", "hate", *_fast_flags()]
     if command == "grid-search":
         argv += ["--jobs", "1"]
@@ -916,8 +916,8 @@ _HUGE_INTEGER = "9" * 5_000
 @pytest.mark.parametrize(
     "table, message",
     [
-        ("d=8\n", "no embedding for node id"),
-        ("d=10000000000\n", "no embedding for node id"),
+        ("d=8\n", "emb.txt: no embedding for node id"),
+        ("d=10000000000\n", "emb.txt: no embedding for node id"),
         ("d=2\nn1 1_0 0\n", "emb.txt:2: non-numeric value"),
         ("d=2\nn1 0 0\nn2 \u0661 0\n", "emb.txt:3: non-numeric value"),
         (f"d={_HUGE_INTEGER}\n", "emb.txt: first line must be 'd=<int>', got 'd=9999"),
@@ -1218,7 +1218,7 @@ def test_long_list_or_path_gives_a_short_error(corpus_path, tmp_path, capsys, ta
 @pytest.mark.parametrize(
     "target, names, message",
     [
-        ("config-keys", ["tpyo", "bogus"], "unknown config keys: ['bogus', 'tpyo']"),
+        ("config-keys", ["tpyo", "bogus"], "{input}: unknown config keys: ['bogus', 'tpyo']"),
         ("manifest-keys", ["notes", "extra"], "{input}: unknown manifest keys: ['extra', 'notes']"),
         ("embedding-file", ["missing.txt"], "embedding file not found: {tmp}/missing.txt"),
         ("tree-roots", ["a", "b"], "{input}: tree 't': multiple parentless records: ['a', 'b']"),
@@ -1229,6 +1229,26 @@ def test_short_list_or_path_prints_whole(corpus_path, tmp_path, capsys, target, 
     assert main(_naming_command(tmp_path, corpus_path, target, names)) == 2
     message = message.format(input=tmp_path / "input", tmp=tmp_path)
     assert _single_error_line(capsys) == f"error: {message}"
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("run", {"task": "hate", "seed": "7"}, "seed must be an integer, got '7'"),
+        ("grid-search", {"p_values": "abc"}, "p_values must be a list of float values, got 'abc'"),
+        ("ablate-concat", {"seeds": [0, 1.5]}, "seeds must be an integer, got 1.5"),
+    ],
+    ids=["config-value", "list", "list-item"],
+)
+def test_config_file_error_names_the_file(corpus_path, tmp_path, capsys, command, config, message):
+    """A wrong value in a --config file is one error line that starts with
+    the file, as an unknown key is, and no --out directory is made."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--corpus", str(corpus_path), "--out", str(out), "--config", str(path)]) == 2
+    assert _single_error_line(capsys) == f"error: {path}: {message}"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1899,7 +1919,7 @@ def test_fuzzed_corpus_file_exits_cleanly(tiny_corpus, retype, data):
 # Where each stage can be interrupted: a module and one function it calls.
 _STAGES = {
     "loading": (corpus_module, "text_lines"),
-    "featurizing": (features, "sample_walk"),
+    "featurizing": (features.CorpusSide, "walks"),
     "training": (model_module, "loss_and_gradient"),
     "writing": (corpus_module, "write_bytes"),
 }

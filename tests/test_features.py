@@ -51,7 +51,7 @@ def features_from_walk(
 
 def featurize_node(tree, poi, provider, config, rng):
     """Walk from ``poi`` on ``rng`` and build its feature row under ``config``."""
-    sample = sample_walk(tree, poi, config, rng)
+    sample = sample_walk(tree, poi, config, rng.random)
     strategy, scheme = AggregationStrategy(config.aggregation), ConcatScheme(config.scheme)
     return features_from_walk(
         tree, sample, config.gamma, provider, strategy, scheme,
@@ -537,7 +537,7 @@ def test_walk_past_the_side_wide_draws_continues_its_stream():
     for seed in range(4):
         config = RunConfig(task="hate", p=0.0, step_cap=3 * features._DRAWS + 1, seed=seed)
         samples, _, _ = side.walks(config)
-        want = [sample_walk(tree, n, config, walk_rng(seed, "t", n)) for n in side.node_ids]
+        want = [sample_walk(tree, n, config, walk_rng(seed, "t", n).random) for n in side.node_ids]
         assert list(samples) == want
         assert len(samples[side.node_ids.index("a")].raw_steps) == config.step_cap
 
@@ -568,7 +568,7 @@ def test_walk_rows_follow_the_documented_row_order(seed, sizes, task, L, p, shor
     _, rows, lengths = side.walks(config)
     order = side_rows(side)
     pois = list(zip(side.trees, side.node_ids))
-    walks = [sample_walk(t, n, config, walk_rng(seed, t.tree_id, n)).node_ids for t, n in pois]
+    walks = [sample_walk(t, n, config, walk_rng(seed, t.tree_id, n).random).node_ids for t, n in pois]
     want = np.zeros((len(walks), max(map(len, walks), default=1)), dtype=np.intp)
     for i, ((tree, _), walk) in enumerate(zip(pois, walks)):
         want[i, : len(walk)] = [order[tree, node_id] for node_id in walk]

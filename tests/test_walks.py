@@ -91,25 +91,25 @@ class TestTransitionDistribution:
 class TestSampleWalk:
     def test_deterministic_walk_stops_at_root(self, forked_tree):
         cfg = RunConfig(p=1.0, gamma=0.5, walk_length=4)
-        sample = sample_walk(forked_tree, "a2", cfg, derived_rng(0))
+        sample = sample_walk(forked_tree, "a2", cfg, derived_rng(0).random)
         assert sample.node_ids == ("a2", "a1", "a0")
 
     def test_single_node(self):
         tree = build_tree([CommentNode("solo", None, "x")])
         cfg = RunConfig(p=0.5, gamma=0.7, walk_length=5)
-        sample = sample_walk(tree, "solo", cfg, derived_rng(1))
+        sample = sample_walk(tree, "solo", cfg, derived_rng(1).random)
         assert sample.node_ids == ("solo",)
         assert sample.raw_steps == ()
 
     def test_start_at_root_with_p_one(self, fan_tree):
         cfg = RunConfig(p=1.0, gamma=1.0, walk_length=4)
-        sample = sample_walk(fan_tree, "a0", cfg, derived_rng(2))
+        sample = sample_walk(fan_tree, "a0", cfg, derived_rng(2).random)
         assert sample.node_ids == ("a0",)
 
     def test_first_step_frequencies(self, fan_tree):
         cfg = RunConfig(p=0.75, gamma=1.0, walk_length=2)
         counts = Counter(
-            sample_walk(fan_tree, "a1", cfg, derived_rng(99, i)).node_ids[1]
+            sample_walk(fan_tree, "a1", cfg, derived_rng(99, i).random).node_ids[1]
             for i in range(4000)
         )
         assert counts["a0"] / 4000 == pytest.approx(0.75, abs=0.03)
@@ -118,8 +118,8 @@ class TestSampleWalk:
 
     def test_same_seed_same_walk(self, forked_tree):
         cfg = RunConfig(p=0.6, gamma=0.9, walk_length=4, seed=5)
-        first = sample_walk(forked_tree, "a4", cfg, walk_rng(5, "forked", "a4"))
-        second = sample_walk(forked_tree, "a4", cfg, walk_rng(5, "forked", "a4"))
+        first = sample_walk(forked_tree, "a4", cfg, walk_rng(5, "forked", "a4").random)
+        second = sample_walk(forked_tree, "a4", cfg, walk_rng(5, "forked", "a4").random)
         assert first == second
 
     def test_p_one_matches_ancestor_chain_for_any_seed(self):
@@ -130,7 +130,7 @@ class TestSampleWalk:
             start = str(rng.choice(tree.node_ids()))
             expected = ([start] + ancestors(tree, start))[:4]
             for seed in (0, 1, 2):
-                sample = sample_walk(tree, start, cfg, derived_rng(seed))
+                sample = sample_walk(tree, start, cfg, derived_rng(seed).random)
                 assert list(sample.node_ids) == expected
 
     def test_step_cap_breaks_oscillation(self):
@@ -144,19 +144,19 @@ class TestSampleWalk:
         ]
         tree = build_tree(records)
         cfg = RunConfig(p=0.0, gamma=1.0, walk_length=4, step_cap=11)
-        sample = sample_walk(tree, "x", cfg, derived_rng(3))
+        sample = sample_walk(tree, "x", cfg, derived_rng(3).random)
         assert sample.node_ids == ("x", "z")
         assert len(sample.raw_steps) == 11
 
     def test_stops_when_tree_exhausted(self, fan_tree):
         cfg = RunConfig(p=0.5, gamma=1.0, walk_length=50)
-        sample = sample_walk(fan_tree, "a2", cfg, derived_rng(4))
+        sample = sample_walk(fan_tree, "a2", cfg, derived_rng(4).random)
         assert set(sample.node_ids) == set(fan_tree.node_ids())
         assert len(sample.node_ids) == 5
 
     def test_unknown_start(self, fan_tree):
         with pytest.raises(UnknownIdError):
-            sample_walk(fan_tree, "zz", RunConfig(p=1.0, gamma=1.0), derived_rng(0))
+            sample_walk(fan_tree, "zz", RunConfig(p=1.0, gamma=1.0), derived_rng(0).random)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -171,7 +171,7 @@ class TestSampleWalk:
         tree = random_tree(rng, size)
         start = str(rng.choice(tree.node_ids()))
         cfg = RunConfig(p=p, gamma=gamma, walk_length=L)
-        sample = sample_walk(tree, start, cfg, derived_rng(seed, "walks"))
+        sample = sample_walk(tree, start, cfg, derived_rng(seed, "walks").random)
 
         assert len(set(sample.node_ids)) == len(sample.node_ids)
         assert 1 <= len(sample.node_ids) <= L
@@ -239,7 +239,7 @@ class TestMatchesOracleWalk:
         step_cap = None if extra_steps is None else L - 1 + extra_steps
         cfg = RunConfig(p=p, gamma=1.0, walk_length=L, step_cap=step_cap)
         ours, theirs = derived_rng(seed, "walk"), derived_rng(seed, "walk")
-        assert sample_walk(tree, start, cfg, ours) == oracle_walk(tree, start, cfg, theirs)
+        assert sample_walk(tree, start, cfg, ours.random) == oracle_walk(tree, start, cfg, theirs)
         # both consumed the same draws
         assert ours.random() == theirs.random()
 
@@ -257,7 +257,7 @@ class TestMatchesOracleWalk:
         cfg = RunConfig(p=p, gamma=1.0, walk_length=2)
         expected = WalkSample((start, "k005"), ("k005",))
         assert oracle_walk(tree, start, cfg, _FixedRng(r)) == expected
-        assert sample_walk(tree, start, cfg, _FixedRng(r)) == expected
+        assert sample_walk(tree, start, cfg, _FixedRng(r).random) == expected
 
 
 class TestRootSeekingWalk:
@@ -284,7 +284,7 @@ class TestRootSeekingWalk:
         for start in forked_tree.node_ids():
             direct = root_seeking_walk(forked_tree, start, 4)
             sampled = sample_walk(
-                forked_tree, start, RunConfig(p=1.0, gamma=0.5, walk_length=4), derived_rng(8)
+                forked_tree, start, RunConfig(p=1.0, gamma=0.5, walk_length=4), derived_rng(8).random
             )
             assert direct == sampled
 
