@@ -205,14 +205,19 @@ def _add_field_flags(p: argparse.ArgumentParser, cls: type, use_defaults: bool) 
 
 
 def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
-    config, extras = read_manifest(args.config) if args.config else (RunConfig(), {})
-    base = config.to_dict()
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name)
-        if value is not None:
-            base[f.name] = value
-    config = RunConfig.from_dict(base)
-    config.validate()
+    file_config, extras = read_manifest(args.config) if args.config else (RunConfig(), {})
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    flags = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    config = RunConfig.from_dict({**file_config.to_dict(), **flags})
+    try:
+        config.validate()
+    except ConfigError as exc:
+        try:
+            file_config.validate()
+        except ConfigError as own:  # the file's settings have the fault without the flags
+            if own.args == exc.args:
+                raise ConfigError(f"{cut_path(args.config)}: {exc}") from None
+        raise
     return config, extras
 
 

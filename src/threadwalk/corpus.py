@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import secrets
 import sys
 import warnings
 from collections import Counter
@@ -50,28 +49,21 @@ def load_corpus(path: str | Path) -> list[DiscussionTree]:
         if not line:
             continue
         try:
-            obj = JSON_DECODER.decode(line)
+            obj, end = JSON_DECODER.raw_decode(line)  # stripped: fails as decode would
+            if end < len(line):
+                JSON_DECODER.decode(line)  # raises decode's "Extra data" error
         except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
             raise MalformedFileError(f"{where}:{lineno}: invalid JSON ({exc})") from None
-        if not isinstance(obj, dict):
-            raise MalformedFileError(f"{where}:{lineno}: record is not an object")
-        try:
-            values = [obj[f] for f in _REQUIRED_FIELDS]
-        except KeyError:
-            missing = [f for f in _REQUIRED_FIELDS if f not in obj]
-            raise MalformedFileError(f"{where}:{lineno}: missing fields {missing}") from None
-        tree_id, node_id, parent_id, text = values
-        label = obj.get("label")
-        if label is not None and not isinstance(label, str):
-            raise MalformedFileError(f"{where}:{lineno}: label must be a string or null")
-        if not isinstance(text, str):
-            raise MalformedFileError(f"{where}:{lineno}: text must be a string")
-        if node_id is None or node_id == "" or tree_id == "":
-            name = "tree_id" if tree_id == "" else "id"
-            raise MalformedFileError(f"{where}:{lineno}: {name} must be non-empty")
-        for (name, types), value in zip(_ID_TYPES.items(), values):
-            if type(value) not in types:
-                raise MalformedFileError(f"{where}:{lineno}: {name} must be a string or an integer")
+        # One test for a good record; _record_fault says what is wrong with any other.
+        if not (
+            type(obj) is dict and "parent_id" in obj
+            and type(tree_id := obj.get("tree_id")) in _ID_TYPES["tree_id"] and tree_id != ""
+            and type(node_id := obj.get("id")) in _ID_TYPES["id"] and node_id != ""
+            and type(parent_id := obj["parent_id"]) in _ID_TYPES["parent_id"]
+            and type(text := obj.get("text")) is str
+            and ((label := obj.get("label")) is None or type(label) is str)
+        ):
+            raise MalformedFileError(f"{where}:{lineno}: {_record_fault(obj)}")
         tid = str(tree_id)
         if not text:
             empty[tid] += 1
@@ -87,6 +79,23 @@ def load_corpus(path: str | Path) -> list[DiscussionTree]:
         message = f"{where}: {empty.total()} comment(s) with empty text kept, in tree(s) "
         warnings.warn(message + quote_list([tid for tid in groups if tid in empty]), stacklevel=2)
     return trees
+
+
+def _record_fault(obj: object) -> str:
+    """The first fault of a decoded record, by the checks in their documented order."""
+    if not isinstance(obj, dict):
+        return "record is not an object"
+    missing = [f for f in _REQUIRED_FIELDS if f not in obj]
+    if missing:
+        return f"missing fields {missing}"
+    if obj.get("label") is not None and not isinstance(obj["label"], str):
+        return "label must be a string or null"
+    if not isinstance(obj["text"], str):
+        return "text must be a string"
+    if obj["id"] is None or "" in (obj["id"], obj["tree_id"]):
+        return f"{'tree_id' if obj['tree_id'] == '' else 'id'} must be non-empty"
+    name = next(name for name, types in _ID_TYPES.items() if type(obj[name]) not in types)
+    return f"{name} must be a string or an integer"
 
 
 def text_lines(path: Path, source: BinaryIO | None = None) -> Iterator[str]:
@@ -111,7 +120,7 @@ def write_bytes(path: str | Path, chunks: Iterable[bytes]) -> None:
     it was.
     """
     path = Path(os.path.abspath(path))
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as handle:

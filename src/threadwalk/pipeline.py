@@ -389,8 +389,8 @@ def read_manifest(path: str | Path) -> tuple[RunConfig, dict]:
 
     A manifest holds the config under ``config``, a bare config holds its
     fields at the top level. Beside them the file may hold ``format``, which
-    must be MANIFEST_FORMAT, and the lists named in MANIFEST_LISTS, which
-    are the extras; any other key or value is a ConfigError that names the file.
+    must be MANIFEST_FORMAT, and the lists named in MANIFEST_LISTS (each non-empty,
+    no value twice), the extras; any other key or value is a ConfigError naming the file.
     """
     where = cut_path(path)
     try:
@@ -409,6 +409,7 @@ def read_manifest(path: str | Path) -> tuple[RunConfig, dict]:
                 raise ConfigError(f"{key} must be a list of {kind} values, got {quote(values)}")
             for value in values:
                 check_type(key, value, kind)
+            _check_values(key, values)
         if "config" not in payload:
             return RunConfig.from_dict(payload), extras
         config = payload.pop("config")

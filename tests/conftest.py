@@ -2,26 +2,33 @@
 test oracles (the tree builder with its parent-chain cycle check, the
 ancestor chain, the walk step drawn from a listed transition distribution,
 the bag-of-words baseline, the one-text hashed bag-of-words embedder, the
-line-by-line embedding file parser, and the softmax's reduction log-softmax
-and out-of-place training loop)."""
+line-by-line embedding file parser, the corpus loader that checks each
+record field by field, and the softmax's reduction log-softmax and
+out-of-place training loop)."""
 
 from __future__ import annotations
 
 import hashlib
 import math
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from threadwalk.corpus import JSON_DECODER, text_lines
 from threadwalk.embeddings import HashedBowProvider, tokenize
 from threadwalk.errors import (
     CycleDetectedError,
     DanglingParentError,
     DuplicateIdError,
+    MalformedFileError,
     MultipleRootsError,
     NoRootError,
+    ThreadwalkError,
     UnknownIdError,
+    cut_path,
     quote,
     quote_list,
 )
@@ -170,6 +177,60 @@ def oracle_build_tree(records: list[CommentNode], tree_id: str = "") -> Discussi
             children.setdefault(rec.parent_id, []).append(rec.id)
     index = {pid: tuple(kids) for pid, kids in children.items()}
     return DiscussionTree(nodes, roots[0], index, tree_id=tree_id)
+
+
+_ORACLE_ID_TYPES = {"tree_id": {str, int}, "id": {str, int}, "parent_id": {str, int, type(None)}}
+_ORACLE_FIELDS = (*_ORACLE_ID_TYPES, "text")
+
+
+def oracle_load_corpus(path: str | Path) -> list[DiscussionTree]:
+    """load_corpus that decodes each line whole and then checks its record
+    one field at a time, in the documented order."""
+    groups: dict[str, list[CommentNode]] = {}
+    empty: Counter[str] = Counter()
+    path, where = Path(path), cut_path(path)
+    for lineno, line in enumerate(text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = JSON_DECODER.decode(line)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedFileError(f"{where}:{lineno}: invalid JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise MalformedFileError(f"{where}:{lineno}: record is not an object")
+        try:
+            values = [obj[f] for f in _ORACLE_FIELDS]
+        except KeyError:
+            missing = [f for f in _ORACLE_FIELDS if f not in obj]
+            raise MalformedFileError(f"{where}:{lineno}: missing fields {missing}") from None
+        tree_id, node_id, parent_id, text = values
+        label = obj.get("label")
+        if label is not None and not isinstance(label, str):
+            raise MalformedFileError(f"{where}:{lineno}: label must be a string or null")
+        if not isinstance(text, str):
+            raise MalformedFileError(f"{where}:{lineno}: text must be a string")
+        if node_id is None or node_id == "" or tree_id == "":
+            name = "tree_id" if tree_id == "" else "id"
+            raise MalformedFileError(f"{where}:{lineno}: {name} must be non-empty")
+        for (name, types), value in zip(_ORACLE_ID_TYPES.items(), values):
+            if type(value) not in types:
+                raise MalformedFileError(f"{where}:{lineno}: {name} must be a string or an integer")
+        tid = str(tree_id)
+        if not text:
+            empty[tid] += 1
+        parent_id = None if parent_id is None else str(parent_id)
+        groups.setdefault(tid, []).append(CommentNode(str(node_id), parent_id, text, label))
+    trees = []
+    for tid, records in groups.items():
+        try:
+            trees.append(build_tree(records, tree_id=tid))
+        except ThreadwalkError as exc:
+            raise type(exc)(f"{where}: tree {quote(tid)}: {exc}") from None
+    if empty:
+        message = f"{where}: {empty.total()} comment(s) with empty text kept, in tree(s) "
+        warnings.warn(message + quote_list([tid for tid in groups if tid in empty]), stacklevel=2)
+    return trees
 
 
 def ancestors(tree: DiscussionTree, node_id: str) -> list[str]:

@@ -679,6 +679,30 @@ def test_featurizing_commands_leave_out_numpy_ma(corpus_path, tmp_path):
     assert done.stdout.splitlines()[-1] == "[0, 0] False"
 
 
+def test_import_validate_and_writes_leave_out_secrets(corpus_path, tmp_path):
+    """A temporary file is named from ``os.urandom``, so neither the import,
+    nor ``validate`` (which loads a corpus and draws nothing), nor a write
+    loads ``secrets`` and the ``hmac`` and ``base64`` it imports. (The
+    commands that draw load them through ``numpy.random``.)"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    check = (
+        "import sys, threadwalk.cli as cli; "
+        f"status = cli.main(['validate', {str(corpus_path)!r}]); "
+        f"cli.write_lines({str(tmp_path / 'out.txt')!r}, ['written\\n']); "
+        "print(status, [name for name in ('secrets', 'hmac', 'base64') if name in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", check],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out.txt").read_text() == "written\n"
+
+
 def test_missing_corpus_exits_2(tmp_path):
     code = main(["validate", str(tmp_path / "absent.jsonl")])
     assert code == 2
@@ -878,7 +902,7 @@ def test_config_value_outside_choices_exits_2(corpus_path, tmp_path, capsys, nam
     config.write_text(json.dumps({name: "nonsense"}))
     argv = ["run", "--corpus", str(corpus_path), "--config", str(config)]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert _single_error_line(capsys).startswith(f"error: {name} must be one of (")
+    assert _single_error_line(capsys).startswith(f"error: {config}: {name} must be one of (")
 
 
 _RUN_HATE = ["--task", "hate", "--epochs", "2", "--bow-dim", "8"]
@@ -1237,8 +1261,11 @@ def test_short_list_or_path_prints_whole(corpus_path, tmp_path, capsys, target, 
         ("run", {"task": "hate", "seed": "7"}, "seed must be an integer, got '7'"),
         ("grid-search", {"p_values": "abc"}, "p_values must be a list of float values, got 'abc'"),
         ("ablate-concat", {"seeds": [0, 1.5]}, "seeds must be an integer, got 1.5"),
+        ("grid-search", {"p_values": []}, "p_values must be non-empty"),
+        ("ablate-concat", {"seeds": [3, 3]}, "seeds must not repeat a value, got 3 more than once"),
+        ("run", {"bow_dim": 0}, "bow_dim must be in [1, 16384], got 0"),
     ],
-    ids=["config-value", "list", "list-item"],
+    ids=["config-value", "list", "list-item", "empty-list", "repeated-seed", "out-of-range"],
 )
 def test_config_file_error_names_the_file(corpus_path, tmp_path, capsys, command, config, message):
     """A wrong value in a --config file is one error line that starts with
@@ -1249,6 +1276,21 @@ def test_config_file_error_names_the_file(corpus_path, tmp_path, capsys, command
     assert main([command, "--corpus", str(corpus_path), "--out", str(out), "--config", str(path)]) == 2
     assert _single_error_line(capsys) == f"error: {path}: {message}"
     assert not out.exists()
+
+
+def test_flag_value_fault_does_not_name_the_config_file(corpus_path, tmp_path, capsys):
+    """A flag that overrides a bad config value runs; a bad flag value is
+    named without the file, even when the file has a fault of its own that
+    a flag overrides."""
+    path = tmp_path / "cfg.json"
+    argv = ["run", "--corpus", str(corpus_path), "--out", str(tmp_path / "out")]
+    argv += ["--config", str(path)]
+    path.write_text(json.dumps({"task": "hate", "epochs": 2, "bow_dim": 0}))
+    assert main([*argv, "--bow-dim", "5"]) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps({"task": "hate", "walk_length": 10_000}))
+    assert main([*argv, "--walk-length", "4", "--bow-dim", "0"]) == 2
+    assert _single_error_line(capsys) == "error: bow_dim must be in [1, 16384], got 0"
 
 
 @pytest.mark.parametrize(

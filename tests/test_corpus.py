@@ -1,10 +1,14 @@
-"""Corpus file round trips and corpus stats."""
+"""Corpus file round trips, the loader against its field-by-field oracle,
+and corpus stats."""
 
 import json
 import os
 import warnings
 
 import pytest
+from conftest import oracle_load_corpus
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from threadwalk.corpus import corpus_stats, load_corpus, save_corpus, write_lines
 from threadwalk.errors import DanglingParentError, MalformedFileError
@@ -118,6 +122,89 @@ def test_byte_order_mark_after_the_start_is_invalid_json(tmp_path):
     path = _write(tmp_path, [_record("t", "r", None, "x"), "\ufeff" + _record("t", "c", "r", "y")])
     with pytest.raises(MalformedFileError, match=":2: invalid JSON"):
         load_corpus(path)
+
+
+_MISSING = object()  # an edit that deletes the field
+# The faulty values of each field, for the checks in their documented order;
+# an extra key is no fault.
+_FIELD_FAULTS = {
+    "tree_id": (_MISSING, "", None, True, False, 1.5, [], {}),
+    "id": (_MISSING, "", None, True, False, 2.0, ["n0"]),
+    "parent_id": (_MISSING, "", True, False, 0.5, [], {"id": "n0"}),
+    "text": (_MISSING, None, 3, ["words"]),
+    "label": (None, 3, True, ["hate"], {}),
+    "extra": ("kept aside",),
+}
+# Whole lines that are no record, or no JSON.
+_BAD_LINES = ["", "   ", "\t", "[1]", "3", '"text"', "null", "true", "{not json", "}", "{}"]
+
+
+@st.composite
+def _corpus_lines(draw) -> list[str]:
+    """The lines of a corpus: valid trees (string or integer ids, a null parent,
+    a missing or null label, empty texts) in shuffled order, with up to
+    three records given an extra key or one or two field faults, blank and
+    bad lines, and now and then a trailing ``}``."""
+    records = []
+    for t in range(draw(st.integers(1, 3))):
+        tree_id = draw(st.sampled_from([f"t{t}", t, 70 + t]))
+        ids = []
+        for i in range(draw(st.integers(1, 4))):
+            node_id = draw(st.sampled_from([f"n{i}", 10 * t + i]))
+            parent = None if i == 0 else draw(st.sampled_from(ids))
+            record = {"tree_id": tree_id, "id": node_id, "parent_id": parent}
+            record["text"] = draw(st.sampled_from(["", "some words", "x"]))
+            label = draw(st.sampled_from([_MISSING, None, "hate", "non-hate"]))
+            if label is not _MISSING:
+                record["label"] = label
+            if draw(st.booleans()):
+                record = dict(reversed(record.items()))
+            ids.append(node_id)
+            records.append(record)
+    records = draw(st.permutations(records))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(records) - 1))
+        record = dict(records[i])
+        fields = st.sampled_from(sorted(_FIELD_FAULTS))
+        for field in draw(st.lists(fields, min_size=1, max_size=2, unique=True)):
+            value = draw(st.sampled_from(_FIELD_FAULTS[field]))
+            if value is _MISSING:
+                record.pop(field, None)
+            else:
+                record[field] = value
+        records[i] = record
+    lines = [json.dumps(record) for record in records]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines)))
+        lines.insert(i, draw(st.sampled_from(_BAD_LINES)))
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] += "}"
+    return lines
+
+
+def _outcome(load, path):
+    """The trees ``load`` reads from ``path`` (tree order, node order, every
+    field and the children) or its error, and the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            trees = load(path)
+            result = [
+                (t.tree_id, t.root_id, list(t), [t.children(n.id) for n in t]) for t in trees
+            ]
+        except Exception as exc:  # noqa: BLE001 - the error is the outcome
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(lines=_corpus_lines())
+def test_loader_matches_the_field_by_field_oracle(tmp_path, lines):
+    path = _write(tmp_path, lines)
+    assert _outcome(load_corpus, path) == _outcome(oracle_load_corpus, path)
 
 
 def test_corpus_stats(debate_tree, fan_tree):
