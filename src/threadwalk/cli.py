@@ -35,8 +35,8 @@ from .errors import (
     quote_list,
 )
 from .evaluation import error_analysis, evaluate
-from .features import TASK_LABELS, Examples, featurize_split
-from .model import SoftmaxModel, load_model, save_model, train
+from .features import TASK_LABELS, featurize_split
+from .model import load_model, save_model, train
 from .pipeline import (
     CHOICES,
     RunConfig,
@@ -62,21 +62,21 @@ _FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = argparse.Namespace(made=[])  # the directories _outdir made, deepest first
     with warnings.catch_warnings():
         # One line per warning, without the source file and line behind it.
         warnings.showwarning = lambda message, *_: _say(f"warning: {message}")
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser().parse_args(argv, args)
             status = args.func(args)
             sys.stdout.flush()  # so that a closed stdout fails here, not at exit
-            return status
         except BrokenPipeError:
             # The reader left (``| head``): the flush at exit goes to /dev/null.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 1
+            status = 1
         except KeyboardInterrupt:
             _say("interrupted")
-            return 130
+            status = 130
         except (InputError, OSError) as exc:
             if isinstance(exc, OSError) and isinstance(exc.filename, str):
                 exc.filename = cut_path(exc.filename)  # the OS message echoes it
@@ -84,10 +84,15 @@ def main(argv: list[str] | None = None) -> int:
             flag = {TooFewTreesError: "corpus", NonFiniteScoreError: "model"}.get(type(exc))
             where = f"{cut_path(getattr(args, flag))}: " if flag and hasattr(args, flag) else ""
             _say(f"error: {where}{exc}")
-            return 2
+            status = 2
         except ThreadwalkError as exc:
             _say(f"error: {exc}")
-            return 1
+            status = 1
+    # A failing command leaves no new directory: each is removed while empty.
+    for path in args.made if status else ():
+        with contextlib.suppress(OSError):
+            path.rmdir()
+    return status
 
 
 def _say(line: str) -> None:
@@ -222,10 +227,10 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
 
 
 def _outdir(args: argparse.Namespace) -> Path:
-    """The output directory, made if it does not exist. Commands call this
-    once their inputs are read, so a bad input leaves no new directory."""
-    out = args.out or os.environ.get("THREADWALK_OUT") or "."
-    path = Path(out)
+    """The output directory, made if missing, each new one noted in ``args.made``.
+    Commands call this once their inputs are read: a bad input makes none."""
+    path = Path(args.out or os.environ.get("THREADWALK_OUT") or ".")
+    args.made += [made for made in (path, *path.parents) if not made.exists()]
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -244,11 +249,11 @@ def _parse_list(text: str | None, extras: dict, key: str, cast: type, default: t
     return tuple(map(cast, extras[key])) if key in extras else default
 
 
-def _scored(args: argparse.Namespace) -> tuple[SoftmaxModel, Examples]:
-    """The ``--model`` file and the test side it scores, featurized under the
-    settings it records and ``--embedding-file``; ConfigError if the model
-    records no settings, if its classes are not its task's labels, or if
-    the embeddings give rows of another width than it takes."""
+def _scored(args: argparse.Namespace) -> tuple:
+    """The ``--model`` file, and the matrix, side and walks of the test side
+    it scores, under the settings it records and ``--embedding-file``;
+    ConfigError if the model records no settings, if its classes are not its
+    task's labels, or if the embeddings give rows of another width than it takes."""
     model, where = load_model(args.model), cut_path(args.model)
     settings = {**model.metadata, "embedding_file": args.embedding_file}
     names = [f.name for f in dataclasses.fields(RunConfig)]
@@ -267,13 +272,13 @@ def _scored(args: argparse.Namespace) -> tuple[SoftmaxModel, Examples]:
             f"of the {config.task} task its settings name"
         )
     test_side = split_sides(load_corpus(args.corpus), config)[1]
-    examples = featurize_split(test_side, config)
-    if examples.X.shape[1] != model.feature_dim:
+    X = featurize_split(test_side, config)
+    if X.shape[1] != model.feature_dim:
         raise ConfigError(
             f"{where} takes {model.feature_dim} features per row, but these embeddings "
-            f"give {examples.X.shape[1]}; use the table it was trained on"
+            f"give {X.shape[1]}; use the table it was trained on"
         )
-    return model, examples
+    return model, X, test_side, test_side.walks(config)[0]
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -299,13 +304,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_featurize(args: argparse.Namespace) -> int:
     config, _ = _resolve_config(args)
     corpus = load_corpus(args.corpus)
-    examples = featurize_split(corpus_sides(config, corpus, corpus)[0], config)
-    write_lines(args.output, feature_dump_lines(examples))
+    side = corpus_sides(config, corpus, corpus)[0]
+    X = featurize_split(side, config)
+    write_lines(args.output, feature_dump_lines(side, X))
     if args.traces:
-        traces = zip(examples.trees, examples.walks)
+        traces = zip(side.trees, side.walks(config)[0])
         lines = (walk.trace_line(tree.tree_id, config.gamma) + "\n" for tree, walk in traces)
         write_lines(args.traces, lines)
-    print(f"wrote {len(examples)} examples to {args.output}")
+    print(f"wrote {len(X)} examples to {args.output}")
     return 0
 
 
@@ -313,16 +319,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     config, _ = _resolve_config(args)
     train_side = split_sides(load_corpus(args.corpus), config)[0]
     outdir = _outdir(args)
-    examples = featurize_split(train_side, config)
-    (model,) = train(examples.labels, examples.X[None], [config])
+    X = featurize_split(train_side, config)
+    (model,) = train(train_side.labels, X[None], [config])
     save_model(model, outdir / "model.txt")
     write_manifest(config, outdir / "manifest.json")
-    print(f"trained on {len(examples)} examples; model written to {outdir / 'model.txt'}")
+    print(f"trained on {len(X)} examples; model written to {outdir / 'model.txt'}")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    report = evaluate(*_scored(args))
+    model, X, test_side, _ = _scored(args)
+    report = evaluate(model, X, test_side.labels)
     if args.out:
         outdir = _outdir(args)
         write_lines(outdir / "report.txt", [report.to_text()])
@@ -344,8 +351,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.dump_features:
         artifacts.append(outdir / "features.jsonl")
         # Each side's walks are memoized, so its rows come out as trained or scored on.
-        sides = (featurize_split(side, config) for side in (train_side, test_side))
-        write_lines(artifacts[-1], itertools.chain.from_iterable(map(feature_dump_lines, sides)))
+        lines = (feature_dump_lines(s, featurize_split(s, config)) for s in (train_side, test_side))
+        write_lines(artifacts[-1], itertools.chain.from_iterable(lines))
     # Last, so that a manifest vouches for a complete set of artifacts.
     artifacts.append(outdir / "manifest.json")
     write_manifest(config, artifacts[-1])

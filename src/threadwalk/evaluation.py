@@ -15,10 +15,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyEvalSetError, NotBinaryTaskError, TooFewTreesError
-from .features import HATE_TASK, POLARITY_TASK, TASK_LABELS, Examples
+from .features import HATE_TASK, POLARITY_TASK, TASK_LABELS, CorpusSide
 from .model import SoftmaxModel, predict_labels
 from .seeding import derived_rng
 from .tree import DiscussionTree
+from .walks import WalkSample
 
 # The positive class of a binary report is the first of these among its
 # classes (hate before support), else its last class.
@@ -150,32 +151,28 @@ def _positive_label(names: tuple[str, ...]) -> str:
     return names[-1]
 
 
-def evaluate(model: SoftmaxModel, examples: Examples) -> EvalReport:
-    """Score a model on labeled examples via argmax predictions."""
-    return _predict_and_score(model, examples)[0]
+def evaluate(model: SoftmaxModel, X: np.ndarray, labels: Sequence[str]) -> EvalReport:
+    """Score a model on the feature rows ``X``, labeled ``labels``, by argmax."""
+    names = tuple(sorted(set(model.class_names) | set(labels)))
+    return report_from_pairs(labels, predict_labels(model, X), names)
 
 
-def _predict_and_score(model: SoftmaxModel, examples: Examples) -> tuple[EvalReport, list[str]]:
-    predictions = predict_labels(model, examples.X)
-    names = tuple(sorted(set(model.class_names) | set(examples.labels)))
-    return report_from_pairs(examples.labels, predictions, names), predictions
-
-
-def error_analysis(model: SoftmaxModel, examples: Examples) -> tuple[str, list[dict]]:
+def error_analysis(
+    model: SoftmaxModel, X: np.ndarray, side: CorpusSide, walks: Sequence[WalkSample]
+) -> tuple[str, list[dict]]:
     """The positive label, and the record that one line of ``errors.jsonl``
-    holds for each misclassified row: false positives first, each group in
-    row order. A record's ``context`` lists the nodes its walk collected
-    after the PoI, with their texts read from the row's tree.
+    holds for each misclassified row of the side's ``X``: false positives
+    first, each group in row order. A record's ``context`` lists the nodes
+    its row's walk in ``walks`` collected after the PoI, with their texts.
 
     The FP/FN counts reconcile with the confusion matrix by construction.
     """
-    report, predictions = _predict_and_score(model, examples)
-    if len(report.class_names) != 2:
-        raise NotBinaryTaskError(
-            f"error analysis needs a binary task, got classes {report.class_names}"
-        )
-    pos = report.positive_label
-    rows = zip(examples.trees, examples.node_ids, examples.labels, predictions, examples.walks)
+    names = tuple(sorted(set(model.class_names) | set(side.labels)))  # as evaluate's report
+    if len(names) != 2:
+        raise NotBinaryTaskError(f"error analysis needs a binary task, got classes {names}")
+    pos = _positive_label(names)
+    predictions = predict_labels(model, X)
+    rows = zip(side.trees, side.node_ids, side.labels, predictions, walks)
     records = [
         {
             "kind": "fp" if pred == pos else "fn",

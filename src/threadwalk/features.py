@@ -9,16 +9,13 @@ default. An empty context yields ``v = 0``.
 A corpus side is compiled once into a :class:`CorpusSide`: its PoIs, one
 embedding row per node (its provider's exact values and a divisor) and a
 memo of the walks sampled on it.
-Featurizing the side gives one :class:`Examples` record: a read-only
-float64 matrix ``X`` with one row per PoI, written in place a block of
-rows at a time, plus the tree, node id, label and walk of each row in the
-same order. Training, evaluation, error analysis and the feature dump
-all read it.
+Featurizing the side gives its read-only float64 matrix ``X``, one row
+per PoI in the side's order, written in place a block of rows at a time;
+the side holds the tree, node id, label and memoized walk of each row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -65,25 +62,6 @@ def extends_layout(scheme: ConcatScheme, prefix: ConcatScheme) -> bool:
     """Whether the columns of ``prefix`` are the first columns of ``scheme``,
     for the same ``u`` and ``v``, and ``scheme`` has more."""
     return scheme.value.startswith(prefix.value + "_")
-
-
-@dataclass(frozen=True, eq=False)
-class Examples:
-    """The classifier input of one corpus side, one row per PoI.
-
-    Row ``i`` of ``X`` (read-only float64, shape ``(n, D)``) holds the
-    features of the PoI ``node_ids[i]`` in tree ``trees[i]``, labeled
-    ``labels[i]``. ``walks[i]`` is the walk the row was built from.
-    """
-
-    X: np.ndarray
-    trees: tuple[DiscussionTree, ...]
-    node_ids: tuple[str, ...]
-    labels: tuple[str, ...]
-    walks: tuple[WalkSample, ...]
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 def aggregate_context(
@@ -257,26 +235,28 @@ def feature_width(dim: int, scheme: ConcatScheme) -> int:
     return concat_features(zero, zero, scheme).size
 
 
-def featurize_split(side: CorpusSide, config: RunConfig, out: np.ndarray | None = None) -> Examples:
-    """One row per PoI of the side, in :func:`labeled_pois` order, under the
-    walk, aggregation and concatenation settings of ``config``, its walks
-    seeded by ``config.seed``; written into ``out`` (shape ``(n, D)``, made
-    read-only) when given. The side must have been built for ``config.task``.
+def featurize_split(
+    side: CorpusSide, config: RunConfig, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The read-only float64 matrix ``X`` of one row per PoI of the side, in
+    :func:`labeled_pois` order, under the walk, aggregation and concatenation
+    settings of ``config``, its walks seeded by ``config.seed``; written into
+    ``out`` (shape ``(n, D)``) when given. The side must be for ``config.task``.
 
     Rows are built a block of PoIs at a time: ``u`` is decoded from the
     side's embedding rows the block reads, the walks of each length are
     aggregated together, and the concatenation is written into that block
     of ``X``.
     """
-    samples, rows, lengths = side.walks(config)
+    _, rows, lengths = side.walks(config)
     weights = walk_weights(rows.shape[1], config.gamma)
     strategy = AggregationStrategy(config.aggregation)
     scheme = ConcatScheme(config.scheme)
-    shape = (len(samples), feature_width(side.values.shape[1], scheme))
+    shape = (len(lengths), feature_width(side.values.shape[1], scheme))
     X = np.empty(shape) if out is None else out
     if X.shape != shape:
         raise DimensionMismatchError(f"out has shape {X.shape}, expected {shape}")
-    for start in range(0, len(samples), _BLOCK):
+    for start in range(0, len(lengths), _BLOCK):
         block_rows, block_lengths = rows[start : start + _BLOCK], lengths[start : start + _BLOCK]
         u = side.embeddings(block_rows[:, 0])
         v = np.zeros_like(u)
@@ -293,7 +273,7 @@ def featurize_split(side: CorpusSide, config: RunConfig, out: np.ndarray | None 
                 )
         concat_features(u, v, scheme, out=X[start : start + _BLOCK])
     X.setflags(write=False)
-    return Examples(X, side.trees, side.node_ids, side.labels, samples)
+    return X
 
 
 def _check_task(task: str) -> None:

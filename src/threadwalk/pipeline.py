@@ -9,8 +9,9 @@ one whose features are the first columns of another's, as ``(u, v)`` and
 ``(u, v, |u - v|)`` are of ``(u, v, |u - v|, u*v)``, trains on views of that
 one's matrix, which the cap does not count, so the ablation trains three
 models on one matrix. Each side of the split is compiled once into a
-:class:`~threadwalk.features.CorpusSide`, so its comments are embedded once
-and its walks are sampled once per (p, seed) for the whole experiment.
+:class:`~threadwalk.features.CorpusSide`, so its comments are embedded once,
+its walks are sampled once per (p, seed) for the whole experiment, and it
+holds the tree, node id and label of each row of its feature matrices.
 Experiments return values; the command line writes their files in the formats
 defined here. A manifest captures the full resolved configuration, and
 replaying one reproduces metrics and model files byte for byte: all
@@ -42,13 +43,13 @@ from .embeddings import (
     HashedBowProvider,
     load_external_embeddings,
 )
-from .errors import ConfigError, EmptyEvalSetError, MissingEmbeddingError, cut_path, quote, quote_list
+from .errors import ConfigError, EmptyEvalSetError, MissingEmbeddingError, ThreadwalkError
+from .errors import cut_path, quote, quote_list
 from .evaluation import EvalReport, evaluate, split_trees
 from .features import (
     AggregationStrategy,
     ConcatScheme,
     CorpusSide,
-    Examples,
     TASK_LABELS,
     TASKS,
     extends_layout,
@@ -282,9 +283,9 @@ def replicate(
         del stack
         tests = {k: featurize_split(test_side, configs[k]) for k in held}
         for (k, base), model in zip(group.items(), models):
-            test = dataclasses.replace(tests[base], X=tests[base].X[:, : widths[k]])
-            replicates[k] = Replicate(model, evaluate(model, test))
-        del tests, test
+            report = evaluate(model, tests[base][:, : widths[k]], test_side.labels)
+            replicates[k] = Replicate(model, report)
+        del tests
     return [replicates[k] for k in range(len(configs))]
 
 
@@ -367,10 +368,9 @@ def average_over_seeds(
     ]
 
 
-def feature_dump_lines(examples: Examples) -> Iterator[str]:
-    """One JSON line per example, for cross-implementation diffing."""
-    columns = zip(examples.trees, examples.node_ids, examples.labels, examples.X)
-    for tree, node_id, label, row in columns:
+def feature_dump_lines(side: CorpusSide, X: np.ndarray) -> Iterator[str]:
+    """One JSON line per PoI and row of ``X``, for cross-implementation diffing."""
+    for tree, node_id, label, row in zip(side.trees, side.node_ids, side.labels, X):
         ids = {"tree_id": tree.tree_id, "node_id": node_id}
         yield json.dumps({**ids, "label": label, "features": row.tolist()}, sort_keys=True) + "\n"
 
@@ -469,7 +469,7 @@ def grid_search(
     if workers > 1:
         # Imported here: on a 2-core VM it adds 20-30 ms to every command's start.
         import signal
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         # Ctrl-C reaches the whole process group. The workers ignore it and
         # finish the tasks they hold, and this process raises once they have.
         # The pool marks every task it queues as running, past the reach of
@@ -488,6 +488,8 @@ def grid_search(
                     batch = pool.map(row_averages, rows[lo : lo + workers])
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     averages += batch
+        except BrokenExecutor:  # a worker died, and the pool ended the others
+            raise ThreadwalkError("a grid-search worker died (killed, or out of memory)") from None
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     else:

@@ -12,6 +12,7 @@ import hashlib
 import math
 import warnings
 from collections import Counter
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from threadwalk.errors import (
     quote,
     quote_list,
 )
-from threadwalk.features import POLARITY_TASK, CorpusSide, Examples
+from threadwalk.features import POLARITY_TASK, CorpusSide
 from threadwalk.model import train
 from threadwalk.pipeline import RunConfig
 from threadwalk.seeding import derived_rng
@@ -345,11 +346,11 @@ def side_rows(side: CorpusSide) -> dict[tuple[DiscussionTree, str], int]:
     return {key: row for row, key in enumerate((t, node.id) for t in walked for node in t)}
 
 
-def bow_examples(trees, task, d, *, normalize=False) -> Examples:
+def bow_examples(trees, task, d, *, normalize=False) -> tuple[np.ndarray, CorpusSide]:
     """Bag-of-words baseline inputs, the input the walk features are
-    measured against: polarity concatenates the parent and child BoW vectors
-    (the pair framing), hate uses the single comment vector. Each row's walk
-    is the PoI alone, since the baseline sees no context."""
+    measured against, and the side whose PoIs are its rows: polarity
+    concatenates the parent and child BoW vectors (the pair framing), hate
+    uses the single comment vector."""
     side = CorpusSide(trees, HashedBowProvider(d, normalize=normalize), task)
     rows, pois = side_rows(side), list(zip(side.trees, side.node_ids))
     X = side.embeddings([rows[tree, node_id] for tree, node_id in pois])
@@ -357,34 +358,32 @@ def bow_examples(trees, task, d, *, normalize=False) -> Examples:
         parents = side.embeddings([rows[tree, tree.parent(node_id)] for tree, node_id in pois])
         X = np.concatenate([parents, X], axis=1)
     X.setflags(write=False)
-    walks = tuple(WalkSample((node_id,), ()) for node_id in side.node_ids)
-    return Examples(X, side.trees, side.node_ids, side.labels, walks)
+    return X, side
 
 
 def bow_logreg_baseline(trees, task, d, config, *, normalize=False):
     """Train the bag-of-words logistic-regression baseline."""
-    examples = bow_examples(trees, task, d, normalize=normalize)
-    (model,) = train(examples.labels, examples.X[None], [config])
+    X, side = bow_examples(trees, task, d, normalize=normalize)
+    (model,) = train(side.labels, X[None], [config])
     return model
 
 
 def make_examples(rows, labels, node_ids=None, walks=None, tree=None):
-    """Examples from feature rows and labels, all in ``tree``; node ids
-    default to n0, n1, ..., walks to the PoI alone and the tree to a one-node
-    stand-in "t" that holds none of them, for callers that read no text."""
+    """``(X, side, walks)`` from feature rows and labels, as
+    ``error_analysis`` reads them: a stand-in side of the rows' trees, node
+    ids and labels, all in ``tree``. Node ids default to n0, n1, ..., walks
+    to the PoI alone and the tree to a one-node stand-in "t" that holds none
+    of them, for callers that read no text."""
     if node_ids is None:
         node_ids = [f"n{i}" for i in range(len(labels))]
     if walks is None:
         walks = [WalkSample((node_id,), ()) for node_id in node_ids]
     if tree is None:
         tree = build_tree([CommentNode("stand-in", None, "stand-in text")], tree_id="t")
-    return Examples(
-        X=np.asarray(rows, dtype=np.float64),
-        trees=(tree,) * len(labels),
-        node_ids=tuple(node_ids),
-        labels=tuple(labels),
-        walks=tuple(walks),
+    side = SimpleNamespace(
+        trees=(tree,) * len(labels), node_ids=tuple(node_ids), labels=tuple(labels)
     )
+    return np.asarray(rows, dtype=np.float64), side, tuple(walks)
 
 
 def log_softmax_oracle(logits: np.ndarray) -> np.ndarray:

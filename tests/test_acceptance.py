@@ -157,8 +157,8 @@ def test_criterion_05_metric_oracle():
         one_hot[classes.index(predicted)] = 1.0
         rows += [one_hot] * n
         labels += [true] * n
-    examples = make_examples(rows, labels)
-    report = evaluate(model, examples)
+    X, side, _ = make_examples(rows, labels)
+    report = evaluate(model, X, side.labels)
     ok = (
         abs(report.precision_pos - 0.53) <= 0.005
         and abs(report.recall_pos - 0.39) <= 0.005
@@ -220,10 +220,12 @@ def test_criterion_07_context_helps(context_corpus):
         scores = []
         for seed in seeds:
             seeded = arm_config.replace(seed=seed)
-            train_examples = featurize_split(CorpusSide(train_trees, provider, "hate"), seeded)
-            test_examples = featurize_split(CorpusSide(test_trees, provider, "hate"), seeded)
-            (model,) = train(train_examples.labels, train_examples.X[None], [seeded])
-            scores.append(evaluate(model, test_examples).macro_f1)
+            train_side = CorpusSide(train_trees, provider, "hate")
+            test_side = CorpusSide(test_trees, provider, "hate")
+            X_train = featurize_split(train_side, seeded)
+            X_test = featurize_split(test_side, seeded)
+            (model,) = train(train_side.labels, X_train[None], [seeded])
+            scores.append(evaluate(model, X_test, test_side.labels).macro_f1)
         return float(np.mean(scores))
 
     full = walk_arm(config)
@@ -233,9 +235,8 @@ def test_criterion_07_context_helps(context_corpus):
     for seed in seeds:
         bow_config = RunConfig(epochs=100, seed=seed, class_weighting=True)
         model = bow_logreg_baseline(train_trees, "hate", config.bow_dim, bow_config)
-        bow_scores.append(
-            evaluate(model, bow_examples(test_trees, "hate", config.bow_dim)).macro_f1
-        )
+        X, side = bow_examples(test_trees, "hate", config.bow_dim)
+        bow_scores.append(evaluate(model, X, side.labels).macro_f1)
     bow = float(np.mean(bow_scores))
 
     elapsed = time.perf_counter() - start

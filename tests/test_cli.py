@@ -335,6 +335,33 @@ def test_ablate_concat_rows(corpus_path, tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("command", ["featurize", "run", "error-analysis"])
+def test_walks_read_after_featurizing_are_sampled_once(
+    corpus_path, tmp_path, capsys, sampled_walks, command
+):
+    """``featurize --traces``, ``run --dump-features`` and ``error-analysis``
+    read each side's walks from its memo after featurizing it, so every PoI
+    of each side they read is walked once."""
+    trees = load_corpus(corpus_path)
+    argv = [command, "--corpus", str(corpus_path)]
+    if command == "error-analysis":
+        config = RunConfig(task="hate", epochs=8, bow_dim=32, seed=2)  # _zero_hate_model's
+        pois = split_sides(trees, config)[1].node_ids
+        argv += ["--model", str(_zero_hate_model(tmp_path / "model.txt"))]
+    else:
+        pois = [node.id for tree in trees for node in tree]  # every node of a hate corpus
+        argv += ["--task", "hate", *_fast_flags()]
+    if command == "featurize":
+        argv += ["--output", str(tmp_path / "features.jsonl")]
+        argv += ["--traces", str(tmp_path / "traces.jsonl")]
+    else:
+        argv += ["--out", str(tmp_path / "out")]
+        argv += ["--dump-features"] if command == "run" else []
+    assert main(argv) == 0
+    assert len(pois) == len(set(pois)) > 0
+    assert sorted(walk.start for walk in sampled_walks) == sorted(pois)
+
+
 def test_error_analysis_reconciles(corpus_path, tmp_path, capsys):
     rundir = tmp_path / "run"
     assert (
@@ -787,6 +814,40 @@ def test_failing_command_leaves_no_out_directory(tmp_path, capsys, command):
     assert main(argv) == 2
     assert "No such file" in _single_error_line(capsys)
     assert not out.exists()
+
+
+_DIVERGING = ["--task", "hate", "--learning-rate", "1e150", "--batch-size", "1", "--epochs", "5"]
+
+
+@pytest.mark.parametrize("parent_exists", [False, True])
+def test_diverging_run_removes_the_directories_it_made(
+    corpus_path, tmp_path, capsys, parent_exists
+):
+    """A run that fails once ``--out`` is made removes each directory made
+    for it, deepest first, and leaves one that existed before."""
+    parent = tmp_path / "parent"
+    if parent_exists:
+        parent.mkdir()
+    out = parent / "new" / "out"
+    assert main(["run", "--corpus", str(corpus_path), "--out", str(out), *_DIVERGING]) == 1
+    assert _single_error_line(capsys) == "error: loss became nan after an epoch"
+    assert parent.exists() == parent_exists and not (parent / "new").exists()
+
+
+def test_failing_run_keeps_a_directory_that_holds_a_file(
+    corpus_path, tmp_path, capsys, monkeypatch
+):
+    """A run that fails after writing into a new ``--out`` keeps it, and so
+    the new directories above it."""
+    def fail(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "write_manifest", fail)
+    out = tmp_path / "new" / "out"
+    assert main(["run", "--corpus", str(corpus_path), "--out", str(out), *_RUN_HATE]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    written = sorted(path.name for path in out.iterdir())
+    assert written == ["metrics.json", "model.txt", "report.txt"]
 
 
 @pytest.mark.parametrize(
@@ -1989,7 +2050,7 @@ def test_interrupt_exits_130_with_one_line(
     assert main(argv) == 130
     assert calls == [name]
     assert capsys.readouterr().err == "interrupted\n"
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 def _process_group(pgid: int) -> list[int]:
@@ -2011,12 +2072,10 @@ def _ignores_sigint(pid: int) -> bool:
     return False
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc")
-def test_interrupted_pool_exits_130_with_one_line(corpus_path, tmp_path):
-    """Ctrl-C sent to the process group of ``grid-search --jobs 2`` once both
-    workers ignore it ends the command as a one-process run ends: exit 130,
-    one ``interrupted`` line, no manifest and no process of the group left."""
-    out = tmp_path / "out"
+def _signal_grid_pool(corpus_path, out, send) -> tuple[subprocess.Popen, str, str]:
+    """Start ``grid-search --jobs 2`` writing to ``out`` in a process group of
+    its own, call ``send(pid, workers)`` once both workers ignore SIGINT, and
+    return the ended process with its stdout and stderr."""
     argv = ["grid-search", "--corpus", str(corpus_path), "--out", str(out), "--task", "hate"]
     argv += ["--epochs", "2000", "--bow-dim", "32", "--jobs", "2", "--gamma-values", "0.5"]
     argv += ["--p-values", "0,0.2,0.4,0.6,0.8,1", "--seeds", "0"]
@@ -2037,14 +2096,41 @@ def test_interrupted_pool_exits_130_with_one_line(corpus_path, tmp_path):
                 break
             assert proc.poll() is None and time.monotonic() < deadline, "no pool ignored SIGINT"
             time.sleep(0.005)
-        os.killpg(proc.pid, signal.SIGINT)
+        send(proc.pid, workers)
         stdout, stderr = proc.communicate(timeout=120)
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
+    return proc, stdout, stderr
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc")
+def test_interrupted_pool_exits_130_with_one_line(corpus_path, tmp_path):
+    """Ctrl-C sent to the process group of ``grid-search --jobs 2`` once both
+    workers ignore it ends the command as a one-process run ends: exit 130,
+    one ``interrupted`` line, no manifest and no process of the group left."""
+    out = tmp_path / "out"
+    proc, stdout, stderr = _signal_grid_pool(
+        corpus_path, out, lambda pid, workers: os.killpg(pid, signal.SIGINT)
+    )
     assert (proc.returncode, stderr, stdout) == (130, "interrupted\n", "")
     assert not (out / "manifest.json").exists()
+    assert _process_group(proc.pid) == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc")
+def test_killed_pool_worker_exits_1_with_one_line(corpus_path, tmp_path):
+    """SIGKILL of one ``grid-search --jobs 2`` worker, once both workers
+    ignore SIGINT, ends the command with exit 1, one ``error:`` line, no
+    manifest, no new ``--out`` directory and no process of the group left."""
+    out = tmp_path / "out"
+    proc, stdout, stderr = _signal_grid_pool(
+        corpus_path, out, lambda pid, workers: os.kill(workers[0], signal.SIGKILL)
+    )
+    error = "error: a grid-search worker died (killed, or out of memory)\n"
+    assert (proc.returncode, stderr, stdout) == (1, error, "")
+    assert not out.exists()
     assert _process_group(proc.pid) == []
 
 

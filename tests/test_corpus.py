@@ -249,18 +249,19 @@ def test_failed_write_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == [kept] and kept.read_text() == "old\n"
 
 
-def test_write_never_follows_a_planted_temp_file(tmp_path):
-    """A symlink planted at the temporary name an earlier writer used,
-    ``.<name>.<pid>.tmp``, is neither written through nor moved into place."""
+def test_write_never_follows_a_planted_temp_file(tmp_path, monkeypatch):
+    """A symlink planted at the very temporary name the writer draws is
+    neither written through nor moved into place: the write fails."""
     victim = tmp_path / "victim.txt"
     victim.write_text("victim\n")
     out = tmp_path / "out.txt"
-    planted = tmp_path / f".out.txt.{os.getpid()}.tmp"
+    monkeypatch.setattr(os, "urandom", lambda n: b"\x5a" * n)
+    planted = tmp_path / f".out.txt.{'5a' * 8}.tmp"  # the name those bytes give
     planted.symlink_to(victim)
-    write_lines(out, ["hello\n"])
+    with pytest.raises(FileExistsError):
+        write_lines(out, ["hello\n"])
     assert victim.read_text() == "victim\n"
-    assert out.is_file() and not out.is_symlink() and out.read_text() == "hello\n"
-    assert planted.is_symlink()
+    assert not out.exists() and planted.is_symlink()
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027, 0o002])

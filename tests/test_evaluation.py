@@ -140,13 +140,14 @@ class TestEvaluate:
             ("hate", "non-hate"): 1,
             ("hate", "hate"): 3,
         }
-        report = evaluate(_identity_model(classes), _examples_for(counts, classes))
+        X, side, _ = _examples_for(counts, classes)
+        report = evaluate(_identity_model(classes), X, side.labels)
         assert report.confusion.tolist() == [[3, 1], [2, 9]]
         assert report.accuracy == pytest.approx(12 / 15)
 
     def test_empty(self):
         with pytest.raises(EmptyEvalSetError):
-            evaluate(_identity_model(["a", "b"]), make_examples(np.empty((0, 2)), []))
+            evaluate(_identity_model(["a", "b"]), np.empty((0, 2)), [])
 
 
 class TestSplitTrees:
@@ -226,10 +227,11 @@ class TestErrorAnalysis:
 
     def test_listings_reconcile_with_confusion(self):
         model, examples, tree = self._setup()
-        positive_label, records = error_analysis(model, examples)
+        positive_label, records = error_analysis(model, *examples)
         kinds = [record["kind"] for record in records]
         assert (positive_label, kinds) == ("hate", ["fp", "fn"])
-        report = evaluate(model, examples)
+        X, side, _ = examples
+        report = evaluate(model, X, side.labels)
         confusion = report.confusion
         pos = report.class_names.index("hate")
         neg = 1 - pos
@@ -238,7 +240,7 @@ class TestErrorAnalysis:
 
     def test_records_carry_context_texts(self):
         model, examples, tree = self._setup()
-        _, records = error_analysis(model, examples)
+        _, records = error_analysis(model, *examples)
         assert records[0] == {
             "kind": "fp",
             "tree_id": "t",
@@ -251,16 +253,16 @@ class TestErrorAnalysis:
         assert records[1]["node_id"] == "b" and len(records) == 2
 
     def test_perfect_predictor_empty(self):
-        model, examples, tree = self._setup()
-        keep = [examples.node_ids.index(nid) for nid in ("r", "c")]
+        model, (X, side, walks), tree = self._setup()
+        keep = [side.node_ids.index(nid) for nid in ("r", "c")]
         correct = make_examples(
-            [*examples.X[keep], np.eye(2)[0]],
-            [*(examples.labels[i] for i in keep), "hate"],
+            [*X[keep], np.eye(2)[0]],
+            [*(side.labels[i] for i in keep), "hate"],
             node_ids=["r", "c", "b"],
-            walks=[*(examples.walks[i] for i in keep), _walk("b", "r")],
+            walks=[*(walks[i] for i in keep), _walk("b", "r")],
             tree=tree,
         )
-        assert error_analysis(model, correct) == ("hate", [])
+        assert error_analysis(model, *correct) == ("hate", [])
 
     def test_counts_from_known_confusion(self):
         classes = ["hate", "non-hate"]
@@ -275,7 +277,7 @@ class TestErrorAnalysis:
             records.append(CommentNode(f"e{i:04d}", "root", f"text {i}", label=true))
         tree = build_tree(records, tree_id="t")
         examples = _examples_for(counts, classes, prefix="e", tree=tree)
-        _, records = error_analysis(_identity_model(classes), examples)
+        _, records = error_analysis(_identity_model(classes), *examples)
         kinds = [record["kind"] for record in records]
         assert kinds == ["fp"] * 36 + ["fn"] * 62
         assert all(record["predicted_label"] == "hate" for record in records[:36])
@@ -285,4 +287,4 @@ class TestErrorAnalysis:
         tree = build_tree([CommentNode("r", None, "x", label="a")], tree_id="t")
         examples = make_examples([np.eye(3)[0]], ["a"], node_ids=["r"], tree=tree)
         with pytest.raises(NotBinaryTaskError):
-            error_analysis(_identity_model(classes), examples)
+            error_analysis(_identity_model(classes), *examples)

@@ -306,23 +306,22 @@ class TestFeaturizeCorpus:
         )
 
     def test_polarity_example_per_non_root(self):
-        examples = featurize_split(
-            CorpusSide([self._polarity_tree()], HashedBowProvider(8), "polarity"),
-            RunConfig(p=0.8, gamma=0.8, walk_length=4, seed=0),
-        )
-        assert len(examples) == 3
-        assert examples.node_ids == ("b", "c", "d")
-        assert examples.labels == ("attack", "support", "attack")
-        assert examples.X.shape == (3, 24)
-        assert not examples.X.flags.writeable
-        assert [walk.start for walk in examples.walks] == ["b", "c", "d"]
+        side = CorpusSide([self._polarity_tree()], HashedBowProvider(8), "polarity")
+        config = RunConfig(p=0.8, gamma=0.8, walk_length=4, seed=0)
+        X = featurize_split(side, config)
+        assert isinstance(X, np.ndarray) and X.dtype == np.float64
+        assert side.node_ids == ("b", "c", "d")
+        assert side.labels == ("attack", "support", "attack")
+        assert X.shape == (3, 24)
+        assert not X.flags.writeable
+        assert [walk.start for walk in side.walks(config)[0]] == ["b", "c", "d"]
 
     def test_hate_example_per_node(self):
-        examples = featurize_split(
+        X = featurize_split(
             CorpusSide([self._hate_tree()], HashedBowProvider(8), "hate"),
             RunConfig(task="hate", p=0.8, gamma=0.8, walk_length=4, seed=0),
         )
-        assert len(examples) == 5
+        assert len(X) == 5
 
     def test_missing_label_raises(self, forked_tree):
         with pytest.raises(MissingLabelError):
@@ -336,12 +335,12 @@ class TestFeaturizeCorpus:
         trees = [self._hate_tree(), self._polarity_tree()]
         # order by tree id then node id, regardless of input order
         config = RunConfig(task="hate", p=0.6, gamma=0.5, walk_length=4, seed=3)
-        first = featurize_split(CorpusSide([trees[0]], HashedBowProvider(8), "hate"), config)
-        again = featurize_split(CorpusSide([trees[0]], HashedBowProvider(8), "hate"), config)
+        first = CorpusSide([trees[0]], HashedBowProvider(8), "hate")
+        again = CorpusSide([trees[0]], HashedBowProvider(8), "hate")
         assert list(first.node_ids) == sorted(first.node_ids)
         assert first.node_ids == again.node_ids
-        assert np.array_equal(first.X, again.X)
-        assert first.walks == again.walks
+        assert np.array_equal(featurize_split(first, config), featurize_split(again, config))
+        assert first.walks(config)[0] == again.walks(config)[0]
 
     def test_unknown_task(self):
         with pytest.raises(ValueError):
@@ -353,8 +352,8 @@ class TestFeaturizeCorpus:
         alone = featurize_split(side, config)
         stack = np.zeros((2, 5, 24))
         into = featurize_split(side, config, out=stack[1])
-        assert into.X.base is stack and not into.X.flags.writeable
-        assert stack[1].tobytes() == alone.X.tobytes() and not stack[0].any()
+        assert into.base is stack and not into.flags.writeable
+        assert stack[1].tobytes() == alone.tobytes() and not stack[0].any()
         for scheme in ("uv", "uv_absdiff_mul"):  # 16 and 32 wide
             with pytest.raises(DimensionMismatchError):
                 featurize_split(side, config.replace(scheme=scheme), out=stack[0])
@@ -454,15 +453,16 @@ class TestCorpusSide:
                                 )
                                 got = featurize_split(side, config)
                                 want = per_row_features(trees, provider, config)
-                                assert got.X.tobytes() == want.tobytes(), (L, p, gamma)
+                                assert got.tobytes() == want.tobytes(), (L, p, gamma)
 
     @pytest.mark.parametrize("task", ["hate", "polarity"])
     def test_rows_carry_their_trees(self, task, tmp_path):
         trees, provider = _side_corpus(task, "hashed", tmp_path)
         side = CorpusSide(trees, provider, task)
         config = RunConfig(task=task, p=0.5, gamma=1.0, seed=3, aggregation="sum", scheme="uv")
-        examples = featurize_split(side, config)
-        rows = list(zip(examples.trees, examples.node_ids, examples.walks))
+        X = featurize_split(side, config)
+        rows = list(zip(side.trees, side.node_ids, side.walks(config)[0]))
+        assert len(rows) == len(X)
         assert rows and all(node_id in tree for tree, node_id, _ in rows)
         assert all(set(walk.node_ids) <= set(tree.node_ids()) for tree, _, walk in rows)
         in_order = [(tree.tree_id, node.id) for tree, node in labeled_pois(trees, task)]
@@ -472,12 +472,14 @@ class TestCorpusSide:
         trees, provider = _side_corpus("hate", "hashed", tmp_path)
         side = CorpusSide(trees, provider, "hate")
         config = RunConfig(task="hate", p=0.5, gamma=0.8, seed=2)
-        first = featurize_split(side, config)
+        featurize_split(side, config)
+        first = side.walks(config)[0]
         second = featurize_split(side, config.replace(gamma=0.3))
-        assert second.walks is first.walks
-        fresh = featurize_split(CorpusSide(trees, provider, "hate"), config.replace(gamma=0.3))
-        assert second.walks == fresh.walks
-        assert second.X.tobytes() == fresh.X.tobytes()
+        assert side.walks(config.replace(gamma=0.3))[0] is first
+        fresh_side = CorpusSide(trees, provider, "hate")
+        fresh = featurize_split(fresh_side, config.replace(gamma=0.3))
+        assert first == fresh_side.walks(config)[0]
+        assert second.tobytes() == fresh.tobytes()
 
     def test_walks_sampled_once_per_seed(self, sampled_walks, tmp_path):
         trees, provider = _side_corpus("hate", "hashed", tmp_path)
@@ -510,7 +512,7 @@ class TestCorpusSide:
                 config = walk.replace(aggregation=strategy.value)
                 got = featurize_split(side, config)
                 want = per_row_features(trees, provider, config)
-                assert got.X.tobytes() == want.tobytes()
+                assert got.tobytes() == want.tobytes()
 
     def test_blocks_cover_every_row(self, monkeypatch, tmp_path):
         trees, provider = _side_corpus("hate", "external", tmp_path)
@@ -523,7 +525,7 @@ class TestCorpusSide:
         )
         got = featurize_split(side, config)
         want = per_row_features(trees, provider, config)
-        assert got.X.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 def test_walk_past_the_side_wide_draws_continues_its_stream():

@@ -39,7 +39,6 @@ from conftest import (
     bow_examples,
     bow_logreg_baseline,
     log_softmax_oracle,
-    make_examples,
     train_oracle,
 )
 
@@ -55,7 +54,7 @@ def _cluster_examples(rng, n, centers, margin=1.0):
         cls = i % len(centers)
         rows.append(np.asarray(centers[cls]) * margin + rng.normal(0, 0.1, size=len(centers[0])))
         labels.append(f"c{cls}")
-    return make_examples(rows, labels)
+    return np.asarray(rows), labels
 
 
 class TestGradient:
@@ -572,38 +571,38 @@ class TestLockstepTrain:
 class TestTrain:
     def test_separable_data_high_accuracy(self):
         rng = np.random.default_rng(1)
-        examples = _cluster_examples(rng, 200, [(1, 1), (-1, -1)])
-        (model,) = train(examples.labels, examples.X[None], [UNWEIGHTED.replace(epochs=50, seed=0)])
-        predictions = predict_labels(model, examples.X)
-        accuracy = np.mean([p == label for p, label in zip(predictions, examples.labels)])
+        X, labels = _cluster_examples(rng, 200, [(1, 1), (-1, -1)])
+        (model,) = train(labels, X[None], [UNWEIGHTED.replace(epochs=50, seed=0)])
+        predictions = predict_labels(model, X)
+        accuracy = np.mean([p == label for p, label in zip(predictions, labels)])
         assert accuracy >= 0.99
 
     def test_no_signal_predicts_priors(self):
-        examples = make_examples([[1.0, 1.0]] * 100, ["c0", "c1"] * 50)
-        (model,) = train(examples.labels, examples.X[None], [UNWEIGHTED.replace(epochs=30, seed=0)])
+        X, labels = np.array([[1.0, 1.0]] * 100), ["c0", "c1"] * 50
+        (model,) = train(labels, X[None], [UNWEIGHTED.replace(epochs=30, seed=0)])
         probs = predict_proba(model, np.array([[1.0, 1.0]]))[0]
         assert probs == pytest.approx([0.5, 0.5], abs=0.02)
 
     def test_bit_identical_trajectories(self):
         rng = np.random.default_rng(2)
-        examples = _cluster_examples(rng, 120, [(1, 0, 1), (0, 1, -1)])
-        (a,) = train(examples.labels, examples.X[None], [UNWEIGHTED.replace(epochs=20, seed=42)])
-        (b,) = train(examples.labels, examples.X[None], [UNWEIGHTED.replace(epochs=20, seed=42)])
+        X, labels = _cluster_examples(rng, 120, [(1, 0, 1), (0, 1, -1)])
+        (a,) = train(labels, X[None], [UNWEIGHTED.replace(epochs=20, seed=42)])
+        (b,) = train(labels, X[None], [UNWEIGHTED.replace(epochs=20, seed=42)])
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
         assert a.metadata["loss_history"] == b.metadata["loss_history"]
 
     def test_zero_epochs_returns_zero_init(self):
-        examples = make_examples([[1.0, 2.0], [3.0, 4.0]], ["c0", "c1"])
-        (model,) = train(examples.labels, examples.X[None], [UNWEIGHTED.replace(epochs=0)])
+        X, labels = np.array([[1.0, 2.0], [3.0, 4.0]]), ["c0", "c1"]
+        (model,) = train(labels, X[None], [UNWEIGHTED.replace(epochs=0)])
         assert not model.weights.any() and not model.bias.any()
         probs = predict_proba(model, np.array([[5.0, -7.0]]))[0]
         assert probs == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_loss_non_increasing_within_tolerance(self):
         rng = np.random.default_rng(3)
-        examples = _cluster_examples(rng, 150, [(1, 1), (-1, 1), (0, -1)])
-        (model,) = train(examples.labels, examples.X[None], [UNWEIGHTED.replace(epochs=30, seed=1)])
+        X, labels = _cluster_examples(rng, 150, [(1, 1), (-1, 1), (0, -1)])
+        (model,) = train(labels, X[None], [UNWEIGHTED.replace(epochs=30, seed=1)])
         history = model.metadata["loss_history"]
         for earlier, later in zip(history, history[1:]):
             assert later <= earlier + 1e-3
@@ -613,28 +612,28 @@ class TestTrain:
         # 9:1 imbalance, separable but with a narrow margin and few epochs
         rows = [rng.normal(0, 0.3, 2) + (0.25, 0.0) for _ in range(180)]
         rows += [rng.normal(0, 0.3, 2) + (-0.9, 0.0) for _ in range(20)]
-        examples = make_examples(rows, ["major"] * 180 + ["minor"] * 20)
+        X, labels = np.array(rows), ["major"] * 180 + ["minor"] * 20
 
         def minority_recall(model):
-            predictions = predict_labels(model, examples.X)
+            predictions = predict_labels(model, X)
             hits = sum(
                 1
-                for p, label in zip(predictions, examples.labels)
+                for p, label in zip(predictions, labels)
                 if label == "minor" and p == "minor"
             )
             return hits / 20
 
         plain_config = UNWEIGHTED.replace(epochs=5, seed=0)
-        (plain,) = train(examples.labels, examples.X[None], [plain_config])
+        (plain,) = train(labels, X[None], [plain_config])
         weighted_config = RunConfig(epochs=5, seed=0, class_weighting=True)
-        (weighted,) = train(examples.labels, examples.X[None], [weighted_config])
+        (weighted,) = train(labels, X[None], [weighted_config])
         assert minority_recall(weighted) > minority_recall(plain)
 
     def test_momentum_path_runs(self):
         rng = np.random.default_rng(5)
-        examples = _cluster_examples(rng, 60, [(1, 1), (-1, -1)])
+        X, labels = _cluster_examples(rng, 60, [(1, 1), (-1, -1)])
         config = UNWEIGHTED.replace(epochs=10, seed=0, momentum=0.9)
-        (model,) = train(examples.labels, examples.X[None], [config])
+        (model,) = train(labels, X[None], [config])
         assert np.all(np.isfinite(model.weights))
 
     def test_single_class_rejected(self):
@@ -644,10 +643,10 @@ class TestTrain:
             train([], np.empty((1, 0, 1)), [UNWEIGHTED])
 
     def test_non_finite_loss_detected(self):
-        examples = make_examples([[1e200, 0.0], [0.0, 1e200]], ["a", "b"])
+        X, labels = np.array([[1e200, 0.0], [0.0, 1e200]]), ["a", "b"]
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLossError):
             config = UNWEIGHTED.replace(epochs=3, learning_rate=1e150, l2=0.0)
-            train(examples.labels, examples.X[None], [config])
+            train(labels, X[None], [config])
 
 
 class TestPredictProba:
@@ -717,8 +716,8 @@ class TestPredictProba:
 class TestPersistence:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(7)
-        examples = _cluster_examples(rng, 80, [(1, 1, 0), (-1, 0, 1)])
-        (model,) = train(examples.labels, examples.X[None], [UNWEIGHTED.replace(epochs=15, seed=3)])
+        X, labels = _cluster_examples(rng, 80, [(1, 1, 0), (-1, 0, 1)])
+        (model,) = train(labels, X[None], [UNWEIGHTED.replace(epochs=15, seed=3)])
         path = tmp_path / "model.txt"
         save_model(model, path)
         loaded = load_model(path)
@@ -807,22 +806,20 @@ class TestBowBaseline:
 
     def test_polarity_concatenates_parent_and_child(self):
         polarity, _ = self._trees()
-        examples = bow_examples([polarity], "polarity", 16)
-        assert len(examples) == 2
-        assert examples.X.shape == (2, 32)
-        assert [walk.node_ids for walk in examples.walks] == [("b",), ("c",)]
+        X, side = bow_examples([polarity], "polarity", 16)
+        assert X.shape == (2, 32) and side.node_ids == ("b", "c")
         from threadwalk.embeddings import hashed_bow_embed
 
         expected = np.concatenate(
             [hashed_bow_embed("root text here", 16), hashed_bow_embed("first reply", 16)]
         )
-        assert np.array_equal(examples.X[examples.node_ids.index("b")], expected)
+        assert np.array_equal(X[side.node_ids.index("b")], expected)
 
     def test_hate_uses_single_comment(self):
         _, hate = self._trees()
-        examples = bow_examples([hate], "hate", 16)
-        assert len(examples) == 3
-        assert examples.X.shape == (3, 16)
+        X, side = bow_examples([hate], "hate", 16)
+        assert len(side.labels) == 3
+        assert X.shape == (3, 16)
 
     def test_baseline_trains(self):
         _, hate = self._trees()

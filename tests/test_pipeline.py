@@ -146,13 +146,13 @@ class TestRunConfig:
 class TestRunPipeline:
     def test_feature_dump_line_fields(self, small_corpus):
         side = CorpusSide(small_corpus[:2], SMALL_CONFIG.build_provider(), SMALL_CONFIG.task)
-        examples = featurize_split(side, SMALL_CONFIG)
-        lines = list(feature_dump_lines(examples))
-        assert len(lines) == len(examples)
+        X = featurize_split(side, SMALL_CONFIG)
+        lines = list(feature_dump_lines(side, X))
+        assert len(lines) == len(X) == len(side.labels)
         record = json.loads(lines[0])
         assert set(record) == {"tree_id", "node_id", "label", "features"}
-        assert record["node_id"] == examples.node_ids[0]
-        assert record["features"] == examples.X[0].tolist()
+        assert record["node_id"] == side.node_ids[0]
+        assert record["features"] == X[0].tolist()
 
     def test_external_embeddings_end_to_end(self, small_corpus, tmp_path):
         from threadwalk.embeddings import hashed_bow_embed, save_external_embeddings
@@ -556,10 +556,10 @@ class TestLockstepGroups:
             # A group's test matrices live on while it featurizes its next test side.
             refs = stacks + tests if out is not None else stacks
             featurized_with_live.append((out is not None, any(ref() is not None for ref in refs)))
-            examples = real_featurize(side, config, out)
+            X = real_featurize(side, config, out)
             if out is None:
-                tests.append(weakref.ref(examples.X))
-            return examples
+                tests.append(weakref.ref(X))
+            return X
 
         monkeypatch.setattr(pipeline, "train", spy_train)
         monkeypatch.setattr(pipeline, "featurize_split", spy_featurize)

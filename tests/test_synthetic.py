@@ -228,7 +228,8 @@ class TestContextSignalKnob:
         model = bow_logreg_baseline(
             train_trees, "hate", 256, RunConfig(epochs=40, seed=0, class_weighting=True)
         )
-        report = evaluate(model, bow_examples(test_trees, "hate", 256))
+        X, side = bow_examples(test_trees, "hate", 256)
+        report = evaluate(model, X, side.labels)
         majority = max(
             sum(1 for t in test_trees for n in t if n.label == "non-hate"),
             sum(1 for t in test_trees for n in t if n.label == "hate"),
